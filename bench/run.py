@@ -6,11 +6,13 @@
 Run from the root of a source checkout; the package is used from its
 `src/` directory.  With --trace 0 each operation is a fresh
 `python -m e8umbral.cli ...` process, the cost a CLI user pays per call,
-and the end-to-end metrics are reported.  With --trace 1 the same
+and the end-to-end metrics are reported, in the seconds of a reference
+machine: calibration processes run between the operations measure how
+fast the shared machine runs (see Clock).  With --trace 1 the same
 operations run in this process through `e8umbral.cli.main(argv)`, once
 plain and once traced, and the per-layer metrics are reported together
-with the tracing overhead.  Either way whole rounds of the workload's
-operations run until --seconds have passed, every output is checked, and
+with the tracing overhead.  Either way the whole rounds of the workload's
+operations that come nearest to --seconds run, every output is checked, and
 the last line printed is one JSON object:
 {"correct", "attempted", "failed", "metrics"}.  See bench/README.md.
 """
@@ -35,11 +37,42 @@ import workloads
 END_TO_END = (("setup_s", "s"), ("wall_s", "s"), ("op_p50_s", "s"),
               ("cpu_s", "s"), ("peak_rss_mb", "MB"))
 SETUP_REPEATS = 5
+# A fixed amount of stdlib-only work, timed as its own process; see Clock.
+# It touches 64 MiB of fresh memory, as a process that loads numpy and scipy
+# does, then multiplies truncated power series with Fraction coefficients,
+# as the q-series engine does.
+CALIBRATION = """
+memory = bytearray(64 << 20)
+for i in range(0, len(memory), 4096):
+    memory[i] = 1
+from fractions import Fraction
+N = 160
+def mul(a, b):
+    c = [Fraction(0)] * N
+    for i, x in enumerate(a):
+        if x:
+            for j in range(N - i):
+                c[i + j] += x * b[j]
+    return c
+p = [Fraction(1)] + [Fraction(0)] * (N - 1)
+for n in range(1, 12):
+    f = [Fraction(0)] * N
+    f[0], f[n] = Fraction(1), Fraction(-1, n)
+    p = mul(p, f)
+"""
+# Reported times are in seconds of a reference machine on which one
+# calibration process takes CAL_REF_S of wall time: a round figure near its
+# time on the 2-core shared VM of the reference figures in README.md.
+CAL_REF_S = 0.2
+# calibration time kept at this share of the time measured
+CAL_SHARE = 0.25
+# a timed call is scaled by the calibrations that start this near it
+CAL_WINDOW_S = 6.0
 # calls still running this long after start are killed (and count as
 # failed), so that a hung program cannot keep the run past 180 s
 RUN_DEADLINE = time.monotonic() + 170.0
 
-Call = namedtuple("Call", "rc out err wall cpu rss_mb")
+Call = namedtuple("Call", "rc out err start wall cpu rss_mb")
 
 
 class Run:
@@ -99,7 +132,7 @@ def spawn(argv, env, cwd):
     proc.returncode = os.waitstatus_to_exitcode(status)
     proc.stdout.close()
     proc.stderr.close()
-    return Call(proc.returncode, out.decode(), err[0].decode(), wall,
+    return Call(proc.returncode, out.decode(), err[0].decode(), start, wall,
                 usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0)
 
 
@@ -124,35 +157,126 @@ def check_import_location(env, root):
                  f"{call.err[-300:]}")
 
 
+class Clock:
+    """Scales times measured on a shared machine to a reference speed.
+
+    The other tenants of the host slow every process down, by up to 1.7x,
+    for seconds to minutes at a time.  A fixed amount of stdlib-only work
+    (CALIBRATION), run as its own process between the timed calls, slows
+    down with them: it meets the same processors and scheduler, and the
+    program under test cannot change it.  Calibrations follow the timed
+    calls in proportion to the time measured, and each call is scaled by
+    the calibrations near it in time.
+    """
+
+    def __init__(self, env, root):
+        self.env, self.root = env, root
+        self.samples = []
+        self.measured = 0.0
+        self.log = []
+
+    def calibrate(self):
+        call = spawn([sys.executable, "-I", "-c", CALIBRATION], self.env,
+                     self.root)
+        if call.rc != 0:
+            sys.exit(f"calibration run failed: {call.err[-300:]}")
+        self.samples.append(call)
+
+    def spawn(self, argv, label):
+        """Run argv as spawn() does, then calibrate while the calibration
+        time is below CAL_SHARE of the time measured so far."""
+        call = spawn(argv, self.env, self.root)
+        self.measured += call.wall
+        while sum(c.wall for c in self.samples) < CAL_SHARE * self.measured:
+            self.calibrate()
+        self.log.append((label, call))
+        return call
+
+    def factor(self, call):
+        """Reference seconds per measured second while `call` ran: from
+        the calibrations that started within CAL_WINDOW_S of it, or else
+        the last one before it and the first one after it."""
+        near = [c.wall for c in self.samples
+                if call.start - CAL_WINDOW_S <= c.start
+                <= call.start + call.wall + CAL_WINDOW_S]
+        if not near:
+            near = ([c.wall for c in self.samples if c.start < call.start][-1:]
+                    + [c.wall for c in self.samples
+                       if c.start > call.start][:1])
+        return CAL_REF_S / statistics.fmean(near)
+
+    def rows(self):
+        """(label, call) of every timed and calibration call, in order."""
+        return sorted([("calibration", c) for c in self.samples] + self.log,
+                      key=lambda row: row[1].start)
+
+
+def write_calls(path, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        f.write("label\tstart_s\twall_s\tcpu_s\n")
+        for label, c in rows:
+            f.write(f"{label}\t{c.start:.6f}\t{c.wall:.6f}\t{c.cpu:.6f}\n")
+
+
+def whole_rounds(seconds):
+    """Yield round numbers 0, 1, ... until the rounds run total nearest to
+    `seconds`; at least one round runs, and a round always finishes."""
+    start = time.perf_counter()
+    done = 0
+    while True:
+        yield done
+        done += 1
+        elapsed = time.perf_counter() - start
+        if elapsed + elapsed / done / 2 >= seconds:
+            return
+
+
 def measure_cold(workload, seconds, root):
     env = child_env(root)
     check_import_location(env, root)
-    setup = statistics.median(
-        spawn([sys.executable, "-c", "import e8umbral"], env, root).wall
-        for _ in range(SETUP_REPEATS))
+    clock = Clock(env, root)
+    clock.calibrate()
+    setups = [clock.spawn([sys.executable, "-c", "import e8umbral"], "setup")
+              for _ in range(SETUP_REPEATS)]
     run = Run(workload)
     run_prechecks(workload, run, env, root)
+    clock.calibrate()
     rounds = []
-    start = time.perf_counter()
-    while not rounds or time.perf_counter() - start < seconds:
-        calls = [spawn([sys.executable, "-m", "e8umbral.cli"] + op.argv,
-                       env, root) for op in workload.ops]
+    for _ in whole_rounds(seconds):
+        calls = [clock.spawn([sys.executable, "-m", "e8umbral.cli"]
+                             + op.argv, op.label) for op in workload.ops]
         run.check_round([(c.rc, c.out) for c in calls])
         rounds.append(calls)
-    # Other tenants of a shared machine only ever slow a call down, in
-    # bursts of seconds to minutes, so each operation counts with the
-    # fastest of its repeats, a round apart.
-    repeats = list(zip(*rounds))
-    walls = [min(c.wall for c in calls) for calls in repeats]
-    for op, calls, wall in zip(workload.ops, repeats, walls):
-        print(f"  {op.label:<58} exit {calls[-1].rc}  wall {wall:7.3f} s")
-    metrics = {
-        "setup_s": setup,
-        "wall_s": sum(walls),
-        "op_p50_s": statistics.median(walls),
-        "cpu_s": sum(min(c.cpu for c in calls) for calls in repeats),
-        "peak_rss_mb": max(c.rss_mb for calls in rounds for c in calls),
-    }
+    write_calls(root / "bench" / "out" / f"calls-{workload.name}.tsv",
+                clock.rows())
+
+    def summary(wall, cpu):
+        """The time metrics from wall(call) and cpu(call)."""
+        per_op = [statistics.fmean(map(wall, calls))
+                  for calls in zip(*rounds)]
+        return per_op, {
+            "setup_s": statistics.median(map(wall, setups)),
+            "wall_s": statistics.fmean(sum(map(wall, calls))
+                                       for calls in rounds),
+            "op_p50_s": statistics.median(per_op),
+            "cpu_s": statistics.fmean(sum(map(cpu, calls))
+                                      for calls in rounds),
+        }
+
+    per_op, measured = summary(lambda c: c.wall, lambda c: c.cpu)
+    for op, wall in zip(workload.ops, per_op):
+        print(f"  {op.label:<58} wall {wall:7.3f} s measured")
+    for name, value in measured.items():
+        print(f"  {name:<34} {value:14.6g} s measured")
+    factors = [clock.factor(c) for _, c in clock.log]
+    print(f"  {len(clock.samples)} calibration runs, mean "
+          f"{statistics.fmean(c.wall for c in clock.samples):.4f} s; "
+          f"times scaled by {min(factors):.4f} to {max(factors):.4f}")
+    _, metrics = summary(lambda c: c.wall * clock.factor(c),
+                         lambda c: c.cpu * clock.factor(c))
+    metrics["peak_rss_mb"] = max(c.rss_mb for calls in rounds
+                                 for c in calls)
     return run, metrics, dict(END_TO_END), f"{len(rounds)} round(s)"
 
 
@@ -210,8 +334,7 @@ def measure_traced(workload, seconds, root):
     run = Run(workload)
     run_prechecks(workload, run, env, root)
     plain_walls, traced_walls, per_round = [], [], []
-    start = time.perf_counter()
-    while not per_round or time.perf_counter() - start < seconds:
+    for _ in whole_rounds(seconds):
         results, wall = inprocess_round(workload, cli, caches)
         run.check_round(results)
         plain_walls.append(wall)
