@@ -13,17 +13,16 @@ numerically.
 from .qseries import (DEFAULT_DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
                       euler_product, extract_coefficient, pochhammer)
-from .lattice import (ConePoint, DEFAULT_LATTICE, LatticeConfig,
-                      enumerate_coset_cone)
+from .lattice import ConePoint, enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          MockFormVector, TraceId, all_trace_ids, assemble_H,
                          fermion_trace, h_component, heisenberg_trace,
                          trace_closed, trace_direct, trace_series)
 from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)
-from .theta import (NullwerteReport, S_unary, ShadowVector,
-                    eta_J_coefficients, g_scaled_series, shadow_component,
-                    shadow_vector, thetanullwerte_class_check)
+from .theta import (NullwerteReport, S_unary, eta_J_coefficients,
+                    g_scaled_series, shadow_component, shadow_vector,
+                    thetanullwerte_class_check)
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, e_function,
                     indefinite_theta, multiplier_matrix, nu_S, nu_T,

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from .lattice import DEFAULT_LATTICE, LatticeConfig, enumerate_coset_cone
-from .qseries import (DEFAULT_DEN, QSeries, SeriesError, euler_product,
-                      _order_value, _is_inf)
+from .lattice import enumerate_coset_cone
+from .qseries import (DEFAULT_DEN, GradingError, QSeries, SeriesError,
+                      euler_product, _order_value, _is_inf)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
@@ -132,74 +132,88 @@ def _closed_prefactor(group_class: GroupClass, order, den: int) -> QSeries:
 # closed-form route (explicit octant sums)
 
 
-def _box(limit: Fraction) -> int:
-    if limit < 0:
-        return -1
-    return math.isqrt(math.ceil(2 * limit)) + 1
+def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
+               den: int = DEFAULT_DEN, parity=None) -> QSeries:
+    """The signed sum over both octants of Z^n, truncated at q^cap:
 
+        (sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
+            q^((x.gram.x + lin.x)/2 + shift)
 
-def _lattice_sum_1a(a: int, cap: Fraction, den: int) -> QSeries:
-    # (sum_{k,l,m>=0} + sum_{k,l,m<0}) (-1)^(k+l+m)
-    #     q^((k^2+l^2+m^2)/2 + 2(kl+lm+mk) + a(k+l+m)/2 + 3a^2/40)
-    coeffs: dict[int, Fraction] = {}
-    B = _box(cap)
-    for negative in (False, True):
-        for k0 in range(B + 1):
-            for l0 in range(B + 1):
-                for m0 in range(B + 1):
-                    if negative:
-                        k, l, m = -k0 - 1, -l0 - 1, -m0 - 1
-                    else:
-                        k, l, m = k0, l0, m0
-                    e = (Fraction(k * k + l * l + m * m, 2)
-                         + 2 * (k * l + l * m + m * k)
-                         + Fraction(a * (k + l + m), 2)
-                         + Fraction(3 * a * a, 40))
-                    if e > cap:
-                        continue
-                    sign = -1 if (k + l + m) % 2 else 1
-                    en = int(e * den)
-                    coeffs[en] = coeffs.get(en, Fraction(0)) + sign
+    where x < 0 means every coordinate is negative, and with parity given
+    only points with parity.x even are summed.  gram and lin are integer,
+    shift rational.
+
+    Completeness: on either octant put x = y or x = -1 - y with y >= 0;
+    then twice the exponent minus 2 shift is y.gram.y + w.y + c with
+    w = lin resp. 2 gram.1 - lin.  With gram and w entrywise non-negative
+    and gram positive on the diagonal, that is non-decreasing in every
+    y_j, so each coordinate loop stops at its first point past the cap
+    without skipping one, and y_j <= sqrt((2 (cap - shift) - c)/gram_jj).
+    Exponents are integer numerators throughout.
+    """
+    n = len(lin)
+    two_g1 = [2 * sum(row) for row in gram]
+    octants = ((1, 0, lin, 0),
+               (negative_sign, 1, [g - l for g, l in zip(two_g1, lin)],
+                sum(two_g1) // 2 - sum(lin)))
+    if min(min(row) for row in gram) < 0 or \
+            min(gram[j][j] for j in range(n)) <= 0 or \
+            min(min(o[2]) for o in octants) < 0:
+        raise SeriesError("octant sum outside its certified bound")
+    limit = math.floor(2 * (_order_value(cap) - Fraction(shift)))
+    offset = Fraction(shift) * den
+    if offset.denominator != 1:
+        raise GradingError(f"shift {shift} not representable over {den}")
+    coeffs: dict[int, int] = {}
+    for outer, flip, w, c in octants:
+        # x = -1 - y flips the parity of signs.x and parity.x by their sums
+        sign0 = -outer if flip * sum(signs) % 2 else outer
+        par0 = flip * sum(parity) if parity else 0
+        for y, v in _octant_points(gram, w, c, limit):
+            if parity and (par0 + _dot(parity, y)) % 2:
+                continue
+            num, rem = divmod(v * den, 2)
+            if rem:
+                raise GradingError(f"exponent {v}/2 not representable "
+                                   f"over {den}")
+            e = num + offset.numerator
+            coeffs[e] = coeffs.get(e, 0) + \
+                (-sign0 if _dot(signs, y) % 2 else sign0)
     return QSeries(den, coeffs, cap)
 
 
-def _lattice_sum_2a(a: int, cap: Fraction, den: int) -> QSeries:
-    # (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(k+m)
-    #     q^(3k^2 + m^2/2 + 4km + a(2k+m)/2 + 3a^2/40)
-    coeffs: dict[int, Fraction] = {}
-    B = _box(cap)
-    for negative in (False, True):
-        outer = -1 if negative else 1
-        for k0 in range(B + 1):
-            for m0 in range(B + 1):
-                if negative:
-                    k, m = -k0 - 1, -m0 - 1
-                else:
-                    k, m = k0, m0
-                e = (3 * k * k + Fraction(m * m, 2) + 4 * k * m
-                     + Fraction(a * (2 * k + m), 2)
-                     + Fraction(3 * a * a, 40))
-                if e > cap:
-                    continue
-                sign = outer * (-1 if (k + m) % 2 else 1)
-                en = int(e * den)
-                coeffs[en] = coeffs.get(en, Fraction(0)) + sign
-    return QSeries(den, coeffs, cap)
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
-def _lattice_sum_3a(a: int, cap: Fraction, den: int) -> QSeries:
-    # sum_{k in Z} (-1)^k q^(15k^2/2 + 3ak/2 + 3a^2/40)
-    coeffs: dict[int, Fraction] = {}
-    B = _box(cap)
-    for k in range(-B - 1, B + 2):
-        e = (Fraction(15 * k * k, 2) + Fraction(3 * a * k, 2)
-             + Fraction(3 * a * a, 40))
-        if e > cap:
-            continue
-        sign = -1 if k % 2 else 1
-        en = int(e * den)
-        coeffs[en] = coeffs.get(en, Fraction(0)) + sign
-    return QSeries(den, coeffs, cap)
+def _octant_points(gram, w, c, limit):
+    """(y, y.gram.y + w.y + c) for every y in N^n with value <= limit."""
+    n = len(w)
+
+    def walk(y, base):
+        j = len(y)
+        slope = w[j] + 2 * _dot(gram[j], y)
+        t = 0
+        while True:
+            v = base + t * (slope + gram[j][j] * t)
+            if v > limit:
+                return
+            if j + 1 == n:
+                yield y + (t,), v
+            else:
+                yield from walk(y + (t,), v)
+            t += 1
+
+    return walk((), c)
+
+
+# the three class shapes of the closed octant sums, with lin = a * lin_unit
+# and shift 3a^2/40: (gram, lin_unit, signs, negative-octant sign)
+_CLOSED_SHAPES = {
+    1: (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (1, 1, 1), (1, 1, 1), 1),
+    2: (((6, 4), (4, 1)), (2, 1), (1, 1), -1),
+    3: (((15,),), (3,), (1,), 1),
+}
 
 
 def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
@@ -207,12 +221,10 @@ def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
     ordv = _order_value(order)
     cls = trace_id.group_class
     cap = ordv + Fraction(1, 12)   # prefactor valuation is -1/12
-    if cls.order == 1:
-        lat = _lattice_sum_1a(trace_id.coset_a, cap, den)
-    elif cls.order == 2:
-        lat = _lattice_sum_2a(trace_id.coset_a, cap, den)
-    else:
-        lat = _lattice_sum_3a(trace_id.coset_a, cap, den)
+    a = trace_id.coset_a
+    gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
+    lat = octant_sum(gram, [a * u for u in lin_unit], Fraction(3 * a * a, 40),
+                     signs, neg, cap, den)
     pref = _closed_prefactor(cls, ordv + Fraction(1, 12) + 1, den)
     out = (pref * lat).scale(trace_id.clifford_sign)
     return out.truncate(ordv)
@@ -222,8 +234,7 @@ def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
 # direct route (enumerated cone points with group sign rules)
 
 
-def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN,
-                 lattice: LatticeConfig = DEFAULT_LATTICE) -> QSeries:
+def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
     """Trace via enumerated coset-cone points.
 
     The prefactor is assembled from fermion_trace and heisenberg_trace (an
@@ -240,7 +251,7 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN,
     cap = ordv + Fraction(1, 12)
     fix = {1: None, 2: "tau", 3: "sigma"}[cls.order]
     coeffs: dict[int, Fraction] = {}
-    for pt in enumerate_coset_cone(a, fix, cap, lattice):
+    for pt in enumerate_coset_cone(a, fix, cap):
         k, l, m = pt.coords
         if cls.order == 1:
             sign = -1 if (k + l + m) % 2 else 1
@@ -289,7 +300,8 @@ def h_component(group_class: GroupClass, r: int, order,
 
 @dataclass(frozen=True)
 class MockFormVector:
-    """Sixty-component vector of series indexed by r mod 60."""
+    """Sixty-component vector of series indexed by r mod 60: H_g itself
+    (assemble_H) or its weight-3/2 shadow (theta.shadow_vector)."""
 
     group_class: GroupClass
     components: dict      # r -> QSeries, only nonzero entries stored

@@ -1,24 +1,24 @@
 """Command-line interface: coefficient tables, verification suites, and
 point evaluation of the (completed) components.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Exponents
-are serialized as integer numerators over the declared denominator 120,
-never as floats, so table output is byte-stable across runs.  The
-E8UMBRAL_THREADS environment variable caps the worker pool used for the
-numeric suite.
+Exit codes: 0 success, 1 verification failure, 2 usage error (one line
+on stderr), 3 a numeric evaluation that cannot reach the requested
+tolerance (one line on stderr).  Exponents are serialized as integer
+numerators over the declared denominator 120, never as floats, so table
+output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .characters import CLASSES, all_trace_ids, h_component, trace_closed, \
     trace_direct
+from .maass import ConvergenceError
 from .mocktheta import identity_suite
 from .theta import thetanullwerte_class_check
 
@@ -133,11 +133,9 @@ def _numeric_checks(tol: float):
                          lambda cls=cls, gamma=gamma:
                          transform_check(cls, gamma, 0.2 + 1.1j, tol)))
 
-    workers = int(os.environ.get("E8UMBRAL_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        residuals = list(pool.map(lambda j: j[1](), jobs))
     checks = []
-    for (name, _), res in zip(jobs, residuals):
+    for name, job in jobs:
+        res = job()
         ok = res < tol
         mark = "[ok]  " if ok else "[FAIL]"
         checks.append((f"{mark} {name}: residual {res:.3e}", ok))
@@ -198,8 +196,35 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, not {text!r}")
+    return value
+
+
+def _order(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, not {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="e8umbral",
         description="Umbral McKay-Thompson series for the E8^3 root "
                     "system: tables, verification, evaluation.")
@@ -215,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", choices=("exact", "numeric", "all"),
                    default="all")
-    v.add_argument("--order", type=int, default=25,
+    v.add_argument("--order", type=_order, default=25,
                    help="truncation order for the exact identities")
-    v.add_argument("--tol", type=float, default=1e-6,
+    v.add_argument("--tol", type=_tolerance, default=1e-6,
                    help="tolerance for the numeric residuals")
     v.add_argument("--corrupt", action="store_true",
                    help=argparse.SUPPRESS)   # negative-control test hook
@@ -230,14 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tau", required=True, help='complex point "x+yi"')
     ev.add_argument("--completion", action="store_true",
                     help="add the shadow Eichler integral")
-    ev.add_argument("--tol", type=float, default=1e-9)
+    ev.add_argument("--tol", type=_tolerance, default=1e-9)
     ev.set_defaults(func=cmd_eval)
     return p
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a --tau value such as -0.5+0.04i starts with "-", which argparse
+    # would read as an option: attach it as --tau=VALUE
+    for i in range(len(argv) - 1):
+        if argv[i] == "--tau":
+            argv[i:i + 2] = [f"--tau={argv[i + 1]}"]
+            break
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

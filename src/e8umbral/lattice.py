@@ -29,54 +29,17 @@ class LatticeError(ValueError):
     pass
 
 
-def _signature(gram) -> tuple[int, int]:
-    """Signature via Jacobi's leading-minor sign rule (exact integers)."""
-    g = [[Fraction(x) for x in row] for row in gram]
-    d1 = g[0][0]
-    d2 = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    d3 = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-          - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-          + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-    minors = [Fraction(1), d1, d2, d3]
-    if any(m == 0 for m in minors):
-        raise LatticeError("degenerate Gram matrix")
-    pos = sum(1 for i in range(3) if minors[i] * minors[i + 1] > 0)
-    return pos, 3 - pos
+RHO = (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Gram data for L together with rho = (e_1+e_2+e_3)/5."""
-
-    gram: tuple = GRAM
-
-    def __post_init__(self):
-        for i in range(3):
-            for j in range(3):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise LatticeError("Gram matrix must be symmetric")
-        if _signature(self.gram) != (1, 2):
-            raise LatticeError("Gram matrix must have signature (1,2)")
-
-    @property
-    def rho(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
-
-    def pair(self, u: Vector, v: Vector) -> Fraction:
-        """Bilinear form <u, v> in basis coordinates."""
-        total = Fraction(0)
-        for i in range(3):
-            if u[i] == 0:
-                continue
-            for j in range(3):
-                total += Fraction(u[i]) * self.gram[i][j] * Fraction(v[j])
-        return total
-
-    def q_norm(self, u: Vector) -> Fraction:
-        return self.pair(u, u) / 2
+def pair(u: Vector, v: Vector) -> Fraction:
+    """Bilinear form <u, v> in basis coordinates."""
+    return sum((Fraction(u[i]) * GRAM[i][j] * Fraction(v[j])
+                for i in range(3) for j in range(3)), Fraction(0))
 
 
-DEFAULT_LATTICE = LatticeConfig()
+def q_norm(u: Vector) -> Fraction:
+    return pair(u, u) / 2
 
 
 @dataclass(frozen=True, order=True)
@@ -93,8 +56,7 @@ class ConePoint:
         return tuple(c + s for c in self.coords)
 
 
-def _q_of(coords: tuple[int, int, int], a: int,
-          lat: LatticeConfig) -> Fraction:
+def _q_of(coords: tuple[int, int, int], a: int) -> Fraction:
     k, l, m = coords
     quad = Fraction(k * k + l * l + m * m, 2) + 2 * (k * l + l * m + m * k)
     return quad + Fraction(a * (k + l + m), 2) + Fraction(3 * a * a, 40)
@@ -111,8 +73,8 @@ def _fixed(coords: tuple[int, int, int], g_fix: Optional[str]) -> bool:
     raise LatticeError(f"unknown fixed-point filter {g_fix!r}")
 
 
-def _positive_branch(a: int, g_fix: Optional[str], bound: Fraction,
-                     lat: LatticeConfig) -> list[tuple[Fraction, tuple]]:
+def _positive_branch(a: int, g_fix: Optional[str],
+                     bound: Fraction) -> list[tuple[Fraction, tuple]]:
     # On branch P every coordinate of mu is >= a/10 > 0 and the cross terms
     # of Q are non-negative, so Q >= (k^2+l^2+m^2)/2 and the box below is
     # complete.  One unit of slack on top of the certified bound.
@@ -126,15 +88,14 @@ def _positive_branch(a: int, g_fix: Optional[str], bound: Fraction,
                 coords = (k, l, m)
                 if not _fixed(coords, g_fix):
                     continue
-                q = _q_of(coords, a, lat)
+                q = _q_of(coords, a)
                 if q <= bound:
                     out.append((q, coords))
     return out
 
 
 def enumerate_coset_cone(a: int, g_fix: Optional[str],
-                         energy_bound,
-                         lat: LatticeConfig = DEFAULT_LATTICE) -> list[ConePoint]:
+                         energy_bound) -> list[ConePoint]:
     """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound.
 
     Branch P is a direct box scan; branch N is obtained from the negation
@@ -145,8 +106,8 @@ def enumerate_coset_cone(a: int, g_fix: Optional[str],
         raise LatticeError("coset label a must be odd with 0 < a < 10")
     bound = Fraction(energy_bound)
     points = [ConePoint(q, coords, a, "P")
-              for q, coords in _positive_branch(a, g_fix, bound, lat)]
-    for q, coords in _positive_branch(10 - a, g_fix, bound, lat):
+              for q, coords in _positive_branch(a, g_fix, bound)]
+    for q, coords in _positive_branch(10 - a, g_fix, bound):
         neg = tuple(-c - 1 for c in coords)
         points.append(ConePoint(q, neg, a, "N"))
     points.sort()

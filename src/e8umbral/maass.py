@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .characters import (CLASS_2A, CLASSES, FAMILY_1, FAMILY_7,
                          GroupClass, h_component)
@@ -206,33 +204,6 @@ def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
             raise ConvergenceError("g function tail bound not met")
 
 
-def eichler_quadrature(integrand_coeffs: Sequence[tuple[float, float]],
-                       tau: complex, scale: float,
-                       tol: float = 1e-11) -> tuple[complex, float]:
-    """scale * e(-1/8) * int_{-conj(tau)}^{i inf} g(z) (z + tau)^(-1/2) dz
-    for g(z) = sum c_n e^(2 pi i n z) with real coefficients.
-
-    Parametrized along the vertical ray z = -conj(tau) + i t and handed to
-    adaptive Gauss-Kronrod quadrature on the real and imaginary parts.
-    Returns (value, reported quadrature error).
-    """
-    x, y = tau.real, tau.imag
-    coeffs = [(float(n), float(c)) for n, c in integrand_coeffs if c]
-
-    def integrand(t: float) -> complex:
-        gz = 0.0 + 0.0j
-        for n, c in coeffs:
-            gz += c * cmath.exp(-2j * math.pi * n * x - TWO_PI * n * (y + t))
-        return 1j * gz / cmath.sqrt(1j * (2.0 * y + t))
-
-    re, re_err = quad(lambda t: integrand(t).real, 0.0, math.inf,
-                      epsabs=tol, epsrel=0.0, limit=400)
-    im, im_err = quad(lambda t: integrand(t).imag, 0.0, math.inf,
-                      epsabs=tol, epsrel=0.0, limit=400)
-    pref = scale * e(Fraction(-1, 8))
-    return pref * complex(re, im), abs(pref) * (re_err + im_err)
-
-
 def _shadow_terms(group_class: GroupClass, r: int, y: float,
                   tol: float) -> list[tuple[float, float]]:
     """(n, c_n) pairs of the shadow component, deep enough that dropped
@@ -244,13 +215,12 @@ def _shadow_terms(group_class: GroupClass, r: int, y: float,
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
-                     tol: float = 1e-9, method: str = "quadrature") -> complex:
+                     tol: float = 1e-9) -> complex:
     """The completed component value H_r(tau) + (shadow Eichler integral).
 
     The non-holomorphic part is the Eichler integral of the shadow
-    component with scaling constant C = sqrt(60), computed by adaptive
-    quadrature along the vertical ray ("quadrature") or by the equivalent
-    termwise incomplete-Gamma series ("terms", used as the cross-check).
+    component with scaling constant C = sqrt(60), summed termwise: the
+    shadow term c_n q^n contributes c_n/(C sqrt(2n)) beta(4 n y) q^(-n).
     """
     y = tau.imag
     if y <= 0:
@@ -267,22 +237,13 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
         order = min(order * 2, 800)
     if group_class.perm_character == 0:
         return value          # zero shadow: completion equals the series
-    terms = _shadow_terms(group_class, r, y, tol)
-    if method == "quadrature":
-        nonholo, err = eichler_quadrature(terms, tau, 1.0 / SHADOW_SCALE,
-                                          tol=tol / 20.0)
-        if err > tol:
-            raise ConvergenceError("Eichler quadrature failure")
-    elif method == "terms":
-        nonholo = 0.0 + 0.0j
-        for n, c in terms:
-            if n <= 0 or c == 0.0:
-                continue
-            nonholo += c / (SHADOW_SCALE * math.sqrt(2.0 * n)) * \
-                beta_incomplete(4.0 * n * y) * \
-                cmath.exp(-2j * math.pi * n * tau)
-    else:
-        raise NumericsError(f"unknown completion method {method!r}")
+    nonholo = 0.0 + 0.0j
+    for n, c in _shadow_terms(group_class, r, y, tol):
+        if n <= 0 or c == 0.0:
+            continue
+        nonholo += c / (SHADOW_SCALE * math.sqrt(2.0 * n)) * \
+            beta_incomplete(4.0 * n * y) * \
+            cmath.exp(-2j * math.pi * n * tau)
     return value + nonholo
 
 
@@ -368,6 +329,70 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
     return lam
 
 
+def _ring_tail(R0: int, y: float, lam: float) -> float:
+    """Bound on sum_{R >= R0} (points of ring R) exp(-2 pi y lam (R-2)^2)."""
+    total = 0.0
+    R = R0
+    while True:
+        contrib = (8 * R + 4) * \
+            math.exp(-TWO_PI * y * lam * max(R - 2, 0) ** 2)
+        total += contrib
+        if contrib < 1e-4 * total or contrib == 0.0:
+            return total
+        R += 1
+
+
+def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
+              lam: float, tail_bound: float) -> complex:
+    """sum_{n in Z^2} weight(n) e(Q(nu) tau + B(nu, b)) with nu = a + n,
+    summed over expanding square rings.
+
+    The caller's lam and wmax bound each term on ring R by
+    wmax exp(-2 pi y lam (R-2)^2); the sum stops at the first ring R >= 2
+    past which _ring_tail bounds the remaining rings below tail_bound.
+    """
+    y = tau.imag
+    (a00, a01), (_, a11) = data.A
+    a0, a1 = float(data.a[0]), float(data.a[1])
+    b0, b1 = float(data.b[0]), float(data.b[1])
+    ab0, ab1 = a00 * b0 + a01 * b1, a01 * b0 + a11 * b1
+    total = 0.0 + 0.0j
+    R = 0
+    while True:
+        if R == 0:
+            pts = [(0, 0)]
+        else:
+            pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
+            pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
+        for n1, n2 in pts:
+            w = weight(n1, n2)
+            if w == 0.0:
+                continue
+            nu0, nu1 = a0 + n1, a1 + n2
+            qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
+                         + a11 * nu1 * nu1)
+            total += w * cmath.exp(2j * math.pi * (qnu * tau + nu0 * ab0
+                                                   + nu1 * ab1))
+        if R >= 2 and wmax * _ring_tail(R + 1, y, lam) < tail_bound:
+            return total
+        if R > 800:
+            raise ConvergenceError("theta ring sum tail bound not met")
+        R += 1
+
+
+def _wall_coordinate(data: IndefThetaData, c, y: float):
+    """n -> x = sqrt(pi) B(c, nu) sqrt(y)/sqrt(-Q(c)) for nu = a + n, so
+    that E(B(c,nu) sqrt(y)/sqrt(-Q(c))) = erf(x).  B(c, nu) is formed from
+    an integer numerator, so x is exactly 0 on the wall B(c, nu) = 0.
+    """
+    (a00, a01), (_, a11) = data.A
+    ac = (a00 * c[0] + a01 * c[1], a01 * c[0] + a11 * c[1])
+    bca = data.b_of(c, data.a)
+    p, d = bca.numerator, bca.denominator
+    k = SQRT_PI * math.sqrt(y / -float(data.q_of(c))) / d
+    return lambda n1, n2: k * (p + d * (ac[0] * n1 + ac[1] * n2))
+
+
 def indefinite_theta(data: IndefThetaData, tau: complex,
                      tail_bound: float = 1e-10) -> complex:
     """The two-sided weighted theta sum
@@ -380,60 +405,27 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
     terms decay like exp(-2 pi y M_c(nu)) with M_c positive definite, and
     the sign-changing wedge carries exp(-2 pi y Q(nu)) with Q positive
     there, so every ring past the stopping radius is provably negligible.
+    On same-sign terms the weight is taken as a difference of erfc values,
+    not of erf values near +-1, so no rounding error is blown up by a
+    large |q^Q(nu)|.
     """
     data.validate()
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    A = data.matrix()
-    av = _vec2(data.a)
-    Abv = A @ _vec2(data.b)
-    Ac1 = A @ _vec2(data.c1)
-    Ac2 = A @ _vec2(data.c2)
-    s1 = math.sqrt(-float(data.q_of(data.c1)))
-    s2 = math.sqrt(-float(data.q_of(data.c2)))
-    sy = math.sqrt(y)
+    x1 = _wall_coordinate(data, data.c1, y)
+    x2 = _wall_coordinate(data, data.c2, y)
+
+    def weight(n1: int, n2: int) -> float:
+        z1, z2 = x1(n1, n2), x2(n1, n2)
+        if z1 * z2 > 0:
+            d = math.erfc(abs(z2)) - math.erfc(abs(z1))
+            return d if z1 > 0 else -d
+        return math.erf(z1) - math.erf(z2)
+
     lam = min(_pd_lambda_min(data, data.c1), _pd_lambda_min(data, data.c2),
               _wedge_lambda_min(data))
-
-    def ring_tail(R0: int) -> float:
-        total = 0.0
-        R = R0
-        while True:
-            contrib = (8 * R + 4) * 2.0 * \
-                math.exp(-TWO_PI * y * lam * max(R - 2, 0) ** 2)
-            total += contrib
-            if contrib < 1e-4 * total or contrib == 0.0:
-                return total
-            R += 1
-
-    total = 0.0 + 0.0j
-    R = 0
-    while True:
-        pts = []
-        if R == 0:
-            pts.append((0, 0))
-        else:
-            for i in range(-R, R + 1):
-                pts.append((i, R))
-                pts.append((i, -R))
-            for j in range(-R + 1, R):
-                pts.append((R, j))
-                pts.append((-R, j))
-        for n1, n2 in pts:
-            nu = av + np.array([n1, n2], dtype=float)
-            w = e_function(float(Ac1 @ nu) * sy / s1) - \
-                e_function(float(Ac2 @ nu) * sy / s2)
-            if w == 0.0:
-                continue
-            qnu = 0.5 * float(nu @ (A @ nu))
-            total += w * cmath.exp(2j * math.pi * tau * qnu) * \
-                cmath.exp(2j * math.pi * float(nu @ Abv))
-        if R >= 2 and ring_tail(R + 1) < tail_bound:
-            return total
-        if R > 800:
-            raise ConvergenceError("indefinite theta tail bound not met")
-        R += 1
+    return _ring_sum(data, tau, weight, 2.0, lam, tail_bound)
 
 
 # ----------------------------------------------------------------------
@@ -627,14 +619,10 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
         # conjugated; the T and Gamma_0(3) generator checks pin it down
         nu = rho_3_3(gamma).conjugate() * nu
     gtau = (a * tau + b) / (c * tau + d)
-    vec = np.array([completion_value(group_class, 1, tau, tol / 10.0,
-                                     method="terms"),
-                    completion_value(group_class, 7, tau, tol / 10.0,
-                                     method="terms")])
-    gvec = np.array([completion_value(group_class, 1, gtau, tol / 10.0,
-                                      method="terms"),
-                     completion_value(group_class, 7, gtau, tol / 10.0,
-                                      method="terms")])
+    vec = np.array([completion_value(group_class, r, tau, tol / 10.0)
+                    for r in (1, 7)])
+    gvec = np.array([completion_value(group_class, r, gtau, tol / 10.0)
+                     for r in (1, 7)])
     lhs = gvec / cmath.sqrt(c * tau + d)
     rhs = nu @ vec
     return float(np.abs(lhs - rhs).max())
@@ -710,50 +698,18 @@ def theta_split_check(data_A, a, b, c, tau: complex,
     qc = data.q_of(c)
     if qc >= 0:
         raise NumericsError("c must have Q(c) < 0")
-    lam = _pd_lambda_min(data, c)
-    av = _vec2(a)
-    Anp = data.matrix()
-    Abv = Anp @ _vec2(b)
-    Acnp = Anp @ _vec2(c)
-    qcf = float(qc)
+    x = _wall_coordinate(data, c, y)
 
-    # left side: ring summation, terms damped by exp(-2 pi y M_c(nu))
-    total = 0.0 + 0.0j
-    R = 0
-    while True:
-        pts = []
-        if R == 0:
-            pts.append((0, 0))
-        else:
-            for i in range(-R, R + 1):
-                pts.extend([(i, R), (i, -R)])
-            for j in range(-R + 1, R):
-                pts.extend([(R, j), (-R, j)])
-        for n1, n2 in pts:
-            nu = av + np.array([n1, n2], dtype=float)
-            bc = float(Acnp @ nu)
-            if bc == 0.0:
-                continue
-            wgt = beta_incomplete(-bc * bc * y / qcf)
-            if wgt == 0.0:
-                continue
-            qnu = 0.5 * float(nu @ (Anp @ nu))
-            total += math.copysign(1.0, bc) * wgt * \
-                cmath.exp(2j * math.pi * (qnu * tau + float(nu @ Abv)))
-        tail = 0.0
-        Rt = R + 1
-        while True:
-            contrib = (8 * Rt + 4) * \
-                math.exp(-TWO_PI * y * lam * max(Rt - 2, 0) ** 2)
-            tail += contrib
-            if contrib < 1e-4 * tail or contrib == 0.0:
-                break
-            Rt += 1
-        if R >= 2 and tail < tol * 1e-2:
-            break
-        if R > 800:
-            raise ConvergenceError("split theta tail bound not met")
-        R += 1
+    def weight(n1: int, n2: int) -> float:
+        # sgn(B(c,nu)) beta(-B(c,nu)^2 y / Q(c)) = sgn(x) erfc(|x|)
+        z = x(n1, n2)
+        if z == 0.0:
+            return 0.0
+        return math.erfc(z) if z > 0 else -math.erfc(-z)
+
+    # left side: terms damped by exp(-2 pi y M_c(nu))
+    total = _ring_sum(data, tau, weight, 1.0, _pd_lambda_min(data, c),
+                      tol * 1e-2)
 
     # right side
     reps, w = split_cosets(A, a, c)

@@ -14,13 +14,12 @@ bounds the number of summands needed for a given truncation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .characters import CLASSES, TraceId, trace_closed
+from .characters import CLASSES, TraceId, octant_sum, trace_closed
 from .qseries import (DEFAULT_DEN, QSeries, SeriesError, _order_value,
                       euler_product, pochhammer)
 
@@ -89,14 +88,6 @@ def ramanujan_series(name: str, order, argument_sign: int = 1,
 # indefinite double and triple sums
 
 
-def _box(limit) -> int:
-    if limit < 0:
-        return -1
-    # quadratic growth dominates the (bounded-below) linear terms on the
-    # substituted negative octants; generous slack keeps this certified
-    return math.isqrt(math.ceil(2 * limit + 16)) + 4
-
-
 def zwegers_triple_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
     """The triple-sum sides of the chi identities:
 
@@ -112,39 +103,24 @@ def zwegers_triple_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
     else:
         raise SeriesError(f"unknown variant {variant!r}")
     ordv = _order_value(order)
-    coeffs: dict[int, Fraction] = {}
-    B = _box(ordv)
-    for negative in (False, True):
-        for k0 in range(B + 1):
-            for l0 in range(B + 1):
-                for m0 in range(B + 1):
-                    if negative:
-                        k, l, m = -k0 - 1, -l0 - 1, -m0 - 1
-                    else:
-                        k, l, m = k0, l0, m0
-                    e2 = (k * k + l * l + m * m) + 4 * (k * l + l * m + m * k) \
-                        + c * (k + l + m)
-                    if e2 % 2:
-                        raise SeriesError("triple sum exponent off-grid")
-                    e = e2 // 2
-                    if e > ordv:
-                        continue
-                    sign = -1 if (k + l + m) % 2 else 1
-                    en = e * den
-                    coeffs[en] = coeffs.get(en, Fraction(0)) + sign
-    lattice_part = QSeries(den, coeffs, ordv)
+    lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
+                              (1, 1, 1), 1, ordv, den)
     pref = (euler_product(1, ordv + 1, den) ** 2).invert()
     return (pref * lattice_part).truncate(ordv)
 
 
+# variant: (lin, (gram, signs, parity restriction), prefactor kind) of
+#     (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(signs.(k,m))
+#         q^((k,m).gram.(k,m)/2 + lin.(k,m)/2)
+_RESTRICTED = (((1, 4), (4, 1)), (0, 1), (1, 1))
+_UNRESTRICTED = (((6, 4), (4, 1)), (1, 1), None)
 _DOUBLE_SUM_DATA = {
-    # variant: (alpha_k, beta_m, parity restriction, prefactor kind)
-    "phi0_lhs": (Fraction(1, 2), Fraction(3, 2), True, "eta21"),
-    "phi1_lhs": (Fraction(3, 2), Fraction(5, 2), True, "eta21"),
-    "cor_lhs_1": (Fraction(1, 2), Fraction(3, 2), True, None),
-    "cor_lhs_7": (Fraction(3, 2), Fraction(5, 2), True, None),
-    "cor_rhs_1": (None, None, False, "oddprod"),
-    "cor_rhs_7": (None, None, False, "oddprod"),
+    "phi0_lhs": ((1, 3), _RESTRICTED, "eta21"),
+    "phi1_lhs": ((3, 5), _RESTRICTED, "eta21"),
+    "cor_lhs_1": ((1, 3), _RESTRICTED, None),
+    "cor_lhs_7": ((3, 5), _RESTRICTED, None),
+    "cor_rhs_1": ((2, 1), _UNRESTRICTED, "oddprod"),
+    "cor_rhs_7": ((6, 3), _UNRESTRICTED, "oddprod"),
 }
 
 
@@ -160,47 +136,15 @@ def hecke_double_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
     with (alpha,beta) = (1/2,3/2) resp. (3/2,5/2); cor_lhs_* are the same
     sums bare; cor_rhs_* are prod_{n>0}(1+q^n) times the unrestricted sums
 
-        (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c*k + m*c/3 ...)
+        (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c*k + c*m/2)
 
-    with exponents 3k^2+m^2/2+4km+k+m/2 resp. 3k^2+m^2/2+4km+3k+3m/2.
+    with c = 1 resp. 3.
     """
     if variant not in _DOUBLE_SUM_DATA:
         raise SeriesError(f"unknown variant {variant!r}")
     ordv = _order_value(order)
-    coeffs: dict[int, Fraction] = {}
-    B = _box(ordv)
-    restricted = variant in ("phi0_lhs", "phi1_lhs", "cor_lhs_1", "cor_lhs_7")
-    for negative in (False, True):
-        outer = -1 if negative else 1
-        for k0 in range(B + 1):
-            for m0 in range(B + 1):
-                if negative:
-                    k, m = -k0 - 1, -m0 - 1
-                else:
-                    k, m = k0, m0
-                if restricted:
-                    if (k - m) % 2:
-                        continue
-                    alpha, beta, _, _ = _DOUBLE_SUM_DATA[variant]
-                    e = (Fraction(k * k + m * m, 2) + 4 * k * m
-                         + alpha * k + beta * m)
-                    sign = outer * (-1 if m % 2 else 1)
-                else:
-                    if variant == "cor_rhs_1":
-                        e = 3 * k * k + Fraction(m * m, 2) + 4 * k * m \
-                            + k + Fraction(m, 2)
-                    else:
-                        e = 3 * k * k + Fraction(m * m, 2) + 4 * k * m \
-                            + 3 * k + Fraction(3 * m, 2)
-                    sign = outer * (-1 if (k + m) % 2 else 1)
-                if e.denominator != 1:
-                    raise SeriesError("double sum exponent off-grid")
-                if e > ordv:
-                    continue
-                en = int(e) * den
-                coeffs[en] = coeffs.get(en, Fraction(0)) + sign
-    body = QSeries(den, coeffs, ordv)
-    kind = _DOUBLE_SUM_DATA[variant][3]
+    lin, (gram, signs, parity), kind = _DOUBLE_SUM_DATA[variant]
+    body = octant_sum(gram, lin, 0, signs, -1, ordv, den, parity)
     if kind == "eta21":
         pref = euler_product(1, ordv + 1, den) * \
             (euler_product(2, ordv + 1, den) ** 2).invert()

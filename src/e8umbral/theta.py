@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import FAMILY_1, FAMILY_7, GroupClass, SUPPORT_POS
+from .characters import (FAMILY_1, FAMILY_7, GroupClass, MockFormVector,
+                         SUPPORT_POS)
 from .qseries import (DEFAULT_DEN, GradingError, QSeries, SeriesError,
                       _order_value, dedekind_eta, euler_product)
 
@@ -83,23 +84,6 @@ def _family_sum(family: tuple, order: Fraction, den: int) -> QSeries:
     return total
 
 
-@dataclass(frozen=True)
-class ShadowVector:
-    """Weight-3/2 shadow components indexed by r mod 60."""
-
-    group_class: GroupClass
-    components: dict
-    order: Fraction
-
-    def component(self, r: int) -> QSeries:
-        r = r % 60
-        if r in self.components:
-            return self.components[r]
-        den = next(iter(self.components.values())).den if self.components \
-            else DEFAULT_DEN
-        return QSeries.zero(den, self.order)
-
-
 def shadow_component(group_class: GroupClass, r: int, order,
                      den: int = DEFAULT_DEN) -> QSeries:
     """The shadow of the r-th component: +-chi_bar * (four-term S sum)."""
@@ -118,14 +102,14 @@ def shadow_component(group_class: GroupClass, r: int, order,
 
 
 def shadow_vector(group_class: GroupClass, order,
-                  den: int = DEFAULT_DEN) -> ShadowVector:
+                  den: int = DEFAULT_DEN) -> MockFormVector:
     ordv = _order_value(order)
     comps = {}
     for r in SUPPORT_POS:
         s = shadow_component(group_class, r, ordv, den)
         comps[r] = s
         comps[(-r) % 60] = -s
-    return ShadowVector(group_class, comps, ordv)
+    return MockFormVector(group_class, comps, ordv)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from e8umbral import maass
 from e8umbral.cli import main
+from e8umbral.maass import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -128,3 +134,50 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--component", "3", "--max-row", "5"])
     assert exc.value.code == 2
+
+
+def test_eval_tau_with_leading_minus(capsys):
+    split = run_cli(capsys, "eval", "--class", "1A", "--r", "7",
+                    "--tau", "-0.5+0.8i")
+    joined = run_cli(capsys, "eval", "--class", "1A", "--r", "7",
+                     "--tau=-0.5+0.8i")
+    assert split == joined
+    assert split[0] == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--suite", "numeric", "--tol", "0"], 2),
+    (["verify", "--suite", "numeric", "--tol", "-1"], 2),
+    (["verify", "--suite", "numeric", "--tol", "nan"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau", "0+1i", "--tol", "0"], 2),
+    (["verify", "--suite", "exact", "--order", "-3"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau", "0.25+0.01i",
+      "--completion"], 3),
+])
+def test_bad_input_exits_with_one_line(capsys, monkeypatch, argv, code):
+    # stands in for a completion that cannot reach its tolerance, which
+    # takes seconds to happen for real (order-800 series at Im tau 0.01)
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("series truncation insufficient")
+
+    monkeypatch.setattr(maass, "completion_value", no_convergence)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the package must run without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, e8umbral, e8umbral.cli; "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -2,13 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.lattice import (DEFAULT_LATTICE, LatticeConfig,
-                              LatticeError, enumerate_coset_cone)
+from e8umbral.lattice import (RHO, LatticeError, enumerate_coset_cone, pair,
+                              q_norm)
 
 
 def brute_scan(a, bound, fix=None, box=12):
     """Naive large-box oracle straight from the definitions."""
-    lat = DEFAULT_LATTICE
     out = []
     for k in range(-box, box + 1):
         for l in range(-box, box + 1):
@@ -24,36 +23,27 @@ def brute_scan(a, bound, fix=None, box=12):
                     continue
                 if fix == "sigma" and not (k == l == m):
                     continue
-                qv = lat.q_norm(mu)
+                qv = q_norm(mu)
                 if qv <= bound:
                     out.append((qv, (k, l, m), a, branch))
     return sorted(out)
 
 
 def test_gram_values():
-    lat = DEFAULT_LATTICE
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert lat.pair(e[0], e[0]) == 1
-    assert lat.pair(e[0], e[1]) == 2
-    assert lat.pair((2, -3, 5), lat.rho) == 4
-    assert lat.pair(lat.rho, lat.rho) == F(3, 5)
+    assert pair(e[0], e[0]) == 1
+    assert pair(e[0], e[1]) == 2
+    assert pair((2, -3, 5), RHO) == 4
+    assert pair(RHO, RHO) == F(3, 5)
 
 
 def test_dual_basis_property():
     # eps_i' = 2 rho - eps_i pairs to the identity against the basis
-    lat = DEFAULT_LATTICE
     basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for i in range(3):
-        dual = tuple(2 * lat.rho[j] - basis[i][j] for j in range(3))
+        dual = tuple(2 * RHO[j] - basis[i][j] for j in range(3))
         for j in range(3):
-            assert lat.pair(dual, basis[j]) == (1 if i == j else 0)
-
-
-def test_signature_guard():
-    with pytest.raises(LatticeError):
-        LatticeConfig(gram=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(LatticeError):
-        LatticeConfig(gram=((1, 2, 0), (2, 1, 2), (0, 2, 1)))
+            assert pair(dual, basis[j]) == (1 if i == j else 0)
 
 
 def test_minimal_point_coset_one():
@@ -79,14 +69,13 @@ def test_completeness_against_box_oracle(a, fix):
 
 
 def test_branch_sign_conditions_and_q():
-    lat = DEFAULT_LATTICE
     for p in enumerate_coset_cone(7, None, 8):
         mu = p.mu()
         if p.branch == "P":
             assert all(c >= 0 for c in mu)
         else:
             assert all(c < 0 for c in mu)
-        assert lat.q_norm(mu) == p.q
+        assert q_norm(mu) == p.q
         assert p.q > 0
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
-from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A
+from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
                             beta_incomplete, completion_value, e,
                             e_function, g_weight32_value, indefinite_theta,
@@ -14,6 +14,7 @@ from e8umbral.maass import (IndefThetaData, NumericsError,
                             r_function, rho_3_3, series_value, split_cosets,
                             tau1_identity_check, theta_split_check,
                             transform_check)
+from e8umbral.theta import shadow_component
 
 import numpy as np
 
@@ -49,18 +50,24 @@ def test_r_function_stability_and_periodicity():
                - r_function(F(4, 3), F(1, 7), tau)) < 1e-14
 
 
-def _eichler_of_g(a, b, tau, tol=1e-12):
+def _ray_integral(g, tau, tol=1e-12):
+    """e(-1/8) int_{-conj tau}^{i inf} g(z) (z + tau)^(-1/2) dz by adaptive
+    quadrature along the vertical ray z = -conj(tau) + i t."""
     x, y = tau.real, tau.imag
 
     def f(t):
         z = complex(-x, y + t)
-        return 1j * g_weight32_value(a, b, z) / cmath.sqrt(1j * (2 * y + t))
+        return 1j * g(z) / cmath.sqrt(1j * (2 * y + t))
 
     re, _ = quad(lambda t: f(t).real, 0, math.inf, epsabs=tol, epsrel=0,
                  limit=400)
     im, _ = quad(lambda t: f(t).imag, 0, math.inf, epsabs=tol, epsrel=0,
                  limit=400)
     return e(F(-1, 8)) * complex(re, im)
+
+
+def _eichler_of_g(a, b, tau):
+    return _ray_integral(lambda z: g_weight32_value(a, b, z), tau)
 
 
 def test_r_equals_eichler_integral_of_g():
@@ -99,9 +106,10 @@ def test_indefinite_theta_stability_and_antisymmetry():
 
 
 def test_completion_identity_both_components():
-    for r in (1, 7):
-        for tau in (0.1 + 0.8j, 0.5j):
-            assert tau1_identity_check(tau, r, 1e-8) < 1e-8
+    for tol in (1e-8, 1e-12):
+        for r in (1, 7):
+            for tau in (0.1 + 0.8j, 0.5j):
+                assert tau1_identity_check(tau, r, tol) < tol
 
 
 def test_completion_identity_shifted_tau():
@@ -111,12 +119,17 @@ def test_completion_identity_shifted_tau():
 
 
 def test_completion_routes_agree():
+    # the termwise Eichler sum against quadrature of the shadow's integral
     tau = 0.13 + 0.92j
     for cls, r in ((CLASS_1A, 1), (CLASS_1A, 7), (CLASS_2A, 1),
                    (CLASS_2A, 7)):
-        a = completion_value(cls, r, tau, 1e-9, method="quadrature")
-        b = completion_value(cls, r, tau, 1e-9, method="terms")
-        assert abs(a - b) < 1e-9
+        s = shadow_component(cls, r, 30)
+        shadow = [(n / s.den, float(c)) for n, c in s.items()]
+        g = lambda z: sum(c * cmath.exp(2j * math.pi * n * z)
+                          for n, c in shadow)
+        holo, _ = series_value(h_component(cls, r, 60), tau)
+        oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
+        assert abs(completion_value(cls, r, tau, 1e-9) - oracle) < 1e-9
 
 
 def test_order2_completion_equals_theta_quotient():
@@ -147,8 +160,8 @@ def test_order3_completion_is_plain_series():
 
 def test_negative_component_index():
     tau = 0.2 + 1.0j
-    a = completion_value(CLASS_2A, 59, tau, 1e-9, method="terms")
-    b = completion_value(CLASS_2A, 1, tau, 1e-9, method="terms")
+    a = completion_value(CLASS_2A, 59, tau, 1e-9)
+    b = completion_value(CLASS_2A, 1, tau, 1e-9)
     assert abs(a + b) < 1e-10
 
 
@@ -272,6 +285,11 @@ def test_split_identity_random_instances():
         b = (F(rng.randrange(-5, 6), 20), F(rng.randrange(-5, 6), 20))
         assert theta_split_check(A, a, b, c, 1j, 1e-8) < 1e-8
         count += 1
+    # a coset that meets the wall B(c, nu) = 0, where the weight must be
+    # exactly sgn(0) = 0
+    assert theta_split_check(((2, -3), (-3, -2)), (F(3, 10), F(2, 5)),
+                             (F(1, 20), F(-1, 10)), (1, 2), 0.3 + 0.25j,
+                             1e-12) < 1e-12
 
 
 def test_split_identity_rejects_imprimitive_c():
@@ -284,10 +302,8 @@ def test_cusp_boundedness_contrast():
     # toward the cusp 0 the order-2 completion stays bounded while the
     # identity-class completion grows
     ts = (0.2, 0.1, 0.05)
-    v1 = [abs(completion_value(CLASS_1A, 1, t * 1j, 1e-6, method="terms"))
-          for t in ts]
-    v2 = [abs(completion_value(CLASS_2A, 1, t * 1j, 1e-6, method="terms"))
-          for t in ts]
+    v1 = [abs(completion_value(CLASS_1A, 1, t * 1j, 1e-6)) for t in ts]
+    v2 = [abs(completion_value(CLASS_2A, 1, t * 1j, 1e-6)) for t in ts]
     assert v1[0] < v1[1] < v1[2]
     assert v1[2] > 3.0 * v1[0]
     assert max(v2) < 6.0
