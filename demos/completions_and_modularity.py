@@ -7,8 +7,6 @@ class the same completion also arises as a quotient of an indefinite
 theta function by eta(2 tau), giving a genuinely independent route.
 """
 
-import numpy as np
-
 from e8umbral import (CLASSES, completion_value, indefinite_theta,
                       multiplier_matrix, tau1_identity_check,
                       transform_check)
@@ -43,4 +41,5 @@ for name, pair in gens.items():
 
 print()
 print("multiplier matrix of S (printed sine matrix, unitary):")
-print(np.round(multiplier_matrix(((0, -1), (1, 0))), 6))
+for row in multiplier_matrix(((0, -1), (1, 0))):
+    print("  " + "  ".join(f"{z:.6f}" for z in row))

@@ -16,14 +16,13 @@ import math
 import sys
 from fractions import Fraction
 
-from .characters import CLASSES, all_trace_ids, h_component, trace_closed, \
-    trace_direct
+from .characters import CLASSES, SUPPORT_POS, all_trace_ids, h_component, \
+    trace_closed, trace_direct
 from .maass import ConvergenceError
 from .mocktheta import identity_suite
 from .theta import thetanullwerte_class_check
 
 CLASS_NAMES = ("1A", "2A", "3A")
-SUPPORT = (1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59)
 
 # largest exponent numerator cmd_table will compute; the appendix range is
 # 4631 and the exact engine stays fast well past this
@@ -176,7 +175,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     r = args.r % 60
-    if r not in SUPPORT:
+    if r not in SUPPORT_POS and -r % 60 not in SUPPORT_POS:
         print(f"error: component r={args.r} is outside the support "
               f"+-{{1,7,11,13,17,19,23,29}} mod 60", file=sys.stderr)
         return 2
@@ -188,7 +187,7 @@ def cmd_eval(args) -> int:
         kind = "completed"
     else:
         order = _eval_order(tau.imag, tol)
-        value, est = series_value(_signed_component(cls, r, order, "h"), tau)
+        value, est = series_value(_signed_component(cls, r, order), tau)
         kind = "series"
     print(f"H[{args.group_class}, r={r}]({args.tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .characters import (CLASS_2A, CLASSES, FAMILY_1, FAMILY_7,
-                         GroupClass, h_component)
+from .characters import (CLASS_2A, CLASSES, SUPPORT_POS, GroupClass,
+                         h_component)
 from .qseries import QSeries
 from .theta import shadow_component
 
@@ -122,15 +120,14 @@ def _shadow_series(class_name: str, r: int, order: int) -> QSeries:
     return shadow_component(CLASSES[class_name], r, order)
 
 
-def _signed_component(group_class: GroupClass, r: int, order: int,
-                      kind: str) -> QSeries:
+def _signed_component(group_class: GroupClass, r: int,
+                      order: int) -> QSeries:
+    """H_r, with H_{-r} = -H_r for r outside SUPPORT_POS."""
     rr = r % 60
-    getter = _component_series if kind == "h" else _shadow_series
-    if rr in FAMILY_1 or rr in FAMILY_7:
-        return getter(group_class.name, rr, order)
-    neg = (-rr) % 60
-    if neg in FAMILY_1 or neg in FAMILY_7:
-        return -getter(group_class.name, neg, order)
+    if rr in SUPPORT_POS:
+        return _component_series(group_class.name, rr, order)
+    if -rr % 60 in SUPPORT_POS:
+        return -_component_series(group_class.name, -rr % 60, order)
     raise NumericsError(f"component {r} is outside the support")
 
 
@@ -138,20 +135,44 @@ def _signed_component(group_class: GroupClass, r: int, order: int,
 # R functions and Eichler integrals
 
 
+def _line_sum(term, x0, kappa: float, y: float,
+              tail_bound: float) -> complex:
+    """sum_{x in x0+Z} term(x), for terms bounded by
+    |term(x)| <= exp(-pi kappa y x^2).
+
+    Points are added in pairs s + n, s - n - 1 (s = x0 mod 1, n = 0, 1,
+    ...), so the sum grows outward from x = 0.  Once every point left
+    has |x| >= d, the rest of the sum is at most
+    2 exp(-pi kappa y d^2) / (1 - exp(-2 pi kappa y d)), since
+    (d + j)^2 >= d^2 + 2dj; the sum stops when that tail is below
+    tail_bound.
+    """
+    s = float(x0 - math.floor(x0))
+    rate = math.pi * kappa * y
+    total = 0.0 + 0.0j
+    n = 0
+    while True:
+        total += term(s + n) + term(s - n - 1)
+        n += 1
+        d = min(s + n, n + 1 - s)
+        if 2.0 * math.exp(-rate * d * d) / -math.expm1(-2.0 * rate * d) \
+                < tail_bound:
+            return total
+        if n > 20000:
+            raise ConvergenceError("line sum tail bound not met")
+
+
 def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
     """R_{a,b}(tau) = sum_{nu in a+Z} sgn(nu) beta(2 nu^2 y) q^(-nu^2/2)
     e^(-2 pi i nu b), with sgn(0) = 0.
 
-    Terms are bounded by exp(-pi nu^2 y)/(|nu| pi sqrt(2y)) via the erfc
-    upper bound, so the symmetric range grows until that certified tail
-    drops below tail_bound.
+    erfc(t) <= exp(-t^2) bounds each term by exp(-pi y nu^2), so
+    _line_sum certifies the tail with kappa = 1.
     """
-    a = float(a)
     b = float(b)
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    total = 0.0 + 0.0j
 
     def term(nu: float) -> complex:
         if nu == 0.0:
@@ -163,21 +184,7 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
             cmath.exp(-1j * math.pi * nu * nu * tau) * \
             cmath.exp(-2j * math.pi * nu * b)
 
-    frac = a - math.floor(a)
-    n = 0
-    while True:
-        for nu in {frac + n, frac - n - 1}:
-            total += term(nu)
-        n += 1
-        vmin = min(abs(frac + n), abs(frac - n))
-        if vmin > 0:
-            tail = 2.0 * math.exp(-math.pi * vmin * vmin * y) / \
-                (vmin * math.pi * math.sqrt(2.0 * y)) / \
-                max(1.0 - math.exp(-TWO_PI * vmin * y), 0.5)
-            if tail < tail_bound:
-                return total
-        if n > 20000:
-            raise ConvergenceError("R function tail bound not met")
+    return _line_sum(term, a, 1.0, y, tail_bound)
 
 
 def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
@@ -210,7 +217,7 @@ def _shadow_terms(group_class: GroupClass, r: int, y: float,
     terms contribute below tol to the completion at height y."""
     n_max = (math.log(1.0 / tol) + 25.0) / (TWO_PI * y)
     n_max = max(5.0, n_max)
-    s = _signed_component(group_class, r, int(math.ceil(n_max)) + 1, "shadow")
+    s = _shadow_series(group_class.name, r % 60, int(math.ceil(n_max)) + 1)
     return [(en / s.den, float(c)) for en, c in s.items()]
 
 
@@ -227,7 +234,7 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
         raise NumericsError("tau must lie in the upper half plane")
     order = _eval_order(y, tol)
     while True:
-        h = _signed_component(group_class, r, order, "h")
+        h = _signed_component(group_class, r, order)
         value, tail = series_value(h, tau)
         if tail < tol / 5.0:
             break
@@ -251,10 +258,6 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
 # indefinite theta functions of signature (1,1)
 
 
-def _vec2(v) -> np.ndarray:
-    return np.array([float(v[0]), float(v[1])], dtype=float)
-
-
 @dataclass(frozen=True)
 class IndefThetaData:
     """Quadratic form data (A; a, b; c1, c2) for the two-sided theta."""
@@ -265,21 +268,17 @@ class IndefThetaData:
     c1: tuple                # integer cone vectors, same negative component
     c2: tuple
 
-    def matrix(self) -> np.ndarray:
-        return np.array(self.A, dtype=float)
+    def a_times(self, v) -> tuple:
+        """A v, exact for integer or rational v."""
+        (a00, a01), (a10, a11) = self.A
+        return (a00 * v[0] + a01 * v[1], a10 * v[0] + a11 * v[1])
 
     def q_of(self, v) -> Fraction:
-        v0, v1 = Fraction(v[0]), Fraction(v[1])
-        A = self.A
-        return (A[0][0] * v0 * v0 + 2 * A[0][1] * v0 * v1
-                + A[1][1] * v1 * v1) / 2
+        return self.b_of(v, v) / 2
 
     def b_of(self, u, v) -> Fraction:
-        u0, u1 = Fraction(u[0]), Fraction(u[1])
-        v0, v1 = Fraction(v[0]), Fraction(v[1])
-        A = self.A
-        return (A[0][0] * u0 * v0 + A[0][1] * (u0 * v1 + u1 * v0)
-                + A[1][1] * u1 * v1)
+        av = self.a_times((Fraction(v[0]), Fraction(v[1])))
+        return Fraction(u[0]) * av[0] + Fraction(u[1]) * av[1]
 
     def validate(self) -> None:
         A = self.A
@@ -297,12 +296,18 @@ class IndefThetaData:
 
 def _pd_lambda_min(data: IndefThetaData, c) -> float:
     """Smallest eigenvalue of M_c(x) = Q(x) - B(c,x)^2 / (2 Q(c)), the
-    positive-definite majorant controlling the same-sign terms."""
-    A = data.matrix()
-    Ac = A @ _vec2(c)
-    Qc = float(data.q_of(c))
-    M = A / 2.0 - np.outer(Ac, Ac) / (2.0 * Qc)
-    lam = float(np.linalg.eigvalsh(M).min())
+    positive-definite majorant controlling the same-sign terms.
+
+    M_c = ((p, r), (r, t)) is exact; its smallest eigenvalue is
+    (p + t - hypot(p - t, 2r)) / 2.
+    """
+    (a00, a01), (_, a11) = data.A
+    ac0, ac1 = data.a_times(c)
+    qc2 = 2 * data.q_of(c)
+    p = Fraction(a00, 2) - ac0 * ac0 / qc2
+    r = Fraction(a01, 2) - ac0 * ac1 / qc2
+    t = Fraction(a11, 2) - ac1 * ac1 / qc2
+    lam = (float(p + t) - math.hypot(float(p - t), float(2 * r))) / 2.0
     if lam <= 0:
         raise NumericsError("cone data does not yield a positive majorant")
     return lam
@@ -310,23 +315,25 @@ def _pd_lambda_min(data: IndefThetaData, c) -> float:
 
 def _wedge_lambda_min(data: IndefThetaData) -> float:
     """min of Q on the unit circle restricted to the sign-changing wedge
-    between the two cone walls (where |E1 - E2| is only bounded by 2).
-    Q is positive there for admissible data; sampled with a safety factor."""
-    A = data.matrix()
-    Ac1 = A @ _vec2(data.c1)
-    Ac2 = A @ _vec2(data.c2)
-    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    xs = np.stack([np.cos(t), np.sin(t)])
-    b1 = Ac1 @ xs
-    b2 = Ac2 @ xs
-    qs = 0.5 * np.sum(xs * (A @ xs), axis=0)
-    mask = b1 * b2 <= 0
-    if not mask.any():
-        return math.inf
-    lam = float(qs[mask].min()) * 0.9
-    if lam <= 0:
+    B(c1,x) B(c2,x) <= 0 between the two cone walls (where |E1 - E2| is
+    only bounded by 2).
+
+    The wedge is +-(cone spanned by the wall directions w_i = J A c_i),
+    J the quarter turn.  On the unit circle Q is a sinusoid in twice the
+    angle, so on an arc shorter than a half turn its only interior local
+    minimum is the global one, the smallest eigenvalue of A/2, which is
+    negative.  Hence either Q(alpha w1 + beta w2) fails to be positive for
+    some alpha, beta >= 0 (decided exactly, and an error) or the minimum is
+    the smaller exact wall value Q(w_i)/|w_i|^2.  For c1 parallel to c2 the
+    wedge is the common wall, and the wall value is returned.
+    """
+    w1, w2 = ((-ac[1], ac[0]) for ac in (data.a_times(data.c1),
+                                          data.a_times(data.c2)))
+    q1, q2, b12 = data.q_of(w1), data.q_of(w2), data.b_of(w1, w2)
+    if q1 <= 0 or q2 <= 0 or (b12 < 0 and b12 * b12 >= 4 * q1 * q2):
         raise NumericsError("cone walls admit non-positive vectors")
-    return lam
+    return float(min(q1 / (w1[0] ** 2 + w1[1] ** 2),
+                     q2 / (w2[0] ** 2 + w2[1] ** 2)))
 
 
 def _ring_tail(R0: int, y: float, lam: float) -> float:
@@ -354,8 +361,7 @@ def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
     y = tau.imag
     (a00, a01), (_, a11) = data.A
     a0, a1 = float(data.a[0]), float(data.a[1])
-    b0, b1 = float(data.b[0]), float(data.b[1])
-    ab0, ab1 = a00 * b0 + a01 * b1, a01 * b0 + a11 * b1
+    ab0, ab1 = (float(x) for x in data.a_times(data.b))
     total = 0.0 + 0.0j
     R = 0
     while True:
@@ -385,8 +391,7 @@ def _wall_coordinate(data: IndefThetaData, c, y: float):
     that E(B(c,nu) sqrt(y)/sqrt(-Q(c))) = erf(x).  B(c, nu) is formed from
     an integer numerator, so x is exactly 0 on the wall B(c, nu) = 0.
     """
-    (a00, a01), (_, a11) = data.A
-    ac = (a00 * c[0] + a01 * c[1], a01 * c[0] + a11 * c[1])
+    ac = data.a_times(c)
     bca = data.b_of(c, data.a)
     p, d = bca.numerator, bca.denominator
     k = SQRT_PI * math.sqrt(y / -float(data.q_of(c))) / d
@@ -477,7 +482,7 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     pref = -e(Fraction(-1, 10)) if r == 1 else -e(Fraction(-3, 10))
     lhs = pref * theta_val / eta_val
 
-    h = _signed_component(CLASS_2A, r, _eval_order(y, tol / 10.0), "h")
+    h = _signed_component(CLASS_2A, r, _eval_order(y, tol / 10.0))
     hseries, tail = series_value(h, tau)
     if tail > tol / 10.0:
         raise ConvergenceError("trace series truncation insufficient")
@@ -497,18 +502,20 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
 # weight-1/2 multiplier system and transformation residuals
 
 
-def nu_T() -> np.ndarray:
-    return np.diag([e(Fraction(-1, 120)), e(Fraction(-49, 120))])
+def nu_T() -> tuple:
+    """nu(T) on (H_1, H_7), as the tuple ((a, b), (c, d)) of complex
+    numbers."""
+    return ((e(Fraction(-1, 120)), 0j), (0j, e(Fraction(-49, 120))))
 
 
-def nu_S() -> np.ndarray:
+def nu_S() -> tuple:
+    """nu(S) on (H_1, H_7), the printed sine matrix, as the tuple
+    ((a, b), (c, d)) of complex numbers."""
     s = math.sin
-    m = np.array([
-        [s(math.pi / 30) + s(11 * math.pi / 30),
-         s(7 * math.pi / 30) + s(13 * math.pi / 30)],
-        [s(7 * math.pi / 30) + s(13 * math.pi / 30),
-         -s(math.pi / 30) - s(11 * math.pi / 30)]])
-    return 2.0 * e(Fraction(3, 8)) / math.sqrt(15.0) * m
+    k = 2.0 * e(Fraction(3, 8)) / math.sqrt(15.0)
+    p = k * (s(math.pi / 30) + s(11 * math.pi / 30))
+    q = k * (s(7 * math.pi / 30) + s(13 * math.pi / 30))
+    return ((p, q), (q, -p))
 
 
 def _sl2_word(gamma) -> list[str]:
@@ -547,9 +554,10 @@ def _moebius(m, tau: complex) -> complex:
     return (a * tau + b) / (c * tau + d)
 
 
-def multiplier_matrix(gamma) -> np.ndarray:
+def multiplier_matrix(gamma) -> tuple:
     """nu(gamma) for the metaplectic lift of gamma carrying the principal
-    branch of (c tau + d)^(1/2).
+    branch of (c tau + d)^(1/2), as the tuple ((a, b), (c, d)) of complex
+    numbers.
 
     The word in S, T is lifted generator by generator while tracking the
     branch function at a base point; a residual sign relative to the
@@ -576,16 +584,13 @@ def multiplier_matrix(gamma) -> np.ndarray:
         sign = -1.0
     else:
         raise NumericsError(f"metaplectic sign tracking failed ({eps})")
-    nus, nut = nu_S(), nu_T()
-    prod = np.eye(2, dtype=complex)
+    nut = nu_T()
+    gens = {"S": nu_S(), "T": nut,   # nu(T)^-1 is the conjugate diagonal
+            "T-": tuple(tuple(z.conjugate() for z in row) for row in nut)}
+    prod = ((sign, 0j), (0j, sign))
     for tok in word:
-        if tok == "S":
-            prod = prod @ nus
-        elif tok == "T":
-            prod = prod @ nut
-        else:
-            prod = prod @ nut.conj().T   # nu(T)^-1, diagonal unitary
-    return sign * prod
+        prod = _mat_mul(prod, gens[tok])
+    return prod
 
 
 def rho_3_3(gamma) -> complex:
@@ -614,18 +619,16 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
         raise NumericsError(
             f"gamma is not in Gamma_0({group_class.order})")
     nu = multiplier_matrix(gamma)
-    if group_class.order == 3:
-        # in this orientation of the law the order-3 scalar enters
-        # conjugated; the T and Gamma_0(3) generator checks pin it down
-        nu = rho_3_3(gamma).conjugate() * nu
+    # in this orientation of the law the order-3 scalar enters
+    # conjugated; the T and Gamma_0(3) generator checks pin it down
+    phase = rho_3_3(gamma).conjugate() if group_class.order == 3 else 1.0
     gtau = (a * tau + b) / (c * tau + d)
-    vec = np.array([completion_value(group_class, r, tau, tol / 10.0)
-                    for r in (1, 7)])
-    gvec = np.array([completion_value(group_class, r, gtau, tol / 10.0)
-                     for r in (1, 7)])
-    lhs = gvec / cmath.sqrt(c * tau + d)
-    rhs = nu @ vec
-    return float(np.abs(lhs - rhs).max())
+    h1, h7 = (completion_value(group_class, r, tau, tol / 10.0)
+              for r in (1, 7))
+    jac = cmath.sqrt(c * tau + d)
+    return max(abs(completion_value(group_class, r, gtau, tol / 10.0) / jac
+                   - phase * (row[0] * h1 + row[1] * h7))
+               for r, row in zip((1, 7), nu))
 
 
 # ----------------------------------------------------------------------
@@ -640,22 +643,26 @@ def _egcd(p: int, q: int) -> tuple[int, int, int]:
     return (g, y2, x - (p // q) * y2)
 
 
+def _int_matrix(data_A) -> tuple:
+    return tuple(tuple(int(x) for x in row) for row in data_A)
+
+
 def split_cosets(data_A, a, c) -> list[tuple]:
     """Representatives mu0 of {mu in a+Z^2 : 0 <= B(c,mu)/2Q(c) < 1}
     modulo the integer line orthogonal to c, together with the line
     generator w.  Returns (list of mu0 as Fraction pairs, w)."""
-    A = [[int(x) for x in row] for row in data_A]
     c = (int(c[0]), int(c[1]))
-    Ac = (A[0][0] * c[0] + A[0][1] * c[1], A[1][0] * c[0] + A[1][1] * c[1])
-    qc = Fraction(c[0] * Ac[0] + c[1] * Ac[1], 2)
+    data = IndefThetaData(_int_matrix(data_A), tuple(a), (0, 0), c, c)
+    qc = data.q_of(c)
     if qc >= 0:
         raise NumericsError("c must have Q(c) < 0")
-    g, x0, y0 = _egcd(Ac[0], Ac[1])
+    ac = data.a_times(c)
+    g, x0, y0 = _egcd(ac[0], ac[1])
     if g == 0:
         raise NumericsError("degenerate cone vector")
     # primitive generator of the B(c, .) = 0 integer line
-    w = (-Ac[1] // g, Ac[0] // g)
-    bca = Fraction(a[0]) * Ac[0] + Fraction(a[1]) * Ac[1]
+    w = (-ac[1] // g, ac[0] // g)
+    bca = data.b_of(a, c)
     # B values on a+Z^2 form bca + g Z; want values t with 2 Q(c) < t <= 0
     reps = []
     j_lo = math.floor((2 * qc - bca) / g) + 1    # strict lower endpoint
@@ -690,11 +697,7 @@ def theta_split_check(data_A, a, b, c, tau: complex,
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    A = [[int(x) for x in row] for row in data_A]
-    data = IndefThetaData(tuple(tuple(r) for r in A), tuple(a), tuple(b),
-                          c, c)
-
-    Ac = (A[0][0] * c[0] + A[0][1] * c[1], A[1][0] * c[0] + A[1][1] * c[1])
+    data = IndefThetaData(_int_matrix(data_A), tuple(a), tuple(b), c, c)
     qc = data.q_of(c)
     if qc >= 0:
         raise NumericsError("c must have Q(c) < 0")
@@ -711,43 +714,22 @@ def theta_split_check(data_A, a, b, c, tau: complex,
     total = _ring_sum(data, tau, weight, 1.0, _pd_lambda_min(data, c),
                       tol * 1e-2)
 
-    # right side
-    reps, w = split_cosets(A, a, c)
-    bcb = Fraction(b[0]) * Ac[0] + Fraction(b[1]) * Ac[1]
-    bperp = (Fraction(b[0]) - bcb / (2 * qc) * c[0],
-             Fraction(b[1]) - bcb / (2 * qc) * c[1])
+    # right side.  B(c, w) = 0, so the line mu0_perp + Z w is (s + Z) w
+    # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
+    # theta terms have modulus exp(-2 pi y Q(w) x^2) at x = s + k.
+    reps, w = split_cosets(data.A, a, c)
+    bcb = data.b_of(c, b)
+    qw = data.q_of(w)
+    qw_f, bwb = float(qw), float(data.b_of(w, b))
+
+    def line_term(x: float) -> complex:
+        return cmath.exp(2j * math.pi * (qw_f * x * x * tau + x * bwb))
+
     rhs = 0.0 + 0.0j
     for mu0 in reps:
-        bcmu = mu0[0] * Ac[0] + mu0[1] * Ac[1]
-        rchar = bcmu / (2 * qc)
-        rval = r_function(rchar, -bcb, float(-2 * qc) * tau,
-                          tail_bound=tol * 1e-3)
-        mu_perp = (mu0[0] - rchar * c[0], mu0[1] - rchar * c[1])
-        # recenter along the line so the quadratic Q(mu_perp + k w) takes
-        # its minimum near k = 0; the coset representative produced by the
-        # extended gcd may sit arbitrarily far up the line
-        qw_frac = data.q_of(w)
-        k0 = math.floor(-data.b_of(mu_perp, w) / (2 * qw_frac)
-                        + Fraction(1, 2))
-        mu_perp = (mu_perp[0] + k0 * w[0], mu_perp[1] + k0 * w[1])
-        # theta of the positive-definite line mu_perp + Z w
-        qw = float(qw_frac)
-        line = 0.0 + 0.0j
-        k = 0
-        while True:
-            added = 0.0
-            for kk in ({k, -k} if k else {0}):
-                xi = (mu_perp[0] + kk * w[0], mu_perp[1] + kk * w[1])
-                qxi = float(data.q_of(xi))
-                bxb = float(data.b_of(xi, bperp))
-                t = cmath.exp(2j * math.pi * (qxi * tau + bxb))
-                line += t
-                added = max(added, abs(t))
-            if k > 2 and added < tol * 1e-4:
-                break
-            if k > 4000:
-                raise ConvergenceError("line theta tail bound not met")
-            k += 1
-        rhs += rval * line
-    rhs = -rhs
+        rval = r_function(data.b_of(c, mu0) / (2 * qc), -bcb,
+                          float(-2 * qc) * tau, tail_bound=tol * 1e-3)
+        line = _line_sum(line_term, data.b_of(mu0, w) / (2 * qw),
+                         2.0 * qw_f, y, tol * 1e-3)
+        rhs -= rval * line
     return abs(total - rhs)

@@ -182,10 +182,6 @@ def compare_series(name: str, lhs: QSeries, rhs: QSeries,
     return IdentityReport(name, ordv, diff is None, diff)
 
 
-def _mi(c, e, den=DEFAULT_DEN) -> QSeries:
-    return QSeries.monomial(c, e, den)
-
-
 def identity_suite(order, den: int = DEFAULT_DEN) -> list[IdentityReport]:
     """Verify the full catalogue of exact q-series identities.
 

@@ -448,8 +448,3 @@ def dedekind_eta(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSerie
     lead = Fraction(scale, 24)
     inner = ordv if _is_inf(ordv) else ordv - lead
     return euler_product(scale, inner, den).shift(lead)
-
-
-def extract_coefficient(series: QSeries, exponent: Rational) -> Fraction:
-    """Functional form of QSeries.coefficient."""
-    return series.coefficient(exponent)

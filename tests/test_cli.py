@@ -173,11 +173,13 @@ def test_bad_input_exits_with_one_line(capsys, monkeypatch, argv, code):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: the package must run without it
+    # numpy and scipy are test-only dependencies: the package must run
+    # without them
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, e8umbral, e8umbral.cli; "
-            "assert 'scipy' not in sys.modules, 'scipy was imported'")
+            "loaded = {'numpy', 'scipy'} & set(sys.modules); "
+            "assert not loaded, f'{loaded} imported'")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
+                            _pd_lambda_min, _wedge_lambda_min,
                             beta_incomplete, completion_value, e,
                             e_function, g_weight32_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
@@ -95,6 +96,51 @@ def test_paper_cone_data_invariants():
         bad.validate()
 
 
+def _random_cone_data(rng):
+    """Random admissible (A, c1, c2): A of signature (1,1), Q(c1), Q(c2)
+    < 0 and B(c1, c2) < 0."""
+    while True:
+        a01 = rng.randrange(-6, 7)
+        A = ((rng.randrange(-6, 7), a01), (a01, rng.randrange(-6, 7)))
+        c1, c2 = ((rng.randrange(-5, 6), rng.randrange(-5, 6))
+                  for _ in range(2))
+        data = IndefThetaData(A, (0, 0), (0, 0), c1, c2)
+        try:
+            data.validate()
+        except NumericsError:
+            continue
+        return data
+
+
+def test_lambda_bounds_against_sampling():
+    """The exact wedge minimum is a lower bound for Q on the unit circle
+    within B(c1,x) B(c2,x) <= 0 and is attained there; the closed-form
+    majorant eigenvalue matches eigvalsh.  Parallel c1, c2 give the wall
+    value (the sampled bound this replaces returned inf there)."""
+    rng = random.Random(5)
+    cases = [order2_theta_data(1)] + [_random_cone_data(rng)
+                                      for _ in range(24)]
+    t = np.linspace(0.0, math.pi, 1 << 17, endpoint=False)
+    xs = np.stack([np.cos(t), np.sin(t)])
+    for data in cases:
+        A = np.array(data.A, dtype=float)
+        ac1, ac2 = (A @ np.array(c, dtype=float) for c in (data.c1, data.c2))
+        inside = (ac1 @ xs) * (ac2 @ xs) <= 0
+        sampled = 0.5 * np.sum(xs * (A @ xs), axis=0)[inside].min()
+        exact = _wedge_lambda_min(data)
+        assert exact - 1e-12 <= sampled < exact + 1e-3, (data, exact, sampled)
+        for c, ac in ((data.c1, ac1), (data.c2, ac2)):
+            M = A / 2.0 - np.outer(ac, ac) / (2.0 * float(data.q_of(c)))
+            ref = np.linalg.eigvalsh(M).min()
+            assert abs(_pd_lambda_min(data, c) - ref) \
+                < 1e-12 * (1.0 + np.abs(M).max())
+    data = order2_theta_data(1)
+    assert _wedge_lambda_min(data) == 0.5
+    parallel = IndefThetaData(data.A, data.a, data.b, data.c1,
+                              tuple(2 * x for x in data.c1))
+    assert _wedge_lambda_min(parallel) == 0.5   # wall x = (0, 1)
+
+
 def test_indefinite_theta_stability_and_antisymmetry():
     tau = 0.2 + 0.9j
     data = order2_theta_data(1)
@@ -154,7 +200,7 @@ def test_order3_completion_is_plain_series():
     tau = 0.1 + 0.9j
     from e8umbral.maass import _eval_order, _signed_component
     plain, _ = series_value(
-        _signed_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9), "h"), tau)
+        _signed_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)
     assert abs(completion_value(CLASS_3A, 7, tau, 1e-9) - plain) < 1e-12
 
 
@@ -166,7 +212,7 @@ def test_negative_component_index():
 
 
 def test_multiplier_relations():
-    ns, nt = nu_S(), nu_T()
+    ns, nt = np.array(nu_S()), np.array(nu_T())
     z = e(F(-1, 4)) * np.eye(2)
     assert np.abs(ns @ ns - z).max() < 1e-12
     st = ns @ nt
@@ -192,7 +238,8 @@ def test_multiplier_word_consistency():
     for _ in range(6):
         g1, g2 = rand_gamma(), rand_gamma()
         g12 = _mat_mul(g1, g2)
-        n1, n2, n12 = (multiplier_matrix(g) for g in (g1, g2, g12))
+        n1, n2, n12 = (np.array(multiplier_matrix(g))
+                       for g in (g1, g2, g12))
         # metaplectic cocycle: products agree up to the sign of the
         # branch mismatch, which is +-1
         j = lambda g, t: g[1][0] * t + g[1][1]
@@ -233,15 +280,17 @@ def test_split_identity_paper_data():
     reps2, _ = split_cosets(data.A, data.a, data.c2)
     assert sorted(reps2) == [(F(1, 10), F(1, 10)), (F(1, 10), F(11, 10)),
                              (F(1, 10), F(21, 10))]
+    # at Im tau = 0.3 the c2 line theta needs several terms
     for c in (data.c1, data.c2):
-        assert theta_split_check(data.A, data.a, data.b, c,
-                                 0.1 + 0.8j, 1e-9) < 1e-9
+        for tau in (0.1 + 0.8j, 0.1 + 0.3j):
+            assert theta_split_check(data.A, data.a, data.b, c,
+                                     tau, 1e-9) < 1e-9
 
 
 def test_split_identity_c1_side_vanishes():
     # the lone coset for c1 carries an alternating half-integer theta
     data = order2_theta_data(1)
-    A = data.matrix()
+    A = np.array(data.A, dtype=float)
     av = np.array([float(x) for x in data.a])
     Abv = A @ np.array([float(x) for x in data.b])
     Ac1 = A @ np.array([float(x) for x in data.c1])

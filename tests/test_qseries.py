@@ -5,8 +5,7 @@ import pytest
 
 from e8umbral.qseries import (DEFAULT_DEN, DivergenceError, GradingError,
                               QSeries, TruncationError, dedekind_eta,
-                              euler_product, extract_coefficient,
-                              pochhammer)
+                              euler_product, pochhammer)
 
 from oracles import partition_counts, pentagonal_series
 
@@ -95,10 +94,10 @@ def test_eta2_euler_identity():
 
 def test_extract_coefficient_contract():
     s = QSeries.one(order=5) - q(1, order=5)
-    assert extract_coefficient(s, 1) == -1
-    assert extract_coefficient(s, 3) == 0
+    assert s.coefficient(1) == -1
+    assert s.coefficient(3) == 0
     with pytest.raises(TruncationError):
-        extract_coefficient(s, 7)
+        s.coefficient(7)
 
 
 def test_grading_rescale_and_mismatch():
