@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from .lattice import enumerate_coset_cone
 from .qseries import (DEFAULT_DEN, GradingError, QSeries, SeriesError,
-                      euler_product, _order_value, _is_inf)
+                      dedekind_eta, euler_product, _order_value)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
@@ -89,9 +89,7 @@ def fermion_trace(sign: int, order, den: int = DEFAULT_DEN) -> QSeries:
     on its twisted module."""
     if sign not in (1, -1):
         raise SeriesError("sign must be +1 or -1")
-    ordv = _order_value(order)
-    inner = ordv if _is_inf(ordv) else ordv - Fraction(1, 24)
-    return euler_product(1, inner, den).shift(Fraction(1, 24)).scale(sign)
+    return dedekind_eta(1, order, den).scale(sign)
 
 
 def heisenberg_trace(group_class: GroupClass, order,
@@ -100,7 +98,7 @@ def heisenberg_trace(group_class: GroupClass, order,
     the rank-3 boson, as an eta-quotient by cycle type."""
     ordv = _order_value(order)
     shift = Fraction(-3, 24)
-    inner = ordv if _is_inf(ordv) else ordv - shift
+    inner = ordv - shift
     if group_class.order == 1:
         body = (euler_product(1, inner, den) ** 3).invert()
     elif group_class.order == 2:
@@ -108,8 +106,7 @@ def heisenberg_trace(group_class: GroupClass, order,
                 * euler_product(2, inner, den)).invert()
     else:
         body = euler_product(3, inner, den).invert()
-    out = body.shift(shift)
-    return out if _is_inf(ordv) else out.truncate(ordv)
+    return body.shift(shift).truncate(ordv)
 
 
 def _closed_prefactor(group_class: GroupClass, order, den: int) -> QSeries:
@@ -250,7 +247,7 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
                                                  den)
     cap = ordv + Fraction(1, 12)
     fix = {1: None, 2: "tau", 3: "sigma"}[cls.order]
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     for pt in enumerate_coset_cone(a, fix, cap):
         k, l, m = pt.coords
         if cls.order == 1:
@@ -264,7 +261,7 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
         else:
             sign = -1 if k % 2 else 1
         en = int(pt.q * den)
-        coeffs[en] = coeffs.get(en, Fraction(0)) + sign
+        coeffs[en] = coeffs.get(en, 0) + sign
     lat_sum = QSeries(den, coeffs, cap)
     return (pref * lat_sum).truncate(ordv)
 

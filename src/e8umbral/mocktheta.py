@@ -150,8 +150,9 @@ def hecke_double_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
             (euler_product(2, ordv + 1, den) ** 2).invert()
         return (pref * body).truncate(ordv)
     if kind == "oddprod":
-        # prod_{n>0} (1 + q^n)
-        pref = pochhammer(1, -1, 1, None, ordv + 1, den)
+        # prod_{n>0} (1 + q^n) = (q^2; q^2)_inf / (q; q)_inf
+        pref = euler_product(2, ordv + 1, den) * \
+            euler_product(1, ordv + 1, den).invert()
         return (pref * body).truncate(ordv)
     return body
 

@@ -3,9 +3,11 @@
 A series is a finite map from exponent numerators (integers over a fixed
 grading denominator ``den``) to rational coefficients, together with a
 truncation order N: coefficients at exponents <= N are exact, anything
-beyond N is unspecified and reading it is an error.  The default grading
-denominator 120 accommodates every exponent appearing in this package
-(1/120, 1/24, 1/12, 3/40, half-integers, ...).
+beyond N is unspecified and reading it is an error.  A coefficient is an
+int when it is integral and a Fraction only otherwise, so integer series
+stay in int arithmetic.  The default grading denominator 120 accommodates
+every exponent appearing in this package (1/120, 1/24, 1/12, 3/40,
+half-integers, ...).
 
 All values are immutable after construction and every operation returns a
 new canonical series (no stored zeros), so coefficient-map equality is
@@ -55,6 +57,11 @@ def _is_inf(x) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
+def _cap(order, den: int):
+    """Largest exponent numerator a series of this order knows."""
+    return INF if _is_inf(order) else math.floor(order * den)
+
+
 def _order_value(order: OrderLike):
     if _is_inf(order):
         return INF
@@ -70,14 +77,12 @@ class QSeries:
         if den <= 0:
             raise GradingError("grading denominator must be positive")
         ordv = _order_value(order)
-        clean: dict[int, Fraction] = {}
+        cap = _cap(ordv, den)
+        clean: dict[int, Rational] = {}
         for e, c in coeffs.items():
-            c = _frac(c)
-            if c == 0:
+            if c == 0 or e > cap:
                 continue
-            if not _is_inf(ordv) and e > ordv * den:
-                continue
-            clean[int(e)] = c
+            clean[int(e)] = c.numerator if c.denominator == 1 else c
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "order", ordv)
@@ -95,7 +100,7 @@ class QSeries:
     @classmethod
     def const(cls, c: Rational, den: int = DEFAULT_DEN,
               order: OrderLike = INF) -> "QSeries":
-        return cls(den, {0: _frac(c)}, order)
+        return cls(den, {0: c}, order)
 
     @classmethod
     def one(cls, den: int = DEFAULT_DEN, order: OrderLike = INF) -> "QSeries":
@@ -108,7 +113,7 @@ class QSeries:
         if e.denominator != 1:
             raise GradingError(
                 f"exponent {exponent} not representable over denominator {den}")
-        return cls(den, {int(e): _frac(c)}, order)
+        return cls(den, {int(e): c}, order)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -117,7 +122,7 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, Rational]]:
         """Sorted (exponent numerator, coefficient) pairs."""
         return sorted(self.coeffs.items())
 
@@ -135,22 +140,17 @@ class QSeries:
             return self.order
         return Fraction(min(self.coeffs), self.den)
 
-    def _max_num(self) -> Optional[int]:
-        if _is_inf(self.order):
-            return None
-        return math.floor(self.order * self.den)
-
-    def coefficient(self, exponent: Rational) -> Fraction:
+    def coefficient(self, exponent: Rational) -> Rational:
         """Coefficient at the given exponent; error past the truncation."""
         e = _frac(exponent)
-        if not _is_inf(self.order) and e > self.order:
+        if e > self.order:
             raise TruncationError(
                 f"coefficient at {e} requested but series is only known "
                 f"to order {self.order}")
         en = e * self.den
         if en.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(en), Fraction(0))
+            return 0
+        return self.coeffs.get(int(en), 0)
 
     # ------------------------------------------------------------------
     # grading management
@@ -196,7 +196,7 @@ class QSeries:
         order = min(a.order, b.order)
         coeffs = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            coeffs[e] = coeffs.get(e, Fraction(0)) + c
+            coeffs[e] = coeffs.get(e, 0) + c
         return QSeries(a.den, coeffs, order)
 
     __radd__ = __add__
@@ -223,25 +223,24 @@ class QSeries:
         # order rule: min over (order_a + val_b, order_b + val_a); an empty
         # factor contributes its order as the sound valuation bound.
         order = min(a.order + b.valuation(), b.order + a.valuation())
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, Rational] = {}
         if a.coeffs and b.coeffs:
-            cap = None if _is_inf(order) else math.floor(order * a.den)
+            cap = _cap(order, a.den)
             bitems = sorted(b.coeffs.items())
             bmin = bitems[0][0]
             for ea, ca in sorted(a.coeffs.items()):
-                if cap is not None and ea + bmin > cap:
+                if ea + bmin > cap:
                     break
                 for eb, cb in bitems:
                     e = ea + eb
-                    if cap is not None and e > cap:
+                    if e > cap:
                         break
-                    coeffs[e] = coeffs.get(e, Fraction(0)) + ca * cb
+                    coeffs[e] = coeffs.get(e, 0) + ca * cb
         return QSeries(a.den, coeffs, order)
 
     __rmul__ = __mul__
 
     def scale(self, c: Rational) -> "QSeries":
-        c = _frac(c)
         if c == 0:
             return QSeries(self.den, {}, self.order)
         return QSeries(self.den, {e: c * v for e, v in self.coeffs.items()},
@@ -255,7 +254,7 @@ class QSeries:
                 f"shift by {exponent} not representable over denominator "
                 f"{self.den}")
         d = int(d)
-        order = self.order if _is_inf(self.order) else self.order + _frac(exponent)
+        order = self.order + _frac(exponent)
         return QSeries(self.den, {e + d: c for e, c in self.coeffs.items()},
                        order)
 
@@ -276,7 +275,9 @@ class QSeries:
         """Multiplicative inverse of a unit series.
 
         Requires a nonzero lowest-order coefficient.  If self has valuation
-        v and order N, the inverse has valuation -v and order N - 2v.
+        v and order N, the inverse has valuation -v and order N - 2v.  Only
+        a monomial has an exact inverse; any other series must be truncated
+        first.
         """
         if not self.coeffs:
             raise SeriesError("cannot invert a series with no readable "
@@ -284,26 +285,27 @@ class QSeries:
         items = self.items()
         v = items[0][0]
         lead = items[0][1]
-        order = self.order if _is_inf(self.order) else \
-            self.order - 2 * Fraction(v, self.den)
+        # a unit lead keeps integer coefficients integers
+        inv = lead if lead in (1, -1) else 1 / Fraction(lead)
+        order = self.order - 2 * Fraction(v, self.den)
         rel = [(e - v, c) for e, c in items[1:]]
         if not rel:
-            return QSeries(self.den, {-v: 1 / lead}, order)
-        # relative truncation for the unit part 1 + u
+            return QSeries(self.den, {-v: inv}, order)
         if _is_inf(self.order):
-            rel_cap = max(e for e, _ in rel)
-        else:
-            rel_cap = math.floor(self.order * self.den) - v
+            raise SeriesError("the inverse of an exact series with more "
+                              "than one term is infinite; truncate first")
+        # relative truncation for the unit part 1 + u
+        rel_cap = _cap(self.order, self.den) - v
         # solve on the sublattice actually supported by u
         step = 0
         for e, _ in rel:
             step = math.gcd(step, e)
         # write self = lead * q^v * (1 + u); solve (1 + u) * w = 1 term by
         # term on the sublattice generated by the support of u
-        known: dict[int, Fraction] = {0: Fraction(1)}
-        rel_norm = [(e, c / lead) for e, c in rel]
+        known: dict[int, Rational] = {0: 1}
+        rel_norm = [(e, c * inv) for e, c in rel]
         for e in range(step, rel_cap + 1, step):
-            acc = Fraction(0)
+            acc = 0
             for eu, cu in rel_norm:
                 if eu > e:
                     break
@@ -312,7 +314,7 @@ class QSeries:
                     acc += cu * prev
             if acc:
                 known[e] = -acc
-        return QSeries(self.den, {e - v: c / lead for e, c in known.items()},
+        return QSeries(self.den, {e - v: c * inv for e, c in known.items()},
                        order)
 
     # ------------------------------------------------------------------
@@ -328,7 +330,7 @@ class QSeries:
 
     def substitute_minus_q(self) -> "QSeries":
         """The series at -q; valid only when all exponents are integers."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, Rational] = {}
         for e, c in self.coeffs.items():
             if e % self.den != 0:
                 raise GradingError(
@@ -351,12 +353,12 @@ class QSeries:
             raise TruncationError(
                 f"comparison to order {ordv} needs both series known that "
                 f"far (have {a.order} and {b.order})")
-        cap = None if _is_inf(ordv) else math.floor(ordv * a.den)
+        cap = _cap(ordv, a.den)
         for e in sorted(set(a.coeffs) | set(b.coeffs)):
-            if cap is not None and e > cap:
+            if e > cap:
                 break
-            ca = a.coeffs.get(e, Fraction(0))
-            cb = b.coeffs.get(e, Fraction(0))
+            ca = a.coeffs.get(e, 0)
+            cb = b.coeffs.get(e, 0)
             if ca != cb:
                 return (Fraction(e, a.den), ca, cb)
         return None
@@ -392,46 +394,41 @@ class QSeries:
 # standard product constructions
 
 
-def pochhammer(x_exponent: Rational, x_sign: int, step: Rational,
-               n: Optional[int], order: OrderLike,
-               den: int = DEFAULT_DEN) -> QSeries:
-    """Truncated (x; q^step)_n = prod_{k<n} (1 - x_sign * q^(x_exponent + k*step)).
-
-    n=None means the infinite product; factors whose exponent exceeds the
-    order contribute 1 and are skipped, and a factor of non-positive
-    exponent is a formal divergence.
-    """
+def pochhammer(x_exponent: Rational, x_sign: int, step: Rational, n: int,
+               order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
+    """Truncated (x; q^step)_n = prod_{k<n} (1 - x_sign * q^(x_exponent + k*step))."""
     if x_sign not in (1, -1):
         raise SeriesError("x_sign must be +1 or -1")
     x0 = _frac(x_exponent)
     st = _frac(step)
     ordv = _order_value(order)
-    if n is None and st <= 0:
-        raise DivergenceError("infinite product needs a positive step")
-    if n is None and _is_inf(ordv):
-        raise SeriesError("infinite product needs a finite truncation order")
     acc = QSeries.one(den, ordv)
-    k = 0
-    while True:
-        if n is not None and k >= n:
-            break
-        exp = x0 + k * st
-        if n is None:
-            if exp <= 0:
-                raise DivergenceError(
-                    f"infinite product has factor of exponent {exp} <= 0")
-            if not _is_inf(ordv) and exp > ordv:
-                break
-        factor = QSeries.const(1, den, ordv) + \
-            QSeries.monomial(-x_sign, exp, den, ordv)
-        acc = acc * factor
-        k += 1
+    for k in range(n):
+        acc = acc * (QSeries.const(1, den, ordv) +
+                     QSeries.monomial(-x_sign, x0 + k * st, den, ordv))
     return acc
 
 
 def euler_product(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
-    """(q^scale; q^scale)_infinity."""
-    return pochhammer(scale, 1, scale, None, order, den)
+    """(q^scale; q^scale)_infinity, by Euler's pentagonal number theorem:
+    sum_{j in Z} (-1)^j q^(scale * j(3j-1)/2)."""
+    if scale <= 0:
+        raise DivergenceError(
+            f"infinite product has factor of exponent {scale} <= 0")
+    ordv = _order_value(order)
+    if _is_inf(ordv):
+        raise SeriesError("infinite product needs a finite truncation order")
+    step = scale * den
+    cap = _cap(ordv, den)
+    coeffs = {}
+    # the generalized pentagonal numbers j(3j-1)/2 <= j(3j+1)/2 grow with j
+    j = 0
+    while step * j * (3 * j - 1) // 2 <= cap:
+        sign = -1 if j % 2 else 1
+        coeffs[step * j * (3 * j - 1) // 2] = sign
+        coeffs[step * j * (3 * j + 1) // 2] = sign
+        j += 1
+    return QSeries(den, coeffs, ordv)
 
 
 def dedekind_eta(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
@@ -444,7 +441,5 @@ def dedekind_eta(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSerie
     if (den * scale) % 24 != 0:
         raise GradingError(
             f"denominator {den} too coarse for eta at scale {scale}")
-    ordv = _order_value(order)
     lead = Fraction(scale, 24)
-    inner = ordv if _is_inf(ordv) else ordv - lead
-    return euler_product(scale, inner, den).shift(lead)
+    return euler_product(scale, _order_value(order) - lead, den).shift(lead)

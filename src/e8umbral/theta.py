@@ -31,7 +31,7 @@ def S_unary(m: int, r: int, order, den: int = DEFAULT_DEN) -> QSeries:
         raise GradingError(
             f"denominator {den} too coarse for theta index {m}")
     ordv = _order_value(order)
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     # |2km + r| <= sqrt(4 m order) bounds the summation range
     vmax = math.isqrt(math.ceil(4 * m * ordv)) + 2 * m + abs(r)
     kmax = (vmax + abs(r)) // (2 * m) + 1
@@ -41,7 +41,7 @@ def S_unary(m: int, r: int, order, den: int = DEFAULT_DEN) -> QSeries:
         if e > ordv:
             continue
         en = int(e * den)
-        coeffs[en] = coeffs.get(en, Fraction(0)) + v
+        coeffs[en] = coeffs.get(en, 0) + v
     return QSeries(den, coeffs, ordv)
 
 
@@ -68,7 +68,7 @@ def g_scaled_series(char_numer: int, two_m: int, order,
         en = e * den
         if en.denominator != 1:
             raise GradingError("scaled theta derivative exponent off-grid")
-        coeffs[int(en)] = coeffs.get(int(en), Fraction(0)) + nu
+        coeffs[int(en)] = coeffs.get(int(en), 0) + nu
     return QSeries(den, coeffs, ordv)
 
 

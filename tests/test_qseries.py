@@ -3,11 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DEFAULT_DEN, DivergenceError, GradingError,
-                              QSeries, TruncationError, dedekind_eta,
-                              euler_product, pochhammer)
+                              QSeries, SeriesError, TruncationError,
+                              dedekind_eta, euler_product, pochhammer)
+from e8umbral.theta import g_scaled_series
 
-from oracles import partition_counts, pentagonal_series
+from oracles import finite_pochhammer, partition_counts, pentagonal_series
 
 
 def q(power, coeff=1, den=DEFAULT_DEN, order=None):
@@ -37,6 +39,14 @@ def test_additive_inverse_gives_empty_map():
 def test_geometric_inverse():
     inv = (QSeries.one(order=4) - q(1, order=4)).invert()
     assert [c for _, c in inv.items()] == [1, 1, 1, 1, 1]
+    # integral coefficients are stored as ints, not as boxed Fractions
+    for s in (inv, euler_product(1, 30), h_component(CLASSES["1A"], 1, 20)):
+        assert all(type(c) is int for c in s.coeffs.values())
+    two = QSeries(120, {0: F(4, 2)}).coeffs[0]
+    assert type(two) is int and two == 2
+    g = g_scaled_series(1, 60, 5)
+    assert any(isinstance(c, F) and c.denominator != 1
+               for c in g.coeffs.values())
 
 
 def test_invert_monomial():
@@ -55,6 +65,15 @@ def test_pentagonal_numbers():
     want = pentagonal_series(30)
     for n in range(31):
         assert got.coefficient(n) == want.get(n, 0)
+    # the pentagonal route against the factor-by-factor product
+    for k in (1, 2, 3):
+        want = finite_pochhammer(k, 1, k, 60 // k, 60)
+        got = euler_product(k, 60)
+        assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
+    # prod_{n>0} (1 + q^n) as (q^2; q^2)_inf / (q; q)_inf
+    want = finite_pochhammer(1, -1, 1, 60, 60)
+    got = euler_product(2, 60) * euler_product(1, 60).invert()
+    assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
 
 
 def test_pochhammer_empty_product_and_factors():
@@ -64,9 +83,9 @@ def test_pochhammer_empty_product_and_factors():
 
 def test_pochhammer_divergence():
     with pytest.raises(DivergenceError):
-        pochhammer(0, 1, 1, None, 5)
+        euler_product(0, 5)
     with pytest.raises(DivergenceError):
-        pochhammer(1, 1, -1, None, 5)
+        euler_product(-1, 5)
 
 
 def test_eta_leading_terms():
@@ -156,6 +175,9 @@ def test_truncation_is_contract_not_zero():
         s.coefficient(6)
     with pytest.raises(TruncationError):
         s.first_difference(euler_product(1, 10), 8)
+    # 1/(1 - q) is infinite: an exact inverse would have to claim all of it
+    with pytest.raises(SeriesError, match="truncate first"):
+        (QSeries.one() - q(1)).invert()
 
 
 def test_minus_q_substitution():
