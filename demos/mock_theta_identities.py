@@ -31,4 +31,4 @@ chi0 = ramanujan_series("chi0", 12)
 bumped = dict(chi0.coeffs)
 bumped[5 * 120] += 1
 print(" ", compare_series("chi0 vs chi0 + q^5", chi0,
-                          QSeries(120, bumped, 12), 12))
+                          QSeries(bumped, 12), 12))

@@ -10,7 +10,7 @@ and validates the mock modular transformation and shadow structure
 numerically.
 """
 
-from .qseries import (DEFAULT_DEN, DivergenceError, GradingError, QSeries,
+from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
                       euler_product, pochhammer)
 from .lattice import ConePoint, enumerate_coset_cone

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from .lattice import enumerate_coset_cone
-from .qseries import (DEFAULT_DEN, GradingError, QSeries, SeriesError,
+from .qseries import (DEN, GradingError, QSeries, SeriesError,
                       dedekind_eta, euler_product, _order_value)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
@@ -84,44 +84,41 @@ def all_trace_ids() -> list[TraceId]:
 # Clifford and Heisenberg factors
 
 
-def fermion_trace(sign: int, order, den: int = DEFAULT_DEN) -> QSeries:
+def fermion_trace(sign: int, order) -> QSeries:
     """+-q^(1/24) (q;q)_inf, the graded trace of the one-fermion zero mode
     on its twisted module."""
     if sign not in (1, -1):
         raise SeriesError("sign must be +1 or -1")
-    return dedekind_eta(1, order, den).scale(sign)
+    return dedekind_eta(1, order).scale(sign)
 
 
-def heisenberg_trace(group_class: GroupClass, order,
-                     den: int = DEFAULT_DEN) -> QSeries:
+def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
     the rank-3 boson, as an eta-quotient by cycle type."""
     ordv = _order_value(order)
     shift = Fraction(-3, 24)
     inner = ordv - shift
     if group_class.order == 1:
-        body = (euler_product(1, inner, den) ** 3).invert()
+        body = (euler_product(1, inner) ** 3).invert()
     elif group_class.order == 2:
-        body = (euler_product(1, inner, den)
-                * euler_product(2, inner, den)).invert()
+        body = (euler_product(1, inner) * euler_product(2, inner)).invert()
     else:
-        body = euler_product(3, inner, den).invert()
+        body = euler_product(3, inner).invert()
     return body.shift(shift).truncate(ordv)
 
 
-def _closed_prefactor(group_class: GroupClass, order, den: int) -> QSeries:
+def _closed_prefactor(group_class: GroupClass, order) -> QSeries:
     """The printed prefactors: q^(-1/12)/(q;q)^2, q^(-1/12)/(q^2;q^2),
     q^(-1/12)(q;q)/(q^3;q^3)."""
     ordv = _order_value(order)
     shift = Fraction(-1, 12)
     inner = ordv - shift
     if group_class.order == 1:
-        body = (euler_product(1, inner, den) ** 2).invert()
+        body = (euler_product(1, inner) ** 2).invert()
     elif group_class.order == 2:
-        body = euler_product(2, inner, den).invert()
+        body = euler_product(2, inner).invert()
     else:
-        body = euler_product(1, inner, den) * \
-            euler_product(3, inner, den).invert()
+        body = euler_product(1, inner) * euler_product(3, inner).invert()
     return body.shift(shift).truncate(ordv)
 
 
@@ -130,7 +127,7 @@ def _closed_prefactor(group_class: GroupClass, order, den: int) -> QSeries:
 
 
 def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
-               den: int = DEFAULT_DEN, parity=None) -> QSeries:
+               parity=None) -> QSeries:
     """The signed sum over both octants of Z^n, truncated at q^cap:
 
         (sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
@@ -158,9 +155,9 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
             min(min(o[2]) for o in octants) < 0:
         raise SeriesError("octant sum outside its certified bound")
     limit = math.floor(2 * (_order_value(cap) - Fraction(shift)))
-    offset = Fraction(shift) * den
+    offset = Fraction(shift) * DEN
     if offset.denominator != 1:
-        raise GradingError(f"shift {shift} not representable over {den}")
+        raise GradingError(f"shift {shift} not representable over {DEN}")
     coeffs: dict[int, int] = {}
     for outer, flip, w, c in octants:
         # x = -1 - y flips the parity of signs.x and parity.x by their sums
@@ -169,14 +166,10 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
         for y, v in _octant_points(gram, w, c, limit):
             if parity and (par0 + _dot(parity, y)) % 2:
                 continue
-            num, rem = divmod(v * den, 2)
-            if rem:
-                raise GradingError(f"exponent {v}/2 not representable "
-                                   f"over {den}")
-            e = num + offset.numerator
+            e = v * DEN // 2 + offset.numerator
             coeffs[e] = coeffs.get(e, 0) + \
                 (-sign0 if _dot(signs, y) % 2 else sign0)
-    return QSeries(den, coeffs, cap)
+    return QSeries(coeffs, cap)
 
 
 def _dot(u, v) -> int:
@@ -213,7 +206,7 @@ _CLOSED_SHAPES = {
 }
 
 
-def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
+def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The closed lattice-sum expression for one trace function."""
     ordv = _order_value(order)
     cls = trace_id.group_class
@@ -221,8 +214,8 @@ def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
     a = trace_id.coset_a
     gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
     lat = octant_sum(gram, [a * u for u in lin_unit], Fraction(3 * a * a, 40),
-                     signs, neg, cap, den)
-    pref = _closed_prefactor(cls, ordv + Fraction(1, 12) + 1, den)
+                     signs, neg, cap)
+    pref = _closed_prefactor(cls, ordv + Fraction(1, 12) + 1)
     out = (pref * lat).scale(trace_id.clifford_sign)
     return out.truncate(ordv)
 
@@ -231,7 +224,7 @@ def trace_closed(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
 # direct route (enumerated cone points with group sign rules)
 
 
-def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
+def trace_direct(trace_id: TraceId, order) -> QSeries:
     """Trace via enumerated coset-cone points.
 
     The prefactor is assembled from fermion_trace and heisenberg_trace (an
@@ -242,9 +235,8 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
     ordv = _order_value(order)
     cls = trace_id.group_class
     a = trace_id.coset_a
-    pref = fermion_trace(trace_id.clifford_sign, ordv + Fraction(1, 12) + 1,
-                         den) * heisenberg_trace(cls, ordv + Fraction(1, 12) + 1,
-                                                 den)
+    pref = fermion_trace(trace_id.clifford_sign, ordv + Fraction(1, 12) + 1) \
+        * heisenberg_trace(cls, ordv + Fraction(1, 12) + 1)
     cap = ordv + Fraction(1, 12)
     fix = {1: None, 2: "tau", 3: "sigma"}[cls.order]
     coeffs: dict[int, int] = {}
@@ -260,9 +252,9 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
                 sign = -sign
         else:
             sign = -1 if k % 2 else 1
-        en = int(pt.q * den)
+        en = int(pt.q * DEN)
         coeffs[en] = coeffs.get(en, 0) + sign
-    lat_sum = QSeries(den, coeffs, cap)
+    lat_sum = QSeries(coeffs, cap)
     return (pref * lat_sum).truncate(ordv)
 
 
@@ -271,13 +263,11 @@ def trace_direct(trace_id: TraceId, order, den: int = DEFAULT_DEN) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _closed_cached(name: str, a: int, sign: int, order: Fraction,
-                   den: int) -> QSeries:
-    return trace_closed(TraceId(CLASSES[name], a, sign), order, den)
+def _closed_cached(name: str, a: int, sign: int, order: Fraction) -> QSeries:
+    return trace_closed(TraceId(CLASSES[name], a, sign), order)
 
 
-def h_component(group_class: GroupClass, r: int, order,
-                den: int = DEFAULT_DEN) -> QSeries:
+def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     """The series H_{g,r} = 2 T_{g,r} for r in the positive support.
 
     r in {1,11,19,29} uses the a=1 trace; r in {7,13,17,23} uses the a=3
@@ -287,10 +277,10 @@ def h_component(group_class: GroupClass, r: int, order,
     """
     ordv = _order_value(order)
     if r % 60 in FAMILY_1:
-        t = _closed_cached(group_class.name, 1, -1, ordv, den)
+        t = _closed_cached(group_class.name, 1, -1, ordv)
         return t.scale(2)
     if r % 60 in FAMILY_7:
-        t = _closed_cached(group_class.name, 3, -1, ordv, den)
+        t = _closed_cached(group_class.name, 3, -1, ordv)
         return t.scale(2 if group_class.order == 2 else -2)
     raise ValueError(f"component {r} is not in the positive support")
 
@@ -305,21 +295,15 @@ class MockFormVector:
     order: Fraction
 
     def component(self, r: int) -> QSeries:
-        r = r % 60
-        if r in self.components:
-            return self.components[r]
-        den = next(iter(self.components.values())).den if self.components \
-            else DEFAULT_DEN
-        return QSeries.zero(den, self.order)
+        return self.components.get(r % 60, QSeries.zero(self.order))
 
 
-def assemble_H(group_class: GroupClass, order,
-               den: int = DEFAULT_DEN) -> MockFormVector:
+def assemble_H(group_class: GroupClass, order) -> MockFormVector:
     """H_g as a vector: odd in r, supported on the E8 Coxeter exponents."""
     ordv = _order_value(order)
     comps: dict[int, QSeries] = {}
     for r in SUPPORT_POS:
-        h = h_component(group_class, r, ordv, den)
+        h = h_component(group_class, r, ordv)
         comps[r] = h
         comps[(-r) % 60] = -h
     return MockFormVector(group_class, comps, ordv)
@@ -349,10 +333,10 @@ def trace_symmetry_sign(group_class: GroupClass, a: int) -> tuple[int, int]:
     return a, sign
 
 
-def trace_series(group_class: GroupClass, a: int, clifford_sign: int, order,
-                 den: int = DEFAULT_DEN) -> QSeries:
+def trace_series(group_class: GroupClass, a: int, clifford_sign: int,
+                 order) -> QSeries:
     """Closed-route trace for any odd coset label, normalized into
     {1,3,5,7,9} with the sign carried explicitly."""
     rep, sgn = trace_symmetry_sign(group_class, a)
-    t = trace_closed(TraceId(group_class, rep, clifford_sign), order, den)
+    t = trace_closed(TraceId(group_class, rep, clifford_sign), order)
     return t.scale(sgn)

@@ -2,10 +2,11 @@
 point evaluation of the (completed) components.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (one line
-on stderr), 3 a numeric evaluation that cannot reach the requested
-tolerance (one line on stderr).  Exponents are serialized as integer
-numerators over the declared denominator 120, never as floats, so table
-output is byte-stable across runs.
+on stderr), 3 a numeric evaluation, of the series alone or of the
+completion, that cannot reach the requested tolerance (one line on
+stderr).  Exponents are serialized as integer numerators over the
+declared denominator 120, never as floats, so table output is
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -161,14 +162,15 @@ def _parse_tau(text: str) -> complex:
         value = complex(cleaned)
     except ValueError as exc:
         raise ValueError(f"cannot parse tau from {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"tau must be finite, not {text!r}")
     if value.imag <= 0:
         raise ValueError("tau must have positive imaginary part")
     return value
 
 
 def cmd_eval(args) -> int:
-    from .maass import completion_value, series_value, _signed_component, \
-        _eval_order
+    from .maass import completion_value, component_value
     try:
         tau = _parse_tau(args.tau)
     except ValueError as exc:
@@ -186,8 +188,7 @@ def cmd_eval(args) -> int:
         est = tol
         kind = "completed"
     else:
-        order = _eval_order(tau.imag, tol)
-        value, est = series_value(_signed_component(cls, r, order), tau)
+        value, est = component_value(cls, r, tau, tol, tol)
         kind = "series"
     print(f"H[{args.group_class}, r={r}]({args.tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "
@@ -214,6 +215,9 @@ def _order(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, not {text!r}")
+    if value > MAX_ROW_BUDGET // 120:
+        raise argparse.ArgumentTypeError(
+            f"order {value} exceeds compute budget {MAX_ROW_BUDGET // 120}")
     return value
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .qseries import DEN
+
 Vector = Sequence[Fraction]
 
 GRAM = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
@@ -56,10 +58,11 @@ class ConePoint:
         return tuple(c + s for c in self.coords)
 
 
-def _q_of(coords: tuple[int, int, int], a: int) -> Fraction:
+def _q_of(coords: tuple[int, int, int], a: int) -> int:
+    """DEN * Q(mu) = 120 Q(mu), an integer."""
     k, l, m = coords
-    quad = Fraction(k * k + l * l + m * m, 2) + 2 * (k * l + l * m + m * k)
-    return quad + Fraction(a * (k + l + m), 2) + Fraction(3 * a * a, 40)
+    return 60 * (k * k + l * l + m * m) + 240 * (k * l + l * m + m * k) + \
+        60 * a * (k + l + m) + 9 * a * a
 
 
 def _fixed(coords: tuple[int, int, int], g_fix: Optional[str]) -> bool:
@@ -81,6 +84,7 @@ def _positive_branch(a: int, g_fix: Optional[str],
     if bound < 0:
         return []
     box = math.isqrt(math.ceil(2 * bound)) + 1
+    cap = math.floor(bound * DEN)
     out = []
     for k in range(box + 1):
         for l in range(box + 1):
@@ -88,9 +92,9 @@ def _positive_branch(a: int, g_fix: Optional[str],
                 coords = (k, l, m)
                 if not _fixed(coords, g_fix):
                     continue
-                q = _q_of(coords, a)
-                if q <= bound:
-                    out.append((q, coords))
+                num = _q_of(coords, a)
+                if num <= cap:
+                    out.append((Fraction(num, DEN), coords))
     return out
 
 

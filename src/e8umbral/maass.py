@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .characters import (CLASS_2A, CLASSES, SUPPORT_POS, GroupClass,
                          h_component)
-from .qseries import QSeries
+from .qseries import DEN, QSeries
 from .theta import shadow_component
 
 TWO_PI = 2.0 * math.pi
@@ -79,13 +79,12 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    den = series.den
     total = 0.0 + 0.0j
     mags: list[tuple[float, float]] = []
     for en, c in series.items():
         cf = float(c)
-        total += cf * cmath.exp(2j * math.pi * tau * en / den)
-        mags.append((en / den, abs(cf)))
+        total += cf * cmath.exp(2j * math.pi * tau * en / DEN)
+        mags.append((en / DEN, abs(cf)))
     absq = math.exp(-TWO_PI * y)
     if series.order == math.inf:
         return total, 0.0
@@ -211,6 +210,23 @@ def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
             raise ConvergenceError("g function tail bound not met")
 
 
+def component_value(group_class: GroupClass, r: int, tau: complex,
+                    tol: float, tail_budget: float) -> tuple[complex, float]:
+    """(H_r(tau), tail estimate < tail_budget), truncating at
+    _eval_order(Im tau, tol) and doubling the order up to 800."""
+    y = tau.imag
+    order = _eval_order(y, tol)
+    while True:
+        value, tail = series_value(_signed_component(group_class, r, order),
+                                   tau)
+        if tail < tail_budget:
+            return value, tail
+        if order >= 800:
+            raise ConvergenceError(
+                f"series truncation insufficient for tol {tol} at Im {y}")
+        order = min(order * 2, 800)
+
+
 def _shadow_terms(group_class: GroupClass, r: int, y: float,
                   tol: float) -> list[tuple[float, float]]:
     """(n, c_n) pairs of the shadow component, deep enough that dropped
@@ -218,7 +234,7 @@ def _shadow_terms(group_class: GroupClass, r: int, y: float,
     n_max = (math.log(1.0 / tol) + 25.0) / (TWO_PI * y)
     n_max = max(5.0, n_max)
     s = _shadow_series(group_class.name, r % 60, int(math.ceil(n_max)) + 1)
-    return [(en / s.den, float(c)) for en, c in s.items()]
+    return [(en / DEN, float(c)) for en, c in s.items()]
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
@@ -232,16 +248,7 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    order = _eval_order(y, tol)
-    while True:
-        h = _signed_component(group_class, r, order)
-        value, tail = series_value(h, tau)
-        if tail < tol / 5.0:
-            break
-        if order >= 800:
-            raise ConvergenceError(
-                f"series truncation insufficient for tol {tol} at Im {y}")
-        order = min(order * 2, 800)
+    value, _ = component_value(group_class, r, tau, tol, tol / 5.0)
     if group_class.perm_character == 0:
         return value          # zero shadow: completion equals the series
     nonholo = 0.0 + 0.0j

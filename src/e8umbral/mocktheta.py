@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .characters import CLASSES, TraceId, octant_sum, trace_closed
-from .qseries import (DEFAULT_DEN, QSeries, SeriesError, _order_value,
+from .qseries import (QSeries, SeriesError, _order_value,
                       euler_product, pochhammer)
 
 SERIES_NAMES = ("chi0", "chi1", "F0", "F1", "phi0", "phi1")
@@ -40,47 +40,46 @@ def _term_valuation(name: str, n: int) -> int:
     raise SeriesError(f"unknown series {name!r}")
 
 
-def _summand(name: str, n: int, order, den: int) -> QSeries:
+def _summand(name: str, n: int, order) -> QSeries:
     if name == "chi0":
         # q^n / (q^(n+1); q)_n
-        return QSeries.monomial(1, n, den, order) * \
-            pochhammer(n + 1, 1, 1, n, order, den).invert().truncate(order)
+        return QSeries.monomial(1, n, order) * \
+            pochhammer(n + 1, 1, 1, n, order).invert().truncate(order)
     if name == "chi1":
-        return QSeries.monomial(1, n, den, order) * \
-            pochhammer(n + 1, 1, 1, n + 1, order, den).invert().truncate(order)
+        return QSeries.monomial(1, n, order) * \
+            pochhammer(n + 1, 1, 1, n + 1, order).invert().truncate(order)
     if name == "F0":
-        return QSeries.monomial(1, 2 * n * n, den, order) * \
-            pochhammer(1, 1, 2, n, order, den).invert().truncate(order)
+        return QSeries.monomial(1, 2 * n * n, order) * \
+            pochhammer(1, 1, 2, n, order).invert().truncate(order)
     if name == "F1":
-        return QSeries.monomial(1, 2 * n * (n + 1), den, order) * \
-            pochhammer(1, 1, 2, n + 1, order, den).invert().truncate(order)
+        return QSeries.monomial(1, 2 * n * (n + 1), order) * \
+            pochhammer(1, 1, 2, n + 1, order).invert().truncate(order)
     if name == "phi0":
-        return QSeries.monomial(1, n * n, den, order) * \
-            pochhammer(1, -1, 2, n, order, den)
+        return QSeries.monomial(1, n * n, order) * \
+            pochhammer(1, -1, 2, n, order)
     if name == "phi1":
-        return QSeries.monomial(1, (n + 1) * (n + 1), den, order) * \
-            pochhammer(1, -1, 2, n, order, den)
+        return QSeries.monomial(1, (n + 1) * (n + 1), order) * \
+            pochhammer(1, -1, 2, n, order)
     raise SeriesError(f"unknown series {name!r}")
 
 
 @lru_cache(maxsize=None)
-def _ramanujan_cached(name: str, order: Fraction, den: int) -> QSeries:
-    total = QSeries.zero(den, order)
+def _ramanujan_cached(name: str, order: Fraction) -> QSeries:
+    total = QSeries.zero(order)
     n = 0
     while _term_valuation(name, n) <= order:
-        total = total + _summand(name, n, order, den).truncate(order)
+        total = total + _summand(name, n, order).truncate(order)
         n += 1
     return total
 
 
-def ramanujan_series(name: str, order, argument_sign: int = 1,
-                     den: int = DEFAULT_DEN) -> QSeries:
+def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
     """One of the six fifth-order series, optionally evaluated at -q."""
     if name not in SERIES_NAMES:
         raise SeriesError(f"unknown series {name!r}")
     if argument_sign not in (1, -1):
         raise SeriesError("argument_sign must be +1 or -1")
-    s = _ramanujan_cached(name, _order_value(order), den)
+    s = _ramanujan_cached(name, _order_value(order))
     return s if argument_sign == 1 else s.substitute_minus_q()
 
 
@@ -88,7 +87,7 @@ def ramanujan_series(name: str, order, argument_sign: int = 1,
 # indefinite double and triple sums
 
 
-def zwegers_triple_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
+def zwegers_triple_sum(variant: str, order) -> QSeries:
     """The triple-sum sides of the chi identities:
 
     (sum_{k,l,m>=0} + sum_{k,l,m<0}) (-1)^(k+l+m)
@@ -104,8 +103,8 @@ def zwegers_triple_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
         raise SeriesError(f"unknown variant {variant!r}")
     ordv = _order_value(order)
     lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
-                              (1, 1, 1), 1, ordv, den)
-    pref = (euler_product(1, ordv + 1, den) ** 2).invert()
+                              (1, 1, 1), 1, ordv)
+    pref = (euler_product(1, ordv + 1) ** 2).invert()
     return (pref * lattice_part).truncate(ordv)
 
 
@@ -124,7 +123,7 @@ _DOUBLE_SUM_DATA = {
 }
 
 
-def hecke_double_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
+def hecke_double_sum(variant: str, order) -> QSeries:
     """Hecke-type double sums.
 
     phi0_lhs / phi1_lhs carry the prefactor (q;q)_inf / (q^2;q^2)_inf^2 on
@@ -144,15 +143,14 @@ def hecke_double_sum(variant: str, order, den: int = DEFAULT_DEN) -> QSeries:
         raise SeriesError(f"unknown variant {variant!r}")
     ordv = _order_value(order)
     lin, (gram, signs, parity), kind = _DOUBLE_SUM_DATA[variant]
-    body = octant_sum(gram, lin, 0, signs, -1, ordv, den, parity)
+    body = octant_sum(gram, lin, 0, signs, -1, ordv, parity)
     if kind == "eta21":
-        pref = euler_product(1, ordv + 1, den) * \
-            (euler_product(2, ordv + 1, den) ** 2).invert()
+        pref = euler_product(1, ordv + 1) * \
+            (euler_product(2, ordv + 1) ** 2).invert()
         return (pref * body).truncate(ordv)
     if kind == "oddprod":
         # prod_{n>0} (1 + q^n) = (q^2; q^2)_inf / (q; q)_inf
-        pref = euler_product(2, ordv + 1, den) * \
-            euler_product(1, ordv + 1, den).invert()
+        pref = euler_product(2, ordv + 1) * euler_product(1, ordv + 1).invert()
         return (pref * body).truncate(ordv)
     return body
 
@@ -183,7 +181,7 @@ def compare_series(name: str, lhs: QSeries, rhs: QSeries,
     return IdentityReport(name, ordv, diff is None, diff)
 
 
-def identity_suite(order, den: int = DEFAULT_DEN) -> list[IdentityReport]:
+def identity_suite(order) -> list[IdentityReport]:
     """Verify the full catalogue of exact q-series identities.
 
     Covers the two Zwegers triple-sum identities, the two Hecke-type
@@ -196,12 +194,12 @@ def identity_suite(order, den: int = DEFAULT_DEN) -> list[IdentityReport]:
     hi = ordv + 2          # margin for the q^-1 and q^(-49/120) shifts
     out: list[IdentityReport] = []
 
-    chi0 = ramanujan_series("chi0", hi, den=den)
-    chi1 = ramanujan_series("chi1", hi, den=den)
-    F0 = ramanujan_series("F0", hi, den=den)
-    F1 = ramanujan_series("F1", hi, den=den)
-    phi0m = ramanujan_series("phi0", hi, argument_sign=-1, den=den)
-    phi1m = ramanujan_series("phi1", hi, argument_sign=-1, den=den)
+    chi0 = ramanujan_series("chi0", hi)
+    chi1 = ramanujan_series("chi1", hi)
+    F0 = ramanujan_series("F0", hi)
+    F1 = ramanujan_series("F1", hi)
+    phi0m = ramanujan_series("phi0", hi, argument_sign=-1)
+    phi1m = ramanujan_series("phi1", hi, argument_sign=-1)
 
     out.append(compare_series(
         "chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m, ordv))
@@ -211,37 +209,37 @@ def identity_suite(order, den: int = DEFAULT_DEN) -> list[IdentityReport]:
 
     out.append(compare_series(
         "triple sum (chi0 side) = 2 - chi0",
-        zwegers_triple_sum("chi0_side", ordv, den), 2 - chi0, ordv))
+        zwegers_triple_sum("chi0_side", ordv), 2 - chi0, ordv))
     out.append(compare_series(
         "triple sum (chi1 side) = chi1",
-        zwegers_triple_sum("chi1_side", ordv, den), chi1, ordv))
+        zwegers_triple_sum("chi1_side", ordv), chi1, ordv))
 
     out.append(compare_series(
         "Hecke double sum = phi0(-q)",
-        hecke_double_sum("phi0_lhs", ordv, den), phi0m, ordv))
+        hecke_double_sum("phi0_lhs", ordv), phi0m, ordv))
     out.append(compare_series(
         "Hecke double sum = -q^-1 phi1(-q)",
-        hecke_double_sum("phi1_lhs", ordv, den),
+        hecke_double_sum("phi1_lhs", ordv),
         -phi1m.shift(-1).truncate(ordv), ordv))
 
     out.append(compare_series(
         "corollary double-sum identity (1-family)",
-        hecke_double_sum("cor_lhs_1", ordv, den),
-        hecke_double_sum("cor_rhs_1", ordv, den), ordv))
+        hecke_double_sum("cor_lhs_1", ordv),
+        hecke_double_sum("cor_rhs_1", ordv), ordv))
     out.append(compare_series(
         "corollary double-sum identity (7-family)",
-        hecke_double_sum("cor_lhs_7", ordv, den),
-        hecke_double_sum("cor_rhs_7", ordv, den), ordv))
+        hecke_double_sum("cor_lhs_7", ordv),
+        hecke_double_sum("cor_rhs_7", ordv), ordv))
 
     # trace splitting: 2 T^-(e,1) = 4 q^(-1/120)(F0 - 1) - 2 q^(-1/120) phi0(-q)
-    t_e1 = trace_closed(TraceId(CLASSES["1A"], 1, -1), ordv, den).scale(2)
+    t_e1 = trace_closed(TraceId(CLASSES["1A"], 1, -1), ordv).scale(2)
     rhs = ((F0 - 1).scale(4) - phi0m.scale(2)).shift(Fraction(-1, 120))
     out.append(compare_series(
         "2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
         t_e1, rhs, t_e1.order))
 
     # and its 7-family analogue through F1 and phi1
-    t_e7 = -trace_closed(TraceId(CLASSES["1A"], 3, -1), ordv, den).scale(2)
+    t_e7 = -trace_closed(TraceId(CLASSES["1A"], 3, -1), ordv).scale(2)
     rhs7 = F1.shift(Fraction(71, 120)).scale(4) + \
         phi1m.shift(Fraction(-49, 120)).scale(2)
     out.append(compare_series(
@@ -250,19 +248,19 @@ def identity_suite(order, den: int = DEFAULT_DEN) -> list[IdentityReport]:
 
     # table identities for the assembled components
     from .characters import CLASS_1A, CLASS_2A, h_component
-    h = h_component(CLASS_1A, 1, ordv, den)
+    h = h_component(CLASS_1A, 1, ordv)
     out.append(compare_series(
         "H(1A,1) = 2 q^(-1/120)(chi0 - 2)",
         h, (chi0 - 2).scale(2).shift(Fraction(-1, 120)), h.order))
-    h = h_component(CLASS_1A, 7, ordv, den)
+    h = h_component(CLASS_1A, 7, ordv)
     out.append(compare_series(
         "H(1A,7) = 2 q^(71/120) chi1",
         h, chi1.scale(2).shift(Fraction(71, 120)), h.order))
-    h = h_component(CLASS_2A, 1, ordv, den)
+    h = h_component(CLASS_2A, 1, ordv)
     out.append(compare_series(
         "H(2A,1) = -2 q^(-1/120) phi0(-q)",
         h, phi0m.scale(-2).shift(Fraction(-1, 120)), h.order))
-    h = h_component(CLASS_2A, 7, ordv, den)
+    h = h_component(CLASS_2A, 7, ordv)
     out.append(compare_series(
         "H(2A,7) = 2 q^(-49/120) phi1(-q)",
         h, phi1m.scale(2).shift(Fraction(-49, 120)), h.order))

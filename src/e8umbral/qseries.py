@@ -1,13 +1,14 @@
 """Exact arithmetic on truncated formal Puiseux series in q.
 
-A series is a finite map from exponent numerators (integers over a fixed
-grading denominator ``den``) to rational coefficients, together with a
-truncation order N: coefficients at exponents <= N are exact, anything
-beyond N is unspecified and reading it is an error.  A coefficient is an
-int when it is integral and a Fraction only otherwise, so integer series
-stay in int arithmetic.  The default grading denominator 120 accommodates
-every exponent appearing in this package (1/120, 1/24, 1/12, 3/40,
-half-integers, ...).
+A series is a finite map from exponent numerators (integers over the
+fixed grading denominator ``DEN`` = 120) to rational coefficients, together
+with a truncation order N: coefficients at exponents <= N are exact,
+anything beyond N is unspecified and reading it is an error.  A coefficient
+is an int when it is integral and a Fraction only otherwise, so integer
+series stay in int arithmetic.  Every exponent of the E8^3 module lies on
+the grid 1/120: the index-30 theta exponents r^2/120, the polar terms
+q^(-1/120), q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the
+eta exponents in 1/24.
 
 All values are immutable after construction and every operation returns a
 new canonical series (no stored zeros), so coefficient-map equality is
@@ -20,11 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-DEFAULT_DEN = 120
-
-# Rescaling two series to a common grading must not explode the exponent
-# lattice; beyond this denominator we refuse rather than silently grind.
-MAX_DEN = 10**6
+DEN = 120
 
 INF = math.inf
 
@@ -37,7 +34,7 @@ class SeriesError(ValueError):
 
 
 class GradingError(SeriesError):
-    """Exponent not representable in the grading, or denominators clash."""
+    """Exponent not on the grid 1/DEN."""
 
 
 class TruncationError(SeriesError):
@@ -57,9 +54,9 @@ def _is_inf(x) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def _cap(order, den: int):
+def _cap(order):
     """Largest exponent numerator a series of this order knows."""
-    return INF if _is_inf(order) else math.floor(order * den)
+    return INF if _is_inf(order) else math.floor(order * DEN)
 
 
 def _order_value(order: OrderLike):
@@ -69,21 +66,18 @@ def _order_value(order: OrderLike):
 
 
 class QSeries:
-    """Truncated series sum_e c_e * q**(e/den) with exact rational c_e."""
+    """Truncated series sum_e c_e * q**(e/DEN) with exact rational c_e."""
 
-    __slots__ = ("den", "coeffs", "order")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, den: int, coeffs: dict, order: OrderLike = INF):
-        if den <= 0:
-            raise GradingError("grading denominator must be positive")
+    def __init__(self, coeffs: dict, order: OrderLike = INF):
         ordv = _order_value(order)
-        cap = _cap(ordv, den)
+        cap = _cap(ordv)
         clean: dict[int, Rational] = {}
         for e, c in coeffs.items():
             if c == 0 or e > cap:
                 continue
             clean[int(e)] = c.numerator if c.denominator == 1 else c
-        object.__setattr__(self, "den", den)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "order", ordv)
 
@@ -94,26 +88,25 @@ class QSeries:
     # constructors
 
     @classmethod
-    def zero(cls, den: int = DEFAULT_DEN, order: OrderLike = INF) -> "QSeries":
-        return cls(den, {}, order)
+    def zero(cls, order: OrderLike = INF) -> "QSeries":
+        return cls({}, order)
 
     @classmethod
-    def const(cls, c: Rational, den: int = DEFAULT_DEN,
-              order: OrderLike = INF) -> "QSeries":
-        return cls(den, {0: c}, order)
+    def const(cls, c: Rational, order: OrderLike = INF) -> "QSeries":
+        return cls({0: c}, order)
 
     @classmethod
-    def one(cls, den: int = DEFAULT_DEN, order: OrderLike = INF) -> "QSeries":
-        return cls.const(1, den, order)
+    def one(cls, order: OrderLike = INF) -> "QSeries":
+        return cls.const(1, order)
 
     @classmethod
-    def monomial(cls, c: Rational, exponent: Rational, den: int = DEFAULT_DEN,
+    def monomial(cls, c: Rational, exponent: Rational,
                  order: OrderLike = INF) -> "QSeries":
-        e = _frac(exponent) * den
+        e = _frac(exponent) * DEN
         if e.denominator != 1:
             raise GradingError(
-                f"exponent {exponent} not representable over denominator {den}")
-        return cls(den, {int(e): c}, order)
+                f"exponent {exponent} not representable over denominator {DEN}")
+        return cls({int(e): c}, order)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -127,7 +120,7 @@ class QSeries:
         return sorted(self.coeffs.items())
 
     def exponents(self) -> list[Fraction]:
-        return [Fraction(e, self.den) for e in sorted(self.coeffs)]
+        return [Fraction(e, DEN) for e in sorted(self.coeffs)]
 
     def valuation(self):
         """Lowest exponent with a nonzero coefficient, as a Fraction.
@@ -138,7 +131,7 @@ class QSeries:
         """
         if not self.coeffs:
             return self.order
-        return Fraction(min(self.coeffs), self.den)
+        return Fraction(min(self.coeffs), DEN)
 
     def coefficient(self, exponent: Rational) -> Rational:
         """Coefficient at the given exponent; error past the truncation."""
@@ -147,36 +140,10 @@ class QSeries:
             raise TruncationError(
                 f"coefficient at {e} requested but series is only known "
                 f"to order {self.order}")
-        en = e * self.den
+        en = e * DEN
         if en.denominator != 1:
             return 0
         return self.coeffs.get(int(en), 0)
-
-    # ------------------------------------------------------------------
-    # grading management
-
-    def rescale(self, new_den: int) -> "QSeries":
-        """Re-express over a finer grading denominator (a multiple)."""
-        if new_den == self.den:
-            return self
-        if new_den % self.den != 0:
-            raise GradingError(
-                f"cannot rescale denominator {self.den} to {new_den}")
-        if new_den > MAX_DEN:
-            raise GradingError(
-                f"denominator {new_den} exceeds configured bound {MAX_DEN}")
-        f = new_den // self.den
-        return QSeries(new_den, {e * f: c for e, c in self.coeffs.items()},
-                       self.order)
-
-    def _common(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        if self.den == other.den:
-            return self, other
-        den = math.lcm(self.den, other.den)
-        if den > MAX_DEN:
-            raise GradingError(
-                f"common denominator {den} exceeds configured bound {MAX_DEN}")
-        return self.rescale(den), other.rescale(den)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -185,25 +152,23 @@ class QSeries:
         if isinstance(other, QSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return QSeries.const(other, self.den)
+            return QSeries.const(other)
         return None
 
     def __add__(self, other) -> "QSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self._common(rhs)
-        order = min(a.order, b.order)
-        coeffs = dict(a.coeffs)
-        for e, c in b.coeffs.items():
+        order = min(self.order, rhs.order)
+        coeffs = dict(self.coeffs)
+        for e, c in rhs.coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
-        return QSeries(a.den, coeffs, order)
+        return QSeries(coeffs, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.den, {e: -c for e, c in self.coeffs.items()},
-                       self.order)
+        return QSeries({e: -c for e, c in self.coeffs.items()}, self.order)
 
     def __sub__(self, other) -> "QSeries":
         rhs = self._coerce(other)
@@ -219,16 +184,16 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._common(other)
         # order rule: min over (order_a + val_b, order_b + val_a); an empty
         # factor contributes its order as the sound valuation bound.
-        order = min(a.order + b.valuation(), b.order + a.valuation())
+        order = min(self.order + other.valuation(),
+                    other.order + self.valuation())
         coeffs: dict[int, Rational] = {}
-        if a.coeffs and b.coeffs:
-            cap = _cap(order, a.den)
-            bitems = sorted(b.coeffs.items())
+        if self.coeffs and other.coeffs:
+            cap = _cap(order)
+            bitems = sorted(other.coeffs.items())
             bmin = bitems[0][0]
-            for ea, ca in sorted(a.coeffs.items()):
+            for ea, ca in sorted(self.coeffs.items()):
                 if ea + bmin > cap:
                     break
                 for eb, cb in bitems:
@@ -236,32 +201,30 @@ class QSeries:
                     if e > cap:
                         break
                     coeffs[e] = coeffs.get(e, 0) + ca * cb
-        return QSeries(a.den, coeffs, order)
+        return QSeries(coeffs, order)
 
     __rmul__ = __mul__
 
     def scale(self, c: Rational) -> "QSeries":
         if c == 0:
-            return QSeries(self.den, {}, self.order)
-        return QSeries(self.den, {e: c * v for e, v in self.coeffs.items()},
-                       self.order)
+            return QSeries({}, self.order)
+        return QSeries({e: c * v for e, v in self.coeffs.items()}, self.order)
 
     def shift(self, exponent: Rational) -> "QSeries":
         """Multiply by the monomial q**exponent."""
-        d = _frac(exponent) * self.den
+        d = _frac(exponent) * DEN
         if d.denominator != 1:
             raise GradingError(
                 f"shift by {exponent} not representable over denominator "
-                f"{self.den}")
+                f"{DEN}")
         d = int(d)
         order = self.order + _frac(exponent)
-        return QSeries(self.den, {e + d: c for e, c in self.coeffs.items()},
-                       order)
+        return QSeries({e + d: c for e, c in self.coeffs.items()}, order)
 
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise SeriesError("only non-negative integer powers supported")
-        result = QSeries.one(self.den, INF)
+        result = QSeries.one()
         base = self
         while n:
             if n & 1:
@@ -287,15 +250,15 @@ class QSeries:
         lead = items[0][1]
         # a unit lead keeps integer coefficients integers
         inv = lead if lead in (1, -1) else 1 / Fraction(lead)
-        order = self.order - 2 * Fraction(v, self.den)
+        order = self.order - 2 * Fraction(v, DEN)
         rel = [(e - v, c) for e, c in items[1:]]
         if not rel:
-            return QSeries(self.den, {-v: inv}, order)
+            return QSeries({-v: inv}, order)
         if _is_inf(self.order):
             raise SeriesError("the inverse of an exact series with more "
                               "than one term is infinite; truncate first")
         # relative truncation for the unit part 1 + u
-        rel_cap = _cap(self.order, self.den) - v
+        rel_cap = _cap(self.order) - v
         # solve on the sublattice actually supported by u
         step = 0
         for e, _ in rel:
@@ -314,8 +277,7 @@ class QSeries:
                     acc += cu * prev
             if acc:
                 known[e] = -acc
-        return QSeries(self.den, {e - v: c * inv for e, c in known.items()},
-                       order)
+        return QSeries({e - v: c * inv for e, c in known.items()}, order)
 
     # ------------------------------------------------------------------
     # substitutions and comparisons
@@ -326,18 +288,18 @@ class QSeries:
         if ordv > self.order:
             raise TruncationError(
                 f"cannot extend truncation order {self.order} to {ordv}")
-        return QSeries(self.den, self.coeffs, ordv)
+        return QSeries(self.coeffs, ordv)
 
     def substitute_minus_q(self) -> "QSeries":
         """The series at -q; valid only when all exponents are integers."""
         out: dict[int, Rational] = {}
         for e, c in self.coeffs.items():
-            if e % self.den != 0:
+            if e % DEN != 0:
                 raise GradingError(
                     "q -> -q substitution needs integer exponents, found "
-                    f"{Fraction(e, self.den)}")
-            out[e] = c if (e // self.den) % 2 == 0 else -c
-        return QSeries(self.den, out, self.order)
+                    f"{Fraction(e, DEN)}")
+            out[e] = c if (e // DEN) % 2 == 0 else -c
+        return QSeries(out, self.order)
 
     def same_up_to(self, other: "QSeries", order: OrderLike) -> bool:
         return self.first_difference(other, order) is None
@@ -348,28 +310,26 @@ class QSeries:
         Both series must be known at least to the requested order.
         """
         ordv = _order_value(order)
-        a, b = self._common(other)
-        if a.order < ordv or b.order < ordv:
+        if self.order < ordv or other.order < ordv:
             raise TruncationError(
                 f"comparison to order {ordv} needs both series known that "
-                f"far (have {a.order} and {b.order})")
-        cap = _cap(ordv, a.den)
-        for e in sorted(set(a.coeffs) | set(b.coeffs)):
+                f"far (have {self.order} and {other.order})")
+        cap = _cap(ordv)
+        for e in sorted(set(self.coeffs) | set(other.coeffs)):
             if e > cap:
                 break
-            ca = a.coeffs.get(e, 0)
-            cb = b.coeffs.get(e, 0)
+            ca = self.coeffs.get(e, 0)
+            cb = other.coeffs.get(e, 0)
             if ca != cb:
-                return (Fraction(e, a.den), ca, cb)
+                return (Fraction(e, DEN), ca, cb)
         return None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QSeries.const(other, self.den)
+            other = QSeries.const(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # mutable-free but dict-backed; not hashable
 
@@ -378,7 +338,7 @@ class QSeries:
             return "0"
         parts = []
         for e, c in self.items()[:10]:
-            exp = Fraction(e, self.den)
+            exp = Fraction(e, DEN)
             if exp == 0:
                 parts.append(f"{c}")
             else:
@@ -387,7 +347,7 @@ class QSeries:
         return " + ".join(parts).replace("+ -", "- ") + tail
 
     def __repr__(self) -> str:
-        return f"QSeries(den={self.den}, order={self.order}, {self})"
+        return f"QSeries(order={self.order}, {self})"
 
 
 # ----------------------------------------------------------------------
@@ -395,21 +355,21 @@ class QSeries:
 
 
 def pochhammer(x_exponent: Rational, x_sign: int, step: Rational, n: int,
-               order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
+               order: OrderLike) -> QSeries:
     """Truncated (x; q^step)_n = prod_{k<n} (1 - x_sign * q^(x_exponent + k*step))."""
     if x_sign not in (1, -1):
         raise SeriesError("x_sign must be +1 or -1")
     x0 = _frac(x_exponent)
     st = _frac(step)
     ordv = _order_value(order)
-    acc = QSeries.one(den, ordv)
+    acc = QSeries.one(ordv)
     for k in range(n):
-        acc = acc * (QSeries.const(1, den, ordv) +
-                     QSeries.monomial(-x_sign, x0 + k * st, den, ordv))
+        acc = acc * (QSeries.const(1, ordv) +
+                     QSeries.monomial(-x_sign, x0 + k * st, ordv))
     return acc
 
 
-def euler_product(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
+def euler_product(scale: int, order: OrderLike) -> QSeries:
     """(q^scale; q^scale)_infinity, by Euler's pentagonal number theorem:
     sum_{j in Z} (-1)^j q^(scale * j(3j-1)/2)."""
     if scale <= 0:
@@ -418,8 +378,8 @@ def euler_product(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeri
     ordv = _order_value(order)
     if _is_inf(ordv):
         raise SeriesError("infinite product needs a finite truncation order")
-    step = scale * den
-    cap = _cap(ordv, den)
+    step = scale * DEN
+    cap = _cap(ordv)
     coeffs = {}
     # the generalized pentagonal numbers j(3j-1)/2 <= j(3j+1)/2 grow with j
     j = 0
@@ -428,18 +388,12 @@ def euler_product(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeri
         coeffs[step * j * (3 * j - 1) // 2] = sign
         coeffs[step * j * (3 * j + 1) // 2] = sign
         j += 1
-    return QSeries(den, coeffs, ordv)
+    return QSeries(coeffs, ordv)
 
 
-def dedekind_eta(scale: int, order: OrderLike, den: int = DEFAULT_DEN) -> QSeries:
-    """q^(scale/24) * (q^scale; q^scale)_infinity.
-
-    Needs den*scale divisible by 24 so the leading exponent is on the grid.
-    """
+def dedekind_eta(scale: int, order: OrderLike) -> QSeries:
+    """q^(scale/24) * (q^scale; q^scale)_infinity."""
     if scale <= 0:
         raise SeriesError("eta scale must be a positive integer")
-    if (den * scale) % 24 != 0:
-        raise GradingError(
-            f"denominator {den} too coarse for eta at scale {scale}")
     lead = Fraction(scale, 24)
-    return euler_product(scale, _order_value(order) - lead, den).shift(lead)
+    return euler_product(scale, _order_value(order) - lead).shift(lead)

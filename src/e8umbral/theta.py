@@ -16,20 +16,20 @@ from functools import lru_cache
 
 from .characters import (FAMILY_1, FAMILY_7, GroupClass, MockFormVector,
                          SUPPORT_POS)
-from .qseries import (DEFAULT_DEN, GradingError, QSeries, SeriesError,
+from .qseries import (DEN, GradingError, QSeries, SeriesError,
                       _order_value, dedekind_eta, euler_product)
 
 
-def S_unary(m: int, r: int, order, den: int = DEFAULT_DEN) -> QSeries:
+def S_unary(m: int, r: int, order) -> QSeries:
     """S_{m,r} = sum_{k in Z} (2km + r) q^((2km+r)^2/4m), truncated.
 
-    The grading denominator must be divisible by 4m (120 covers m = 30).
+    The grading denominator DEN = 120 must be divisible by 4m: m | 30.
     """
     if m <= 0:
         raise SeriesError("index m must positive")
-    if den % (4 * m) != 0:
+    if DEN % (4 * m) != 0:
         raise GradingError(
-            f"denominator {den} too coarse for theta index {m}")
+            f"denominator {DEN} too coarse for theta index {m}")
     ordv = _order_value(order)
     coeffs: dict[int, int] = {}
     # |2km + r| <= sqrt(4 m order) bounds the summation range
@@ -40,13 +40,12 @@ def S_unary(m: int, r: int, order, den: int = DEFAULT_DEN) -> QSeries:
         e = Fraction(v * v, 4 * m)
         if e > ordv:
             continue
-        en = int(e * den)
+        en = int(e * DEN)
         coeffs[en] = coeffs.get(en, 0) + v
-    return QSeries(den, coeffs, ordv)
+    return QSeries(coeffs, ordv)
 
 
-def g_scaled_series(char_numer: int, two_m: int, order,
-                    den: int = DEFAULT_DEN) -> QSeries:
+def g_scaled_series(char_numer: int, two_m: int, order) -> QSeries:
     """q-expansion of g_{a,0}(2m tau) for a = char_numer/(2m), where
     g_{a,0}(tau) = sum_{nu in a+Z} nu q^(nu^2/2).
 
@@ -65,11 +64,11 @@ def g_scaled_series(char_numer: int, two_m: int, order,
         e = m2 * nu * nu / 2
         if e > ordv:
             continue
-        en = e * den
+        en = e * DEN
         if en.denominator != 1:
             raise GradingError("scaled theta derivative exponent off-grid")
         coeffs[int(en)] = coeffs.get(int(en), 0) + nu
-    return QSeries(den, coeffs, ordv)
+    return QSeries(coeffs, ordv)
 
 
 # ----------------------------------------------------------------------
@@ -77,36 +76,34 @@ def g_scaled_series(char_numer: int, two_m: int, order,
 
 
 @lru_cache(maxsize=None)
-def _family_sum(family: tuple, order: Fraction, den: int) -> QSeries:
-    total = QSeries.zero(den, order)
+def _family_sum(family: tuple, order: Fraction) -> QSeries:
+    total = QSeries.zero(order)
     for r in family:
-        total = total + S_unary(30, r, order, den)
+        total = total + S_unary(30, r, order)
     return total
 
 
-def shadow_component(group_class: GroupClass, r: int, order,
-                     den: int = DEFAULT_DEN) -> QSeries:
+def shadow_component(group_class: GroupClass, r: int, order) -> QSeries:
     """The shadow of the r-th component: +-chi_bar * (four-term S sum)."""
     ordv = _order_value(order)
     chi = group_class.perm_character
     rr = r % 60
     if rr in FAMILY_1:
-        return _family_sum(FAMILY_1, ordv, den).scale(chi)
+        return _family_sum(FAMILY_1, ordv).scale(chi)
     if rr in FAMILY_7:
-        return _family_sum(FAMILY_7, ordv, den).scale(chi)
+        return _family_sum(FAMILY_7, ordv).scale(chi)
     if (-rr) % 60 in FAMILY_1:
-        return _family_sum(FAMILY_1, ordv, den).scale(-chi)
+        return _family_sum(FAMILY_1, ordv).scale(-chi)
     if (-rr) % 60 in FAMILY_7:
-        return _family_sum(FAMILY_7, ordv, den).scale(-chi)
-    return QSeries.zero(den, ordv)
+        return _family_sum(FAMILY_7, ordv).scale(-chi)
+    return QSeries.zero(ordv)
 
 
-def shadow_vector(group_class: GroupClass, order,
-                  den: int = DEFAULT_DEN) -> MockFormVector:
+def shadow_vector(group_class: GroupClass, order) -> MockFormVector:
     ordv = _order_value(order)
     comps = {}
     for r in SUPPORT_POS:
-        s = shadow_component(group_class, r, ordv, den)
+        s = shadow_component(group_class, r, ordv)
         comps[r] = s
         comps[(-r) % 60] = -s
     return MockFormVector(group_class, comps, ordv)
@@ -167,7 +164,7 @@ def _sigma3(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def eta_J_coefficients(order, den: int = 24) -> QSeries:
+def eta_J_coefficients(order) -> QSeries:
     """eta(tau) * J(tau) with J = E4^3/Delta - 744 = q^-1 + O(q).
 
     E4 = 1 + 240 sum sigma_3(n) q^n and Delta = eta^24; the -744 constant
@@ -175,10 +172,10 @@ def eta_J_coefficients(order, den: int = 24) -> QSeries:
     """
     ordv = _order_value(order)
     n_int = math.ceil(ordv) + 2
-    e4 = QSeries(den, {k * den: (1 if k == 0 else 240 * _sigma3(k))
-                       for k in range(n_int + 1)}, n_int)
-    delta = euler_product(1, n_int + 1, den) ** 24
+    e4 = QSeries({k * DEN: (1 if k == 0 else 240 * _sigma3(k))
+                  for k in range(n_int + 1)}, n_int)
+    delta = euler_product(1, n_int + 1) ** 24
     delta = delta.shift(1).truncate(n_int + 1)
     j = (e4 ** 3) * delta.invert() - 744
-    eta = dedekind_eta(1, ordv + 2, den)
+    eta = dedekind_eta(1, ordv + 2)
     return (eta * j).truncate(ordv)

@@ -215,9 +215,9 @@ def test_criterion_11_property_suites():
     # ring laws on random series
     for _ in range(20):
         def rnd():
-            return QSeries(120, {rng.randrange(-3, 9) * 60:
-                                 F(rng.randrange(-5, 6), rng.randrange(1, 4))
-                                 for _ in range(5)}, 8)
+            return QSeries({rng.randrange(-3, 9) * 60:
+                            F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                            for _ in range(5)}, 8)
         x, y, z = rnd(), rnd(), rnd()
         l = (x * y) * z
         assert l.same_up_to(x * (y * z), l.order)
@@ -228,21 +228,21 @@ def test_criterion_11_property_suites():
         e = k * (3 * k - 1) // 2
         if e <= 25:
             pent[e * 120] = pent.get(e * 120, 0) + (-1) ** (k % 2)
-    assert euler_product(1, 25).same_up_to(QSeries(120, pent, 25), 25)
+    assert euler_product(1, 25).same_up_to(QSeries(pent, 25), 25)
 
     # eta(2 tau) identity
     coeffs = {}
     for k in range(-5, 6):
         e = 3 * k * k + k
         coeffs[e * 120 + 10] = coeffs.get(e * 120 + 10, 0) + (-1) ** (k % 2)
-    assert QSeries(120, coeffs, 30).same_up_to(dedekind_eta(2, 30), 30)
+    assert QSeries(coeffs, 30).same_up_to(dedekind_eta(2, 30), 30)
 
     # S symmetries and the scaled-theta relation
     for _ in range(8):
-        m = rng.randrange(1, 12)
+        m = rng.choice((1, 2, 3, 5, 6, 10, 15, 30))    # 4m divides 120
         r = rng.randrange(-2 * m, 2 * m)
-        assert S_unary(m, r, 8, 4 * m) == -S_unary(m, -r, 8, 4 * m)
-        assert S_unary(m, r, 8, 4 * m) == S_unary(m, r + 2 * m, 8, 4 * m)
+        assert S_unary(m, r, 8) == -S_unary(m, -r, 8)
+        assert S_unary(m, r, 8) == S_unary(m, r + 2 * m, 8)
     for r in (1, 13, 29):
         assert g_scaled_series(r, 60, 10) == S_unary(30, r, 10).scale(F(1, 60))
 

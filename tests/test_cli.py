@@ -151,10 +151,14 @@ def test_eval_tau_with_leading_minus(capsys):
     (["verify", "--suite", "exact", "--order", "-3"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau", "0.25+0.01i",
       "--completion"], 3),
+    (["verify", "--suite", "exact", "--order", "100000"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau=nan+1i"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.1+nani"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.002i"], 3),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
-    # the last case is a real ConvergenceError: at Im tau = 0.01 the
-    # series needs more than the order-800 cap
+    # the exit-3 cases are real ConvergenceErrors: at Im tau = 0.01 and
+    # 0.002 the series needs more than the order-800 cap
     try:
         got = main(argv)
     except SystemExit as exc:

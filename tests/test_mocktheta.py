@@ -85,7 +85,7 @@ def test_corrupted_series_pinpoints_discrepancy():
     lhs = ramanujan_series("chi0", order)
     bumped = dict(lhs.coeffs)
     bumped[5 * 120] = bumped.get(5 * 120, F(0)) + 1
-    rhs = QSeries(120, bumped, order)
+    rhs = QSeries(bumped, order)
     report = compare_series("negative control", lhs, rhs, order)
     assert not report.verified
     assert report.first_discrepancy[0] == 5

@@ -19,17 +19,16 @@ def test_s30_leading_term():
 def test_s_symmetries_randomized():
     rng = random.Random(5)
     for _ in range(20):
-        m = rng.randrange(1, 15)
+        m = rng.choice((1, 2, 3, 5, 6, 10, 15, 30))    # 4m divides 120
         r = rng.randrange(-3 * m, 3 * m + 1)
-        den = 4 * m
-        a = S_unary(m, r, 9, den)
-        assert a == -S_unary(m, -r, 9, den)
-        assert a == S_unary(m, r + 2 * m, 9, den)
+        a = S_unary(m, r, 9)
+        assert a == -S_unary(m, -r, 9)
+        assert a == S_unary(m, r + 2 * m, 9)
 
 
 def test_grading_guard():
     with pytest.raises(GradingError):
-        S_unary(7, 1, 5, den=120)
+        S_unary(7, 1, 5)
 
 
 def test_scaled_theta_derivative_relation():
