@@ -15,6 +15,7 @@ signs; that certified bound drives the enumeration boxes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,37 +66,25 @@ def _q_of(coords: tuple[int, int, int], a: int) -> int:
         60 * a * (k + l + m) + 9 * a * a
 
 
-def _fixed(coords: tuple[int, int, int], g_fix: Optional[str]) -> bool:
-    k, l, m = coords
-    if g_fix is None or g_fix == "none":
-        return True
-    if g_fix == "tau":
-        return k == l
-    if g_fix == "sigma":
-        return k == l == m
-    raise LatticeError(f"unknown fixed-point filter {g_fix!r}")
-
-
 def _positive_branch(a: int, g_fix: Optional[str],
-                     bound: Fraction) -> list[tuple[Fraction, tuple]]:
-    # On branch P every coordinate of mu is >= a/10 > 0 and the cross terms
-    # of Q are non-negative, so Q >= (k^2+l^2+m^2)/2 and the box below is
-    # complete.  One unit of slack on top of the certified bound.
-    if bound < 0:
-        return []
-    box = math.isqrt(math.ceil(2 * bound)) + 1
+                     bound: Fraction) -> list[tuple[int, tuple]]:
+    """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 fixed by
+    g_fix with Q(mu) <= bound.  On branch P every coordinate of mu is
+    >= a/10 > 0 and the cross terms of Q are non-negative, so
+    Q >= (k^2+l^2+m^2)/2 and the scanned box is complete.  One unit of
+    slack on top of the certified bound."""
+    box = range(math.isqrt(max(math.ceil(2 * bound), 0)) + 2)
+    if g_fix is None or g_fix == "none":
+        fixed = itertools.product(box, repeat=3)
+    elif g_fix == "tau":
+        fixed = ((k, k, m) for k in box for m in box)
+    elif g_fix == "sigma":
+        fixed = ((k, k, k) for k in box)
+    else:
+        raise LatticeError(f"unknown fixed-point filter {g_fix!r}")
     cap = math.floor(bound * DEN)
-    out = []
-    for k in range(box + 1):
-        for l in range(box + 1):
-            for m in range(box + 1):
-                coords = (k, l, m)
-                if not _fixed(coords, g_fix):
-                    continue
-                num = _q_of(coords, a)
-                if num <= cap:
-                    out.append((Fraction(num, DEN), coords))
-    return out
+    return [(num, coords) for coords in fixed
+            if (num := _q_of(coords, a)) <= cap]
 
 
 def enumerate_coset_cone(a: int, g_fix: Optional[str],
@@ -109,10 +98,10 @@ def enumerate_coset_cone(a: int, g_fix: Optional[str],
     if not (0 < a < 10 and a % 2 == 1):
         raise LatticeError("coset label a must be odd with 0 < a < 10")
     bound = Fraction(energy_bound)
-    points = [ConePoint(q, coords, a, "P")
-              for q, coords in _positive_branch(a, g_fix, bound)]
-    for q, coords in _positive_branch(10 - a, g_fix, bound):
-        neg = tuple(-c - 1 for c in coords)
-        points.append(ConePoint(q, neg, a, "N"))
+    points = [(num, coords, "P")
+              for num, coords in _positive_branch(a, g_fix, bound)]
+    points += [(num, tuple(-c - 1 for c in coords), "N")
+               for num, coords in _positive_branch(10 - a, g_fix, bound)]
     points.sort()
-    return points
+    return [ConePoint(Fraction(num, DEN), coords, a, branch)
+            for num, coords, branch in points]

@@ -96,7 +96,8 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     for (e1, m1), (e2, m2) in zip(mags[-9:-1], mags[-8:]):
         if m1 > 0 and m2 > m1:
             growth = max(growth, (m2 / m1) ** (1.0 / max(e2 - e1, 1e-9)))
-    growth = min(growth, 0.5 / absq)
+    if absq > 0.0:        # else |q|^order, and with it the tail, is 0.0
+        growth = min(growth, 0.5 / absq)
     ratio = growth * absq
     est = tail_coeff * (absq ** order) * growth / max(1.0 - ratio, 0.5)
     return total, est
@@ -253,10 +254,11 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
         return value          # zero shadow: completion equals the series
     nonholo = 0.0 + 0.0j
     for n, c in _shadow_terms(group_class, r, y, tol):
-        if n <= 0 or c == 0.0:
+        # beta(4ny) <= e^(-4 pi n y) is 0.0 before e^(2 pi n y) overflows
+        w = beta_incomplete(4.0 * n * y) if n > 0 else 0.0
+        if w == 0.0 or c == 0.0:
             continue
-        nonholo += c / (SHADOW_SCALE * math.sqrt(2.0 * n)) * \
-            beta_incomplete(4.0 * n * y) * \
+        nonholo += c / (SHADOW_SCALE * math.sqrt(2.0 * n)) * w * \
             cmath.exp(-2j * math.pi * n * tau)
     return value + nonholo
 

@@ -7,79 +7,90 @@ Series definitions (all with integer exponents):
     F0   = sum_n q^(2n^2) / (q; q^2)_n       F1   = sum_n q^(2n(n+1)) / (q; q^2)_(n+1)
     phi0 = sum_n q^(n^2) (-q; q^2)_n         phi1 = sum_n q^((n+1)^2) (-q; q^2)_n
 
-The n-th summand of chi0/chi1 has valuation n, of F0 valuation 2n^2, of F1
-valuation 2n(n+1), of phi0 valuation n^2, of phi1 valuation (n+1)^2, which
-bounds the number of summands needed for a given truncation order.
+Each is summed straight from its definition, as q^v(n) P_n with P_n the
+Pochhammer factor, on a dense list of integer coefficients.  P_0 is 1, or
+1/(1 - q) for chi1 and F1, and P_n changes to P_(n+1) by one to three
+binomials:
+
+    chi0   P_n (1 - q^(n+1)) / ((1 - q^(2n+1)) (1 - q^(2n+2)))
+    chi1   P_n (1 - q^(n+1)) / ((1 - q^(2n+2)) (1 - q^(2n+3)))
+    F0     P_n / (1 - q^(2n+1))           F1     P_n / (1 - q^(2n+3))
+    phi0, phi1   P_n (1 + q^(2n+1))
+
+Multiplying by 1 - s q^k is one pass over the list, dividing by it one
+running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
+(n+1)^2 bound the number of summands, so to order N chi0 and chi1 cost
+O(N^2) integer additions and the other four O(N^1.5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Optional
 
 from .characters import CLASSES, TraceId, octant_sum, trace_closed
-from .qseries import (QSeries, SeriesError, _order_value,
-                      euler_product, pochhammer)
+from .qseries import (DEN, QSeries, SeriesError, _is_inf, _order_value,
+                      euler_product)
 
-SERIES_NAMES = ("chi0", "chi1", "F0", "F1", "phi0", "phi1")
+# name: (valuation of summand n, factors of P_0, factors taking P_n to
+# P_(n+1)); a factor (k, s, e) is (1 - s q^k)^e with e = +1 or -1
+_SERIES = {
+    "chi0": (lambda n: n, (),
+             lambda n: ((n + 1, 1, 1), (2 * n + 1, 1, -1),
+                        (2 * n + 2, 1, -1))),
+    "chi1": (lambda n: n, ((1, 1, -1),),
+             lambda n: ((n + 1, 1, 1), (2 * n + 2, 1, -1),
+                        (2 * n + 3, 1, -1))),
+    "F0": (lambda n: 2 * n * n, (), lambda n: ((2 * n + 1, 1, -1),)),
+    "F1": (lambda n: 2 * n * (n + 1), ((1, 1, -1),),
+           lambda n: ((2 * n + 3, 1, -1),)),
+    "phi0": (lambda n: n * n, (), lambda n: ((2 * n + 1, -1, 1),)),
+    "phi1": (lambda n: (n + 1) * (n + 1), (),
+             lambda n: ((2 * n + 1, -1, 1),)),
+}
 
 
-def _term_valuation(name: str, n: int) -> int:
-    if name in ("chi0", "chi1"):
-        return n
-    if name == "F0":
-        return 2 * n * n
-    if name == "F1":
-        return 2 * n * (n + 1)
-    if name == "phi0":
-        return n * n
-    if name == "phi1":
-        return (n + 1) * (n + 1)
-    raise SeriesError(f"unknown series {name!r}")
-
-
-def _summand(name: str, n: int, order) -> QSeries:
-    if name == "chi0":
-        # q^n / (q^(n+1); q)_n
-        return QSeries.monomial(1, n, order) * \
-            pochhammer(n + 1, 1, 1, n, order).invert().truncate(order)
-    if name == "chi1":
-        return QSeries.monomial(1, n, order) * \
-            pochhammer(n + 1, 1, 1, n + 1, order).invert().truncate(order)
-    if name == "F0":
-        return QSeries.monomial(1, 2 * n * n, order) * \
-            pochhammer(1, 1, 2, n, order).invert().truncate(order)
-    if name == "F1":
-        return QSeries.monomial(1, 2 * n * (n + 1), order) * \
-            pochhammer(1, 1, 2, n + 1, order).invert().truncate(order)
-    if name == "phi0":
-        return QSeries.monomial(1, n * n, order) * \
-            pochhammer(1, -1, 2, n, order)
-    if name == "phi1":
-        return QSeries.monomial(1, (n + 1) * (n + 1), order) * \
-            pochhammer(1, -1, 2, n, order)
-    raise SeriesError(f"unknown series {name!r}")
+def _apply(p: list, k: int, s: int, e: int) -> None:
+    """p <- p (1 - s q^k)^e in place, truncated to len(p) coefficients."""
+    if e == 1:
+        p[k:] = [a - s * b for a, b in zip(p[k:], p)]
+    else:
+        for i in range(k, len(p)):
+            p[i] += s * p[i - k]
 
 
 @lru_cache(maxsize=None)
 def _ramanujan_cached(name: str, order: Fraction) -> QSeries:
-    total = QSeries.zero(order)
+    valuation, first, step = _SERIES[name]
+    top = math.floor(order)
+    total = [0] * (top + 1)
+    p = [1] + [0] * top
+    for factor in first:
+        _apply(p, *factor)
     n = 0
-    while _term_valuation(name, n) <= order:
-        total = total + _summand(name, n, order).truncate(order)
+    while (v := valuation(n)) <= top:
+        del p[top - v + 1:]       # summand n is needed to q^(top - v) only
+        total[v:] = map(add, total[v:], p)
+        for factor in step(n):
+            _apply(p, *factor)
         n += 1
-    return total
+    return QSeries({DEN * e: c for e, c in enumerate(total) if c}, order)
 
 
 def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
     """One of the six fifth-order series, optionally evaluated at -q."""
-    if name not in SERIES_NAMES:
+    if name not in _SERIES:
         raise SeriesError(f"unknown series {name!r}")
     if argument_sign not in (1, -1):
         raise SeriesError("argument_sign must be +1 or -1")
-    s = _ramanujan_cached(name, _order_value(order))
+    ordv = _order_value(order)
+    if _is_inf(ordv):
+        raise SeriesError(f"series {name!r} needs a finite truncation order")
+    s = _ramanujan_cached(name, ordv)
     return s if argument_sign == 1 else s.substitute_minus_q()
 
 

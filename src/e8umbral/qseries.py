@@ -354,21 +354,6 @@ class QSeries:
 # standard product constructions
 
 
-def pochhammer(x_exponent: Rational, x_sign: int, step: Rational, n: int,
-               order: OrderLike) -> QSeries:
-    """Truncated (x; q^step)_n = prod_{k<n} (1 - x_sign * q^(x_exponent + k*step))."""
-    if x_sign not in (1, -1):
-        raise SeriesError("x_sign must be +1 or -1")
-    x0 = _frac(x_exponent)
-    st = _frac(step)
-    ordv = _order_value(order)
-    acc = QSeries.one(ordv)
-    for k in range(n):
-        acc = acc * (QSeries.const(1, ordv) +
-                     QSeries.monomial(-x_sign, x0 + k * st, ordv))
-    return acc
-
-
 def euler_product(scale: int, order: OrderLike) -> QSeries:
     """(q^scale; q^scale)_infinity, by Euler's pentagonal number theorem:
     sum_{j in Z} (-1)^j q^(scale * j(3j-1)/2)."""

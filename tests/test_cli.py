@@ -1,6 +1,8 @@
+import cmath
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,6 +128,23 @@ def test_eval_completion_zero_shadow_matches_series(capsys):
         return complex(float(parts[0]), float(parts[1].rstrip("i")))
 
     assert abs(parse(plain) - parse(completed)) < 1e-9
+
+
+@pytest.mark.parametrize("completion", [False, True])
+@pytest.mark.parametrize("tau", ["0.25+60i", "0.25+130i"])
+def test_eval_at_large_height(capsys, tau, completion):
+    # e(-n tau) of the Eichler terms overflows at Im 60 and |q| underflows
+    # to 0.0 at Im 130; the value itself is finite and near the polar term
+    extra = ["--completion"] if completion else []
+    code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "1",
+                             f"--tau={tau}", *extra)
+    assert code == 0 and err == ""
+    parts = out.split(" = ", 1)[1].split()
+    value = complex(float(parts[0]), float(parts[1].rstrip("i")))
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    polar = -2 * cmath.exp(-2j * cmath.pi * complex(tau.replace("i", "j"))
+                           / 120)
+    assert abs(value - polar) < 0.01 * abs(polar)
 
 
 def test_usage_error_exit_code():

@@ -1,22 +1,65 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.mocktheta import (compare_series, hecke_double_sum,
-                                identity_suite, ramanujan_series,
-                                zwegers_triple_sum)
+from e8umbral.mocktheta import (_ramanujan_cached, compare_series,
+                                hecke_double_sum, identity_suite,
+                                ramanujan_series, zwegers_triple_sum)
 from e8umbral.qseries import QSeries, SeriesError
 
 from oracles import ramanujan_oracle
 
 
-@pytest.mark.parametrize("name", ["chi0", "chi1", "F0", "F1", "phi0", "phi1"])
+NAMES = ["chi0", "chi1", "F0", "F1", "phi0", "phi1"]
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_series_against_direct_summation_oracle(name):
-    order = 18
+    order = 40
     got = ramanujan_series(name, order)
     want = ramanujan_oracle(name, order)
+    assert got.order == order
     for n in range(order + 1):
         assert got.coefficient(n) == want.get(n, 0), (name, n)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_series_odd_orders_and_minus_q(name):
+    # a non-integral order keeps its value and reads to its floor
+    got = ramanujan_series(name, F(7, 2))
+    want = ramanujan_oracle(name, 3)
+    assert got.order == F(7, 2)
+    assert got.coeffs == {120 * e: c for e, c in want.items()}
+    empty = ramanujan_series(name, -1)
+    assert empty.order == -1 and empty.is_zero
+    got = ramanujan_series(name, 25, argument_sign=-1)
+    want = ramanujan_oracle(name, 25)
+    for n in range(26):
+        assert got.coefficient(n) == (-1) ** n * want.get(n, 0), (name, n)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_series_needs_finite_order(name):
+    with pytest.raises(SeriesError, match="finite truncation order"):
+        ramanujan_series(name, math.inf)
+
+
+def test_series_built_without_series_products(monkeypatch):
+    # the summands are built incrementally on integer lists; a return to
+    # per-summand QSeries products would otherwise show only as a slowdown
+    calls = []
+    for method in ("__mul__", "invert"):
+        real = getattr(QSeries, method)
+
+        def counted(*args, _real=real, _name=method):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(QSeries, method, counted)
+    _ramanujan_cached.cache_clear()
+    for name in NAMES:
+        assert ramanujan_series(name, 100).coefficient(100) != 0
+    assert calls == []
 
 
 def test_f1_starts_at_one():

@@ -6,7 +6,7 @@ import pytest
 from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
-                              dedekind_eta, euler_product, pochhammer)
+                              dedekind_eta, euler_product)
 from e8umbral.theta import g_scaled_series
 
 from oracles import finite_pochhammer, partition_counts, pentagonal_series
@@ -74,11 +74,6 @@ def test_pentagonal_numbers():
     want = finite_pochhammer(1, -1, 1, 60, 60)
     got = euler_product(2, 60) * euler_product(1, 60).invert()
     assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
-
-
-def test_pochhammer_empty_product_and_factors():
-    assert pochhammer(F(1, 2), 1, 1, 0, 10) == QSeries.one()
-    assert pochhammer(1, -1, 2, 1, 10) == QSeries.one() + q(1)
 
 
 def test_pochhammer_divergence():
