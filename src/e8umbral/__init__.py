@@ -12,7 +12,7 @@ numerically.
 
 from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
-                      euler_product)
+                      eta_quotient, euler_product)
 from .lattice import ConePoint, enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          MockFormVector, TraceId, all_trace_ids, assemble_H,

@@ -12,10 +12,13 @@ Two independent routes compute the same traces:
 
 Both accept coset labels a in {1,3,5,7,9} and a Clifford sign.  The
 vector-valued series H_g has sixty components supported on the residues
-+-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents); components in
-the 1-family come from the a=1 trace and components in the 7-family from
-the a=3 trace with a class-dependent sign, which is the normalization that
-reproduces the published coefficient tables.
++-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents).  The one
+component rule is ``component_family``: r maps to (family, sign) with
+H_r = sign * H_family, and every module that indexes by r mod 60 (the
+assembled vector, the shadows, the numerics and the CLI) asks it.
+Components in the 1-family come from the a=1 trace and components in the
+7-family from the a=3 trace with a class-dependent sign, which is the
+normalization that reproduces the published coefficient tables.
 """
 
 from __future__ import annotations
@@ -26,14 +29,24 @@ from fractions import Fraction
 from functools import lru_cache
 from .lattice import enumerate_coset_cone
 from .qseries import (DEN, GradingError, QSeries, SeriesError,
-                      dedekind_eta, euler_product, _order_value)
+                      dedekind_eta, eta_quotient, _order_value)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
 # component support: the Coxeter exponents of E8, as residues mod 60
 FAMILY_1 = (1, 11, 19, 29)
 FAMILY_7 = (7, 13, 17, 23)
-SUPPORT_POS = tuple(sorted(FAMILY_1 + FAMILY_7))
+
+
+def component_family(r: int):
+    """(family, sign) with H_r = sign * H_family and family 1 or 7, or None
+    off the support +-{1,7,11,13,17,19,23,29} mod 60."""
+    for rr, sign in ((r % 60, 1), (-r % 60, -1)):
+        if rr in FAMILY_1:
+            return 1, sign
+        if rr in FAMILY_7:
+            return 7, sign
+    return None
 
 
 @dataclass(frozen=True)
@@ -92,34 +105,18 @@ def fermion_trace(sign: int, order) -> QSeries:
     return dedekind_eta(1, order).scale(sign)
 
 
+# (q^k; q^k)_inf powers of the Heisenberg trace, by the cycle type of the
+# permutation, and of the printed prefactors q^(-1/12)/(q;q)^2,
+# q^(-1/12)/(q^2;q^2) and q^(-1/12)(q;q)/(q^3;q^3), by class order
+_BOSON_CYCLES = {1: {1: -3}, 2: {1: -1, 2: -1}, 3: {3: -1}}
+_PRINTED_PREFACTORS = {1: {1: -2}, 2: {2: -1}, 3: {1: 1, 3: -1}}
+
+
 def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
     the rank-3 boson, as an eta-quotient by cycle type."""
-    ordv = _order_value(order)
-    shift = Fraction(-3, 24)
-    inner = ordv - shift
-    if group_class.order == 1:
-        body = (euler_product(1, inner) ** 3).invert()
-    elif group_class.order == 2:
-        body = (euler_product(1, inner) * euler_product(2, inner)).invert()
-    else:
-        body = euler_product(3, inner).invert()
-    return body.shift(shift).truncate(ordv)
-
-
-def _closed_prefactor(group_class: GroupClass, order) -> QSeries:
-    """The printed prefactors: q^(-1/12)/(q;q)^2, q^(-1/12)/(q^2;q^2),
-    q^(-1/12)(q;q)/(q^3;q^3)."""
-    ordv = _order_value(order)
-    shift = Fraction(-1, 12)
-    inner = ordv - shift
-    if group_class.order == 1:
-        body = (euler_product(1, inner) ** 2).invert()
-    elif group_class.order == 2:
-        body = euler_product(2, inner).invert()
-    else:
-        body = euler_product(1, inner) * euler_product(3, inner).invert()
-    return body.shift(shift).truncate(ordv)
+    return eta_quotient(_BOSON_CYCLES[group_class.order], Fraction(-3, 24),
+                        order)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +212,8 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
     lat = octant_sum(gram, [a * u for u in lin_unit], Fraction(3 * a * a, 40),
                      signs, neg, cap)
-    pref = _closed_prefactor(cls, ordv + Fraction(1, 12) + 1)
+    pref = eta_quotient(_PRINTED_PREFACTORS[cls.order], Fraction(-1, 12),
+                        ordv + Fraction(1, 12) + 1)
     out = (pref * lat).scale(trace_id.clifford_sign)
     return out.truncate(ordv)
 
@@ -268,21 +266,22 @@ def _closed_cached(name: str, a: int, sign: int, order: Fraction) -> QSeries:
 
 
 def h_component(group_class: GroupClass, r: int, order) -> QSeries:
-    """The series H_{g,r} = 2 T_{g,r} for r in the positive support.
+    """The series H_{g,r} = 2 T_{g,r} for r in the support.
 
-    r in {1,11,19,29} uses the a=1 trace; r in {7,13,17,23} uses the a=3
-    trace negated for the order-1 and order-3 classes (the sign that makes
-    the assembled vector match the published tables and the fifth-order
-    mock theta identities).
+    The 1-family uses the a=1 trace; the 7-family uses the a=3 trace
+    negated for the order-1 and order-3 classes (the sign that makes the
+    assembled vector match the published tables and the fifth-order mock
+    theta identities).  A negative residue carries the sign of
+    component_family.
     """
-    ordv = _order_value(order)
-    if r % 60 in FAMILY_1:
-        t = _closed_cached(group_class.name, 1, -1, ordv)
-        return t.scale(2)
-    if r % 60 in FAMILY_7:
-        t = _closed_cached(group_class.name, 3, -1, ordv)
-        return t.scale(2 if group_class.order == 2 else -2)
-    raise ValueError(f"component {r} is not in the positive support")
+    rule = component_family(r)
+    if rule is None:
+        raise ValueError(f"component {r} is not in the support")
+    family, sign = rule
+    a, scale = (1, 2) if family == 1 else \
+        (3, 2 if group_class.order == 2 else -2)
+    t = _closed_cached(group_class.name, a, -1, _order_value(order))
+    return t.scale(scale * sign)
 
 
 @dataclass(frozen=True)
@@ -301,12 +300,10 @@ class MockFormVector:
 def assemble_H(group_class: GroupClass, order) -> MockFormVector:
     """H_g as a vector: odd in r, supported on the E8 Coxeter exponents."""
     ordv = _order_value(order)
-    comps: dict[int, QSeries] = {}
-    for r in SUPPORT_POS:
-        h = h_component(group_class, r, ordv)
-        comps[r] = h
-        comps[(-r) % 60] = -h
-    return MockFormVector(group_class, comps, ordv)
+    return MockFormVector(group_class,
+                          {r: h_component(group_class, r, ordv)
+                           for r in range(60) if component_family(r)},
+                          ordv)
 
 
 def trace_symmetry_sign(group_class: GroupClass, a: int) -> tuple[int, int]:

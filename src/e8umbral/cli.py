@@ -3,10 +3,10 @@ point evaluation of the (completed) components.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (one line
 on stderr), 3 a numeric evaluation, of the series alone or of the
-completion, that cannot reach the requested tolerance (one line on
-stderr).  Exponents are serialized as integer numerators over the
-declared denominator 120, never as floats, so table output is
-byte-stable across runs.
+completion, that cannot reach the requested tolerance or whose value
+overflows a double (one line on stderr).  Exponents are serialized as
+integer numerators over the declared denominator 120, never as floats,
+so table output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import math
 import sys
 from fractions import Fraction
 
-from .characters import CLASSES, SUPPORT_POS, all_trace_ids, h_component, \
-    trace_closed, trace_direct
-from .maass import ConvergenceError
+from .characters import CLASSES, all_trace_ids, component_family, \
+    h_component, trace_closed, trace_direct
+from .maass import NumericsError
 from .mocktheta import identity_suite
 from .theta import thetanullwerte_class_check
 
@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     r = args.r % 60
-    if r not in SUPPORT_POS and -r % 60 not in SUPPORT_POS:
+    if component_family(r) is None:
         print(f"error: component r={args.r} is outside the support "
               f"+-{{1,7,11,13,17,19,23,29}} mod 60", file=sys.stderr)
         return 2
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,30 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .qseries import DEN
-
-Vector = Sequence[Fraction]
-
-GRAM = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
 
 
 class LatticeError(ValueError):
     pass
-
-
-RHO = (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
-
-
-def pair(u: Vector, v: Vector) -> Fraction:
-    """Bilinear form <u, v> in basis coordinates."""
-    return sum((Fraction(u[i]) * GRAM[i][j] * Fraction(v[j])
-                for i in range(3) for j in range(3)), Fraction(0))
-
-
-def q_norm(u: Vector) -> Fraction:
-    return pair(u, u) / 2
 
 
 @dataclass(frozen=True, order=True)
@@ -53,10 +36,6 @@ class ConePoint:
     coords: tuple[int, int, int]
     coset_a: int
     branch: str                 # "P" or "N"
-
-    def mu(self) -> tuple[Fraction, Fraction, Fraction]:
-        s = Fraction(self.coset_a, 10)
-        return tuple(c + s for c in self.coords)
 
 
 def _q_of(coords: tuple[int, int, int], a: int) -> int:
@@ -74,7 +53,7 @@ def _positive_branch(a: int, g_fix: Optional[str],
     Q >= (k^2+l^2+m^2)/2 and the scanned box is complete.  One unit of
     slack on top of the certified bound."""
     box = range(math.isqrt(max(math.ceil(2 * bound), 0)) + 2)
-    if g_fix is None or g_fix == "none":
+    if g_fix is None:
         fixed = itertools.product(box, repeat=3)
     elif g_fix == "tau":
         fixed = ((k, k, m) for k in box for m in box)

@@ -7,7 +7,8 @@ sums decay like exp(-2 pi y M(nu)) for positive-definite forms M built
 from the cone data, and ring sums stop only once the remaining rings are
 provably below the requested bound.  Series-to-number evaluation carries
 an empirical tail estimate (measured coefficient growth times the dropped
-geometric tail) and refuses to report values it cannot back.
+geometric tail) and refuses to report values it cannot back; one loop,
+``_sum_to_tol``, truncates each series (H_r, eta(2 tau)) to its tolerance.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .characters import (CLASS_2A, CLASSES, SUPPORT_POS, GroupClass,
-                         h_component)
-from .qseries import DEN, QSeries
+from .characters import CLASS_2A, GroupClass, h_component
+from .qseries import DEN, QSeries, dedekind_eta
 from .theta import shadow_component
 
 TWO_PI = 2.0 * math.pi
@@ -81,10 +80,15 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
         raise NumericsError("tau must lie in the upper half plane")
     total = 0.0 + 0.0j
     mags: list[tuple[float, float]] = []
-    for en, c in series.items():
-        cf = float(c)
-        total += cf * cmath.exp(2j * math.pi * tau * en / DEN)
-        mags.append((en / DEN, abs(cf)))
+    try:
+        for en, c in series.items():
+            cf = float(c)
+            total += cf * cmath.exp(2j * math.pi * tau * en / DEN)
+            mags.append((en / DEN, abs(cf)))
+    except OverflowError:
+        total = complex(math.inf)
+    if not cmath.isfinite(total):
+        raise NumericsError(f"the value at tau = {tau} overflows a double")
     absq = math.exp(-TWO_PI * y)
     if series.order == math.inf:
         return total, 0.0
@@ -105,30 +109,26 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
 
 def _eval_order(y: float, tol: float) -> int:
     """Truncation order giving a dropped tail well below tol at Im = y."""
-    n = (math.log(1.0 / tol) + 34.0) / (TWO_PI * y)
-    n = int(math.ceil(n / 20.0)) * 20
-    return max(40, min(n, 800))
+    # clamped before rounding: at a subnormal y the quotient is inf
+    n = min((math.log(1.0 / tol) + 34.0) / (TWO_PI * y), 800.0)
+    return max(40, int(math.ceil(n / 20.0)) * 20)
 
 
-@lru_cache(maxsize=None)
-def _component_series(class_name: str, r: int, order: int) -> QSeries:
-    return h_component(CLASSES[class_name], r, order)
-
-
-@lru_cache(maxsize=None)
-def _shadow_series(class_name: str, r: int, order: int) -> QSeries:
-    return shadow_component(CLASSES[class_name], r, order)
-
-
-def _signed_component(group_class: GroupClass, r: int,
-                      order: int) -> QSeries:
-    """H_r, with H_{-r} = -H_r for r outside SUPPORT_POS."""
-    rr = r % 60
-    if rr in SUPPORT_POS:
-        return _component_series(group_class.name, rr, order)
-    if -rr % 60 in SUPPORT_POS:
-        return -_component_series(group_class.name, -rr % 60, order)
-    raise NumericsError(f"component {r} is outside the support")
+def _sum_to_tol(series_of_order, tau: complex, tol: float,
+                tail_budget: float) -> tuple[complex, float]:
+    """(value, tail estimate < tail_budget) of series_of_order(n) at tau:
+    the one truncate-to-tolerance loop.  It starts at
+    n = _eval_order(Im tau, tol) and doubles n up to 800."""
+    y = tau.imag
+    order = _eval_order(y, tol)
+    while True:
+        value, tail = series_value(series_of_order(order), tau)
+        if tail < tail_budget:
+            return value, tail
+        if order >= 800:
+            raise ConvergenceError(
+                f"series truncation insufficient for tol {tol} at Im {y}")
+        order = min(order * 2, 800)
 
 
 # ----------------------------------------------------------------------
@@ -213,19 +213,9 @@ def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
 
 def component_value(group_class: GroupClass, r: int, tau: complex,
                     tol: float, tail_budget: float) -> tuple[complex, float]:
-    """(H_r(tau), tail estimate < tail_budget), truncating at
-    _eval_order(Im tau, tol) and doubling the order up to 800."""
-    y = tau.imag
-    order = _eval_order(y, tol)
-    while True:
-        value, tail = series_value(_signed_component(group_class, r, order),
-                                   tau)
-        if tail < tail_budget:
-            return value, tail
-        if order >= 800:
-            raise ConvergenceError(
-                f"series truncation insufficient for tol {tol} at Im {y}")
-        order = min(order * 2, 800)
+    """(H_r(tau), tail estimate < tail_budget), by _sum_to_tol."""
+    return _sum_to_tol(lambda n: h_component(group_class, r, n), tau, tol,
+                       tail_budget)
 
 
 def _shadow_terms(group_class: GroupClass, r: int, y: float,
@@ -234,7 +224,7 @@ def _shadow_terms(group_class: GroupClass, r: int, y: float,
     terms contribute below tol to the completion at height y."""
     n_max = (math.log(1.0 / tol) + 25.0) / (TWO_PI * y)
     n_max = max(5.0, n_max)
-    s = _shadow_series(group_class.name, r % 60, int(math.ceil(n_max)) + 1)
+    s = shadow_component(group_class, r, int(math.ceil(n_max)) + 1)
     return [(en / DEN, float(c)) for en, c in s.items()]
 
 
@@ -463,12 +453,6 @@ def order2_theta_data(r: int) -> IndefThetaData:
     return IndefThetaData(_TAU_A, a, _TAU_B, _TAU_C1, _TAU_C2)
 
 
-@lru_cache(maxsize=None)
-def _eta2_series(order: int) -> QSeries:
-    from .qseries import dedekind_eta
-    return dedekind_eta(2, order)
-
-
 def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     """Residual of the completion identity for the order-2 trace:
 
@@ -481,24 +465,15 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     the printed form of this identity carries minus signs there, which the
     two independent evaluation routes show to be a typo.
     """
-    y = tau.imag
     data = order2_theta_data(r)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
-    order = _eval_order(y, tol)
-    eta_val, eta_tail = series_value(_eta2_series(order), tau)
-    if eta_tail > tol * 1e-2:
-        raise ConvergenceError("eta series truncation insufficient")
+    eta_val, _ = _sum_to_tol(lambda n: dedekind_eta(2, n), tau, tol,
+                             tol * 1e-2)
     pref = -e(Fraction(-1, 10)) if r == 1 else -e(Fraction(-3, 10))
     lhs = pref * theta_val / eta_val
 
-    h = _signed_component(CLASS_2A, r, _eval_order(y, tol / 10.0))
-    hseries, tail = series_value(h, tau)
-    if tail > tol / 10.0:
-        raise ConvergenceError("trace series truncation insufficient")
-    if r == 1:
-        chars = (1, 11)
-    else:
-        chars = (13, 23)
+    hseries, _ = component_value(CLASS_2A, r, tau, tol / 10.0, tol / 10.0)
+    chars = (1, 11) if r == 1 else (13, 23)
     rterms = sum(
         e(Fraction(-c, 60)) * r_function(Fraction(c, 30), Fraction(-1, 2),
                                          15.0 * tau, tail_bound=tol * 1e-3)
@@ -652,26 +627,19 @@ def _egcd(p: int, q: int) -> tuple[int, int, int]:
     return (g, y2, x - (p // q) * y2)
 
 
-def _int_matrix(data_A) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in data_A)
-
-
-def split_cosets(data_A, a, c) -> list[tuple]:
+def split_cosets(data: IndefThetaData, c) -> list[tuple]:
     """Representatives mu0 of {mu in a+Z^2 : 0 <= B(c,mu)/2Q(c) < 1}
     modulo the integer line orthogonal to c, together with the line
-    generator w.  Returns (list of mu0 as Fraction pairs, w)."""
-    c = (int(c[0]), int(c[1]))
-    data = IndefThetaData(_int_matrix(data_A), tuple(a), (0, 0), c, c)
+    generator w, for the form and characteristic a of data and an integer
+    c with Q(c) < 0.  Returns (list of mu0 as Fraction pairs, w)."""
     qc = data.q_of(c)
-    if qc >= 0:
-        raise NumericsError("c must have Q(c) < 0")
     ac = data.a_times(c)
     g, x0, y0 = _egcd(ac[0], ac[1])
     if g == 0:
         raise NumericsError("degenerate cone vector")
     # primitive generator of the B(c, .) = 0 integer line
     w = (-ac[1] // g, ac[0] // g)
-    bca = data.b_of(a, c)
+    bca = data.b_of(data.a, c)
     # B values on a+Z^2 form bca + g Z; want values t with 2 Q(c) < t <= 0
     reps = []
     j_lo = math.floor((2 * qc - bca) / g) + 1    # strict lower endpoint
@@ -680,7 +648,7 @@ def split_cosets(data_A, a, c) -> list[tuple]:
         t = bca + g * j
         if not (2 * qc < t <= 0):
             continue
-        mu0 = (Fraction(a[0]) + j * x0, Fraction(a[1]) + j * y0)
+        mu0 = (Fraction(data.a[0]) + j * x0, Fraction(data.a[1]) + j * y0)
         reps.append(mu0)
     return reps, w
 
@@ -706,7 +674,8 @@ def theta_split_check(data_A, a, b, c, tau: complex,
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    data = IndefThetaData(_int_matrix(data_A), tuple(a), tuple(b), c, c)
+    A = tuple(tuple(int(x) for x in row) for row in data_A)
+    data = IndefThetaData(A, tuple(a), tuple(b), c, c)
     qc = data.q_of(c)
     if qc >= 0:
         raise NumericsError("c must have Q(c) < 0")
@@ -726,7 +695,7 @@ def theta_split_check(data_A, a, b, c, tau: complex,
     # right side.  B(c, w) = 0, so the line mu0_perp + Z w is (s + Z) w
     # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
     # theta terms have modulus exp(-2 pi y Q(w) x^2) at x = s + k.
-    reps, w = split_cosets(data.A, a, c)
+    reps, w = split_cosets(data, c)
     bcb = data.b_of(c, b)
     qw = data.q_of(w)
     qw_f, bwb = float(qw), float(data.b_of(w, b))

@@ -34,7 +34,7 @@ from typing import Optional
 
 from .characters import CLASSES, TraceId, octant_sum, trace_closed
 from .qseries import (DEN, QSeries, SeriesError, _is_inf, _order_value,
-                      euler_product)
+                      eta_quotient)
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
 # P_(n+1)); a factor (k, s, e) is (1 - s q^k)^e with e = +1 or -1
@@ -115,22 +115,23 @@ def zwegers_triple_sum(variant: str, order) -> QSeries:
     ordv = _order_value(order)
     lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
                               (1, 1, 1), 1, ordv)
-    pref = (euler_product(1, ordv + 1) ** 2).invert()
-    return (pref * lattice_part).truncate(ordv)
+    return (eta_quotient({1: -2}, 0, ordv + 1) * lattice_part).truncate(ordv)
 
 
-# variant: (lin, (gram, signs, parity restriction), prefactor kind) of
+# variant: (lin, (gram, signs, parity restriction), eta_quotient powers of
+# the prefactor) of
 #     (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(signs.(k,m))
 #         q^((k,m).gram.(k,m)/2 + lin.(k,m)/2)
 _RESTRICTED = (((1, 4), (4, 1)), (0, 1), (1, 1))
 _UNRESTRICTED = (((6, 4), (4, 1)), (1, 1), None)
+_ODD_PRODUCT = {1: -1, 2: 1}    # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
 _DOUBLE_SUM_DATA = {
-    "phi0_lhs": ((1, 3), _RESTRICTED, "eta21"),
-    "phi1_lhs": ((3, 5), _RESTRICTED, "eta21"),
-    "cor_lhs_1": ((1, 3), _RESTRICTED, None),
-    "cor_lhs_7": ((3, 5), _RESTRICTED, None),
-    "cor_rhs_1": ((2, 1), _UNRESTRICTED, "oddprod"),
-    "cor_rhs_7": ((6, 3), _UNRESTRICTED, "oddprod"),
+    "phi0_lhs": ((1, 3), _RESTRICTED, {1: 1, 2: -2}),
+    "phi1_lhs": ((3, 5), _RESTRICTED, {1: 1, 2: -2}),
+    "cor_lhs_1": ((1, 3), _RESTRICTED, {}),
+    "cor_lhs_7": ((3, 5), _RESTRICTED, {}),
+    "cor_rhs_1": ((2, 1), _UNRESTRICTED, _ODD_PRODUCT),
+    "cor_rhs_7": ((6, 3), _UNRESTRICTED, _ODD_PRODUCT),
 }
 
 
@@ -153,17 +154,9 @@ def hecke_double_sum(variant: str, order) -> QSeries:
     if variant not in _DOUBLE_SUM_DATA:
         raise SeriesError(f"unknown variant {variant!r}")
     ordv = _order_value(order)
-    lin, (gram, signs, parity), kind = _DOUBLE_SUM_DATA[variant]
+    lin, (gram, signs, parity), powers = _DOUBLE_SUM_DATA[variant]
     body = octant_sum(gram, lin, 0, signs, -1, ordv, parity)
-    if kind == "eta21":
-        pref = euler_product(1, ordv + 1) * \
-            (euler_product(2, ordv + 1) ** 2).invert()
-        return (pref * body).truncate(ordv)
-    if kind == "oddprod":
-        # prod_{n>0} (1 + q^n) = (q^2; q^2)_inf / (q; q)_inf
-        pref = euler_product(2, ordv + 1) * euler_product(1, ordv + 1).invert()
-        return (pref * body).truncate(ordv)
-    return body
+    return (eta_quotient(powers, 0, ordv + 1) * body).truncate(ordv)
 
 
 # ----------------------------------------------------------------------

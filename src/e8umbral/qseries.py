@@ -8,7 +8,8 @@ is an int when it is integral and a Fraction only otherwise, so integer
 series stay in int arithmetic.  Every exponent of the E8^3 module lies on
 the grid 1/120: the index-30 theta exponents r^2/120, the polar terms
 q^(-1/120), q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the
-eta exponents in 1/24.
+eta exponents in 1/24.  Every eta-quotient of the package (eta, the trace,
+Zwegers and Hecke prefactors, 1/Delta) is built by ``eta_quotient``.
 
 All values are immutable after construction and every operation returns a
 new canonical series (no stored zeros), so coefficient-map equality is
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Optional, Union
 
 DEN = 120
@@ -118,9 +121,6 @@ class QSeries:
     def items(self) -> list[tuple[int, Rational]]:
         """Sorted (exponent numerator, coefficient) pairs."""
         return sorted(self.coeffs.items())
-
-    def exponents(self) -> list[Fraction]:
-        return [Fraction(e, DEN) for e in sorted(self.coeffs)]
 
     def valuation(self):
         """Lowest exponent with a nonzero coefficient, as a Fraction.
@@ -224,15 +224,15 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if not isinstance(n, int) or n < 0:
             raise SeriesError("only non-negative integer powers supported")
-        result = QSeries.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return QSeries.one() if result is None else result
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse of a unit series.
@@ -376,9 +376,22 @@ def euler_product(scale: int, order: OrderLike) -> QSeries:
     return QSeries(coeffs, ordv)
 
 
+def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
+    """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order.
+
+    The factors with positive powers and those with negative powers are
+    multiplied separately, and the second product is inverted once.
+    """
+    ordv = _order_value(order)
+    inner = ordv - _frac(shift)
+    num = [euler_product(k, inner) ** p for k, p in powers.items() if p > 0]
+    den = [euler_product(k, inner) ** -p for k, p in powers.items() if p < 0]
+    if den:
+        num.append(reduce(mul, den).invert())
+    body = reduce(mul, num) if num else QSeries.one()
+    return body.shift(shift).truncate(ordv)
+
+
 def dedekind_eta(scale: int, order: OrderLike) -> QSeries:
     """q^(scale/24) * (q^scale; q^scale)_infinity."""
-    if scale <= 0:
-        raise SeriesError("eta scale must be a positive integer")
-    lead = Fraction(scale, 24)
-    return euler_product(scale, _order_value(order) - lead).shift(lead)
+    return eta_quotient({scale: 1}, Fraction(scale, 24), order)

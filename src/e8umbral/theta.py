@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import (FAMILY_1, FAMILY_7, GroupClass, MockFormVector,
-                         SUPPORT_POS)
+                         component_family)
 from .qseries import (DEN, GradingError, QSeries, SeriesError,
-                      _order_value, dedekind_eta, euler_product)
+                      _order_value, dedekind_eta, eta_quotient)
 
 
 def S_unary(m: int, r: int, order) -> QSeries:
@@ -84,29 +84,24 @@ def _family_sum(family: tuple, order: Fraction) -> QSeries:
 
 
 def shadow_component(group_class: GroupClass, r: int, order) -> QSeries:
-    """The shadow of the r-th component: +-chi_bar * (four-term S sum)."""
+    """The shadow of the r-th component: +-chi_bar * (four-term S sum),
+    with the family and sign of component_family, and zero off the
+    support."""
     ordv = _order_value(order)
-    chi = group_class.perm_character
-    rr = r % 60
-    if rr in FAMILY_1:
-        return _family_sum(FAMILY_1, ordv).scale(chi)
-    if rr in FAMILY_7:
-        return _family_sum(FAMILY_7, ordv).scale(chi)
-    if (-rr) % 60 in FAMILY_1:
-        return _family_sum(FAMILY_1, ordv).scale(-chi)
-    if (-rr) % 60 in FAMILY_7:
-        return _family_sum(FAMILY_7, ordv).scale(-chi)
-    return QSeries.zero(ordv)
+    rule = component_family(r)
+    if rule is None:
+        return QSeries.zero(ordv)
+    family, sign = rule
+    return _family_sum(FAMILY_1 if family == 1 else FAMILY_7,
+                       ordv).scale(sign * group_class.perm_character)
 
 
 def shadow_vector(group_class: GroupClass, order) -> MockFormVector:
     ordv = _order_value(order)
-    comps = {}
-    for r in SUPPORT_POS:
-        s = shadow_component(group_class, r, ordv)
-        comps[r] = s
-        comps[(-r) % 60] = -s
-    return MockFormVector(group_class, comps, ordv)
+    return MockFormVector(group_class,
+                          {r: shadow_component(group_class, r, ordv)
+                           for r in range(60) if component_family(r)},
+                          ordv)
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +169,6 @@ def eta_J_coefficients(order) -> QSeries:
     n_int = math.ceil(ordv) + 2
     e4 = QSeries({k * DEN: (1 if k == 0 else 240 * _sigma3(k))
                   for k in range(n_int + 1)}, n_int)
-    delta = euler_product(1, n_int + 1) ** 24
-    delta = delta.shift(1).truncate(n_int + 1)
-    j = (e4 ** 3) * delta.invert() - 744
+    j = (e4 ** 3) * eta_quotient({1: -24}, -1, n_int - 1) - 744
     eta = dedekind_eta(1, ordv + 2)
     return (eta * j).truncate(ordv)

@@ -119,3 +119,26 @@ def ramanujan_oracle(name: str, order: int) -> dict:
             if e <= order:
                 total[e] = total.get(e, Fraction(0)) + c
         n += 1
+
+
+# ----------------------------------------------------------------------
+# the signature-(1,2) lattice of the cone modules, in basis coordinates
+
+GRAM = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
+RHO = (Fraction(1, 5), Fraction(1, 5), Fraction(1, 5))
+
+
+def pair(u, v) -> Fraction:
+    """Bilinear form <u, v> in basis coordinates."""
+    return sum((Fraction(u[i]) * GRAM[i][j] * Fraction(v[j])
+                for i in range(3) for j in range(3)), Fraction(0))
+
+
+def q_norm(u) -> Fraction:
+    return pair(u, u) / 2
+
+
+def cone_mu(point) -> tuple:
+    """The vector mu = coords + (a/10)(1, 1, 1) of a cone point."""
+    s = Fraction(point.coset_a, 10)
+    return tuple(c + s for c in point.coords)

@@ -4,11 +4,13 @@ import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  FAMILY_1, FAMILY_7, TraceId, all_trace_ids,
-                                 assemble_H, fermion_trace, h_component,
+                                 assemble_H, component_family,
+                                 fermion_trace, h_component,
                                  heisenberg_trace, trace_closed,
                                  trace_direct, trace_series,
                                  trace_symmetry_sign)
 from e8umbral.qseries import euler_product
+from e8umbral.theta import shadow_component
 
 
 def test_fermion_trace():
@@ -157,3 +159,31 @@ def test_trace_id_validation():
         TraceId(CLASS_1A, 2, 1)
     with pytest.raises(ValueError):
         TraceId(CLASS_1A, 1, 0)
+
+
+def test_component_family_rule():
+    # the E8 Coxeter exponents 1, 7, 11, 13, 17, 19, 23, 29 mod 60; H_r for
+    # r in {1, 11, 19, 29} is H_1 and for r in {7, 13, 17, 23} is H_7
+    coxeter = {1: 1, 11: 1, 19: 1, 29: 1, 7: 7, 13: 7, 17: 7, 23: 7}
+    heads = {(name, fam): h_component(CLASSES[name], fam, 6)
+             for name in CLASSES for fam in (1, 7)}
+    shadows = {(name, fam): shadow_component(CLASSES[name], fam, 6)
+               for name in CLASSES for fam in (1, 7)}
+    for r in range(-120, 180):
+        if r % 60 in coxeter:
+            want = (coxeter[r % 60], 1)
+        elif -r % 60 in coxeter:
+            want = (coxeter[-r % 60], -1)
+        else:
+            want = None
+        assert component_family(r) == want, r
+        for name, cls in CLASSES.items():
+            if want is None:
+                with pytest.raises(ValueError):
+                    h_component(cls, r, 6)
+                assert shadow_component(cls, r, 6).is_zero
+                continue
+            fam, sign = want
+            assert h_component(cls, r, 6) == heads[name, fam].scale(sign)
+            assert shadow_component(cls, r, 6) == \
+                shadows[name, fam].scale(sign)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -174,10 +175,13 @@ def test_eval_tau_with_leading_minus(capsys):
     (["eval", "--class", "1A", "--r", "1", "--tau=nan+1i"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+nani"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.002i"], 3),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.25+20000i"], 3),
+    (["eval", "--class", "2A", "--r", "7", "--tau=0.1+1e-320i"], 3),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
-    # the exit-3 cases are real ConvergenceErrors: at Im tau = 0.01 and
-    # 0.002 the series needs more than the order-800 cap
+    # the exit-3 cases are real: at Im tau = 0.01, 0.002 and 1e-320 the
+    # series needs more than the order-800 cap, and at Im tau = 20000 the
+    # polar term q^(-1/120) overflows a double
     try:
         got = main(argv)
     except SystemExit as exc:
@@ -187,6 +191,27 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
+
+
+def test_eval_never_raises_across_heights(capsys):
+    # from subnormal to huge Im tau, eval either answers or exits 3 with
+    # one line; no exception escapes main
+    rng = random.Random(11)
+    heights = ("1e-320", "1e-300", "1e-5", "1e-3", "0.009", "0.0105", "0.02",
+               "0.3", "1", "30", "60", "500", "13000", "14000", "1e6",
+               "1e300")
+    for cls in ("1A", "2A", "3A"):
+        for r in ("1", "7", "-1", "53"):
+            for height in heights:
+                for extra in ([], ["--completion"]):
+                    x = round(rng.uniform(-0.5, 0.5), 4)
+                    argv = ["eval", "--class", cls, "--r", r,
+                            f"--tau={x}+{height}i", *extra]
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    assert code in (0, 3), argv
+                    want_lines = 1 if code == 3 else 0
+                    assert len(err.splitlines()) == want_lines, argv
 
 
 def test_import_does_not_load_scipy():

@@ -181,14 +181,15 @@ def test_completion_routes_agree():
 def test_order2_completion_equals_theta_quotient():
     # the shadow-integral completion agrees with the independent
     # indefinite-theta quotient route at five sample points
-    from e8umbral.maass import _eta2_series, _eval_order
+    from e8umbral.maass import _eval_order
+    from e8umbral.qseries import dedekind_eta
     for r in (1, 7):
         for tau in (0.1 + 0.8j, 0.5j, 0.3 + 0.7j, -0.2 + 1.3j,
                     0.45 + 0.6j):
             data = order2_theta_data(r)
             th = indefinite_theta(data, tau, 1e-12)
             eta_val, _ = series_value(
-                _eta2_series(_eval_order(tau.imag, 1e-10)), tau)
+                dedekind_eta(2, _eval_order(tau.imag, 1e-10)), tau)
             # the phase tracks the coset characteristic (1 or 3)/10
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))
             quotient = pref * th / eta_val
@@ -198,9 +199,9 @@ def test_order2_completion_equals_theta_quotient():
 
 def test_order3_completion_is_plain_series():
     tau = 0.1 + 0.9j
-    from e8umbral.maass import _eval_order, _signed_component
+    from e8umbral.maass import _eval_order
     plain, _ = series_value(
-        _signed_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)
+        h_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)
     assert abs(completion_value(CLASS_3A, 7, tau, 1e-9) - plain) < 1e-12
 
 
@@ -275,9 +276,9 @@ def test_rho_phase():
 
 def test_split_identity_paper_data():
     data = order2_theta_data(1)
-    reps1, _ = split_cosets(data.A, data.a, data.c1)
+    reps1, _ = split_cosets(data, data.c1)
     assert reps1 == [(F(-9, 10), F(1, 10))]
-    reps2, _ = split_cosets(data.A, data.a, data.c2)
+    reps2, _ = split_cosets(data, data.c2)
     assert sorted(reps2) == [(F(1, 10), F(1, 10)), (F(1, 10), F(11, 10)),
                              (F(1, 10), F(21, 10))]
     # at Im tau = 0.3 the c2 line theta needs several terms

@@ -6,10 +6,11 @@ import pytest
 from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
-                              dedekind_eta, euler_product)
+                              dedekind_eta, eta_quotient, euler_product)
 from e8umbral.theta import g_scaled_series
 
-from oracles import finite_pochhammer, partition_counts, pentagonal_series
+from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
+                     poly_inv, poly_mul)
 
 
 def q(power, coeff=1, order=None):
@@ -74,6 +75,31 @@ def test_pentagonal_numbers():
     want = finite_pochhammer(1, -1, 1, 60, 60)
     got = euler_product(2, 60) * euler_product(1, 60).invert()
     assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
+
+
+@pytest.mark.parametrize("powers,shift", [
+    ({1: -3}, F(-1, 8)), ({1: -1, 2: -1}, F(-1, 8)), ({3: -1}, F(-1, 8)),
+    ({1: -2}, F(-1, 12)), ({2: -1}, F(-1, 12)), ({1: 1, 3: -1}, F(-1, 12)),
+    ({1: 1, 2: -2}, F(7, 120)), ({1: -1, 2: 1}, F(1, 3)), ({1: -24}, -1),
+    ({2: 1}, F(1, 12)),
+])
+def test_eta_quotient_against_products(powers, shift):
+    # every power table the package uses, against factor-by-factor
+    # products of (1 - q^(kn)) and one oracle inversion
+    order = 30
+    n_max = int(order - shift)
+    num, den = {0: F(1)}, {0: F(1)}
+    for k, p in powers.items():
+        factor = finite_pochhammer(k, 1, k, n_max // k, n_max)
+        for _ in range(abs(p)):
+            if p > 0:
+                num = poly_mul(num, factor, n_max)
+            else:
+                den = poly_mul(den, factor, n_max)
+    want = poly_mul(num, poly_inv(den, n_max), n_max)
+    got = eta_quotient(powers, shift, order)
+    assert got.order == order
+    assert got.coeffs == {int((n + shift) * 120): c for n, c in want.items()}
 
 
 def test_pochhammer_divergence():
