@@ -2,9 +2,11 @@
 weight-1/2 transformation law.
 
 The holomorphic components transform modularly only after adding the
-Eichler integral of the shadow (scaled by 1/sqrt(60)).  For the order-2
-class the same completion also arises as a quotient of an indefinite
-theta function by eta(2 tau), giving a genuinely independent route.
+Eichler integral of the shadow (scaled by 1/sqrt(60)), which is a sum of
+four Zwegers R-functions R_{s/60,0}(60 tau), each with a certified tail.
+For the order-2 class the same completion also arises as a quotient of an
+indefinite theta function by eta(2 tau), giving a genuinely independent
+route.
 """
 
 from e8umbral import (CLASSES, completion_value, indefinite_theta,

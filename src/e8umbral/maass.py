@@ -5,8 +5,9 @@ signature (1,1), completions, and weight-1/2 transformation residuals.
 Summation tails are certified: the sign-weighted and E-weighted lattice
 sums decay like exp(-2 pi y M(nu)) for positive-definite forms M built
 from the cone data, and ring sums stop only once the remaining rings are
-provably below the requested bound.  Series-to-number evaluation carries
-an empirical tail estimate (measured coefficient growth times the dropped
+provably below the requested bound; so are the R-function sums that make
+up a completion's Eichler part.  Series-to-number evaluation carries an
+empirical tail estimate (measured coefficient growth times the dropped
 geometric tail) and refuses to report values it cannot back; one loop,
 ``_sum_to_tol``, truncates each series (H_r, eta(2 tau)) to its tolerance.
 """
@@ -18,15 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import CLASS_2A, GroupClass, h_component
+from .characters import (CLASS_2A, FAMILY_1, FAMILY_7, GroupClass,
+                         component_family, h_component)
 from .qseries import DEN, QSeries, dedekind_eta
-from .theta import shadow_component
 
 TWO_PI = 2.0 * math.pi
 SQRT_PI = math.sqrt(math.pi)
-
-# completion scaling constant C = sqrt(60) (index 30 shadows)
-SHADOW_SCALE = math.sqrt(60.0)
 
 
 class NumericsError(RuntimeError):
@@ -120,6 +118,8 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
     the one truncate-to-tolerance loop.  It starts at
     n = _eval_order(Im tau, tol) and doubles n up to 800."""
     y = tau.imag
+    if y <= 0:
+        raise NumericsError("tau must lie in the upper half plane")
     order = _eval_order(y, tol)
     while True:
         value, tail = series_value(series_of_order(order), tau)
@@ -189,68 +189,52 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
 
 def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
     """Numeric value of g_{a,b}(z) = sum_{nu in a+Z} nu e^(pi i nu^2 z +
-    2 pi i nu b) for Im z > 0."""
-    a = float(a)
+    2 pi i nu b) for Im z > 0.  For tol <= 1e-4, _line_sum (kappa = 1/2)
+    stops at a d <= 20001 with pi y d^2/2 >= log(2/tol) >= log d, so every
+    remaining term has |nu| e^(-pi y nu^2) <= e^(-pi y nu^2/2)."""
     b = float(b)
     y = z.imag
     if y <= 0:
         raise NumericsError("z must lie in the upper half plane")
-    total = 0.0 + 0.0j
-    frac = a - math.floor(a)
-    n = 0
-    while True:
-        for nu in {frac + n, frac - n - 1}:
-            total += nu * cmath.exp(1j * math.pi * nu * nu * z
-                                    + 2j * math.pi * nu * b)
-        n += 1
-        vmin = min(abs(frac + n), abs(frac - n))
-        if vmin > 0 and (vmin + 1) * math.exp(-math.pi * vmin * vmin * y) \
-                / max(1.0 - math.exp(-math.pi * vmin * y), 0.1) < tol:
-            return total
-        if n > 20000:
-            raise ConvergenceError("g function tail bound not met")
+
+    def term(nu: float) -> complex:
+        return nu * cmath.exp(1j * math.pi * nu * nu * z
+                              + 2j * math.pi * nu * b)
+
+    return _line_sum(term, a, 0.5, y, tol)
 
 
 def component_value(group_class: GroupClass, r: int, tau: complex,
                     tol: float, tail_budget: float) -> tuple[complex, float]:
-    """(H_r(tau), tail estimate < tail_budget), by _sum_to_tol."""
+    """(H_r(tau), tail estimate < tail_budget), by _sum_to_tol.  The
+    exponents lie in Z/120, so Re tau is first reduced (exactly) mod 120."""
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     return _sum_to_tol(lambda n: h_component(group_class, r, n), tau, tol,
                        tail_budget)
 
 
-def _shadow_terms(group_class: GroupClass, r: int, y: float,
-                  tol: float) -> list[tuple[float, float]]:
-    """(n, c_n) pairs of the shadow component, deep enough that dropped
-    terms contribute below tol to the completion at height y."""
-    n_max = (math.log(1.0 / tol) + 25.0) / (TWO_PI * y)
-    n_max = max(5.0, n_max)
-    s = shadow_component(group_class, r, int(math.ceil(n_max)) + 1)
-    return [(en / DEN, float(c)) for en, c in s.items()]
+def _eichler_part(group_class: GroupClass, r: int, tau: complex,
+                  tail_bound: float) -> complex:
+    """sign chi sum_{s in family(r)} R_{s/60,0}(60 tau), each R-sum with a
+    certified tail below tail_bound: the Eichler integral of the shadow
+    sign chi sum_s S_{30,s}, scaled by 1/sqrt(60).  Its term c_n q^n
+    (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
+    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
+    family, sign = component_family(r)
+    total = sum(r_function(Fraction(s, 60), 0, 60.0 * tau, tail_bound)
+                for s in (FAMILY_1 if family == 1 else FAMILY_7))
+    return sign * group_class.perm_character * total
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
                      tol: float = 1e-9) -> complex:
-    """The completed component value H_r(tau) + (shadow Eichler integral).
-
-    The non-holomorphic part is the Eichler integral of the shadow
-    component with scaling constant C = sqrt(60), summed termwise: the
-    shadow term c_n q^n contributes c_n/(C sqrt(2n)) beta(4 n y) q^(-n).
-    """
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
+    """H_r(tau) (tail estimate below tol/5) plus its certified Eichler part
+    (R-sum tails below tol * 1e-12); Re tau is reduced mod 120 as for H_r."""
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     value, _ = component_value(group_class, r, tau, tol, tol / 5.0)
     if group_class.perm_character == 0:
         return value          # zero shadow: completion equals the series
-    nonholo = 0.0 + 0.0j
-    for n, c in _shadow_terms(group_class, r, y, tol):
-        # beta(4ny) <= e^(-4 pi n y) is 0.0 before e^(2 pi n y) overflows
-        w = beta_incomplete(4.0 * n * y) if n > 0 else 0.0
-        if w == 0.0 or c == 0.0:
-            continue
-        nonholo += c / (SHADOW_SCALE * math.sqrt(2.0 * n)) * w * \
-            cmath.exp(-2j * math.pi * n * tau)
-    return value + nonholo
+    return value + _eichler_part(group_class, r, tau, tol * 1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -336,16 +320,16 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
 
 
 def _ring_tail(R0: int, y: float, lam: float) -> float:
-    """Bound on sum_{R >= R0} (points of ring R) exp(-2 pi y lam (R-2)^2)."""
-    total = 0.0
-    R = R0
-    while True:
-        contrib = (8 * R + 4) * \
-            math.exp(-TWO_PI * y * lam * max(R - 2, 0) ** 2)
-        total += contrib
-        if contrib < 1e-4 * total or contrib == 0.0:
-            return total
-        R += 1
+    """Bound on sum_{R >= R0 >= 2} (8R + 4) e^(-a (R-2)^2), a = 2 pi y lam:
+    with t = R - 2 the terms (8t + 20) e^(-a t^2) have ratios
+    (8t + 28)/(8t + 20) e^(-a(2t + 1)) decreasing in t, so the tail is at
+    most its t = R0 - 2 term over 1 - rho, rho that term's ratio."""
+    a = TWO_PI * y * lam
+    d = R0 - 2
+    rho = (8 * d + 28) / (8 * d + 20) * math.exp(-a * (2 * d + 1))
+    if rho >= 1.0:
+        return math.inf
+    return (8 * d + 20) * math.exp(-a * d * d) / (1.0 - rho)
 
 
 def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
@@ -460,10 +444,10 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
             = 2 T(2A, r) + e(-c1/60) R_{c1/30,-1/2}(15 tau)
                          + e(-c2/60) R_{c2/30,-1/2}(15 tau)
 
-    with (c1, c2) = (1, 11) for r = 1 and (13, 23) for r = 7.  The R-term
-    signs follow from the two-sided splitting of the weighted theta sum;
-    the printed form of this identity carries minus signs there, which the
-    two independent evaluation routes show to be a typo.
+    with (c1, c2) = (1, 11) for r = 1 and (13, 23) for r = 7.  The R-terms
+    equal sum_{s in family(r)} R_{s/60,0}(60 tau), the certified Eichler
+    part of completion_value, which gives the right side.  The printed
+    minus signs on the R-terms are a typo: both routes give plus.
     """
     data = order2_theta_data(r)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
@@ -471,15 +455,7 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
                              tol * 1e-2)
     pref = -e(Fraction(-1, 10)) if r == 1 else -e(Fraction(-3, 10))
     lhs = pref * theta_val / eta_val
-
-    hseries, _ = component_value(CLASS_2A, r, tau, tol / 10.0, tol / 10.0)
-    chars = (1, 11) if r == 1 else (13, 23)
-    rterms = sum(
-        e(Fraction(-c, 60)) * r_function(Fraction(c, 30), Fraction(-1, 2),
-                                         15.0 * tau, tail_bound=tol * 1e-3)
-        for c in chars)
-    rhs = hseries + rterms
-    return abs(lhs - rhs)
+    return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 
 
 # ----------------------------------------------------------------------

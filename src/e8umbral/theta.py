@@ -75,25 +75,19 @@ def g_scaled_series(char_numer: int, two_m: int, order) -> QSeries:
 # shadow vectors
 
 
-@lru_cache(maxsize=None)
-def _family_sum(family: tuple, order: Fraction) -> QSeries:
-    total = QSeries.zero(order)
-    for r in family:
-        total = total + S_unary(30, r, order)
-    return total
-
-
 def shadow_component(group_class: GroupClass, r: int, order) -> QSeries:
     """The shadow of the r-th component: +-chi_bar * (four-term S sum),
     with the family and sign of component_family, and zero off the
     support."""
     ordv = _order_value(order)
+    total = QSeries.zero(ordv)
     rule = component_family(r)
     if rule is None:
-        return QSeries.zero(ordv)
+        return total
     family, sign = rule
-    return _family_sum(FAMILY_1 if family == 1 else FAMILY_7,
-                       ordv).scale(sign * group_class.perm_character)
+    for s in (FAMILY_1 if family == 1 else FAMILY_7):
+        total = total + S_unary(30, s, ordv)
+    return total.scale(sign * group_class.perm_character)
 
 
 def shadow_vector(group_class: GroupClass, order) -> MockFormVector:

@@ -1,6 +1,7 @@
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -195,23 +196,25 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
 
 def test_eval_never_raises_across_heights(capsys):
     # from subnormal to huge Im tau, eval either answers or exits 3 with
-    # one line; no exception escapes main
+    # one line; no exception escapes main.  Each case runs at a seeded
+    # real part and at a huge one (cycling 1e300, -1e300, 10^6 + 7)
     rng = random.Random(11)
     heights = ("1e-320", "1e-300", "1e-5", "1e-3", "0.009", "0.0105", "0.02",
                "0.3", "1", "30", "60", "500", "13000", "14000", "1e6",
                "1e300")
+    huge = itertools.cycle(("1e300", "-1e300", "1000007"))
     for cls in ("1A", "2A", "3A"):
         for r in ("1", "7", "-1", "53"):
             for height in heights:
                 for extra in ([], ["--completion"]):
-                    x = round(rng.uniform(-0.5, 0.5), 4)
-                    argv = ["eval", "--class", cls, "--r", r,
-                            f"--tau={x}+{height}i", *extra]
-                    code = main(argv)
-                    out, err = capsys.readouterr()
-                    assert code in (0, 3), argv
-                    want_lines = 1 if code == 3 else 0
-                    assert len(err.splitlines()) == want_lines, argv
+                    for x in (round(rng.uniform(-0.5, 0.5), 4), next(huge)):
+                        argv = ["eval", "--class", cls, "--r", r,
+                                f"--tau={x}+{height}i", *extra]
+                        code = main(argv)
+                        out, err = capsys.readouterr()
+                        assert code in (0, 3), argv
+                        want_lines = 1 if code == 3 else 0
+                        assert len(err.splitlines()) == want_lines, argv
 
 
 def test_import_does_not_load_scipy():

@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
                             _pd_lambda_min, _wedge_lambda_min,
-                            beta_incomplete, completion_value, e,
+                            beta_incomplete, completion_value,
+                            component_value, e,
                             e_function, g_weight32_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, rho_3_3, series_value, split_cosets,
@@ -165,17 +166,58 @@ def test_completion_identity_shifted_tau():
 
 
 def test_completion_routes_agree():
-    # the termwise Eichler sum against quadrature of the shadow's integral
-    tau = 0.13 + 0.92j
-    for cls, r in ((CLASS_1A, 1), (CLASS_1A, 7), (CLASS_2A, 1),
-                   (CLASS_2A, 7)):
-        s = shadow_component(cls, r, 30)
-        shadow = [(n / 120, float(c)) for n, c in s.items()]
-        g = lambda z: sum(c * cmath.exp(2j * math.pi * n * z)
-                          for n, c in shadow)
-        holo, _ = series_value(h_component(cls, r, 60), tau)
-        oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
-        assert abs(completion_value(cls, r, tau, 1e-9) - oracle) < 1e-9
+    # the R-sum Eichler part against quadrature of the shadow's integral,
+    # near the real axis, at a middle height and far from it; the shadow
+    # order is sized so that its dropped terms are below e^(-40) at tau
+    for tau in (0.21 + 0.1j, 0.13 + 0.92j, -0.3 + 2.5j):
+        order = math.ceil(40 / (2 * math.pi * tau.imag))
+        for cls, r in ((CLASS_1A, 1), (CLASS_1A, 7), (CLASS_2A, 1),
+                       (CLASS_2A, 7)):
+            s = shadow_component(cls, r, order)
+            shadow = [(n / 120, float(c)) for n, c in s.items()]
+            g = lambda z: sum(c * cmath.exp(2j * math.pi * n * z)
+                              for n, c in shadow)
+            holo, _ = series_value(h_component(cls, r, 2 * order), tau)
+            oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
+            assert abs(completion_value(cls, r, tau, 1e-9) - oracle) \
+                < 1e-9, (tau, cls.name, r)
+
+
+def test_printed_r_terms_equal_family_r_sum():
+    # the printed R-terms of the order-2 completion identity,
+    # e(-c/60) R_{c/30,-1/2}(15 tau), sum to the Eichler part
+    # sum_{s in family(r)} R_{s/60,0}(60 tau) that completion_value uses;
+    # with the printed minus signs they do not
+    printed = {1: (1, 11), 7: (13, 23)}
+    family = {1: (1, 11, 19, 29), 7: (7, 13, 17, 23)}
+    for r in (1, 7):
+        for tau in (0.1 + 0.8j, 0.31 + 0.03j, -0.2 + 2.5j, 0.25 + 60j):
+            terms = sum(e(F(-c, 60)) * r_function(F(c, 30), F(-1, 2),
+                                                  15 * tau, 1e-16)
+                        for c in printed[r])
+            fam = sum(r_function(F(s, 60), 0, 60 * tau, 1e-16)
+                      for s in family[r])
+            assert abs(terms - fam) < 1e-14, (r, tau)
+            if tau.imag <= 1:
+                assert abs(-terms - fam) > 1e-2, (r, tau)
+
+
+def test_large_real_part_t_law():
+    # every exponent of H_r and of its Eichler part lies in -r^2/120 + Z,
+    # so at an integer x the value at x + i is e(-r^2 (x mod 120)/120)
+    # times the value at i; x mod 120 is taken in exact integers here
+    for x in (1e300, -1e300, 1e6 + 7):
+        k = int(x) % 120
+        for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
+            for r in (1, 7):
+                phase = e(F(-r * r * k, 120))
+                at = complex(x, 1.0)
+                series = [component_value(cls, r, t, 1e-12, 1e-12)[0]
+                          for t in (at, 1j)]
+                assert abs(series[0] - phase * series[1]) < 1e-13
+                completed = [completion_value(cls, r, t, 1e-12)
+                             for t in (at, 1j)]
+                assert abs(completed[0] - phase * completed[1]) < 1e-13
 
 
 def test_order2_completion_equals_theta_quotient():
