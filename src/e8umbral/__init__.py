@@ -13,7 +13,7 @@ numerically.
 from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
                       eta_quotient, euler_product)
-from .lattice import ConePoint, enumerate_coset_cone
+from .lattice import enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          MockFormVector, TraceId, all_trace_ids, assemble_H,
                          fermion_trace, h_component, heisenberg_trace,
@@ -21,7 +21,7 @@ from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
 from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)
 from .theta import (NullwerteReport, S_unary, eta_J_coefficients,
-                    g_scaled_series, shadow_component, shadow_vector,
+                    shadow_component, shadow_vector,
                     thetanullwerte_class_check)
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, e_function,

@@ -203,8 +203,11 @@ _CLOSED_SHAPES = {
 }
 
 
+@lru_cache(maxsize=None)
 def trace_closed(trace_id: TraceId, order) -> QSeries:
-    """The closed lattice-sum expression for one trace function."""
+    """The closed lattice-sum expression for one trace function, cached by
+    (trace id, order): h_component, the identity suite and the
+    closed-vs-direct check ask for the same traces."""
     ordv = _order_value(order)
     cls = trace_id.group_class
     cap = ordv + Fraction(1, 12)   # prefactor valuation is -1/12
@@ -238,19 +241,17 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
     cap = ordv + Fraction(1, 12)
     fix = {1: None, 2: "tau", 3: "sigma"}[cls.order]
     coeffs: dict[int, int] = {}
-    for pt in enumerate_coset_cone(a, fix, cap):
-        k, l, m = pt.coords
+    for en, (k, l, m), branch in enumerate_coset_cone(a, fix, cap):
         if cls.order == 1:
             sign = -1 if (k + l + m) % 2 else 1
         elif cls.order == 2:
             # (-1)^<lambda, rho + e_1'> = (-1)^(3k+m), with the extra sign
             # automorphism flip on branch N
             sign = -1 if (3 * k + m) % 2 else 1
-            if pt.branch == "N":
+            if branch == "N":
                 sign = -sign
         else:
             sign = -1 if k % 2 else 1
-        en = int(pt.q * DEN)
         coeffs[en] = coeffs.get(en, 0) + sign
     lat_sum = QSeries(coeffs, cap)
     return (pref * lat_sum).truncate(ordv)
@@ -258,11 +259,6 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
 
 # ----------------------------------------------------------------------
 # symmetry normalization and the McKay-Thompson vector
-
-
-@lru_cache(maxsize=None)
-def _closed_cached(name: str, a: int, sign: int, order: Fraction) -> QSeries:
-    return trace_closed(TraceId(CLASSES[name], a, sign), order)
 
 
 def h_component(group_class: GroupClass, r: int, order) -> QSeries:
@@ -280,7 +276,7 @@ def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     family, sign = rule
     a, scale = (1, 2) if family == 1 else \
         (3, 2 if group_class.order == 2 else -2)
-    t = _closed_cached(group_class.name, a, -1, _order_value(order))
+    t = trace_closed(TraceId(group_class, a, -1), order)
     return t.scale(scale * sign)
 
 

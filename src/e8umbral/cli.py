@@ -17,10 +17,11 @@ import math
 import sys
 from fractions import Fraction
 
-from .characters import CLASSES, all_trace_ids, component_family, \
-    h_component, trace_closed, trace_direct
-from .maass import NumericsError
-from .mocktheta import identity_suite
+from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
+    all_trace_ids, component_family, h_component, trace_closed, trace_direct
+from .maass import NumericsError, completion_value, component_value, \
+    tau1_identity_check, transform_check
+from .mocktheta import IdentityReport, identity_suite
 from .theta import thetanullwerte_class_check
 
 CLASS_NAMES = ("1A", "2A", "3A")
@@ -85,7 +86,6 @@ def _exact_checks(order: int, corrupt: bool):
     if corrupt and reports:
         # negative-control hook: flip the verdict of the first identity
         first = reports[0]
-        from .mocktheta import IdentityReport
         reports[0] = IdentityReport(first.name + " [corrupted]", first.order,
                                     False, (Fraction(5), Fraction(1),
                                             Fraction(2)))
@@ -115,30 +115,24 @@ def _exact_checks(order: int, corrupt: bool):
 
 
 def _numeric_checks(tol: float):
-    from .characters import CLASS_1A, CLASS_2A, CLASS_3A
-    from .maass import tau1_identity_check, transform_check
+    checks = []
 
-    jobs = []
+    def check(name, res):
+        ok = res < tol
+        mark = "[ok]  " if ok else "[FAIL]"
+        checks.append((f"{mark} {name}: residual {res:.3e}", ok))
+
     for r in (1, 7):
         for tau in (0.1 + 0.8j, 0.5j, 0.25 + 0.95j):
-            jobs.append((f"completion identity r={r} at tau={tau}",
-                         lambda r=r, tau=tau:
-                         tau1_identity_check(tau, r, tol)))
+            check(f"completion identity r={r} at tau={tau}",
+                  tau1_identity_check(tau, r, tol))
     gens = {CLASS_1A: (((1, 1), (0, 1)), ((0, -1), (1, 0))),
             CLASS_2A: (((1, 1), (0, 1)), ((1, 0), (2, 1))),
             CLASS_3A: (((1, 1), (0, 1)), ((1, 0), (3, 1)))}
     for cls, pair in gens.items():
         for gamma in pair:
-            jobs.append((f"transformation {cls.name} gamma={gamma}",
-                         lambda cls=cls, gamma=gamma:
-                         transform_check(cls, gamma, 0.2 + 1.1j, tol)))
-
-    checks = []
-    for name, job in jobs:
-        res = job()
-        ok = res < tol
-        mark = "[ok]  " if ok else "[FAIL]"
-        checks.append((f"{mark} {name}: residual {res:.3e}", ok))
+            check(f"transformation {cls.name} gamma={gamma}",
+                  transform_check(cls, gamma, 0.2 + 1.1j, tol))
     return checks
 
 
@@ -170,7 +164,6 @@ def _parse_tau(text: str) -> complex:
 
 
 def cmd_eval(args) -> int:
-    from .maass import completion_value, component_value
     try:
         tau = _parse_tau(args.tau)
     except ValueError as exc:

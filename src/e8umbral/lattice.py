@@ -10,14 +10,15 @@ branch N iff all < 0, because the coordinates of mu = k e_1 + l e_2 + m e_3
 
 Q(mu) = <mu,mu>/2 is strictly positive on nonzero cone vectors, and on
 either branch Q(mu) >= sum(coords^2)/2 since all cross terms have equal
-signs; that certified bound drives the enumeration boxes.
+signs; that certified bound drives the enumeration boxes.  A cone point is
+the integer tuple (120 Q(mu), coords, branch): Q(mu) lies on the grid
+1/120 of ``qseries.DEN``, so the energy is carried as its numerator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,16 +27,6 @@ from .qseries import DEN
 
 class LatticeError(ValueError):
     pass
-
-
-@dataclass(frozen=True, order=True)
-class ConePoint:
-    """A point mu of D cap (L + a*rho/2), stored by its L-part coordinates."""
-
-    q: Fraction                 # <mu,mu>/2, kept first for sorted output
-    coords: tuple[int, int, int]
-    coset_a: int
-    branch: str                 # "P" or "N"
 
 
 def _q_of(coords: tuple[int, int, int], a: int) -> int:
@@ -67,12 +58,13 @@ def _positive_branch(a: int, g_fix: Optional[str],
 
 
 def enumerate_coset_cone(a: int, g_fix: Optional[str],
-                         energy_bound) -> list[ConePoint]:
-    """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound.
+                         energy_bound) -> list[tuple[int, tuple, str]]:
+    """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound, as sorted
+    (120 Q(mu), coords, branch) tuples with branch "P" or "N".
 
     Branch P is a direct box scan; branch N is obtained from the negation
     bijection N(L + a*rho/2) = -P(L + (10-a)*rho/2), which preserves Q.
-    Completeness below the bound is a hard contract.  Results are sorted.
+    Completeness below the bound is a hard contract.
     """
     if not (0 < a < 10 and a % 2 == 1):
         raise LatticeError("coset label a must be odd with 0 < a < 10")
@@ -82,5 +74,4 @@ def enumerate_coset_cone(a: int, g_fix: Optional[str],
     points += [(num, tuple(-c - 1 for c in coords), "N")
                for num, coords in _positive_branch(10 - a, g_fix, bound)]
     points.sort()
-    return [ConePoint(Fraction(num, DEN), coords, a, branch)
-            for num, coords, branch in points]
+    return points

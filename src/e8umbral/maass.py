@@ -8,8 +8,10 @@ from the cone data, and ring sums stop only once the remaining rings are
 provably below the requested bound; so are the R-function sums that make
 up a completion's Eichler part.  Series-to-number evaluation carries an
 empirical tail estimate (measured coefficient growth times the dropped
-geometric tail) and refuses to report values it cannot back; one loop,
-``_sum_to_tol``, truncates each series (H_r, eta(2 tau)) to its tolerance.
+geometric tail) and refuses to report values it cannot back;
+``_sum_to_tol`` sums each series (H_r, eta(2 tau)) once, at the order
+``_eval_order`` gives for its tolerance (at most 800), and raises
+ConvergenceError when the tail estimate misses the budget there.
 """
 
 from __future__ import annotations
@@ -114,21 +116,17 @@ def _eval_order(y: float, tol: float) -> int:
 
 def _sum_to_tol(series_of_order, tau: complex, tol: float,
                 tail_budget: float) -> tuple[complex, float]:
-    """(value, tail estimate < tail_budget) of series_of_order(n) at tau:
-    the one truncate-to-tolerance loop.  It starts at
-    n = _eval_order(Im tau, tol) and doubles n up to 800."""
+    """(value, tail estimate < tail_budget) of series_of_order(n) at tau,
+    summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
+    tail estimate misses the budget there."""
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
-    order = _eval_order(y, tol)
-    while True:
-        value, tail = series_value(series_of_order(order), tau)
-        if tail < tail_budget:
-            return value, tail
-        if order >= 800:
-            raise ConvergenceError(
-                f"series truncation insufficient for tol {tol} at Im {y}")
-        order = min(order * 2, 800)
+    value, tail = series_value(series_of_order(_eval_order(y, tol)), tau)
+    if not tail < tail_budget:
+        raise ConvergenceError(
+            f"series truncation insufficient for tol {tol} at Im {y}")
+    return value, tail
 
 
 # ----------------------------------------------------------------------

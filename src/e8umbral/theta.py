@@ -4,7 +4,9 @@ exponent-class scan, and the eta-times-j-invariant series.
 S_{m,r}(tau) = sum_k (2km + r) q^((2km+r)^2 / 4m) is the z-derivative at
 z = 0 of the index-m Jacobi theta function; the shadows of the assembled
 vector-valued series are the permutation character times fixed four-term
-combinations of S_{30,r}.
+combinations of S_{30,r}.  Exponents are generated as integer numerators
+over DEN = 120, and the theta-constant scan compares squares mod 4n, so
+neither builds a Fraction per term.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 from .characters import (FAMILY_1, FAMILY_7, GroupClass, MockFormVector,
                          component_family)
-from .qseries import (DEN, GradingError, QSeries, SeriesError,
+from .qseries import (DEN, GradingError, QSeries, SeriesError, _cap,
                       _order_value, dedekind_eta, eta_quotient)
 
 
@@ -24,6 +26,7 @@ def S_unary(m: int, r: int, order) -> QSeries:
     """S_{m,r} = sum_{k in Z} (2km + r) q^((2km+r)^2/4m), truncated.
 
     The grading denominator DEN = 120 must be divisible by 4m: m | 30.
+    The exponent numerator of v = 2km + r is v^2 DEN/4m.
     """
     if m <= 0:
         raise SeriesError("index m must positive")
@@ -31,43 +34,17 @@ def S_unary(m: int, r: int, order) -> QSeries:
         raise GradingError(
             f"denominator {DEN} too coarse for theta index {m}")
     ordv = _order_value(order)
+    cap = _cap(ordv)
+    step = DEN // (4 * m)
     coeffs: dict[int, int] = {}
     # |2km + r| <= sqrt(4 m order) bounds the summation range
-    vmax = math.isqrt(math.ceil(4 * m * ordv)) + 2 * m + abs(r)
+    vmax = math.isqrt(max(cap // step, 0)) + 2 * m + abs(r)
     kmax = (vmax + abs(r)) // (2 * m) + 1
     for k in range(-kmax, kmax + 1):
         v = 2 * k * m + r
-        e = Fraction(v * v, 4 * m)
-        if e > ordv:
-            continue
-        en = int(e * DEN)
-        coeffs[en] = coeffs.get(en, 0) + v
-    return QSeries(coeffs, ordv)
-
-
-def g_scaled_series(char_numer: int, two_m: int, order) -> QSeries:
-    """q-expansion of g_{a,0}(2m tau) for a = char_numer/(2m), where
-    g_{a,0}(tau) = sum_{nu in a+Z} nu q^(nu^2/2).
-
-    Termwise this equals S_{m,r}(tau)/(2m) with r = char_numer: the scaled
-    exponent is 2m * nu^2/2 = (2km+r)^2/4m and the coefficient nu is
-    (2km+r)/2m.  (The factor-2 argument scaling is forced by the exponent
-    arithmetic; the sibling identities for the R-functions use the same
-    normalization.)
-    """
-    ordv = _order_value(order)
-    m2 = two_m
-    coeffs: dict[int, Fraction] = {}
-    kmax = (math.isqrt(math.ceil(2 * m2 * ordv)) + abs(char_numer)) // m2 + 2
-    for k in range(-kmax, kmax + 1):
-        nu = Fraction(char_numer + m2 * k, m2)
-        e = m2 * nu * nu / 2
-        if e > ordv:
-            continue
-        en = e * DEN
-        if en.denominator != 1:
-            raise GradingError("scaled theta derivative exponent off-grid")
-        coeffs[int(en)] = coeffs.get(int(en), 0) + nu
+        en = v * v * step
+        if en <= cap:
+            coeffs[en] = coeffs.get(en, 0) + v
     return QSeries(coeffs, ordv)
 
 
@@ -116,32 +93,33 @@ class NullwerteReport:
         return not self.hits
 
 
+# the polar exponent classes mod 1 of the two nonzero component families
+NULLWERTE_TARGETS = (Fraction(119, 120), Fraction(71, 120))
+
+
 def thetanullwerte_class_check(max_divisor_base: int = 30) -> NullwerteReport:
     """Scan theta constants theta0_{n,r} for n dividing the base.
 
     theta0_{n,r}(tau) = sum_k q^((2kn+r)^2/4n) has all its exponents in a
     single class mod 1; the scan runs k over a full period mod 2n and
-    records any (n, r) whose class hits 119/120 or 71/120, the polar
-    exponent classes of the two nonzero component families.  An empty hit
-    list is the computational content of the uniqueness argument.
+    records any (n, r) whose class hits a class t of NULLWERTE_TARGETS.
+    In integers: v^2/4n = t mod 1 iff v^2 = 4nt mod 4n, which needs 4nt
+    integral.  An empty hit list is the computational content of the
+    uniqueness argument.
     """
-    targets = (Fraction(119, 120), Fraction(71, 120))
     hits = []
     checked = 0
     for n in range(1, max_divisor_base + 1):
         if max_divisor_base % n:
             continue
+        residues = [(t, x.numerator) for t in NULLWERTE_TARGETS
+                    if (x := 4 * n * t).denominator == 1]
         for r in range(2 * n):
             checked += 1
-            classes = set()
-            for k in range(2 * n):
-                v = 2 * k * n + r
-                e = Fraction(v * v, 4 * n)
-                classes.add(e - math.floor(e))
-            for t in targets:
-                if t in classes:
-                    hits.append((n, r, t))
-    return NullwerteReport(max_divisor_base, targets, tuple(hits), checked)
+            classes = {(2 * k * n + r) ** 2 % (4 * n) for k in range(2 * n)}
+            hits.extend((n, r, t) for t, res in residues if res in classes)
+    return NullwerteReport(max_divisor_base, NULLWERTE_TARGETS, tuple(hits),
+                           checked)
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,7 @@ def q_norm(u) -> Fraction:
     return pair(u, u) / 2
 
 
-def cone_mu(point) -> tuple:
-    """The vector mu = coords + (a/10)(1, 1, 1) of a cone point."""
-    s = Fraction(point.coset_a, 10)
-    return tuple(c + s for c in point.coords)
+def cone_mu(coords, a) -> tuple:
+    """The vector mu = coords + (a/10)(1, 1, 1) of a point of L + a rho/2."""
+    s = Fraction(a, 10)
+    return tuple(c + s for c in coords)

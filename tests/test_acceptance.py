@@ -35,7 +35,7 @@ from e8umbral.maass import (IndefThetaData, indefinite_theta,
 from e8umbral.mocktheta import (hecke_double_sum, ramanujan_series,
                                 zwegers_triple_sum)
 from e8umbral.qseries import QSeries, dedekind_eta, euler_product
-from e8umbral.theta import (S_unary, eta_J_coefficients, g_scaled_series,
+from e8umbral.theta import (S_unary, eta_J_coefficients,
                             thetanullwerte_class_check)
 
 TABLE_A1 = {
@@ -237,14 +237,12 @@ def test_criterion_11_property_suites():
         coeffs[e * 120 + 10] = coeffs.get(e * 120 + 10, 0) + (-1) ** (k % 2)
     assert QSeries(coeffs, 30).same_up_to(dedekind_eta(2, 30), 30)
 
-    # S symmetries and the scaled-theta relation
+    # S symmetries
     for _ in range(8):
         m = rng.choice((1, 2, 3, 5, 6, 10, 15, 30))    # 4m divides 120
         r = rng.randrange(-2 * m, 2 * m)
         assert S_unary(m, r, 8) == -S_unary(m, -r, 8)
         assert S_unary(m, r, 8) == S_unary(m, r + 2 * m, 8)
-    for r in (1, 13, 29):
-        assert g_scaled_series(r, 60, 10) == S_unary(30, r, 10).scale(F(1, 60))
 
     # indefinite theta antisymmetry
     data = order2_theta_data(1)

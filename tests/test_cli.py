@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from e8umbral.characters import trace_closed
 from e8umbral.cli import main
 
 
@@ -82,11 +83,14 @@ def test_output_determinism(capsys):
 
 
 def test_verify_exact_passes(capsys):
+    trace_closed.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
                            "--order", "12")
     assert code == 0
     assert "checks passed" in out
     assert "[FAIL]" not in out
+    # the identities and the closed-vs-direct loop share one trace cache
+    assert trace_closed.cache_info().misses == 30
 
 
 def test_verify_corrupt_hook_fails(capsys):

@@ -8,7 +8,8 @@ from oracles import RHO, cone_mu, pair, q_norm
 
 
 def brute_scan(a, bound, fix=None, box=12):
-    """Naive large-box oracle straight from the definitions."""
+    """Naive large-box oracle straight from the definitions: sorted
+    (120 Q(mu), coords, branch) for mu = coords + a rho/2 in the cone."""
     out = []
     for k in range(-box, box + 1):
         for l in range(-box, box + 1):
@@ -26,7 +27,9 @@ def brute_scan(a, bound, fix=None, box=12):
                     continue
                 qv = q_norm(mu)
                 if qv <= bound:
-                    out.append((qv, (k, l, m), a, branch))
+                    num = qv * 120
+                    assert num.denominator == 1
+                    out.append((int(num), (k, l, m), branch))
     return sorted(out)
 
 
@@ -48,54 +51,50 @@ def test_dual_basis_property():
 
 
 def test_minimal_point_coset_one():
-    pts = enumerate_coset_cone(1, None, F(3, 40))
-    assert len(pts) == 1
-    p = pts[0]
-    assert p.coords == (0, 0, 0) and p.branch == "P" and p.q == F(3, 40)
+    # Q = 3/40 = 9/120
+    assert enumerate_coset_cone(1, None, F(3, 40)) == [(9, (0, 0, 0), "P")]
 
 
 def test_sigma_fixed_coset_five():
-    pts = enumerate_coset_cone(5, "sigma", F(15, 8))
-    assert [(p.coords, p.branch) for p in pts] == \
-        [((-1, -1, -1), "N"), ((0, 0, 0), "P")]
-    assert all(p.q == F(15, 8) for p in pts)
+    # Q = 15/8 = 225/120 on both points
+    assert enumerate_coset_cone(5, "sigma", F(15, 8)) == \
+        [(225, (-1, -1, -1), "N"), (225, (0, 0, 0), "P")]
 
 
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
 @pytest.mark.parametrize("fix", [None, "tau", "sigma"])
 def test_completeness_against_box_oracle(a, fix):
-    got = [(p.q, p.coords, p.coset_a, p.branch)
-           for p in enumerate_coset_cone(a, fix, 10)]
-    assert got == brute_scan(a, F(10), fix)
+    assert enumerate_coset_cone(a, fix, 10) == brute_scan(a, F(10), fix)
 
 
 def test_branch_sign_conditions_and_q():
-    for p in enumerate_coset_cone(7, None, 8):
-        mu = cone_mu(p)
-        if p.branch == "P":
+    for num, coords, branch in enumerate_coset_cone(7, None, 8):
+        mu = cone_mu(coords, 7)
+        if branch == "P":
             assert all(c >= 0 for c in mu)
         else:
             assert all(c < 0 for c in mu)
-        assert q_norm(mu) == p.q
-        assert p.q > 0
+        assert q_norm(mu) * 120 == num
+        assert num > 0
 
 
 def test_negation_symmetry():
     for a in (1, 3, 7, 9):
-        n_pts = sorted((p.q, p.coords) for p in
-                       enumerate_coset_cone(a, None, 6) if p.branch == "N")
-        p_pts = sorted((p.q, tuple(-c - 1 for c in p.coords)) for p in
+        n_pts = sorted((num, coords) for num, coords, branch in
+                       enumerate_coset_cone(a, None, 6) if branch == "N")
+        p_pts = sorted((num, tuple(-c - 1 for c in coords))
+                       for num, coords, branch in
                        enumerate_coset_cone(10 - a, None, 6)
-                       if p.branch == "P")
+                       if branch == "P")
         assert n_pts == p_pts
 
 
 def test_positive_branch_square_bound():
     # on branch P the cross terms are non-negative: Q >= sum(coords^2)/2
-    for p in enumerate_coset_cone(3, None, 9):
-        if p.branch == "P":
-            mu = cone_mu(p)
-            assert p.q >= sum(c * c for c in mu) / 2
+    for num, coords, branch in enumerate_coset_cone(3, None, 9):
+        if branch == "P":
+            mu = cone_mu(coords, 3)
+            assert num >= 60 * sum(c * c for c in mu)
 
 
 def test_coset_label_validation():

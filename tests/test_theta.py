@@ -3,17 +3,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.characters import CLASSES
+from e8umbral import theta
+from e8umbral.characters import CLASSES, component_family
 from e8umbral.qseries import GradingError
-from e8umbral.theta import (S_unary, eta_J_coefficients, g_scaled_series,
-                            shadow_component, shadow_vector,
-                            thetanullwerte_class_check)
+from e8umbral.theta import (S_unary, eta_J_coefficients, shadow_component,
+                            shadow_vector, thetanullwerte_class_check)
 
 
 def test_s30_leading_term():
     s = S_unary(30, 1, 10)
     assert s.coefficient(F(1, 120)) == 1
     assert s.valuation() == F(1, 120)
+    # a negative order leaves the zero series, as for the other builders
+    for order in (-1, F(-1, 2)):
+        s = S_unary(30, 1, order)
+        assert s.is_zero and s.order == order
+        assert shadow_component(CLASSES["1A"], 1, order).is_zero
 
 
 def test_s_symmetries_randomized():
@@ -29,13 +34,6 @@ def test_s_symmetries_randomized():
 def test_grading_guard():
     with pytest.raises(GradingError):
         S_unary(7, 1, 5)
-
-
-def test_scaled_theta_derivative_relation():
-    # g_{r/60,0} at the doubled argument equals S_{30,r}/60 termwise
-    for r in (1, 7, 11, 13, 23, 29):
-        g = g_scaled_series(r, 60, 12)
-        assert g == S_unary(30, r, 12).scale(F(1, 60))
 
 
 def test_shadow_vector_components():
@@ -76,9 +74,21 @@ def test_nullwerte_scan_base90_empty():
 
 
 def test_nullwerte_scan_sees_planted_target():
-    # sanity: the scan logic does report hits when a target class exists
     rep = thetanullwerte_class_check(2)
     assert rep.empty                    # n in {1,2}: classes are k^2/4 mod 1
+
+
+def test_nullwerte_scan_reports_reachable_targets(monkeypatch):
+    # positive control: r^2/120 mod 1 is 1/120 on the 1-family residues and
+    # 49/120 on the 7-family ones, and only n = 30 has 4n t integral
+    planted = (F(1, 120), F(49, 120))
+    monkeypatch.setattr(theta, "NULLWERTE_TARGETS", planted)
+    rep = thetanullwerte_class_check(30)
+    want = tuple((30, r, planted[component_family(r)[0] != 1])
+                 for r in range(60) if component_family(r))
+    assert len(want) == 16
+    assert rep.hits == want
+    assert rep.targets == planted and rep.pairs_checked == 144
 
 
 def test_eta_j_coefficients():
