@@ -17,7 +17,7 @@ from .lattice import enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          MockFormVector, TraceId, all_trace_ids, assemble_H,
                          fermion_trace, h_component, heisenberg_trace,
-                         trace_closed, trace_direct, trace_series)
+                         trace_closed, trace_direct)
 from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)
 from .theta import (NullwerteReport, S_unary, eta_J_coefficients,

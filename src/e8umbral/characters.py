@@ -55,18 +55,17 @@ class GroupClass:
 
     name: str
     permutation: tuple[int, int, int]   # images of indices (0, 1, 2)
-    perm_character: int                 # number of fixed basis vectors
     order: int
 
-    def __post_init__(self):
-        fixed = sum(1 for i, p in enumerate(self.permutation) if i == p)
-        if fixed != self.perm_character:
-            raise ValueError("permutation character must count fixed points")
+    @property
+    def perm_character(self) -> int:
+        """The number of fixed basis vectors."""
+        return sum(1 for i, p in enumerate(self.permutation) if i == p)
 
 
-CLASS_1A = GroupClass("1A", (0, 1, 2), 3, 1)
-CLASS_2A = GroupClass("2A", (1, 0, 2), 1, 2)
-CLASS_3A = GroupClass("3A", (1, 2, 0), 0, 3)
+CLASS_1A = GroupClass("1A", (0, 1, 2), 1)
+CLASS_2A = GroupClass("2A", (1, 0, 2), 2)
+CLASS_3A = GroupClass("3A", (1, 2, 0), 3)
 
 CLASSES = {"1A": CLASS_1A, "2A": CLASS_2A, "3A": CLASS_3A}
 
@@ -258,7 +257,7 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
 
 
 # ----------------------------------------------------------------------
-# symmetry normalization and the McKay-Thompson vector
+# the McKay-Thompson vector
 
 
 def h_component(group_class: GroupClass, r: int, order) -> QSeries:
@@ -300,36 +299,3 @@ def assemble_H(group_class: GroupClass, order) -> MockFormVector:
                           {r: h_component(group_class, r, ordv)
                            for r in range(60) if component_family(r)},
                           ordv)
-
-
-def trace_symmetry_sign(group_class: GroupClass, a: int) -> tuple[int, int]:
-    """Reduce an arbitrary odd coset label to (representative in
-    {1,3,5,7,9}, sign) consistently with the closed formulas.
-
-    The octant sums are 20-periodic in a and satisfy two exact relations:
-    negating the summation index gives F(g, 10-a) = -F(g, a) for every
-    class, and shifting the coset representative by 5*rho gives
-    F(g, a+10) = -F(g, a) for the order-1 and order-3 classes but
-    F(g, a+10) = +F(g, a) for the order-2 class (the representative enters
-    the order-2 sign rule through an extra dual-basis pairing of even
-    weight).  Together these reproduce F(g, -a) = +-F(g, a) with + exactly
-    when the class order is 1 or 3.
-    """
-    if a % 2 == 0:
-        raise ValueError("coset label must be odd")
-    eps10 = 1 if group_class.order == 2 else -1
-    sign = 1
-    a = a % 20
-    if a > 10:
-        a -= 10
-        sign *= eps10
-    return a, sign
-
-
-def trace_series(group_class: GroupClass, a: int, clifford_sign: int,
-                 order) -> QSeries:
-    """Closed-route trace for any odd coset label, normalized into
-    {1,3,5,7,9} with the sign carried explicitly."""
-    rep, sgn = trace_symmetry_sign(group_class, a)
-    t = trace_closed(TraceId(group_class, rep, clifford_sign), order)
-    return t.scale(sgn)

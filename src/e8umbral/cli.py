@@ -100,7 +100,10 @@ def _exact_checks(order: int, corrupt: bool):
         diff = c.first_difference(d, order)
         if diff is not None:
             ok = False
-            detail.append(f"{tid} first discrepancy at q^({diff[0]})")
+            e, closed, direct = diff
+            detail.append(f"{tid.group_class.name} a={tid.coset_a} "
+                          f"sign={tid.clifford_sign:+d} first discrepancy "
+                          f"at q^({e}): {closed} vs {direct}")
     label = (f"[ok]   closed vs direct route, all 30 trace functions "
              f"(order {order})" if ok else
              "[FAIL] closed vs direct route: " + "; ".join(detail))

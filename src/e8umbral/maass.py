@@ -11,13 +11,16 @@ empirical tail estimate (measured coefficient growth times the dropped
 geometric tail) and refuses to report values it cannot back;
 ``_sum_to_tol`` sums each series (H_r, eta(2 tau)) once, at the order
 ``_eval_order`` gives for its tolerance (at most 800), and raises
-ConvergenceError when the tail estimate misses the budget there.
+ConvergenceError when the tail estimate misses the budget there, or
+NumericsError when the tolerance is below the double precision of the
+value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,7 +121,8 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
                 tail_budget: float) -> tuple[complex, float]:
     """(value, tail estimate < tail_budget) of series_of_order(n) at tau,
     summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
-    tail estimate misses the budget there."""
+    tail estimate misses the budget there, NumericsError if tol is below
+    the double precision of the value."""
     y = tau.imag
     if y <= 0:
         raise NumericsError("tau must lie in the upper half plane")
@@ -126,6 +130,9 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
     if not tail < tail_budget:
         raise ConvergenceError(
             f"series truncation insufficient for tol {tol} at Im {y}")
+    if tol < sys.float_info.epsilon * abs(value):
+        raise NumericsError(f"tol {tol} is below double precision at a "
+                            f"value of size {abs(value):.1e}")
     return value, tail
 
 
@@ -476,28 +483,32 @@ def nu_S() -> tuple:
     return ((p, q), (q, -p))
 
 
-def _sl2_word(gamma) -> list[str]:
+def _sl2_word(gamma) -> tuple[list[str], int]:
     """Decompose gamma in SL2(Z) into tokens 'S', 'T', 'T-' composing
-    left-to-right to gamma."""
+    left-to-right to gamma, with the sign by which the product of the
+    generator lifts differs from Kubota's section at gamma.
+
+    At gamma = T^n S gamma' the sign picks up Kubota's cocycle
+    sigma(S, gamma') = -1 exactly when x(gamma') > 0 > c, where x(g) is the
+    lower-left entry of g, or its lower-right entry when that is 0; a T on
+    the left contributes 1.  The base case S^2 T^(-b) = -T^(-b) lifts to
+    -1 times the section, whose square root of d = -1 is -i.
+    """
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise NumericsError("matrix must have determinant 1")
     if c == 0:
         if a == 1:
-            return ["T"] * b if b >= 0 else ["T-"] * (-b)
+            return (["T"] * b if b >= 0 else ["T-"] * (-b)), 1
         # a = d = -1: gamma = S^2 T^(-b)
-        return ["S", "S"] + (["T-"] * b if b >= 0 else ["T"] * (-b))
+        return ["S", "S"] + (["T-"] * b if b >= 0 else ["T"] * (-b)), -1
     n = a // c
-    rest = _sl2_word(((c, d), (-(a - n * c), -(b - n * d))))
+    c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
+    word, sign = _sl2_word(((c, d), (c2, d2)))
+    if (c2 or d2) > 0 > c:
+        sign = -sign
     head = ["T"] * n if n >= 0 else ["T-"] * (-n)
-    return head + ["S"] + rest
-
-
-_GEN_MATRICES = {
-    "S": ((0, -1), (1, 0)),
-    "T": ((1, 1), (0, 1)),
-    "T-": ((1, -1), (0, 1)),
-}
+    return head + ["S"] + word, sign
 
 
 def _mat_mul(p, q):
@@ -507,45 +518,27 @@ def _mat_mul(p, q):
              p[1][0] * q[0][1] + p[1][1] * q[1][1]))
 
 
-def _moebius(m, tau: complex) -> complex:
-    (a, b), (c, d) = m
-    return (a * tau + b) / (c * tau + d)
-
-
 def multiplier_matrix(gamma) -> tuple:
     """nu(gamma) for the metaplectic lift of gamma carrying the principal
     branch of (c tau + d)^(1/2), as the tuple ((a, b), (c, d)) of complex
     numbers.
 
-    The word in S, T is lifted generator by generator while tracking the
-    branch function at a base point; a residual sign relative to the
-    principal branch multiplies the matrix product by -1 (the image of the
+    The product of nu over the S, T word of gamma is the multiplier of the
+    product of the generator lifts; its sign against the principal branch
+    is Kubota's integer cocycle, from _sl2_word, flipped once more when
+    c = 0 > d, where Kubota's section takes sqrt(d) = -i sqrt(|d|) and the
+    principal branch +i sqrt(|d|).  The sign is the image of the
     nontrivial deck element, consistent with nu(S)^2 = (nu(S) nu(T))^3 =
-    e(-1/4) Id).
+    e(-1/4) Id.
     """
-    word = _sl2_word(gamma)
-    tau0 = 0.2347 + 1.7113j
-    mat = ((1, 0), (0, 1))
-    phi = 1.0 + 0.0j
-    for tok in reversed(word):
-        g = _GEN_MATRICES[tok]
-        if tok == "S":
-            phi = cmath.sqrt(_moebius(mat, tau0)) * phi
-        mat = _mat_mul(g, mat)
-    if mat != tuple(tuple(row) for row in gamma):
-        raise NumericsError("word decomposition failed")
-    (a, b), (c, d) = gamma
-    eps = phi / cmath.sqrt(c * tau0 + d)
-    if abs(eps - 1.0) < 1e-8:
-        sign = 1.0
-    elif abs(eps + 1.0) < 1e-8:
-        sign = -1.0
-    else:
-        raise NumericsError(f"metaplectic sign tracking failed ({eps})")
+    word, sign = _sl2_word(gamma)
+    c, d = gamma[1]
+    if c == 0 > d:
+        sign = -sign
     nut = nu_T()
     gens = {"S": nu_S(), "T": nut,   # nu(T)^-1 is the conjugate diagonal
             "T-": tuple(tuple(z.conjugate() for z in row) for row in nut)}
-    prod = ((sign, 0j), (0j, sign))
+    prod = ((float(sign), 0j), (0j, float(sign)))
     for tok in word:
         prod = _mat_mul(prod, gens[tok])
     return prod

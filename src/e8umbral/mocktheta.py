@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Optional
 
@@ -63,10 +62,17 @@ def _apply(p: list, k: int, s: int, e: int) -> None:
             p[i] += s * p[i - k]
 
 
-@lru_cache(maxsize=None)
-def _ramanujan_cached(name: str, order: Fraction) -> QSeries:
+def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
+    """One of the six fifth-order series, optionally evaluated at -q."""
+    if name not in _SERIES:
+        raise SeriesError(f"unknown series {name!r}")
+    if argument_sign not in (1, -1):
+        raise SeriesError("argument_sign must be +1 or -1")
+    ordv = _order_value(order)
+    if _is_inf(ordv):
+        raise SeriesError(f"series {name!r} needs a finite truncation order")
     valuation, first, step = _SERIES[name]
-    top = math.floor(order)
+    top = math.floor(ordv)
     total = [0] * (top + 1)
     p = [1] + [0] * top
     for factor in first:
@@ -78,19 +84,7 @@ def _ramanujan_cached(name: str, order: Fraction) -> QSeries:
         for factor in step(n):
             _apply(p, *factor)
         n += 1
-    return QSeries({DEN * e: c for e, c in enumerate(total) if c}, order)
-
-
-def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
-    """One of the six fifth-order series, optionally evaluated at -q."""
-    if name not in _SERIES:
-        raise SeriesError(f"unknown series {name!r}")
-    if argument_sign not in (1, -1):
-        raise SeriesError("argument_sign must be +1 or -1")
-    ordv = _order_value(order)
-    if _is_inf(ordv):
-        raise SeriesError(f"series {name!r} needs a finite truncation order")
-    s = _ramanujan_cached(name, ordv)
+    s = QSeries({DEN * e: c for e, c in enumerate(total) if c}, ordv)
     return s if argument_sign == 1 else s.substitute_minus_q()
 
 

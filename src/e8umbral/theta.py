@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .characters import (FAMILY_1, FAMILY_7, GroupClass, MockFormVector,
                          component_family)
@@ -130,7 +129,6 @@ def _sigma3(n: int) -> int:
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
 
 
-@lru_cache(maxsize=None)
 def eta_J_coefficients(order) -> QSeries:
     """eta(tau) * J(tau) with J = E4^3/Delta - 744 = q^-1 + O(q).
 

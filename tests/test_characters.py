@@ -7,8 +7,7 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  assemble_H, component_family,
                                  fermion_trace, h_component,
                                  heisenberg_trace, trace_closed,
-                                 trace_direct, trace_series,
-                                 trace_symmetry_sign)
+                                 trace_direct)
 from e8umbral.qseries import euler_product
 from e8umbral.theta import shadow_component
 
@@ -101,29 +100,6 @@ def test_coset_five_vanishes():
     for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
         assert trace_closed(TraceId(cls, 5, -1), 12).is_zero
         assert trace_direct(TraceId(cls, 5, -1), 12).is_zero
-
-
-def test_normalized_label_reduction():
-    # a = -1 computes as a = 9 with the carried sign
-    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
-        rep, sign = trace_symmetry_sign(cls, -1)
-        assert rep == 9
-        got = trace_series(cls, -1, -1, 8)
-        want = trace_closed(TraceId(cls, 9, -1), 8).scale(sign)
-        assert got.same_up_to(want, 8)
-        # and the minus-a relation with the class-order sign
-        direct = trace_closed(TraceId(cls, 1, -1), 8)
-        expect = direct if cls.order != 2 else -direct
-        assert got.same_up_to(expect, 8)
-
-
-def test_normalized_label_seven():
-    # label 17 = 7 + 10 reduces with the class-dependent shift sign
-    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
-        t17 = trace_series(cls, 17, -1, 8)
-        t7 = trace_closed(TraceId(cls, 7, -1), 8)
-        expect = t7 if cls.order == 2 else -t7
-        assert t17.same_up_to(expect, 8)
 
 
 def test_assembled_vector_structure():

@@ -8,12 +8,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from e8umbral.characters import trace_closed
+from e8umbral import cli
+from e8umbral.characters import CLASS_2A, TraceId, trace_closed
 from e8umbral.cli import main
+from e8umbral.qseries import QSeries
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +103,31 @@ def test_verify_corrupt_hook_fails(capsys):
     assert "[FAIL]" in out
 
 
+def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
+    # one coefficient of the direct route off by one: exactly one failed
+    # check, naming the trace id and the exponent plainly
+    real = cli.trace_direct
+    bad_id = TraceId(CLASS_2A, 3, 1)
+
+    def corrupted(tid, order):
+        d = real(tid, order)
+        if tid != bad_id:
+            return d
+        e = min(d.coeffs)
+        return d + QSeries({e: 1}, d.order)
+
+    monkeypatch.setattr(cli, "trace_direct", corrupted)
+    e = min(real(bad_id, 8).coeffs)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
+                           "--order", "8")
+    assert code == 1
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert len(fails) == 1
+    assert f"2A a=3 sign=+1 first discrepancy at q^({F(e, 120)}): " \
+        in fails[0]
+    assert "GroupClass" not in fails[0]
+
+
 def test_eval_series_value(capsys):
     code, out, _ = run_cli(capsys, "eval", "--class", "1A", "--r", "1",
                            "--tau", "0+1i")
@@ -182,11 +210,18 @@ def test_eval_tau_with_leading_minus(capsys):
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.002i"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.25+20000i"], 3),
     (["eval", "--class", "2A", "--r", "7", "--tau=0.1+1e-320i"], 3),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.5i",
+      "--tol", "1e-300"], 3),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.5i",
+      "--tol", "1e-300", "--completion"], 3),
+    (["table", "--component", "7", "--max-row", "70"], 2),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     # the exit-3 cases are real: at Im tau = 0.01, 0.002 and 1e-320 the
-    # series needs more than the order-800 cap, and at Im tau = 20000 the
-    # polar term q^(-1/120) overflows a double
+    # series needs more than the order-800 cap, at Im tau = 20000 the
+    # polar term q^(-1/120) overflows a double, and tol 1e-300 is below
+    # the double precision of a value of size 2.  The 7-component table
+    # starts at row 71, so max-row 70 leaves no row.
     try:
         got = main(argv)
     except SystemExit as exc:

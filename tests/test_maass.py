@@ -266,7 +266,9 @@ def test_multiplier_relations():
 
 
 def test_multiplier_word_consistency():
-    # nu built by word decomposition respects the group law numerically
+    # nu built by word decomposition respects the group law numerically,
+    # also at gamma with c = 0 > d (-I, -T^m and the negated words), where
+    # the principal branch of sqrt(d) is +i sqrt(|d|)
     rng = random.Random(3)
     from e8umbral.maass import _mat_mul
 
@@ -277,9 +279,12 @@ def test_multiplier_word_consistency():
             m = _mat_mul(m, ((0, -1), (1, 0)))
         return m
 
+    def neg(g):
+        return tuple(tuple(-x for x in row) for row in g)
+
     tau0 = 0.21 + 1.3j
-    for _ in range(6):
-        g1, g2 = rand_gamma(), rand_gamma()
+
+    def check(g1, g2):
         g12 = _mat_mul(g1, g2)
         n1, n2, n12 = (np.array(multiplier_matrix(g))
                        for g in (g1, g2, g12))
@@ -290,6 +295,19 @@ def test_multiplier_word_consistency():
                               / j(g2, tau0))) * cmath.sqrt(j(g2, tau0)) \
             / cmath.sqrt(j(g12, tau0))
         assert np.abs(n12 - sigma.real * (n1 @ n2)).max() < 1e-10
+
+    minus_t = [((-1, -m), (0, -1)) for m in (-3, 0, 4)]   # -T^m; m = 0: -I
+    for _ in range(6):
+        g1, g2 = rand_gamma(), rand_gamma()
+        for h1 in (g1, neg(g1)):
+            for h2 in (g2, neg(g2)):
+                check(h1, h2)
+        for mt in minus_t:
+            check(mt, g1)
+            check(g1, mt)
+    for mt1 in minus_t:
+        for mt2 in minus_t:
+            check(mt1, mt2)
 
 
 @pytest.mark.parametrize("cls,gens", [

@@ -73,11 +73,6 @@ def test_nullwerte_scan_base90_empty():
     assert rep.pairs_checked == 468
 
 
-def test_nullwerte_scan_sees_planted_target():
-    rep = thetanullwerte_class_check(2)
-    assert rep.empty                    # n in {1,2}: classes are k^2/4 mod 1
-
-
 def test_nullwerte_scan_reports_reachable_targets(monkeypatch):
     # positive control: r^2/120 mod 1 is 1/120 on the 1-family residues and
     # 49/120 on the 7-family ones, and only n = 30 has 4n t integral
