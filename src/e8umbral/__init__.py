@@ -25,7 +25,8 @@ from .theta import (NullwerteReport, S_unary, eta_J_coefficients,
                     thetanullwerte_class_check)
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, e_function,
-                    indefinite_theta, multiplier_matrix, nu_S, nu_T,
+                    indefinite_theta, modular_value_1a,
+                    multiplier_matrix, nu_S, nu_T,
                     r_function, rho_3_3, series_value, tau1_identity_check,
                     theta_split_check, transform_check)
 

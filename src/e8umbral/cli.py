@@ -1,10 +1,11 @@
 """Command-line interface: coefficient tables, verification suites, and
 point evaluation of the (completed) components.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (one line
-on stderr), 3 a numeric evaluation, of the series alone or of the
-completion, that cannot reach the requested tolerance or whose value
-overflows a double (one line on stderr).  Exponents are serialized as
+Exit codes: 0 success, 1 verification failure (or stdout closed by its
+reader before the output was written, which prints nothing), 2 usage
+error (one line on stderr), 3 a numeric evaluation, of the series alone
+or of the completion, that cannot reach the requested tolerance or whose
+value overflows a double (one line on stderr).  Exponents are serialized as
 integer numerators over the declared denominator 120, never as floats,
 so table output is byte-stable across runs.
 """
@@ -14,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
     all_trace_ids, component_family, h_component, trace_closed, trace_direct
 from .maass import NumericsError, completion_value, component_value, \
-    tau1_identity_check, transform_check
+    modular_value_1a, tau1_identity_check, transform_check
 from .mocktheta import IdentityReport, identity_suite
 from .theta import thetanullwerte_class_check
 
@@ -179,13 +181,13 @@ def cmd_eval(args) -> int:
         return 2
     cls = CLASSES[args.group_class]
     tol = args.tol
-    if args.completion:
-        value = completion_value(cls, r, tau, tol)
-        est = tol
-        kind = "completed"
+    if cls is CLASS_1A:
+        value, est = modular_value_1a(r, tau, tol, args.completion)
+    elif args.completion:
+        value, est = completion_value(cls, r, tau, tol), tol
     else:
         value, est = component_value(cls, r, tau, tol, tol)
-        kind = "series"
+    kind = "completed" if args.completion else "series"
     print(f"H[{args.group_class}, r={r}]({args.tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "
           f"({kind}; est. error <= {max(est, 0.0):.1e})")
@@ -269,10 +271,19 @@ def main(argv=None) -> int:
             break
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout early: point stdout at devnull, so that
+        # the flush at exit raises nothing more, and exit 1 as Python does
+        # on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

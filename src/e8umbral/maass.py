@@ -14,6 +14,15 @@ geometric tail) and refuses to report values it cannot back;
 ConvergenceError when the tail estimate misses the budget there, or
 NumericsError when the tolerance is below the double precision of the
 value.
+
+Summing at tau itself needs an order of about 1/Im tau, so near a cusp
+it hits that cap.  The 1A pair (H_1, H_7) is a weight-1/2 form on all of
+SL2(Z), so modular_value_1a instead maps tau into the fundamental domain
+in exact rationals, sums the completion there at a 40-term order, and
+pulls it back through the multiplier nu, whose T^n factors are one
+diagonal each.  completion_value, component_value and the checks
+(transform_check, tau1_identity_check) keep summing at the point they
+are given, so a check stays independent of the route it checks.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import (CLASS_2A, FAMILY_1, FAMILY_7, GroupClass,
+from .characters import (CLASS_1A, CLASS_2A, FAMILY_1, FAMILY_7,
+                         GroupClass,
                          component_family, h_component)
 from .qseries import DEN, QSeries, dedekind_eta
 
@@ -231,15 +241,104 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     return sign * group_class.perm_character * total
 
 
+def _eichler_tail(group_class: GroupClass, tail_bound: float) -> float:
+    """Bound on the error of _eichler_part at R-sum tails tail_bound: one
+    tail per member of the family, times |chi|."""
+    return group_class.perm_character * len(FAMILY_1) * tail_bound
+
+
+def _completion(group_class: GroupClass, r: int, tau: complex,
+                tol: float) -> tuple[complex, float]:
+    """(completed H_r(tau), its tail estimate): H_r(tau) with a tail
+    estimate below tol/5, plus its certified Eichler part (R-sum tails
+    below tol * 1e-12); Re tau is reduced mod 120 as for H_r."""
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
+    value, tail = component_value(group_class, r, tau, tol, tol / 5.0)
+    if group_class.perm_character == 0:
+        return value, tail    # zero shadow: completion equals the series
+    return (value + _eichler_part(group_class, r, tau, tol * 1e-12),
+            tail + _eichler_tail(group_class, tol * 1e-12))
+
+
 def completion_value(group_class: GroupClass, r: int, tau: complex,
                      tol: float = 1e-9) -> complex:
     """H_r(tau) (tail estimate below tol/5) plus its certified Eichler part
-    (R-sum tails below tol * 1e-12); Re tau is reduced mod 120 as for H_r."""
+    (R-sum tails below tol * 1e-12), summed at tau itself; Re tau is
+    reduced mod 120 as for H_r."""
+    return _completion(group_class, r, tau, tol)[0]
+
+
+def _to_fundamental_domain(x: Fraction, y: Fraction) -> tuple:
+    """(gamma, Re gamma tau, Im gamma tau) for gamma in SL2(Z) with
+    gamma tau in the standard fundamental domain (|Re| <= 1/2,
+    |tau| >= 1), tau = x + iy: T^(-round(Re)) and, while |tau| < 1, S,
+    applied alternately in exact rationals.  Each S raises
+    Im gamma tau = y / |c tau + d|^2, which takes discrete values, so the
+    loop ends."""
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        den = (c * x + d) ** 2 + (c * y) ** 2
+        re = ((a * x + b) * (c * x + d) + a * c * y * y) / den
+        n = round(re)
+        a, b = a - n * c, b - n * d
+        if (re - n) ** 2 + (y / den) ** 2 >= 1:
+            return ((a, b), (c, d)), re - n, y / den
+        a, b, c, d = -c, -d, a, b
+
+
+def modular_value_1a(r: int, tau: complex, tol: float,
+                     completion: bool) -> tuple[complex, float]:
+    """(value, est. error) of the 1A component H_r at tau, completed or
+    not, pulled back from the fundamental domain F through the multiplier:
+
+        Hhat(tau) = nu(gamma)^-1 (c tau + d)^(-1/2) Hhat(gamma tau)
+
+    for gamma with gamma tau in F, where Im gamma tau >= sqrt(3)/2 and a
+    short series suffices at any Im tau.  Re tau is reduced mod 120 first
+    (nu(T)^120 = I) and gamma tau is formed in exact rationals of the
+    parsed doubles, so c tau + d loses no digits near a cusp.  nu is
+    unitary, so nu^-1 is its conjugate transpose, and a row of it maps
+    errors (e1, e7) to at most |(e1, e7)|: both components at gamma tau,
+    summed to tol |c tau + d|^(1/2), give an error below tol/3 at tau.
+    When gamma is a translation only the requested component is summed,
+    at tau.  The series is the completion less its Eichler part at tau,
+    a line sum of about Im(tau)^(-1/2) terms.  The error returned is tol
+    for the completion, and for the series the propagated tail estimates
+    plus the Eichler tail.
+    """
+    family, sign = component_family(r)
     tau = complex(math.fmod(tau.real, 120.0), tau.imag)
-    value, _ = component_value(group_class, r, tau, tol, tol / 5.0)
-    if group_class.perm_character == 0:
-        return value          # zero shadow: completion equals the series
-    return value + _eichler_part(group_class, r, tau, tol * 1e-12)
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    gamma, g_re, g_im = _to_fundamental_domain(x, y)
+    c, d = gamma[1]
+    if c == 0:                # the T law is the mod-120 reduction at tau
+        if completion:
+            return completion_value(CLASS_1A, r, tau, tol), tol
+        return component_value(CLASS_1A, r, tau, tol, tol)
+    try:
+        gtau = complex(g_re, g_im)
+    except OverflowError:
+        raise NumericsError(f"the value at tau = {tau} overflows a double")
+    jac = complex(c * x + d, c * y)      # |c tau + d| < 1 here
+    scale = math.sqrt(abs(jac))
+    if tol * scale == 0.0:
+        raise NumericsError(f"tol {tol} is below double precision")
+    try:
+        hats, tails = zip(*(_completion(CLASS_1A, s, gtau, tol * scale)
+                            for s in (1, 7)))
+    except NumericsError as exc:
+        raise type(exc)(f"{exc} (in F, the image of tau = {tau})") \
+            from exc
+    nu = multiplier_matrix(gamma)
+    col = 0 if family == 1 else 1
+    value = sign * (nu[0][col].conjugate() * hats[0]
+                    + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
+    if not cmath.isfinite(value):
+        raise NumericsError(f"the value at tau = {tau} overflows a double")
+    if completion:
+        return value, tol
+    est = math.hypot(*tails) / scale + _eichler_tail(CLASS_1A, tol * 1e-12)
+    return value - _eichler_part(CLASS_1A, r, tau, tol * 1e-12), est
 
 
 # ----------------------------------------------------------------------
@@ -467,10 +566,12 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
 # weight-1/2 multiplier system and transformation residuals
 
 
-def nu_T() -> tuple:
-    """nu(T) on (H_1, H_7), as the tuple ((a, b), (c, d)) of complex
-    numbers."""
-    return ((e(Fraction(-1, 120)), 0j), (0j, e(Fraction(-49, 120))))
+def nu_T(n: int = 1) -> tuple:
+    """nu(T^n) on (H_1, H_7), the diagonal (e(-n/120), e(-49 n/120)) with
+    the exponents reduced mod 120 in integers, as the tuple
+    ((a, b), (c, d)) of complex numbers."""
+    return ((e(Fraction(-(n % 120), 120)), 0j),
+            (0j, e(Fraction(-(49 * n % 120), 120))))
 
 
 def nu_S() -> tuple:
@@ -483,32 +584,32 @@ def nu_S() -> tuple:
     return ((p, q), (q, -p))
 
 
-def _sl2_word(gamma) -> tuple[list[str], int]:
-    """Decompose gamma in SL2(Z) into tokens 'S', 'T', 'T-' composing
-    left-to-right to gamma, with the sign by which the product of the
-    generator lifts differs from Kubota's section at gamma.
+def _sl2_word(gamma) -> tuple[list, int]:
+    """Decompose gamma in SL2(Z) into tokens, 'S' or an integer n standing
+    for T^n, composing left-to-right to gamma, with the sign by which the
+    product of the generator lifts differs from Kubota's section at gamma.
 
     At gamma = T^n S gamma' the sign picks up Kubota's cocycle
     sigma(S, gamma') = -1 exactly when x(gamma') > 0 > c, where x(g) is the
-    lower-left entry of g, or its lower-right entry when that is 0; a T on
-    the left contributes 1.  The base case S^2 T^(-b) = -T^(-b) lifts to
+    lower-left entry of g, or its lower-right entry when that is 0; a T^n
+    on the left contributes 1.  The base case S^2 T^(-b) = -T^(-b) lifts to
     -1 times the section, whose square root of d = -1 is -i.
     """
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise NumericsError("matrix must have determinant 1")
-    if c == 0:
-        if a == 1:
-            return (["T"] * b if b >= 0 else ["T-"] * (-b)), 1
-        # a = d = -1: gamma = S^2 T^(-b)
-        return ["S", "S"] + (["T-"] * b if b >= 0 else ["T"] * (-b)), -1
-    n = a // c
-    c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
-    word, sign = _sl2_word(((c, d), (c2, d2)))
-    if (c2 or d2) > 0 > c:
-        sign = -sign
-    head = ["T"] * n if n >= 0 else ["T-"] * (-n)
-    return head + ["S"] + word, sign
+    word, sign = [], 1
+    while c != 0:
+        n = a // c
+        c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
+        if (c2 or d2) > 0 > c:
+            sign = -sign
+        word += [n, "S"]
+        (a, b), (c, d) = (c, d), (c2, d2)
+    if a == 1:
+        return word + [b], sign
+    # a = d = -1: the rest is S^2 T^(-b)
+    return word + ["S", "S", -b], -sign
 
 
 def _mat_mul(p, q):
@@ -523,24 +624,21 @@ def multiplier_matrix(gamma) -> tuple:
     branch of (c tau + d)^(1/2), as the tuple ((a, b), (c, d)) of complex
     numbers.
 
-    The product of nu over the S, T word of gamma is the multiplier of the
-    product of the generator lifts; its sign against the principal branch
-    is Kubota's integer cocycle, from _sl2_word, flipped once more when
-    c = 0 > d, where Kubota's section takes sqrt(d) = -i sqrt(|d|) and the
-    principal branch +i sqrt(|d|).  The sign is the image of the
+    The product of nu over the S, T^n word of gamma is the multiplier of
+    the product of the generator lifts; its sign against the principal
+    branch is Kubota's integer cocycle, from _sl2_word, flipped once more
+    when c = 0 > d, where Kubota's section takes sqrt(d) = -i sqrt(|d|)
+    and the principal branch +i sqrt(|d|).  The sign is the image of the
     nontrivial deck element, consistent with nu(S)^2 = (nu(S) nu(T))^3 =
-    e(-1/4) Id.
+    e(-1/4) Id.  A power T^n costs one diagonal factor, nu_T(n).
     """
     word, sign = _sl2_word(gamma)
     c, d = gamma[1]
     if c == 0 > d:
         sign = -sign
-    nut = nu_T()
-    gens = {"S": nu_S(), "T": nut,   # nu(T)^-1 is the conjugate diagonal
-            "T-": tuple(tuple(z.conjugate() for z in row) for row in nut)}
     prod = ((float(sign), 0j), (0j, float(sign)))
     for tok in word:
-        prod = _mat_mul(prod, gens[tok])
+        prod = _mat_mul(prod, nu_S() if tok == "S" else nu_T(tok))
     return prod
 
 

@@ -1,10 +1,13 @@
-"""Independent brute-force oracles for the exact-series tests.
+"""Independent brute-force oracles for the exact-series and multiplier
+tests.
 
-Deliberately self-contained: plain dict polynomials over Fraction with no
-imports from the package, so the expected values frozen into the tests
+Deliberately self-contained: plain dict polynomials over Fraction and
+plain 2x2 tuples, with no imports from the package, so the expected values frozen into the tests
 come from a second computational path.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 
@@ -142,3 +145,55 @@ def cone_mu(coords, a) -> tuple:
     """The vector mu = coords + (a/10)(1, 1, 1) of a point of L + a rho/2."""
     s = Fraction(a, 10)
     return tuple(c + s for c in coords)
+
+
+# ----------------------------------------------------------------------
+# the weight-1/2 multiplier on (H_1, H_7), one generator at a time
+
+
+def _e(x) -> complex:
+    return cmath.exp(2j * math.pi * float(x))
+
+
+def _mul2(p, q):
+    (a, b), (c, d) = p
+    (w, x), (y, z) = q
+    return ((a * w + b * y, a * x + b * z), (c * w + d * y, c * x + d * z))
+
+
+def multiplier_by_tokens(gamma) -> tuple:
+    """nu(gamma) as the product of nu(S), nu(T) and nu(T)^-1 over the word
+    of gamma spelled one T at a time, with Kubota's sign: a T^n S on the
+    left of gamma' flips it when x(gamma') > 0 > c (x the lower-left entry,
+    or the lower-right one when that is 0), the base case -T^m flips it,
+    and c = 0 > d flips it once more for the principal branch."""
+    k = 2.0 * _e(Fraction(3, 8)) / math.sqrt(15.0)
+    p = k * (math.sin(math.pi / 30) + math.sin(11 * math.pi / 30))
+    q = k * (math.sin(7 * math.pi / 30) + math.sin(13 * math.pi / 30))
+    gen = {"S": ((p, q), (q, -p)),
+           "T": ((_e(Fraction(-1, 120)), 0j), (0j, _e(Fraction(-49, 120)))),
+           "T-": ((_e(Fraction(1, 120)), 0j), (0j, _e(Fraction(49, 120))))}
+
+    def t_power(n):
+        return ["T"] * n if n >= 0 else ["T-"] * (-n)
+
+    def word(g):
+        (a, b), (c, d) = g
+        if c == 0:
+            return (t_power(b), 1) if a == 1 else \
+                (["S", "S"] + t_power(-b), -1)
+        n = a // c
+        c2, d2 = n * c - a, n * d - b
+        rest, sign = word(((c, d), (c2, d2)))
+        if (c2 or d2) > 0 > c:
+            sign = -sign
+        return t_power(n) + ["S"] + rest, sign
+
+    tokens, sign = word(gamma)
+    c, d = gamma[1]
+    if c == 0 > d:
+        sign = -sign
+    prod = ((complex(sign), 0j), (0j, complex(sign)))
+    for tok in tokens:
+        prod = _mul2(prod, gen[tok])
+    return prod

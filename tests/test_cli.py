@@ -181,6 +181,57 @@ def test_eval_at_large_height(capsys, tau, completion):
     assert abs(value - polar) < 0.01 * abs(polar)
 
 
+def _eval_value(out):
+    parts = out.split(" = ", 1)[1].split()
+    return complex(float(parts[0]), float(parts[1].rstrip("i")))
+
+
+@pytest.mark.parametrize("completion", [False, True])
+def test_eval_1a_huge_real_part(capsys, completion):
+    # 1e300 is an integer: it is reduced mod 120 exactly before the
+    # pull-back, so the value is the one at the reduced real part, and
+    # e(-r^2 k/120) times the one at 0.01i
+    extra = ["--completion"] if completion else []
+    k = int(1e300) % 120
+    for r in (1, 7):
+        values = []
+        for x in ("1e300", str(k), "0"):
+            code, out, _ = run_cli(capsys, "eval", "--class", "1A",
+                                   "--r", str(r), f"--tau={x}+0.01i", *extra)
+            assert code == 0
+            values.append(_eval_value(out))
+        assert values[0] == values[1]
+        phase = cmath.exp(-2j * cmath.pi * (r * r * k % 120) / 120)
+        assert abs(values[0] - phase * values[2]) < 1e-12 * abs(values[2])
+
+
+@pytest.mark.parametrize("completion", [False, True])
+@pytest.mark.parametrize("tau", ["0.1+1e-320i", "0.25+5e-324i"])
+def test_eval_1a_subnormal_height_exits_3(capsys, tau, completion):
+    # the image of tau in F lies so high that q^(-1/120) overflows
+    extra = ["--completion"] if completion else []
+    code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "1",
+                             f"--tau={tau}", *extra)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that closes the pipe before the table is written (as
+    # `| head -2` may) gets no traceback on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "e8umbral.cli", "table", "--component", "1",
+         "--max-row", "29999"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--component", "3", "--max-row", "5"])
@@ -202,12 +253,12 @@ def test_eval_tau_with_leading_minus(capsys):
     (["verify", "--suite", "numeric", "--tol", "nan"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau", "0+1i", "--tol", "0"], 2),
     (["verify", "--suite", "exact", "--order", "-3"], 2),
-    (["eval", "--class", "1A", "--r", "1", "--tau", "0.25+0.01i",
+    (["eval", "--class", "2A", "--r", "1", "--tau", "0.25+0.002i",
       "--completion"], 3),
     (["verify", "--suite", "exact", "--order", "100000"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=nan+1i"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+nani"], 2),
-    (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.002i"], 3),
+    (["eval", "--class", "2A", "--r", "1", "--tau=0.1+0.002i"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.25+20000i"], 3),
     (["eval", "--class", "2A", "--r", "7", "--tau=0.1+1e-320i"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.5i",
@@ -215,13 +266,17 @@ def test_eval_tau_with_leading_minus(capsys):
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.5i",
       "--tol", "1e-300", "--completion"], 3),
     (["table", "--component", "7", "--max-row", "70"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.25+0.01i",
+      "--tol", "5e-324"], 3),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
-    # the exit-3 cases are real: at Im tau = 0.01, 0.002 and 1e-320 the
-    # series needs more than the order-800 cap, at Im tau = 20000 the
-    # polar term q^(-1/120) overflows a double, and tol 1e-300 is below
-    # the double precision of a value of size 2.  The 7-component table
-    # starts at row 71, so max-row 70 leaves no row.
+    # the exit-3 cases are real: 2A sums its series at tau itself, and at
+    # Im tau = 0.002 and 1e-320 that needs more than the order-800 cap; at
+    # Im tau = 20000 the 1A polar term q^(-1/120) overflows a double, and
+    # tol 1e-300 is below the double precision of a value of size 2 (and
+    # tol 5e-324 at 0.25+0.01i, scaled by |c tau + d|^(1/2) = 0.2 for the
+    # image of tau in F, is 0.0).  The 7-component table starts at row 71,
+    # so max-row 70 leaves no row.
     try:
         got = main(argv)
     except SystemExit as exc:

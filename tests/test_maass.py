@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,15 +9,18 @@ from scipy.integrate import quad
 
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
+                            _eichler_part, _mat_mul,
                             _pd_lambda_min, _wedge_lambda_min,
                             beta_incomplete, completion_value,
                             component_value, e,
                             e_function, g_weight32_value, indefinite_theta,
+                            modular_value_1a,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, rho_3_3, series_value, split_cosets,
                             tau1_identity_check, theta_split_check,
                             transform_check)
 from e8umbral.theta import shadow_component
+from oracles import multiplier_by_tokens
 
 import numpy as np
 
@@ -308,6 +312,85 @@ def test_multiplier_word_consistency():
     for mt1 in minus_t:
         for mt2 in minus_t:
             check(mt1, mt2)
+
+
+def test_multiplier_t_power_is_one_diagonal():
+    # T^n is one diagonal factor with n reduced mod 120, not n tokens
+    n = 10 ** 6
+    start = time.perf_counter()
+    nu = multiplier_matrix(((1, n), (0, 1)))
+    assert time.perf_counter() - start < 0.01
+    want = ((e(F(-n, 120) % 1), 0), (0, e(F(-49 * n, 120) % 1)))
+    assert np.abs(np.array(nu) - np.array(want)).max() < 1e-13
+    assert nu == nu_T(n) == nu_T(n % 120)
+
+
+def test_multiplier_matches_token_product():
+    # on 1000 seeded gamma, nu with T^n as one factor agrees with the
+    # product over the word spelled one T at a time (tests/oracles.py);
+    # the powers stay below 66, so the oracle's own rounding over its
+    # tokens stays below 5e-14.  Past 120 the reduction mod 120 is checked
+    # against nu(gamma T^(120 k)) = nu(gamma).
+    rng = random.Random(17)
+    s = ((0, -1), (1, 0))
+    for _ in range(1000):
+        powers = [rng.randrange(-6, 7) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:
+            powers[rng.randrange(len(powers))] += \
+                rng.choice((-1, 1)) * rng.randrange(40, 60)
+        g = ((1, powers[0]), (0, 1))
+        for n in powers[1:]:
+            g = _mat_mul(_mat_mul(g, s), ((1, n), (0, 1)))
+        if rng.random() < 0.5:
+            g = tuple(tuple(-x for x in row) for row in g)
+        nu = np.array(multiplier_matrix(g))
+        assert np.abs(nu - np.array(multiplier_by_tokens(g))).max() < 1e-13
+        shifted = _mat_mul(g, ((1, 120 * rng.randrange(-10 ** 6, 10 ** 6)),
+                               (0, 1)))
+        assert np.abs(nu - np.array(multiplier_matrix(shifted))).max() \
+            < 1e-13
+
+
+def test_modular_value_band_matches_direct_summation():
+    # at 20 seeded points per component with Im tau in [0.02, 0.1] the
+    # pull-back from F agrees with summing at tau itself.  The completed
+    # value can cancel to 1/100 of its two parts, the series and the
+    # Eichler integral, so its error is measured against their size.
+    rng = random.Random(29)
+    for r in (1, 7):
+        for _ in range(20):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.02, 0.1))
+            series, _ = component_value(CLASS_1A, r, tau, 1e-12, 1e-12)
+            eichler = _eichler_part(CLASS_1A, r, tau, 1e-24)
+            got, _ = modular_value_1a(r, tau, 1e-12, False)
+            assert abs(got - series) < 1e-12 * abs(series), (r, tau)
+            got, _ = modular_value_1a(r, tau, 1e-12, True)
+            want = completion_value(CLASS_1A, r, tau, 1e-12)
+            assert abs(got - want) < 1e-12 * (abs(series) + abs(eichler)), \
+                (r, tau)
+
+
+@pytest.mark.parametrize("tau", [0.25 + 0.001j, 0.1234 + 0.0011j,
+                                 -0.377 + 0.0009j])
+def test_modular_value_s_law_near_cusp(tau):
+    # tau^(-1/2) Hhat(-1/tau) = nu(S) Hhat(tau) where direct summation
+    # cannot reach: both sides are pulled back from F, through different
+    # gamma
+    h = [modular_value_1a(r, tau, 1e-9, True)[0] for r in (1, 7)]
+    hs = [modular_value_1a(r, -1 / tau, 1e-9, True)[0] for r in (1, 7)]
+    for (p, q), lhs in zip(nu_S(), hs):
+        rhs = p * h[0] + q * h[1]
+        assert abs(lhs / cmath.sqrt(tau) - rhs) < 1e-12 * max(abs(rhs), 1.0)
+
+
+def test_modular_value_in_f_is_direct_summation():
+    # a translate of F sums only the requested component, at tau itself
+    for tau in (0.3 + 1.0j, 7.4 + 0.95j, -0.5 + 60.0j):
+        for r in (1, 7, 53):
+            assert modular_value_1a(r, tau, 1e-9, True) == \
+                (completion_value(CLASS_1A, r, tau, 1e-9), 1e-9)
+            assert modular_value_1a(r, tau, 1e-9, False) == \
+                component_value(CLASS_1A, r, tau, 1e-9, 1e-9)
 
 
 @pytest.mark.parametrize("cls,gens", [
