@@ -1,5 +1,5 @@
 """Graded trace functions on the twisted cone modules and the
-McKay-Thompson vector assembly.
+McKay-Thompson components built from them.
 
 Two independent routes compute the same traces:
 
@@ -15,7 +15,7 @@ vector-valued series H_g has sixty components supported on the residues
 +-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents).  The one
 component rule is ``component_family``: r maps to (family, sign) with
 H_r = sign * H_family, and every module that indexes by r mod 60 (the
-assembled vector, the shadows, the numerics and the CLI) asks it.
+components, the Eichler parts, the numerics and the CLI) asks it.
 Components in the 1-family come from the a=1 trace and components in the
 7-family from the a=3 trace with a class-dependent sign, which is the
 normalization that reproduces the published coefficient tables.
@@ -257,7 +257,7 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
 
 
 # ----------------------------------------------------------------------
-# the McKay-Thompson vector
+# the McKay-Thompson components
 
 
 def h_component(group_class: GroupClass, r: int, order) -> QSeries:
@@ -265,7 +265,7 @@ def h_component(group_class: GroupClass, r: int, order) -> QSeries:
 
     The 1-family uses the a=1 trace; the 7-family uses the a=3 trace
     negated for the order-1 and order-3 classes (the sign that makes the
-    assembled vector match the published tables and the fifth-order mock
+    components match the published tables and the fifth-order mock
     theta identities).  A negative residue carries the sign of
     component_family.
     """
@@ -278,24 +278,3 @@ def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     t = trace_closed(TraceId(group_class, a, -1), order)
     return t.scale(scale * sign)
 
-
-@dataclass(frozen=True)
-class MockFormVector:
-    """Sixty-component vector of series indexed by r mod 60: H_g itself
-    (assemble_H) or its weight-3/2 shadow (theta.shadow_vector)."""
-
-    group_class: GroupClass
-    components: dict      # r -> QSeries, only nonzero entries stored
-    order: Fraction
-
-    def component(self, r: int) -> QSeries:
-        return self.components.get(r % 60, QSeries.zero(self.order))
-
-
-def assemble_H(group_class: GroupClass, order) -> MockFormVector:
-    """H_g as a vector: odd in r, supported on the E8 Coxeter exponents."""
-    ordv = _order_value(order)
-    return MockFormVector(group_class,
-                          {r: h_component(group_class, r, ordv)
-                           for r in range(60) if component_family(r)},
-                          ordv)

@@ -2,11 +2,13 @@
 Gaussian weights, Eichler integrals, indefinite theta functions of
 signature (1,1), completions, and weight-1/2 transformation residuals.
 
-Summation tails are certified: the sign-weighted and E-weighted lattice
-sums decay like exp(-2 pi y M(nu)) for positive-definite forms M built
-from the cone data, and ring sums stop only once the remaining rings are
-provably below the requested bound; so are the R-function sums that make
-up a completion's Eichler part.  Series-to-number evaluation carries an
+Summation tails are certified: the E-weighted lattice sums of
+indefinite_theta decay like exp(-2 pi y M(nu)) for positive-definite
+forms M built from the cone data, and _ring_sum stops only once the
+remaining rings are provably below the requested bound; so does
+_line_sum for the R-function sums that make up a completion's Eichler
+part.  The test suite builds the one-sided theta splitting identity on
+the same two summers.  Series-to-number evaluation carries an
 empirical tail estimate (measured coefficient growth times the dropped
 geometric tail) and refuses to report values it cannot back;
 ``_sum_to_tol`` sums each series (H_r, eta(2 tau)) once, at the order
@@ -69,11 +71,6 @@ def beta_incomplete(x: float) -> float:
     if x < 0:
         raise NumericsError("beta_incomplete needs x >= 0")
     return math.erfc(math.sqrt(math.pi * x))
-
-
-def e_function(z: float) -> float:
-    """E(z) = sgn(z)(1 - beta(z^2)) = erf(sqrt(pi) z); odd, E(0) = 0."""
-    return math.erf(SQRT_PI * z)
 
 
 # ----------------------------------------------------------------------
@@ -200,23 +197,6 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
             cmath.exp(-2j * math.pi * nu * b)
 
     return _line_sum(term, a, 1.0, y, tail_bound)
-
-
-def g_weight32_value(a, b, z: complex, tol: float = 1e-14) -> complex:
-    """Numeric value of g_{a,b}(z) = sum_{nu in a+Z} nu e^(pi i nu^2 z +
-    2 pi i nu b) for Im z > 0.  For tol <= 1e-4, _line_sum (kappa = 1/2)
-    stops at a d <= 20001 with pi y d^2/2 >= log(2/tol) >= log d, so every
-    remaining term has |nu| e^(-pi y nu^2) <= e^(-pi y nu^2/2)."""
-    b = float(b)
-    y = z.imag
-    if y <= 0:
-        raise NumericsError("z must lie in the upper half plane")
-
-    def term(nu: float) -> complex:
-        return nu * cmath.exp(1j * math.pi * nu * nu * z
-                              + 2j * math.pi * nu * b)
-
-    return _line_sum(term, a, 0.5, y, tol)
 
 
 def component_value(group_class: GroupClass, r: int, tau: complex,
@@ -493,10 +473,11 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
                            - E(B(c2,nu) sqrt(y)/sqrt(-Q(c2)))]
             q^Q(nu) e(B(nu, b))
 
-    summed over expanding square rings with a certified tail: same-sign
-    terms decay like exp(-2 pi y M_c(nu)) with M_c positive definite, and
-    the sign-changing wedge carries exp(-2 pi y Q(nu)) with Q positive
-    there, so every ring past the stopping radius is provably negligible.
+    with E(z) = sgn(z)(1 - beta(z^2)) = erf(sqrt(pi) z), summed over
+    expanding square rings with a certified tail: same-sign terms decay
+    like exp(-2 pi y M_c(nu)) with M_c positive definite, and the
+    sign-changing wedge carries exp(-2 pi y Q(nu)) with Q positive there,
+    so every ring past the stopping radius is provably negligible.
     On same-sign terms the weight is taken as a difference of erfc values,
     not of erf values near +-1, so no rounding error is blown up by a
     large |q^Q(nu)|.
@@ -678,101 +659,3 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
     return max(abs(completion_value(group_class, r, gtau, tol / 10.0) / jac
                    - phase * (row[0] * h1 + row[1] * h7))
                for r, row in zip((1, 7), nu))
-
-
-# ----------------------------------------------------------------------
-# the one-sided theta splitting identity (sign-weighted sum vs R times
-# positive-definite theta)
-
-
-def _egcd(p: int, q: int) -> tuple[int, int, int]:
-    if q == 0:
-        return (abs(p), 1 if p >= 0 else -1, 0)
-    g, x, y2 = _egcd(q, p % q)
-    return (g, y2, x - (p // q) * y2)
-
-
-def split_cosets(data: IndefThetaData, c) -> list[tuple]:
-    """Representatives mu0 of {mu in a+Z^2 : 0 <= B(c,mu)/2Q(c) < 1}
-    modulo the integer line orthogonal to c, together with the line
-    generator w, for the form and characteristic a of data and an integer
-    c with Q(c) < 0.  Returns (list of mu0 as Fraction pairs, w)."""
-    qc = data.q_of(c)
-    ac = data.a_times(c)
-    g, x0, y0 = _egcd(ac[0], ac[1])
-    if g == 0:
-        raise NumericsError("degenerate cone vector")
-    # primitive generator of the B(c, .) = 0 integer line
-    w = (-ac[1] // g, ac[0] // g)
-    bca = data.b_of(data.a, c)
-    # B values on a+Z^2 form bca + g Z; want values t with 2 Q(c) < t <= 0
-    reps = []
-    j_lo = math.floor((2 * qc - bca) / g) + 1    # strict lower endpoint
-    j_hi = math.floor(-bca / g)
-    for j in range(j_lo, j_hi + 1):
-        t = bca + g * j
-        if not (2 * qc < t <= 0):
-            continue
-        mu0 = (Fraction(data.a[0]) + j * x0, Fraction(data.a[1]) + j * y0)
-        reps.append(mu0)
-    return reps, w
-
-
-def theta_split_check(data_A, a, b, c, tau: complex,
-                      tol: float = 1e-8) -> float:
-    """Residual of the splitting of the one-sided sign-weighted theta:
-
-        sum_{nu in a+Z^2} sgn(B(c,nu)) beta(-B(c,nu)^2 y / Q(c))
-            e(Q(nu) tau + B(nu,b))
-        = - sum_{mu0} R_{B(c,mu0)/2Q(c), -B(c,b)}(-2 Q(c) tau)
-              * sum_{xi in mu0_perp + Z w} e(Q(xi) tau + B(xi, b_perp))
-
-    for primitive c with Q(c) < 0.  Both sides are evaluated numerically
-    with certified tails and the absolute difference returned.  The minus
-    sign on the second R characteristic compensates the e^(-2 pi i nu b)
-    phase in the R definition; restating the splitting with +B(c,b) fails
-    numerically for generic b.
-    """
-    c = (int(c[0]), int(c[1]))
-    if math.gcd(c[0], c[1]) != 1:
-        raise NumericsError("cone vector c must be primitive")
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
-    A = tuple(tuple(int(x) for x in row) for row in data_A)
-    data = IndefThetaData(A, tuple(a), tuple(b), c, c)
-    qc = data.q_of(c)
-    if qc >= 0:
-        raise NumericsError("c must have Q(c) < 0")
-    x = _wall_coordinate(data, c, y)
-
-    def weight(n1: int, n2: int) -> float:
-        # sgn(B(c,nu)) beta(-B(c,nu)^2 y / Q(c)) = sgn(x) erfc(|x|)
-        z = x(n1, n2)
-        if z == 0.0:
-            return 0.0
-        return math.erfc(z) if z > 0 else -math.erfc(-z)
-
-    # left side: terms damped by exp(-2 pi y M_c(nu))
-    total = _ring_sum(data, tau, weight, 1.0, _pd_lambda_min(data, c),
-                      tol * 1e-2)
-
-    # right side.  B(c, w) = 0, so the line mu0_perp + Z w is (s + Z) w
-    # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
-    # theta terms have modulus exp(-2 pi y Q(w) x^2) at x = s + k.
-    reps, w = split_cosets(data, c)
-    bcb = data.b_of(c, b)
-    qw = data.q_of(w)
-    qw_f, bwb = float(qw), float(data.b_of(w, b))
-
-    def line_term(x: float) -> complex:
-        return cmath.exp(2j * math.pi * (qw_f * x * x * tau + x * bwb))
-
-    rhs = 0.0 + 0.0j
-    for mu0 in reps:
-        rval = r_function(data.b_of(c, mu0) / (2 * qc), -bcb,
-                          float(-2 * qc) * tau, tail_bound=tol * 1e-3)
-        line = _line_sum(line_term, data.b_of(mu0, w) / (2 * qw),
-                         2.0 * qw_f, y, tol * 1e-3)
-        rhs -= rval * line
-    return abs(total - rhs)

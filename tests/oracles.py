@@ -1,9 +1,10 @@
-"""Independent brute-force oracles for the exact-series and multiplier
-tests.
+"""Independent brute-force oracles for the exact-series, shadow and
+multiplier tests.
 
-Deliberately self-contained: plain dict polynomials over Fraction and
-plain 2x2 tuples, with no imports from the package, so the expected values frozen into the tests
-come from a second computational path.
+Deliberately self-contained: plain dict polynomials over Fraction, plain
+2x2 tuples and plain loops of complex exponentials, with no imports from
+the package, so the expected values frozen into the tests come from a
+second computational path.
 """
 
 import cmath
@@ -145,6 +146,55 @@ def cone_mu(coords, a) -> tuple:
     """The vector mu = coords + (a/10)(1, 1, 1) of a point of L + a rho/2."""
     s = Fraction(a, 10)
     return tuple(c + s for c in coords)
+
+
+# ----------------------------------------------------------------------
+# weight-3/2 unary thetas and the shadows of the H_g
+
+# the E8 Coxeter exponents mod 60, by component family (1, then 7)
+FAMILIES = ((1, 11, 19, 29), (7, 13, 17, 23))
+
+
+def unary_theta(m: int, r: int, order) -> dict:
+    """S_{m,r} = sum_k (2km + r) q^((2km+r)^2/4m) up to q^order, as
+    {Fraction exponent: int coefficient}."""
+    out = {}
+    bound = math.isqrt(max(math.floor(4 * m * order), 0)) + 1
+    for v in range(-bound, bound + 1):
+        e = Fraction(v * v, 4 * m)
+        if (v - r) % (2 * m) == 0 and e <= order:
+            out[e] = out.get(e, 0) + v
+    return {e: c for e, c in out.items() if c}
+
+
+def shadow(chi: int, r: int, order) -> dict:
+    """The shadow of H_r for a class of permutation character chi:
+    chi times the sum of S_{30,s} over the family of r mod 60, negated
+    when -r is in the family, and {} off the support."""
+    for family in FAMILIES:
+        for sign in (1, -1):
+            if sign * r % 60 in family:
+                out = {}
+                for s in family:
+                    for e, c in unary_theta(30, s, order).items():
+                        out[e] = out.get(e, 0) + sign * chi * c
+                return {e: c for e, c in out.items() if c}
+    return {}
+
+
+def g_value(a, b, z: complex) -> complex:
+    """g_{a,b}(z) = sum_{nu in a+Z} nu e^(pi i nu^2 z + 2 pi i nu b),
+    summed outward from nu = a; it stops at n once d = n - |a| >= 1 and
+    d e^(-pi Im(z) d^2) < 1e-30, a bound on every later term."""
+    a, b = float(a), float(b)
+    total, n = 0j, 0
+    while True:
+        for nu in ((a,) if n == 0 else (a + n, a - n)):
+            total += nu * cmath.exp(1j * math.pi * (nu * nu * z + 2 * nu * b))
+        d = n - abs(a)
+        if d >= 1 and d * math.exp(-math.pi * z.imag * d * d) < 1e-30:
+            return total
+        n += 1
 
 
 # ----------------------------------------------------------------------

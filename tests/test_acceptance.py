@@ -16,9 +16,10 @@ Criteria (tolerances fixed here, not calibrated later):
      order-2 under Gamma_0(2) generators, order-3 under Gamma_0(3)
      generators with the cubic phase, 3 sample points each
  11. property suites (ring laws, pentagonal, eta(2 tau) identity, S
-     symmetries, scaled-theta relation, theta antisymmetry, random
-     splitting instances) are the pytest modules of this directory; the
-     representative checks rerun here
+     symmetries, theta antisymmetry, random splitting instances) are the
+     pytest modules of this directory; the representative checks rerun
+     here, with the S_{m,r} oracle, the eta*J series and the splitting
+     check taken from oracles.py, test_theta.py and test_maass.py
 """
 
 import math
@@ -31,12 +32,15 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  trace_closed, trace_direct)
 from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             order2_theta_data, tau1_identity_check,
-                            theta_split_check, transform_check)
+                            transform_check)
 from e8umbral.mocktheta import (hecke_double_sum, ramanujan_series,
                                 zwegers_triple_sum)
 from e8umbral.qseries import QSeries, dedekind_eta, euler_product
-from e8umbral.theta import (S_unary, eta_J_coefficients,
-                            thetanullwerte_class_check)
+from e8umbral.theta import thetanullwerte_class_check
+
+from oracles import unary_theta
+from test_maass import theta_split_check
+from test_theta import eta_J_coefficients
 
 TABLE_A1 = {
     -1: (-2, -2, -2), 119: (2, 2, 2), 239: (2, -2, 2), 359: (4, 0, -2),
@@ -239,10 +243,11 @@ def test_criterion_11_property_suites():
 
     # S symmetries
     for _ in range(8):
-        m = rng.choice((1, 2, 3, 5, 6, 10, 15, 30))    # 4m divides 120
+        m = rng.choice((1, 2, 3, 5, 6, 10, 15, 30))
         r = rng.randrange(-2 * m, 2 * m)
-        assert S_unary(m, r, 8) == -S_unary(m, -r, 8)
-        assert S_unary(m, r, 8) == S_unary(m, r + 2 * m, 8)
+        s = unary_theta(m, r, 8)
+        assert s == {e: -c for e, c in unary_theta(m, -r, 8).items()}
+        assert s == unary_theta(m, r + 2 * m, 8)
 
     # indefinite theta antisymmetry
     data = order2_theta_data(1)

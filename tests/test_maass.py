@@ -9,18 +9,16 @@ from scipy.integrate import quad
 
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
-                            _eichler_part, _mat_mul,
-                            _pd_lambda_min, _wedge_lambda_min,
+                            _eichler_part, _line_sum, _mat_mul,
+                            _pd_lambda_min, _ring_sum, _wall_coordinate,
+                            _wedge_lambda_min,
                             beta_incomplete, completion_value,
-                            component_value, e,
-                            e_function, g_weight32_value, indefinite_theta,
+                            component_value, e, indefinite_theta,
                             modular_value_1a,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
-                            r_function, rho_3_3, series_value, split_cosets,
-                            tau1_identity_check, theta_split_check,
-                            transform_check)
-from e8umbral.theta import shadow_component
-from oracles import multiplier_by_tokens
+                            r_function, rho_3_3, series_value,
+                            tau1_identity_check, transform_check)
+from oracles import g_value, multiplier_by_tokens, shadow
 
 import numpy as np
 
@@ -36,15 +34,6 @@ def test_beta_against_quadrature():
     val, err = quad(lambda u: u ** -0.5 * math.exp(-math.pi * u), 1.0,
                     math.inf, epsabs=1e-13)
     assert abs(beta_incomplete(1.0) - val) < 1e-10
-
-
-def test_e_function_properties():
-    assert e_function(0.0) == 0.0
-    for z in (0.3, 1.7, 2.9):
-        assert abs(e_function(-z) + e_function(z)) < 1e-15
-        assert abs(e_function(z)) < 1.0
-    assert abs(e_function(3.0) - (1.0 - beta_incomplete(9.0))) < 1e-15
-    assert e_function(8.0) > 1 - 1e-12
 
 
 def test_r_function_stability_and_periodicity():
@@ -72,10 +61,6 @@ def _ray_integral(g, tau, tol=1e-12):
     return e(F(-1, 8)) * complex(re, im)
 
 
-def _eichler_of_g(a, b, tau):
-    return _ray_integral(lambda z: g_weight32_value(a, b, z), tau)
-
-
 def test_r_equals_eichler_integral_of_g():
     # R_{a,b}(tau) = e(-1/8) int_{-conj tau}^{i inf} g_{a,-b}(z)/sqrt(z+tau)
     rng = random.Random(11)
@@ -86,7 +71,7 @@ def test_r_equals_eichler_integral_of_g():
         a = F(rng.randrange(1, 10), 10)
         b = F(rng.randrange(-2, 3), 4)
         lhs = r_function(a, b, tau, 1e-13)
-        rhs = _eichler_of_g(a, -b, tau)
+        rhs = _ray_integral(lambda z: g_value(a, -b, z), tau)
         assert abs(lhs - rhs) < 1e-8, (tau, a, b)
 
 
@@ -177,10 +162,10 @@ def test_completion_routes_agree():
         order = math.ceil(40 / (2 * math.pi * tau.imag))
         for cls, r in ((CLASS_1A, 1), (CLASS_1A, 7), (CLASS_2A, 1),
                        (CLASS_2A, 7)):
-            s = shadow_component(cls, r, order)
-            shadow = [(n / 120, float(c)) for n, c in s.items()]
+            terms = [(float(n), float(c)) for n, c in
+                     sorted(shadow(cls.perm_character, r, order).items())]
             g = lambda z: sum(c * cmath.exp(2j * math.pi * n * z)
-                              for n, c in shadow)
+                              for n, c in terms)
             holo, _ = series_value(h_component(cls, r, 2 * order), tau)
             oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
             assert abs(completion_value(cls, r, tau, 1e-9) - oracle) \
@@ -415,6 +400,82 @@ def test_rho_phase():
     assert abs(rho_3_3(((1, 0), (3, 1))) - e(F(1, 3))) < 1e-15
     with pytest.raises(NumericsError):
         rho_3_3(((1, 0), (2, 1)))
+
+
+# ----------------------------------------------------------------------
+# the one-sided theta splitting identity (sign-weighted sum vs R times a
+# positive-definite theta), on the package's certified summers
+
+
+def _egcd(p: int, q: int) -> tuple:
+    if q == 0:
+        return abs(p), 1 if p >= 0 else -1, 0
+    g, x, y = _egcd(q, p % q)
+    return g, y, x - (p // q) * y
+
+
+def split_cosets(data: IndefThetaData, c) -> tuple:
+    """Representatives mu0 of {mu in a+Z^2 : 2 Q(c) < B(c, mu) <= 0}
+    modulo the integer line B(c, .) = 0, and that line's primitive
+    generator w; Q(c) < 0."""
+    ac = data.a_times(c)
+    g, x0, y0 = _egcd(ac[0], ac[1])
+    w = (-ac[1] // g, ac[0] // g)
+    # B(c, .) takes the values B(a, c) + g Z on a+Z^2
+    bca = data.b_of(data.a, c)
+    lo = math.floor((2 * data.q_of(c) - bca) / g) + 1
+    reps = [(F(data.a[0]) + j * x0, F(data.a[1]) + j * y0)
+            for j in range(lo, math.floor(-bca / g) + 1)]
+    return reps, w
+
+
+def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
+    """Residual of the splitting of the one-sided sign-weighted theta:
+
+        sum_{nu in a+Z^2} sgn(B(c,nu)) beta(-B(c,nu)^2 y / Q(c))
+            e(Q(nu) tau + B(nu,b))
+        = - sum_{mu0} R_{B(c,mu0)/2Q(c), -B(c,b)}(-2 Q(c) tau)
+              * sum_{xi in mu0_perp + Z w} e(Q(xi) tau + B(xi, b_perp))
+
+    for primitive c with Q(c) < 0, both sides with certified tails.  The
+    minus sign on the second R characteristic compensates the
+    e^(-2 pi i nu b) phase in the R definition; restating the splitting
+    with +B(c,b) fails numerically for generic b.
+    """
+    if math.gcd(*c) != 1:
+        raise NumericsError("cone vector c must be primitive")
+    data = IndefThetaData(A, a, b, c, c)
+    qc = data.q_of(c)
+    y = tau.imag
+    x = _wall_coordinate(data, c, y)
+
+    def weight(n1: int, n2: int) -> float:
+        # sgn(B(c,nu)) beta(-B(c,nu)^2 y / Q(c)) = sgn(x) erfc(|x|)
+        z = x(n1, n2)
+        return math.copysign(math.erfc(abs(z)), z) if z else 0.0
+
+    # left side: terms damped by exp(-2 pi y M_c(nu))
+    total = _ring_sum(data, tau, weight, 1.0, _pd_lambda_min(data, c),
+                      tol * 1e-2)
+
+    # right side.  B(c, w) = 0, so the line mu0_perp + Z w is (s + Z) w
+    # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
+    # theta terms have modulus exp(-2 pi y Q(w) x^2) at x = s + k.
+    reps, w = split_cosets(data, c)
+    qw = data.q_of(w)
+    qw_f, bwb = float(qw), float(data.b_of(w, b))
+
+    def line_term(t: float) -> complex:
+        return cmath.exp(2j * math.pi * (qw_f * t * t * tau + t * bwb))
+
+    rhs = 0j
+    for mu0 in reps:
+        rval = r_function(data.b_of(c, mu0) / (2 * qc), -data.b_of(c, b),
+                          float(-2 * qc) * tau, tail_bound=tol * 1e-3)
+        line = _line_sum(line_term, data.b_of(mu0, w) / (2 * qw),
+                         2.0 * qw_f, y, tol * 1e-3)
+        rhs -= rval * line
+    return abs(total - rhs)
 
 
 def test_split_identity_paper_data():

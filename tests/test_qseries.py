@@ -7,7 +7,6 @@ from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
                               dedekind_eta, eta_quotient, euler_product)
-from e8umbral.theta import S_unary
 
 from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
                      poly_inv, poly_mul)
@@ -45,7 +44,7 @@ def test_geometric_inverse():
         assert all(type(c) is int for c in s.coeffs.values())
     two = QSeries({0: F(4, 2)}).coeffs[0]
     assert type(two) is int and two == 2
-    g = S_unary(30, 1, 5).scale(F(1, 60))
+    g = inv.scale(F(1, 60))
     assert any(isinstance(c, F) and c.denominator != 1
                for c in g.coeffs.values())
 
