@@ -22,7 +22,7 @@ from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          heisenberg_trace, trace_closed, trace_direct)
 from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)
-from .theta import NullwerteReport, thetanullwerte_class_check
+from .theta import thetanullwerte_class_check
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, indefinite_theta,
                     modular_value_1a, multiplier_matrix, nu_S, nu_T,

@@ -24,9 +24,9 @@ normalization that reproduces the published coefficient tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 from .lattice import enumerate_coset_cone
 from .qseries import (DEN, GradingError, QSeries, SeriesError,
                       dedekind_eta, eta_quotient, _order_value)
@@ -49,40 +49,54 @@ def component_family(r: int):
     return None
 
 
-@dataclass(frozen=True)
-class GroupClass:
-    """A conjugacy class of the S3 action permuting the basis vectors."""
+class GroupClass(NamedTuple):
+    """A conjugacy class of the S3 action permuting the three E8 summands,
+    named by one permutation (the images of indices 0, 1, 2).  The rest
+    follows from its cycles: the order, the permutation character, the
+    Heisenberg trace and the invariant sublattice."""
 
     name: str
-    permutation: tuple[int, int, int]   # images of indices (0, 1, 2)
-    order: int
+    permutation: tuple
+
+    @property
+    def cycles(self) -> tuple:
+        """The cycles of the permutation, each from its least index: on
+        three points the cycle through i is i, p(i), p(p(i))."""
+        p = self.permutation
+        orbits = (tuple(dict.fromkeys((i, p[i], p[p[i]]))) for i in range(3))
+        return tuple(c for c in orbits if c[0] == min(c))
+
+    @property
+    def order(self) -> int:
+        """The lcm of the cycle lengths."""
+        return math.lcm(*map(len, self.cycles))
 
     @property
     def perm_character(self) -> int:
-        """The number of fixed basis vectors."""
-        return sum(1 for i, p in enumerate(self.permutation) if i == p)
+        """The number of fixed summands."""
+        return sum(len(c) == 1 for c in self.cycles)
 
 
-CLASS_1A = GroupClass("1A", (0, 1, 2), 1)
-CLASS_2A = GroupClass("2A", (1, 0, 2), 2)
-CLASS_3A = GroupClass("3A", (1, 2, 0), 3)
+CLASS_1A = GroupClass("1A", (0, 1, 2))
+CLASS_2A = GroupClass("2A", (1, 0, 2))
+CLASS_3A = GroupClass("3A", (1, 2, 0))
 
 CLASSES = {"1A": CLASS_1A, "2A": CLASS_2A, "3A": CLASS_3A}
 
 
-@dataclass(frozen=True)
-class TraceId:
+class TraceId(NamedTuple("TraceId", [("group_class", GroupClass),
+                                     ("coset_a", int),
+                                     ("clifford_sign", int)])):
     """(class, coset label, Clifford sign) naming one trace function."""
 
-    group_class: GroupClass
-    coset_a: int
-    clifford_sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coset_a not in COSET_LABELS:
+    def __new__(cls, group_class, coset_a, clifford_sign):
+        if coset_a not in COSET_LABELS:
             raise ValueError("coset label must be odd with 0 < a < 10")
-        if self.clifford_sign not in (1, -1):
+        if clifford_sign not in (1, -1):
             raise ValueError("Clifford sign must be +1 or -1")
+        return super().__new__(cls, group_class, coset_a, clifford_sign)
 
 
 def all_trace_ids() -> list[TraceId]:
@@ -104,18 +118,17 @@ def fermion_trace(sign: int, order) -> QSeries:
     return dedekind_eta(1, order).scale(sign)
 
 
-# (q^k; q^k)_inf powers of the Heisenberg trace, by the cycle type of the
-# permutation, and of the printed prefactors q^(-1/12)/(q;q)^2,
+# (q^k; q^k)_inf powers of the printed prefactors q^(-1/12)/(q;q)^2,
 # q^(-1/12)/(q^2;q^2) and q^(-1/12)(q;q)/(q^3;q^3), by class order
-_BOSON_CYCLES = {1: {1: -3}, 2: {1: -1, 2: -1}, 3: {3: -1}}
 _PRINTED_PREFACTORS = {1: {1: -2}, 2: {2: -1}, 3: {1: 1, 3: -1}}
 
 
 def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
-    the rank-3 boson, as an eta-quotient by cycle type."""
-    return eta_quotient(_BOSON_CYCLES[group_class.order], Fraction(-3, 24),
-                        order)
+    the rank-3 boson: one factor (q^L; q^L)^(-1) per cycle of length L."""
+    lengths = [len(c) for c in group_class.cycles]
+    return eta_quotient({L: -lengths.count(L) for L in lengths},
+                        Fraction(-3, 24), order)
 
 
 # ----------------------------------------------------------------------
@@ -238,12 +251,12 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
     pref = fermion_trace(trace_id.clifford_sign, ordv + Fraction(1, 12) + 1) \
         * heisenberg_trace(cls, ordv + Fraction(1, 12) + 1)
     cap = ordv + Fraction(1, 12)
-    fix = {1: None, 2: "tau", 3: "sigma"}[cls.order]
+    n = cls.order
     coeffs: dict[int, int] = {}
-    for en, (k, l, m), branch in enumerate_coset_cone(a, fix, cap):
-        if cls.order == 1:
+    for en, (k, l, m), branch in enumerate_coset_cone(a, cls.cycles, cap):
+        if n == 1:
             sign = -1 if (k + l + m) % 2 else 1
-        elif cls.order == 2:
+        elif n == 2:
             # (-1)^<lambda, rho + e_1'> = (-1)^(3k+m), with the extra sign
             # automorphism flip on branch N
             sign = -1 if (3 * k + m) % 2 else 1

@@ -24,6 +24,7 @@ from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
 from .maass import NumericsError, completion_value, component_value, \
     modular_value_1a, tau1_identity_check, transform_check
 from .mocktheta import IdentityReport, identity_suite
+from .qseries import DEN
 from .theta import thetanullwerte_class_check
 
 CLASS_NAMES = ("1A", "2A", "3A")
@@ -35,7 +36,7 @@ MAX_ROW_BUDGET = 30000
 
 def _row_numerators(component: int, max_row: int) -> list[int]:
     start = -1 if component == 1 else 71
-    return list(range(start, max_row + 1, 120))
+    return list(range(start, max_row + 1, DEN))
 
 
 def _format_value(v: Fraction) -> str:
@@ -53,12 +54,12 @@ def cmd_table(args) -> int:
     if not nums:
         print("error: empty row range", file=sys.stderr)
         return 2
-    order = Fraction(nums[-1], 120) + Fraction(1, 120)
+    order = Fraction(nums[-1] + 1, DEN)
     series = {name: h_component(CLASSES[name], component, order)
               for name in CLASS_NAMES}
     rows = []
     for num in nums:
-        exp = Fraction(num, 120)
+        exp = Fraction(num, DEN)
         rows.append((num, {name: series[name].coefficient(exp)
                            for name in CLASS_NAMES}))
     out = sys.stdout
@@ -69,7 +70,7 @@ def cmd_table(args) -> int:
                                            for n in CLASS_NAMES) + "\n")
     else:
         doc = {
-            "grading_denominator": 120,
+            "grading_denominator": DEN,
             "component": component,
             "rows": [
                 {"exponent_numerator": num,
@@ -89,14 +90,14 @@ def _exact_checks(order: int, corrupt: bool):
         # negative-control hook: flip the verdict of the first identity
         first = reports[0]
         reports[0] = IdentityReport(first.name + " [corrupted]", first.order,
-                                    False, (Fraction(5), Fraction(1),
-                                            Fraction(2)))
+                                    (Fraction(5), Fraction(1), Fraction(2)))
     for rep in reports:
         checks.append((str(rep), rep.verified))
 
     ok = True
     detail = []
-    for tid in all_trace_ids():
+    tids = all_trace_ids()
+    for tid in tids:
         c = trace_closed(tid, order)
         d = trace_direct(tid, order)
         diff = c.first_difference(d, order)
@@ -106,16 +107,16 @@ def _exact_checks(order: int, corrupt: bool):
             detail.append(f"{tid.group_class.name} a={tid.coset_a} "
                           f"sign={tid.clifford_sign:+d} first discrepancy "
                           f"at q^({e}): {closed} vs {direct}")
-    label = (f"[ok]   closed vs direct route, all 30 trace functions "
+    label = (f"[ok]   closed vs direct route, all {len(tids)} trace functions "
              f"(order {order})" if ok else
              "[FAIL] closed vs direct route: " + "; ".join(detail))
     checks.append((label, ok))
 
-    scan = thetanullwerte_class_check(30)
+    hits, pairs = thetanullwerte_class_check(30)
     checks.append((
         f"[ok]   theta-constant exponent scan base 30 empty "
-        f"({scan.pairs_checked} pairs)" if scan.empty else
-        f"[FAIL] theta-constant scan hits: {scan.hits}", scan.empty))
+        f"({pairs} pairs)" if not hits else
+        f"[FAIL] theta-constant scan hits: {hits}", not hits))
     return checks
 
 
@@ -213,9 +214,9 @@ def _order(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, not {text!r}")
-    if value > MAX_ROW_BUDGET // 120:
+    if value > MAX_ROW_BUDGET // DEN:
         raise argparse.ArgumentTypeError(
-            f"order {value} exceeds compute budget {MAX_ROW_BUDGET // 120}")
+            f"order {value} exceeds compute budget {MAX_ROW_BUDGET // DEN}")
     return value
 
 
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="print appendix-style coefficient tables")
     t.add_argument("--component", type=int, choices=(1, 7), required=True)
     t.add_argument("--max-row", type=int, required=True,
-                   help="largest exponent numerator (over 120) to print")
+                   help=f"largest exponent numerator (over {DEN}) to print")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.set_defaults(func=cmd_table)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
+from operator import itemgetter
 
 from .qseries import DEN
 
@@ -36,30 +36,28 @@ def _q_of(coords: tuple[int, int, int], a: int) -> int:
         60 * a * (k + l + m) + 9 * a * a
 
 
-def _positive_branch(a: int, g_fix: Optional[str],
+def _positive_branch(a: int, cycles,
                      bound: Fraction) -> list[tuple[int, tuple]]:
-    """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 fixed by
-    g_fix with Q(mu) <= bound.  On branch P every coordinate of mu is
-    >= a/10 > 0 and the cross terms of Q are non-negative, so
-    Q >= (k^2+l^2+m^2)/2 and the scanned box is complete.  One unit of
-    slack on top of the certified bound."""
+    """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 that are
+    constant on each cycle, with Q(mu) <= bound.  On branch P every
+    coordinate of mu is >= a/10 > 0 and the cross terms of Q are
+    non-negative, so Q >= (k^2+l^2+m^2)/2 and the scanned box is
+    complete.  One unit of slack on top of the certified bound."""
     box = range(math.isqrt(max(math.ceil(2 * bound), 0)) + 2)
-    if g_fix is None:
-        fixed = itertools.product(box, repeat=3)
-    elif g_fix == "tau":
-        fixed = ((k, k, m) for k in box for m in box)
-    elif g_fix == "sigma":
-        fixed = ((k, k, k) for k in box)
-    else:
-        raise LatticeError(f"unknown fixed-point filter {g_fix!r}")
+    # coordinate i takes the free value of the cycle holding i
+    owner = {i: j for j, c in enumerate(cycles) for i in c}
+    spread = itemgetter(*(owner[i] for i in range(3)))
+    points = map(spread, itertools.product(box, repeat=len(cycles)))
     cap = math.floor(bound * DEN)
-    return [(num, coords) for coords in fixed
+    return [(num, coords) for coords in points
             if (num := _q_of(coords, a)) <= cap]
 
 
-def enumerate_coset_cone(a: int, g_fix: Optional[str],
+def enumerate_coset_cone(a: int, cycles,
                          energy_bound) -> list[tuple[int, tuple, str]]:
-    """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound, as sorted
+    """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound and
+    coordinates equal along each of the given cycles (a partition of
+    the indices 0, 1, 2: one free coordinate per cycle), as sorted
     (120 Q(mu), coords, branch) tuples with branch "P" or "N".
 
     Branch P is a direct box scan; branch N is obtained from the negation
@@ -70,8 +68,8 @@ def enumerate_coset_cone(a: int, g_fix: Optional[str],
         raise LatticeError("coset label a must be odd with 0 < a < 10")
     bound = Fraction(energy_bound)
     points = [(num, coords, "P")
-              for num, coords in _positive_branch(a, g_fix, bound)]
+              for num, coords in _positive_branch(a, cycles, bound)]
     points += [(num, tuple(-c - 1 for c in coords), "N")
-               for num, coords in _positive_branch(10 - a, g_fix, bound)]
+               for num, coords in _positive_branch(10 - a, cycles, bound)]
     points.sort()
     return points

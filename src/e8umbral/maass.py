@@ -32,8 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILY_1, FAMILY_7,
                          GroupClass,
@@ -307,8 +307,10 @@ def modular_value_1a(r: int, tau: complex, tol: float,
         hats, tails = zip(*(_completion(CLASS_1A, s, gtau, tol * scale)
                             for s in (1, 7)))
     except NumericsError as exc:
-        raise type(exc)(f"{exc} (in F, the image of tau = {tau})") \
-            from exc
+        # name the tol that was asked for; F was summed to the scaled one
+        msg = str(exc).replace(f"tol {tol * scale} ", f"tol {tol} ", 1)
+        raise type(exc)(f"{msg} (in F, the image of tau = {tau}, at tol "
+                        f"{tol * scale:.1e})") from exc
     nu = multiplier_matrix(gamma)
     col = 0 if family == 1 else 1
     value = sign * (nu[0][col].conjugate() * hats[0]
@@ -325,8 +327,7 @@ def modular_value_1a(r: int, tau: complex, tol: float,
 # indefinite theta functions of signature (1,1)
 
 
-@dataclass(frozen=True)
-class IndefThetaData:
+class IndefThetaData(NamedTuple):
     """Quadratic form data (A; a, b; c1, c2) for the two-sided theta."""
 
     A: tuple                 # ((int,int),(int,int)), symmetric, sig (1,1)

@@ -26,10 +26,9 @@ O(N^2) integer additions and the other four O(N^1.5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .characters import CLASSES, TraceId, octant_sum, trace_closed
 from .qseries import (DEN, QSeries, SeriesError, _is_inf, _order_value,
@@ -157,12 +156,14 @@ def hecke_double_sum(variant: str, order) -> QSeries:
 # identity suite
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     order: Fraction
-    verified: bool
     first_discrepancy: Optional[tuple]   # (exponent, lhs, rhs) when failed
+
+    @property
+    def verified(self) -> bool:
+        return self.first_discrepancy is None
 
     def __str__(self) -> str:
         if self.verified:
@@ -176,7 +177,7 @@ def compare_series(name: str, lhs: QSeries, rhs: QSeries,
                    order) -> IdentityReport:
     ordv = _order_value(order)
     diff = lhs.first_difference(rhs, ordv)
-    return IdentityReport(name, ordv, diff is None, diff)
+    return IdentityReport(name, ordv, diff)
 
 
 def identity_suite(order) -> list[IdentityReport]:

@@ -23,6 +23,8 @@ def test_class_data():
     assert CLASS_1A.perm_character == 3 and CLASS_1A.order == 1
     assert CLASS_2A.perm_character == 1 and CLASS_2A.order == 2
     assert CLASS_3A.perm_character == 0 and CLASS_3A.order == 3
+    assert [c.cycles for c in (CLASS_1A, CLASS_2A, CLASS_3A)] == \
+        [((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)]
 
 
 @pytest.mark.parametrize("name,builder", [

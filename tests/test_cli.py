@@ -268,6 +268,8 @@ def test_eval_tau_with_leading_minus(capsys):
     (["table", "--component", "7", "--max-row", "70"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.25+0.01i",
       "--tol", "5e-324"], 3),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0.25+0.01i",
+      "--tol", "1e-15"], 3),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     # the exit-3 cases are real: 2A sums its series at tau itself, and at
@@ -275,8 +277,10 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
     # Im tau = 20000 the 1A polar term q^(-1/120) overflows a double, and
     # tol 1e-300 is below the double precision of a value of size 2 (and
     # tol 5e-324 at 0.25+0.01i, scaled by |c tau + d|^(1/2) = 0.2 for the
-    # image of tau in F, is 0.0).  The 7-component table starts at row 71,
-    # so max-row 70 leaves no row.
+    # image of tau in F, is 0.0; tol 1e-15 there is 2e-16, below the
+    # precision of a value of size 2.8, and the line names the tol asked
+    # for).  The 7-component table starts at row 71, so max-row 70 leaves
+    # no row.
     try:
         got = main(argv)
     except SystemExit as exc:
@@ -286,6 +290,8 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1 and "error:" in err
     assert "Traceback" not in err
+    if code == 3 and "--tol" in argv:
+        assert f"tol {argv[argv.index('--tol') + 1]} " in err
 
 
 def test_eval_never_raises_across_heights(capsys):
@@ -313,11 +319,13 @@ def test_eval_never_raises_across_heights(capsys):
 
 def test_import_does_not_load_scipy():
     # numpy and scipy are test-only dependencies: the package must run
-    # without them
+    # without them.  Nor does it load dataclasses or inspect, which cost
+    # a cold CLI call more import time than the package itself
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, e8umbral, e8umbral.cli; "
-            "loaded = {'numpy', 'scipy'} & set(sys.modules); "
+            "loaded = {'numpy', 'scipy', 'dataclasses', 'inspect'} & "
+            "set(sys.modules); "
             "assert not loaded, f'{loaded} imported'")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -7,9 +7,14 @@ from e8umbral.lattice import LatticeError, enumerate_coset_cone
 from oracles import RHO, cone_mu, pair, q_norm
 
 
-def brute_scan(a, bound, fix=None, box=12):
+# the cycles of the identity, of the involution tau and of the 3-cycle sigma
+ALL, TAU, SIGMA = ((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)
+
+
+def brute_scan(a, bound, cycles=ALL, box=12):
     """Naive large-box oracle straight from the definitions: sorted
-    (120 Q(mu), coords, branch) for mu = coords + a rho/2 in the cone."""
+    (120 Q(mu), coords, branch) for mu = coords + a rho/2 in the cone,
+    with coords equal within each cycle."""
     out = []
     for k in range(-box, box + 1):
         for l in range(-box, box + 1):
@@ -21,15 +26,14 @@ def brute_scan(a, bound, fix=None, box=12):
                     branch = "N"
                 else:
                     continue
-                if fix == "tau" and k != l:
-                    continue
-                if fix == "sigma" and not (k == l == m):
+                coords = (k, l, m)
+                if any(coords[i] != coords[c[0]] for c in cycles for i in c):
                     continue
                 qv = q_norm(mu)
                 if qv <= bound:
                     num = qv * 120
                     assert num.denominator == 1
-                    out.append((int(num), (k, l, m), branch))
+                    out.append((int(num), coords, branch))
     return sorted(out)
 
 
@@ -52,23 +56,25 @@ def test_dual_basis_property():
 
 def test_minimal_point_coset_one():
     # Q = 3/40 = 9/120
-    assert enumerate_coset_cone(1, None, F(3, 40)) == [(9, (0, 0, 0), "P")]
+    assert enumerate_coset_cone(1, ALL, F(3, 40)) == [(9, (0, 0, 0), "P")]
 
 
 def test_sigma_fixed_coset_five():
     # Q = 15/8 = 225/120 on both points
-    assert enumerate_coset_cone(5, "sigma", F(15, 8)) == \
+    assert enumerate_coset_cone(5, SIGMA, F(15, 8)) == \
         [(225, (-1, -1, -1), "N"), (225, (0, 0, 0), "P")]
 
 
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
-@pytest.mark.parametrize("fix", [None, "tau", "sigma"])
-def test_completeness_against_box_oracle(a, fix):
-    assert enumerate_coset_cone(a, fix, 10) == brute_scan(a, F(10), fix)
+@pytest.mark.parametrize("cycles", [ALL, TAU, SIGMA],
+                         ids=["None", "tau", "sigma"])
+def test_completeness_against_box_oracle(a, cycles):
+    assert enumerate_coset_cone(a, cycles, 10) == brute_scan(a, F(10),
+                                                             cycles)
 
 
 def test_branch_sign_conditions_and_q():
-    for num, coords, branch in enumerate_coset_cone(7, None, 8):
+    for num, coords, branch in enumerate_coset_cone(7, ALL, 8):
         mu = cone_mu(coords, 7)
         if branch == "P":
             assert all(c >= 0 for c in mu)
@@ -81,17 +87,17 @@ def test_branch_sign_conditions_and_q():
 def test_negation_symmetry():
     for a in (1, 3, 7, 9):
         n_pts = sorted((num, coords) for num, coords, branch in
-                       enumerate_coset_cone(a, None, 6) if branch == "N")
+                       enumerate_coset_cone(a, ALL, 6) if branch == "N")
         p_pts = sorted((num, tuple(-c - 1 for c in coords))
                        for num, coords, branch in
-                       enumerate_coset_cone(10 - a, None, 6)
+                       enumerate_coset_cone(10 - a, ALL, 6)
                        if branch == "P")
         assert n_pts == p_pts
 
 
 def test_positive_branch_square_bound():
     # on branch P the cross terms are non-negative: Q >= sum(coords^2)/2
-    for num, coords, branch in enumerate_coset_cone(3, None, 9):
+    for num, coords, branch in enumerate_coset_cone(3, ALL, 9):
         if branch == "P":
             mu = cone_mu(coords, 3)
             assert num >= 60 * sum(c * c for c in mu)
@@ -99,13 +105,13 @@ def test_positive_branch_square_bound():
 
 def test_coset_label_validation():
     with pytest.raises(LatticeError):
-        enumerate_coset_cone(2, None, 5)
+        enumerate_coset_cone(2, ALL, 5)
     with pytest.raises(LatticeError):
-        enumerate_coset_cone(11, None, 5)
+        enumerate_coset_cone(11, ALL, 5)
 
 
 def test_deterministic_sorted_output():
-    a = enumerate_coset_cone(3, None, 12)
-    b = enumerate_coset_cone(3, None, 12)
+    a = enumerate_coset_cone(3, ALL, 12)
+    b = enumerate_coset_cone(3, ALL, 12)
     assert a == b
     assert a == sorted(a)
