@@ -18,7 +18,7 @@ from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       eta_quotient, euler_product)
 from .lattice import enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
-                         TraceId, all_trace_ids, fermion_trace, h_component,
+                         TraceId, all_trace_ids, h_component,
                          heisenberg_trace, trace_closed, trace_direct)
 from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)

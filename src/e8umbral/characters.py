@@ -6,11 +6,13 @@ Two independent routes compute the same traces:
 * ``trace_closed`` evaluates the closed triple/double/single lattice sums
   (one shape per conjugacy class of the S3 symmetry) against the printed
   eta-quotient prefactors;
-* ``trace_direct`` pairs the Clifford and Heisenberg factors with an
+* ``trace_direct`` pairs the one-fermion and Heisenberg factors with an
   explicit sum over enumerated cone points, applying the character-level
   sign rules of the group action.
 
-Both accept coset labels a in {1,3,5,7,9} and a Clifford sign.  The
+A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
+the two one-fermion modules the zero mode contributes only an overall
+sign, T^+ = -T^-, so both routes build T^-, the traces H_g is made of.  The
 vector-valued series H_g has sixty components supported on the residues
 +-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents).  The one
 component rule is ``component_family``: r maps to (family, sign) with
@@ -85,37 +87,24 @@ CLASSES = {"1A": CLASS_1A, "2A": CLASS_2A, "3A": CLASS_3A}
 
 
 class TraceId(NamedTuple("TraceId", [("group_class", GroupClass),
-                                     ("coset_a", int),
-                                     ("clifford_sign", int)])):
-    """(class, coset label, Clifford sign) naming one trace function."""
+                                     ("coset_a", int)])):
+    """(class, coset label) naming one trace function."""
 
     __slots__ = ()
 
-    def __new__(cls, group_class, coset_a, clifford_sign):
+    def __new__(cls, group_class, coset_a):
         if coset_a not in COSET_LABELS:
             raise ValueError("coset label must be odd with 0 < a < 10")
-        if clifford_sign not in (1, -1):
-            raise ValueError("Clifford sign must be +1 or -1")
-        return super().__new__(cls, group_class, coset_a, clifford_sign)
+        return super().__new__(cls, group_class, coset_a)
 
 
 def all_trace_ids() -> list[TraceId]:
-    return [TraceId(cls, a, s)
-            for cls in (CLASS_1A, CLASS_2A, CLASS_3A)
-            for a in COSET_LABELS
-            for s in (1, -1)]
+    return [TraceId(cls, a) for cls in (CLASS_1A, CLASS_2A, CLASS_3A)
+            for a in COSET_LABELS]
 
 
 # ----------------------------------------------------------------------
-# Clifford and Heisenberg factors
-
-
-def fermion_trace(sign: int, order) -> QSeries:
-    """+-q^(1/24) (q;q)_inf, the graded trace of the one-fermion zero mode
-    on its twisted module."""
-    if sign not in (1, -1):
-        raise SeriesError("sign must be +1 or -1")
-    return dedekind_eta(1, order).scale(sign)
+# prefactors
 
 
 # (q^k; q^k)_inf powers of the printed prefactors q^(-1/12)/(q;q)^2,
@@ -217,9 +206,10 @@ _CLOSED_SHAPES = {
 
 @lru_cache(maxsize=None)
 def trace_closed(trace_id: TraceId, order) -> QSeries:
-    """The closed lattice-sum expression for one trace function, cached by
-    (trace id, order): h_component, the identity suite and the
-    closed-vs-direct check ask for the same traces."""
+    """The closed lattice-sum expression for one trace function, minus the
+    printed prefactor times the octant sum, cached by (trace id, order):
+    h_component, the identity suite and the closed-vs-direct check ask for
+    the same traces."""
     ordv = _order_value(order)
     cls = trace_id.group_class
     cap = ordv + Fraction(1, 12)   # prefactor valuation is -1/12
@@ -229,8 +219,7 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
                      signs, neg, cap)
     pref = eta_quotient(_PRINTED_PREFACTORS[cls.order], Fraction(-1, 12),
                         ordv + Fraction(1, 12) + 1)
-    out = (pref * lat).scale(trace_id.clifford_sign)
-    return out.truncate(ordv)
+    return -(pref * lat).truncate(ordv)
 
 
 # ----------------------------------------------------------------------
@@ -240,17 +229,17 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
 def trace_direct(trace_id: TraceId, order) -> QSeries:
     """Trace via enumerated coset-cone points.
 
-    The prefactor is assembled from fermion_trace and heisenberg_trace (an
-    independent path from the printed eta-quotients), and the lattice part
-    sums sign(mu) q^Q(mu) over enumerate_coset_cone output with the
-    character-level sign rules for each class.
+    The prefactor is the one-fermion factor -q^(1/24) (q;q)_inf (the sign
+    of T^-) times heisenberg_trace, an independent path from the printed
+    eta-quotients, and the lattice part sums sign(mu) q^Q(mu) over
+    enumerate_coset_cone output with the character-level sign rules for
+    each class.
     """
     ordv = _order_value(order)
     cls = trace_id.group_class
     a = trace_id.coset_a
-    pref = fermion_trace(trace_id.clifford_sign, ordv + Fraction(1, 12) + 1) \
-        * heisenberg_trace(cls, ordv + Fraction(1, 12) + 1)
     cap = ordv + Fraction(1, 12)
+    pref = dedekind_eta(1, cap + 1).scale(-1) * heisenberg_trace(cls, cap + 1)
     n = cls.order
     coeffs: dict[int, int] = {}
     for en, (k, l, m), branch in enumerate_coset_cone(a, cls.cycles, cap):
@@ -288,6 +277,6 @@ def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     family, sign = rule
     a, scale = (1, 2) if family == 1 else \
         (3, 2 if group_class.order == 2 else -2)
-    t = trace_closed(TraceId(group_class, a, -1), order)
+    t = trace_closed(TraceId(group_class, a), order)
     return t.scale(scale * sign)
 

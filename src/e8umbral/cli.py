@@ -104,9 +104,8 @@ def _exact_checks(order: int, corrupt: bool):
         if diff is not None:
             ok = False
             e, closed, direct = diff
-            detail.append(f"{tid.group_class.name} a={tid.coset_a} "
-                          f"sign={tid.clifford_sign:+d} first discrepancy "
-                          f"at q^({e}): {closed} vs {direct}")
+            detail.append(f"{tid.group_class.name} a={tid.coset_a} first "
+                          f"discrepancy at q^({e}): {closed} vs {direct}")
     label = (f"[ok]   closed vs direct route, all {len(tids)} trace functions "
              f"(order {order})" if ok else
              "[FAIL] closed vs direct route: " + "; ".join(detail))

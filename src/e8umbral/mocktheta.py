@@ -61,12 +61,10 @@ def _apply(p: list, k: int, s: int, e: int) -> None:
             p[i] += s * p[i - k]
 
 
-def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
-    """One of the six fifth-order series, optionally evaluated at -q."""
+def ramanujan_series(name: str, order) -> QSeries:
+    """One of the six fifth-order series."""
     if name not in _SERIES:
         raise SeriesError(f"unknown series {name!r}")
-    if argument_sign not in (1, -1):
-        raise SeriesError("argument_sign must be +1 or -1")
     ordv = _order_value(order)
     if _is_inf(ordv):
         raise SeriesError(f"series {name!r} needs a finite truncation order")
@@ -83,8 +81,7 @@ def ramanujan_series(name: str, order, argument_sign: int = 1) -> QSeries:
         for factor in step(n):
             _apply(p, *factor)
         n += 1
-    s = QSeries({DEN * e: c for e, c in enumerate(total) if c}, ordv)
-    return s if argument_sign == 1 else s.substitute_minus_q()
+    return QSeries({DEN * e: c for e, c in enumerate(total) if c}, ordv)
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +194,8 @@ def identity_suite(order) -> list[IdentityReport]:
     chi1 = ramanujan_series("chi1", hi)
     F0 = ramanujan_series("F0", hi)
     F1 = ramanujan_series("F1", hi)
-    phi0m = ramanujan_series("phi0", hi, argument_sign=-1)
-    phi1m = ramanujan_series("phi1", hi, argument_sign=-1)
+    phi0m = ramanujan_series("phi0", hi).substitute_minus_q()
+    phi1m = ramanujan_series("phi1", hi).substitute_minus_q()
 
     out.append(compare_series(
         "chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m, ordv))
@@ -231,14 +228,14 @@ def identity_suite(order) -> list[IdentityReport]:
         hecke_double_sum("cor_rhs_7", ordv), ordv))
 
     # trace splitting: 2 T^-(e,1) = 4 q^(-1/120)(F0 - 1) - 2 q^(-1/120) phi0(-q)
-    t_e1 = trace_closed(TraceId(CLASSES["1A"], 1, -1), ordv).scale(2)
+    t_e1 = trace_closed(TraceId(CLASSES["1A"], 1), ordv).scale(2)
     rhs = ((F0 - 1).scale(4) - phi0m.scale(2)).shift(Fraction(-1, 120))
     out.append(compare_series(
         "2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
         t_e1, rhs, t_e1.order))
 
     # and its 7-family analogue through F1 and phi1
-    t_e7 = -trace_closed(TraceId(CLASSES["1A"], 3, -1), ordv).scale(2)
+    t_e7 = -trace_closed(TraceId(CLASSES["1A"], 3), ordv).scale(2)
     rhs7 = F1.shift(Fraction(71, 120)).scale(4) + \
         phi1m.shift(Fraction(-49, 120)).scale(2)
     out.append(compare_series(

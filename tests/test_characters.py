@@ -4,19 +4,11 @@ import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  FAMILY_1, FAMILY_7, TraceId, all_trace_ids,
-                                 component_family, fermion_trace,
-                                 h_component, heisenberg_trace, trace_closed,
-                                 trace_direct)
-from e8umbral.qseries import euler_product
+                                 component_family, h_component,
+                                 heisenberg_trace, trace_closed, trace_direct)
+from e8umbral.qseries import dedekind_eta, euler_product
 
 from oracles import shadow
-
-
-def test_fermion_trace():
-    plus = fermion_trace(1, 8)
-    assert plus.valuation() == F(1, 24)
-    assert plus.coefficient(F(25, 24)) == -1
-    assert fermion_trace(-1, 8) == -plus
 
 
 def test_class_data():
@@ -36,7 +28,7 @@ def test_prefactor_identities(name, builder):
     # fermion times boson trace reproduces the printed eta-quotients
     # q^(-1/12)/(q;q)^2, q^(-1/12)/(q^2;q^2), q^(-1/12)(q;q)/(q^3;q^3)
     order = 10
-    prod = fermion_trace(1, order) * heisenberg_trace(CLASSES[name], order)
+    prod = dedekind_eta(1, order) * heisenberg_trace(CLASSES[name], order)
     want = builder(order + 1).shift(F(-1, 12))
     assert prod.same_up_to(want, prod.order)
 
@@ -56,7 +48,7 @@ TABLE_A2_HEAD = {
 
 @pytest.mark.parametrize("name", ["1A", "2A", "3A"])
 def test_component_one_head(name):
-    t = trace_closed(TraceId(CLASSES[name], 1, -1), 11)
+    t = trace_closed(TraceId(CLASSES[name], 1), 11)
     got = [2 * t.coefficient(F(-1 + 120 * n, 120)) for n in range(10)]
     assert got == TABLE_A1_HEAD[name]
 
@@ -69,39 +61,32 @@ def test_component_seven_head(name):
 
 
 def test_route_equivalence_spot():
-    for tid in (TraceId(CLASS_1A, 1, -1), TraceId(CLASS_2A, 7, -1),
-                TraceId(CLASS_3A, 9, 1), TraceId(CLASS_2A, 5, -1)):
+    for tid in (TraceId(CLASS_1A, 1), TraceId(CLASS_2A, 7),
+                TraceId(CLASS_3A, 9), TraceId(CLASS_2A, 5)):
         c = trace_closed(tid, 12)
         d = trace_direct(tid, 12)
         assert c.first_difference(d, 12) is None
 
 
 def test_order3_coset_seven_row():
-    t = trace_closed(TraceId(CLASS_3A, 7, -1), 3)
+    t = trace_closed(TraceId(CLASS_3A, 7), 3)
     assert 2 * t.coefficient(F(191, 120)) == -2
-
-
-def test_clifford_sign_flips_trace():
-    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
-        plus = trace_closed(TraceId(cls, 3, 1), 8)
-        minus = trace_closed(TraceId(cls, 3, -1), 8)
-        assert plus == -minus
 
 
 def test_ten_minus_a_antisymmetry_all_classes():
     # the literal octant sums satisfy F(g, 10-a) = -F(g, a) for every class
     for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
         for a in (1, 3):
-            x = trace_closed(TraceId(cls, a, -1), 8)
-            y = trace_closed(TraceId(cls, 10 - a, -1), 8)
+            x = trace_closed(TraceId(cls, a), 8)
+            y = trace_closed(TraceId(cls, 10 - a), 8)
             assert y.same_up_to(-x, 8)
 
 
 def test_coset_five_vanishes():
     # 10 - a = a at a = 5, so the antisymmetry forces the zero series
     for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
-        assert trace_closed(TraceId(cls, 5, -1), 12).is_zero
-        assert trace_direct(TraceId(cls, 5, -1), 12).is_zero
+        assert trace_closed(TraceId(cls, 5), 12).is_zero
+        assert trace_direct(TraceId(cls, 5), 12).is_zero
 
 
 def test_assembled_vector_structure():
@@ -131,14 +116,14 @@ def test_component_59_is_negated_component_1():
 
 
 def test_all_trace_ids_count():
-    assert len(all_trace_ids()) == 30
+    assert len(all_trace_ids()) == 15
 
 
 def test_trace_id_validation():
+    # a trace is named by (class, coset label) alone
+    assert TraceId(CLASS_2A, 3) == (CLASS_2A, 3)
     with pytest.raises(ValueError):
-        TraceId(CLASS_1A, 2, 1)
-    with pytest.raises(ValueError):
-        TraceId(CLASS_1A, 1, 0)
+        TraceId(CLASS_1A, 2)
 
 
 def test_component_family_rule():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from e8umbral import cli
+from e8umbral import characters, cli
 from e8umbral.characters import CLASS_2A, TraceId, trace_closed
 from e8umbral.cli import main
 from e8umbral.qseries import QSeries
@@ -93,7 +93,23 @@ def test_verify_exact_passes(capsys):
     assert "checks passed" in out
     assert "[FAIL]" not in out
     # the identities and the closed-vs-direct loop share one trace cache
-    assert trace_closed.cache_info().misses == 30
+    assert trace_closed.cache_info().misses == 15
+
+
+def test_verify_exact_scans_each_cone_once(capsys, monkeypatch):
+    # the direct route enumerates one coset cone per (class, coset)
+    calls = []
+    real = characters.enumerate_coset_cone
+
+    def counted(*args):
+        calls.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(characters, "enumerate_coset_cone", counted)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
+                         "--order", "8")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 15
 
 
 def test_verify_corrupt_hook_fails(capsys):
@@ -107,7 +123,7 @@ def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
     # one coefficient of the direct route off by one: exactly one failed
     # check, naming the trace id and the exponent plainly
     real = cli.trace_direct
-    bad_id = TraceId(CLASS_2A, 3, 1)
+    bad_id = TraceId(CLASS_2A, 3)
 
     def corrupted(tid, order):
         d = real(tid, order)
@@ -123,8 +139,7 @@ def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
     assert code == 1
     fails = [line for line in out.splitlines() if "[FAIL]" in line]
     assert len(fails) == 1
-    assert f"2A a=3 sign=+1 first discrepancy at q^({F(e, 120)}): " \
-        in fails[0]
+    assert f"2A a=3 first discrepancy at q^({F(e, 120)}): " in fails[0]
     assert "GroupClass" not in fails[0]
 
 

@@ -33,7 +33,7 @@ def test_series_odd_orders_and_minus_q(name):
     assert got.coeffs == {120 * e: c for e, c in want.items()}
     empty = ramanujan_series(name, -1)
     assert empty.order == -1 and empty.is_zero
-    got = ramanujan_series(name, 25, argument_sign=-1)
+    got = ramanujan_series(name, 25).substitute_minus_q()
     want = ramanujan_oracle(name, 25)
     for n in range(26):
         assert got.coefficient(n) == (-1) ** n * want.get(n, 0), (name, n)
@@ -68,7 +68,7 @@ def test_f1_starts_at_one():
 
 
 def test_phi0_minus_q_head():
-    s = ramanujan_series("phi0", 6, argument_sign=-1)
+    s = ramanujan_series("phi0", 6).substitute_minus_q()
     assert [s.coefficient(n) for n in range(4)] == [1, -1, 1, 0]
 
 
@@ -99,8 +99,8 @@ def test_triple_sums_match_chi():
 def test_hecke_sums_match_phi():
     order = 20
     assert hecke_double_sum("phi0_lhs", order).same_up_to(
-        ramanujan_series("phi0", order, argument_sign=-1), order)
-    phi1m = ramanujan_series("phi1", order + 1, argument_sign=-1)
+        ramanujan_series("phi0", order).substitute_minus_q(), order)
+    phi1m = ramanujan_series("phi1", order + 1).substitute_minus_q()
     assert hecke_double_sum("phi1_lhs", order).same_up_to(
         -phi1m.shift(-1), order)
 

@@ -110,6 +110,7 @@ def test_pochhammer_divergence():
 
 def test_eta_leading_terms():
     eta = dedekind_eta(1, 3)
+    assert eta.valuation() == F(1, 24)
     assert eta.coefficient(F(1, 24)) == 1
     assert eta.coefficient(F(25, 24)) == -1
     assert dedekind_eta(2, 3).valuation() == F(1, 12)
