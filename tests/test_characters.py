@@ -11,6 +11,18 @@ from e8umbral.qseries import dedekind_eta, euler_product
 from oracles import shadow
 
 
+def test_fermion_trace():
+    # the one-fermion factor of T^- is -q^(1/24) (q;q)_inf = -eta(tau)
+    minus = dedekind_eta(1, 8).scale(-1)
+    assert minus.valuation() == F(1, 24)
+    assert minus.coefficient(F(1, 24)) == -1
+    assert minus.coefficient(F(25, 24)) == 1
+    # with it trace_direct leads with -q^(-1/120), half the first entry
+    # of Table A1
+    lead = trace_direct(TraceId(CLASS_1A, 1), 1).coefficient(F(-1, 120))
+    assert 2 * lead == TABLE_A1_HEAD["1A"][0]
+
+
 def test_class_data():
     assert CLASS_1A.perm_character == 3 and CLASS_1A.order == 1
     assert CLASS_2A.perm_character == 1 and CLASS_2A.order == 2
