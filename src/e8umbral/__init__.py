@@ -15,7 +15,7 @@ the tests.
 
 from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
-                      eta_quotient, euler_product)
+                      eta_quotient)
 from .lattice import enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          TraceId, all_trace_ids, h_component,

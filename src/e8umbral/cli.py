@@ -27,7 +27,7 @@ from .mocktheta import IdentityReport, identity_suite
 from .qseries import DEN
 from .theta import thetanullwerte_class_check
 
-CLASS_NAMES = ("1A", "2A", "3A")
+CLASS_NAMES = tuple(CLASSES)
 
 # largest exponent numerator cmd_table will compute; the appendix range is
 # 4631 and the exact engine stays fast well past this

@@ -77,6 +77,13 @@ def beta_incomplete(x: float) -> float:
 # series evaluation with an empirical tail certificate
 
 
+def _im_upper(tau: complex) -> float:
+    """Im tau, or NumericsError unless tau is a finite point of H."""
+    if not (math.isfinite(tau.real) and 0 < tau.imag < math.inf):
+        raise NumericsError("tau must lie in the upper half plane")
+    return tau.imag
+
+
 def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Sum a truncated exact series at q = e(tau).
 
@@ -85,9 +92,7 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     it is empirical, not a proof, and callers compare it against their
     tolerance before trusting the value.
     """
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
+    y = _im_upper(tau)
     total = 0.0 + 0.0j
     mags: list[tuple[float, float]] = []
     try:
@@ -130,9 +135,7 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
     summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
     tail estimate misses the budget there, NumericsError if tol is below
     the double precision of the value."""
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
+    y = _im_upper(tau)
     value, tail = series_value(series_of_order(_eval_order(y, tol)), tau)
     if not tail < tail_budget:
         raise ConvergenceError(
@@ -182,9 +185,7 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
     _line_sum certifies the tail with kappa = 1.
     """
     b = float(b)
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
+    y = _im_upper(tau)
 
     def term(nu: float) -> complex:
         if nu == 0.0:
@@ -203,6 +204,7 @@ def component_value(group_class: GroupClass, r: int, tau: complex,
                     tol: float, tail_budget: float) -> tuple[complex, float]:
     """(H_r(tau), tail estimate < tail_budget), by _sum_to_tol.  The
     exponents lie in Z/120, so Re tau is first reduced (exactly) mod 120."""
+    _im_upper(tau)
     tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     return _sum_to_tol(lambda n: h_component(group_class, r, n), tau, tol,
                        tail_budget)
@@ -216,6 +218,7 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
     beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
     family, sign = component_family(r)
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
     total = sum(r_function(Fraction(s, 60), 0, 60.0 * tau, tail_bound)
                 for s in (FAMILY_1 if family == 1 else FAMILY_7))
     return sign * group_class.perm_character * total
@@ -232,7 +235,6 @@ def _completion(group_class: GroupClass, r: int, tau: complex,
     """(completed H_r(tau), its tail estimate): H_r(tau) with a tail
     estimate below tol/5, plus its certified Eichler part (R-sum tails
     below tol * 1e-12); Re tau is reduced mod 120 as for H_r."""
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     value, tail = component_value(group_class, r, tau, tol, tol / 5.0)
     if group_class.perm_character == 0:
         return value, tail    # zero shadow: completion equals the series
@@ -286,7 +288,11 @@ def modular_value_1a(r: int, tau: complex, tol: float,
     for the completion, and for the series the propagated tail estimates
     plus the Eichler tail.
     """
-    family, sign = component_family(r)
+    rule = component_family(r)
+    if rule is None:
+        raise ValueError(f"component {r} is not in the support")
+    _im_upper(tau)
+    family, sign = rule
     tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     x, y = Fraction(tau.real), Fraction(tau.imag)
     gamma, g_re, g_im = _to_fundamental_domain(x, y)
@@ -484,9 +490,7 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
     large |q^Q(nu)|.
     """
     data.validate()
-    y = tau.imag
-    if y <= 0:
-        raise NumericsError("tau must lie in the upper half plane")
+    y = _im_upper(tau)
     x1 = _wall_coordinate(data, data.c1, y)
     x2 = _wall_coordinate(data, data.c2, y)
 

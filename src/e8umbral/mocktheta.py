@@ -30,7 +30,8 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple, Optional
 
-from .characters import CLASSES, TraceId, octant_sum, trace_closed
+from .characters import (CLASS_1A, CLASS_2A, TraceId, h_component,
+                         octant_sum, trace_closed)
 from .qseries import (DEN, QSeries, SeriesError, _is_inf, _order_value,
                       eta_quotient)
 
@@ -228,14 +229,14 @@ def identity_suite(order) -> list[IdentityReport]:
         hecke_double_sum("cor_rhs_7", ordv), ordv))
 
     # trace splitting: 2 T^-(e,1) = 4 q^(-1/120)(F0 - 1) - 2 q^(-1/120) phi0(-q)
-    t_e1 = trace_closed(TraceId(CLASSES["1A"], 1), ordv).scale(2)
+    t_e1 = trace_closed(TraceId(CLASS_1A, 1), ordv).scale(2)
     rhs = ((F0 - 1).scale(4) - phi0m.scale(2)).shift(Fraction(-1, 120))
     out.append(compare_series(
         "2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
         t_e1, rhs, t_e1.order))
 
     # and its 7-family analogue through F1 and phi1
-    t_e7 = -trace_closed(TraceId(CLASSES["1A"], 3), ordv).scale(2)
+    t_e7 = -trace_closed(TraceId(CLASS_1A, 3), ordv).scale(2)
     rhs7 = F1.shift(Fraction(71, 120)).scale(4) + \
         phi1m.shift(Fraction(-49, 120)).scale(2)
     out.append(compare_series(
@@ -243,7 +244,6 @@ def identity_suite(order) -> list[IdentityReport]:
         t_e7, rhs7, t_e7.order))
 
     # table identities for the assembled components
-    from .characters import CLASS_1A, CLASS_2A, h_component
     h = h_component(CLASS_1A, 1, ordv)
     out.append(compare_series(
         "H(1A,1) = 2 q^(-1/120)(chi0 - 2)",

@@ -9,7 +9,10 @@ series stay in int arithmetic.  Every exponent of the E8^3 module lies on
 the grid 1/120: the index-30 theta exponents r^2/120, the polar terms
 q^(-1/120), q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the
 eta exponents in 1/24.  Every eta-quotient of the package (eta, the trace,
-Zwegers and Hecke prefactors, 1/Delta) is built by ``eta_quotient``.
+Zwegers and Hecke prefactors, 1/Delta) is built by ``eta_quotient``, in
+place on a dense integer list by passes of Euler's pentagonal sum: one
+pass multiplies or divides by one (q^k; q^k)_infinity, and no series is
+ever inverted.
 
 All values are immutable after construction and every operation returns a
 new canonical series (no stored zeros), so coefficient-map equality is
@@ -20,8 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 from typing import Optional, Union
 
 DEN = 120
@@ -221,64 +222,6 @@ class QSeries:
         order = self.order + _frac(exponent)
         return QSeries({e + d: c for e, c in self.coeffs.items()}, order)
 
-    def __pow__(self, n: int) -> "QSeries":
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("only non-negative integer powers supported")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return QSeries.one() if result is None else result
-
-    def invert(self) -> "QSeries":
-        """Multiplicative inverse of a unit series.
-
-        Requires a nonzero lowest-order coefficient.  If self has valuation
-        v and order N, the inverse has valuation -v and order N - 2v.  Only
-        a monomial has an exact inverse; any other series must be truncated
-        first.
-        """
-        if not self.coeffs:
-            raise SeriesError("cannot invert a series with no readable "
-                              "nonzero coefficient")
-        items = self.items()
-        v = items[0][0]
-        lead = items[0][1]
-        # a unit lead keeps integer coefficients integers
-        inv = lead if lead in (1, -1) else 1 / Fraction(lead)
-        order = self.order - 2 * Fraction(v, DEN)
-        rel = [(e - v, c) for e, c in items[1:]]
-        if not rel:
-            return QSeries({-v: inv}, order)
-        if _is_inf(self.order):
-            raise SeriesError("the inverse of an exact series with more "
-                              "than one term is infinite; truncate first")
-        # relative truncation for the unit part 1 + u
-        rel_cap = _cap(self.order) - v
-        # solve on the sublattice actually supported by u
-        step = 0
-        for e, _ in rel:
-            step = math.gcd(step, e)
-        # write self = lead * q^v * (1 + u); solve (1 + u) * w = 1 term by
-        # term on the sublattice generated by the support of u
-        known: dict[int, Rational] = {0: 1}
-        rel_norm = [(e, c * inv) for e, c in rel]
-        for e in range(step, rel_cap + 1, step):
-            acc = 0
-            for eu, cu in rel_norm:
-                if eu > e:
-                    break
-                prev = known.get(e - eu)
-                if prev is not None:
-                    acc += cu * prev
-            if acc:
-                known[e] = -acc
-        return QSeries({e - v: c * inv for e, c in known.items()}, order)
-
     # ------------------------------------------------------------------
     # substitutions and comparisons
 
@@ -351,45 +294,53 @@ class QSeries:
 
 
 # ----------------------------------------------------------------------
-# standard product constructions
-
-
-def euler_product(scale: int, order: OrderLike) -> QSeries:
-    """(q^scale; q^scale)_infinity, by Euler's pentagonal number theorem:
-    sum_{j in Z} (-1)^j q^(scale * j(3j-1)/2)."""
-    if scale <= 0:
-        raise DivergenceError(
-            f"infinite product has factor of exponent {scale} <= 0")
-    ordv = _order_value(order)
-    if _is_inf(ordv):
-        raise SeriesError("infinite product needs a finite truncation order")
-    step = scale * DEN
-    cap = _cap(ordv)
-    coeffs = {}
-    # the generalized pentagonal numbers j(3j-1)/2 <= j(3j+1)/2 grow with j
-    j = 0
-    while step * j * (3 * j - 1) // 2 <= cap:
-        sign = -1 if j % 2 else 1
-        coeffs[step * j * (3 * j - 1) // 2] = sign
-        coeffs[step * j * (3 * j + 1) // 2] = sign
-        j += 1
-    return QSeries(coeffs, ordv)
+# eta quotients
 
 
 def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
     """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order.
 
-    The factors with positive powers and those with negative powers are
-    multiplied separately, and the second product is inverted once.
+    The product is built on a dense list p of integer coefficients at
+    exponents 0..top, top = floor(order - shift), from Euler's pentagonal
+    sum (q^k; q^k)_infinity = 1 + sum_g s_g q^g over the exponents
+    g = k j(3j -+ 1)/2, j >= 1, with s_g = (-1)^j.  Each unit of a power
+    is one pass over p that adds s_g p[i] into every p[i + g].  A positive
+    power runs top-down, so each p[i] it reads is still the old one: a
+    product.  A negative power runs bottom-up with the signs reversed, so
+    each p[i] it reads is already final: a quotient, which the constant
+    term 1 allows.  No series is inverted.
     """
     ordv = _order_value(order)
+    if _is_inf(ordv):
+        raise SeriesError("infinite product needs a finite truncation order")
     inner = ordv - _frac(shift)
-    num = [euler_product(k, inner) ** p for k, p in powers.items() if p > 0]
-    den = [euler_product(k, inner) ** -p for k, p in powers.items() if p < 0]
-    if den:
-        num.append(reduce(mul, den).invert())
-    body = reduce(mul, num) if num else QSeries.one()
-    return body.shift(shift).truncate(ordv)
+    top = math.floor(inner)
+    p = [1] + [0] * top
+    for k, n in powers.items():
+        if k <= 0:
+            raise DivergenceError(
+                f"infinite product has factor of exponent {k} <= 0")
+        # the exponents g with s_g = -1 (odd j), then with s_g = +1 (even j)
+        jmax = math.isqrt(max(top, 0) // k)
+        odd, even = ([k * g for j in range(first, jmax + 1, 2)
+                      for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+                      if k * g <= top] for first in (1, 2))
+        rows = range(top, -1, -1) if n > 0 else range(top + 1)
+        for _ in range(abs(n)):
+            for i in rows:
+                v = p[i] if n > 0 else -p[i]
+                if v:
+                    room = top - i
+                    for g in odd:
+                        if g > room:
+                            break
+                        p[i + g] -= v
+                    for g in even:
+                        if g > room:
+                            break
+                        p[i + g] += v
+    return QSeries({DEN * i: c for i, c in enumerate(p) if c},
+                   inner).shift(shift)
 
 
 def dedekind_eta(scale: int, order: OrderLike) -> QSeries:

@@ -35,7 +35,7 @@ from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             transform_check)
 from e8umbral.mocktheta import (hecke_double_sum, ramanujan_series,
                                 zwegers_triple_sum)
-from e8umbral.qseries import QSeries, dedekind_eta, euler_product
+from e8umbral.qseries import QSeries, dedekind_eta, eta_quotient
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import unary_theta
@@ -232,7 +232,7 @@ def test_criterion_11_property_suites():
         e = k * (3 * k - 1) // 2
         if e <= 25:
             pent[e * 120] = pent.get(e * 120, 0) + (-1) ** (k % 2)
-    assert euler_product(1, 25).same_up_to(QSeries(pent, 25), 25)
+    assert eta_quotient({1: 1}, 0, 25).same_up_to(QSeries(pent, 25), 25)
 
     # eta(2 tau) identity
     coeffs = {}

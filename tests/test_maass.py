@@ -378,6 +378,34 @@ def test_modular_value_in_f_is_direct_summation():
                 component_value(CLASS_1A, r, tau, 1e-9, 1e-9)
 
 
+_OFF_H = (0.3 + 0j, 0j, 0.3 - 1j, complex(math.inf, 1),
+          complex(0.3, math.inf), complex(math.nan, 1),
+          complex(0.3, math.nan))
+
+
+@pytest.mark.parametrize("completion", [False, True])
+def test_modular_value_rejects_bad_input(completion):
+    # the errors of h_component and component_value, raised before any
+    # pull-back to F
+    with pytest.raises(ValueError, match="component 2 is not in the "
+                                         "support"):
+        modular_value_1a(2, 0.3 + 1j, 1e-9, completion)
+    for tau in _OFF_H:
+        with pytest.raises(NumericsError, match="upper half plane"):
+            modular_value_1a(1, tau, 1e-9, completion)
+
+
+@pytest.mark.parametrize("tau", _OFF_H)
+def test_evaluators_reject_tau_off_h(tau):
+    # one check before the mod-120 reduction of Re tau, which raises
+    # ValueError on an infinite part
+    for value in (lambda: component_value(CLASS_2A, 1, tau, 1e-9, 1e-9),
+                  lambda: completion_value(CLASS_2A, 7, tau),
+                  lambda: r_function(F(1, 60), 0, tau)):
+        with pytest.raises(NumericsError, match="upper half plane"):
+            value()
+
+
 @pytest.mark.parametrize("cls,gens", [
     (CLASS_1A, (((1, 1), (0, 1)), ((0, -1), (1, 0)))),
     (CLASS_2A, (((1, 1), (0, 1)), ((1, 0), (2, 1)))),

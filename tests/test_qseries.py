@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ import pytest
 from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
-                              dedekind_eta, eta_quotient, euler_product)
+                              dedekind_eta, eta_quotient)
 
 from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
                      poly_inv, poly_mul)
@@ -37,10 +38,12 @@ def test_additive_inverse_gives_empty_map():
 
 
 def test_geometric_inverse():
-    inv = (QSeries.one(order=4) - q(1, order=4)).invert()
-    assert [c for _, c in inv.items()] == [1, 1, 1, 1, 1]
+    # 1/(q; q)_inf to q^2: the partition numbers 1, 1, 2
+    inv = eta_quotient({1: -1}, 0, 2)
+    assert [c for _, c in inv.items()] == [1, 1, 2]
     # integral coefficients are stored as ints, not as boxed Fractions
-    for s in (inv, euler_product(1, 30), h_component(CLASSES["1A"], 1, 20)):
+    for s in (inv, eta_quotient({1: 1}, 0, 30),
+              h_component(CLASSES["1A"], 1, 20)):
         assert all(type(c) is int for c in s.coeffs.values())
     two = QSeries({0: F(4, 2)}).coeffs[0]
     assert type(two) is int and two == 2
@@ -49,44 +52,33 @@ def test_geometric_inverse():
                for c in g.coeffs.values())
 
 
-def test_invert_monomial():
-    assert q(F(1, 120)).invert() == q(F(-1, 120))
-
-
 def test_partition_generating_function():
-    inv = euler_product(1, 8).invert()
+    inv = eta_quotient({1: -1}, 0, 8)
     expected = partition_counts(8)
     for n in range(9):
         assert inv.coefficient(n) == expected[n]
 
 
 def test_pentagonal_numbers():
-    got = euler_product(1, 30)
+    got = eta_quotient({1: 1}, 0, 30)
     want = pentagonal_series(30)
     for n in range(31):
         assert got.coefficient(n) == want.get(n, 0)
     # the pentagonal route against the factor-by-factor product
     for k in (1, 2, 3):
         want = finite_pochhammer(k, 1, k, 60 // k, 60)
-        got = euler_product(k, 60)
+        got = eta_quotient({k: 1}, 0, 60)
         assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
     # prod_{n>0} (1 + q^n) as (q^2; q^2)_inf / (q; q)_inf
     want = finite_pochhammer(1, -1, 1, 60, 60)
-    got = euler_product(2, 60) * euler_product(1, 60).invert()
+    got = eta_quotient({2: 1, 1: -1}, 0, 60)
     assert all(got.coefficient(n) == want.get(n, 0) for n in range(61))
 
 
-@pytest.mark.parametrize("powers,shift", [
-    ({1: -3}, F(-1, 8)), ({1: -1, 2: -1}, F(-1, 8)), ({3: -1}, F(-1, 8)),
-    ({1: -2}, F(-1, 12)), ({2: -1}, F(-1, 12)), ({1: 1, 3: -1}, F(-1, 12)),
-    ({1: 1, 2: -2}, F(7, 120)), ({1: -1, 2: 1}, F(1, 3)), ({1: -24}, -1),
-    ({2: 1}, F(1, 12)),
-])
-def test_eta_quotient_against_products(powers, shift):
-    # every power table the package uses, against factor-by-factor
-    # products of (1 - q^(kn)) and one oracle inversion
-    order = 30
-    n_max = int(order - shift)
+def _against_products(powers, shift, order):
+    # eta_quotient against factor-by-factor products of (1 - q^(kn)) and
+    # one oracle inversion
+    n_max = math.floor(order - shift)
     num, den = {0: F(1)}, {0: F(1)}
     for k, p in powers.items():
         factor = finite_pochhammer(k, 1, k, n_max // k, n_max)
@@ -101,11 +93,52 @@ def test_eta_quotient_against_products(powers, shift):
     assert got.coeffs == {int((n + shift) * 120): c for n, c in want.items()}
 
 
+@pytest.mark.parametrize("powers,shift", [
+    ({1: -3}, F(-1, 8)), ({1: -1, 2: -1}, F(-1, 8)), ({3: -1}, F(-1, 8)),
+    ({1: -2}, F(-1, 12)), ({2: -1}, F(-1, 12)), ({1: 1, 3: -1}, F(-1, 12)),
+    ({1: 1, 2: -2}, F(7, 120)), ({1: -1, 2: 1}, F(1, 3)), ({1: -24}, -1),
+    ({2: 1}, F(1, 12)),
+])
+def test_eta_quotient_against_products(powers, shift):
+    # every power table the package uses
+    _against_products(powers, shift, 30)
+
+
+def _random_eta_inputs(count):
+    # seeded (powers, shift, order): powers in +-{1, 2, 3} on k <= 6,
+    # orders up to 60 and mostly off the 1/120 grid, order >= shift
+    rng = random.Random(15)
+    for _ in range(count):
+        ks = rng.sample(range(1, 7), rng.randrange(1, 4))
+        shift = F(rng.randrange(-120, 121), 120)
+        yield ({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in ks}, shift,
+               shift + F(rng.randrange(59 * 840), 840))
+
+
+@pytest.mark.parametrize("powers,shift,order", _random_eta_inputs(40))
+def test_eta_quotient_against_products_random(powers, shift, order):
+    _against_products(powers, shift, order)
+
+
+def test_eta_quotient_below_its_shift_is_empty():
+    # q^1/(q; q)_inf claims nothing below q^1: known to order 1/2 it is
+    # the empty series of that order
+    got = eta_quotient({1: -1}, 1, F(1, 2))
+    assert got.is_zero and got.order == F(1, 2)
+
+
+def test_eta_quotient_input_checks():
+    with pytest.raises(SeriesError, match="finite truncation order"):
+        eta_quotient({1: -1}, 0, math.inf)
+    with pytest.raises(GradingError, match="shift by 1/7 not representable"):
+        eta_quotient({1: 1}, F(1, 7), 5)
+
+
 def test_pochhammer_divergence():
-    with pytest.raises(DivergenceError):
-        euler_product(0, 5)
-    with pytest.raises(DivergenceError):
-        euler_product(-1, 5)
+    with pytest.raises(DivergenceError, match="exponent 0 <= 0"):
+        eta_quotient({0: 1}, 0, 5)
+    with pytest.raises(DivergenceError, match="exponent -1 <= 0"):
+        eta_quotient({1: 1, -1: -1}, 0, 5)
 
 
 def test_eta_leading_terms():
@@ -164,26 +197,12 @@ def test_ring_laws_randomized():
         assert dist_l.same_up_to(dist_r, min(dist_l.order, dist_r.order))
 
 
-def test_invert_roundtrip_randomized():
-    rng = random.Random(99)
-    for _ in range(60):
-        u = QSeries.const(rng.randrange(1, 5), order=8) + \
-            _random_series(rng).shift(F(1, 2))
-        w = u.invert()
-        prod = u * w
-        assert prod.same_up_to(QSeries.one(), prod.order)
-        assert w.valuation() == -u.valuation()
-
-
 def test_truncation_is_contract_not_zero():
-    s = euler_product(1, 5)
+    s = eta_quotient({1: 1}, 0, 5)
     with pytest.raises(TruncationError):
         s.coefficient(6)
     with pytest.raises(TruncationError):
-        s.first_difference(euler_product(1, 10), 8)
-    # 1/(1 - q) is infinite: an exact inverse would have to claim all of it
-    with pytest.raises(SeriesError, match="truncate first"):
-        (QSeries.one() - q(1)).invert()
+        s.first_difference(eta_quotient({1: 1}, 0, 10), 8)
 
 
 def test_minus_q_substitution():
@@ -203,7 +222,7 @@ def test_mul_truncation_rule():
 
 def test_zero_series_annihilates_conservatively():
     z = QSeries.zero(order=4)
-    s = euler_product(1, 9)
+    s = eta_quotient({1: 1}, 0, 9)
     prod = z * s
     assert prod.is_zero
     assert prod.order == 4             # val(zero) bounded by its order

@@ -88,7 +88,7 @@ def eta_J_coefficients(order) -> QSeries:
     e4 = QSeries({k * DEN: 240 * sum(d ** 3 for d in range(1, k + 1)
                                      if k % d == 0) if k else 1
                   for k in range(n + 1)}, n)
-    j = (e4 ** 3) * eta_quotient({1: -24}, -1, n - 1) - 744
+    j = e4 * e4 * e4 * eta_quotient({1: -24}, -1, n - 1) - 744
     return (dedekind_eta(1, order + 2) * j).truncate(order)
 
 
