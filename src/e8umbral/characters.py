@@ -217,9 +217,15 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
     lat = octant_sum(gram, [a * u for u in lin_unit], Fraction(3 * a * a, 40),
                      signs, neg, cap)
-    pref = eta_quotient(_PRINTED_PREFACTORS[cls.order], Fraction(-1, 12),
-                        ordv + Fraction(1, 12) + 1)
-    return -(pref * lat).truncate(ordv)
+    return -(_printed_prefactor(cls, ordv) * lat).truncate(ordv)
+
+
+@lru_cache(maxsize=None)
+def _printed_prefactor(group_class: GroupClass, order) -> QSeries:
+    """The printed eta-quotient prefactor of trace_closed, to order + 1/12
+    + 1, built once per (class, order) for the five cosets."""
+    return eta_quotient(_PRINTED_PREFACTORS[group_class.order],
+                        Fraction(-1, 12), order + Fraction(1, 12) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +245,6 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
     cls = trace_id.group_class
     a = trace_id.coset_a
     cap = ordv + Fraction(1, 12)
-    pref = dedekind_eta(1, cap + 1).scale(-1) * heisenberg_trace(cls, cap + 1)
     n = cls.order
     coeffs: dict[int, int] = {}
     for en, (k, l, m), branch in enumerate_coset_cone(a, cls.cycles, cap):
@@ -255,7 +260,15 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
             sign = -1 if k % 2 else 1
         coeffs[en] = coeffs.get(en, 0) + sign
     lat_sum = QSeries(coeffs, cap)
-    return (pref * lat_sum).truncate(ordv)
+    return (_direct_prefactor(cls, ordv) * lat_sum).truncate(ordv)
+
+
+@lru_cache(maxsize=None)
+def _direct_prefactor(group_class: GroupClass, order) -> QSeries:
+    """-q^(1/24) (q;q)_inf times heisenberg_trace, to order + 1/12 + 1,
+    built once per (class, order) for the five cosets."""
+    cap = order + Fraction(13, 12)
+    return dedekind_eta(1, cap).scale(-1) * heisenberg_trace(group_class, cap)
 
 
 # ----------------------------------------------------------------------

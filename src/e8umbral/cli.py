@@ -24,14 +24,15 @@ from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
 from .maass import NumericsError, completion_value, component_value, \
     modular_value_1a, tau1_identity_check, transform_check
 from .mocktheta import IdentityReport, identity_suite
-from .qseries import DEN
+from .qseries import DEN, Rational
 from .theta import thetanullwerte_class_check
 
 CLASS_NAMES = tuple(CLASSES)
 
-# largest exponent numerator cmd_table will compute; the appendix range is
-# 4631 and the exact engine stays fast well past this
-MAX_ROW_BUDGET = 30000
+# largest --max-row of cmd_table, and DEN times the largest --order: the
+# appendix ends at row 4559, and the exact suite at order 1000 takes about
+# 1.3 s cold
+MAX_ROW_BUDGET = 120000
 
 
 def _row_numerators(component: int, max_row: int) -> list[int]:
@@ -39,8 +40,10 @@ def _row_numerators(component: int, max_row: int) -> list[int]:
     return list(range(start, max_row + 1, DEN))
 
 
-def _format_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+def _format_value(v: Rational) -> str:
+    """A coefficient as an int or n/d: a canonical series stores no
+    Fraction with denominator 1."""
+    return str(v) if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
 
 
 def cmd_table(args) -> int:
@@ -55,13 +58,11 @@ def cmd_table(args) -> int:
         print("error: empty row range", file=sys.stderr)
         return 2
     order = Fraction(nums[-1] + 1, DEN)
-    series = {name: h_component(CLASSES[name], component, order)
+    # each series is known to order, past the last row
+    series = {name: h_component(CLASSES[name], component, order).coeffs
               for name in CLASS_NAMES}
-    rows = []
-    for num in nums:
-        exp = Fraction(num, DEN)
-        rows.append((num, {name: series[name].coefficient(exp)
-                           for name in CLASS_NAMES}))
+    rows = [(num, {name: series[name].get(num, 0) for name in CLASS_NAMES})
+            for num in nums]
     out = sys.stdout
     if args.format == "csv":
         out.write("exponent_numerator," + ",".join(CLASS_NAMES) + "\n")

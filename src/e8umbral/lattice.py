@@ -8,16 +8,17 @@ are parametrized by integer triples (k, l, m): branch P iff all >= 0,
 branch N iff all < 0, because the coordinates of mu = k e_1 + l e_2 + m e_3
 + (a/2) rho are (k + a/10, l + a/10, m + a/10).
 
-Q(mu) = <mu,mu>/2 is strictly positive on nonzero cone vectors, and on
-either branch Q(mu) >= sum(coords^2)/2 since all cross terms have equal
-signs; that certified bound drives the enumeration boxes.  A cone point is
-the integer tuple (120 Q(mu), coords, branch): Q(mu) lies on the grid
-1/120 of ``qseries.DEN``, so the energy is carried as its numerator.
+Q(mu) = <mu,mu>/2 is strictly positive on nonzero cone vectors.  On
+branch P it is non-decreasing in every coordinate, since all coefficients
+of Q in (k, l, m) are non-negative, so the scan of each coordinate stops
+at its first point past the bound; branch N is branch P of the opposite
+coset, negated.  A cone point is the integer tuple (120 Q(mu), coords,
+branch): Q(mu) lies on the grid 1/120 of ``qseries.DEN``, so the energy is
+carried as its numerator.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -39,18 +40,39 @@ def _q_of(coords: tuple[int, int, int], a: int) -> int:
 def _positive_branch(a: int, cycles,
                      bound: Fraction) -> list[tuple[int, tuple]]:
     """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 that are
-    constant on each cycle, with Q(mu) <= bound.  On branch P every
-    coordinate of mu is >= a/10 > 0 and the cross terms of Q are
-    non-negative, so Q >= (k^2+l^2+m^2)/2 and the scanned box is
-    complete.  One unit of slack on top of the certified bound."""
-    box = range(math.isqrt(max(math.ceil(2 * bound), 0)) + 2)
+    constant on each cycle, with Q(mu) <= bound.
+
+    Completeness: every coefficient of ``_q_of`` is >= 0 and a > 0, so on
+    branch P 120 Q(mu) is non-decreasing in every free coordinate.  The
+    least point with a given prefix of free values sets the rest to 0, so
+    each coordinate loop stops at its first value whose least point is
+    past the cap, without skipping one.
+    """
     # coordinate i takes the free value of the cycle holding i
-    owner = {i: j for j, c in enumerate(cycles) for i in c}
-    spread = itemgetter(*(owner[i] for i in range(3)))
-    points = map(spread, itertools.product(box, repeat=len(cycles)))
+    spread = itemgetter(*(j for i in range(3)
+                          for j, c in enumerate(cycles) if i in c))
     cap = math.floor(bound * DEN)
-    return [(num, coords) for coords in points
-            if (num := _q_of(coords, a)) <= cap]
+    points = []
+
+    def walk(free) -> bool:
+        """Add the points with this prefix; False if there are none."""
+        t = 0
+        while True:
+            prefix = free + (t,)
+            if len(prefix) < len(cycles):
+                found = walk(prefix)
+            else:
+                coords = spread(prefix)
+                num = _q_of(coords, a)
+                found = num <= cap
+                if found:
+                    points.append((num, coords))
+            if not found:
+                return t > 0
+            t += 1
+
+    walk(())
+    return points
 
 
 def enumerate_coset_cone(a: int, cycles,
@@ -60,9 +82,9 @@ def enumerate_coset_cone(a: int, cycles,
     the indices 0, 1, 2: one free coordinate per cycle), as sorted
     (120 Q(mu), coords, branch) tuples with branch "P" or "N".
 
-    Branch P is a direct box scan; branch N is obtained from the negation
-    bijection N(L + a*rho/2) = -P(L + (10-a)*rho/2), which preserves Q.
-    Completeness below the bound is a hard contract.
+    Branch P is scanned by _positive_branch; branch N is obtained from the
+    negation bijection N(L + a*rho/2) = -P(L + (10-a)*rho/2), which
+    preserves Q.  Completeness below the bound is a hard contract.
     """
     if not (0 < a < 10 and a % 2 == 1):
         raise LatticeError("coset label a must be odd with 0 < a < 10")

@@ -14,6 +14,14 @@ place on a dense integer list by passes of Euler's pentagonal sum: one
 pass multiplies or divides by one (q^k; q^k)_infinity, and no series is
 ever inverted.
 
+A product is one CPython bigint product, by Kronecker substitution (D.
+Harvey, arXiv:0712.4046).  Both operands lie on progressions e0 + g i with
+one step g, so each becomes a dense int list, times a common denominator
+where its coefficients are Fractions.  Each list is packed into one int
+with a fixed-width byte field per coefficient, wide enough for every
+coefficient of the product; the product of the two ints carries the
+product's coefficients in its fields, read off with a bias per field.
+
 All values are immutable after construction and every operation returns a
 new canonical series (no stored zeros), so coefficient-map equality is
 semantic equality up to the shared truncation order.
@@ -67,6 +75,27 @@ def _order_value(order: OrderLike):
     if _is_inf(order):
         return INF
     return _frac(order)  # type: ignore[arg-type]
+
+
+def _dense(coeffs: dict, e0: int, g: int, top: int) -> tuple[list, int]:
+    """(p, d): d times the coefficients at exponents e0 + g i, i <= top, as
+    the dense int list p, with d the common denominator."""
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    n = min((max(coeffs) - e0) // g, top) + 1
+    p = [0] * n
+    for e, c in coeffs.items():
+        i = (e - e0) // g
+        if i < n:
+            p[i] = c.numerator * (d // c.denominator)
+    return p, d
+
+
+def _pack(p: list, nb: int) -> int:
+    """sum_i p[i] 2^(8 nb i), from one little-endian byte string of the
+    positive entries and one of the negative ones."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nb, "little") for c in p)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(nb, "little") for c in p)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class QSeries:
@@ -189,19 +218,37 @@ class QSeries:
         # factor contributes its order as the sound valuation bound.
         order = min(self.order + other.valuation(),
                     other.order + self.valuation())
+        if not (self.coeffs and other.coeffs):
+            return QSeries({}, order)
+        a0, b0 = min(self.coeffs), min(other.coeffs)
+        cap = _cap(order)
+        if _is_inf(cap):
+            cap = max(self.coeffs) + max(other.coeffs)
+        # both operands on the progressions e0 + g i; the product's index
+        # i + j stops at top
+        g = math.gcd(*(e - a0 for e in self.coeffs),
+                     *(e - b0 for e in other.coeffs)) or 1
+        top = (cap - a0 - b0) // g
+        a, da = _dense(self.coeffs, a0, g, top)
+        b, db = _dense(other.coeffs, b0, g, top)
+        # fields of nb bytes hold any |sum of min(len) products| below
+        # 2^(8 nb - 2): the top bit of a field is its sign, one bit spare
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        nb = (bound.bit_length() + 2 + 7) // 8
+        n = min(len(a) + len(b) - 1, top + 1)
+        # the bias 2^(8 nb - 1) in each field makes every field of the
+        # product a non-negative digit, so the fields read off without
+        # borrows; the mask drops the fields past top
+        half = 1 << (8 * nb - 1)
+        bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
+        digits = ((_pack(a, nb) * _pack(b, nb) + bias) &
+                  ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
+        den = da * db
         coeffs: dict[int, Rational] = {}
-        if self.coeffs and other.coeffs:
-            cap = _cap(order)
-            bitems = sorted(other.coeffs.items())
-            bmin = bitems[0][0]
-            for ea, ca in sorted(self.coeffs.items()):
-                if ea + bmin > cap:
-                    break
-                for eb, cb in bitems:
-                    e = ea + eb
-                    if e > cap:
-                        break
-                    coeffs[e] = coeffs.get(e, 0) + ca * cb
+        for i in range(n):
+            c = int.from_bytes(digits[i * nb:(i + 1) * nb], "little") - half
+            if c:
+                coeffs[a0 + b0 + g * i] = c if den == 1 else Fraction(c, den)
         return QSeries(coeffs, order)
 
     __rmul__ = __mul__

@@ -63,6 +63,15 @@ def test_table_budget_guard(capsys):
     assert "budget" in err
 
 
+def test_order_cap():
+    # --order goes up to 1000, the table's row budget over DEN
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "--order", "1000"]).order == 1000
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["verify", "--order", "1001"])
+    assert exc.value.code == 2
+
+
 def test_csv_json_encode_same_data(capsys):
     _, out_csv, _ = run_cli(capsys, "table", "--component", "1",
                             "--max-row", "479", "--format", "csv")

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from e8umbral import lattice
+from e8umbral.characters import all_trace_ids
 from e8umbral.lattice import LatticeError, enumerate_coset_cone
 
 from oracles import RHO, cone_mu, pair, q_norm
@@ -71,6 +73,26 @@ def test_sigma_fixed_coset_five():
 def test_completeness_against_box_oracle(a, cycles):
     assert enumerate_coset_cone(a, cycles, 10) == brute_scan(a, F(10),
                                                              cycles)
+
+
+def test_scan_stops_at_the_cap(monkeypatch):
+    # each coordinate loop stops at its first point past the cap: over the
+    # 15 traces at order 250 the energy is evaluated at most twice per
+    # point kept, where a box scan evaluates it about 13 times
+    calls = 0
+    q_of = lattice._q_of
+
+    def counted(coords, a):
+        nonlocal calls
+        calls += 1
+        return q_of(coords, a)
+
+    monkeypatch.setattr(lattice, "_q_of", counted)
+    kept = sum(len(enumerate_coset_cone(t.coset_a, t.group_class.cycles,
+                                        250 + F(1, 12)))
+               for t in all_trace_ids())
+    assert kept == 11298
+    assert calls <= 2 * kept
 
 
 def test_branch_sign_conditions_and_q():

@@ -226,3 +226,55 @@ def test_zero_series_annihilates_conservatively():
     prod = z * s
     assert prod.is_zero
     assert prod.order == 4             # val(zero) bounded by its order
+
+
+# ----------------------------------------------------------------------
+# products against the schoolbook oracle
+
+
+def _operand(rng, kind, side):
+    """A seeded random QSeries of one product case: (start, step) of its
+    exponent progression, its coefficients and its order."""
+    start, step = {"residues": ((7, 24), (-3, 40)),
+                   "one-term": ((rng.randrange(-300, 300), 120),) * 2,
+                   }.get(kind, ((rng.randrange(-200, 200), 60),) * 2)[side]
+    one = kind == "one-term" and (side == 0 or rng.random() < 0.5)
+    size = 1 if one else rng.randrange(1, 40)
+    if kind == "huge":
+        coeff = lambda: rng.choice((-1, 1)) * rng.randrange(2**64, 2**90)
+    elif kind == "fraction":
+        coeff = lambda: F(rng.choice((-1, 1)) * rng.randrange(1, 50),
+                          rng.randrange(1, 30))
+    else:
+        coeff = lambda: rng.choice((-1, 1)) * rng.randrange(1, 10)
+    exps = [start + step * i for i in rng.sample(range(2 * size), size)]
+    top = max(exps) + rng.randrange(0, 2000)
+    order = math.inf if kind == "inf x inf" or \
+        (kind == "inf x finite" and side == 0) else F(top, 120)
+    return QSeries({e: coeff() for e in exps}, order)
+
+
+_PRODUCT_KINDS = ("negative", "huge", "fraction", "residues", "one-term",
+                  "inf x finite", "inf x inf", "empty")
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_product_against_oracle(seed):
+    rng = random.Random(seed)
+    kind = _PRODUCT_KINDS[seed % len(_PRODUCT_KINDS)]
+    a, b = _operand(rng, kind, 0), _operand(rng, kind, 1)
+    if kind == "empty":
+        # every term past the order: the empty series, valuation its order
+        a = QSeries(a.coeffs, a.valuation() - F(1, 120))
+        assert a.is_zero
+    if rng.random() < 0.5:
+        a, b = b, a
+    got = a * b
+    assert got.order == min(a.order + b.valuation(),
+                            b.order + a.valuation())
+    cap = max(a.coeffs, default=0) + max(b.coeffs, default=0) \
+        if got.order == math.inf else math.floor(got.order * 120)
+    assert got.coeffs == poly_mul(a.coeffs, b.coeffs, cap)
+    if kind != "fraction":
+        assert all(type(c) is int for c in got.coeffs.values())
+    assert not got.is_zero or kind == "empty"
