@@ -132,8 +132,8 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
             q^((x.gram.x + lin.x)/2 + shift)
 
     where x < 0 means every coordinate is negative, and with parity given
-    only points with parity.x even are summed.  gram and lin are integer,
-    shift rational.
+    only points with parity.x even are summed.  gram (symmetric) and lin
+    are integer, shift rational.
 
     Completeness: on either octant put x = y or x = -1 - y with y >= 0;
     then twice the exponent minus 2 shift is y.gram.y + w.y + c with
@@ -141,7 +141,8 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
     and gram positive on the diagonal, that is non-decreasing in every
     y_j, so each coordinate loop stops at its first point past the cap
     without skipping one, and y_j <= sqrt((2 (cap - shift) - c)/gram_jj).
-    Exponents are integer numerators throughout.
+    One walk per octant visits those y, carrying the value, the slopes
+    w + 2 gram.y, the sign and the parity, each updated once per step.
     """
     n = len(lin)
     two_g1 = [2 * sum(row) for row in gram]
@@ -156,43 +157,36 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
     offset = Fraction(shift) * DEN
     if offset.denominator != 1:
         raise GradingError(f"shift {shift} not representable over {DEN}")
-    coeffs: dict[int, int] = {}
+    lo = min(0, octants[1][3])           # the least value of either octant
+    acc = [0] * max(limit - lo + 1, 0)   # acc[v - lo]: signed count of value v
+    # per coordinate j: the slope steps of the later coordinates, and the
+    # factors of the sign and the parity bit per step
+    cols = [[2 * gram[k][j] for k in range(j + 1, n)] for j in range(n)]
+    muls = [-1 if s % 2 else 1 for s in signs]
+    pflips = [p % 2 for p in parity] if parity else [0] * n
+
+    def walk(j, v, slopes, sign, odd):
+        # y_j = 0, 1, ... with the earlier coordinates fixed; slopes are
+        # those of coordinates j..n-1 at the current point
+        gjj, col, mul, pflip = gram[j][j], cols[j], muls[j], pflips[j]
+        step, rest = slopes[0] + gjj, slopes[1:]   # step: v(y_j + 1) - v
+        while v <= limit:
+            if col:
+                walk(j + 1, v, rest, sign, odd)
+                rest = [s + c for s, c in zip(rest, col)]
+            elif not odd:
+                acc[v - lo] += sign
+            v += step
+            step += 2 * gjj
+            sign *= mul
+            odd ^= pflip
+
     for outer, flip, w, c in octants:
         # x = -1 - y flips the parity of signs.x and parity.x by their sums
         sign0 = -outer if flip * sum(signs) % 2 else outer
-        par0 = flip * sum(parity) if parity else 0
-        for y, v in _octant_points(gram, w, c, limit):
-            if parity and (par0 + _dot(parity, y)) % 2:
-                continue
-            e = v * DEN // 2 + offset.numerator
-            coeffs[e] = coeffs.get(e, 0) + \
-                (-sign0 if _dot(signs, y) % 2 else sign0)
-    return QSeries(coeffs, cap)
-
-
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _octant_points(gram, w, c, limit):
-    """(y, y.gram.y + w.y + c) for every y in N^n with value <= limit."""
-    n = len(w)
-
-    def walk(y, base):
-        j = len(y)
-        slope = w[j] + 2 * _dot(gram[j], y)
-        t = 0
-        while True:
-            v = base + t * (slope + gram[j][j] * t)
-            if v > limit:
-                return
-            if j + 1 == n:
-                yield y + (t,), v
-            else:
-                yield from walk(y + (t,), v)
-            t += 1
-
-    return walk((), c)
+        walk(0, c, w, sign0, flip * sum(parity) % 2 if parity else 0)
+    return QSeries({v * DEN // 2 + offset.numerator: s
+                    for v, s in enumerate(acc, lo) if s}, cap)
 
 
 # the three class shapes of the closed octant sums, with lin = a * lin_unit

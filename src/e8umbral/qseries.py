@@ -68,7 +68,8 @@ def _is_inf(x) -> bool:
 
 def _cap(order):
     """Largest exponent numerator a series of this order knows."""
-    return INF if _is_inf(order) else math.floor(order * DEN)
+    return INF if _is_inf(order) else \
+        order.numerator * DEN // order.denominator
 
 
 def _order_value(order: OrderLike):
@@ -91,11 +92,13 @@ def _dense(coeffs: dict, e0: int, g: int, top: int) -> tuple[list, int]:
 
 
 def _pack(p: list, nb: int) -> int:
-    """sum_i p[i] 2^(8 nb i), from one little-endian byte string of the
-    positive entries and one of the negative ones."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(nb, "little") for c in p)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(nb, "little") for c in p)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i p[i] 2^(8 nb i), read from one little-endian byte string of
+    the fields p[i] + 2^(8 nb - 1), minus that bias in every field; each
+    |p[i]| must be below 2^(8 nb - 1)."""
+    half = 1 << (8 * nb - 1)
+    biased = b"".join((c + half).to_bytes(nb, "little") for c in p)
+    bias = half.to_bytes(nb, "little") * len(p)
+    return int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
 
 
 class QSeries:
@@ -106,11 +109,11 @@ class QSeries:
     def __init__(self, coeffs: dict, order: OrderLike = INF):
         ordv = _order_value(order)
         cap = _cap(ordv)
-        clean: dict[int, Rational] = {}
-        for e, c in coeffs.items():
-            if c == 0 or e > cap:
-                continue
-            clean[int(e)] = c.numerator if c.denominator == 1 else c
+        clean = {e: c for e, c in coeffs.items() if c and e <= cap}
+        if not {int}.issuperset(map(type, clean.values())):  # a C-level scan
+            for e, c in clean.items():
+                if c.denominator == 1:
+                    clean[e] = c.numerator
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "order", ordv)
 

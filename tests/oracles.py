@@ -8,6 +8,7 @@ second computational path.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -123,6 +124,45 @@ def ramanujan_oracle(name: str, order: int) -> dict:
             if e <= order:
                 total[e] = total.get(e, Fraction(0)) + c
         n += 1
+
+
+# ----------------------------------------------------------------------
+# signed octant sums
+
+
+def octant_box_sum(gram, lin, shift, signs, negative_sign, cap,
+                   parity=None) -> dict:
+    """(sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
+    q^((x.gram.x + lin.x)/2 + shift) over the x with parity.x even (all x
+    without parity), up to q^cap, as {120 * exponent: coefficient}.
+
+    Brute force over a box per octant.  In one octant x_i x_j >= 0, so for
+    a non-negative gram with diagonal >= 1, x.gram.x >= sum x_i^2, and
+    lin.x >= -L sum |x_i| with L the largest of the entries of lin that
+    lower it there.  Each x_i^2 - L |x_i| is at least -L^2/4, so a point
+    below the cap has x_j^2 - L |x_j| <= R + n L^2/4 with R = 2 (cap -
+    shift), and |x_j| <= L + sqrt(R + n L^2) bounds the box.
+    """
+    n = len(lin)
+    room = math.floor(2 * (Fraction(cap) - Fraction(shift)))
+    out = {}
+    for weight, side in ((1, 1), (negative_sign, -1)):
+        big = max(0, *(-side * l for l in lin))
+        bound = big + math.isqrt(max(room, 0) + n * big * big) + 1
+        box = range(0, bound + 1) if side == 1 else range(-bound, 0)
+        for x in itertools.product(box, repeat=n):
+            value = sum(gram[i][j] * x[i] * x[j]
+                        for i in range(n) for j in range(n)) + \
+                sum(l * t for l, t in zip(lin, x))
+            if value > room or \
+                    (parity and sum(p * t for p, t in zip(parity, x)) % 2):
+                continue
+            e = (Fraction(value, 2) + Fraction(shift)) * 120
+            assert e.denominator == 1, "exponent off the grid 1/120"
+            sign = -weight if sum(s * t for s, t in zip(signs, x)) % 2 \
+                else weight
+            out[int(e)] = out.get(int(e), 0) + sign
+    return {e: c for e, c in out.items() if c}
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
-                                 FAMILY_1, FAMILY_7, TraceId, all_trace_ids,
+                                 COSET_LABELS, FAMILY_1, FAMILY_7, TraceId,
+                                 _CLOSED_SHAPES, all_trace_ids,
                                  component_family, h_component,
-                                 heisenberg_trace, trace_closed, trace_direct)
-from e8umbral.qseries import QSeries, dedekind_eta
+                                 heisenberg_trace, octant_sum, trace_closed,
+                                 trace_direct)
+from e8umbral.mocktheta import _DOUBLE_SUM_DATA
+from e8umbral.qseries import GradingError, QSeries, SeriesError, dedekind_eta
 
-from oracles import pentagonal_series, poly_inv, poly_mul, shadow
+from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
+                     shadow)
 
 
 def test_fermion_trace():
@@ -178,3 +183,59 @@ def test_component_family_rule():
             assert h_component(cls, r, 6) == heads[name, fam].scale(sign)
             assert shadow(cls.perm_character, r, 6) == \
                 {e: sign * c for e, c in shadows[name, fam].items()}
+
+
+# ----------------------------------------------------------------------
+# octant sums against the box oracle
+
+
+def _random_octant_case(seed):
+    """A seeded shape inside the certified bound of octant_sum: symmetric
+    non-negative gram with positive diagonal, 0 <= lin <= 2 gram.1, a
+    non-zero shift on the grid 1/120 and a cap with a fractional part."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 4)
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = rng.randrange(1, 4)
+        for j in range(i):
+            gram[i][j] = gram[j][i] = rng.randrange(0, 3)
+    lin = [rng.randrange(0, 2 * sum(row) + 1) for row in gram]
+    signs = [rng.randrange(-2, 3) for _ in range(n)]
+    parity = rng.choice((None, [rng.randrange(0, 3) for _ in range(n)]))
+    shift = F(rng.choice([k for k in range(-300, 301) if k]), 120)
+    cap = shift + F(rng.randrange(-7, 56), 7) + F(1, 3)
+    return gram, lin, shift, signs, rng.choice((1, -1)), cap, parity
+
+
+# the negative octant starts at value c = 1.gram.1 - lin.1, which is
+# 15 - 3a for the closed shapes: below 0 at a = 7 and 9, as for 17 of the
+# random shapes
+_OCTANT_CASES = {
+    **{f"closed {o} a={a}": (gram, [a * u for u in lin_unit],
+                             F(3 * a * a, 40), signs, neg, F(121, 12), None)
+       for o, (gram, lin_unit, signs, neg) in _CLOSED_SHAPES.items()
+       for a in COSET_LABELS},
+    **{name: (gram, lin, 0, signs, -1, F(12), parity)
+       for name, (lin, (gram, signs, parity), _) in _DOUBLE_SUM_DATA.items()},
+    **{f"zwegers c={c}": (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
+                          (1, 1, 1), 1, F(8), None) for c in (1, 3)},
+    **{f"random {seed}": _random_octant_case(seed) for seed in range(30)},
+}
+
+
+@pytest.mark.parametrize("name", _OCTANT_CASES)
+def test_octant_sum_against_box_oracle(name):
+    case = _OCTANT_CASES[name]
+    got = octant_sum(*case)
+    assert got.order == case[5]
+    assert got.coeffs == octant_box_sum(*case)
+
+
+def test_octant_sum_guards():
+    with pytest.raises(SeriesError):      # a negative gram entry
+        octant_sum(((1, -1), (-1, 1)), (0, 0), 0, (1, 1), 1, 5)
+    with pytest.raises(SeriesError):      # lin past 2 gram.1
+        octant_sum(((1,),), (3,), 0, (1,), 1, 5)
+    with pytest.raises(GradingError):     # a shift off the grid 1/120
+        octant_sum(((1,),), (1,), F(1, 7), (1,), 1, 5)

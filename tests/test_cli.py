@@ -354,3 +354,28 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_json_is_imported_only_where_it_is_written():
+    # json costs a cold call import time, and only table --format json
+    # writes it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "from e8umbral import cli\n"
+            "for argv in (['table', '--component', '1', '--max-row', '479'],\n"
+            "             ['verify', '--suite', 'exact', '--order', '5'],\n"
+            "             ['eval', '--class', '1A', '--r', '1',\n"
+            "              '--tau=0.1+0.8i']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert 'json' not in sys.modules, f'{argv} imported json'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "e8umbral.cli", "table",
+                           "--component", "1", "--max-row", "479",
+                           "--format", "json"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["rows"]) == 5

@@ -239,8 +239,14 @@ def _operand(rng, kind, side):
                    "one-term": ((rng.randrange(-300, 300), 120),) * 2,
                    }.get(kind, ((rng.randrange(-200, 200), 60),) * 2)[side]
     one = kind == "one-term" and (side == 0 or rng.random() < 0.5)
+    if kind == "lone -1" and side == 1:
+        return QSeries({start: -1}, F(start + rng.randrange(0, 2000), 120))
     size = 1 if one else rng.randrange(1, 40)
-    if kind == "huge":
+    if kind in ("field edges", "lone -1"):
+        # coefficients at the edges of the byte fields of the packing
+        coeff = lambda: rng.choice((255, -255, 256, -256, 2**63, -2**63,
+                                    -2**64, -1))
+    elif kind == "huge":
         coeff = lambda: rng.choice((-1, 1)) * rng.randrange(2**64, 2**90)
     elif kind == "fraction":
         coeff = lambda: F(rng.choice((-1, 1)) * rng.randrange(1, 50),
@@ -255,10 +261,11 @@ def _operand(rng, kind, side):
 
 
 _PRODUCT_KINDS = ("negative", "huge", "fraction", "residues", "one-term",
-                  "inf x finite", "inf x inf", "empty")
+                  "inf x finite", "inf x inf", "empty", "field edges",
+                  "lone -1")
 
 
-@pytest.mark.parametrize("seed", range(48))
+@pytest.mark.parametrize("seed", range(60))
 def test_product_against_oracle(seed):
     rng = random.Random(seed)
     kind = _PRODUCT_KINDS[seed % len(_PRODUCT_KINDS)]
