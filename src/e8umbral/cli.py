@@ -1,18 +1,19 @@
 """Command-line interface: coefficient tables, verification suites, and
 point evaluation of the (completed) components.
 
-Exit codes: 0 success, 1 verification failure (or stdout closed by its
-reader before the output was written, which prints nothing), 2 usage
-error (one line on stderr), 3 a numeric evaluation, of the series alone
-or of the completion, that cannot reach the requested tolerance or whose
-value overflows a double (one line on stderr).  Exponents are serialized as
-integer numerators over the declared denominator 120, never as floats,
-so table output is byte-stable across runs.
+`COMMANDS` is the grammar: options by exact name, a value as the next
+argument (even "-1") or after "="; -h or --help prints it.  Exit codes: 0
+success, 1 verification failure (or stdout closed by its reader before the
+output was written, which prints nothing), 2 usage error (one line on
+stderr), 3 a numeric evaluation, of the series alone or of the completion,
+that cannot reach the requested tolerance or whose value overflows a double
+(one line on stderr).  Exponents are serialized as integer numerators over
+the declared denominator 120, never as floats, so table output is
+byte-stable across runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -34,9 +35,8 @@ CLASS_NAMES = tuple(CLASSES)
 MAX_ROW_BUDGET = 120000
 
 
-def _row_numerators(component: int, max_row: int) -> list[int]:
-    start = -1 if component == 1 else 71
-    return list(range(start, max_row + 1, DEN))
+class UsageError(ValueError):
+    """A command line the CLI cannot run: one line on stderr, exit 2."""
 
 
 def _format_value(v: Rational) -> str:
@@ -45,24 +45,21 @@ def _format_value(v: Rational) -> str:
     return str(v) if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
 
 
-def cmd_table(args) -> int:
-    component = args.component
-    max_row = args.max_row
+def cmd_table(component: int, max_row: int, fmt: str) -> int:
+    """Coefficient rows of component 1 or 7, as csv or json."""
     if max_row > MAX_ROW_BUDGET:
-        print(f"error: max-row {max_row} exceeds compute budget "
-              f"{MAX_ROW_BUDGET}", file=sys.stderr)
-        return 2
-    nums = _row_numerators(component, max_row)
+        raise UsageError(f"max-row {max_row} exceeds compute budget "
+                         f"{MAX_ROW_BUDGET}")
+    nums = range(-1 if component == 1 else 71, max_row + 1, DEN)
     if not nums:
-        print("error: empty row range", file=sys.stderr)
-        return 2
+        raise UsageError("empty row range")
     order = Fraction(nums[-1] + 1, DEN)
     # each series is known to order, past the last row
     series = {name: h_component(CLASSES[name], component, order).coeffs
               for name in CLASS_NAMES}
     rows = [(num, {name: series[name].get(num, 0) for name in CLASS_NAMES})
             for num in nums]
-    if args.format == "csv":
+    if fmt == "csv":
         lines = ["exponent_numerator," + ",".join(CLASS_NAMES)]
         lines += [f"{num}," + ",".join(_format_value(vals[n])
                                        for n in CLASS_NAMES)
@@ -143,12 +140,13 @@ def _numeric_checks(tol: float):
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(suite: str, order: int, tol: float, corrupt: bool) -> int:
+    """The exact, numeric or all verification suites."""
     checks = []
-    if args.suite in ("exact", "all"):
-        checks.extend(_exact_checks(args.order, args.corrupt))
-    if args.suite in ("numeric", "all"):
-        checks.extend(_numeric_checks(args.tol))
+    if suite in ("exact", "all"):
+        checks.extend(_exact_checks(order, corrupt))
+    if suite in ("numeric", "all"):
+        checks.extend(_numeric_checks(tol))
     failed = 0
     for line, ok in checks:
         print(line)
@@ -162,123 +160,138 @@ def _parse_tau(text: str) -> complex:
     try:
         value = complex(cleaned)
     except ValueError as exc:
-        raise ValueError(f"cannot parse tau from {text!r}") from exc
+        raise UsageError(f"cannot parse tau from {text!r}") from exc
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"tau must be finite, not {text!r}")
+        raise UsageError(f"tau must be finite, not {text!r}")
     if value.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
+        raise UsageError("tau must have positive imaginary part")
     return value
 
 
-def cmd_eval(args) -> int:
-    try:
-        tau = _parse_tau(args.tau)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    r = args.r % 60
-    if component_family(r) is None:
-        print(f"error: component r={args.r} is outside the support "
-              f"+-{{1,7,11,13,17,19,23,29}} mod 60", file=sys.stderr)
-        return 2
-    cls = CLASSES[args.group_class]
-    tol = args.tol
+def cmd_eval(group_class: str, r: int, tau: str, completion: bool,
+             tol: float) -> int:
+    """H[class, r](tau), class 1A, 2A or 3A, tau as x+yi."""
+    point = _parse_tau(tau)
+    if component_family(r % 60) is None:
+        raise UsageError(f"component r={r} is outside the support "
+                         f"+-{{1,7,11,13,17,19,23,29}} mod 60")
+    r %= 60
+    cls = CLASSES[group_class]
     if cls is CLASS_1A:
-        value, est = modular_value_1a(r, tau, tol, args.completion)
-    elif args.completion:
-        value, est = completion_value(cls, r, tau, tol), tol
+        value, est = modular_value_1a(r, point, tol, completion)
+    elif completion:
+        value, est = completion_value(cls, r, point, tol), tol
     else:
-        value, est = component_value(cls, r, tau, tol, tol)
-    kind = "completed" if args.completion else "series"
-    print(f"H[{args.group_class}, r={r}]({args.tau}) = "
+        value, est = component_value(cls, r, point, tol, tol)
+    kind = "completed" if completion else "series"
+    print(f"H[{group_class}, r={r}]({tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "
           f"({kind}; est. error <= {max(est, 0.0):.1e})")
     return 0
 
 
+def _one_of(*values):
+    def convert(text: str):
+        for value in values:
+            if text == str(value):
+                return value
+        raise UsageError(f"invalid choice {text!r} (choose from "
+                         f"{', '.join(map(str, values))})")
+    return convert
+
+
 def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = float(text)
     if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number > 0, not {text!r}")
+        raise UsageError(f"must be a finite number > 0, not {text!r}")
     return value
 
 
 def _order(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 0, not {text!r}")
-    if value > MAX_ROW_BUDGET // DEN:
-        raise argparse.ArgumentTypeError(
-            f"order {value} exceeds compute budget {MAX_ROW_BUDGET // DEN}")
+    value = int(text)
+    if not 0 <= value <= MAX_ROW_BUDGET // DEN:
+        raise UsageError(f"must be an integer from 0 to the compute budget "
+                         f"{MAX_ROW_BUDGET // DEN}, not {text!r}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+REQUIRED = object()
+# command -> (handler, options); option -> (handler parameter, converter,
+# default), and a flag has converter None.  eval prints --tau as given.
+COMMANDS = {
+    "table": (cmd_table, {
+        "--component": ("component", _one_of(1, 7), REQUIRED),
+        "--max-row": ("max_row", int, REQUIRED),
+        "--format": ("fmt", _one_of("csv", "json"), "csv")}),
+    "verify": (cmd_verify, {
+        "--suite": ("suite", _one_of("exact", "numeric", "all"), "all"),
+        "--order": ("order", _order, 25),
+        "--tol": ("tol", _tolerance, 1e-6),
+        "--corrupt": ("corrupt", None, False)}),   # negative-control hook
+    "eval": (cmd_eval, {
+        "--class": ("group_class", _one_of(*CLASS_NAMES), REQUIRED),
+        "--r": ("r", int, REQUIRED),
+        "--tau": ("tau", str, REQUIRED),
+        "--completion": ("completion", None, False),
+        "--tol": ("tol", _tolerance, 1e-9)}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="e8umbral",
-        description="Umbral McKay-Thompson series for the E8^3 root "
-                    "system: tables, verification, evaluation.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _print_help() -> int:
+    print("usage: e8umbral COMMAND [OPTION VALUE | OPTION=VALUE | FLAG]...")
+    for name, (handler, options) in COMMANDS.items():
+        usage = [f"{opt} {dest.upper()}" if default is REQUIRED else
+                 f"[{opt}]" if convert is None else f"[{opt} {default}]"
+                 for opt, (dest, convert, default) in options.items()]
+        print(f"\ne8umbral {name} {' '.join(usage)}\n    {handler.__doc__}")
+    return 0
 
-    t = sub.add_parser("table", help="print appendix-style coefficient tables")
-    t.add_argument("--component", type=int, choices=(1, 7), required=True)
-    t.add_argument("--max-row", type=int, required=True,
-                   help=f"largest exponent numerator (over {DEN}) to print")
-    t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.set_defaults(func=cmd_table)
 
-    v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--suite", choices=("exact", "numeric", "all"),
-                   default="all")
-    v.add_argument("--order", type=_order, default=25,
-                   help="truncation order for the exact identities")
-    v.add_argument("--tol", type=_tolerance, default=1e-6,
-                   help="tolerance for the numeric residuals")
-    v.add_argument("--corrupt", action="store_true",
-                   help=argparse.SUPPRESS)   # negative-control test hook
-    v.set_defaults(func=cmd_verify)
-
-    ev = sub.add_parser("eval", help="evaluate one component at a point")
-    ev.add_argument("--class", dest="group_class", choices=CLASS_NAMES,
-                    required=True)
-    ev.add_argument("--r", type=int, required=True)
-    ev.add_argument("--tau", required=True, help='complex point "x+yi"')
-    ev.add_argument("--completion", action="store_true",
-                    help="add the shadow Eichler integral")
-    ev.add_argument("--tol", type=_tolerance, default=1e-9)
-    ev.set_defaults(func=cmd_eval)
-    return p
+def parse_args(argv):
+    """(handler, its keyword arguments) for a command line."""
+    if {"-h", "--help"} & set(argv):
+        return _print_help, {}
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)})"
+                         + (f", not {argv[0]!r}" if argv else ""))
+    handler, options = COMMANDS[argv[0]]
+    values = {dest: default for dest, _, default in options.values()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if name not in options or eq and options[name][1] is None:
+            raise UsageError(f"unrecognized argument {token!r}")
+        dest, convert, _ = options[name]
+        if convert is None:
+            values[dest] = True
+        elif not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"argument {name}: expected a value")
+        else:
+            try:
+                values[dest] = convert(text)
+            except ValueError as exc:   # a UsageError, or int's or float's
+                raise UsageError(f"argument {name}: {exc}") from None
+    for name, (dest, _, _) in options.items():
+        if values[dest] is REQUIRED:
+            raise UsageError(f"argument {name} is required")
+    return handler, values
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a --tau value such as -0.5+0.04i starts with "-", which argparse
-    # would read as an option: attach it as --tau=VALUE
-    for i in range(len(argv) - 1):
-        if argv[i] == "--tau":
-            argv[i:i + 2] = [f"--tau={argv[i + 1]}"]
-            break
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = parse_args(argv)
+    except UsageError as exc:
+        command = f" {argv[0]}" if argv and argv[0] in COMMANDS else ""
+        print(f"e8umbral{command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    try:
+        code = handler(**args)
         sys.stdout.flush()
         return code
-    except NumericsError as exc:
+    except (UsageError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
     except BrokenPipeError:
         # the reader closed stdout early: point stdout at devnull, so that
         # the flush at exit raises nothing more, and exit 1 as Python does

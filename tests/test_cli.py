@@ -65,10 +65,10 @@ def test_table_budget_guard(capsys):
 
 def test_order_cap():
     # --order goes up to 1000, the table's row budget over DEN
-    parser = cli.build_parser()
-    assert parser.parse_args(["verify", "--order", "1000"]).order == 1000
+    handler, args = cli.parse_args(["verify", "--order", "1000"])
+    assert handler is cli.cmd_verify and args["order"] == 1000
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["verify", "--order", "1001"])
+        main(["verify", "--order", "1001"])
     assert exc.value.code == 2
 
 
@@ -269,6 +269,27 @@ def test_eval_tau_with_leading_minus(capsys):
                      "--tau=-0.5+0.8i")
     assert split == joined
     assert split[0] == 0
+    # any value option takes the next token, whatever it starts with
+    split = run_cli(capsys, "eval", "--class", "1A", "--r", "-1",
+                    "--tau", "0.1+0.8i")
+    joined = run_cli(capsys, "eval", "--class", "1A", "--r=-1",
+                     "--tau=0.1+0.8i")
+    assert split == joined
+    assert split[0] == 0 and split[1].startswith("H[1A, r=59](")
+    code, out, err = run_cli(capsys, "table", "--component", "1",
+                             "--max-row", "-2")
+    assert (code, out, err) == (2, "", "error: empty row range\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"],
+                                  ["table", "--help"]])
+def test_help_names_every_option(capsys, argv):
+    # the usage text is drawn from the same table the parser reads
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    command = argv[0] if argv[0] in cli.COMMANDS else "table"
+    for option in cli.COMMANDS[command][1]:
+        assert option in out, option
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -294,6 +315,18 @@ def test_eval_tau_with_leading_minus(capsys):
       "--tol", "5e-324"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.25+0.01i",
       "--tol", "1e-15"], 3),
+    ([], 2),
+    (["tabel", "--component", "1", "--max-row", "5"], 2),
+    (["table", "--component", "1", "--max-row", "5", "--rows", "3"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau"], 2),
+    (["eval", "--class", "1A", "--r", "1", "--tau=0+1i",
+      "--completion=yes"], 2),
+    (["eval", "--class", "4A", "--r", "1", "--tau=0+1i"], 2),
+    (["table", "--component", "1", "--max-row", "5", "--format", "xml"], 2),
+    (["eval", "--class", "1A", "--r", "x", "--tau=0+1i"], 2),
+    (["eval", "--class", "1A", "--r", "1"], 2),
+    # prefix abbreviation of option names is not accepted
+    (["table", "--comp", "1", "--max-row", "5"], 2),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     # the exit-3 cases are real: 2A sums its series at tau itself, and at
@@ -354,6 +387,23 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_call_loads_no_argparse():
+    # argparse, and the gettext and locale it imports, cost a cold call
+    # about 8 ms, three times a near-cusp eval itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from e8umbral.cli import main\n"
+            "assert main(['eval', '--class', '1A', '--r', '1',\n"
+            "             '--completion', '--tau=0.25+0.01i']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & "
+            "set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_json_is_imported_only_where_it_is_written():
