@@ -293,13 +293,29 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 3
     except BrokenPipeError:
-        # the reader closed stdout early: point stdout at devnull, so that
-        # the flush at exit raises nothing more, and exit 1 as Python does
-        # on EPIPE
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # the reader closed stdout early: exit 1 as Python does on EPIPE
         return 1
 
 
+def run():
+    """The process entry point: main(), then flush stdout and stderr and
+    end at once with os._exit, skipping interpreter teardown (the final
+    garbage collection and the clearing of every loaded module).
+
+    Nothing needs that teardown: the CLI writes only stdout and stderr,
+    opens no files, starts no threads and registers no atexit handlers.
+    A stdout closed by its reader exits 1 with nothing on stderr.  A
+    usage error (SystemExit 2) or an uncaught exception ends the normal
+    way.  In-process callers use main(argv), which returns the code.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

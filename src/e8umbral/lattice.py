@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 from .qseries import DEN
@@ -37,10 +38,13 @@ def _q_of(coords: tuple[int, int, int], a: int) -> int:
         60 * a * (k + l + m) + 9 * a * a
 
 
+@lru_cache(maxsize=None)
 def _positive_branch(a: int, cycles,
-                     bound: Fraction) -> list[tuple[int, tuple]]:
+                     bound: Fraction) -> tuple[tuple[int, tuple], ...]:
     """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 that are
-    constant on each cycle, with Q(mu) <= bound.
+    constant on each cycle, with Q(mu) <= bound.  Cached: the cones of
+    cosets a and 10 - a share their two scans, so over the five cosets
+    of a class each scan runs once.
 
     Completeness: every coefficient of ``_q_of`` is >= 0 and a > 0, so on
     branch P 120 Q(mu) is non-decreasing in every free coordinate.  The
@@ -72,7 +76,7 @@ def _positive_branch(a: int, cycles,
             t += 1
 
     walk(())
-    return points
+    return tuple(points)
 
 
 def enumerate_coset_cone(a: int, cycles,
@@ -91,7 +95,7 @@ def enumerate_coset_cone(a: int, cycles,
     bound = Fraction(energy_bound)
     points = [(num, coords, "P")
               for num, coords in _positive_branch(a, cycles, bound)]
-    points += [(num, tuple(-c - 1 for c in coords), "N")
-               for num, coords in _positive_branch(10 - a, cycles, bound)]
+    points += [(num, (-1 - k, -1 - l, -1 - m), "N")
+               for num, (k, l, m) in _positive_branch(10 - a, cycles, bound)]
     points.sort()
     return points

@@ -256,6 +256,99 @@ def test_closed_stdout_ends_quietly():
     assert err == b""
 
 
+def _cli_env():
+    """The environment of a cold CLI process, with stdout block-buffered
+    when it is a regular file (and not unbuffered by the caller's
+    PYTHONUNBUFFERED)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# (argv, exit code) of cold calls that end through cli.run's os._exit, or
+# through the usage error's SystemExit
+PROCESS_CASES = [
+    (["table", "--component", "1", "--max-row", "119999"], 0),
+    (["verify", "--suite", "exact", "--order", "25", "--corrupt"], 1),
+    (["table", "--component", "3", "--max-row", "5"], 2),
+    (["eval", "--class", "2A", "--r", "1", "--tau=0.25+0.001i"], 3),
+]
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize("argv,code", PROCESS_CASES,
+                         ids=["table", "corrupt", "usage", "exit3"])
+def test_process_output_matches_main(capsys, tmp_path, argv, code, to_file):
+    # os._exit skips the interpreter's own flush: the process must still
+    # write every byte that main writes in process, to a block-buffered
+    # regular file as to a pipe, with the same exit code
+    try:
+        want_code = main(list(argv))
+    except SystemExit as exc:
+        want_code = exc.code
+    want_out, want_err = capsys.readouterr()
+    assert want_code == code
+    command = [sys.executable, "-m", "e8umbral.cli", *argv]
+    if to_file:
+        path = tmp_path / "out.txt"
+        with open(path, "wb") as out:
+            proc = subprocess.run(command, stdout=out, stderr=subprocess.PIPE,
+                                  env=_cli_env(), timeout=120)
+        got_out = path.read_bytes()
+    else:
+        proc = subprocess.run(command, capture_output=True, env=_cli_env(),
+                              timeout=120)
+        got_out = proc.stdout
+    assert (got_out, proc.stderr, proc.returncode) == \
+        (want_out.encode(), want_err.encode(), code)
+    lines = got_out.decode().splitlines()
+    if code == 0:
+        assert len(lines) == 1002 and lines[-1].startswith("119999,")
+    elif code == 1:
+        assert sum("[FAIL]" in line for line in lines) == 1
+    else:
+        assert lines == [] and len(proc.stderr.splitlines()) == 1
+
+
+def test_main_leaves_no_threads_or_exit_handlers():
+    # what makes skipping teardown safe: no command starts a thread or
+    # registers an atexit handler that os._exit would cut short
+    argvs = [case[0] for case in PROCESS_CASES] + [
+        ["table", "--component", "7", "--max-row", "479", "--format",
+         "json"],
+        ["verify", "--suite", "all"],
+        ["eval", "--class", "1A", "--r", "1", "--completion",
+         "--tau=0.25+0.01i"],
+        ["eval", "--class", "3A", "--r", "7", "--tau=0.1+0.8i"],
+        ["--help"],
+    ]
+    code = ("import atexit, contextlib, io, threading\n"
+            "from e8umbral.cli import main\n"
+            f"argvs = {argvs!r}\n"
+            "for argv in argvs:\n"
+            "    state = threading.active_count(), atexit._ncallbacks()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    assert (threading.active_count(),\n"
+            "            atexit._ncallbacks()) == state, argv\n"
+            "print(len(argvs))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(argvs)}\n"
+
+
+def test_entry_point_is_run():
+    # the installed script ends through run(), as python -m e8umbral.cli
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'e8umbral = "e8umbral.cli:run"' in pyproject.read_text()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--component", "3", "--max-row", "5"])

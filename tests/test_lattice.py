@@ -76,9 +76,11 @@ def test_completeness_against_box_oracle(a, cycles):
 
 
 def test_scan_stops_at_the_cap(monkeypatch):
-    # each coordinate loop stops at its first point past the cap: over the
-    # 15 traces at order 250 the energy is evaluated at most twice per
-    # point kept, where a box scan evaluates it about 13 times
+    # each coordinate loop stops at its first point past the cap, and the
+    # cones of cosets a and 10 - a share their cached branch-P scans: over
+    # the 15 traces at order 250 the energy is evaluated fewer times than
+    # points are kept, where one scan per branch evaluates it 13 382 times
+    # and a box scan about 13 times per point
     calls = 0
     q_of = lattice._q_of
 
@@ -88,11 +90,14 @@ def test_scan_stops_at_the_cap(monkeypatch):
         return q_of(coords, a)
 
     monkeypatch.setattr(lattice, "_q_of", counted)
+    lattice._positive_branch.cache_clear()
     kept = sum(len(enumerate_coset_cone(t.coset_a, t.group_class.cycles,
                                         250 + F(1, 12)))
                for t in all_trace_ids())
     assert kept == 11298
-    assert calls <= 2 * kept
+    assert 2 * calls <= 13382
+    # a cached scan is a tuple: no caller can change what the next reads
+    assert isinstance(lattice._positive_branch(1, ALL, F(5)), tuple)
 
 
 def test_branch_sign_conditions_and_q():
