@@ -24,8 +24,8 @@ from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
                         identity_suite, ramanujan_series, zwegers_triple_sum)
 from .theta import thetanullwerte_class_check
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
-                    beta_incomplete, completion_value, indefinite_theta,
-                    modular_value_1a, multiplier_matrix, nu_S, nu_T,
+                    beta_incomplete, completion_value, h_value,
+                    indefinite_theta, multiplier_matrix, nu_S, nu_T,
                     r_function, rho_3_3, series_value, tau1_identity_check,
                     transform_check)
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
     all_trace_ids, component_family, h_component, trace_closed, trace_direct
-from .maass import NumericsError, completion_value, component_value, \
-    modular_value_1a, tau1_identity_check, transform_check
+from .maass import NumericsError, h_value, tau1_identity_check, \
+    transform_check
 from .mocktheta import IdentityReport, identity_suite
 from .qseries import DEN, Rational
 from .theta import thetanullwerte_class_check
@@ -176,13 +176,7 @@ def cmd_eval(group_class: str, r: int, tau: str, completion: bool,
         raise UsageError(f"component r={r} is outside the support "
                          f"+-{{1,7,11,13,17,19,23,29}} mod 60")
     r %= 60
-    cls = CLASSES[group_class]
-    if cls is CLASS_1A:
-        value, est = modular_value_1a(r, point, tol, completion)
-    elif completion:
-        value, est = completion_value(cls, r, point, tol), tol
-    else:
-        value, est = component_value(cls, r, point, tol, tol)
+    value, est = h_value(CLASSES[group_class], r, point, tol, completion)
     kind = "completed" if completion else "series"
     print(f"H[{group_class}, r={r}]({tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "

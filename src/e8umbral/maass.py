@@ -18,13 +18,14 @@ NumericsError when the tolerance is below the double precision of the
 value.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
-it hits that cap.  The 1A pair (H_1, H_7) is a weight-1/2 form on all of
-SL2(Z), so modular_value_1a instead maps tau into the fundamental domain
-in exact rationals, sums the completion there at a 40-term order, and
-pulls it back through the multiplier nu, whose T^n factors are one
-diagonal each.  completion_value, component_value and the checks
-(transform_check, tau1_identity_check) keep summing at the point they
-are given, so a check stays independent of the route it checks.
+it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
+1A pair (H_1, H_7), a weight-1/2 form on all of SL2(Z), into the
+fundamental domain in exact rationals, sums the completion there at a
+40-term order, and pulls it back through the multiplier nu, whose T^n
+factors are one diagonal each.  Every other value is summed by _at_point
+at the point it is given, and so are completion_value and the checks
+(transform_check, tau1_identity_check), so a check stays independent of
+the route it checks.
 """
 
 from __future__ import annotations
@@ -130,14 +131,14 @@ def _eval_order(y: float, tol: float) -> int:
 
 
 def _sum_to_tol(series_of_order, tau: complex, tol: float,
-                tail_budget: float) -> tuple[complex, float]:
-    """(value, tail estimate < tail_budget) of series_of_order(n) at tau,
+                budget: float) -> tuple[complex, float]:
+    """(value, tail estimate < budget) of series_of_order(n) at tau,
     summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
     tail estimate misses the budget there, NumericsError if tol is below
     the double precision of the value."""
     y = _im_upper(tau)
     value, tail = series_value(series_of_order(_eval_order(y, tol)), tau)
-    if not tail < tail_budget:
+    if not tail < budget:
         raise ConvergenceError(
             f"series truncation insufficient for tol {tol} at Im {y}")
     if tol < sys.float_info.epsilon * abs(value):
@@ -200,25 +201,15 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
     return _line_sum(term, a, 1.0, y, tail_bound)
 
 
-def component_value(group_class: GroupClass, r: int, tau: complex,
-                    tol: float, tail_budget: float) -> tuple[complex, float]:
-    """(H_r(tau), tail estimate < tail_budget), by _sum_to_tol.  The
-    exponents lie in Z/120, so Re tau is first reduced (exactly) mod 120."""
-    _im_upper(tau)
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
-    return _sum_to_tol(lambda n: h_component(group_class, r, n), tau, tol,
-                       tail_budget)
-
-
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tail_bound: float) -> complex:
     """sign chi sum_{s in family(r)} R_{s/60,0}(60 tau), each R-sum with a
     certified tail below tail_bound: the Eichler integral of the shadow
     sign chi sum_s S_{30,s}, scaled by 1/sqrt(60).  Its term c_n q^n
     (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
-    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
+    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau), at tau
+    with Re tau already reduced mod 120."""
     family, sign = component_family(r)
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
     total = sum(r_function(Fraction(s, 60), 0, 60.0 * tau, tail_bound)
                 for s in (FAMILY_1 if family == 1 else FAMILY_7))
     return sign * group_class.perm_character * total
@@ -230,13 +221,18 @@ def _eichler_tail(group_class: GroupClass, tail_bound: float) -> float:
     return group_class.perm_character * len(FAMILY_1) * tail_bound
 
 
-def _completion(group_class: GroupClass, r: int, tau: complex,
-                tol: float) -> tuple[complex, float]:
-    """(completed H_r(tau), its tail estimate): H_r(tau) with a tail
-    estimate below tol/5, plus its certified Eichler part (R-sum tails
-    below tol * 1e-12); Re tau is reduced mod 120 as for H_r."""
-    value, tail = component_value(group_class, r, tau, tol, tol / 5.0)
-    if group_class.perm_character == 0:
+def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
+              completion: bool) -> tuple[complex, float]:
+    """(value, est) of H_r(tau), or of its completion, summed at tau itself
+    after Re tau is reduced mod 120.  The series is summed by _sum_to_tol
+    to a tail estimate below tol, or below tol/5 for the completion, which
+    adds the certified Eichler part (R-sum tails below tol * 1e-12); est is
+    the tail estimate, plus the Eichler tail for the completion."""
+    _im_upper(tau)
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
+    value, tail = _sum_to_tol(lambda n: h_component(group_class, r, n), tau,
+                              tol, tol / 5.0 if completion else tol)
+    if not completion or group_class.perm_character == 0:
         return value, tail    # zero shadow: completion equals the series
     return (value + _eichler_part(group_class, r, tau, tol * 1e-12),
             tail + _eichler_tail(group_class, tol * 1e-12))
@@ -244,10 +240,8 @@ def _completion(group_class: GroupClass, r: int, tau: complex,
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
                      tol: float = 1e-9) -> complex:
-    """H_r(tau) (tail estimate below tol/5) plus its certified Eichler part
-    (R-sum tails below tol * 1e-12), summed at tau itself; Re tau is
-    reduced mod 120 as for H_r."""
-    return _completion(group_class, r, tau, tol)[0]
+    """The completed H_r(tau), summed at tau itself by _at_point."""
+    return _at_point(group_class, r, tau, tol, True)[0]
 
 
 def _to_fundamental_domain(x: Fraction, y: Fraction) -> tuple:
@@ -268,61 +262,64 @@ def _to_fundamental_domain(x: Fraction, y: Fraction) -> tuple:
         a, b, c, d = -c, -d, a, b
 
 
-def modular_value_1a(r: int, tau: complex, tol: float,
-                     completion: bool) -> tuple[complex, float]:
-    """(value, est. error) of the 1A component H_r at tau, completed or
-    not, pulled back from the fundamental domain F through the multiplier:
+def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
+            completion: bool) -> tuple[complex, float]:
+    """(value, est. error) of the component H_r of the class at tau,
+    completed or not.  Re tau is reduced mod 120 first (nu(T)^120 = I).
+
+    The 1A pair is pulled back from the fundamental domain F through the
+    multiplier:
 
         Hhat(tau) = nu(gamma)^-1 (c tau + d)^(-1/2) Hhat(gamma tau)
 
     for gamma with gamma tau in F, where Im gamma tau >= sqrt(3)/2 and a
-    short series suffices at any Im tau.  Re tau is reduced mod 120 first
-    (nu(T)^120 = I) and gamma tau is formed in exact rationals of the
-    parsed doubles, so c tau + d loses no digits near a cusp.  nu is
-    unitary, so nu^-1 is its conjugate transpose, and a row of it maps
-    errors (e1, e7) to at most |(e1, e7)|: both components at gamma tau,
-    summed to tol |c tau + d|^(1/2), give an error below tol/3 at tau.
-    When gamma is a translation only the requested component is summed,
-    at tau.  The series is the completion less its Eichler part at tau,
-    a line sum of about Im(tau)^(-1/2) terms.  The error returned is tol
-    for the completion, and for the series the propagated tail estimates
-    plus the Eichler tail.
+    short series suffices at any Im tau.  gamma tau is formed in exact
+    rationals of the parsed doubles, so c tau + d loses no digits near a
+    cusp.  nu is unitary, so nu^-1 is its conjugate transpose, and a row of
+    it maps errors (e1, e7) to at most |(e1, e7)|: both components at
+    gamma tau, summed to tol |c tau + d|^(1/2), give an error below tol/3
+    at tau.  The series is the completion less its Eichler part at tau, a
+    line sum of about Im(tau)^(-1/2) terms.  Every other class, and 1A
+    when gamma is a translation, is summed at tau by _at_point.  The error
+    returned is tol for the completion, and for the series the
+    (propagated) tail estimates, plus the Eichler tail after a pull-back.
     """
     rule = component_family(r)
     if rule is None:
         raise ValueError(f"component {r} is not in the support")
-    _im_upper(tau)
     family, sign = rule
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
-    x, y = Fraction(tau.real), Fraction(tau.imag)
-    gamma, g_re, g_im = _to_fundamental_domain(x, y)
+    _im_upper(tau)
+    point, tau = tau, complex(math.fmod(tau.real, 120.0), tau.imag)
+    gamma = None
+    if group_class is CLASS_1A:
+        x, y = Fraction(tau.real), Fraction(tau.imag)
+        gamma, g_re, g_im = _to_fundamental_domain(x, y)
+    if gamma is None or gamma[1][0] == 0:
+        value, est = _at_point(group_class, r, tau, tol, completion)
+        return value, tol if completion else est
     c, d = gamma[1]
-    if c == 0:                # the T law is the mod-120 reduction at tau
-        if completion:
-            return completion_value(CLASS_1A, r, tau, tol), tol
-        return component_value(CLASS_1A, r, tau, tol, tol)
     try:
         gtau = complex(g_re, g_im)
     except OverflowError:
-        raise NumericsError(f"the value at tau = {tau} overflows a double")
+        raise NumericsError(f"the value at tau = {point} overflows a double")
     jac = complex(c * x + d, c * y)      # |c tau + d| < 1 here
     scale = math.sqrt(abs(jac))
     if tol * scale == 0.0:
         raise NumericsError(f"tol {tol} is below double precision")
     try:
-        hats, tails = zip(*(_completion(CLASS_1A, s, gtau, tol * scale)
+        hats, tails = zip(*(_at_point(CLASS_1A, s, gtau, tol * scale, True)
                             for s in (1, 7)))
     except NumericsError as exc:
         # name the tol that was asked for; F was summed to the scaled one
         msg = str(exc).replace(f"tol {tol * scale} ", f"tol {tol} ", 1)
-        raise type(exc)(f"{msg} (in F, the image of tau = {tau}, at tol "
+        raise type(exc)(f"{msg} (in F, the image of tau = {point}, at tol "
                         f"{tol * scale:.1e})") from exc
     nu = multiplier_matrix(gamma)
     col = 0 if family == 1 else 1
     value = sign * (nu[0][col].conjugate() * hats[0]
                     + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
     if not cmath.isfinite(value):
-        raise NumericsError(f"the value at tau = {tau} overflows a double")
+        raise NumericsError(f"the value at tau = {point} overflows a double")
     if completion:
         return value, tol
     est = math.hypot(*tails) / scale + _eichler_tail(CLASS_1A, tol * 1e-12)

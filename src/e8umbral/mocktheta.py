@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 
 from .characters import (CLASS_1A, CLASS_2A, TraceId, h_component,
                          octant_sum, trace_closed)
-from .qseries import (DEN, QSeries, SeriesError, _is_inf, _order_value,
+from .qseries import (DEN, INF, QSeries, SeriesError, _order_value,
                       eta_quotient)
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -67,7 +67,7 @@ def ramanujan_series(name: str, order) -> QSeries:
     if name not in _SERIES:
         raise SeriesError(f"unknown series {name!r}")
     ordv = _order_value(order)
-    if _is_inf(ordv):
+    if ordv == INF:
         raise SeriesError(f"series {name!r} needs a finite truncation order")
     valuation, first, step = _SERIES[name]
     top = math.floor(ordv)
@@ -189,76 +189,44 @@ def identity_suite(order) -> list[IdentityReport]:
     """
     ordv = _order_value(order)
     hi = ordv + 2          # margin for the q^-1 and q^(-49/120) shifts
-    out: list[IdentityReport] = []
-
-    chi0 = ramanujan_series("chi0", hi)
-    chi1 = ramanujan_series("chi1", hi)
-    F0 = ramanujan_series("F0", hi)
-    F1 = ramanujan_series("F1", hi)
-    phi0m = ramanujan_series("phi0", hi).substitute_minus_q()
-    phi1m = ramanujan_series("phi1", hi).substitute_minus_q()
-
-    out.append(compare_series(
-        "chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m, ordv))
-    out.append(compare_series(
-        "chi1 = 2 F1 + q^-1 phi1(-q)", chi1,
-        F1.scale(2) + phi1m.shift(-1), ordv))
-
-    out.append(compare_series(
-        "triple sum (chi0 side) = 2 - chi0",
-        zwegers_triple_sum("chi0_side", ordv), 2 - chi0, ordv))
-    out.append(compare_series(
-        "triple sum (chi1 side) = chi1",
-        zwegers_triple_sum("chi1_side", ordv), chi1, ordv))
-
-    out.append(compare_series(
-        "Hecke double sum = phi0(-q)",
-        hecke_double_sum("phi0_lhs", ordv), phi0m, ordv))
-    out.append(compare_series(
-        "Hecke double sum = -q^-1 phi1(-q)",
-        hecke_double_sum("phi1_lhs", ordv),
-        -phi1m.shift(-1).truncate(ordv), ordv))
-
-    out.append(compare_series(
-        "corollary double-sum identity (1-family)",
-        hecke_double_sum("cor_lhs_1", ordv),
-        hecke_double_sum("cor_rhs_1", ordv), ordv))
-    out.append(compare_series(
-        "corollary double-sum identity (7-family)",
-        hecke_double_sum("cor_lhs_7", ordv),
-        hecke_double_sum("cor_rhs_7", ordv), ordv))
-
-    # trace splitting: 2 T^-(e,1) = 4 q^(-1/120)(F0 - 1) - 2 q^(-1/120) phi0(-q)
-    t_e1 = trace_closed(TraceId(CLASS_1A, 1), ordv).scale(2)
-    rhs = ((F0 - 1).scale(4) - phi0m.scale(2)).shift(Fraction(-1, 120))
-    out.append(compare_series(
-        "2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
-        t_e1, rhs, t_e1.order))
-
-    # and its 7-family analogue through F1 and phi1
-    t_e7 = -trace_closed(TraceId(CLASS_1A, 3), ordv).scale(2)
-    rhs7 = F1.shift(Fraction(71, 120)).scale(4) + \
-        phi1m.shift(Fraction(-49, 120)).scale(2)
-    out.append(compare_series(
-        "2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
-        t_e7, rhs7, t_e7.order))
-
-    # table identities for the assembled components
-    h = h_component(CLASS_1A, 1, ordv)
-    out.append(compare_series(
-        "H(1A,1) = 2 q^(-1/120)(chi0 - 2)",
-        h, (chi0 - 2).scale(2).shift(Fraction(-1, 120)), h.order))
-    h = h_component(CLASS_1A, 7, ordv)
-    out.append(compare_series(
-        "H(1A,7) = 2 q^(71/120) chi1",
-        h, chi1.scale(2).shift(Fraction(71, 120)), h.order))
-    h = h_component(CLASS_2A, 1, ordv)
-    out.append(compare_series(
-        "H(2A,1) = -2 q^(-1/120) phi0(-q)",
-        h, phi0m.scale(-2).shift(Fraction(-1, 120)), h.order))
-    h = h_component(CLASS_2A, 7, ordv)
-    out.append(compare_series(
-        "H(2A,7) = 2 q^(-49/120) phi1(-q)",
-        h, phi1m.scale(2).shift(Fraction(-49, 120)), h.order))
-
-    return out
+    chi0, chi1, F0, F1 = (ramanujan_series(name, hi)
+                          for name in ("chi0", "chi1", "F0", "F1"))
+    phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
+                    for name in ("phi0", "phi1"))
+    m1, m49, p71 = (Fraction(e, 120) for e in (-1, -49, 71))   # shifts
+    table = [
+        ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
+        ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m.shift(-1)),
+        ("triple sum (chi0 side) = 2 - chi0",
+         zwegers_triple_sum("chi0_side", ordv), 2 - chi0),
+        ("triple sum (chi1 side) = chi1",
+         zwegers_triple_sum("chi1_side", ordv), chi1),
+        ("Hecke double sum = phi0(-q)",
+         hecke_double_sum("phi0_lhs", ordv), phi0m),
+        ("Hecke double sum = -q^-1 phi1(-q)",
+         hecke_double_sum("phi1_lhs", ordv), -phi1m.shift(-1)),
+        ("corollary double-sum identity (1-family)",
+         hecke_double_sum("cor_lhs_1", ordv),
+         hecke_double_sum("cor_rhs_1", ordv)),
+        ("corollary double-sum identity (7-family)",
+         hecke_double_sum("cor_lhs_7", ordv),
+         hecke_double_sum("cor_rhs_7", ordv)),
+        # the trace splitting of the identity class, and its 7-family
+        # analogue through F1 and phi1
+        ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
+         trace_closed(TraceId(CLASS_1A, 1), ordv).scale(2),
+         ((F0 - 1).scale(4) - phi0m.scale(2)).shift(m1)),
+        ("2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
+         trace_closed(TraceId(CLASS_1A, 3), ordv).scale(-2),
+         F1.shift(p71).scale(4) + phi1m.shift(m49).scale(2)),
+        # the table identities for the assembled components
+        ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, ordv),
+         (chi0 - 2).scale(2).shift(m1)),
+        ("H(1A,7) = 2 q^(71/120) chi1", h_component(CLASS_1A, 7, ordv),
+         chi1.scale(2).shift(p71)),
+        ("H(2A,1) = -2 q^(-1/120) phi0(-q)", h_component(CLASS_2A, 1, ordv),
+         phi0m.scale(-2).shift(m1)),
+        ("H(2A,7) = 2 q^(-49/120) phi1(-q)", h_component(CLASS_2A, 7, ordv),
+         phi1m.scale(2).shift(m49)),
+    ]
+    return [compare_series(name, lhs, rhs, ordv) for name, lhs, rhs in table]

@@ -58,24 +58,14 @@ class DivergenceError(SeriesError):
     a factor of non-positive exponent)."""
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _is_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x)
+def _order_value(order: OrderLike):
+    """The one normal form of an order: a Fraction, or INF."""
+    return INF if order == INF else Fraction(order)
 
 
 def _cap(order):
     """Largest exponent numerator a series of this order knows."""
-    return INF if _is_inf(order) else \
-        order.numerator * DEN // order.denominator
-
-
-def _order_value(order: OrderLike):
-    if _is_inf(order):
-        return INF
-    return _frac(order)  # type: ignore[arg-type]
+    return INF if order == INF else order.numerator * DEN // order.denominator
 
 
 def _dense(coeffs: dict, e0: int, g: int, top: int) -> tuple[list, int]:
@@ -124,32 +114,11 @@ class QSeries:
     # constructors
 
     @classmethod
-    def zero(cls, order: OrderLike = INF) -> "QSeries":
-        return cls({}, order)
-
-    @classmethod
     def const(cls, c: Rational, order: OrderLike = INF) -> "QSeries":
         return cls({0: c}, order)
 
-    @classmethod
-    def one(cls, order: OrderLike = INF) -> "QSeries":
-        return cls.const(1, order)
-
-    @classmethod
-    def monomial(cls, c: Rational, exponent: Rational,
-                 order: OrderLike = INF) -> "QSeries":
-        e = _frac(exponent) * DEN
-        if e.denominator != 1:
-            raise GradingError(
-                f"exponent {exponent} not representable over denominator {DEN}")
-        return cls({int(e): c}, order)
-
     # ------------------------------------------------------------------
     # basic queries
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def items(self) -> list[tuple[int, Rational]]:
         """Sorted (exponent numerator, coefficient) pairs."""
@@ -168,7 +137,7 @@ class QSeries:
 
     def coefficient(self, exponent: Rational) -> Rational:
         """Coefficient at the given exponent; error past the truncation."""
-        e = _frac(exponent)
+        e = Fraction(exponent)
         if e > self.order:
             raise TruncationError(
                 f"coefficient at {e} requested but series is only known "
@@ -225,7 +194,7 @@ class QSeries:
             return QSeries({}, order)
         a0, b0 = min(self.coeffs), min(other.coeffs)
         cap = _cap(order)
-        if _is_inf(cap):
+        if cap == INF:
             cap = max(self.coeffs) + max(other.coeffs)
         # both operands on the progressions e0 + g i; the product's index
         # i + j stops at top
@@ -263,13 +232,13 @@ class QSeries:
 
     def shift(self, exponent: Rational) -> "QSeries":
         """Multiply by the monomial q**exponent."""
-        d = _frac(exponent) * DEN
+        d = Fraction(exponent) * DEN
         if d.denominator != 1:
             raise GradingError(
                 f"shift by {exponent} not representable over denominator "
                 f"{DEN}")
         d = int(d)
-        order = self.order + _frac(exponent)
+        order = self.order + Fraction(exponent)
         return QSeries({e + d: c for e, c in self.coeffs.items()}, order)
 
     # ------------------------------------------------------------------
@@ -293,9 +262,6 @@ class QSeries:
                     f"{Fraction(e, DEN)}")
             out[e] = c if (e // DEN) % 2 == 0 else -c
         return QSeries(out, self.order)
-
-    def same_up_to(self, other: "QSeries", order: OrderLike) -> bool:
-        return self.first_difference(other, order) is None
 
     def first_difference(self, other: "QSeries", order: OrderLike):
         """First (exponent, lhs, rhs) disagreement up to order, or None.
@@ -361,9 +327,9 @@ def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
     term 1 allows.  No series is inverted.
     """
     ordv = _order_value(order)
-    if _is_inf(ordv):
+    if ordv == INF:
         raise SeriesError("infinite product needs a finite truncation order")
-    inner = ordv - _frac(shift)
+    inner = ordv - Fraction(shift)
     top = math.floor(inner)
     p = [1] + [0] * top
     for k, n in powers.items():

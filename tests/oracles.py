@@ -13,6 +13,12 @@ import math
 from fractions import Fraction
 
 
+def same_up_to(a, b, order) -> bool:
+    """Whether two series agree to order: a and b are anything with the
+    first_difference method of the package's series."""
+    return a.first_difference(b, order) is None
+
+
 def poly_mul(a: dict, b: dict, order: int) -> dict:
     out = {}
     for ea, ca in a.items():

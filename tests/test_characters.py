@@ -13,7 +13,7 @@ from e8umbral.mocktheta import _DOUBLE_SUM_DATA
 from e8umbral.qseries import GradingError, QSeries, SeriesError, dedekind_eta
 
 from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
-                     shadow)
+                     same_up_to, shadow)
 
 
 def test_fermion_trace():
@@ -61,7 +61,7 @@ def test_prefactor_identities(name, builder):
     order = 10
     prod = dedekind_eta(1, order) * heisenberg_trace(CLASSES[name], order)
     want = builder(order + 1).shift(F(-1, 12))
-    assert prod.same_up_to(want, prod.order)
+    assert same_up_to(prod, want, prod.order)
 
 
 TABLE_A1_HEAD = {
@@ -110,14 +110,14 @@ def test_ten_minus_a_antisymmetry_all_classes():
         for a in (1, 3):
             x = trace_closed(TraceId(cls, a), 8)
             y = trace_closed(TraceId(cls, 10 - a), 8)
-            assert y.same_up_to(-x, 8)
+            assert same_up_to(y, -x, 8)
 
 
 def test_coset_five_vanishes():
     # 10 - a = a at a = 5, so the antisymmetry forces the zero series
     for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
-        assert trace_closed(TraceId(cls, 5), 12).is_zero
-        assert trace_direct(TraceId(cls, 5), 12).is_zero
+        assert not trace_closed(TraceId(cls, 5), 12).coeffs
+        assert not trace_direct(TraceId(cls, 5), 12).coeffs
 
 
 def test_assembled_vector_structure():
@@ -131,8 +131,8 @@ def test_assembled_vector_structure():
                         h_component(cls, rr, 6)
                 continue
             comp = h_component(cls, r, 6)
-            assert comp.same_up_to(-h_component(cls, -r, 6), 6)
-            assert not comp.is_zero
+            assert same_up_to(comp, -h_component(cls, -r, 6), 6)
+            assert comp.coeffs
         # polar part of the 1-family: a single -2 q^(-1/120)
         c1 = h_component(cls, 1, 6)
         assert c1.coefficient(F(-1, 120)) == -2
@@ -142,8 +142,8 @@ def test_assembled_vector_structure():
 
 
 def test_component_59_is_negated_component_1():
-    assert h_component(CLASS_2A, 59, 6).same_up_to(
-        -h_component(CLASS_2A, 1, 6), 6)
+    assert same_up_to(h_component(CLASS_2A, 59, 6),
+                      -h_component(CLASS_2A, 1, 6), 6)
 
 
 def test_all_trace_ids_count():

@@ -240,6 +240,21 @@ def test_eval_1a_subnormal_height_exits_3(capsys, tau, completion):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("completion", [False, True])
+@pytest.mark.parametrize("tau,named", [
+    ("1e16+0.001i", "(in F, the image of tau = (1e+16+0.001j), at tol "),
+    ("1e300+5e-324i", "the value at tau = (1e+300+5e-324j) overflows")])
+def test_eval_pull_back_error_names_the_tau_given(capsys, tau, named,
+                                                  completion):
+    # the pull-back starts from Re tau reduced mod 120 (to 40 and to 0
+    # here), but its error line names the point that was asked for
+    extra = ["--completion"] if completion else []
+    code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "1",
+                             f"--tau={tau}", *extra)
+    assert code == 3 and out == ""
+    assert named in err and len(err.splitlines()) == 1
+
+
 def test_closed_stdout_ends_quietly():
     # a reader that closes the pipe before the table is written (as
     # `| head -2` may) gets no traceback on stderr

@@ -1,4 +1,5 @@
-"""Every name the package exports is reached by the program itself."""
+"""Every name the package exports, and every public method of its series
+type, is reached by the program itself."""
 
 import ast
 from pathlib import Path
@@ -27,12 +28,29 @@ def _used_names(path: Path) -> set:
     return used
 
 
+def _program_names() -> set:
+    """Names read by the package modules and the demos."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "demos").glob("*.py"))
+    return set().union(*(_used_names(p) for p in sources))
+
+
 def test_every_export_is_used_by_the_program():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "demos").glob("*.py"))
-    used = set().union(*(_used_names(p) for p in sources))
-    unused = sorted(exported - used - {"__version__"})
+    unused = sorted(exported - _program_names() - {"__version__"})
     assert exported and not unused, f"exported but never used: {unused}"
+
+
+def test_every_public_qseries_method_is_used_by_the_program():
+    # the series type's public surface earns its place the same way: a
+    # method that only the tests call belongs in the tests
+    tree = ast.parse((PACKAGE / "qseries.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "QSeries")
+    methods = {node.name for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    unused = sorted(methods - _program_names())
+    assert methods and not unused, f"QSeries methods never used: {unused}"

@@ -9,12 +9,11 @@ from scipy.integrate import quad
 
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (IndefThetaData, NumericsError,
-                            _eichler_part, _line_sum, _mat_mul,
+                            _at_point, _eichler_part, _line_sum, _mat_mul,
                             _pd_lambda_min, _ring_sum, _wall_coordinate,
                             _wedge_lambda_min,
                             beta_incomplete, completion_value,
-                            component_value, e, indefinite_theta,
-                            modular_value_1a,
+                            e, h_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, rho_3_3, series_value,
                             tau1_identity_check, transform_check)
@@ -201,7 +200,7 @@ def test_large_real_part_t_law():
             for r in (1, 7):
                 phase = e(F(-r * r * k, 120))
                 at = complex(x, 1.0)
-                series = [component_value(cls, r, t, 1e-12, 1e-12)[0]
+                series = [_at_point(cls, r, t, 1e-12, False)[0]
                           for t in (at, 1j)]
                 assert abs(series[0] - phase * series[1]) < 1e-13
                 completed = [completion_value(cls, r, t, 1e-12)
@@ -345,11 +344,11 @@ def test_modular_value_band_matches_direct_summation():
     for r in (1, 7):
         for _ in range(20):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.02, 0.1))
-            series, _ = component_value(CLASS_1A, r, tau, 1e-12, 1e-12)
+            series, _ = _at_point(CLASS_1A, r, tau, 1e-12, False)
             eichler = _eichler_part(CLASS_1A, r, tau, 1e-24)
-            got, _ = modular_value_1a(r, tau, 1e-12, False)
+            got, _ = h_value(CLASS_1A, r, tau, 1e-12, False)
             assert abs(got - series) < 1e-12 * abs(series), (r, tau)
-            got, _ = modular_value_1a(r, tau, 1e-12, True)
+            got, _ = h_value(CLASS_1A, r, tau, 1e-12, True)
             want = completion_value(CLASS_1A, r, tau, 1e-12)
             assert abs(got - want) < 1e-12 * (abs(series) + abs(eichler)), \
                 (r, tau)
@@ -361,21 +360,27 @@ def test_modular_value_s_law_near_cusp(tau):
     # tau^(-1/2) Hhat(-1/tau) = nu(S) Hhat(tau) where direct summation
     # cannot reach: both sides are pulled back from F, through different
     # gamma
-    h = [modular_value_1a(r, tau, 1e-9, True)[0] for r in (1, 7)]
-    hs = [modular_value_1a(r, -1 / tau, 1e-9, True)[0] for r in (1, 7)]
+    h = [h_value(CLASS_1A, r, tau, 1e-9, True)[0] for r in (1, 7)]
+    hs = [h_value(CLASS_1A, r, -1 / tau, 1e-9, True)[0] for r in (1, 7)]
     for (p, q), lhs in zip(nu_S(), hs):
         rhs = p * h[0] + q * h[1]
         assert abs(lhs / cmath.sqrt(tau) - rhs) < 1e-12 * max(abs(rhs), 1.0)
 
 
 def test_modular_value_in_f_is_direct_summation():
-    # a translate of F sums only the requested component, at tau itself
-    for tau in (0.3 + 1.0j, 7.4 + 0.95j, -0.5 + 60.0j):
+    # 1A on a translate of F, and 2A and 3A at any tau, sum only the
+    # requested component, at tau itself; the completion reports tol
+    huge = complex(1e300, 1.0)
+    cases = [(CLASS_1A, tau) for tau in (0.3 + 1.0j, 7.4 + 0.95j,
+                                         -0.5 + 60.0j, huge)]
+    cases += [(cls, tau) for cls in (CLASS_2A, CLASS_3A)
+              for tau in (0.3 + 1.0j, -0.4 + 0.03j, huge)]
+    for cls, tau in cases:
         for r in (1, 7, 53):
-            assert modular_value_1a(r, tau, 1e-9, True) == \
-                (completion_value(CLASS_1A, r, tau, 1e-9), 1e-9)
-            assert modular_value_1a(r, tau, 1e-9, False) == \
-                component_value(CLASS_1A, r, tau, 1e-9, 1e-9)
+            assert h_value(cls, r, tau, 1e-9, True) == \
+                (_at_point(cls, r, tau, 1e-9, True)[0], 1e-9)
+            assert h_value(cls, r, tau, 1e-9, False) == \
+                _at_point(cls, r, tau, 1e-9, False)
 
 
 _OFF_H = (0.3 + 0j, 0j, 0.3 - 1j, complex(math.inf, 1),
@@ -385,21 +390,21 @@ _OFF_H = (0.3 + 0j, 0j, 0.3 - 1j, complex(math.inf, 1),
 
 @pytest.mark.parametrize("completion", [False, True])
 def test_modular_value_rejects_bad_input(completion):
-    # the errors of h_component and component_value, raised before any
-    # pull-back to F
-    with pytest.raises(ValueError, match="component 2 is not in the "
-                                         "support"):
-        modular_value_1a(2, 0.3 + 1j, 1e-9, completion)
-    for tau in _OFF_H:
-        with pytest.raises(NumericsError, match="upper half plane"):
-            modular_value_1a(1, tau, 1e-9, completion)
+    # raised before any summation or pull-back to F, for every class
+    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
+        with pytest.raises(ValueError, match="component 2 is not in the "
+                                             "support"):
+            h_value(cls, 2, 0.3 + 1j, 1e-9, completion)
+        for tau in _OFF_H:
+            with pytest.raises(NumericsError, match="upper half plane"):
+                h_value(cls, 1, tau, 1e-9, completion)
 
 
 @pytest.mark.parametrize("tau", _OFF_H)
 def test_evaluators_reject_tau_off_h(tau):
     # one check before the mod-120 reduction of Re tau, which raises
     # ValueError on an infinite part
-    for value in (lambda: component_value(CLASS_2A, 1, tau, 1e-9, 1e-9),
+    for value in (lambda: _at_point(CLASS_2A, 1, tau, 1e-9, False),
                   lambda: completion_value(CLASS_2A, 7, tau),
                   lambda: r_function(F(1, 60), 0, tau)):
         with pytest.raises(NumericsError, match="upper half plane"):
