@@ -26,12 +26,11 @@ normalization that reproduces the published coefficient tables.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 from .lattice import enumerate_coset_cone
-from .qseries import (DEN, GradingError, QSeries, SeriesError,
-                      dedekind_eta, eta_quotient, _order_value)
+from .qseries import (DEN, GradingError, QSeries, SeriesError, dedekind_eta,
+                      _eta, _num, _series)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
@@ -51,14 +50,13 @@ def component_family(r: int):
     return None
 
 
-class GroupClass(NamedTuple):
+class GroupClass(namedtuple("GroupClass", "name permutation")):
     """A conjugacy class of the S3 action permuting the three E8 summands,
     named by one permutation (the images of indices 0, 1, 2).  The rest
     follows from its cycles: the order, the permutation character, the
     Heisenberg trace and the invariant sublattice."""
 
-    name: str
-    permutation: tuple
+    __slots__ = ()
 
     @property
     def cycles(self) -> tuple:
@@ -86,8 +84,7 @@ CLASS_3A = GroupClass("3A", (1, 2, 0))
 CLASSES = {"1A": CLASS_1A, "2A": CLASS_2A, "3A": CLASS_3A}
 
 
-class TraceId(NamedTuple("TraceId", [("group_class", GroupClass),
-                                     ("coset_a", int)])):
+class TraceId(namedtuple("TraceId", "group_class coset_a")):
     """(class, coset label) naming one trace function."""
 
     __slots__ = ()
@@ -116,8 +113,7 @@ def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
     the rank-3 boson: one factor (q^L; q^L)^(-1) per cycle of length L."""
     lengths = [len(c) for c in group_class.cycles]
-    return eta_quotient({L: -lengths.count(L) for L in lengths},
-                        Fraction(-3, 24), order)
+    return _eta({L: -lengths.count(L) for L in lengths}, -15, _num(order))
 
 
 # ----------------------------------------------------------------------
@@ -126,21 +122,22 @@ def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
 
 def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
                parity=None) -> QSeries:
-    """The signed sum over both octants of Z^n, truncated at q^cap:
+    """The signed sum over both octants of Z^n, truncated at q^(cap/DEN):
 
         (sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
-            q^((x.gram.x + lin.x)/2 + shift)
+            q^((x.gram.x + lin.x)/2 + shift/DEN)
 
     where x < 0 means every coordinate is negative, and with parity given
     only points with parity.x even are summed.  gram (symmetric) and lin
-    are integer, shift rational.
+    are integer; shift and cap are exponent numerators over DEN, shift an
+    int.
 
     Completeness: on either octant put x = y or x = -1 - y with y >= 0;
     then twice the exponent minus 2 shift is y.gram.y + w.y + c with
     w = lin resp. 2 gram.1 - lin.  With gram and w entrywise non-negative
     and gram positive on the diagonal, that is non-decreasing in every
     y_j, so each coordinate loop stops at its first point past the cap
-    without skipping one, and y_j <= sqrt((2 (cap - shift) - c)/gram_jj).
+    without skipping one, and y_j <= sqrt((2 (cap - shift)/DEN - c)/gram_jj).
     One walk per octant visits those y, carrying the value, the slopes
     w + 2 gram.y, the sign and the parity, each updated once per step.
     """
@@ -153,10 +150,9 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
             min(gram[j][j] for j in range(n)) <= 0 or \
             min(min(o[2]) for o in octants) < 0:
         raise SeriesError("octant sum outside its certified bound")
-    limit = math.floor(2 * (_order_value(cap) - Fraction(shift)))
-    offset = Fraction(shift) * DEN
-    if offset.denominator != 1:
-        raise GradingError(f"shift {shift} not representable over {DEN}")
+    if type(shift) is not int:
+        raise GradingError(f"shift numerator {shift} is not an integer")
+    limit = 2 * (cap - shift) // DEN    # the largest value x.gram.x + lin.x
     lo = min(0, octants[1][3])           # the least value of either octant
     acc = [0] * max(limit - lo + 1, 0)   # acc[v - lo]: signed count of value v
     # per coordinate j: the slope steps of the later coordinates, and the
@@ -185,8 +181,8 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
         # x = -1 - y flips the parity of signs.x and parity.x by their sums
         sign0 = -outer if flip * sum(signs) % 2 else outer
         walk(0, c, w, sign0, flip * sum(parity) % 2 if parity else 0)
-    return QSeries({v * DEN // 2 + offset.numerator: s
-                    for v, s in enumerate(acc, lo) if s}, cap)
+    return _series({v * DEN // 2 + shift: s
+                    for v, s in enumerate(acc, lo) if s}, cap, False)
 
 
 # the three class shapes of the closed octant sums, with lin = a * lin_unit
@@ -204,22 +200,22 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     printed prefactor times the octant sum, cached by (trace id, order):
     h_component, the identity suite and the closed-vs-direct check ask for
     the same traces."""
-    ordv = _order_value(order)
     cls = trace_id.group_class
-    cap = ordv + Fraction(1, 12)   # prefactor valuation is -1/12
     a = trace_id.coset_a
     gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
-    lat = octant_sum(gram, [a * u for u in lin_unit], Fraction(3 * a * a, 40),
-                     signs, neg, cap)
-    return -(_printed_prefactor(cls, ordv) * lat).truncate(ordv)
+    # to order + 1/12, as the prefactor's valuation is -1/12
+    lat = octant_sum(gram, [a * u for u in lin_unit], 9 * a * a, signs, neg,
+                     _num(order) + 10)
+    return -(_printed_prefactor(cls, order) * lat).truncate(order)
 
 
 @lru_cache(maxsize=None)
 def _printed_prefactor(group_class: GroupClass, order) -> QSeries:
-    """The printed eta-quotient prefactor of trace_closed, to order + 1/12
-    + 1, built once per (class, order) for the five cosets."""
-    return eta_quotient(_PRINTED_PREFACTORS[group_class.order],
-                        Fraction(-1, 12), order + Fraction(1, 12) + 1)
+    """The printed eta-quotient prefactor of trace_closed, to order + 1 (the
+    octant sum's valuation is positive), built once per (class, order) for
+    the five cosets."""
+    return _eta(_PRINTED_PREFACTORS[group_class.order], -10,
+                _num(order) + DEN)
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +231,9 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
     enumerate_coset_cone output with the character-level sign rules for
     each class.
     """
-    ordv = _order_value(order)
     cls = trace_id.group_class
     a = trace_id.coset_a
-    cap = ordv + Fraction(1, 12)
+    cap = _num(order) + 10         # order + 1/12, as in trace_closed
     n = cls.order
     coeffs: dict[int, int] = {}
     for en, (k, l, m), branch in enumerate_coset_cone(a, cls.cycles, cap):
@@ -253,16 +248,17 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
         else:
             sign = -1 if k % 2 else 1
         coeffs[en] = coeffs.get(en, 0) + sign
-    lat_sum = QSeries(coeffs, cap)
-    return (_direct_prefactor(cls, ordv) * lat_sum).truncate(ordv)
+    lat_sum = _series(coeffs, cap)
+    return (_direct_prefactor(cls, order) * lat_sum).truncate(order)
 
 
 @lru_cache(maxsize=None)
 def _direct_prefactor(group_class: GroupClass, order) -> QSeries:
-    """-q^(1/24) (q;q)_inf times heisenberg_trace, to order + 1/12 + 1,
-    built once per (class, order) for the five cosets."""
-    cap = order + Fraction(13, 12)
-    return dedekind_eta(1, cap).scale(-1) * heisenberg_trace(group_class, cap)
+    """-q^(1/24) (q;q)_inf times heisenberg_trace, to order + 1 - 1/12 (the
+    cone energies are positive), built once per (class, order) for the five
+    cosets."""
+    return dedekind_eta(1, order + 1).scale(-1) * \
+        heisenberg_trace(group_class, order + 1)
 
 
 # ----------------------------------------------------------------------

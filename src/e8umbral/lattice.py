@@ -14,13 +14,11 @@ of Q in (k, l, m) are non-negative, so the scan of each coordinate stops
 at its first point past the bound; branch N is branch P of the opposite
 coset, negated.  A cone point is the integer tuple (120 Q(mu), coords,
 branch): Q(mu) lies on the grid 1/120 of ``qseries.DEN``, so the energy is
-carried as its numerator.
+carried as its numerator, and so is the bound of a scan.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
@@ -39,10 +37,9 @@ def _q_of(coords: tuple[int, int, int], a: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _positive_branch(a: int, cycles,
-                     bound: Fraction) -> tuple[tuple[int, tuple], ...]:
+def _positive_branch(a: int, cycles, cap) -> tuple[tuple[int, tuple], ...]:
     """(120 Q(mu), coords) for the branch-P points of L + a*rho/2 that are
-    constant on each cycle, with Q(mu) <= bound.  Cached: the cones of
+    constant on each cycle, with 120 Q(mu) <= cap.  Cached: the cones of
     cosets a and 10 - a share their two scans, so over the five cosets
     of a class each scan runs once.
 
@@ -55,7 +52,6 @@ def _positive_branch(a: int, cycles,
     # coordinate i takes the free value of the cycle holding i
     spread = itemgetter(*(j for i in range(3)
                           for j, c in enumerate(cycles) if i in c))
-    cap = math.floor(bound * DEN)
     points = []
 
     def walk(free) -> bool:
@@ -79,9 +75,8 @@ def _positive_branch(a: int, cycles,
     return tuple(points)
 
 
-def enumerate_coset_cone(a: int, cycles,
-                         energy_bound) -> list[tuple[int, tuple, str]]:
-    """All mu in D cap (L + a*rho/2) with Q(mu) <= energy_bound and
+def enumerate_coset_cone(a: int, cycles, cap) -> list[tuple[int, tuple, str]]:
+    """All mu in D cap (L + a*rho/2) with 120 Q(mu) <= cap and
     coordinates equal along each of the given cycles (a partition of
     the indices 0, 1, 2: one free coordinate per cycle), as sorted
     (120 Q(mu), coords, branch) tuples with branch "P" or "N".
@@ -92,10 +87,9 @@ def enumerate_coset_cone(a: int, cycles,
     """
     if not (0 < a < 10 and a % 2 == 1):
         raise LatticeError("coset label a must be odd with 0 < a < 10")
-    bound = Fraction(energy_bound)
     points = [(num, coords, "P")
-              for num, coords in _positive_branch(a, cycles, bound)]
+              for num, coords in _positive_branch(a, cycles, cap)]
     points += [(num, (-1 - k, -1 - l, -1 - m), "N")
-               for num, (k, l, m) in _positive_branch(10 - a, cycles, bound)]
+               for num, (k, l, m) in _positive_branch(10 - a, cycles, cap)]
     points.sort()
     return points

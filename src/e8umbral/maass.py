@@ -20,7 +20,7 @@ value.
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
 1A pair (H_1, H_7), a weight-1/2 form on all of SL2(Z), into the
-fundamental domain in exact rationals, sums the completion there at a
+fundamental domain in exact integers, sums the completion there at a
 40-term order, and pulls it back through the multiplier nu, whose T^n
 factors are one diagonal each.  Every other value is summed by _at_point
 at the point it is given, and so are completion_value and the checks
@@ -33,8 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
-from typing import NamedTuple
+from collections import namedtuple
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILY_1, FAMILY_7,
                          GroupClass,
@@ -88,12 +87,15 @@ def _im_upper(tau: complex) -> float:
 def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Sum a truncated exact series at q = e(tau).
 
-    Returns (value, tail_estimate).  The tail estimate extrapolates the
-    measured coefficient growth geometrically past the truncation order;
-    it is empirical, not a proof, and callers compare it against their
-    tolerance before trusting the value.
+    Returns (value, tail_estimate).  The sum runs at tau with Re tau
+    reduced mod 120, which changes no term (every exponent is on the grid
+    1/120); an error names the tau given.  The tail estimate extrapolates
+    the measured coefficient growth geometrically past the truncation
+    order; it is empirical, not a proof, and callers compare it against
+    their tolerance before trusting the value.
     """
     y = _im_upper(tau)
+    point, tau = tau, complex(math.fmod(tau.real, 120.0), y)
     total = 0.0 + 0.0j
     mags: list[tuple[float, float]] = []
     try:
@@ -104,11 +106,11 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     except OverflowError:
         total = complex(math.inf)
     if not cmath.isfinite(total):
-        raise NumericsError(f"the value at tau = {tau} overflows a double")
+        raise NumericsError(f"the value at tau = {point} overflows a double")
     absq = math.exp(-TWO_PI * y)
-    if series.order == math.inf:
+    if series.top == math.inf:
         return total, 0.0
-    order = float(series.order)
+    order = series.top / DEN
     if not mags:
         return total, absq ** order
     tail_coeff = max(m for _, m in mags[-8:])
@@ -210,7 +212,7 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau), at tau
     with Re tau already reduced mod 120."""
     family, sign = component_family(r)
-    total = sum(r_function(Fraction(s, 60), 0, 60.0 * tau, tail_bound)
+    total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
                 for s in (FAMILY_1 if family == 1 else FAMILY_7))
     return sign * group_class.perm_character * total
 
@@ -224,16 +226,16 @@ def _eichler_tail(group_class: GroupClass, tail_bound: float) -> float:
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    after Re tau is reduced mod 120.  The series is summed by _sum_to_tol
-    to a tail estimate below tol, or below tol/5 for the completion, which
-    adds the certified Eichler part (R-sum tails below tol * 1e-12); est is
-    the tail estimate, plus the Eichler tail for the completion."""
-    _im_upper(tau)
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
+    with Re tau reduced mod 120, by series_value for the series (whose
+    errors name the tau given).  The series is summed by _sum_to_tol to a
+    tail estimate below tol, or below tol/5 for the completion, which adds
+    the certified Eichler part (R-sum tails below tol * 1e-12); est is the
+    tail estimate, plus the Eichler tail for the completion."""
     value, tail = _sum_to_tol(lambda n: h_component(group_class, r, n), tau,
                               tol, tol / 5.0 if completion else tol)
     if not completion or group_class.perm_character == 0:
         return value, tail    # zero shadow: completion equals the series
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
     return (value + _eichler_part(group_class, r, tau, tol * 1e-12),
             tail + _eichler_tail(group_class, tol * 1e-12))
 
@@ -244,21 +246,30 @@ def completion_value(group_class: GroupClass, r: int, tau: complex,
     return _at_point(group_class, r, tau, tol, True)[0]
 
 
-def _to_fundamental_domain(x: Fraction, y: Fraction) -> tuple:
-    """(gamma, Re gamma tau, Im gamma tau) for gamma in SL2(Z) with
-    gamma tau in the standard fundamental domain (|Re| <= 1/2,
-    |tau| >= 1), tau = x + iy: T^(-round(Re)) and, while |tau| < 1, S,
-    applied alternately in exact rationals.  Each S raises
-    Im gamma tau = y / |c tau + d|^2, which takes discrete values, so the
-    loop ends."""
+def _to_fundamental_domain(tau: complex) -> tuple:
+    """(gamma, gamma tau, c tau + d) for gamma in SL2(Z) with gamma tau in
+    the standard fundamental domain (|Re| <= 1/2, |tau| >= 1): T^(-round(Re))
+    and, while |tau| < 1, S, applied alternately in integers, tau = (X +
+    iY)/D exactly.  Each S raises Im gamma tau = y / |c tau + d|^2, which
+    takes discrete values, so the loop ends.  Each part of the two complex
+    numbers is correctly rounded (OverflowError past the doubles)."""
+    (xn, xd), (yn, yd) = (tau.real.as_integer_ratio(),
+                          tau.imag.as_integer_ratio())
+    D = math.lcm(xd, yd)
+    X, Y = xn * (D // xd), yn * (D // yd)
     a, b, c, d = 1, 0, 0, 1
     while True:
-        den = (c * x + d) ** 2 + (c * y) ** 2
-        re = ((a * x + b) * (c * x + d) + a * c * y * y) / den
-        n = round(re)
+        u, v = c * X + d * D, c * Y           # D (c tau + d)
+        m = u * u + v * v                     # D^2 |c tau + d|^2
+        re = (a * X + b * D) * u + a * c * Y * Y   # m Re gamma tau
+        n, rest = divmod(re, m)
+        if 2 * rest > m or 2 * rest == m and n % 2:   # half to even
+            n += 1
         a, b = a - n * c, b - n * d
-        if (re - n) ** 2 + (y / den) ** 2 >= 1:
-            return ((a, b), (c, d)), re - n, y / den
+        re -= n * m
+        if re * re + (Y * D) ** 2 >= m * m:
+            return (((a, b), (c, d)), complex(re / m, Y * D / m),
+                    complex(u / D, v / D))
         a, b, c, d = -c, -d, a, b
 
 
@@ -274,7 +285,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
 
     for gamma with gamma tau in F, where Im gamma tau >= sqrt(3)/2 and a
     short series suffices at any Im tau.  gamma tau is formed in exact
-    rationals of the parsed doubles, so c tau + d loses no digits near a
+    integers from the parsed doubles, so c tau + d loses no digits near a
     cusp.  nu is unitary, so nu^-1 is its conjugate transpose, and a row of
     it maps errors (e1, e7) to at most |(e1, e7)|: both components at
     gamma tau, summed to tol |c tau + d|^(1/2), give an error below tol/3
@@ -292,17 +303,14 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     point, tau = tau, complex(math.fmod(tau.real, 120.0), tau.imag)
     gamma = None
     if group_class is CLASS_1A:
-        x, y = Fraction(tau.real), Fraction(tau.imag)
-        gamma, g_re, g_im = _to_fundamental_domain(x, y)
+        try:
+            gamma, gtau, jac = _to_fundamental_domain(tau)
+        except OverflowError:
+            raise NumericsError(
+                f"the value at tau = {point} overflows a double") from None
     if gamma is None or gamma[1][0] == 0:
-        value, est = _at_point(group_class, r, tau, tol, completion)
+        value, est = _at_point(group_class, r, point, tol, completion)
         return value, tol if completion else est
-    c, d = gamma[1]
-    try:
-        gtau = complex(g_re, g_im)
-    except OverflowError:
-        raise NumericsError(f"the value at tau = {point} overflows a double")
-    jac = complex(c * x + d, c * y)      # |c tau + d| < 1 here
     scale = math.sqrt(abs(jac))
     if tol * scale == 0.0:
         raise NumericsError(f"tol {tol} is below double precision")
@@ -330,26 +338,28 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
 # indefinite theta functions of signature (1,1)
 
 
-class IndefThetaData(NamedTuple):
-    """Quadratic form data (A; a, b; c1, c2) for the two-sided theta."""
+class IndefThetaData(namedtuple("IndefThetaData", "A a b c1 c2")):
+    """Quadratic form data (A; a, b; c1, c2) for the two-sided theta: A
+    ((int, int), (int, int)), symmetric of signature (1,1); a and b
+    rational 2-vectors of characteristics; c1 and c2 integer cone vectors
+    in the same negative component."""
 
-    A: tuple                 # ((int,int),(int,int)), symmetric, sig (1,1)
-    a: tuple                 # rational 2-vector of characteristics
-    b: tuple
-    c1: tuple                # integer cone vectors, same negative component
-    c2: tuple
+    __slots__ = ()
 
     def a_times(self, v) -> tuple:
         """A v, exact for integer or rational v."""
         (a00, a01), (a10, a11) = self.A
         return (a00 * v[0] + a01 * v[1], a10 * v[0] + a11 * v[1])
 
-    def q_of(self, v) -> Fraction:
-        return self.b_of(v, v) / 2
+    def q_of(self, v):
+        """Q(v), a Fraction: fractions is imported when the numerics run."""
+        from fractions import Fraction
+        return Fraction(self.b_of(v, v), 2)
 
-    def b_of(self, u, v) -> Fraction:
-        av = self.a_times((Fraction(v[0]), Fraction(v[1])))
-        return Fraction(u[0]) * av[0] + Fraction(u[1]) * av[1]
+    def b_of(self, u, v):
+        """B(u, v), exact for integer or rational u and v."""
+        av = self.a_times(v)
+        return u[0] * av[0] + u[1] * av[1]
 
     def validate(self) -> None:
         A = self.A
@@ -374,10 +384,10 @@ def _pd_lambda_min(data: IndefThetaData, c) -> float:
     """
     (a00, a01), (_, a11) = data.A
     ac0, ac1 = data.a_times(c)
-    qc2 = 2 * data.q_of(c)
-    p = Fraction(a00, 2) - ac0 * ac0 / qc2
-    r = Fraction(a01, 2) - ac0 * ac1 / qc2
-    t = Fraction(a11, 2) - ac1 * ac1 / qc2
+    qc = data.q_of(c)             # a Fraction, so every quotient is exact
+    p = (a00 * qc - ac0 * ac0) / (2 * qc)
+    r = (a01 * qc - ac0 * ac1) / (2 * qc)
+    t = (a11 * qc - ac1 * ac1) / (2 * qc)
     lam = (float(p + t) - math.hypot(float(p - t), float(2 * r))) / 2.0
     if lam <= 0:
         raise NumericsError("cone data does not yield a positive majorant")
@@ -506,22 +516,15 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
 # ----------------------------------------------------------------------
 # the trace-function completion identity (order-2 class)
 
-# printed cone data for the order-2 class; the component families differ
-# only in the characteristic vector a and the matching phase prefactor
-_TAU_A = ((6, 4), (4, 1))
-_TAU_B = (Fraction(3, 20), Fraction(-1, 10))
-_TAU_C1 = (-1, 4)
-_TAU_C2 = (-2, 3)
-
-
 def order2_theta_data(r: int) -> IndefThetaData:
-    if r == 1:
-        a = (Fraction(1, 10), Fraction(1, 10))
-    elif r == 7:
-        a = (Fraction(3, 10), Fraction(3, 10))
-    else:
+    """The printed cone data for the order-2 class; the component families
+    differ only in the characteristic vector a and the phase prefactor."""
+    if r not in (1, 7):
         raise NumericsError("component must be 1 or 7")
-    return IndefThetaData(_TAU_A, a, _TAU_B, _TAU_C1, _TAU_C2)
+    from fractions import Fraction   # only the numeric checks need it
+    a = Fraction(1 if r == 1 else 3, 10)
+    b = (Fraction(3, 20), Fraction(-1, 10))
+    return IndefThetaData(((6, 4), (4, 1)), (a, a), b, (-1, 4), (-2, 3))
 
 
 def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
@@ -540,7 +543,7 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
     eta_val, _ = _sum_to_tol(lambda n: dedekind_eta(2, n), tau, tol,
                              tol * 1e-2)
-    pref = -e(Fraction(-1, 10)) if r == 1 else -e(Fraction(-3, 10))
+    pref = -e(-1 / 10) if r == 1 else -e(-3 / 10)
     lhs = pref * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 
@@ -553,15 +556,15 @@ def nu_T(n: int = 1) -> tuple:
     """nu(T^n) on (H_1, H_7), the diagonal (e(-n/120), e(-49 n/120)) with
     the exponents reduced mod 120 in integers, as the tuple
     ((a, b), (c, d)) of complex numbers."""
-    return ((e(Fraction(-(n % 120), 120)), 0j),
-            (0j, e(Fraction(-(49 * n % 120), 120))))
+    return ((e(-(n % 120) / 120), 0j),
+            (0j, e(-(49 * n % 120) / 120)))
 
 
 def nu_S() -> tuple:
     """nu(S) on (H_1, H_7), the printed sine matrix, as the tuple
     ((a, b), (c, d)) of complex numbers."""
     s = math.sin
-    k = 2.0 * e(Fraction(3, 8)) / math.sqrt(15.0)
+    k = 2.0 * e(3 / 8) / math.sqrt(15.0)
     p = k * (s(math.pi / 30) + s(11 * math.pi / 30))
     q = k * (s(7 * math.pi / 30) + s(13 * math.pi / 30))
     return ((p, q), (q, -p))
@@ -630,7 +633,7 @@ def rho_3_3(gamma) -> complex:
     (a, b), (c, d) = gamma
     if c % 3:
         raise NumericsError("rho_3|3 lives on Gamma_0(3)")
-    return e(Fraction(c * d, 9))
+    return e(c * d / 9)
 
 
 def transform_check(group_class: GroupClass, gamma, tau: complex,

@@ -25,15 +25,14 @@ O(N^2) integer additions and the other four O(N^1.5).
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+from collections import namedtuple
+from functools import lru_cache
 from operator import add
-from typing import NamedTuple, Optional
 
 from .characters import (CLASS_1A, CLASS_2A, TraceId, h_component,
                          octant_sum, trace_closed)
-from .qseries import (DEN, INF, QSeries, SeriesError, _order_value,
-                      eta_quotient)
+from .qseries import DEN, INF, QSeries, SeriesError, _num, _series, \
+    eta_quotient
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
 # P_(n+1)); a factor (k, s, e) is (1 - s q^k)^e with e = +1 or -1
@@ -66,11 +65,11 @@ def ramanujan_series(name: str, order) -> QSeries:
     """One of the six fifth-order series."""
     if name not in _SERIES:
         raise SeriesError(f"unknown series {name!r}")
-    ordv = _order_value(order)
-    if ordv == INF:
+    num = _num(order)
+    if num == INF:
         raise SeriesError(f"series {name!r} needs a finite truncation order")
     valuation, first, step = _SERIES[name]
-    top = math.floor(ordv)
+    top = num // DEN
     total = [0] * (top + 1)
     p = [1] + [0] * top
     for factor in first:
@@ -82,7 +81,7 @@ def ramanujan_series(name: str, order) -> QSeries:
         for factor in step(n):
             _apply(p, *factor)
         n += 1
-    return QSeries({DEN * e: c for e, c in enumerate(total) if c}, ordv)
+    return _series({DEN * e: c for e, c in enumerate(total) if c}, num, False)
 
 
 # ----------------------------------------------------------------------
@@ -103,24 +102,30 @@ def zwegers_triple_sum(variant: str, order) -> QSeries:
         c = 3
     else:
         raise SeriesError(f"unknown variant {variant!r}")
-    ordv = _order_value(order)
     lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
-                              (1, 1, 1), 1, ordv)
-    return (eta_quotient({1: -2}, 0, ordv + 1) * lattice_part).truncate(ordv)
+                              (1, 1, 1), 1, _num(order))
+    return (_prefactor(((1, -2),), order) * lattice_part).truncate(order)
 
 
-# variant: (lin, (gram, signs, parity restriction), eta_quotient powers of
-# the prefactor) of
+@lru_cache(maxsize=None)
+def _prefactor(powers: tuple, order) -> QSeries:
+    """prod (q^k; q^k)_inf^n over the pairs (k, n) of powers, to order + 1,
+    once per (powers, order): the identity suite's six sums share three."""
+    return eta_quotient(dict(powers), 0, order + 1)
+
+
+# variant: (lin, (gram, signs, parity restriction), the (k, n) powers of
+# the prefactor, none for the empty product) of
 #     (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(signs.(k,m))
 #         q^((k,m).gram.(k,m)/2 + lin.(k,m)/2)
 _RESTRICTED = (((1, 4), (4, 1)), (0, 1), (1, 1))
 _UNRESTRICTED = (((6, 4), (4, 1)), (1, 1), None)
-_ODD_PRODUCT = {1: -1, 2: 1}    # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
+_ODD_PRODUCT = ((1, -1), (2, 1))    # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
 _DOUBLE_SUM_DATA = {
-    "phi0_lhs": ((1, 3), _RESTRICTED, {1: 1, 2: -2}),
-    "phi1_lhs": ((3, 5), _RESTRICTED, {1: 1, 2: -2}),
-    "cor_lhs_1": ((1, 3), _RESTRICTED, {}),
-    "cor_lhs_7": ((3, 5), _RESTRICTED, {}),
+    "phi0_lhs": ((1, 3), _RESTRICTED, ((1, 1), (2, -2))),
+    "phi1_lhs": ((3, 5), _RESTRICTED, ((1, 1), (2, -2))),
+    "cor_lhs_1": ((1, 3), _RESTRICTED, ()),
+    "cor_lhs_7": ((3, 5), _RESTRICTED, ()),
     "cor_rhs_1": ((2, 1), _UNRESTRICTED, _ODD_PRODUCT),
     "cor_rhs_7": ((6, 3), _UNRESTRICTED, _ODD_PRODUCT),
 }
@@ -144,20 +149,23 @@ def hecke_double_sum(variant: str, order) -> QSeries:
     """
     if variant not in _DOUBLE_SUM_DATA:
         raise SeriesError(f"unknown variant {variant!r}")
-    ordv = _order_value(order)
     lin, (gram, signs, parity), powers = _DOUBLE_SUM_DATA[variant]
-    body = octant_sum(gram, lin, 0, signs, -1, ordv, parity)
-    return (eta_quotient(powers, 0, ordv + 1) * body).truncate(ordv)
+    body = octant_sum(gram, lin, 0, signs, -1, _num(order), parity)
+    if not powers:
+        return body
+    return (_prefactor(powers, order) * body).truncate(order)
 
 
 # ----------------------------------------------------------------------
 # identity suite
 
 
-class IdentityReport(NamedTuple):
-    name: str
-    order: Fraction
-    first_discrepancy: Optional[tuple]   # (exponent, lhs, rhs) when failed
+class IdentityReport(namedtuple("IdentityReport",
+                                "name order first_discrepancy")):
+    """A named identity checked to an order; first_discrepancy is the
+    (exponent, lhs, rhs) of its first failure, or None."""
+
+    __slots__ = ()
 
     @property
     def verified(self) -> bool:
@@ -173,9 +181,7 @@ class IdentityReport(NamedTuple):
 
 def compare_series(name: str, lhs: QSeries, rhs: QSeries,
                    order) -> IdentityReport:
-    ordv = _order_value(order)
-    diff = lhs.first_difference(rhs, ordv)
-    return IdentityReport(name, ordv, diff)
+    return IdentityReport(name, order, lhs.first_difference(rhs, order))
 
 
 def identity_suite(order) -> list[IdentityReport]:
@@ -187,46 +193,46 @@ def identity_suite(order) -> list[IdentityReport]:
     of the identity-class trace, and the four table identities expressing
     the assembled components through chi0, chi1, phi0, phi1.
     """
-    ordv = _order_value(order)
-    hi = ordv + 2          # margin for the q^-1 and q^(-49/120) shifts
+    hi = order + 2          # margin for the q^-1 and q^(-49/120) shifts
     chi0, chi1, F0, F1 = (ramanujan_series(name, hi)
                           for name in ("chi0", "chi1", "F0", "F1"))
     phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
                     for name in ("phi0", "phi1"))
-    m1, m49, p71 = (Fraction(e, 120) for e in (-1, -49, 71))   # shifts
+    m1, m49, p71 = -1, -49, 71   # numerators of the shifts
+    phi1m_1 = phi1m.shift(-1)    # q^-1 phi1(-q)
     table = [
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
-        ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m.shift(-1)),
+        ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m_1),
         ("triple sum (chi0 side) = 2 - chi0",
-         zwegers_triple_sum("chi0_side", ordv), 2 - chi0),
+         zwegers_triple_sum("chi0_side", order), 2 - chi0),
         ("triple sum (chi1 side) = chi1",
-         zwegers_triple_sum("chi1_side", ordv), chi1),
+         zwegers_triple_sum("chi1_side", order), chi1),
         ("Hecke double sum = phi0(-q)",
-         hecke_double_sum("phi0_lhs", ordv), phi0m),
+         hecke_double_sum("phi0_lhs", order), phi0m),
         ("Hecke double sum = -q^-1 phi1(-q)",
-         hecke_double_sum("phi1_lhs", ordv), -phi1m.shift(-1)),
+         hecke_double_sum("phi1_lhs", order), -phi1m_1),
         ("corollary double-sum identity (1-family)",
-         hecke_double_sum("cor_lhs_1", ordv),
-         hecke_double_sum("cor_rhs_1", ordv)),
+         hecke_double_sum("cor_lhs_1", order),
+         hecke_double_sum("cor_rhs_1", order)),
         ("corollary double-sum identity (7-family)",
-         hecke_double_sum("cor_lhs_7", ordv),
-         hecke_double_sum("cor_rhs_7", ordv)),
+         hecke_double_sum("cor_lhs_7", order),
+         hecke_double_sum("cor_rhs_7", order)),
         # the trace splitting of the identity class, and its 7-family
         # analogue through F1 and phi1
         ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
-         trace_closed(TraceId(CLASS_1A, 1), ordv).scale(2),
-         ((F0 - 1).scale(4) - phi0m.scale(2)).shift(m1)),
+         trace_closed(TraceId(CLASS_1A, 1), order).scale(2),
+         ((F0 - 1).scale(4) - phi0m.scale(2))._shift(m1)),
         ("2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
-         trace_closed(TraceId(CLASS_1A, 3), ordv).scale(-2),
-         F1.shift(p71).scale(4) + phi1m.shift(m49).scale(2)),
+         trace_closed(TraceId(CLASS_1A, 3), order).scale(-2),
+         F1._shift(p71).scale(4) + phi1m._shift(m49).scale(2)),
         # the table identities for the assembled components
-        ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, ordv),
-         (chi0 - 2).scale(2).shift(m1)),
-        ("H(1A,7) = 2 q^(71/120) chi1", h_component(CLASS_1A, 7, ordv),
-         chi1.scale(2).shift(p71)),
-        ("H(2A,1) = -2 q^(-1/120) phi0(-q)", h_component(CLASS_2A, 1, ordv),
-         phi0m.scale(-2).shift(m1)),
-        ("H(2A,7) = 2 q^(-49/120) phi1(-q)", h_component(CLASS_2A, 7, ordv),
-         phi1m.scale(2).shift(m49)),
+        ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, order),
+         (chi0 - 2).scale(2)._shift(m1)),
+        ("H(1A,7) = 2 q^(71/120) chi1", h_component(CLASS_1A, 7, order),
+         chi1.scale(2)._shift(p71)),
+        ("H(2A,1) = -2 q^(-1/120) phi0(-q)", h_component(CLASS_2A, 1, order),
+         phi0m.scale(-2)._shift(m1)),
+        ("H(2A,7) = 2 q^(-49/120) phi1(-q)", h_component(CLASS_2A, 7, order),
+         phi1m.scale(2)._shift(m49)),
     ]
-    return [compare_series(name, lhs, rhs, ordv) for name, lhs, rhs in table]
+    return [compare_series(name, lhs, rhs, order) for name, lhs, rhs in table]

@@ -14,6 +14,15 @@ place on a dense integer list by passes of Euler's pentagonal sum: one
 pass multiplies or divides by one (q^k; q^k)_infinity, and no series is
 ever inverted.
 
+Orders, shifts and exponents have one normal form in the engine: the int
+numerator over DEN (``QSeries.top`` is DEN times the order), or INF; only
+an off-grid order from a caller stays an exact rational numerator.  A
+public argument (an int, a Fraction or INF) becomes a numerator once, in
+``_num``; a public result (``QSeries.order``, the exponent of
+``first_difference``) is an int when integral, else a Fraction from
+``_rational``, the one place besides Fraction coefficients from a caller
+where the engine imports ``fractions``.
+
 A product is one CPython bigint product, by Kronecker substitution (D.
 Harvey, arXiv:0712.4046).  Both operands lie on progressions e0 + g i with
 one step g, so each becomes a dense int list, times a common denominator
@@ -23,22 +32,18 @@ coefficient of the product; the product of the two ints carries the
 product's coefficients in its fields, read off with a bias per field.
 
 All values are immutable after construction and every operation returns a
-new canonical series (no stored zeros), so coefficient-map equality is
-semantic equality up to the shared truncation order.
+new canonical series (no stored zeros, no exponent past the order, no
+Fraction of denominator 1), so coefficient-map equality is semantic
+equality up to the shared truncation order.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Union
 
 DEN = 120
 
 INF = math.inf
-
-Rational = Union[int, Fraction]
-OrderLike = Union[int, Fraction, float]
 
 
 class SeriesError(ValueError):
@@ -58,20 +63,56 @@ class DivergenceError(SeriesError):
     a factor of non-positive exponent)."""
 
 
-def _order_value(order: OrderLike):
-    """The one normal form of an order: a Fraction, or INF."""
-    return INF if order == INF else Fraction(order)
+def _num(x):
+    """DEN * x for an order or exponent x (an int, a Fraction or INF): an
+    int on the grid 1/DEN, INF, or the exact rational of an off-grid x."""
+    n = x * DEN
+    return n if n == INF or n.denominator != 1 else n.numerator
 
 
-def _cap(order):
-    """Largest exponent numerator a series of this order knows."""
-    return INF if order == INF else order.numerator * DEN // order.denominator
+def _grid(x) -> int:
+    """DEN * x as an int; GradingError when x is off the grid 1/DEN."""
+    n = _num(x)
+    if type(n) is not int:
+        raise GradingError(
+            f"shift by {x} not representable over denominator {DEN}")
+    return n
+
+
+def _rational(n):
+    """n / DEN: INF, an int when integral, else a Fraction."""
+    if n == INF or n % DEN == 0:
+        return n if n == INF else n // DEN
+    from fractions import Fraction   # only a non-integral value needs it
+    return Fraction(n, DEN)
+
+
+def _ints(coeffs: dict) -> bool:
+    """Whether every coefficient is an int: one C-level scan."""
+    return {int}.issuperset(map(type, coeffs.values()))
+
+
+def _series(coeffs: dict, top, clean: bool = True) -> "QSeries":
+    """The series of coeffs known to the exponent numerator top.  Unless
+    clean is False (coeffs already canonical), zeros and exponents past top
+    are dropped and a Fraction of denominator 1 becomes an int."""
+    if clean:
+        coeffs = {e: c for e, c in coeffs.items() if c and e <= top}
+        if not _ints(coeffs):
+            for e, c in coeffs.items():
+                if c.denominator == 1:
+                    coeffs[e] = c.numerator
+    s = object.__new__(QSeries)
+    object.__setattr__(s, "coeffs", coeffs)
+    object.__setattr__(s, "top", top)
+    return s
 
 
 def _dense(coeffs: dict, e0: int, g: int, top: int) -> tuple[list, int]:
     """(p, d): d times the coefficients at exponents e0 + g i, i <= top, as
     the dense int list p, with d the common denominator."""
-    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    d = 1 if _ints(coeffs) else \
+        math.lcm(*(c.denominator for c in coeffs.values()))
     n = min((max(coeffs) - e0) // g, top) + 1
     p = [0] * n
     for e, c in coeffs.items():
@@ -92,203 +133,171 @@ def _pack(p: list, nb: int) -> int:
 
 
 class QSeries:
-    """Truncated series sum_e c_e * q**(e/DEN) with exact rational c_e."""
+    """Truncated series sum_e c_e * q**(e/DEN) with exact rational c_e,
+    known to the exponent numerator top = DEN * order."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs", "top")
 
-    def __init__(self, coeffs: dict, order: OrderLike = INF):
-        ordv = _order_value(order)
-        cap = _cap(ordv)
-        clean = {e: c for e, c in coeffs.items() if c and e <= cap}
-        if not {int}.issuperset(map(type, clean.values())):  # a C-level scan
-            for e, c in clean.items():
-                if c.denominator == 1:
-                    clean[e] = c.numerator
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "order", ordv)
+    def __new__(cls, coeffs: dict, order=INF):
+        return _series(coeffs, _num(order))
 
     def __setattr__(self, name, value):  # immutable by contract
         raise AttributeError("QSeries is immutable")
 
     # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def const(cls, c: Rational, order: OrderLike = INF) -> "QSeries":
-        return cls({0: c}, order)
-
-    # ------------------------------------------------------------------
     # basic queries
 
-    def items(self) -> list[tuple[int, Rational]]:
+    @property
+    def order(self):
+        """The truncation order: INF, an int, or a Fraction."""
+        return _rational(self.top)
+
+    def items(self) -> list[tuple[int, object]]:
         """Sorted (exponent numerator, coefficient) pairs."""
         return sorted(self.coeffs.items())
 
-    def valuation(self):
-        """Lowest exponent with a nonzero coefficient, as a Fraction.
-
-        An identically-truncated-to-zero series only certifies valuation
-        beyond its order, so the order itself is returned as the sound
-        lower bound.
-        """
-        if not self.coeffs:
-            return self.order
-        return Fraction(min(self.coeffs), DEN)
-
-    def coefficient(self, exponent: Rational) -> Rational:
+    def coefficient(self, exponent):
         """Coefficient at the given exponent; error past the truncation."""
-        e = Fraction(exponent)
-        if e > self.order:
+        n = _num(exponent)
+        if n > self.top:
             raise TruncationError(
-                f"coefficient at {e} requested but series is only known "
-                f"to order {self.order}")
-        en = e * DEN
-        if en.denominator != 1:
-            return 0
-        return self.coeffs.get(int(en), 0)
+                f"coefficient at {exponent} requested but series is only "
+                f"known to order {self.order}")
+        return self.coeffs.get(n, 0) if type(n) is int else 0
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _coerce(self, other) -> Optional["QSeries"]:
-        if isinstance(other, QSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QSeries.const(other)
-        return None
+    def _coerce(self, other) -> "QSeries | None":
+        if hasattr(other, "denominator"):    # an int or a Fraction
+            return _series({0: other}, INF)
+        return other if isinstance(other, QSeries) else None
 
     def __add__(self, other) -> "QSeries":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        order = min(self.order, rhs.order)
         coeffs = dict(self.coeffs)
         for e, c in rhs.coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
-        return QSeries(coeffs, order)
+        return _series(coeffs, min(self.top, rhs.top))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.coeffs.items()}, self.order)
+        return _series({e: -c for e, c in self.coeffs.items()}, self.top,
+                       False)
 
     def __sub__(self, other) -> "QSeries":
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return NotImplemented if rhs is None else self + (-rhs)
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, QSeries):
+            if hasattr(other, "denominator"):
+                return self.scale(other)
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
         # order rule: min over (order_a + val_b, order_b + val_a); an empty
         # factor contributes its order as the sound valuation bound.
-        order = min(self.order + other.valuation(),
-                    other.order + self.valuation())
-        if not (self.coeffs and other.coeffs):
-            return QSeries({}, order)
-        a0, b0 = min(self.coeffs), min(other.coeffs)
-        cap = _cap(order)
-        if cap == INF:
-            cap = max(self.coeffs) + max(other.coeffs)
+        top = min(self.top + (min(b) if b else other.top),
+                  other.top + (min(a) if a else self.top))
+        if not (a and b):
+            return _series({}, top, False)
+        a0, b0 = min(a), min(b)
+        cap = max(a) + max(b) if top == INF else top
         # both operands on the progressions e0 + g i; the product's index
-        # i + j stops at top
-        g = math.gcd(*(e - a0 for e in self.coeffs),
-                     *(e - b0 for e in other.coeffs)) or 1
-        top = (cap - a0 - b0) // g
-        a, da = _dense(self.coeffs, a0, g, top)
-        b, db = _dense(other.coeffs, b0, g, top)
+        # i + j stops at last
+        g = math.gcd(*(e - a0 for e in a), *(e - b0 for e in b)) or 1
+        last = (cap - a0 - b0) // g
+        pa, da = _dense(a, a0, g, last)
+        pb, db = _dense(b, b0, g, last)
         # fields of nb bytes hold any |sum of min(len) products| below
         # 2^(8 nb - 2): the top bit of a field is its sign, one bit spare
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        bound = max(map(abs, pa)) * max(map(abs, pb)) * min(len(pa), len(pb))
         nb = (bound.bit_length() + 2 + 7) // 8
-        n = min(len(a) + len(b) - 1, top + 1)
+        n = min(len(pa) + len(pb) - 1, last + 1)
         # the bias 2^(8 nb - 1) in each field makes every field of the
         # product a non-negative digit, so the fields read off without
-        # borrows; the mask drops the fields past top
+        # borrows; the mask drops the fields past last
         half = 1 << (8 * nb - 1)
         bias = int.from_bytes(half.to_bytes(nb, "little") * n, "little")
-        digits = ((_pack(a, nb) * _pack(b, nb) + bias) &
+        digits = ((_pack(pa, nb) * _pack(pb, nb) + bias) &
                   ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
-        den = da * db
-        coeffs: dict[int, Rational] = {}
+        coeffs = {}
         for i in range(n):
             c = int.from_bytes(digits[i * nb:(i + 1) * nb], "little") - half
             if c:
-                coeffs[a0 + b0 + g * i] = c if den == 1 else Fraction(c, den)
-        return QSeries(coeffs, order)
+                coeffs[a0 + b0 + g * i] = c
+        den = da * db
+        if den == 1:
+            return _series(coeffs, top, False)
+        from fractions import Fraction   # a factor has Fraction coefficients
+        return _series({e: Fraction(c, den) for e, c in coeffs.items()}, top)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Rational) -> "QSeries":
+    def scale(self, c) -> "QSeries":
         if c == 0:
-            return QSeries({}, self.order)
-        return QSeries({e: c * v for e, v in self.coeffs.items()}, self.order)
+            return _series({}, self.top, False)
+        # a nonzero int times nonzero ints: already canonical
+        return _series({e: c * v for e, v in self.coeffs.items()}, self.top,
+                       not (type(c) is int and _ints(self.coeffs)))
 
-    def shift(self, exponent: Rational) -> "QSeries":
+    def shift(self, exponent) -> "QSeries":
         """Multiply by the monomial q**exponent."""
-        d = Fraction(exponent) * DEN
-        if d.denominator != 1:
-            raise GradingError(
-                f"shift by {exponent} not representable over denominator "
-                f"{DEN}")
-        d = int(d)
-        order = self.order + Fraction(exponent)
-        return QSeries({e + d: c for e, c in self.coeffs.items()}, order)
+        return self._shift(_grid(exponent))
+
+    def _shift(self, d: int) -> "QSeries":
+        """Multiply by the monomial q**(d/DEN)."""
+        return _series({e + d: c for e, c in self.coeffs.items()},
+                       self.top + d, False)
 
     # ------------------------------------------------------------------
     # substitutions and comparisons
 
-    def truncate(self, order: OrderLike) -> "QSeries":
+    def truncate(self, order) -> "QSeries":
         """Weaken the truncation order (dropping now-unclaimed terms)."""
-        ordv = _order_value(order)
-        if ordv > self.order:
+        top = _num(order)
+        if top > self.top:
             raise TruncationError(
-                f"cannot extend truncation order {self.order} to {ordv}")
-        return QSeries(self.coeffs, ordv)
+                f"cannot extend truncation order {self.order} to {order}")
+        if top == self.top:
+            return self
+        return _series({e: c for e, c in self.coeffs.items() if e <= top},
+                       top, False)
 
     def substitute_minus_q(self) -> "QSeries":
         """The series at -q; valid only when all exponents are integers."""
-        out: dict[int, Rational] = {}
-        for e, c in self.coeffs.items():
-            if e % DEN != 0:
-                raise GradingError(
-                    "q -> -q substitution needs integer exponents, found "
-                    f"{Fraction(e, DEN)}")
-            out[e] = c if (e // DEN) % 2 == 0 else -c
-        return QSeries(out, self.order)
+        if any(e % DEN for e in self.coeffs):
+            raise GradingError("q -> -q substitution needs integer exponents")
+        return _series({e: -c if e // DEN % 2 else c
+                        for e, c in self.coeffs.items()}, self.top, False)
 
-    def first_difference(self, other: "QSeries", order: OrderLike):
+    def first_difference(self, other: "QSeries", order):
         """First (exponent, lhs, rhs) disagreement up to order, or None.
 
         Both series must be known at least to the requested order.
         """
-        ordv = _order_value(order)
-        if self.order < ordv or other.order < ordv:
+        top = _num(order)
+        if self.top < top or other.top < top:
             raise TruncationError(
-                f"comparison to order {ordv} needs both series known that "
+                f"comparison to order {order} needs both series known that "
                 f"far (have {self.order} and {other.order})")
-        cap = _cap(ordv)
-        for e in sorted(set(self.coeffs) | set(other.coeffs)):
-            if e > cap:
-                break
-            ca = self.coeffs.get(e, 0)
-            cb = other.coeffs.get(e, 0)
-            if ca != cb:
-                return (Fraction(e, DEN), ca, cb)
-        return None
+        a, b = self.coeffs, other.coeffs
+        # the exponents of the (exponent, coefficient) pairs in one map only
+        bad = [e for e, _ in a.items() ^ b.items() if e <= top]
+        if not bad:
+            return None
+        e = min(bad)
+        return (_rational(e), a.get(e, 0), b.get(e, 0))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.const(other)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        rhs = self._coerce(other)
+        return NotImplemented if rhs is None else self.coeffs == rhs.coeffs
 
     __hash__ = None  # mutable-free but dict-backed; not hashable
 
@@ -297,11 +306,7 @@ class QSeries:
             return "0"
         parts = []
         for e, c in self.items()[:10]:
-            exp = Fraction(e, DEN)
-            if exp == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*q^({exp})")
+            parts.append(f"{c}" if e == 0 else f"{c}*q^({_rational(e)})")
         tail = " + ..." if len(self.coeffs) > 10 else ""
         return " + ".join(parts).replace("+ -", "- ") + tail
 
@@ -313,11 +318,16 @@ class QSeries:
 # eta quotients
 
 
-def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
-    """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order.
+def eta_quotient(powers: dict, shift, order) -> QSeries:
+    """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order."""
+    return _eta(powers, _grid(shift), _num(order))
+
+
+def _eta(powers: dict, shift: int, top) -> QSeries:
+    """eta_quotient with shift and order given as numerators over DEN.
 
     The product is built on a dense list p of integer coefficients at
-    exponents 0..top, top = floor(order - shift), from Euler's pentagonal
+    exponents 0..n, n = floor(order - shift), from Euler's pentagonal
     sum (q^k; q^k)_infinity = 1 + sum_g s_g q^g over the exponents
     g = k j(3j -+ 1)/2, j >= 1, with s_g = (-1)^j.  Each unit of a power
     is one pass over p that adds s_g p[i] into every p[i + g].  A positive
@@ -326,27 +336,26 @@ def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
     each p[i] it reads is already final: a quotient, which the constant
     term 1 allows.  No series is inverted.
     """
-    ordv = _order_value(order)
-    if ordv == INF:
+    if top == INF:
         raise SeriesError("infinite product needs a finite truncation order")
-    inner = ordv - Fraction(shift)
-    top = math.floor(inner)
-    p = [1] + [0] * top
-    for k, n in powers.items():
+    inner = top - shift
+    n = inner // DEN
+    p = [1] + [0] * n
+    for k, m in powers.items():
         if k <= 0:
             raise DivergenceError(
                 f"infinite product has factor of exponent {k} <= 0")
         # the exponents g with s_g = -1 (odd j), then with s_g = +1 (even j)
-        jmax = math.isqrt(max(top, 0) // k)
+        jmax = math.isqrt(max(n, 0) // k)
         odd, even = ([k * g for j in range(first, jmax + 1, 2)
                       for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
-                      if k * g <= top] for first in (1, 2))
-        rows = range(top, -1, -1) if n > 0 else range(top + 1)
-        for _ in range(abs(n)):
+                      if k * g <= n] for first in (1, 2))
+        rows = range(n, -1, -1) if m > 0 else range(n + 1)
+        for _ in range(abs(m)):
             for i in rows:
-                v = p[i] if n > 0 else -p[i]
+                v = p[i] if m > 0 else -p[i]
                 if v:
-                    room = top - i
+                    room = n - i
                     for g in odd:
                         if g > room:
                             break
@@ -355,10 +364,11 @@ def eta_quotient(powers: dict, shift: Rational, order: OrderLike) -> QSeries:
                         if g > room:
                             break
                         p[i + g] += v
-    return QSeries({DEN * i: c for i, c in enumerate(p) if c},
-                   inner).shift(shift)
+    # below its shift (n < 0) the product claims nothing, not even p[0]
+    return _series({DEN * i: c for i, c in enumerate(p) if c}, inner,
+                   n < 0)._shift(shift)
 
 
-def dedekind_eta(scale: int, order: OrderLike) -> QSeries:
+def dedekind_eta(scale: int, order) -> QSeries:
     """q^(scale/24) * (q^scale; q^scale)_infinity."""
-    return eta_quotient({scale: 1}, Fraction(scale, 24), order)
+    return _eta({scale: 1}, 5 * scale, _num(order))

@@ -1,36 +1,29 @@
 """The thetanullwerte exponent-class scan: does any theta constant of
 index dividing a base share an exponent class mod 1 with a polar term of
-the E8^3 components?  Squares are compared mod 4n in integers, so no
-Fraction is built per term."""
+the E8^3 components?  Classes are compared as integers: a target is a
+numerator over ``qseries.DEN`` = 120, and a square mod 120 n."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-# the polar exponent classes mod 1 of the two nonzero component families
-NULLWERTE_TARGETS = (Fraction(119, 120), Fraction(71, 120))
+# the polar exponent classes mod 1 of the two nonzero component families,
+# as numerators over 120: 119/120 and 71/120
+NULLWERTE_TARGETS = (119, 71)
 
 
 def thetanullwerte_class_check(max_divisor_base: int = 30) -> tuple:
     """Scan theta constants theta0_{n,r} for n dividing the base.
 
-    theta0_{n,r}(tau) = sum_k q^((2kn+r)^2/4n) has all its exponents in a
-    single class mod 1; the scan runs k over a full period mod 2n and
-    records any (n, r) whose class hits a class t of NULLWERTE_TARGETS.
-    In integers: v^2/4n = t mod 1 iff v^2 = 4nt mod 4n, which needs 4nt
-    integral.  Returns (hits, pairs_checked), hits the (n, r, class)
-    triples that land on a target; an empty hit list is the computational
-    content of the uniqueness argument.
+    theta0_{n,r}(tau) = sum_k q^((2kn+r)^2/4n) has all its exponents in
+    the single class r^2/4n mod 1, since (2kn+r)^2 = r^2 mod 4n.  The scan
+    records each (n, r), 0 <= r < 2n, whose class is a class t/120 of
+    NULLWERTE_TARGETS: r^2/4n = t/120 mod 1 iff 30 r^2 = n t mod 120 n.
+    Returns (hits, pairs_checked), hits the (n, r, t) triples that land
+    on a target; an empty hit list is the computational content of the
+    uniqueness argument.
     """
-    hits = []
-    checked = 0
-    for n in range(1, max_divisor_base + 1):
-        if max_divisor_base % n:
-            continue
-        residues = [(t, x.numerator) for t in NULLWERTE_TARGETS
-                    if (x := 4 * n * t).denominator == 1]
-        for r in range(2 * n):
-            checked += 1
-            classes = {(2 * k * n + r) ** 2 % (4 * n) for k in range(2 * n)}
-            hits.extend((n, r, t) for t, res in residues if res in classes)
-    return tuple(hits), checked
+    divisors = [n for n in range(1, max_divisor_base + 1)
+                if max_divisor_base % n == 0]
+    hits = tuple((n, r, t) for n in divisors for r in range(2 * n)
+                 for t in NULLWERTE_TARGETS
+                 if (30 * r * r - n * t) % (120 * n) == 0)
+    return hits, sum(2 * n for n in divisors)

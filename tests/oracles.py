@@ -19,6 +19,14 @@ def same_up_to(a, b, order) -> bool:
     return a.first_difference(b, order) is None
 
 
+def valuation(s):
+    """The lowest exponent with a nonzero coefficient of a series (anything
+    with the coeffs map over 120 and the order of the package's series),
+    or its order when it has none: an empty truncated series certifies
+    only that its valuation is past its order."""
+    return Fraction(min(s.coeffs), 120) if s.coeffs else s.order
+
+
 def poly_mul(a: dict, b: dict, order: int) -> dict:
     out = {}
     for ea, ca in a.items():
@@ -130,6 +138,28 @@ def ramanujan_oracle(name: str, order: int) -> dict:
             if e <= order:
                 total[e] = total.get(e, Fraction(0)) + c
         n += 1
+
+
+# ----------------------------------------------------------------------
+# the thetanullwerte exponent-class scan
+
+
+def nullwerte_scan(base: int, targets) -> tuple:
+    """(hits, pairs) of the scan of theta0_{n,r}, n | base, 0 <= r < 2n,
+    for exponent classes t/120 mod 1 (t in targets), straight from the
+    definition: every exponent (2kn + r)^2/4n over a full period of k mod
+    2n, reduced mod 1 as a Fraction.  A hit is (n, r, t)."""
+    hits, pairs = [], 0
+    for n in range(1, base + 1):
+        if base % n:
+            continue
+        for r in range(2 * n):
+            pairs += 1
+            classes = {Fraction((2 * k * n + r) ** 2, 4 * n) % 1
+                       for k in range(2 * n)}
+            hits += [(n, r, t) for t in targets
+                     if Fraction(t, 120) % 1 in classes]
+    return tuple(hits), pairs
 
 
 # ----------------------------------------------------------------------

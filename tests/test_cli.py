@@ -255,6 +255,19 @@ def test_eval_pull_back_error_names_the_tau_given(capsys, tau, named,
     assert named in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("group_class", ["1A", "2A", "3A"])
+def test_eval_direct_summation_error_names_the_tau_given(capsys,
+                                                         group_class):
+    # the series is summed at Re tau reduced mod 120 (to 40 here), 1A on
+    # its translation route, but the overflow line names the point that
+    # was asked for
+    code, out, err = run_cli(capsys, "eval", "--class", group_class, "--r",
+                             "1", "--tau=1e16+1e6i")
+    assert code == 3 and out == ""
+    assert err == ("error: the value at tau = (1e+16+1000000j) overflows "
+                   "a double\n")
+
+
 def test_closed_stdout_ends_quietly():
     # a reader that closes the pipe before the table is written (as
     # `| head -2` may) gets no traceback on stderr
@@ -512,6 +525,31 @@ def test_cli_call_loads_no_argparse():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_exact_engine_loads_no_fractions():
+    # the exact engine carries exponents, orders and shifts as int
+    # numerators over 120: importing the package, writing a table, the
+    # exact suite and a 1A pull-back near a cusp load none of fractions,
+    # decimal and numbers (about 2.5 ms of a cold call's import)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import contextlib, io, sys\n"
+            "guarded = {'fractions', 'decimal', 'numbers'}\n"
+            "import e8umbral\n"
+            "from e8umbral.cli import main\n"
+            "assert not guarded & set(sys.modules), 'import e8umbral'\n"
+            "for argv in (['table', '--component', '7', '--max-row', '479'],\n"
+            "             ['verify', '--suite', 'exact', '--order', '25'],\n"
+            "             ['eval', '--class', '1A', '--r', '7',\n"
+            "              '--completion', '--tau=0.25+0.01i']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    loaded = guarded & set(sys.modules)\n"
+            "    assert not loaded, f'{argv} loaded {loaded}'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_json_is_imported_only_where_it_is_written():

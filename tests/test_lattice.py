@@ -57,13 +57,14 @@ def test_dual_basis_property():
 
 
 def test_minimal_point_coset_one():
-    # Q = 3/40 = 9/120
-    assert enumerate_coset_cone(1, ALL, F(3, 40)) == [(9, (0, 0, 0), "P")]
+    # Q = 3/40 = 9/120; the energy bound is a numerator over 120 too
+    assert enumerate_coset_cone(1, ALL, 9) == [(9, (0, 0, 0), "P")]
+    assert enumerate_coset_cone(1, ALL, 8) == []
 
 
 def test_sigma_fixed_coset_five():
     # Q = 15/8 = 225/120 on both points
-    assert enumerate_coset_cone(5, SIGMA, F(15, 8)) == \
+    assert enumerate_coset_cone(5, SIGMA, 225) == \
         [(225, (-1, -1, -1), "N"), (225, (0, 0, 0), "P")]
 
 
@@ -71,8 +72,8 @@ def test_sigma_fixed_coset_five():
 @pytest.mark.parametrize("cycles", [ALL, TAU, SIGMA],
                          ids=["None", "tau", "sigma"])
 def test_completeness_against_box_oracle(a, cycles):
-    assert enumerate_coset_cone(a, cycles, 10) == brute_scan(a, F(10),
-                                                             cycles)
+    assert enumerate_coset_cone(a, cycles, 1200) == brute_scan(a, F(10),
+                                                               cycles)
 
 
 def test_scan_stops_at_the_cap(monkeypatch):
@@ -92,16 +93,16 @@ def test_scan_stops_at_the_cap(monkeypatch):
     monkeypatch.setattr(lattice, "_q_of", counted)
     lattice._positive_branch.cache_clear()
     kept = sum(len(enumerate_coset_cone(t.coset_a, t.group_class.cycles,
-                                        250 + F(1, 12)))
+                                        250 * 120 + 10))
                for t in all_trace_ids())
     assert kept == 11298
     assert 2 * calls <= 13382
     # a cached scan is a tuple: no caller can change what the next reads
-    assert isinstance(lattice._positive_branch(1, ALL, F(5)), tuple)
+    assert isinstance(lattice._positive_branch(1, ALL, 600), tuple)
 
 
 def test_branch_sign_conditions_and_q():
-    for num, coords, branch in enumerate_coset_cone(7, ALL, 8):
+    for num, coords, branch in enumerate_coset_cone(7, ALL, 960):
         mu = cone_mu(coords, 7)
         if branch == "P":
             assert all(c >= 0 for c in mu)
@@ -114,17 +115,17 @@ def test_branch_sign_conditions_and_q():
 def test_negation_symmetry():
     for a in (1, 3, 7, 9):
         n_pts = sorted((num, coords) for num, coords, branch in
-                       enumerate_coset_cone(a, ALL, 6) if branch == "N")
+                       enumerate_coset_cone(a, ALL, 720) if branch == "N")
         p_pts = sorted((num, tuple(-c - 1 for c in coords))
                        for num, coords, branch in
-                       enumerate_coset_cone(10 - a, ALL, 6)
+                       enumerate_coset_cone(10 - a, ALL, 720)
                        if branch == "P")
         assert n_pts == p_pts
 
 
 def test_positive_branch_square_bound():
     # on branch P the cross terms are non-negative: Q >= sum(coords^2)/2
-    for num, coords, branch in enumerate_coset_cone(3, ALL, 9):
+    for num, coords, branch in enumerate_coset_cone(3, ALL, 1080):
         if branch == "P":
             mu = cone_mu(coords, 3)
             assert num >= 60 * sum(c * c for c in mu)
@@ -132,13 +133,13 @@ def test_positive_branch_square_bound():
 
 def test_coset_label_validation():
     with pytest.raises(LatticeError):
-        enumerate_coset_cone(2, ALL, 5)
+        enumerate_coset_cone(2, ALL, 600)
     with pytest.raises(LatticeError):
-        enumerate_coset_cone(11, ALL, 5)
+        enumerate_coset_cone(11, ALL, 600)
 
 
 def test_deterministic_sorted_output():
-    a = enumerate_coset_cone(3, ALL, 12)
-    b = enumerate_coset_cone(3, ALL, 12)
+    a = enumerate_coset_cone(3, ALL, 1440)
+    b = enumerate_coset_cone(3, ALL, 1440)
     assert a == b
     assert a == sorted(a)

@@ -10,7 +10,7 @@ from e8umbral.qseries import (DivergenceError, GradingError,
                               dedekind_eta, eta_quotient)
 
 from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
-                     poly_inv, poly_mul, same_up_to)
+                     poly_inv, poly_mul, same_up_to, valuation)
 
 
 def q(power, coeff=1, order=math.inf):
@@ -142,10 +142,10 @@ def test_pochhammer_divergence():
 
 def test_eta_leading_terms():
     eta = dedekind_eta(1, 3)
-    assert eta.valuation() == F(1, 24)
+    assert valuation(eta) == F(1, 24)
     assert eta.coefficient(F(1, 24)) == 1
     assert eta.coefficient(F(25, 24)) == -1
-    assert dedekind_eta(2, 3).valuation() == F(1, 12)
+    assert valuation(dedekind_eta(2, 3)) == F(1, 12)
 
 
 def test_eta2_euler_identity():
@@ -271,13 +271,13 @@ def test_product_against_oracle(seed):
     a, b = _operand(rng, kind, 0), _operand(rng, kind, 1)
     if kind == "empty":
         # every term past the order: the empty series, valuation its order
-        a = QSeries(a.coeffs, a.valuation() - F(1, 120))
+        a = QSeries(a.coeffs, valuation(a) - F(1, 120))
         assert not a.coeffs
     if rng.random() < 0.5:
         a, b = b, a
     got = a * b
-    assert got.order == min(a.order + b.valuation(),
-                            b.order + a.valuation())
+    assert got.order == min(a.order + valuation(b),
+                            b.order + valuation(a))
     cap = max(a.coeffs, default=0) + max(b.coeffs, default=0) \
         if got.order == math.inf else math.floor(got.order * 120)
     assert got.coeffs == poly_mul(a.coeffs, b.coeffs, cap)

@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from e8umbral import theta
 from e8umbral.characters import component_family
 from e8umbral.qseries import DEN, QSeries, dedekind_eta, eta_quotient
 from e8umbral.theta import thetanullwerte_class_check
 
-from oracles import shadow, unary_theta
+from oracles import nullwerte_scan, shadow, unary_theta
 
 
 def _neg(d):
@@ -61,7 +63,8 @@ def test_shadow_off_support_zero():
 
 def test_nullwerte_scan_base30_empty():
     assert thetanullwerte_class_check(30) == ((), 144)   # sum of 2n, n | 30
-    assert theta.NULLWERTE_TARGETS == (F(119, 120), F(71, 120))
+    # the polar classes 119/120 and 71/120, as numerators over 120
+    assert theta.NULLWERTE_TARGETS == (119, 71)
 
 
 def test_nullwerte_scan_base90_empty():
@@ -73,12 +76,27 @@ def test_nullwerte_scan_base90_empty():
 def test_nullwerte_scan_reports_reachable_targets(monkeypatch):
     # positive control: r^2/120 mod 1 is 1/120 on the 1-family residues and
     # 49/120 on the 7-family ones, and only n = 30 has 4n t integral
-    planted = (F(1, 120), F(49, 120))
+    planted = (1, 49)       # the classes 1/120 and 49/120
     monkeypatch.setattr(theta, "NULLWERTE_TARGETS", planted)
     want = tuple((30, r, planted[component_family(r)[0] != 1])
                  for r in range(60) if component_family(r))
     assert len(want) == 16
     assert thetanullwerte_class_check(30) == (want, 144)
+
+
+@pytest.mark.parametrize("targets", [(119, 71), (30,), (1, 49, 30, 0)],
+                         ids=["polar", "quarter", "planted"])
+def test_nullwerte_scan_against_full_period_oracle(monkeypatch, targets):
+    # one class r^2 mod 4n per (n, r) against the scan of every exponent of
+    # a full period; the class 1/4 (30/120) is hit at every base from 1 on,
+    # so the agreement cannot be that of two empty scans
+    monkeypatch.setattr(theta, "NULLWERTE_TARGETS", targets)
+    hit_bases = 0
+    for base in range(1, 61):
+        got = thetanullwerte_class_check(base)
+        assert got == nullwerte_scan(base, targets), (base, targets)
+        hit_bases += bool(got[0])
+    assert hit_bases == (0 if targets == (119, 71) else 60)
 
 
 def eta_J_coefficients(order) -> QSeries:
