@@ -2,7 +2,7 @@
 
 The component H_{g,1} is twice the coset-1 trace; H_{g,7} is twice the
 coset-3 trace with a class-dependent sign.  Every coefficient is an exact
-rational (in fact an even integer), so the printed rows can be compared
+integer (in fact an even one), so the printed rows can be compared
 against the published tables digit for digit.
 """
 

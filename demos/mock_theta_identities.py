@@ -1,6 +1,6 @@
 """Walk through the exact q-series identities.
 
-Each identity is verified coefficient-by-coefficient with big-rational
+Each identity is verified coefficient-by-coefficient with exact integer
 arithmetic; a failure would name the first discrepant exponent.  The
 catalogue ties Ramanujan's fifth-order mock theta functions to the trace
 functions through triple sums, Hecke-type double sums, and the splitting

@@ -38,12 +38,6 @@ class UsageError(ValueError):
     """A command line the CLI cannot run: one line on stderr, exit 2."""
 
 
-def _format_value(v) -> str:
-    """A coefficient as an int or n/d: a canonical series stores no
-    Fraction with denominator 1."""
-    return str(v) if isinstance(v, int) else f"{v.numerator}/{v.denominator}"
-
-
 def cmd_table(component: int, max_row: int, fmt: str) -> int:
     """Coefficient rows of component 1 or 7, as csv or json."""
     if max_row > MAX_ROW_BUDGET:
@@ -56,13 +50,12 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
     order = nums[-1] // DEN + 1
     series = {name: h_component(CLASSES[name], component, order).coeffs
               for name in CLASS_NAMES}
-    rows = [(num, {name: series[name].get(num, 0) for name in CLASS_NAMES})
+    # a cell is its int coefficient as a string, in csv and json alike
+    rows = [(num, {n: str(series[n].get(num, 0)) for n in CLASS_NAMES})
             for num in nums]
     if fmt == "csv":
         lines = ["exponent_numerator," + ",".join(CLASS_NAMES)]
-        lines += [f"{num}," + ",".join(_format_value(vals[n])
-                                       for n in CLASS_NAMES)
-                  for num, vals in rows]
+        lines += [f"{num}," + ",".join(vals.values()) for num, vals in rows]
         text = "\n".join(lines)
     else:
         import json   # here, not at the top: no other command writes json
@@ -70,8 +63,7 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
             "grading_denominator": DEN,
             "component": component,
             "rows": [
-                {"exponent_numerator": num,
-                 "values": {n: _format_value(vals[n]) for n in CLASS_NAMES}}
+                {"exponent_numerator": num, "values": vals}
                 for num, vals in rows
             ],
         }

@@ -1,40 +1,41 @@
-"""Exact arithmetic on truncated formal Puiseux series in q.
+"""Exact arithmetic on truncated formal Puiseux series in q with integer
+coefficients.
 
 A series is a finite map from exponent numerators (integers over the
-fixed grading denominator ``DEN`` = 120) to rational coefficients, together
-with a truncation order N: coefficients at exponents <= N are exact,
-anything beyond N is unspecified and reading it is an error.  A coefficient
-is an int when it is integral and a Fraction only otherwise, so integer
-series stay in int arithmetic.  Every exponent of the E8^3 module lies on
-the grid 1/120: the index-30 theta exponents r^2/120, the polar terms
-q^(-1/120), q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the
-eta exponents in 1/24.  Every eta-quotient of the package (eta, the trace,
-Zwegers and Hecke prefactors, 1/Delta) is built by ``eta_quotient``, in
-place on a dense integer list by passes of Euler's pentagonal sum: one
-pass multiplies or divides by one (q^k; q^k)_infinity, and no series is
-ever inverted.
+fixed grading denominator ``DEN`` = 120) to int coefficients, together with
+a truncation order N: coefficients at exponents <= N are exact, anything
+beyond N is unspecified and reading it is an error.  Every coefficient of
+the package is an integer (graded multiplicities of the E8^3 module, mock
+theta and eta-quotient coefficients), and every exponent lies on the grid
+1/120: the index-30 theta exponents r^2/120, the polar terms q^(-1/120),
+q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the eta exponents
+in 1/24.  Every eta-quotient of the package (eta, the trace, Zwegers and
+Hecke prefactors, 1/Delta) is built by ``eta_quotient``, in place on a
+dense integer list by passes of Euler's pentagonal sum: one pass
+multiplies or divides by one (q^k; q^k)_infinity, and no series is ever
+inverted.
 
-Orders, shifts and exponents have one normal form in the engine: the int
-numerator over DEN (``QSeries.top`` is DEN times the order), or INF; only
-an off-grid order from a caller stays an exact rational numerator.  A
-public argument (an int, a Fraction or INF) becomes a numerator once, in
-``_num``; a public result (``QSeries.order``, the exponent of
+Orders, shifts and exponents have one normal form: the int numerator over
+DEN (``QSeries.top`` is DEN times the order), or INF.  The public boundary
+checks once: ``QSeries(...)`` takes int exponent numerators and int
+coefficients, ``scale`` an int factor, and ``_num`` turns an order, shift
+or exponent (an int, a Fraction or INF) into its numerator, with
+GradingError for anything off the grid.  Internal constructors check
+nothing.  A public result (``QSeries.order``, the exponent of
 ``first_difference``) is an int when integral, else a Fraction from
-``_rational``, the one place besides Fraction coefficients from a caller
-where the engine imports ``fractions``.
+``_rational``, the one place where the engine imports ``fractions``.
 
 A product is one CPython bigint product, by Kronecker substitution (D.
 Harvey, arXiv:0712.4046).  Both operands lie on progressions e0 + g i with
-one step g, so each becomes a dense int list, times a common denominator
-where its coefficients are Fractions.  Each list is packed into one int
-with a fixed-width byte field per coefficient, wide enough for every
-coefficient of the product; the product of the two ints carries the
+one step g, so each becomes a dense int list.  Each list is packed into
+one int with a fixed-width byte field per coefficient, wide enough for
+every coefficient of the product; the product of the two ints carries the
 product's coefficients in its fields, read off with a bias per field.
 
 All values are immutable after construction and every operation returns a
-new canonical series (no stored zeros, no exponent past the order, no
-Fraction of denominator 1), so coefficient-map equality is semantic
-equality up to the shared truncation order.
+new canonical series (no stored zeros, no exponent past the order), so
+coefficient-map equality is semantic equality up to the shared truncation
+order.
 """
 
 from __future__ import annotations
@@ -64,19 +65,17 @@ class DivergenceError(SeriesError):
 
 
 def _num(x):
-    """DEN * x for an order or exponent x (an int, a Fraction or INF): an
-    int on the grid 1/DEN, INF, or the exact rational of an off-grid x."""
-    n = x * DEN
-    return n if n == INF or n.denominator != 1 else n.numerator
-
-
-def _grid(x) -> int:
-    """DEN * x as an int; GradingError when x is off the grid 1/DEN."""
-    n = _num(x)
-    if type(n) is not int:
-        raise GradingError(
-            f"shift by {x} not representable over denominator {DEN}")
-    return n
+    """DEN * x for an order, shift or exponent x (an int, a Fraction or
+    INF): an int, or INF; GradingError when x is off the grid 1/DEN."""
+    if x == INF:
+        return INF
+    try:
+        n = x * DEN
+        if n.denominator == 1:
+            return n.numerator
+    except (AttributeError, TypeError):
+        pass
+    raise GradingError(f"{x} not representable over denominator {DEN}")
 
 
 def _rational(n):
@@ -87,39 +86,27 @@ def _rational(n):
     return Fraction(n, DEN)
 
 
-def _ints(coeffs: dict) -> bool:
-    """Whether every coefficient is an int: one C-level scan."""
-    return {int}.issuperset(map(type, coeffs.values()))
-
-
 def _series(coeffs: dict, top, clean: bool = True) -> "QSeries":
-    """The series of coeffs known to the exponent numerator top.  Unless
-    clean is False (coeffs already canonical), zeros and exponents past top
-    are dropped and a Fraction of denominator 1 becomes an int."""
+    """The series of int coeffs known to the exponent numerator top.
+    Unless clean is False (coeffs already canonical), zeros and exponents
+    past top are dropped."""
     if clean:
         coeffs = {e: c for e, c in coeffs.items() if c and e <= top}
-        if not _ints(coeffs):
-            for e, c in coeffs.items():
-                if c.denominator == 1:
-                    coeffs[e] = c.numerator
     s = object.__new__(QSeries)
     object.__setattr__(s, "coeffs", coeffs)
     object.__setattr__(s, "top", top)
     return s
 
 
-def _dense(coeffs: dict, e0: int, g: int, top: int) -> tuple[list, int]:
-    """(p, d): d times the coefficients at exponents e0 + g i, i <= top, as
-    the dense int list p, with d the common denominator."""
-    d = 1 if _ints(coeffs) else \
-        math.lcm(*(c.denominator for c in coeffs.values()))
+def _dense(coeffs: dict, e0: int, g: int, top: int) -> list:
+    """The coefficients at exponents e0 + g i, i <= top, as a dense list."""
     n = min((max(coeffs) - e0) // g, top) + 1
     p = [0] * n
     for e, c in coeffs.items():
         i = (e - e0) // g
         if i < n:
-            p[i] = c.numerator * (d // c.denominator)
-    return p, d
+            p[i] = c
+    return p
 
 
 def _pack(p: list, nb: int) -> int:
@@ -133,12 +120,17 @@ def _pack(p: list, nb: int) -> int:
 
 
 class QSeries:
-    """Truncated series sum_e c_e * q**(e/DEN) with exact rational c_e,
-    known to the exponent numerator top = DEN * order."""
+    """Truncated series sum_e c_e * q**(e/DEN) with int c_e, known to the
+    exponent numerator top = DEN * order."""
 
     __slots__ = ("coeffs", "top")
 
     def __new__(cls, coeffs: dict, order=INF):
+        for e, c in coeffs.items():
+            if type(e) is not int:
+                raise GradingError(f"exponent numerator {e!r} is not an int")
+            if type(c) is not int:
+                raise SeriesError(f"coefficient {c!r} is not an int")
         return _series(coeffs, _num(order))
 
     def __setattr__(self, name, value):  # immutable by contract
@@ -163,13 +155,13 @@ class QSeries:
             raise TruncationError(
                 f"coefficient at {exponent} requested but series is only "
                 f"known to order {self.order}")
-        return self.coeffs.get(n, 0) if type(n) is int else 0
+        return self.coeffs.get(n, 0)
 
     # ------------------------------------------------------------------
     # ring operations
 
     def _coerce(self, other) -> "QSeries | None":
-        if hasattr(other, "denominator"):    # an int or a Fraction
+        if type(other) is int:
             return _series({0: other}, INF)
         return other if isinstance(other, QSeries) else None
 
@@ -197,6 +189,7 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
+            # a rational factor goes to scale, which names a non-int one
             if hasattr(other, "denominator"):
                 return self.scale(other)
             return NotImplemented
@@ -213,8 +206,7 @@ class QSeries:
         # i + j stops at last
         g = math.gcd(*(e - a0 for e in a), *(e - b0 for e in b)) or 1
         last = (cap - a0 - b0) // g
-        pa, da = _dense(a, a0, g, last)
-        pb, db = _dense(b, b0, g, last)
+        pa, pb = _dense(a, a0, g, last), _dense(b, b0, g, last)
         # fields of nb bytes hold any |sum of min(len) products| below
         # 2^(8 nb - 2): the top bit of a field is its sign, one bit spare
         bound = max(map(abs, pa)) * max(map(abs, pb)) * min(len(pa), len(pb))
@@ -232,24 +224,20 @@ class QSeries:
             c = int.from_bytes(digits[i * nb:(i + 1) * nb], "little") - half
             if c:
                 coeffs[a0 + b0 + g * i] = c
-        den = da * db
-        if den == 1:
-            return _series(coeffs, top, False)
-        from fractions import Fraction   # a factor has Fraction coefficients
-        return _series({e: Fraction(c, den) for e, c in coeffs.items()}, top)
+        return _series(coeffs, top, False)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "QSeries":
-        if c == 0:
-            return _series({}, self.top, False)
+    def scale(self, c: int) -> "QSeries":
+        if type(c) is not int:
+            raise SeriesError(f"scale factor {c!r} is not an int")
         # a nonzero int times nonzero ints: already canonical
-        return _series({e: c * v for e, v in self.coeffs.items()}, self.top,
-                       not (type(c) is int and _ints(self.coeffs)))
+        coeffs = {e: c * v for e, v in self.coeffs.items()} if c else {}
+        return _series(coeffs, self.top, False)
 
     def shift(self, exponent) -> "QSeries":
         """Multiply by the monomial q**exponent."""
-        return self._shift(_grid(exponent))
+        return self._shift(_num(exponent))
 
     def _shift(self, d: int) -> "QSeries":
         """Multiply by the monomial q**(d/DEN)."""
@@ -320,7 +308,7 @@ class QSeries:
 
 def eta_quotient(powers: dict, shift, order) -> QSeries:
     """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order."""
-    return _eta(powers, _grid(shift), _num(order))
+    return _eta(powers, _num(shift), _num(order))
 
 
 def _eta(powers: dict, shift: int, top) -> QSeries:

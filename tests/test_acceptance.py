@@ -27,6 +27,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  all_trace_ids, h_component,
                                  trace_closed, trace_direct)
@@ -35,7 +37,7 @@ from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             transform_check)
 from e8umbral.mocktheta import (hecke_double_sum, ramanujan_series,
                                 zwegers_triple_sum)
-from e8umbral.qseries import QSeries, dedekind_eta, eta_quotient
+from e8umbral.qseries import QSeries, SeriesError, dedekind_eta, eta_quotient
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import same_up_to, unary_theta
@@ -216,15 +218,18 @@ def test_criterion_11_property_suites():
     # representative reruns; the full property modules live alongside
     rng = random.Random(7)
 
-    # ring laws on random series
+    # ring laws on random series: a random rational n/d, d <= 3, times the
+    # common denominator 6 as each coefficient, since coefficients are ints
     for _ in range(20):
         def rnd():
             return QSeries({rng.randrange(-3, 9) * 60:
-                            F(rng.randrange(-5, 6), rng.randrange(1, 4))
+                            rng.randrange(-5, 6) * (6 // rng.randrange(1, 4))
                             for _ in range(5)}, 8)
         x, y, z = rnd(), rnd(), rnd()
         l = (x * y) * z
         assert same_up_to(l, x * (y * z), l.order)
+    with pytest.raises(SeriesError, match="coefficient Fraction"):
+        QSeries({0: F(1, 2)}, 8)
 
     # pentagonal identity
     pent = {}

@@ -47,7 +47,9 @@ def _oracle_quotient(num, den, n):
     for k in den:
         bottom = poly_mul(bottom, euler(k), n)
     want = poly_mul(top, poly_inv(bottom, n), n)
-    return QSeries({120 * e: c for e, c in want.items()}, n)
+    # the quotient is integral; a series takes its coefficients as ints
+    assert all(c.denominator == 1 for c in want.values())
+    return QSeries({120 * e: c.numerator for e, c in want.items()}, n)
 
 
 @pytest.mark.parametrize("name,builder", [

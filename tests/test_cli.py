@@ -1,5 +1,6 @@
 import cmath
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -92,6 +93,29 @@ def test_output_determinism(capsys):
     _, out2, _ = run_cli(capsys, "table", "--component", "7",
                          "--max-row", "311", "--format", "json")
     assert out1 == out2
+
+
+# sha256 of the stdout of full tables and of the exact suite: any change to
+# a coefficient, a row or a verify line shows here.  A change that means to
+# alter these outputs updates the digests on purpose
+GOLDEN_STDOUT = {
+    ("table", "--component", "1", "--max-row", "119999"):
+        "a189126f6cb0635182b4762157dc0bbbd38217c0497632cbec52fdb6bc90ba30",
+    ("table", "--component", "7", "--max-row", "119999"):
+        "5812a748bdc86cb45973c673372f1d8021b9bc036e5f5df974f92e949cc10cb2",
+    ("table", "--component", "1", "--max-row", "4559", "--format", "json"):
+        "52e103ef63e3b1d49f69dda9296d892f38719968c4bd79abb4f9e46c8e76165f",
+    ("verify", "--suite", "exact", "--order", "250"):
+        "eb45abd2b48dc529300613095507e155d911e34c544107fceeeda88166914a75",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT, ids=[
+    "table-1-csv", "table-7-csv", "table-1-json", "verify-exact-250"])
+def test_golden_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_verify_exact_passes(capsys):
@@ -497,14 +521,25 @@ def test_eval_never_raises_across_heights(capsys):
 
 def test_import_does_not_load_scipy():
     # numpy and scipy are test-only dependencies: the package must run
-    # without them.  Nor does it load dataclasses or inspect, which cost
-    # a cold CLI call more import time than the package itself
+    # without them, the numeric suite and both eval routes included.  Nor
+    # does it load dataclasses or inspect, which cost a cold CLI call more
+    # import time than the package itself
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, e8umbral, e8umbral.cli; "
-            "loaded = {'numpy', 'scipy', 'dataclasses', 'inspect'} & "
-            "set(sys.modules); "
-            "assert not loaded, f'{loaded} imported'")
+    code = ("import contextlib, io, sys, e8umbral\n"
+            "from e8umbral.cli import main\n"
+            "guarded = {'numpy', 'scipy', 'dataclasses', 'inspect'}\n"
+            "loaded = guarded & set(sys.modules)\n"
+            "assert not loaded, f'{loaded} imported'\n"
+            "for argv in (['verify', '--suite', 'all'],\n"
+            "             ['eval', '--class', '1A', '--r', '1',\n"
+            "              '--completion', '--tau=0.25+0.01i'],\n"
+            "             ['eval', '--class', '2A', '--r', '7',\n"
+            "              '--tau=0.3+1i']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    loaded = guarded & set(sys.modules)\n"
+            "    assert not loaded, f'{argv} loaded {loaded}'\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

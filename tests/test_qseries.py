@@ -44,11 +44,11 @@ def test_geometric_inverse():
     for s in (inv, eta_quotient({1: 1}, 0, 30),
               h_component(CLASSES["1A"], 1, 20)):
         assert all(type(c) is int for c in s.coeffs.values())
-    two = QSeries({0: F(4, 2)}).coeffs[0]
-    assert type(two) is int and two == 2
-    g = inv.scale(F(1, 60))
-    assert any(isinstance(c, F) and c.denominator != 1
-               for c in g.coeffs.values())
+    # coefficients are ints: a Fraction is refused, integral or not
+    with pytest.raises(SeriesError, match=r"coefficient Fraction\(2, 1\)"):
+        QSeries({0: F(4, 2)})
+    with pytest.raises(SeriesError, match=r"factor Fraction\(1, 60\)"):
+        inv.scale(F(1, 60))
 
 
 def test_partition_generating_function():
@@ -105,13 +105,14 @@ def test_eta_quotient_against_products(powers, shift):
 
 def _random_eta_inputs(count):
     # seeded (powers, shift, order): powers in +-{1, 2, 3} on k <= 6,
-    # orders up to 60 and mostly off the 1/120 grid, order >= shift
+    # orders up to 60 on the grid 1/120 (a draw over 1/840 floored onto
+    # it), order >= shift
     rng = random.Random(15)
     for _ in range(count):
         ks = rng.sample(range(1, 7), rng.randrange(1, 4))
         shift = F(rng.randrange(-120, 121), 120)
         yield ({k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in ks}, shift,
-               shift + F(rng.randrange(59 * 840), 840))
+               shift + F(rng.randrange(59 * 840) // 7, 120))
 
 
 @pytest.mark.parametrize("powers,shift,order", _random_eta_inputs(40))
@@ -129,8 +130,30 @@ def test_eta_quotient_below_its_shift_is_empty():
 def test_eta_quotient_input_checks():
     with pytest.raises(SeriesError, match="finite truncation order"):
         eta_quotient({1: -1}, 0, math.inf)
-    with pytest.raises(GradingError, match="shift by 1/7 not representable"):
+    with pytest.raises(GradingError, match="1/7 not representable"):
         eta_quotient({1: 1}, F(1, 7), 5)
+    # an order off the grid 1/120 is refused, not floored onto it
+    with pytest.raises(GradingError, match="1/840 not representable"):
+        eta_quotient({1: 1}, 0, F(1, 840))
+
+
+@pytest.mark.parametrize("build,error,named", [
+    (lambda: QSeries({0: 0.5}), SeriesError, "coefficient 0.5 "),
+    (lambda: QSeries({0: 1}).scale(0.5), SeriesError, "scale factor 0.5 "),
+    (lambda: QSeries({1: 1}, 0.5), GradingError, "0.5 not representable"),
+    (lambda: q(0, order=5).shift(0.5), GradingError, "0.5 not representable"),
+    (lambda: q(0, order=5).coefficient(0.5), GradingError,
+     "0.5 not representable"),
+    (lambda: q(0, order=5).truncate(1.5), GradingError,
+     "1.5 not representable"),
+    (lambda: QSeries({0.5: 1}, 3), GradingError, "exponent numerator 0.5 "),
+], ids=["coefficient", "scale", "order", "shift", "coefficient-at",
+        "truncate", "exponent"])
+def test_float_at_the_boundary_is_refused(build, error, named):
+    # a float is no exact coefficient, order or exponent: the series'
+    # own error names it, not an AttributeError from deep inside
+    with pytest.raises(error, match=named):
+        build()
 
 
 def test_pochhammer_divergence():
@@ -175,8 +198,9 @@ def test_grading_rescale_and_mismatch():
 
 
 def _random_series(rng, order=8):
-    coeffs = {rng.randrange(-4, 10) * 60: F(rng.randrange(-6, 7),
-                                            rng.randrange(1, 5))
+    # a random rational n/d, d <= 4, times the common denominator 12
+    coeffs = {rng.randrange(-4, 10) * 60: rng.randrange(-6, 7) *
+              (12 // rng.randrange(1, 5))
               for _ in range(rng.randrange(1, 7))}
     return QSeries(coeffs, order)
 
@@ -268,6 +292,13 @@ _PRODUCT_KINDS = ("negative", "huge", "fraction", "residues", "one-term",
 def test_product_against_oracle(seed):
     rng = random.Random(seed)
     kind = _PRODUCT_KINDS[seed % len(_PRODUCT_KINDS)]
+    if kind == "fraction":
+        # coefficients are ints: a Fraction operand or factor is refused
+        with pytest.raises(SeriesError, match="coefficient Fraction"):
+            _operand(rng, kind, 0)
+        with pytest.raises(SeriesError, match="factor Fraction"):
+            q(0) * F(rng.randrange(1, 50), rng.randrange(2, 30))
+        return
     a, b = _operand(rng, kind, 0), _operand(rng, kind, 1)
     if kind == "empty":
         # every term past the order: the empty series, valuation its order
@@ -281,6 +312,5 @@ def test_product_against_oracle(seed):
     cap = max(a.coeffs, default=0) + max(b.coeffs, default=0) \
         if got.order == math.inf else math.floor(got.order * 120)
     assert got.coeffs == poly_mul(a.coeffs, b.coeffs, cap)
-    if kind != "fraction":
-        assert all(type(c) is int for c in got.coeffs.values())
+    assert all(type(c) is int for c in got.coeffs.values())
     assert got.coeffs or kind == "empty"
