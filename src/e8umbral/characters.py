@@ -23,8 +23,6 @@ Components in the 1-family come from the a=1 trace and components in the
 normalization that reproduces the published coefficient tables.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache

@@ -12,8 +12,6 @@ the declared denominator 120, never as floats, so table output is
 byte-stable across runs.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys

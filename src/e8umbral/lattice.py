@@ -17,8 +17,6 @@ branch): Q(mu) lies on the grid 1/120 of ``qseries.DEN``, so the energy is
 carried as its numerator, and so is the bound of a scan.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import itemgetter
 

@@ -28,8 +28,6 @@ at the point it is given, and so are completion_value and the checks
 the route it checks.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import sys
@@ -341,27 +339,25 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
 class IndefThetaData(namedtuple("IndefThetaData", "A a b c1 c2")):
     """Quadratic form data (A; a, b; c1, c2) for the two-sided theta: A
     ((int, int), (int, int)), symmetric of signature (1,1); a and b
-    rational 2-vectors of characteristics; c1 and c2 integer cone vectors
-    in the same negative component."""
+    2-vectors of characteristics, as int numerators over DEN = 120; c1 and
+    c2 integer cone vectors in the same negative component."""
 
     __slots__ = ()
 
     def a_times(self, v) -> tuple:
-        """A v, exact for integer or rational v."""
+        """A v, exact for integer v."""
         (a00, a01), (a10, a11) = self.A
         return (a00 * v[0] + a01 * v[1], a10 * v[0] + a11 * v[1])
 
-    def q_of(self, v):
-        """Q(v), a Fraction: fractions is imported when the numerics run."""
-        from fractions import Fraction
-        return Fraction(self.b_of(v, v), 2)
-
     def b_of(self, u, v):
-        """B(u, v), exact for integer or rational u and v."""
+        """B(u, v), exact for integer u and v; 2Q(v) = B(v, v)."""
         av = self.a_times(v)
         return u[0] * av[0] + u[1] * av[1]
 
     def validate(self) -> None:
+        for x in (*self.a, *self.b):
+            if type(x) is not int:
+                raise NumericsError(f"characteristic {x!r} is not an int")
         A = self.A
         if A[0][1] != A[1][0]:
             raise NumericsError("A must be symmetric")
@@ -369,7 +365,7 @@ class IndefThetaData(namedtuple("IndefThetaData", "A a b c1 c2")):
         if det >= 0:
             raise NumericsError("A must have signature (1,1)")
         for c in (self.c1, self.c2):
-            if self.q_of(c) >= 0:
+            if self.b_of(c, c) >= 0:
                 raise NumericsError(f"cone vector {c} must have Q(c) < 0")
         if self.b_of(self.c1, self.c2) >= 0:
             raise NumericsError("c1 and c2 must lie in the same component")
@@ -379,16 +375,15 @@ def _pd_lambda_min(data: IndefThetaData, c) -> float:
     """Smallest eigenvalue of M_c(x) = Q(x) - B(c,x)^2 / (2 Q(c)), the
     positive-definite majorant controlling the same-sign terms.
 
-    M_c = ((p, r), (r, t)) is exact; its smallest eigenvalue is
-    (p + t - hypot(p - t, 2r)) / 2.
+    M_c = ((p, r), (r, t)) has int numerators P, R, T over 2 B(c, c); its
+    smallest eigenvalue is (p + t - hypot(p - t, 2r)) / 2.
     """
     (a00, a01), (_, a11) = data.A
     ac0, ac1 = data.a_times(c)
-    qc = data.q_of(c)             # a Fraction, so every quotient is exact
-    p = (a00 * qc - ac0 * ac0) / (2 * qc)
-    r = (a01 * qc - ac0 * ac1) / (2 * qc)
-    t = (a11 * qc - ac1 * ac1) / (2 * qc)
-    lam = (float(p + t) - math.hypot(float(p - t), float(2 * r))) / 2.0
+    q2 = data.b_of(c, c)              # 2 Q(c)
+    P, R, T = (a00 * q2 - 2 * ac0 * ac0, a01 * q2 - 2 * ac0 * ac1,
+               a11 * q2 - 2 * ac1 * ac1)
+    lam = ((P + T) / (2 * q2) - math.hypot((P - T) / (2 * q2), R / q2)) / 2.0
     if lam <= 0:
         raise NumericsError("cone data does not yield a positive majorant")
     return lam
@@ -410,11 +405,11 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
     """
     w1, w2 = ((-ac[1], ac[0]) for ac in (data.a_times(data.c1),
                                           data.a_times(data.c2)))
-    q1, q2, b12 = data.q_of(w1), data.q_of(w2), data.b_of(w1, w2)
-    if q1 <= 0 or q2 <= 0 or (b12 < 0 and b12 * b12 >= 4 * q1 * q2):
+    q1, q2, b12 = data.b_of(w1, w1), data.b_of(w2, w2), data.b_of(w1, w2)
+    if q1 <= 0 or q2 <= 0 or (b12 < 0 and b12 * b12 >= q1 * q2):
         raise NumericsError("cone walls admit non-positive vectors")
-    return float(min(q1 / (w1[0] ** 2 + w1[1] ** 2),
-                     q2 / (w2[0] ** 2 + w2[1] ** 2)))
+    return min(q1 / (2 * (w1[0] ** 2 + w1[1] ** 2)),
+               q2 / (2 * (w2[0] ** 2 + w2[1] ** 2)))
 
 
 def _ring_tail(R0: int, y: float, lam: float) -> float:
@@ -441,8 +436,8 @@ def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
     """
     y = tau.imag
     (a00, a01), (_, a11) = data.A
-    a0, a1 = float(data.a[0]), float(data.a[1])
-    ab0, ab1 = (float(x) for x in data.a_times(data.b))
+    a0, a1 = data.a[0] / DEN, data.a[1] / DEN
+    ab0, ab1 = (x / DEN for x in data.a_times(data.b))
     total = 0.0 + 0.0j
     R = 0
     while True:
@@ -474,8 +469,9 @@ def _wall_coordinate(data: IndefThetaData, c, y: float):
     """
     ac = data.a_times(c)
     bca = data.b_of(c, data.a)
-    p, d = bca.numerator, bca.denominator
-    k = SQRT_PI * math.sqrt(y / -float(data.q_of(c))) / d
+    g = math.gcd(bca, DEN)
+    p, d = bca // g, DEN // g
+    k = SQRT_PI * math.sqrt(y / (-data.b_of(c, c) / 2)) / d
     return lambda n1, n2: k * (p + d * (ac[0] * n1 + ac[1] * n2))
 
 
@@ -517,14 +513,13 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
 # the trace-function completion identity (order-2 class)
 
 def order2_theta_data(r: int) -> IndefThetaData:
-    """The printed cone data for the order-2 class; the component families
-    differ only in the characteristic vector a and the phase prefactor."""
+    """The printed cone data for the order-2 class: a = (1/10, 1/10) for
+    r = 1 and (3/10, 3/10) for r = 7, and b = (3/20, -1/10), as numerators
+    over 120."""
     if r not in (1, 7):
         raise NumericsError("component must be 1 or 7")
-    from fractions import Fraction   # only the numeric checks need it
-    a = Fraction(1 if r == 1 else 3, 10)
-    b = (Fraction(3, 20), Fraction(-1, 10))
-    return IndefThetaData(((6, 4), (4, 1)), (a, a), b, (-1, 4), (-2, 3))
+    a = (12, 12) if r == 1 else (36, 36)
+    return IndefThetaData(((6, 4), (4, 1)), a, (18, -12), (-1, 4), (-2, 3))
 
 
 def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:

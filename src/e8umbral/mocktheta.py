@@ -23,8 +23,6 @@ running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
 O(N^2) integer additions and the other four O(N^1.5).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import lru_cache
 from operator import add

@@ -38,8 +38,6 @@ coefficient-map equality is semantic equality up to the shared truncation
 order.
 """
 
-from __future__ import annotations
-
 import math
 
 DEN = 120

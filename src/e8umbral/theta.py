@@ -3,8 +3,6 @@ index dividing a base share an exponent class mod 1 with a polar term of
 the E8^3 components?  Classes are compared as integers: a target is a
 numerator over ``qseries.DEN`` = 120, and a square mod 120 n."""
 
-from __future__ import annotations
-
 # the polar exponent classes mod 1 of the two nonzero component families,
 # as numerators over 120: 119/120 and 71/120
 NULLWERTE_TARGETS = (119, 71)

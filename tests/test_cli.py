@@ -562,11 +562,12 @@ def test_cli_call_loads_no_argparse():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_exact_engine_loads_no_fractions():
-    # the exact engine carries exponents, orders and shifts as int
-    # numerators over 120: importing the package, writing a table, the
-    # exact suite and a 1A pull-back near a cusp load none of fractions,
-    # decimal and numbers (about 2.5 ms of a cold call's import)
+def test_no_command_loads_fractions():
+    # the exact engine carries exponents, orders and shifts, and the
+    # indefinite-theta data its characteristics, as int numerators over
+    # 120: importing the package, a table (csv and json), each verify
+    # suite and an eval of 1A and of 2A (series and completion) load none
+    # of fractions, decimal and numbers (about 2.5 ms of a cold call)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import contextlib, io, sys\n"
@@ -575,9 +576,19 @@ def test_exact_engine_loads_no_fractions():
             "from e8umbral.cli import main\n"
             "assert not guarded & set(sys.modules), 'import e8umbral'\n"
             "for argv in (['table', '--component', '7', '--max-row', '479'],\n"
+            "             ['table', '--component', '1', '--max-row', '479',\n"
+            "              '--format', 'json'],\n"
             "             ['verify', '--suite', 'exact', '--order', '25'],\n"
+            "             ['verify', '--suite', 'numeric'],\n"
+            "             ['verify', '--suite', 'all'],\n"
             "             ['eval', '--class', '1A', '--r', '7',\n"
-            "              '--completion', '--tau=0.25+0.01i']):\n"
+            "              '--completion', '--tau=0.25+0.01i'],\n"
+            "             ['eval', '--class', '1A', '--r', '1',\n"
+            "              '--tau=0.25+0.01i'],\n"
+            "             ['eval', '--class', '2A', '--r', '1',\n"
+            "              '--tau=0.3+1i'],\n"
+            "             ['eval', '--class', '2A', '--r', '7',\n"
+            "              '--completion', '--tau=0.3+1i']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
             "    loaded = guarded & set(sys.modules)\n"

@@ -1,5 +1,5 @@
-"""Every name the package exports, and every public method of its series
-type, is reached by the program itself."""
+"""Every name the package exports, and every public method of its
+classes, is reached by the program itself."""
 
 import ast
 from pathlib import Path
@@ -43,14 +43,18 @@ def test_every_export_is_used_by_the_program():
     assert exported and not unused, f"exported but never used: {unused}"
 
 
-def test_every_public_qseries_method_is_used_by_the_program():
-    # the series type's public surface earns its place the same way: a
-    # method that only the tests call belongs in the tests
-    tree = ast.parse((PACKAGE / "qseries.py").read_text())
-    cls = next(node for node in tree.body
-               if isinstance(node, ast.ClassDef) and node.name == "QSeries")
-    methods = {node.name for node in cls.body
+def test_every_public_method_is_used_by_the_program():
+    # a class's public surface earns its place the same way: a method
+    # that only the tests call belongs in the tests
+    methods = {f"{cls.name}.{node.name}": node.name
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in ast.parse(path.read_text()).body
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body
                if isinstance(node, ast.FunctionDef)
                and not node.name.startswith("_")}
-    unused = sorted(methods - _program_names())
-    assert methods and not unused, f"QSeries methods never used: {unused}"
+    assert {"QSeries", "IndefThetaData", "GroupClass", "IdentityReport"} \
+        <= {qualified.split(".")[0] for qualified in methods}
+    used = _program_names()
+    unused = sorted(q for q, name in methods.items() if name not in used)
+    assert not unused, f"public methods never used: {unused}"

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
-from e8umbral.maass import (IndefThetaData, NumericsError,
+from e8umbral.maass import (SQRT_PI, IndefThetaData, NumericsError,
                             _at_point, _eichler_part, _line_sum, _mat_mul,
                             _pd_lambda_min, _ring_sum, _wall_coordinate,
                             _wedge_lambda_min,
@@ -17,6 +18,7 @@ from e8umbral.maass import (IndefThetaData, NumericsError,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, rho_3_3, series_value,
                             tau1_identity_check, transform_check)
+from e8umbral.qseries import DEN, _num
 from oracles import g_value, multiplier_by_tokens, shadow
 
 import numpy as np
@@ -77,12 +79,71 @@ def test_r_equals_eichler_integral_of_g():
 def test_paper_cone_data_invariants():
     data = order2_theta_data(1)
     data.validate()
-    assert data.q_of(data.c1) == -5
-    assert data.q_of(data.c2) == F(-15, 2)
+    assert data.b_of(data.c1, data.c1) == -10       # 2Q(c1)
+    assert data.b_of(data.c2, data.c2) == -15       # 2Q(c2)
     assert data.b_of(data.c1, data.c2) == -20
     bad = IndefThetaData(data.A, data.a, data.b, (1, 0), data.c2)
     with pytest.raises(NumericsError):
         bad.validate()
+
+
+def test_non_int_characteristic_is_refused():
+    # the characteristics are int numerators over 120: a Fraction or a
+    # float is named in a NumericsError, not a TypeError from math.gcd
+    data = order2_theta_data(1)
+    for bad, shown in (((F(1, 10), F(1, 10)), "Fraction(1, 10)"),
+                       ((12, 0.1), "0.1")):
+        for fields in ({"a": bad}, {"b": bad}):
+            odd = data._replace(**fields)
+            for call in (odd.validate,
+                         lambda: indefinite_theta(odd, 0.1 + 0.8j)):
+                with pytest.raises(NumericsError, match=re.escape(shown)):
+                    call()
+
+
+def test_integer_cone_numerics_match_fraction_arithmetic():
+    """Every double the theta sum derives from the cone data, formed by
+    int/int division, equals bit for bit the one formed from the same
+    data as Fractions (characteristics a/120 and b/120, Q = B/2)."""
+    for r in (1, 7):
+        data = order2_theta_data(r)
+        fa, fb = (tuple(F(x, DEN) for x in v) for v in (data.a, data.b))
+        (a00, a01), (_, a11) = data.A
+        w1, w2 = ((-ac[1], ac[0]) for ac in (data.a_times(data.c1),
+                                              data.a_times(data.c2)))
+        q1, q2 = (F(data.b_of(w, w), 2) for w in (w1, w2))
+        assert _wedge_lambda_min(data) == float(min(
+            q1 / (w1[0] ** 2 + w1[1] ** 2), q2 / (w2[0] ** 2 + w2[1] ** 2)))
+        for c in (data.c1, data.c2):
+            qc = F(data.b_of(c, c), 2)
+            ac0, ac1 = data.a_times(c)
+            p, rr, t = ((x * qc - u * v) / (2 * qc) for x, u, v in (
+                (a00, ac0, ac0), (a01, ac0, ac1), (a11, ac1, ac1)))
+            assert _pd_lambda_min(data, c) == (float(p + t) - math.hypot(
+                float(p - t), float(2 * rr))) / 2.0
+            bca = data.b_of(c, fa)
+            for y in (0.01, 0.3, 0.8, 1.7):
+                x = _wall_coordinate(data, c, y)
+                k = SQRT_PI * math.sqrt(y / -float(qc)) / bca.denominator
+                for n1 in range(-6, 7):
+                    for n2 in range(-6, 7):
+                        assert x(n1, n2) == k * (bca.numerator
+                                                 + bca.denominator
+                                                 * (ac0 * n1 + ac1 * n2))
+        # one term of the ring sum at a time: a/120 and A b/120 as floats
+        a0, a1 = (float(x) for x in fa)
+        ab0, ab1 = (float(x) for x in data.a_times(fb))
+        tau = 0.1 + 0.8j
+        for m1 in range(-2, 3):
+            for m2 in range(-2, 3):
+                got = _ring_sum(data, tau,
+                                lambda n1, n2: float((n1, n2) == (m1, m2)),
+                                1.0, 0.5, math.inf)
+                nu0, nu1 = a0 + m1, a1 + m2
+                qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
+                             + a11 * nu1 * nu1)
+                assert got == cmath.exp(2j * math.pi * (
+                    qnu * tau + nu0 * ab0 + nu1 * ab1)), (r, m1, m2)
 
 
 def _random_cone_data(rng):
@@ -119,7 +180,7 @@ def test_lambda_bounds_against_sampling():
         exact = _wedge_lambda_min(data)
         assert exact - 1e-12 <= sampled < exact + 1e-3, (data, exact, sampled)
         for c, ac in ((data.c1, ac1), (data.c2, ac2)):
-            M = A / 2.0 - np.outer(ac, ac) / (2.0 * float(data.q_of(c)))
+            M = A / 2.0 - np.outer(ac, ac) / float(data.b_of(c, c))
             ref = np.linalg.eigvalsh(M).min()
             assert abs(_pd_lambda_min(data, c) - ref) \
                 < 1e-12 * (1.0 + np.abs(M).max())
@@ -455,9 +516,9 @@ def split_cosets(data: IndefThetaData, c) -> tuple:
     g, x0, y0 = _egcd(ac[0], ac[1])
     w = (-ac[1] // g, ac[0] // g)
     # B(c, .) takes the values B(a, c) + g Z on a+Z^2
-    bca = data.b_of(data.a, c)
-    lo = math.floor((2 * data.q_of(c) - bca) / g) + 1
-    reps = [(F(data.a[0]) + j * x0, F(data.a[1]) + j * y0)
+    bca = F(data.b_of(data.a, c), DEN)
+    lo = math.floor((data.b_of(c, c) - bca) / g) + 1
+    reps = [(F(data.a[0], DEN) + j * x0, F(data.a[1], DEN) + j * y0)
             for j in range(lo, math.floor(-bca / g) + 1)]
     return reps, w
 
@@ -473,12 +534,14 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
     for primitive c with Q(c) < 0, both sides with certified tails.  The
     minus sign on the second R characteristic compensates the
     e^(-2 pi i nu b) phase in the R definition; restating the splitting
-    with +B(c,b) fails numerically for generic b.
+    with +B(c,b) fails numerically for generic b.  The characteristics a
+    and b are rationals on the grid 1/120.
     """
+    a, b = (tuple(_num(x) for x in v) for v in (a, b))
     if math.gcd(*c) != 1:
         raise NumericsError("cone vector c must be primitive")
     data = IndefThetaData(A, a, b, c, c)
-    qc = data.q_of(c)
+    qc2 = data.b_of(c, c)              # 2 Q(c)
     y = tau.imag
     x = _wall_coordinate(data, c, y)
 
@@ -495,17 +558,17 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
     # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
     # theta terms have modulus exp(-2 pi y Q(w) x^2) at x = s + k.
     reps, w = split_cosets(data, c)
-    qw = data.q_of(w)
-    qw_f, bwb = float(qw), float(data.b_of(w, b))
+    qw2 = data.b_of(w, w)              # 2 Q(w)
+    qw_f, bwb = qw2 / 2, data.b_of(w, b) / DEN
 
     def line_term(t: float) -> complex:
         return cmath.exp(2j * math.pi * (qw_f * t * t * tau + t * bwb))
 
     rhs = 0j
     for mu0 in reps:
-        rval = r_function(data.b_of(c, mu0) / (2 * qc), -data.b_of(c, b),
-                          float(-2 * qc) * tau, tail_bound=tol * 1e-3)
-        line = _line_sum(line_term, data.b_of(mu0, w) / (2 * qw),
+        rval = r_function(data.b_of(c, mu0) / qc2, -data.b_of(c, b) / DEN,
+                          float(-qc2) * tau, tail_bound=tol * 1e-3)
+        line = _line_sum(line_term, data.b_of(mu0, w) / qw2,
                          2.0 * qw_f, y, tol * 1e-3)
         rhs -= rval * line
     return abs(total - rhs)
@@ -513,6 +576,7 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
 
 def test_split_identity_paper_data():
     data = order2_theta_data(1)
+    a, b = (tuple(F(x, DEN) for x in v) for v in (data.a, data.b))
     reps1, _ = split_cosets(data, data.c1)
     assert reps1 == [(F(-9, 10), F(1, 10))]
     reps2, _ = split_cosets(data, data.c2)
@@ -521,18 +585,17 @@ def test_split_identity_paper_data():
     # at Im tau = 0.3 the c2 line theta needs several terms
     for c in (data.c1, data.c2):
         for tau in (0.1 + 0.8j, 0.1 + 0.3j):
-            assert theta_split_check(data.A, data.a, data.b, c,
-                                     tau, 1e-9) < 1e-9
+            assert theta_split_check(data.A, a, b, c, tau, 1e-9) < 1e-9
 
 
 def test_split_identity_c1_side_vanishes():
     # the lone coset for c1 carries an alternating half-integer theta
     data = order2_theta_data(1)
     A = np.array(data.A, dtype=float)
-    av = np.array([float(x) for x in data.a])
-    Abv = A @ np.array([float(x) for x in data.b])
+    av = np.array([x / DEN for x in data.a])
+    Abv = A @ np.array([x / DEN for x in data.b])
     Ac1 = A @ np.array([float(x) for x in data.c1])
-    qc1 = float(data.q_of(data.c1))
+    qc1 = data.b_of(data.c1, data.c1) / 2
     total = 0j
     y = 0.8
     tau = 0.1 + 0.8j
