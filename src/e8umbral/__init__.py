@@ -16,7 +16,6 @@ the tests.
 from .qseries import (DEN, DivergenceError, GradingError, QSeries,
                       SeriesError, TruncationError, dedekind_eta,
                       eta_quotient)
-from .lattice import enumerate_coset_cone
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          TraceId, all_trace_ids, h_component,
                          heisenberg_trace, trace_closed, trace_direct)

@@ -26,7 +26,7 @@ normalization that reproduces the published coefficient tables.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from .lattice import enumerate_coset_cone
+from .lattice import _positive_branch
 from .qseries import (DEN, GradingError, QSeries, SeriesError, dedekind_eta,
                       _eta, _num, _series)
 
@@ -102,16 +102,17 @@ def all_trace_ids() -> list[TraceId]:
 # prefactors
 
 
-# (q^k; q^k)_inf powers of the printed prefactors q^(-1/12)/(q;q)^2,
+# the (k, power) pairs of the printed prefactors q^(-1/12)/(q;q)^2,
 # q^(-1/12)/(q^2;q^2) and q^(-1/12)(q;q)/(q^3;q^3), by class order
-_PRINTED_PREFACTORS = {1: {1: -2}, 2: {2: -1}, 3: {1: 1, 3: -1}}
+_PRINTED_PREFACTORS = {1: ((1, -2),), 2: ((2, -1),), 3: ((1, 1), (3, -1))}
 
 
 def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
     the rank-3 boson: one factor (q^L; q^L)^(-1) per cycle of length L."""
     lengths = [len(c) for c in group_class.cycles]
-    return _eta({L: -lengths.count(L) for L in lengths}, -15, _num(order))
+    return _eta(tuple((L, -lengths.count(L)) for L in sorted(set(lengths))),
+                -15, _num(order))
 
 
 # ----------------------------------------------------------------------
@@ -197,23 +198,16 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The closed lattice-sum expression for one trace function, minus the
     printed prefactor times the octant sum, cached by (trace id, order):
     h_component, the identity suite and the closed-vs-direct check ask for
-    the same traces."""
+    the same traces.  Its prefactor, to order + 1 (the octant sum's
+    valuation is positive), is cached by ``_eta`` for the five cosets."""
     cls = trace_id.group_class
     a = trace_id.coset_a
     gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
     # to order + 1/12, as the prefactor's valuation is -1/12
     lat = octant_sum(gram, [a * u for u in lin_unit], 9 * a * a, signs, neg,
                      _num(order) + 10)
-    return -(_printed_prefactor(cls, order) * lat).truncate(order)
-
-
-@lru_cache(maxsize=None)
-def _printed_prefactor(group_class: GroupClass, order) -> QSeries:
-    """The printed eta-quotient prefactor of trace_closed, to order + 1 (the
-    octant sum's valuation is positive), built once per (class, order) for
-    the five cosets."""
-    return _eta(_PRINTED_PREFACTORS[group_class.order], -10,
-                _num(order) + DEN)
+    prefactor = _eta(_PRINTED_PREFACTORS[cls.order], -10, _num(order) + DEN)
+    return -(prefactor * lat).truncate(order)
 
 
 # ----------------------------------------------------------------------
@@ -225,27 +219,27 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
 
     The prefactor is the one-fermion factor -q^(1/24) (q;q)_inf (the sign
     of T^-) times heisenberg_trace, an independent path from the printed
-    eta-quotients, and the lattice part sums sign(mu) q^Q(mu) over
-    enumerate_coset_cone output with the character-level sign rules for
-    each class.
+    eta-quotients, and the lattice part sums sign(mu) q^Q(mu) over the
+    cone points of L + a*rho/2 read from the two cached branch-P scans of
+    lattice._positive_branch: branch P from coset a, and branch N from
+    coset 10 - a with each coordinate x mapped to -1 - x.  The
+    character-level sign rule of the class is applied in the same loop.
     """
     cls = trace_id.group_class
     a = trace_id.coset_a
     cap = _num(order) + 10         # order + 1/12, as in trace_closed
     n = cls.order
     coeffs: dict[int, int] = {}
-    for en, (k, l, m), branch in enumerate_coset_cone(a, cls.cycles, cap):
-        if n == 1:
-            sign = -1 if (k + l + m) % 2 else 1
-        elif n == 2:
-            # (-1)^<lambda, rho + e_1'> = (-1)^(3k+m), with the extra sign
-            # automorphism flip on branch N
-            sign = -1 if (3 * k + m) % 2 else 1
-            if branch == "N":
-                sign = -sign
-        else:
-            sign = -1 if k % 2 else 1
-        coeffs[en] = coeffs.get(en, 0) + sign
+    for coset, negative in ((a, False), (10 - a, True)):
+        # the sign automorphism of 2A flips the sign on branch N
+        flip = -1 if negative and n == 2 else 1
+        for en, (k, l, m) in _positive_branch(coset, cls.cycles, cap):
+            if negative:
+                k, l, m = -1 - k, -1 - l, -1 - m
+            # (-1)^(k+l+m); for 2A (-1)^<lambda, rho + e_1'> = (-1)^(3k+m);
+            # for 3A (-1)^k
+            odd = (k + l + m if n == 1 else 3 * k + m if n == 2 else k) % 2
+            coeffs[en] = coeffs.get(en, 0) + (-flip if odd else flip)
     lat_sum = _series(coeffs, cap)
     return (_direct_prefactor(cls, order) * lat_sum).truncate(order)
 
@@ -254,7 +248,7 @@ def trace_direct(trace_id: TraceId, order) -> QSeries:
 def _direct_prefactor(group_class: GroupClass, order) -> QSeries:
     """-q^(1/24) (q;q)_inf times heisenberg_trace, to order + 1 - 1/12 (the
     cone energies are positive), built once per (class, order) for the five
-    cosets."""
+    cosets from two factors that ``_eta`` caches."""
     return dedekind_eta(1, order + 1).scale(-1) * \
         heisenberg_trace(group_class, order + 1)
 

@@ -11,24 +11,20 @@ branch N iff all < 0, because the coordinates of mu = k e_1 + l e_2 + m e_3
 Q(mu) = <mu,mu>/2 is strictly positive on nonzero cone vectors.  On
 branch P it is non-decreasing in every coordinate, since all coefficients
 of Q in (k, l, m) are non-negative, so the scan of each coordinate stops
-at its first point past the bound; branch N is branch P of the opposite
-coset, negated.  A cone point is the integer tuple (120 Q(mu), coords,
-branch): Q(mu) lies on the grid 1/120 of ``qseries.DEN``, so the energy is
-carried as its numerator, and so is the bound of a scan.
+at its first point past the bound.  Branch N needs no scan of its own:
+negation maps N(L + a*rho/2) onto P(L + (10-a)*rho/2), preserving Q, so
+its points are those of the branch-P scan of the opposite coset with each
+coordinate x mapped to -1 - x.  A scanned point is the pair
+(120 Q(mu), coords): Q(mu) lies on the grid 1/120 of ``qseries.DEN``, so
+the energy is carried as its numerator, and so is the bound of a scan.
 """
 
 from functools import lru_cache
 from operator import itemgetter
 
-from .qseries import DEN
-
-
-class LatticeError(ValueError):
-    pass
-
 
 def _q_of(coords: tuple[int, int, int], a: int) -> int:
-    """DEN * Q(mu) = 120 Q(mu), an integer."""
+    """120 Q(mu), an integer."""
     k, l, m = coords
     return 60 * (k * k + l * l + m * m) + 240 * (k * l + l * m + m * k) + \
         60 * a * (k + l + m) + 9 * a * a
@@ -71,23 +67,3 @@ def _positive_branch(a: int, cycles, cap) -> tuple[tuple[int, tuple], ...]:
 
     walk(())
     return tuple(points)
-
-
-def enumerate_coset_cone(a: int, cycles, cap) -> list[tuple[int, tuple, str]]:
-    """All mu in D cap (L + a*rho/2) with 120 Q(mu) <= cap and
-    coordinates equal along each of the given cycles (a partition of
-    the indices 0, 1, 2: one free coordinate per cycle), as sorted
-    (120 Q(mu), coords, branch) tuples with branch "P" or "N".
-
-    Branch P is scanned by _positive_branch; branch N is obtained from the
-    negation bijection N(L + a*rho/2) = -P(L + (10-a)*rho/2), which
-    preserves Q.  Completeness below the bound is a hard contract.
-    """
-    if not (0 < a < 10 and a % 2 == 1):
-        raise LatticeError("coset label a must be odd with 0 < a < 10")
-    points = [(num, coords, "P")
-              for num, coords in _positive_branch(a, cycles, cap)]
-    points += [(num, (-1 - k, -1 - l, -1 - m), "N")
-               for num, (k, l, m) in _positive_branch(10 - a, cycles, cap)]
-    points.sort()
-    return points

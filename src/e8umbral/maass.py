@@ -355,10 +355,11 @@ class IndefThetaData(namedtuple("IndefThetaData", "A a b c1 c2")):
         return u[0] * av[0] + u[1] * av[1]
 
     def validate(self) -> None:
-        for x in (*self.a, *self.b):
-            if type(x) is not int:
-                raise NumericsError(f"characteristic {x!r} is not an int")
         A = self.A
+        for name, v in zip(self._fields, ((*A[0], *A[1]), *self[1:])):
+            for x in v:
+                if type(x) is not int:
+                    raise NumericsError(f"entry {x!r} of {name} is not an int")
         if A[0][1] != A[1][0]:
             raise NumericsError("A must be symmetric")
         det = A[0][0] * A[1][1] - A[0][1] * A[1][0]

@@ -24,7 +24,6 @@ O(N^2) integer additions and the other four O(N^1.5).
 """
 
 from collections import namedtuple
-from functools import lru_cache
 from operator import add
 
 from .characters import (CLASS_1A, CLASS_2A, TraceId, h_component,
@@ -102,28 +101,22 @@ def zwegers_triple_sum(variant: str, order) -> QSeries:
         raise SeriesError(f"unknown variant {variant!r}")
     lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
                               (1, 1, 1), 1, _num(order))
-    return (_prefactor(((1, -2),), order) * lattice_part).truncate(order)
+    prefactor = eta_quotient({1: -2}, 0, order + 1)
+    return (prefactor * lattice_part).truncate(order)
 
 
-@lru_cache(maxsize=None)
-def _prefactor(powers: tuple, order) -> QSeries:
-    """prod (q^k; q^k)_inf^n over the pairs (k, n) of powers, to order + 1,
-    once per (powers, order): the identity suite's six sums share three."""
-    return eta_quotient(dict(powers), 0, order + 1)
-
-
-# variant: (lin, (gram, signs, parity restriction), the (k, n) powers of
-# the prefactor, none for the empty product) of
+# variant: (lin, (gram, signs, parity restriction), the powers {k: n} of
+# (q^k; q^k)_inf in the prefactor, none for the empty product) of
 #     (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(signs.(k,m))
 #         q^((k,m).gram.(k,m)/2 + lin.(k,m)/2)
 _RESTRICTED = (((1, 4), (4, 1)), (0, 1), (1, 1))
 _UNRESTRICTED = (((6, 4), (4, 1)), (1, 1), None)
-_ODD_PRODUCT = ((1, -1), (2, 1))    # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
+_ODD_PRODUCT = {1: -1, 2: 1}        # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
 _DOUBLE_SUM_DATA = {
-    "phi0_lhs": ((1, 3), _RESTRICTED, ((1, 1), (2, -2))),
-    "phi1_lhs": ((3, 5), _RESTRICTED, ((1, 1), (2, -2))),
-    "cor_lhs_1": ((1, 3), _RESTRICTED, ()),
-    "cor_lhs_7": ((3, 5), _RESTRICTED, ()),
+    "phi0_lhs": ((1, 3), _RESTRICTED, {1: 1, 2: -2}),
+    "phi1_lhs": ((3, 5), _RESTRICTED, {1: 1, 2: -2}),
+    "cor_lhs_1": ((1, 3), _RESTRICTED, {}),
+    "cor_lhs_7": ((3, 5), _RESTRICTED, {}),
     "cor_rhs_1": ((2, 1), _UNRESTRICTED, _ODD_PRODUCT),
     "cor_rhs_7": ((6, 3), _UNRESTRICTED, _ODD_PRODUCT),
 }
@@ -151,7 +144,7 @@ def hecke_double_sum(variant: str, order) -> QSeries:
     body = octant_sum(gram, lin, 0, signs, -1, _num(order), parity)
     if not powers:
         return body
-    return (_prefactor(powers, order) * body).truncate(order)
+    return (eta_quotient(powers, 0, order + 1) * body).truncate(order)
 
 
 # ----------------------------------------------------------------------

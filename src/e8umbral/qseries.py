@@ -10,10 +10,10 @@ theta and eta-quotient coefficients), and every exponent lies on the grid
 1/120: the index-30 theta exponents r^2/120, the polar terms q^(-1/120),
 q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the eta exponents
 in 1/24.  Every eta-quotient of the package (eta, the trace, Zwegers and
-Hecke prefactors, 1/Delta) is built by ``eta_quotient``, in place on a
-dense integer list by passes of Euler's pentagonal sum: one pass
-multiplies or divides by one (q^k; q^k)_infinity, and no series is ever
-inverted.
+Hecke prefactors) is built once per order by the cached ``_eta`` behind
+``eta_quotient``, in place on a dense integer list by passes of Euler's
+pentagonal sum: one pass multiplies or divides by one (q^k; q^k)_infinity,
+and no series is ever inverted.
 
 Orders, shifts and exponents have one normal form: the int numerator over
 DEN (``QSeries.top`` is DEN times the order), or INF.  The public boundary
@@ -39,6 +39,7 @@ order.
 """
 
 import math
+from functools import lru_cache
 
 DEN = 120
 
@@ -306,11 +307,15 @@ class QSeries:
 
 def eta_quotient(powers: dict, shift, order) -> QSeries:
     """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order."""
-    return _eta(powers, _num(shift), _num(order))
+    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
 
 
-def _eta(powers: dict, shift: int, top) -> QSeries:
-    """eta_quotient with shift and order given as numerators over DEN.
+@lru_cache(maxsize=None)
+def _eta(powers: tuple, shift: int, top) -> QSeries:
+    """eta_quotient with the powers as sorted (k, powers[k]) pairs and
+    shift and order as numerators over DEN, cached for every caller: the
+    five cosets of a class share a trace prefactor, the three classes
+    share eta(tau), and two mock theta sums share each of their prefactors.
 
     The product is built on a dense list p of integer coefficients at
     exponents 0..n, n = floor(order - shift), from Euler's pentagonal
@@ -327,7 +332,7 @@ def _eta(powers: dict, shift: int, top) -> QSeries:
     inner = top - shift
     n = inner // DEN
     p = [1] + [0] * n
-    for k, m in powers.items():
+    for k, m in powers:
         if k <= 0:
             raise DivergenceError(
                 f"infinite product has factor of exponent {k} <= 0")
@@ -357,4 +362,4 @@ def _eta(powers: dict, shift: int, top) -> QSeries:
 
 def dedekind_eta(scale: int, order) -> QSeries:
     """q^(scale/24) * (q^scale; q^scale)_infinity."""
-    return _eta({scale: 1}, 5 * scale, _num(order))
+    return _eta(((scale, 1),), 5 * scale, _num(order))

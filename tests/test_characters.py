@@ -155,8 +155,9 @@ def test_all_trace_ids_count():
 def test_trace_id_validation():
     # a trace is named by (class, coset label) alone
     assert TraceId(CLASS_2A, 3) == (CLASS_2A, 3)
-    with pytest.raises(ValueError):
-        TraceId(CLASS_1A, 2)
+    for a in (2, 11):
+        with pytest.raises(ValueError):
+            TraceId(CLASS_1A, a)
 
 
 def test_component_family_rule():

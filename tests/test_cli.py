@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from e8umbral import characters, cli
-from e8umbral.characters import CLASS_2A, TraceId, trace_closed
+from e8umbral import cli
+from e8umbral.characters import (CLASS_2A, TraceId, _direct_prefactor,
+                                 trace_closed)
 from e8umbral.cli import main
-from e8umbral.qseries import QSeries
+from e8umbral.lattice import _positive_branch
+from e8umbral.qseries import QSeries, _eta
 
 
 def run_cli(capsys, *argv):
@@ -129,20 +131,32 @@ def test_verify_exact_passes(capsys):
     assert trace_closed.cache_info().misses == 15
 
 
-def test_verify_exact_scans_each_cone_once(capsys, monkeypatch):
-    # the direct route enumerates one coset cone per (class, coset)
-    calls = []
-    real = characters.enumerate_coset_cone
+def clear_caches():
+    for cache in (trace_closed, _direct_prefactor, _positive_branch, _eta):
+        cache.cache_clear()
 
-    def counted(*args):
-        calls.append(args[:2])
-        return real(*args)
 
-    monkeypatch.setattr(characters, "enumerate_coset_cone", counted)
+def test_verify_exact_scans_each_cone_once(capsys):
+    # the direct route reads two branch-P scans per (class, coset): those
+    # of cosets a and 10 - a, so each of the 15 scans is read twice
+    clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    assert len(calls) == len(set(calls)) == 15
+    info = _positive_branch.cache_info()
+    assert (info.misses, info.hits) == (15, 15)
+
+
+def test_verify_exact_builds_each_eta_quotient_once(capsys):
+    # 27 eta-quotient requests, 10 built: 3 mock theta prefactors shared by
+    # two sums each, 3 printed prefactors shared by the five cosets of a
+    # class, 3 Heisenberg traces and one eta(tau) for all three classes
+    clear_caches()
+    code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
+                         "--order", "8")
+    assert code == 0
+    info = _eta.cache_info()
+    assert (info.misses, info.hits + info.misses) == (10, 27)
 
 
 def test_verify_corrupt_hook_fails(capsys):

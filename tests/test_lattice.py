@@ -4,7 +4,7 @@ import pytest
 
 from e8umbral import lattice
 from e8umbral.characters import all_trace_ids
-from e8umbral.lattice import LatticeError, enumerate_coset_cone
+from e8umbral.lattice import _positive_branch
 
 from oracles import RHO, cone_mu, pair, q_norm
 
@@ -39,6 +39,16 @@ def brute_scan(a, bound, cycles=ALL, box=12):
     return sorted(out)
 
 
+def cone(a, cycles, cap):
+    """The points of the scans as the direct trace reads them, sorted
+    like brute_scan: branch P from the scan of coset a, branch N from the
+    scan of coset 10 - a with each coordinate x mapped to -1 - x."""
+    p = _positive_branch(a, cycles, cap)
+    n = _positive_branch(10 - a, cycles, cap)
+    return sorted([(num, c, "P") for num, c in p] +
+                  [(num, tuple(-1 - x for x in c), "N") for num, c in n])
+
+
 def test_gram_values():
     e = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert pair(e[0], e[0]) == 1
@@ -58,13 +68,13 @@ def test_dual_basis_property():
 
 def test_minimal_point_coset_one():
     # Q = 3/40 = 9/120; the energy bound is a numerator over 120 too
-    assert enumerate_coset_cone(1, ALL, 9) == [(9, (0, 0, 0), "P")]
-    assert enumerate_coset_cone(1, ALL, 8) == []
+    assert cone(1, ALL, 9) == [(9, (0, 0, 0), "P")]
+    assert cone(1, ALL, 8) == []
 
 
 def test_sigma_fixed_coset_five():
     # Q = 15/8 = 225/120 on both points
-    assert enumerate_coset_cone(5, SIGMA, 225) == \
+    assert cone(5, SIGMA, 225) == \
         [(225, (-1, -1, -1), "N"), (225, (0, 0, 0), "P")]
 
 
@@ -72,8 +82,7 @@ def test_sigma_fixed_coset_five():
 @pytest.mark.parametrize("cycles", [ALL, TAU, SIGMA],
                          ids=["None", "tau", "sigma"])
 def test_completeness_against_box_oracle(a, cycles):
-    assert enumerate_coset_cone(a, cycles, 1200) == brute_scan(a, F(10),
-                                                               cycles)
+    assert cone(a, cycles, 1200) == brute_scan(a, F(10), cycles)
 
 
 def test_scan_stops_at_the_cap(monkeypatch):
@@ -91,18 +100,19 @@ def test_scan_stops_at_the_cap(monkeypatch):
         return q_of(coords, a)
 
     monkeypatch.setattr(lattice, "_q_of", counted)
-    lattice._positive_branch.cache_clear()
-    kept = sum(len(enumerate_coset_cone(t.coset_a, t.group_class.cycles,
-                                        250 * 120 + 10))
-               for t in all_trace_ids())
+    _positive_branch.cache_clear()
+    kept = sum(len(_positive_branch(coset, t.group_class.cycles,
+                                    250 * 120 + 10))
+               for t in all_trace_ids()
+               for coset in (t.coset_a, 10 - t.coset_a))
     assert kept == 11298
     assert 2 * calls <= 13382
     # a cached scan is a tuple: no caller can change what the next reads
-    assert isinstance(lattice._positive_branch(1, ALL, 600), tuple)
+    assert isinstance(_positive_branch(1, ALL, 600), tuple)
 
 
 def test_branch_sign_conditions_and_q():
-    for num, coords, branch in enumerate_coset_cone(7, ALL, 960):
+    for num, coords, branch in cone(7, ALL, 960):
         mu = cone_mu(coords, 7)
         if branch == "P":
             assert all(c >= 0 for c in mu)
@@ -113,33 +123,32 @@ def test_branch_sign_conditions_and_q():
 
 
 def test_negation_symmetry():
+    # x -> -1 - x maps the branch-P points of coset 10 - a onto branch N of
+    # coset a, preserving Q: the energy of each scanned point is that of
+    # its image, by the formula of the scan and by the form itself
+    seen = 0
     for a in (1, 3, 7, 9):
-        n_pts = sorted((num, coords) for num, coords, branch in
-                       enumerate_coset_cone(a, ALL, 720) if branch == "N")
-        p_pts = sorted((num, tuple(-c - 1 for c in coords))
-                       for num, coords, branch in
-                       enumerate_coset_cone(10 - a, ALL, 720)
-                       if branch == "P")
-        assert n_pts == p_pts
+        for num, coords in _positive_branch(10 - a, ALL, 720):
+            seen += 1
+            image = tuple(-1 - x for x in coords)
+            assert all(c < 0 for c in cone_mu(image, a))
+            assert lattice._q_of(image, a) == num
+            assert q_norm(cone_mu(image, a)) * 120 == num
+    assert seen
 
 
 def test_positive_branch_square_bound():
     # on branch P the cross terms are non-negative: Q >= sum(coords^2)/2
-    for num, coords, branch in enumerate_coset_cone(3, ALL, 1080):
-        if branch == "P":
-            mu = cone_mu(coords, 3)
-            assert num >= 60 * sum(c * c for c in mu)
-
-
-def test_coset_label_validation():
-    with pytest.raises(LatticeError):
-        enumerate_coset_cone(2, ALL, 600)
-    with pytest.raises(LatticeError):
-        enumerate_coset_cone(11, ALL, 600)
+    for num, coords in _positive_branch(3, ALL, 1080):
+        mu = cone_mu(coords, 3)
+        assert num >= 60 * sum(c * c for c in mu)
 
 
 def test_deterministic_sorted_output():
-    a = enumerate_coset_cone(3, ALL, 1440)
-    b = enumerate_coset_cone(3, ALL, 1440)
+    # a fresh scan repeats the cached one, in the order of its walk: sorted
+    # by coordinates
+    a = _positive_branch(3, ALL, 1440)
+    _positive_branch.cache_clear()
+    b = _positive_branch(3, ALL, 1440)
     assert a == b
-    assert a == sorted(a)
+    assert [coords for _, coords in a] == sorted(coords for _, coords in a)

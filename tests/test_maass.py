@@ -88,8 +88,9 @@ def test_paper_cone_data_invariants():
 
 
 def test_non_int_characteristic_is_refused():
-    # the characteristics are int numerators over 120: a Fraction or a
-    # float is named in a NumericsError, not a TypeError from math.gcd
+    # the characteristics are int numerators over 120, and A, c1 and c2
+    # are integer: a Fraction or a float is named in a NumericsError, not
+    # a TypeError from math.gcd
     data = order2_theta_data(1)
     for bad, shown in (((F(1, 10), F(1, 10)), "Fraction(1, 10)"),
                        ((12, 0.1), "0.1")):
@@ -99,6 +100,13 @@ def test_non_int_characteristic_is_refused():
                          lambda: indefinite_theta(odd, 0.1 + 0.8j)):
                 with pytest.raises(NumericsError, match=re.escape(shown)):
                     call()
+    for fields, shown in (({"c1": (-1.0, 4)}, "entry -1.0 of c1"),
+                          ({"A": ((6.5, 4), (4, 1))}, "entry 6.5 of A")):
+        odd = data._replace(**fields)
+        for call in (odd.validate,
+                     lambda: indefinite_theta(odd, 0.1 + 0.8j)):
+            with pytest.raises(NumericsError, match=re.escape(shown)):
+                call()
 
 
 def test_integer_cone_numerics_match_fraction_arithmetic():

@@ -171,6 +171,14 @@ def test_eta_leading_terms():
     assert valuation(dedekind_eta(2, 3)) == F(1, 12)
 
 
+def test_eta_quotients_are_cached():
+    # one build per (powers, shift, order), whatever order the powers are
+    # given in: a second request returns the same series
+    assert dedekind_eta(1, 9) is dedekind_eta(1, 9)
+    assert eta_quotient({1: 1, 2: -2}, 0, 5) is \
+        eta_quotient({2: -2, 1: 1}, 0, 5)
+
+
 def test_eta2_euler_identity():
     # q^(1/12) sum_k (-1)^k q^(3k^2+k) equals eta(2 tau)
     order = 40
