@@ -2,20 +2,21 @@
 Gaussian weights, Eichler integrals, indefinite theta functions of
 signature (1,1), completions, and weight-1/2 transformation residuals.
 
-Summation tails are certified: the E-weighted lattice sums of
-indefinite_theta decay like exp(-2 pi y M(nu)) for positive-definite
-forms M built from the cone data, and _ring_sum stops only once the
-remaining rings are provably below the requested bound; so does
-_line_sum for the R-function sums that make up a completion's Eichler
-part.  The test suite builds the one-sided theta splitting identity on
-the same two summers.  Series-to-number evaluation carries an
-empirical tail estimate (measured coefficient growth times the dropped
-geometric tail) and refuses to report values it cannot back;
-``_sum_to_tol`` sums each series (H_r, eta(2 tau)) once, at the order
-``_eval_order`` gives for its tolerance (at most 800), and raises
-ConvergenceError when the tail estimate misses the budget there, or
-NumericsError when the tolerance is below the double precision of the
-value.
+Summation tails are certified, and each sum's length is fixed before its
+first term: _line_sum (the R-function sums of a completion's Eichler
+part) and _ring_sum (indefinite_theta, whose E-weighted lattice sums
+decay like exp(-2 pi y M(nu)) for positive-definite forms M from the
+cone data) add the shells up to the first past which a certified
+majorant of the rest is below the bound, and fail with ConvergenceError
+before any term if there is none within their cap (_shells_needed).  The
+test suite builds the one-sided theta splitting identity on the same two
+summers.  Series-to-number evaluation carries an empirical tail estimate
+(measured coefficient growth times the dropped geometric tail) and
+refuses to report values it cannot back; ``_sum_to_tol`` sums each
+series (H_r, eta(2 tau)) once, at the order ``_eval_order`` gives for its
+tolerance (at most 800), and raises ConvergenceError when the tail
+estimate misses the budget there, or NumericsError when the tolerance is
+below the double precision of the value.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
@@ -39,6 +40,7 @@ from .characters import (CLASS_1A, CLASS_2A, FAMILY_1, FAMILY_7,
 from .qseries import DEN, QSeries, dedekind_eta
 
 TWO_PI = 2.0 * math.pi
+TWO_PI_I = 2j * math.pi
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -94,13 +96,11 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """
     y = _im_upper(tau)
     point, tau = tau, complex(math.fmod(tau.real, 120.0), y)
+    items = series.items()
     total = 0.0 + 0.0j
-    mags: list[tuple[float, float]] = []
     try:
-        for en, c in series.items():
-            cf = float(c)
-            total += cf * cmath.exp(2j * math.pi * tau * en / DEN)
-            mags.append((en / DEN, abs(cf)))
+        for en, c in items:
+            total += float(c) * cmath.exp(2j * math.pi * tau * en / DEN)
     except OverflowError:
         total = complex(math.inf)
     if not cmath.isfinite(total):
@@ -109,8 +109,9 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     if series.top == math.inf:
         return total, 0.0
     order = series.top / DEN
-    if not mags:
+    if not items:
         return total, absq ** order
+    mags = [(en / DEN, abs(float(c))) for en, c in items[-9:]]
     tail_coeff = max(m for _, m in mags[-8:])
     growth = 1.0
     for (e1, m1), (e2, m2) in zip(mags[-9:-1], mags[-8:]):
@@ -151,31 +152,38 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
 # R functions and Eichler integrals
 
 
+def _shells_needed(rest, tail_bound: float, cap: int, what: str) -> int:
+    """The least shell k <= cap with rest(k), a certified bound on all past
+    shell k, below tail_bound: a linear search, as rest need not be
+    monotone.  Else ConvergenceError names the sum, bound and cap."""
+    for k in range(cap + 1):
+        if rest(k) < tail_bound:
+            return k
+    raise ConvergenceError(
+        f"{what} tail bound {tail_bound:g} not met by shell {cap}")
+
+
 def _line_sum(term, x0, kappa: float, y: float,
               tail_bound: float) -> complex:
-    """sum_{x in x0+Z} term(x), for terms bounded by
-    |term(x)| <= exp(-pi kappa y x^2).
+    """sum_{x in x0+Z} term(x), for |term(x)| <= exp(-pi kappa y x^2).
 
-    Points are added in pairs s + n, s - n - 1 (s = x0 mod 1, n = 0, 1,
-    ...), so the sum grows outward from x = 0.  Once every point left
-    has |x| >= d, the rest of the sum is at most
+    Shell k is the pair s + k, s - k - 1 (s = x0 mod 1).  Past it every
+    point has |x| >= d = min(s + k + 1, k + 2 - s), so the rest is at most
     2 exp(-pi kappa y d^2) / (1 - exp(-2 pi kappa y d)), since
-    (d + j)^2 >= d^2 + 2dj; the sum stops when that tail is below
-    tail_bound.
+    (d + j)^2 >= d^2 + 2dj.  The shells up to the first k <= 20000 where
+    that is below tail_bound are added (_shells_needed).
     """
     s = float(x0 - math.floor(x0))
     rate = math.pi * kappa * y
+
+    def rest(k):
+        d = min(s + (k + 1), k + 2 - s)
+        return 2.0 * math.exp(-rate * d * d) / -math.expm1(-2.0 * rate * d)
+
     total = 0.0 + 0.0j
-    n = 0
-    while True:
+    for n in range(_shells_needed(rest, tail_bound, 20000, "line sum") + 1):
         total += term(s + n) + term(s - n - 1)
-        n += 1
-        d = min(s + n, n + 1 - s)
-        if 2.0 * math.exp(-rate * d * d) / -math.expm1(-2.0 * rate * d) \
-                < tail_bound:
-            return total
-        if n > 20000:
-            raise ConvergenceError("line sum tail bound not met")
+    return total
 
 
 def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
@@ -189,10 +197,7 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
     y = _im_upper(tau)
 
     def term(nu: float) -> complex:
-        if nu == 0.0:
-            return 0.0 + 0.0j
-        w = beta_incomplete(2.0 * nu * nu * y)
-        if w == 0.0:
+        if nu == 0.0 or (w := beta_incomplete(2.0 * nu * nu * y)) == 0.0:
             return 0.0 + 0.0j
         return math.copysign(1.0, nu) * w * \
             cmath.exp(-1j * math.pi * nu * nu * tau) * \
@@ -288,10 +293,11 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     it maps errors (e1, e7) to at most |(e1, e7)|: both components at
     gamma tau, summed to tol |c tau + d|^(1/2), give an error below tol/3
     at tau.  The series is the completion less its Eichler part at tau, a
-    line sum of about Im(tau)^(-1/2) terms.  Every other class, and 1A
-    when gamma is a translation, is summed at tau by _at_point.  The error
-    returned is tol for the completion, and for the series the
-    (propagated) tail estimates, plus the Eichler tail after a pull-back.
+    line sum of about Im(tau)^(-1/2) terms, whose error, if it cannot meet
+    its bound, names tau and tol.  Every other class, and 1A when gamma is
+    a translation, is summed at tau by _at_point.  The error returned is
+    tol for the completion, and for the series the (propagated) tail
+    estimates, plus the Eichler tail after a pull-back.
     """
     rule = component_family(r)
     if rule is None:
@@ -329,7 +335,11 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     if completion:
         return value, tol
     est = math.hypot(*tails) / scale + _eichler_tail(CLASS_1A, tol * 1e-12)
-    return value - _eichler_part(CLASS_1A, r, tau, tol * 1e-12), est
+    try:
+        return value - _eichler_part(CLASS_1A, r, tau, tol * 1e-12), est
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"{exc} (in the Eichler part at tau = {point}, tol {tol})") from None
 
 
 # ----------------------------------------------------------------------
@@ -413,54 +423,43 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
                q2 / (2 * (w2[0] ** 2 + w2[1] ** 2)))
 
 
-def _ring_tail(R0: int, y: float, lam: float) -> float:
-    """Bound on sum_{R >= R0 >= 2} (8R + 4) e^(-a (R-2)^2), a = 2 pi y lam:
-    with t = R - 2 the terms (8t + 20) e^(-a t^2) have ratios
-    (8t + 28)/(8t + 20) e^(-a(2t + 1)) decreasing in t, so the tail is at
-    most its t = R0 - 2 term over 1 - rho, rho that term's ratio."""
-    a = TWO_PI * y * lam
-    d = R0 - 2
-    rho = (8 * d + 28) / (8 * d + 20) * math.exp(-a * (2 * d + 1))
-    if rho >= 1.0:
-        return math.inf
-    return (8 * d + 20) * math.exp(-a * d * d) / (1.0 - rho)
-
-
 def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
               lam: float, tail_bound: float) -> complex:
     """sum_{n in Z^2} weight(n) e(Q(nu) tau + B(nu, b)) with nu = a + n,
     summed over expanding square rings.
 
-    The caller's lam and wmax bound each term on ring R by
-    wmax exp(-2 pi y lam (R-2)^2); the sum stops at the first ring R >= 2
-    past which _ring_tail bounds the remaining rings below tail_bound.
+    The caller's lam and wmax bound the terms of ring R (at most 8R + 4)
+    by wmax e^(-a t^2), t = R - 2, a = 2 pi y lam; as the ratios of
+    (8t + 20) e^(-a t^2) decrease in t, the rings past R >= 2 add at most
+    wmax times the t = R - 1 term over 1 - rho, rho its ratio.  The rings
+    up to the first R <= 801 where that is below tail_bound are added.
     """
-    y = tau.imag
+    a = TWO_PI * tau.imag * lam
+
+    def rest(R):
+        d = max(R - 1, 0)     # t of ring R + 1; no exp(a) at R = 0
+        rho = (8 * d + 28) / (8 * d + 20) * math.exp(-a * (2 * d + 1))
+        if R < 2 or rho >= 1.0:
+            return math.inf
+        return wmax * ((8 * d + 20) * math.exp(-a * d * d) / (1.0 - rho))
+
     (a00, a01), (_, a11) = data.A
     a0, a1 = data.a[0] / DEN, data.a[1] / DEN
     ab0, ab1 = (x / DEN for x in data.a_times(data.b))
     total = 0.0 + 0.0j
-    R = 0
-    while True:
-        if R == 0:
-            pts = [(0, 0)]
-        else:
-            pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
-            pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
-        for n1, n2 in pts:
+    for R in range(_shells_needed(rest, tail_bound, 801, "ring sum") + 1):
+        pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
+        pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
+        for n1, n2 in pts if R else [(0, 0)]:
             w = weight(n1, n2)
             if w == 0.0:
                 continue
             nu0, nu1 = a0 + n1, a1 + n2
             qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
                          + a11 * nu1 * nu1)
-            total += w * cmath.exp(2j * math.pi * (qnu * tau + nu0 * ab0
-                                                   + nu1 * ab1))
-        if R >= 2 and wmax * _ring_tail(R + 1, y, lam) < tail_bound:
-            return total
-        if R > 800:
-            raise ConvergenceError("theta ring sum tail bound not met")
-        R += 1
+            total += w * cmath.exp(TWO_PI_I * (qnu * tau + nu0 * ab0
+                                               + nu1 * ab1))
+    return total
 
 
 def _wall_coordinate(data: IndefThetaData, c, y: float):
@@ -468,12 +467,12 @@ def _wall_coordinate(data: IndefThetaData, c, y: float):
     that E(B(c,nu) sqrt(y)/sqrt(-Q(c))) = erf(x).  B(c, nu) is formed from
     an integer numerator, so x is exactly 0 on the wall B(c, nu) = 0.
     """
-    ac = data.a_times(c)
+    ac0, ac1 = data.a_times(c)
     bca = data.b_of(c, data.a)
     g = math.gcd(bca, DEN)
     p, d = bca // g, DEN // g
     k = SQRT_PI * math.sqrt(y / (-data.b_of(c, c) / 2)) / d
-    return lambda n1, n2: k * (p + d * (ac[0] * n1 + ac[1] * n2))
+    return lambda n1, n2: k * (p + d * (ac0 * n1 + ac1 * n2))
 
 
 def indefinite_theta(data: IndefThetaData, tau: complex,

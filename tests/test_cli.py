@@ -306,6 +306,17 @@ def test_eval_direct_summation_error_names_the_tau_given(capsys,
                    "a double\n")
 
 
+def test_eval_eichler_part_error_names_the_tau_and_tol(capsys):
+    # pulled back from F, the series is the completion less its Eichler
+    # part at tau; at Im tau = 1e-12 that line sum cannot meet its bound
+    # within its cap, and says so before summing a term
+    code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "7",
+                             "--tau=0.123456789+1e-12i")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "tau = (0.123456789+1e-12j)" in err and "tol 1e-09" in err
+
+
 def test_closed_stdout_ends_quietly():
     # a reader that closes the pipe before the table is written (as
     # `| head -2` may) gets no traceback on stderr

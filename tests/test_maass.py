@@ -8,8 +8,10 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
+from e8umbral import maass
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
-from e8umbral.maass import (SQRT_PI, IndefThetaData, NumericsError,
+from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
+                            NumericsError,
                             _at_point, _eichler_part, _line_sum, _mat_mul,
                             _pd_lambda_min, _ring_sum, _wall_coordinate,
                             _wedge_lambda_min,
@@ -19,7 +21,8 @@ from e8umbral.maass import (SQRT_PI, IndefThetaData, NumericsError,
                             r_function, rho_3_3, series_value,
                             tau1_identity_check, transform_check)
 from e8umbral.qseries import DEN, _num
-from oracles import g_value, multiplier_by_tokens, shadow
+from oracles import (g_value, line_sum_loop, multiplier_by_tokens,
+                     ring_sum_loop, shadow)
 
 import numpy as np
 
@@ -207,6 +210,69 @@ def test_indefinite_theta_stability_and_antisymmetry():
     assert abs(v1 - v2) < 1e-8
     swapped = IndefThetaData(data.A, data.a, data.b, data.c2, data.c1)
     assert abs(indefinite_theta(swapped, tau, 1e-12) + v2) < 1e-11
+
+
+def _outcome(summer, *args):
+    """The value of a summer, or None if it could not meet its bound."""
+    try:
+        return summer(*args)
+    except RuntimeError:         # ConvergenceError, or the old loops' error
+        return None
+
+
+def _counting(f):
+    """(g, calls): g calls f and records its arguments in calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    return counted, calls
+
+
+def test_summers_match_their_old_loops_bit_for_bit(monkeypatch):
+    """_line_sum and _ring_sum fix their length before the first term; on
+    r_function's and indefinite_theta's own terms they give, by ==, what
+    the loops that tested the tail after each shell gave."""
+    rng = random.Random(26)
+    spy, lines = _counting(_line_sum)       # r_function's calls, recorded
+    monkeypatch.setattr(maass, "_line_sum", spy)
+    for i in range(200):
+        k = rng.randrange(-180, 181)
+        a = k / 60 if i % 2 else F(k, 60)          # x0 on the grid 1/60
+        tau = complex(rng.uniform(-1, 1), 0.005 * 1000 ** rng.random())
+        _outcome(r_function, a, rng.uniform(-1, 1), tau,
+                 1e-15 * 1e9 ** rng.random())       # [1e-15, 1e-6]
+    assert len(lines) == 200
+    for args in lines:
+        assert _outcome(_line_sum, *args) == _outcome(line_sum_loop, *args)
+    spy, rings = _counting(_ring_sum)
+    monkeypatch.setattr(maass, "_ring_sum", spy)
+    for _ in range(50):
+        data = _random_cone_data(rng)._replace(
+            a=(rng.randrange(120), rng.randrange(120)),
+            b=(rng.randrange(-120, 121), rng.randrange(-120, 121)))
+        tau = complex(rng.uniform(-1, 1), 0.05 * 40 ** rng.random())
+        _outcome(indefinite_theta, data, tau, 1e-12 * 1e6 ** rng.random())
+    assert len(rings) == 50
+    for args in rings:
+        assert _outcome(_ring_sum, *args) == _outcome(ring_sum_loop, *args)
+
+
+def test_a_sum_that_cannot_meet_its_bound_evaluates_nothing():
+    term, terms = _counting(lambda x: 0j)
+    with pytest.raises(ConvergenceError,
+                       match=r"line sum tail bound 1e-21 .*shell 20000"):
+        _line_sum(term, 0.1, 1.0, 1e-12, 1e-21)
+    assert terms == []
+    data = order2_theta_data(1)
+    weight, weights = _counting(lambda n1, n2: 1.0)
+    with pytest.raises(ConvergenceError,
+                       match=r"ring sum tail bound 1e-10 .*shell 801"):
+        _ring_sum(data, 0.1 + 1e-9j, weight, 2.0, _wedge_lambda_min(data),
+                  1e-10)
+    assert weights == []
 
 
 def test_completion_identity_both_components():
