@@ -22,8 +22,11 @@ Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
 1A pair (H_1, H_7), a weight-1/2 form on all of SL2(Z), into the
 fundamental domain in exact integers, sums the completion there at a
-40-term order, and pulls it back through the multiplier nu, whose T^n
-factors are one diagonal each.  Every other value is summed by _at_point
+40-term order, and pulls it back through the multiplier nu.
+multiplier_matrix builds nu(gamma) in one Euclid pass over gamma, in
+O(log |c|) steps of one nu(T^n) diagonal and one nu(S) each, carrying
+Kubota's sign as an int; the tests check it against the Weil
+representation's Gauss sums.  Every other value is summed by _at_point
 at the point it is given, and so are completion_value and the checks
 (transform_check, tau1_identity_check), so a check stays independent of
 the route it checks.
@@ -207,23 +210,22 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
 
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
-                  tail_bound: float) -> complex:
-    """sign chi sum_{s in family(r)} R_{s/60,0}(60 tau), each R-sum with a
-    certified tail below tail_bound: the Eichler integral of the shadow
-    sign chi sum_s S_{30,s}, scaled by 1/sqrt(60).  Its term c_n q^n
+                  tol: float) -> tuple[complex, float]:
+    """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau),
+    summed with Re tau reduced mod 120 (n in Z/120).  Each R-sum has a
+    certified tail below tol * 1e-12, so the bound is that tail times the
+    family size, times |chi|.  This is the Eichler integral of the shadow
+    sign chi sum_s S_{30,s}, scaled by 1/sqrt(60): its term c_n q^n
     (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
-    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau), at tau
-    with Re tau already reduced mod 120."""
+    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
     family, sign = component_family(r)
+    members = FAMILY_1 if family == 1 else FAMILY_7
+    tail_bound = tol * 1e-12
+    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
-                for s in (FAMILY_1 if family == 1 else FAMILY_7))
-    return sign * group_class.perm_character * total
-
-
-def _eichler_tail(group_class: GroupClass, tail_bound: float) -> float:
-    """Bound on the error of _eichler_part at R-sum tails tail_bound: one
-    tail per member of the family, times |chi|."""
-    return group_class.perm_character * len(FAMILY_1) * tail_bound
+                for s in members)
+    return (sign * group_class.perm_character * total,
+            group_class.perm_character * len(members) * tail_bound)
 
 
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
@@ -232,15 +234,14 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     with Re tau reduced mod 120, by series_value for the series (whose
     errors name the tau given).  The series is summed by _sum_to_tol to a
     tail estimate below tol, or below tol/5 for the completion, which adds
-    the certified Eichler part (R-sum tails below tol * 1e-12); est is the
-    tail estimate, plus the Eichler tail for the completion."""
+    the certified Eichler part; est is the tail estimate, plus the Eichler
+    part's bound for the completion."""
     value, tail = _sum_to_tol(lambda n: h_component(group_class, r, n), tau,
                               tol, tol / 5.0 if completion else tol)
     if not completion or group_class.perm_character == 0:
         return value, tail    # zero shadow: completion equals the series
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)  # n in Z/120
-    return (value + _eichler_part(group_class, r, tau, tol * 1e-12),
-            tail + _eichler_tail(group_class, tol * 1e-12))
+    eichler, bound = _eichler_part(group_class, r, tau, tol)
+    return value + eichler, tail + bound
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
@@ -297,7 +298,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     its bound, names tau and tol.  Every other class, and 1A when gamma is
     a translation, is summed at tau by _at_point.  The error returned is
     tol for the completion, and for the series the (propagated) tail
-    estimates, plus the Eichler tail after a pull-back.
+    estimates, plus the Eichler part's bound after a pull-back.
     """
     rule = component_family(r)
     if rule is None:
@@ -334,12 +335,12 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         raise NumericsError(f"the value at tau = {point} overflows a double")
     if completion:
         return value, tol
-    est = math.hypot(*tails) / scale + _eichler_tail(CLASS_1A, tol * 1e-12)
     try:
-        return value - _eichler_part(CLASS_1A, r, tau, tol * 1e-12), est
+        eichler, bound = _eichler_part(CLASS_1A, r, tau, tol)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"{exc} (in the Eichler part at tau = {point}, tol {tol})") from None
+    return value - eichler, math.hypot(*tails) / scale + bound
 
 
 # ----------------------------------------------------------------------
@@ -565,34 +566,6 @@ def nu_S() -> tuple:
     return ((p, q), (q, -p))
 
 
-def _sl2_word(gamma) -> tuple[list, int]:
-    """Decompose gamma in SL2(Z) into tokens, 'S' or an integer n standing
-    for T^n, composing left-to-right to gamma, with the sign by which the
-    product of the generator lifts differs from Kubota's section at gamma.
-
-    At gamma = T^n S gamma' the sign picks up Kubota's cocycle
-    sigma(S, gamma') = -1 exactly when x(gamma') > 0 > c, where x(g) is the
-    lower-left entry of g, or its lower-right entry when that is 0; a T^n
-    on the left contributes 1.  The base case S^2 T^(-b) = -T^(-b) lifts to
-    -1 times the section, whose square root of d = -1 is -i.
-    """
-    (a, b), (c, d) = gamma
-    if a * d - b * c != 1:
-        raise NumericsError("matrix must have determinant 1")
-    word, sign = [], 1
-    while c != 0:
-        n = a // c
-        c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
-        if (c2 or d2) > 0 > c:
-            sign = -sign
-        word += [n, "S"]
-        (a, b), (c, d) = (c, d), (c2, d2)
-    if a == 1:
-        return word + [b], sign
-    # a = d = -1: the rest is S^2 T^(-b)
-    return word + ["S", "S", -b], -sign
-
-
 def _mat_mul(p, q):
     return ((p[0][0] * q[0][0] + p[0][1] * q[1][0],
              p[0][0] * q[0][1] + p[0][1] * q[1][1]),
@@ -603,24 +576,39 @@ def _mat_mul(p, q):
 def multiplier_matrix(gamma) -> tuple:
     """nu(gamma) for the metaplectic lift of gamma carrying the principal
     branch of (c tau + d)^(1/2), as the tuple ((a, b), (c, d)) of complex
-    numbers.
+    numbers; gamma must have int entries and determinant 1.
 
-    The product of nu over the S, T^n word of gamma is the multiplier of
-    the product of the generator lifts; its sign against the principal
-    branch is Kubota's integer cocycle, from _sl2_word, flipped once more
-    when c = 0 > d, where Kubota's section takes sqrt(d) = -i sqrt(|d|)
-    and the principal branch +i sqrt(|d|).  The sign is the image of the
-    nontrivial deck element, consistent with nu(S)^2 = (nu(S) nu(T))^3 =
-    e(-1/4) Id.  A power T^n costs one diagonal factor, nu_T(n).
+    One Euclid pass writes gamma = T^n S gamma' and multiplies nu(T^n)
+    nu(S) onto the product, a power T^n costing one diagonal, nu_T(n).
+    The product is the multiplier of the product of the generator lifts;
+    its sign against the principal branch is Kubota's integer cocycle:
+    sigma(S, gamma') = -1 exactly when x(gamma') > 0 > c, where x(g) is
+    the lower-left entry of g, or its lower-right entry when that is 0.
+    The base case S^2 T^(-b) = -T^(-b) (a = d = -1) lifts to -1 times
+    Kubota's section, and c = 0 > d flips once more, as that section takes
+    sqrt(d) = -i sqrt(|d|) and the principal branch +i sqrt(|d|).  The
+    sign is the image of the nontrivial deck element, consistent with
+    nu(S)^2 = (nu(S) nu(T))^3 = e(-1/4) Id.
     """
-    word, sign = _sl2_word(gamma)
-    c, d = gamma[1]
-    if c == 0 > d:
-        sign = -sign
-    prod = ((float(sign), 0j), (0j, float(sign)))
-    for tok in word:
-        prod = _mat_mul(prod, nu_S() if tok == "S" else nu_T(tok))
-    return prod
+    for x in (*gamma[0], *gamma[1]):
+        if type(x) is not int:
+            raise NumericsError(f"entry {x!r} of gamma is not an int")
+    (a, b), (c, d) = gamma
+    if a * d - b * c != 1:
+        raise NumericsError("matrix must have determinant 1")
+    sign = -1 if c == 0 > d else 1
+    prod, s = ((1.0, 0j), (0j, 1.0)), nu_S()
+    while c != 0:
+        n = a // c
+        c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
+        if (c2 or d2) > 0 > c:
+            sign = -sign
+        prod = _mat_mul(_mat_mul(prod, nu_T(n)), s)
+        (a, b), (c, d) = (c, d), (c2, d2)
+    if a == -1:
+        prod, b, sign = _mat_mul(_mat_mul(prod, s), s), -b, -sign
+    prod = _mat_mul(prod, nu_T(b))
+    return prod if sign > 0 else tuple(tuple(-x for x in row) for row in prod)
 
 
 def rho_3_3(gamma) -> complex:
@@ -638,17 +626,15 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
 
         (c tau + d)^(-1/2) H(gamma tau) = nu(gamma) H(tau)
 
-    with nu generated from nu(T), nu(S) by word decomposition, times the
+    with nu from multiplier_matrix (which checks gamma), times the
     e(cd/9) phase for the order-3 class.  gamma must lie in
     Gamma_0(order).
     """
+    nu = multiplier_matrix(gamma)
     (a, b), (c, d) = gamma
-    if a * d - b * c != 1:
-        raise NumericsError("matrix must have determinant 1")
     if c % group_class.order != 0:
         raise NumericsError(
             f"gamma is not in Gamma_0({group_class.order})")
-    nu = multiplier_matrix(gamma)
     # in this orientation of the law the order-3 scalar enters
     # conjugated; the T and Gamma_0(3) generator checks pin it down
     phase = rho_3_3(gamma).conjugate() if group_class.order == 3 else 1.0

@@ -1,5 +1,6 @@
 """Independent brute-force oracles for the exact-series, shadow and
-multiplier tests, and the certified summers as they were first written.
+multiplier tests (a word product, and the Weil representation's Gauss
+sums), and the certified summers as they were first written.
 
 Deliberately self-contained: plain dict polynomials over Fraction, plain
 2x2 tuples and plain loops of complex exponentials, with no imports from
@@ -323,6 +324,47 @@ def multiplier_by_tokens(gamma) -> tuple:
     for tok in tokens:
         prod = _mul2(prod, gen[tok])
     return prod
+
+
+def _e_ratio(num: int, den: int) -> complex:
+    """e(num/den), the numerator reduced mod den in integers first."""
+    return cmath.exp(2j * math.pi * ((num % den) / den))
+
+
+def multiplier_by_weil(gamma) -> tuple:
+    """nu(gamma) as the conjugate of the Weil representation carried by
+    the unary thetas S_{30,s} of the shadow (Eichler-Zagier, The Theory of
+    Jacobi Forms, section 5), with no word, generator or cocycle.
+
+    For c > 0 the theta theta_{30,s} transforms under gamma by the Gauss
+    sum U_{r,s} = e(-1/8)/sqrt(60c) sum_{n = r mod 60, 0 <= n < 60c}
+    e((a n^2 - 2 n s + d s^2)/(120c)), and S_{30,s} is odd in s, so
+    nu_ij = sum_{s in F_j} [conj U_{r_i,s} - conj U_{r_i,-s mod 60}] with
+    r = (1, 7), F_1 = {1, 11, 19, 29} and F_2 = {7, 13, 17, 23}.  For
+    c < 0, nu(gamma) = i nu(-gamma), the principal root of c tau + d being
+    i times that of -(c tau + d).  For c = 0, gamma = d T^(bd) with
+    d = +-1, and nu is the T-power's diagonal (e(-bd/120), e(-49bd/120)),
+    times -i when d = -1 (the principal root of -1).  Every exponent is
+    reduced mod its denominator in integers before it is divided."""
+    (a, b), (c, d) = gamma
+    if c < 0:
+        return tuple(tuple(1j * x for x in row)
+                     for row in multiplier_by_weil(((-a, -b), (-c, -d))))
+    if c == 0:
+        k = 1.0 if d == 1 else -1j
+        return ((k * _e_ratio(-b * d, 120), 0j),
+                (0j, k * _e_ratio(-49 * b * d, 120)))
+    m = 120 * c
+    pre = _e_ratio(-1, 8) / math.sqrt(60 * c)
+
+    def u(r, s):
+        return pre * sum(_e_ratio(a * n * n - 2 * n * s + d * s * s, m)
+                         for n in range(r, 60 * c, 60))
+
+    families = ((1, 11, 19, 29), (7, 13, 17, 23))
+    return tuple(tuple(sum(u(r, s).conjugate() - u(r, -s % 60).conjugate()
+                           for s in family) for family in families)
+                 for r in (1, 7))
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             tau1_identity_check, transform_check)
 from e8umbral.qseries import DEN, _num
 from oracles import (g_value, line_sum_loop, multiplier_by_tokens,
-                     ring_sum_loop, shadow)
+                     multiplier_by_weil, ring_sum_loop, shadow)
 
 import numpy as np
 
@@ -470,6 +470,59 @@ def test_multiplier_matches_token_product():
             < 1e-13
 
 
+def _random_gamma(rng, c_max):
+    """A seeded gamma in SL2(Z) with 0 < |c| <= c_max, or c = 0 with
+    d = +-1 and |b| < 10^6; both signs of c and d come up."""
+    while True:
+        c = rng.randint(-c_max, c_max)
+        d = rng.randint(-c_max - 5, c_max + 5)
+        if math.gcd(c, d) != 1:
+            continue
+        if c == 0:
+            return ((d, rng.randrange(-10 ** 6, 10 ** 6)), (0, d))
+        a = pow(d, -1, abs(c)) + abs(c) * rng.randrange(-3, 4)
+        return ((a, (a * d - 1) // c), (c, d))
+
+
+def test_multiplier_matches_weil_representation():
+    # nu from the Euclid pass against the conjugate Weil representation of
+    # the shadow's unary thetas (tests/oracles.py), which shares no word,
+    # generator matrix or cocycle with it: 1501 seeded gamma with |c| <= 60,
+    # 6 with 10^3 <= |c| <= 10^4, and +-I, -T^m, S and S^-1
+    rng = random.Random(7)
+    gammas = [_random_gamma(rng, 60) for _ in range(1501)]
+    assert {g[1][0] > 0 for g in gammas} == {g[1][0] < 0 for g in gammas} \
+        == {True, False}
+    for c_max in (10 ** 3, 2 * 10 ** 3, 3 * 10 ** 3, 5 * 10 ** 3, 10 ** 4,
+                  10 ** 4):
+        g = _random_gamma(rng, c_max)
+        while not 10 ** 3 <= abs(g[1][0]) <= 10 ** 4:
+            g = _random_gamma(rng, c_max)
+        gammas.append(g)
+    gammas += [((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)),
+               ((0, 1), (-1, 0))]
+    gammas += [((-1, -m), (0, -1)) for m in (-121, -3, 1, 4, 119, 10 ** 6)]
+    for g in gammas:
+        got = np.array(multiplier_matrix(g))
+        assert np.abs(got - np.array(multiplier_by_weil(g))).max() < 1e-12, g
+
+
+def test_multiplier_rejects_non_int_entries():
+    # gamma is checked once, in multiplier_matrix, for int entries before
+    # its determinant; transform_check relies on that check
+    half = ((1, 0), (0.5, 1))
+    with pytest.raises(NumericsError, match="entry 0.5 of gamma is not an int"):
+        multiplier_matrix(half)
+    with pytest.raises(NumericsError, match="entry 0.5 of gamma is not an int"):
+        transform_check(CLASS_1A, half, 0.2 + 1.1j)
+    with pytest.raises(NumericsError, match="entry True of gamma"):
+        multiplier_matrix(((True, 0), (0, 1)))
+    for check in (multiplier_matrix,
+                  lambda g: transform_check(CLASS_1A, g, 0.2 + 1.1j)):
+        with pytest.raises(NumericsError, match="determinant 1"):
+            check(((1, 1), (1, 1)))
+
+
 def test_modular_value_band_matches_direct_summation():
     # at 20 seeded points per component with Im tau in [0.02, 0.1] the
     # pull-back from F agrees with summing at tau itself.  The completed
@@ -480,7 +533,7 @@ def test_modular_value_band_matches_direct_summation():
         for _ in range(20):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.02, 0.1))
             series, _ = _at_point(CLASS_1A, r, tau, 1e-12, False)
-            eichler = _eichler_part(CLASS_1A, r, tau, 1e-24)
+            eichler = _eichler_part(CLASS_1A, r, tau, 1e-12)[0]
             got, _ = h_value(CLASS_1A, r, tau, 1e-12, False)
             assert abs(got - series) < 1e-12 * abs(series), (r, tau)
             got, _ = h_value(CLASS_1A, r, tau, 1e-12, True)
