@@ -16,7 +16,8 @@ refuses to report values it cannot back; ``_sum_to_tol`` sums each
 series (H_r, eta(2 tau)) once, at the order ``_eval_order`` gives for its
 tolerance (at most 800), and raises ConvergenceError when the tail
 estimate misses the budget there, or NumericsError when the tolerance is
-below the double precision of the value.
+below the double precision of the value.  Each error gives a bare reason:
+h_value adds the tol and the tau asked for, and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
@@ -92,13 +93,13 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
 
     Returns (value, tail_estimate).  The sum runs at tau with Re tau
     reduced mod 120, which changes no term (every exponent is on the grid
-    1/120); an error names the tau given.  The tail estimate extrapolates
-    the measured coefficient growth geometrically past the truncation
-    order; it is empirical, not a proof, and callers compare it against
-    their tolerance before trusting the value.
+    1/120); its overflow error names no tau, as h_value adds it.  The tail
+    estimate extrapolates the measured coefficient growth geometrically
+    past the truncation order; it is empirical, not a proof, and callers
+    compare it against their tolerance before trusting the value.
     """
     y = _im_upper(tau)
-    point, tau = tau, complex(math.fmod(tau.real, 120.0), y)
+    tau = complex(math.fmod(tau.real, 120.0), y)
     items = series.items()
     total = 0.0 + 0.0j
     try:
@@ -107,7 +108,7 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     except OverflowError:
         total = complex(math.inf)
     if not cmath.isfinite(total):
-        raise NumericsError(f"the value at tau = {point} overflows a double")
+        raise NumericsError("the value overflows a double")
     absq = math.exp(-TWO_PI * y)
     if series.top == math.inf:
         return total, 0.0
@@ -139,15 +140,14 @@ def _sum_to_tol(series_of_order, tau: complex, tol: float,
     """(value, tail estimate < budget) of series_of_order(n) at tau,
     summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
     tail estimate misses the budget there, NumericsError if tol is below
-    the double precision of the value."""
+    the double precision of the value; the caller names tol and tau."""
     y = _im_upper(tau)
     value, tail = series_value(series_of_order(_eval_order(y, tol)), tau)
     if not tail < budget:
-        raise ConvergenceError(
-            f"series truncation insufficient for tol {tol} at Im {y}")
+        raise ConvergenceError(f"series truncation insufficient at Im {y}")
     if tol < sys.float_info.epsilon * abs(value):
-        raise NumericsError(f"tol {tol} is below double precision at a "
-                            f"value of size {abs(value):.1e}")
+        raise NumericsError(f"below double precision at a value of size "
+                            f"{abs(value):.1e}")
     return value, tail
 
 
@@ -231,11 +231,10 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    with Re tau reduced mod 120, by series_value for the series (whose
-    errors name the tau given).  The series is summed by _sum_to_tol to a
+    with Re tau reduced mod 120.  The series is summed by _sum_to_tol to a
     tail estimate below tol, or below tol/5 for the completion, which adds
     the certified Eichler part; est is the tail estimate, plus the Eichler
-    part's bound for the completion."""
+    part's bound for the completion; h_value adds tol and tau to errors."""
     value, tail = _sum_to_tol(lambda n: h_component(group_class, r, n), tau,
                               tol, tol / 5.0 if completion else tol)
     if not completion or group_class.perm_character == 0:
@@ -294,11 +293,13 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     it maps errors (e1, e7) to at most |(e1, e7)|: both components at
     gamma tau, summed to tol |c tau + d|^(1/2), give an error below tol/3
     at tau.  The series is the completion less its Eichler part at tau, a
-    line sum of about Im(tau)^(-1/2) terms, whose error, if it cannot meet
-    its bound, names tau and tol.  Every other class, and 1A when gamma is
-    a translation, is summed at tau by _at_point.  The error returned is
-    tol for the completion, and for the series the (propagated) tail
-    estimates, plus the Eichler part's bound after a pull-back.
+    line sum of about Im(tau)^(-1/2) terms.  Every other class, and 1A when
+    gamma is a translation, is summed at tau by _at_point.  The error
+    returned is tol for the completion, and for the series the
+    (propagated) tail estimates, plus the Eichler part's bound after a
+    pull-back.  Past the input checks, an overflow becomes a NumericsError,
+    and every NumericsError is raised again, of the same type, as
+    "<reason> (tol <tol> at tau = <tau>)" with the tol and tau given.
     """
     rule = component_family(r)
     if rule is None:
@@ -306,41 +307,31 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     family, sign = rule
     _im_upper(tau)
     point, tau = tau, complex(math.fmod(tau.real, 120.0), tau.imag)
-    gamma = None
-    if group_class is CLASS_1A:
-        try:
-            gamma, gtau, jac = _to_fundamental_domain(tau)
-        except OverflowError:
-            raise NumericsError(
-                f"the value at tau = {point} overflows a double") from None
-    if gamma is None or gamma[1][0] == 0:
-        value, est = _at_point(group_class, r, point, tol, completion)
-        return value, tol if completion else est
-    scale = math.sqrt(abs(jac))
-    if tol * scale == 0.0:
-        raise NumericsError(f"tol {tol} is below double precision")
     try:
+        if group_class is CLASS_1A:
+            gamma, gtau, jac = _to_fundamental_domain(tau)
+        if group_class is not CLASS_1A or gamma[1][0] == 0:
+            value, est = _at_point(group_class, r, tau, tol, completion)
+            return value, tol if completion else est
+        scale = math.sqrt(abs(jac))
+        if tol * scale == 0.0:
+            raise NumericsError("below double precision")
         hats, tails = zip(*(_at_point(CLASS_1A, s, gtau, tol * scale, True)
                             for s in (1, 7)))
-    except NumericsError as exc:
-        # name the tol that was asked for; F was summed to the scaled one
-        msg = str(exc).replace(f"tol {tol * scale} ", f"tol {tol} ", 1)
-        raise type(exc)(f"{msg} (in F, the image of tau = {point}, at tol "
-                        f"{tol * scale:.1e})") from exc
-    nu = multiplier_matrix(gamma)
-    col = 0 if family == 1 else 1
-    value = sign * (nu[0][col].conjugate() * hats[0]
-                    + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
-    if not cmath.isfinite(value):
-        raise NumericsError(f"the value at tau = {point} overflows a double")
-    if completion:
-        return value, tol
-    try:
+        nu = multiplier_matrix(gamma)
+        col = 0 if family == 1 else 1
+        value = sign * (nu[0][col].conjugate() * hats[0]
+                        + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
+        if not cmath.isfinite(value):
+            raise OverflowError
+        if completion:
+            return value, tol
         eichler, bound = _eichler_part(CLASS_1A, r, tau, tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{exc} (in the Eichler part at tau = {point}, tol {tol})") from None
-    return value - eichler, math.hypot(*tails) / scale + bound
+        return value - eichler, math.hypot(*tails) / scale + bound
+    except (OverflowError, NumericsError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = NumericsError("the value overflows a double")
+        raise type(exc)(f"{exc} (tol {tol} at tau = {point})") from None
 
 
 # ----------------------------------------------------------------------

@@ -288,18 +288,6 @@ class QSeries:
 
     __hash__ = None  # mutable-free but dict-backed; not hashable
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in self.items()[:10]:
-            parts.append(f"{c}" if e == 0 else f"{c}*q^({_rational(e)})")
-        tail = " + ..." if len(self.coeffs) > 10 else ""
-        return " + ".join(parts).replace("+ -", "- ") + tail
-
-    def __repr__(self) -> str:
-        return f"QSeries(order={self.order}, {self})"
-
 
 # ----------------------------------------------------------------------
 # eta quotients

@@ -280,8 +280,10 @@ def test_eval_1a_subnormal_height_exits_3(capsys, tau, completion):
 
 @pytest.mark.parametrize("completion", [False, True])
 @pytest.mark.parametrize("tau,named", [
-    ("1e16+0.001i", "(in F, the image of tau = (1e+16+0.001j), at tol "),
-    ("1e300+5e-324i", "the value at tau = (1e+300+5e-324j) overflows")])
+    ("1e16+0.001i", "below double precision at a value of size 1.1e+23 "
+                    "(tol 1e-09 at tau = (1e+16+0.001j))"),
+    ("1e300+5e-324i", "the value overflows a double "
+                      "(tol 1e-09 at tau = (1e+300+5e-324j))")])
 def test_eval_pull_back_error_names_the_tau_given(capsys, tau, named,
                                                   completion):
     # the pull-back starts from Re tau reduced mod 120 (to 40 and to 0
@@ -290,7 +292,7 @@ def test_eval_pull_back_error_names_the_tau_given(capsys, tau, named,
     code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "1",
                              f"--tau={tau}", *extra)
     assert code == 3 and out == ""
-    assert named in err and len(err.splitlines()) == 1
+    assert err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("group_class", ["1A", "2A", "3A"])
@@ -302,8 +304,8 @@ def test_eval_direct_summation_error_names_the_tau_given(capsys,
     code, out, err = run_cli(capsys, "eval", "--class", group_class, "--r",
                              "1", "--tau=1e16+1e6i")
     assert code == 3 and out == ""
-    assert err == ("error: the value at tau = (1e+16+1000000j) overflows "
-                   "a double\n")
+    assert err == ("error: the value overflows a double "
+                   "(tol 1e-09 at tau = (1e+16+1000000j))\n")
 
 
 def test_eval_eichler_part_error_names_the_tau_and_tol(capsys):
@@ -315,6 +317,64 @@ def test_eval_eichler_part_error_names_the_tau_and_tol(capsys):
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
     assert "tau = (0.123456789+1e-12j)" in err and "tol 1e-09" in err
+
+
+EXIT_3_ARGVS = [
+    "--class 2A --r 1 --tau=0.25+0.001i",
+    "--class 3A --r 7 --completion --tau=0.25+1e-12i",
+    "--class 2A --r 7 --tau=0.1+1e-320i",
+    "--class 1A --r 1 --tau=0.25+20000i",
+    "--class 2A --r 1 --tau=1e16+1e6i",
+    "--class 1A --r 1 --tau=1e300+5e-324i",
+    "--class 1A --r 1 --completion --tau=0.1+1e-320i",
+    "--class 1A --r 1 --tau=0.1+0.5i --tol 1e-300",
+    "--class 1A --r 1 --tau=0.25+0.01i --tol 5e-324",
+    "--class 1A --r 1 --tau=0.25+0.01i --tol 1e-15",
+    "--class 1A --r 7 --tau=0.123456789+1e-12i",
+    "--class 1A --r 1 --completion --tau=1e16+0.001i",
+]
+
+
+@pytest.mark.parametrize("argv", EXIT_3_ARGVS)
+def test_eval_exit_3_line_gives_reason_then_tol_and_tau(capsys, argv):
+    # truncation, overflow (of a series at tau or in F, and of the map to
+    # F), a tol below double precision (at tau, in F, scaled to 0.0) and
+    # the Eichler line sum: each exit-3 line is "error: <reason> (tol <tol>
+    # at tau = <tau>)", with the tol and tau given, as Python prints them
+    args = argv.split()
+    tol = float(args[args.index("--tol") + 1]) if "--tol" in args else 1e-9
+    tau = next(complex(a[len("--tau="):].replace("i", "j")) for a in args
+               if a.startswith("--tau="))
+    code, out, err = run_cli(capsys, "eval", *args)
+    assert code == 3 and out == ""
+    suffix = f" (tol {tol} at tau = {tau})\n"
+    assert err.startswith("error: ") and err.endswith(suffix)
+    reason = err[len("error: "):-len(suffix)]
+    assert reason and "\n" not in reason
+    assert "tol " not in reason and "tau" not in reason
+
+
+def test_verify_numeric_lines_in_process(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    names = [f"completion identity r={r} at tau={tau}" for r in (1, 7)
+             for tau in ("(0.1+0.8j)", "0.5j", "(0.25+0.95j)")]
+    names += [f"transformation {cls} gamma={gamma}" for cls, gamma in [
+        ("1A", "((1, 1), (0, 1))"), ("1A", "((0, -1), (1, 0))"),
+        ("2A", "((1, 1), (0, 1))"), ("2A", "((1, 0), (2, 1))"),
+        ("3A", "((1, 1), (0, 1))"), ("3A", "((1, 0), (3, 1))")]]
+    assert len(lines) == 13 and lines[-1] == "12/12 checks passed"
+    for line, name in zip(lines, names):
+        head, _, res = line.partition(": residual ")
+        assert head == f"[ok]   {name}" and float(res) < 1e-6
+    # a check that cannot reach its tol exits 3 and names the tol that was
+    # given and the check, not the tol/10 that its completions are summed to
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
+                             "--tol", "5e-15")
+    assert code == 3 and out == "" and len(err.splitlines()) == 1
+    assert "(tol 5e-15 in transformation 2A gamma=((1, 0), (2, 1)))" in err
+    assert "5e-16" not in err
 
 
 def test_closed_stdout_ends_quietly():
