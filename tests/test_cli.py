@@ -279,11 +279,19 @@ def test_eval_1a_subnormal_height_exits_3(capsys, tau, completion):
 
 
 @pytest.mark.parametrize("completion", [False, True])
+# the case ids keep the wording of the earlier error lines, so that the
+# test names stay stable
 @pytest.mark.parametrize("tau,named", [
-    ("1e16+0.001i", "below double precision at a value of size 1.1e+23 "
-                    "(tol 1e-09 at tau = (1e+16+0.001j))"),
-    ("1e300+5e-324i", "the value overflows a double "
-                      "(tol 1e-09 at tau = (1e+300+5e-324j))")])
+    pytest.param("1e16+0.001i",
+                 "below double precision at a value of size 1.1e+23 "
+                 "(tol 1e-09 at tau = (1e+16+0.001j))",
+                 id="1e16+0.001i-(in F, the image of tau = (1e+16+0.001j), "
+                    "at tol "),
+    pytest.param("1e300+5e-324i",
+                 "the value overflows a double "
+                 "(tol 1e-09 at tau = (1e+300+5e-324j))",
+                 id="1e300+5e-324i-the value at tau = (1e+300+5e-324j) "
+                    "overflows")])
 def test_eval_pull_back_error_names_the_tau_given(capsys, tau, named,
                                                   completion):
     # the pull-back starts from Re tau reduced mod 120 (to 40 and to 0
