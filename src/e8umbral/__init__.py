@@ -14,13 +14,12 @@ the tests.
 """
 
 from .qseries import (DEN, DivergenceError, GradingError, QSeries,
-                      SeriesError, TruncationError, dedekind_eta,
-                      eta_quotient)
+                      SeriesError, TruncationError, dedekind_eta)
 from .characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, GroupClass,
                          TraceId, all_trace_ids, h_component,
                          heisenberg_trace, trace_closed, trace_direct)
-from .mocktheta import (IdentityReport, compare_series, hecke_double_sum,
-                        identity_suite, ramanujan_series, zwegers_triple_sum)
+from .mocktheta import (IdentityReport, compare_series, identity_suite,
+                        octant_series, ramanujan_series)
 from .theta import thetanullwerte_class_check
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, h_value,

@@ -5,7 +5,8 @@ Two independent routes compute the same traces:
 
 * ``trace_closed`` evaluates the closed triple/double/single lattice sums
   (one shape per conjugacy class of the S3 symmetry) against the printed
-  eta-quotient prefactors;
+  eta-quotient prefactors, by ``closed_series``, which also builds the
+  Zwegers and Hecke sums of the mock theta identities;
 * ``trace_direct`` pairs the one-fermion and Heisenberg factors with an
   explicit sum over enumerated cone points, applying the character-level
   sign rules of the group action.
@@ -102,11 +103,6 @@ def all_trace_ids() -> list[TraceId]:
 # prefactors
 
 
-# the (k, power) pairs of the printed prefactors q^(-1/12)/(q;q)^2,
-# q^(-1/12)/(q^2;q^2) and q^(-1/12)(q;q)/(q^3;q^3), by class order
-_PRINTED_PREFACTORS = {1: ((1, -2),), 2: ((2, -1),), 3: ((1, 1), (3, -1))}
-
-
 def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
     """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
     the rank-3 boson: one factor (q^L; q^L)^(-1) per cycle of length L."""
@@ -184,12 +180,28 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
                     for v, s in enumerate(acc, lo) if s}, cap, False)
 
 
-# the three class shapes of the closed octant sums, with lin = a * lin_unit
-# and shift 3a^2/40: (gram, lin_unit, signs, negative-octant sign)
+def closed_series(powers, pshift, octant, shift, order) -> QSeries:
+    """q^(pshift/DEN) prod_k (q^k; q^k)_inf^m over the sorted (k, m) pairs
+    powers, times q^(shift/DEN) and the octant_sum of octant = (gram, lin,
+    signs, negative-octant sign, parity), exact to order: every closed
+    form of the exact engine.  The sum runs to order - pshift/DEN and the
+    cached ``_eta`` to order + 1, as the sum's valuation is above -1."""
+    top = _num(order)
+    gram, lin, signs, neg, parity = octant
+    lat = octant_sum(gram, lin, shift, signs, neg, top - pshift, parity)
+    if not powers:
+        return lat._shift(pshift)
+    return (_eta(powers, pshift, top + DEN) * lat).truncate(order)
+
+
+# the class shapes of the closed octant sums, lin = a * unit and shift
+# 3a^2/40: (gram, unit, signs, negative-octant sign, the powers of the
+# prefactor q^(-1/12) times 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3))
 _CLOSED_SHAPES = {
-    1: (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (1, 1, 1), (1, 1, 1), 1),
-    2: (((6, 4), (4, 1)), (2, 1), (1, 1), -1),
-    3: (((15,),), (3,), (1,), 1),
+    1: (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (1, 1, 1), (1, 1, 1), 1,
+        ((1, -2),)),
+    2: (((6, 4), (4, 1)), (2, 1), (1, 1), -1, ((2, -1),)),
+    3: (((15,),), (3,), (1,), 1, ((1, 1), (3, -1))),
 }
 
 
@@ -198,16 +210,12 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The closed lattice-sum expression for one trace function, minus the
     printed prefactor times the octant sum, cached by (trace id, order):
     h_component, the identity suite and the closed-vs-direct check ask for
-    the same traces.  Its prefactor, to order + 1 (the octant sum's
-    valuation is positive), is cached by ``_eta`` for the five cosets."""
-    cls = trace_id.group_class
+    the same traces.  The prefactor's valuation is -1/12 and the octant
+    sum's is positive; ``_eta`` caches the prefactor for the five cosets."""
     a = trace_id.coset_a
-    gram, lin_unit, signs, neg = _CLOSED_SHAPES[cls.order]
-    # to order + 1/12, as the prefactor's valuation is -1/12
-    lat = octant_sum(gram, [a * u for u in lin_unit], 9 * a * a, signs, neg,
-                     _num(order) + 10)
-    prefactor = _eta(_PRINTED_PREFACTORS[cls.order], -10, _num(order) + DEN)
-    return -(prefactor * lat).truncate(order)
+    gram, unit, signs, neg, powers = _CLOSED_SHAPES[trace_id.group_class.order]
+    return -closed_series(powers, -10, (gram, [a * u for u in unit], signs,
+                                        neg, None), 9 * a * a, order)
 
 
 # ----------------------------------------------------------------------

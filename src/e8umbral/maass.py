@@ -27,10 +27,12 @@ fundamental domain in exact integers, sums the completion there at a
 multiplier_matrix builds nu(gamma) in one Euclid pass over gamma, in
 O(log |c|) steps of one nu(T^n) diagonal and one nu(S) each, carrying
 Kubota's sign as an int; the tests check it against the Weil
-representation's Gauss sums.  Every other value is summed by _at_point
-at the point it is given, and so are completion_value and the checks
-(transform_check, tau1_identity_check), so a check stays independent of
-the route it checks.
+representation's Gauss sums.  Its quotient is the nearer one, ties to
+the floor: the floor quotient takes |c| steps on ((-1, 0), (c, -1)), and
+the rounding error grows with the steps.  Every other value is summed by
+_at_point at the point it is given, and so are completion_value and the
+checks (transform_check, tau1_identity_check), so a check stays
+independent of the route it checks.
 """
 
 import cmath
@@ -571,6 +573,8 @@ def multiplier_matrix(gamma) -> tuple:
 
     One Euclid pass writes gamma = T^n S gamma' and multiplies nu(T^n)
     nu(S) onto the product, a power T^n costing one diagonal, nu_T(n).
+    n is a / c rounded to the nearer integer, ties to the floor, so |c|
+    halves per step; the floor quotient takes |c| steps on ((-1, 0), (c, -1)).
     The product is the multiplier of the product of the generator lifts;
     its sign against the principal branch is Kubota's integer cocycle:
     sigma(S, gamma') = -1 exactly when x(gamma') > 0 > c, where x(g) is
@@ -591,6 +595,8 @@ def multiplier_matrix(gamma) -> tuple:
     prod, s = ((1.0, 0j), (0j, 1.0)), nu_S()
     while c != 0:
         n = a // c
+        if 2 * abs(a - n * c) > abs(c):
+            n += 1
         c2, d2 = n * c - a, n * d - b      # the bottom row of gamma'
         if (c2 or d2) > 0 > c:
             sign = -sign

@@ -20,16 +20,17 @@ binomials:
 Multiplying by 1 - s q^k is one pass over the list, dividing by it one
 running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
 (n+1)^2 bound the number of summands, so to order N chi0 and chi1 cost
-O(N^2) integer additions and the other four O(N^1.5).
+O(N^2) integer additions and the other four O(N^1.5).  The Zwegers and
+Hecke-type sums are ``octant_series``: an eta-quotient times an octant
+sum, built by ``closed_series`` as the trace closed forms are.
 """
 
 from collections import namedtuple
 from operator import add
 
-from .characters import (CLASS_1A, CLASS_2A, TraceId, h_component,
-                         octant_sum, trace_closed)
-from .qseries import DEN, INF, QSeries, SeriesError, _num, _series, \
-    eta_quotient
+from .characters import (CLASS_1A, CLASS_2A, TraceId, closed_series,
+                         h_component, trace_closed)
+from .qseries import DEN, INF, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
 # P_(n+1)); a factor (k, s, e) is (1 - s q^k)^e with e = +1 or -1
@@ -85,66 +86,36 @@ def ramanujan_series(name: str, order) -> QSeries:
 # indefinite double and triple sums
 
 
-def zwegers_triple_sum(variant: str, order) -> QSeries:
-    """The triple-sum sides of the chi identities:
-
-    (sum_{k,l,m>=0} + sum_{k,l,m<0}) (-1)^(k+l+m)
-        q^((k^2+l^2+m^2)/2 + 2(kl+lm+mk) + c(k+l+m)/2) / (q;q)_inf^2
-
-    with c = 1 for the chi0 side and c = 3 for the chi1 side.
-    """
-    if variant == "chi0_side":
-        c = 1
-    elif variant == "chi1_side":
-        c = 3
-    else:
-        raise SeriesError(f"unknown variant {variant!r}")
-    lattice_part = octant_sum(((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
-                              (1, 1, 1), 1, _num(order))
-    prefactor = eta_quotient({1: -2}, 0, order + 1)
-    return (prefactor * lattice_part).truncate(order)
-
-
-# variant: (lin, (gram, signs, parity restriction), the powers {k: n} of
-# (q^k; q^k)_inf in the prefactor, none for the empty product) of
-#     (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(signs.(k,m))
-#         q^((k,m).gram.(k,m)/2 + lin.(k,m)/2)
-_RESTRICTED = (((1, 4), (4, 1)), (0, 1), (1, 1))
-_UNRESTRICTED = (((6, 4), (4, 1)), (1, 1), None)
-_ODD_PRODUCT = {1: -1, 2: 1}        # prod_{n>0} (1 + q^n) = (q^2;q^2)/(q;q)
-_DOUBLE_SUM_DATA = {
-    "phi0_lhs": ((1, 3), _RESTRICTED, {1: 1, 2: -2}),
-    "phi1_lhs": ((3, 5), _RESTRICTED, {1: 1, 2: -2}),
-    "cor_lhs_1": ((1, 3), _RESTRICTED, {}),
-    "cor_lhs_7": ((3, 5), _RESTRICTED, {}),
-    "cor_rhs_1": ((2, 1), _UNRESTRICTED, _ODD_PRODUCT),
-    "cor_rhs_7": ((6, 3), _UNRESTRICTED, _ODD_PRODUCT),
+# name: (the (k, m) pairs of prod_k (q^k; q^k)_inf^m, gram, lin, signs,
+# neg, parity) of that product times the octant sum
+#     (sum_{x>=0} + neg sum_{x<0}) (-1)^(signs.x) q^((x.gram.x + lin.x)/2)
+# over parity.x even, if given.  The chi sides 2 - chi0 and chi1 are
+# q^((k^2+l^2+m^2)/2 + 2(kl+lm+mk) + c(k+l+m)/2) / (q;q)_inf^2, c = 1, 3.
+# The Hecke sums (-1)^m q^(k^2/2 + m^2/2 + 4km + alpha k + beta m) over
+# k = m mod 2, (alpha, beta) = (1/2, 3/2), (3/2, 5/2), times (q;q)_inf /
+# (q^2;q^2)_inf^2 are phi0(-q) and -q^-1 phi1(-q), and bare the corollary
+# lhs; its rhs is prod_{n>0} (1 + q^n) = (q^2;q^2)_inf / (q;q)_inf times
+# (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c k + c m/2), c = 1, 3.
+_CUBE = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
+_KM, _K3M = ((1, 4), (4, 1)), ((6, 4), (4, 1))
+_SUMS = {
+    "chi0_side": (((1, -2),), _CUBE, (1, 1, 1), (1, 1, 1), 1, None),
+    "chi1_side": (((1, -2),), _CUBE, (3, 3, 3), (1, 1, 1), 1, None),
+    "phi0_lhs": (((1, 1), (2, -2)), _KM, (1, 3), (0, 1), -1, (1, 1)),
+    "phi1_lhs": (((1, 1), (2, -2)), _KM, (3, 5), (0, 1), -1, (1, 1)),
+    "cor_lhs_1": ((), _KM, (1, 3), (0, 1), -1, (1, 1)),
+    "cor_lhs_7": ((), _KM, (3, 5), (0, 1), -1, (1, 1)),
+    "cor_rhs_1": (((1, -1), (2, 1)), _K3M, (2, 1), (1, 1), -1, None),
+    "cor_rhs_7": (((1, -1), (2, 1)), _K3M, (6, 3), (1, 1), -1, None),
 }
 
 
-def hecke_double_sum(variant: str, order) -> QSeries:
-    """Hecke-type double sums.
-
-    phi0_lhs / phi1_lhs carry the prefactor (q;q)_inf / (q^2;q^2)_inf^2 on
-    the parity-restricted sum
-
-        (sum_{k,m>=0} - sum_{k,m<0})_{k=m mod 2} (-1)^m
-            q^(k^2/2 + m^2/2 + 4km + alpha*k + beta*m)
-
-    with (alpha,beta) = (1/2,3/2) resp. (3/2,5/2); cor_lhs_* are the same
-    sums bare; cor_rhs_* are prod_{n>0}(1+q^n) times the unrestricted sums
-
-        (sum_{k,m>=0} - sum_{k,m<0}) (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c*k + c*m/2)
-
-    with c = 1 resp. 3.
-    """
-    if variant not in _DOUBLE_SUM_DATA:
-        raise SeriesError(f"unknown variant {variant!r}")
-    lin, (gram, signs, parity), powers = _DOUBLE_SUM_DATA[variant]
-    body = octant_sum(gram, lin, 0, signs, -1, _num(order), parity)
-    if not powers:
-        return body
-    return (eta_quotient(powers, 0, order + 1) * body).truncate(order)
+def octant_series(name: str, order) -> QSeries:
+    """One of the eight sums of _SUMS, exact to order."""
+    if name not in _SUMS:
+        raise SeriesError(f"unknown series {name!r}")
+    powers, *octant = _SUMS[name]
+    return closed_series(powers, 0, octant, 0, order)
 
 
 # ----------------------------------------------------------------------
@@ -195,19 +166,19 @@ def identity_suite(order) -> list[IdentityReport]:
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
         ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m_1),
         ("triple sum (chi0 side) = 2 - chi0",
-         zwegers_triple_sum("chi0_side", order), 2 - chi0),
+         octant_series("chi0_side", order), 2 - chi0),
         ("triple sum (chi1 side) = chi1",
-         zwegers_triple_sum("chi1_side", order), chi1),
+         octant_series("chi1_side", order), chi1),
         ("Hecke double sum = phi0(-q)",
-         hecke_double_sum("phi0_lhs", order), phi0m),
+         octant_series("phi0_lhs", order), phi0m),
         ("Hecke double sum = -q^-1 phi1(-q)",
-         hecke_double_sum("phi1_lhs", order), -phi1m_1),
+         octant_series("phi1_lhs", order), -phi1m_1),
         ("corollary double-sum identity (1-family)",
-         hecke_double_sum("cor_lhs_1", order),
-         hecke_double_sum("cor_rhs_1", order)),
+         octant_series("cor_lhs_1", order),
+         octant_series("cor_rhs_1", order)),
         ("corollary double-sum identity (7-family)",
-         hecke_double_sum("cor_lhs_7", order),
-         hecke_double_sum("cor_rhs_7", order)),
+         octant_series("cor_lhs_7", order),
+         octant_series("cor_rhs_7", order)),
         # the trace splitting of the identity class, and its 7-family
         # analogue through F1 and phi1
         ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",

@@ -9,9 +9,10 @@ the package is an integer (graded multiplicities of the E8^3 module, mock
 theta and eta-quotient coefficients), and every exponent lies on the grid
 1/120: the index-30 theta exponents r^2/120, the polar terms q^(-1/120),
 q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the eta exponents
-in 1/24.  Every eta-quotient of the package (eta, the trace, Zwegers and
-Hecke prefactors) is built once per order by the cached ``_eta`` behind
-``eta_quotient``, in place on a dense integer list by passes of Euler's
+in 1/24.  Every eta-quotient of the package (eta, the Heisenberg traces,
+the prefactors ``closed_series`` gives the traces and the Zwegers and
+Hecke sums of ``octant_series``) is built once per order by the cached
+``_eta``, in place on a dense integer list by passes of Euler's
 pentagonal sum: one pass multiplies or divides by one (q^k; q^k)_infinity,
 and no series is ever inverted.
 
@@ -303,7 +304,7 @@ def _eta(powers: tuple, shift: int, top) -> QSeries:
     """eta_quotient with the powers as sorted (k, powers[k]) pairs and
     shift and order as numerators over DEN, cached for every caller: the
     five cosets of a class share a trace prefactor, the three classes
-    share eta(tau), and two mock theta sums share each of their prefactors.
+    share eta(tau), and two octant_series sums share each prefactor.
 
     The product is built on a dense list p of integer coefficients at
     exponents 0..n, n = floor(order - shift), from Euler's pentagonal

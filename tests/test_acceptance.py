@@ -35,8 +35,7 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
 from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             order2_theta_data, tau1_identity_check,
                             transform_check)
-from e8umbral.mocktheta import (hecke_double_sum, ramanujan_series,
-                                zwegers_triple_sum)
+from e8umbral.mocktheta import octant_series, ramanujan_series
 from e8umbral.qseries import QSeries, SeriesError, dedekind_eta, eta_quotient
 from e8umbral.theta import thetanullwerte_class_check
 
@@ -114,9 +113,9 @@ def test_criterion_02_route_equivalence():
 
 def test_criterion_03_triple_sum_identities():
     order = 25
-    assert same_up_to(zwegers_triple_sum("chi0_side", order),
+    assert same_up_to(octant_series("chi0_side", order),
                       2 - ramanujan_series("chi0", order), order)
-    assert same_up_to(zwegers_triple_sum("chi1_side", order),
+    assert same_up_to(octant_series("chi1_side", order),
                       ramanujan_series("chi1", order), order)
     _report("criterion 3: triple-sum identities, order 25, exact")
 
@@ -124,8 +123,8 @@ def test_criterion_03_triple_sum_identities():
 def test_criterion_04_corollary_identities():
     order = 25
     for fam in ("1", "7"):
-        assert same_up_to(hecke_double_sum(f"cor_lhs_{fam}", order),
-                          hecke_double_sum(f"cor_rhs_{fam}", order), order)
+        assert same_up_to(octant_series(f"cor_lhs_{fam}", order),
+                          octant_series(f"cor_rhs_{fam}", order), order)
     _report("criterion 4: corollary double-sum identities, order 25, exact")
 
 
@@ -160,8 +159,8 @@ def test_criterion_06_chi_f_phi_and_hecke():
     phi1m = ramanujan_series("phi1", order + 1).substitute_minus_q()
     assert same_up_to(chi0, F0.scale(2) - phi0m, order)
     assert same_up_to(chi1, F1.scale(2) + phi1m.shift(-1), order)
-    assert same_up_to(hecke_double_sum("phi0_lhs", order), phi0m, order)
-    assert same_up_to(hecke_double_sum("phi1_lhs", order),
+    assert same_up_to(octant_series("phi0_lhs", order), phi0m, order)
+    assert same_up_to(octant_series("phi1_lhs", order),
                       -phi1m.shift(-1), order)
     _report("criterion 6: chi/F/phi and Hecke expansions, order 50, exact")
 

@@ -9,7 +9,7 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  component_family, h_component,
                                  heisenberg_trace, octant_sum, trace_closed,
                                  trace_direct)
-from e8umbral.mocktheta import _DOUBLE_SUM_DATA
+from e8umbral.mocktheta import _SUMS
 from e8umbral.qseries import GradingError, QSeries, SeriesError, dedekind_eta
 
 from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
@@ -211,18 +211,19 @@ def _random_octant_case(seed):
     return gram, lin, shift, signs, rng.choice((1, -1)), cap, parity
 
 
+# the two Zwegers sums of mocktheta._SUMS keep their case ids
+_ZWEGERS_IDS = {"chi0_side": "zwegers c=1", "chi1_side": "zwegers c=3"}
+
 # the negative octant starts at value c = 1.gram.1 - lin.1, which is
 # 15 - 3a for the closed shapes: below 0 at a = 7 and 9, as for 17 of the
 # random shapes
 _OCTANT_CASES = {
     **{f"closed {o} a={a}": (gram, [a * u for u in lin_unit],
                              F(3 * a * a, 40), signs, neg, F(121, 12), None)
-       for o, (gram, lin_unit, signs, neg) in _CLOSED_SHAPES.items()
+       for o, (gram, lin_unit, signs, neg, _) in _CLOSED_SHAPES.items()
        for a in COSET_LABELS},
-    **{name: (gram, lin, 0, signs, -1, F(12), parity)
-       for name, (lin, (gram, signs, parity), _) in _DOUBLE_SUM_DATA.items()},
-    **{f"zwegers c={c}": (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (c, c, c), 0,
-                          (1, 1, 1), 1, F(8), None) for c in (1, 3)},
+    **{_ZWEGERS_IDS.get(name, name): (gram, lin, 0, signs, neg, F(12), parity)
+       for name, (_, gram, lin, signs, neg, parity) in _SUMS.items()},
     **{f"random {seed}": _random_octant_case(seed) for seed in range(30)},
 }
 

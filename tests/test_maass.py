@@ -488,7 +488,8 @@ def test_multiplier_matches_weil_representation():
     # nu from the Euclid pass against the conjugate Weil representation of
     # the shadow's unary thetas (tests/oracles.py), which shares no word,
     # generator matrix or cocycle with it: 1501 seeded gamma with |c| <= 60,
-    # 6 with 10^3 <= |c| <= 10^4, and +-I, -T^m, S and S^-1
+    # 6 with 10^3 <= |c| <= 10^4, +-I, -T^m, S and S^-1, and
+    # ((-1, 0), (2^14, -1)), on which a floor-quotient pass took 2^14 steps
     rng = random.Random(7)
     gammas = [_random_gamma(rng, 60) for _ in range(1501)]
     assert {g[1][0] > 0 for g in gammas} == {g[1][0] < 0 for g in gammas} \
@@ -502,9 +503,38 @@ def test_multiplier_matches_weil_representation():
     gammas += [((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((0, -1), (1, 0)),
                ((0, 1), (-1, 0))]
     gammas += [((-1, -m), (0, -1)) for m in (-121, -3, 1, 4, 119, 10 ** 6)]
+    gammas.append(((-1, 0), (2 ** 14, -1)))
     for g in gammas:
         got = np.array(multiplier_matrix(g))
         assert np.abs(got - np.array(multiplier_by_weil(g))).max() < 1e-12, g
+
+
+def test_multiplier_steps_are_logarithmic(monkeypatch):
+    # the Euclid pass calls nu_T once per step and once for the last T^b:
+    # with the nearer quotient |c| at least halves per step, so at most
+    # floor(log2 |c|) + 2 calls.  The counter raises past that bound, so a
+    # pass in O(|c|) steps fails at once instead of running for long.
+    calls = [0, 0]              # calls so far, the bound
+
+    def counted(n=1):
+        calls[0] += 1
+        if calls[0] > calls[1]:
+            raise AssertionError(f"nu_T called more than {calls[1]} times")
+        return nu_T(n)
+
+    monkeypatch.setattr(maass, "nu_T", counted)
+    rng = random.Random(1412)
+    gammas = [((-1, 0), (2 ** k, -1)) for k in range(63)]
+    while len(gammas) < 63 + 2000:
+        c = rng.randrange(1, 10 ** 6) * rng.choice((-1, 1))
+        d = rng.randrange(-10 ** 6, 10 ** 6)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, abs(c)) - (abs(c) if c < 0 else 0)   # sign of c
+        gammas.append(((a, (a * d - 1) // c), (c, d)))
+    for g in gammas:
+        calls[:] = [0, abs(g[1][0]).bit_length() + 1]
+        multiplier_matrix(g)
 
 
 def test_multiplier_rejects_non_int_entries():

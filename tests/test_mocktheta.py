@@ -3,9 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.mocktheta import (compare_series, hecke_double_sum,
-                                identity_suite, ramanujan_series,
-                                zwegers_triple_sum)
+from e8umbral.mocktheta import (compare_series, identity_suite,
+                                octant_series, ramanujan_series)
 from e8umbral.qseries import QSeries, SeriesError
 
 from oracles import ramanujan_oracle, same_up_to
@@ -75,40 +74,38 @@ def test_unknown_name_rejected():
     with pytest.raises(SeriesError):
         ramanujan_series("chi2", 5)
     with pytest.raises(SeriesError):
-        zwegers_triple_sum("nope", 5)
-    with pytest.raises(SeriesError):
-        hecke_double_sum("nope", 5)
+        octant_series("nope", 5)
 
 
 def test_triple_sum_constant_terms():
-    chi0_side = zwegers_triple_sum("chi0_side", 10)
+    chi0_side = octant_series("chi0_side", 10)
     assert chi0_side.coefficient(0) == 1        # chi0(0) = 1, so 2 - 1
-    chi1_side = zwegers_triple_sum("chi1_side", 10)
+    chi1_side = octant_series("chi1_side", 10)
     assert chi1_side.coefficient(0) == 1
 
 
 def test_triple_sums_match_chi():
     order = 20
-    assert same_up_to(zwegers_triple_sum("chi0_side", order),
+    assert same_up_to(octant_series("chi0_side", order),
                       2 - ramanujan_series("chi0", order), order)
-    assert same_up_to(zwegers_triple_sum("chi1_side", order),
+    assert same_up_to(octant_series("chi1_side", order),
                       ramanujan_series("chi1", order), order)
 
 
 def test_hecke_sums_match_phi():
     order = 20
     phi0m = ramanujan_series("phi0", order).substitute_minus_q()
-    assert same_up_to(hecke_double_sum("phi0_lhs", order), phi0m, order)
+    assert same_up_to(octant_series("phi0_lhs", order), phi0m, order)
     phi1m = ramanujan_series("phi1", order + 1).substitute_minus_q()
-    assert same_up_to(hecke_double_sum("phi1_lhs", order),
+    assert same_up_to(octant_series("phi1_lhs", order),
                       -phi1m.shift(-1), order)
 
 
 def test_corollary_identities():
     order = 20
     for fam in ("1", "7"):
-        lhs = hecke_double_sum(f"cor_lhs_{fam}", order)
-        rhs = hecke_double_sum(f"cor_rhs_{fam}", order)
+        lhs = octant_series(f"cor_lhs_{fam}", order)
+        rhs = octant_series(f"cor_rhs_{fam}", order)
         assert same_up_to(lhs, rhs, order)
 
 
