@@ -123,22 +123,29 @@ def octant_series(name: str, order) -> QSeries:
 
 
 class IdentityReport(namedtuple("IdentityReport",
-                                "name order first_discrepancy")):
-    """A named identity checked to an order; first_discrepancy is the
-    (exponent, lhs, rhs) of its first failure, or None."""
+                                "name order first_discrepancy residual tol",
+                                defaults=(None, None))):
+    """The verdict of a named check: exact, to an order or None, with the
+    (exponent, lhs, rhs) of its first discrepancy or None; or numeric, a
+    residual that passes below tol (a NaN fails).  str is its verify line."""
 
     __slots__ = ()
 
     @property
     def verified(self) -> bool:
-        return self.first_discrepancy is None
+        return (self.first_discrepancy is None if self.residual is None
+                else self.residual < self.tol)
 
     def __str__(self) -> str:
-        if self.verified:
-            return f"[ok]   {self.name}  (order {self.order})"
-        e, a, b = self.first_discrepancy
-        return (f"[FAIL] {self.name}  first discrepancy at q^({e}): "
-                f"{a} vs {b}")
+        if self.residual is not None:
+            detail = f": residual {self.residual:.3e}"
+        elif not self.verified:
+            detail = (" first discrepancy at q^({}): {} vs {}"
+                      .format(*self.first_discrepancy))
+        else:
+            detail = "" if self.order is None else f"  (order {self.order})"
+        mark = "[ok]  " if self.verified else "[FAIL]"
+        return f"{mark} {self.name}{detail}"
 
 
 def compare_series(name: str, lhs: QSeries, rhs: QSeries,

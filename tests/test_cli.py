@@ -19,6 +19,7 @@ from e8umbral.characters import (CLASS_2A, TraceId, _direct_prefactor,
                                  trace_closed)
 from e8umbral.cli import main
 from e8umbral.lattice import _positive_branch
+from e8umbral.mocktheta import IdentityReport
 from e8umbral.qseries import QSeries, _eta
 
 
@@ -108,7 +109,7 @@ GOLDEN_STDOUT = {
     ("table", "--component", "1", "--max-row", "4559", "--format", "json"):
         "52e103ef63e3b1d49f69dda9296d892f38719968c4bd79abb4f9e46c8e76165f",
     ("verify", "--suite", "exact", "--order", "250"):
-        "eb45abd2b48dc529300613095507e155d911e34c544107fceeeda88166914a75",
+        "4718daa6e544630bd9e5d36353509766f7a66f9e4102c4fd1e8ec19b59b83dc6",
 }
 
 
@@ -166,9 +167,9 @@ def test_verify_corrupt_hook_fails(capsys):
     assert "[FAIL]" in out
 
 
-def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
-    # one coefficient of the direct route off by one: exactly one failed
-    # check, naming the trace id and the exponent plainly
+def corrupt_trace_direct(monkeypatch):
+    """Add one to the first coefficient of the direct route of 2A a=3;
+    return the exponent numerator and the coefficient at order 8."""
     real = cli.trace_direct
     bad_id = TraceId(CLASS_2A, 3)
 
@@ -180,7 +181,14 @@ def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
         return d + QSeries({e: 1}, d.order)
 
     monkeypatch.setattr(cli, "trace_direct", corrupted)
-    e = min(real(bad_id, 8).coeffs)
+    d = real(bad_id, 8).coeffs
+    return min(d), d[min(d)]
+
+
+def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
+    # one coefficient of the direct route off by one: exactly one failed
+    # check, naming the trace id and the exponent plainly
+    e, _ = corrupt_trace_direct(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
                            "--order", "8")
     assert code == 1
@@ -188,6 +196,51 @@ def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
     assert len(fails) == 1
     assert f"2A a=3 first discrepancy at q^({F(e, 120)}): " in fails[0]
     assert "GroupClass" not in fails[0]
+
+
+def fail_theta_scan(monkeypatch):
+    monkeypatch.setattr(cli, "thetanullwerte_class_check",
+                        lambda base: (((30, 1, 119),), 144))
+    return [], IdentityReport(
+        "theta-constant exponent scan base 30 empty (144 pairs)", None,
+        ("1/120", "theta0_(30,1)", "119/120")), 30
+
+
+def fail_numeric_check(monkeypatch):
+    # one transformation check returns its tol, which does not pass
+    real, gamma = cli.transform_check, ((1, 0), (3, 1))
+    monkeypatch.setattr(cli, "transform_check", lambda cls, g, tau, tol:
+                        tol if g == gamma else real(cls, g, tau, tol))
+    return ["--suite", "numeric"], IdentityReport(
+        f"transformation 3A gamma={gamma}", None, None, 1e-6, 1e-6), 12
+
+
+def fail_identity(monkeypatch):
+    return ["--corrupt"], IdentityReport(
+        "chi0 = 2 F0 - phi0(-q) [corrupted]", 8, (5, 1, 2)), 30
+
+
+def fail_closed_vs_direct(monkeypatch):
+    e, c = corrupt_trace_direct(monkeypatch)
+    return [], IdentityReport("closed vs direct route, 2A a=3", 8,
+                              (F(e, 120), c, c + 1)), 30
+
+
+@pytest.mark.parametrize("fail", [
+    fail_theta_scan, fail_numeric_check, fail_identity,
+    fail_closed_vs_direct], ids=["theta", "numeric", "identity",
+                                 "closed-vs-direct"])
+def test_verify_each_kind_of_check_fails_alone(capsys, monkeypatch, fail):
+    # each kind of check, made to fail alone: exit 1, its record's line
+    # the one [FAIL] line, and one check fewer passed
+    args, report, n = fail(monkeypatch)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
+                           "--order", "8", *args)
+    lines = out.splitlines()
+    assert not report.verified
+    assert code == 1
+    assert [line for line in lines if "[FAIL]" in line] == [str(report)]
+    assert (len(lines), lines[-1]) == (n + 1, f"{n - 1}/{n} checks passed")
 
 
 def test_eval_series_value(capsys):

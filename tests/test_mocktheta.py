@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.mocktheta import (compare_series, identity_suite,
-                                octant_series, ramanujan_series)
+from e8umbral.mocktheta import (IdentityReport, compare_series,
+                                identity_suite, octant_series,
+                                ramanujan_series)
 from e8umbral.qseries import QSeries, SeriesError
 
 from oracles import ramanujan_oracle, same_up_to
@@ -129,3 +130,22 @@ def test_corrupted_series_pinpoints_discrepancy():
     assert report.first_discrepancy[0] == 5
     assert "FAIL" in str(report)
     assert compare_series("same", lhs, lhs, order).verified
+
+
+def test_report_renders_each_form():
+    # the three forms of a verify line, and an ok line without an order
+    ok = IdentityReport("lhs = rhs", 25, None)
+    assert ok.verified and str(ok) == "[ok]   lhs = rhs  (order 25)"
+    assert str(ok._replace(order=None)) == "[ok]   lhs = rhs"
+    fail = ok._replace(first_discrepancy=(F(71, 120), 1, -2))
+    assert not fail.verified
+    assert str(fail) == ("[FAIL] lhs = rhs first discrepancy at "
+                         "q^(71/120): 1 vs -2")
+    numeric = IdentityReport("residual check", None, None, 2.5e-7, 1e-6)
+    assert numeric.verified
+    assert str(numeric) == "[ok]   residual check: residual 2.500e-07"
+    # a residual equal to tol fails, and so does a NaN
+    for res, text in ((1e-6, "1.000e-06"), (math.nan, "nan")):
+        bad = numeric._replace(residual=res)
+        assert not bad.verified
+        assert str(bad) == f"[FAIL] residual check: residual {text}"
