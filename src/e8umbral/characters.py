@@ -189,8 +189,6 @@ def closed_series(powers, pshift, octant, shift, order) -> QSeries:
     top = _num(order)
     gram, lin, signs, neg, parity = octant
     lat = octant_sum(gram, lin, shift, signs, neg, top - pshift, parity)
-    if not powers:
-        return lat._shift(pshift)
     return (_eta(powers, pshift, top + DEN) * lat).truncate(order)
 
 

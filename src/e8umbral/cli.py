@@ -72,13 +72,8 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
     return 0
 
 
-def _exact_checks(order: int, corrupt: bool) -> list[IdentityReport]:
+def _exact_checks(order: int) -> list[IdentityReport]:
     reports = identity_suite(order)
-    if corrupt:
-        # negative-control hook: flip the verdict of the first identity
-        reports[0] = reports[0]._replace(
-            name=reports[0].name + " [corrupted]",
-            first_discrepancy=(5, 1, 2))
     reports += [compare_series(
         f"closed vs direct route, {tid.group_class.name} a={tid.coset_a}",
         trace_closed(tid, order), trace_direct(tid, order), order)
@@ -120,9 +115,14 @@ def cmd_verify(suite: str, order: int, tol: float, corrupt: bool) -> int:
     """The exact, numeric or all verification suites."""
     reports = []
     if suite in ("exact", "all"):
-        reports += _exact_checks(order, corrupt)
+        reports += _exact_checks(order)
     if suite in ("numeric", "all"):
         reports += _numeric_checks(tol)
+    if corrupt:
+        # negative-control hook: fail the first check of the suite run
+        reports[0] = reports[0]._replace(
+            name=reports[0].name + " [corrupted]",
+            first_discrepancy=(5, 1, 2), residual=None)
     failed = sum(not rep.verified for rep in reports)
     lines = [*map(str, reports),
              f"{len(reports) - failed}/{len(reports)} checks passed"]

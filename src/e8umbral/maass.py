@@ -312,6 +312,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     try:
         if group_class is CLASS_1A:
             gamma, gtau, jac = _to_fundamental_domain(tau)
+        # nu(T^n) is diagonal: sum H_r alone; the pair exits 3 if |H_1| > 4.5e6
         if group_class is not CLASS_1A or gamma[1][0] == 0:
             value, est = _at_point(group_class, r, tau, tol, completion)
             return value, tol if completion else est
@@ -519,14 +520,15 @@ def order2_theta_data(r: int) -> IndefThetaData:
 def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     """Residual of the completion identity for the order-2 trace:
 
-        -e(-r/10) theta(tau) / eta(2 tau)
+        -e(-a/10) theta(tau) / eta(2 tau)
             = 2 T(2A, r) + e(-c1/60) R_{c1/30,-1/2}(15 tau)
                          + e(-c2/60) R_{c2/30,-1/2}(15 tau)
 
-    with (c1, c2) = (1, 11) for r = 1 and (13, 23) for r = 7.  The R-terms
-    equal sum_{s in family(r)} R_{s/60,0}(60 tau), the certified Eichler
-    part of completion_value, which gives the right side.  The printed
-    minus signs on the R-terms are a typo: both routes give plus.
+    with (a, c1, c2) = (1, 1, 11) for r = 1 and (3, 13, 23) for r = 7, a
+    the coset of the family's trace.  The R-terms equal sum_{s in
+    family(r)} R_{s/60,0}(60 tau), the certified Eichler part of
+    completion_value, which gives the right side.  The printed minus
+    signs on the R-terms are a typo: both routes give plus.
     """
     data = order2_theta_data(r)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)

@@ -294,15 +294,10 @@ class QSeries:
 # eta quotients
 
 
-def eta_quotient(powers: dict, shift, order) -> QSeries:
-    """q^shift prod_k (q^k; q^k)_infinity^powers[k], exact to order."""
-    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
-
-
 @lru_cache(maxsize=None)
 def _eta(powers: tuple, shift: int, top) -> QSeries:
-    """eta_quotient with the powers as sorted (k, powers[k]) pairs and
-    shift and order as numerators over DEN, cached for every caller: the
+    """q^(shift/DEN) prod_k (q^k; q^k)_infinity^m over the sorted (k, m)
+    pairs powers, exact to the numerator top, cached for every caller: the
     five cosets of a class share a trace prefactor, the three classes
     share eta(tau), and two octant_series sums share each prefactor.
 

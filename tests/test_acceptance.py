@@ -36,12 +36,12 @@ from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             order2_theta_data, tau1_identity_check,
                             transform_check)
 from e8umbral.mocktheta import octant_series, ramanujan_series
-from e8umbral.qseries import QSeries, SeriesError, dedekind_eta, eta_quotient
+from e8umbral.qseries import QSeries, SeriesError, dedekind_eta
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import same_up_to, unary_theta
 from test_maass import theta_split_check
-from test_theta import eta_J_coefficients
+from test_theta import eta_J_coefficients, eta_quotient
 
 TABLE_A1 = {
     -1: (-2, -2, -2), 119: (2, 2, 2), 239: (2, -2, 2), 359: (4, 0, -2),

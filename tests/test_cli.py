@@ -149,22 +149,29 @@ def test_verify_exact_scans_each_cone_once(capsys):
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys):
-    # 27 eta-quotient requests, 10 built: 3 mock theta prefactors shared by
-    # two sums each, 3 printed prefactors shared by the five cosets of a
-    # class, 3 Heisenberg traces and one eta(tau) for all three classes
+    # 29 eta-quotient requests, 11 built: 4 mock theta prefactors (the
+    # empty one included) shared by two sums each, 3 printed prefactors
+    # shared by the five cosets of a class, 3 Heisenberg traces and one
+    # eta(tau) for all three classes
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
     info = _eta.cache_info()
-    assert (info.misses, info.hits + info.misses) == (10, 27)
+    assert (info.misses, info.hits + info.misses) == (11, 29)
 
 
-def test_verify_corrupt_hook_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
+@pytest.mark.parametrize("suite", ["exact", "numeric", "all"])
+def test_verify_corrupt_hook_fails(capsys, suite):
+    # the hook fails the first check of whichever suite runs, and only it
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite,
                            "--order", "8", "--corrupt")
+    lines = out.splitlines()
+    fails = [line for line in lines if "[FAIL]" in line]
+    n = len(lines) - 1
     assert code == 1
-    assert "[FAIL]" in out
+    assert len(fails) == 1 and "[corrupted]" in fails[0]
+    assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
 def corrupt_trace_direct(monkeypatch):

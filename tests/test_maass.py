@@ -360,6 +360,9 @@ def test_order2_completion_equals_theta_quotient():
             quotient = pref * th / eta_val
             comp = completion_value(CLASS_2A, r, tau, 1e-9)
             assert abs(quotient - comp) < 1e-6, (r, tau)
+            if r == 7 and tau == 0.1 + 0.8j:
+                # the component label is not the phase: e(-7/10) misses
+                assert abs(-e(F(-7, 10)) * th / eta_val - comp) > 0.1
 
 
 def test_order3_completion_is_plain_series():
@@ -593,12 +596,20 @@ def test_modular_value_in_f_is_direct_summation():
                                          -0.5 + 60.0j, huge)]
     cases += [(cls, tau) for cls in (CLASS_2A, CLASS_3A)
               for tau in (0.3 + 1.0j, -0.4 + 0.03j, huge)]
-    for cls, tau in cases:
-        for r in (1, 7, 53):
-            assert h_value(cls, r, tau, 1e-9, True) == \
-                (_at_point(cls, r, tau, 1e-9, True)[0], 1e-9)
-            assert h_value(cls, r, tau, 1e-9, False) == \
-                _at_point(cls, r, tau, 1e-9, False)
+    cases = [(cls, tau, r) for cls, tau in cases for r in (1, 7, 53)]
+    # far up a translate of F, H_7 is summed alone: |H_1| is about 1.3e7
+    # at Im tau = 300, past double precision at tol 1e-9, so a pull-back
+    # of the pair would exit 3 for r = 7 too
+    far = 0.25 + 300.0j
+    cases.append((CLASS_1A, far, 7))
+    for cls, tau, r in cases:
+        assert h_value(cls, r, tau, 1e-9, True) == \
+            (_at_point(cls, r, tau, 1e-9, True)[0], 1e-9)
+        assert h_value(cls, r, tau, 1e-9, False) == \
+            _at_point(cls, r, tau, 1e-9, False)
+    for completion in (False, True):
+        with pytest.raises(NumericsError, match="below double precision"):
+            h_value(CLASS_1A, 1, far, 1e-9, completion)
 
 
 _OFF_H = (0.3 + 0j, 0j, 0.3 - 1j, complex(math.inf, 1),

@@ -7,10 +7,14 @@ import pytest
 from e8umbral.characters import CLASSES, h_component
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
-                              dedekind_eta, eta_quotient)
+                              _eta, _num, dedekind_eta)
 
 from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
                      poly_inv, poly_mul, same_up_to, valuation)
+
+
+def eta_quotient(powers: dict, shift, order):
+    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
 
 
 def q(power, coeff=1, order=math.inf):

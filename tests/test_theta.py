@@ -6,10 +6,14 @@ import pytest
 
 from e8umbral import theta
 from e8umbral.characters import component_family
-from e8umbral.qseries import DEN, QSeries, dedekind_eta, eta_quotient
+from e8umbral.qseries import DEN, QSeries, _eta, _num, dedekind_eta
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import nullwerte_scan, shadow, unary_theta
+
+
+def eta_quotient(powers: dict, shift, order):
+    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
 
 
 def _neg(d):
