@@ -33,12 +33,9 @@ for r in (1, 7):
 
 print()
 print("transformation residuals of the completed 2-vector:")
-gens = {"1A": (((1, 1), (0, 1)), ((0, -1), (1, 0))),
-        "2A": (((1, 1), (0, 1)), ((1, 0), (2, 1))),
-        "3A": (((1, 1), (0, 1)), ((1, 0), (3, 1)))}
-for name, pair in gens.items():
-    for gamma in pair:
-        res = transform_check(CLASSES[name], gamma, 0.2 + 1.1j, 1e-8)
+for name, cls in CLASSES.items():
+    for gamma in cls.check_gammas:
+        res = transform_check(cls, gamma, 0.2 + 1.1j, 1e-8)
         print(f"  {name} under {gamma}: {res:.2e}")
 
 print()

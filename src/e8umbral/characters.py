@@ -15,13 +15,13 @@ A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
 the two one-fermion modules the zero mode contributes only an overall
 sign, T^+ = -T^-, so both routes build T^-, the traces H_g is made of.  The
 vector-valued series H_g has sixty components supported on the residues
-+-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents).  The one
-component rule is ``component_family``: r maps to (family, sign) with
-H_r = sign * H_family, and every module that indexes by r mod 60 (the
-components, the Eichler parts, the numerics and the CLI) asks it.
-Components in the 1-family come from the a=1 trace and components in the
-7-family from the a=3 trace with a class-dependent sign, which is the
-normalization that reproduces the published coefficient tables.
++-{1,7,11,13,17,19,23,29} mod 60 (the E8 Coxeter exponents), in two
+families, each stated once in ``FAMILIES``: its residues, its leading
+exponent and the coset a = 1 or 3 of its trace (with a class-dependent
+sign for a=3, the normalization that reproduces the published tables).
+The one component rule is ``component_family``: r maps to (family, sign)
+with H_r = sign * H_family, and every module that indexes by r mod 60
+(the components, the Eichler parts, the numerics and the CLI) asks it.
 """
 
 import math
@@ -33,20 +33,20 @@ from .qseries import (DEN, GradingError, QSeries, SeriesError, dedekind_eta,
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
-# component support: the Coxeter exponents of E8, as residues mod 60
-FAMILY_1 = (1, 11, 19, 29)
-FAMILY_7 = (7, 13, 17, 23)
+# one record per component family, by its representative r: the s mod 60
+# with H_s = H_r, the coset a of its trace and lead = 9a^2 - 10, the
+# numerator over DEN of its leading exponent
+Family = namedtuple("Family", "r members coset_a lead")
+FAMILIES = {f.r: f for f in (Family(1, (1, 11, 19, 29), 1, -1),
+                             Family(7, (7, 13, 17, 23), 3, 71))}
+_RULE = {sign * s % 60: (f.r, sign) for f in FAMILIES.values()
+         for s in f.members for sign in (1, -1)}
 
 
 def component_family(r: int):
     """(family, sign) with H_r = sign * H_family and family 1 or 7, or None
     off the support +-{1,7,11,13,17,19,23,29} mod 60."""
-    for rr, sign in ((r % 60, 1), (-r % 60, -1)):
-        if rr in FAMILY_1:
-            return 1, sign
-        if rr in FAMILY_7:
-            return 7, sign
-    return None
+    return _RULE.get(r % 60)
 
 
 class GroupClass(namedtuple("GroupClass", "name permutation")):
@@ -74,6 +74,13 @@ class GroupClass(namedtuple("GroupClass", "name permutation")):
     def perm_character(self) -> int:
         """The number of fixed summands."""
         return sum(len(c) == 1 for c in self.cycles)
+
+    @property
+    def check_gammas(self) -> tuple:
+        """T, and S at order 1 or ((1, 0), (N, 1)) at order N > 1."""
+        n = self.order
+        return (((1, 1), (0, 1)),
+                ((0, -1), (1, 0)) if n == 1 else ((1, 0), (n, 1)))
 
 
 CLASS_1A = GroupClass("1A", (0, 1, 2))
@@ -266,18 +273,16 @@ def _direct_prefactor(group_class: GroupClass, order) -> QSeries:
 def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     """The series H_{g,r} = 2 T_{g,r} for r in the support.
 
-    The 1-family uses the a=1 trace; the 7-family uses the a=3 trace
+    Each family uses the trace of its coset a in FAMILIES, the a=3 trace
     negated for the order-1 and order-3 classes (the sign that makes the
     components match the published tables and the fifth-order mock
     theta identities).  A negative residue carries the sign of
     component_family.
     """
-    rule = component_family(r)
-    if rule is None:
+    if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
     family, sign = rule
-    a, scale = (1, 2) if family == 1 else \
-        (3, 2 if group_class.order == 2 else -2)
-    t = trace_closed(TraceId(group_class, a), order)
-    return t.scale(scale * sign)
+    a = FAMILIES[family].coset_a
+    scale = -2 if a == 3 and group_class.order != 2 else 2
+    return trace_closed(TraceId(group_class, a), order).scale(scale * sign)
 

@@ -17,8 +17,8 @@ import math
 import os
 import sys
 
-from .characters import CLASS_1A, CLASS_2A, CLASS_3A, CLASSES, \
-    all_trace_ids, component_family, h_component, trace_closed, trace_direct
+from .characters import CLASSES, FAMILIES, all_trace_ids, \
+    component_family, h_component, trace_closed, trace_direct
 from .maass import NumericsError, h_value, tau1_identity_check, \
     transform_check
 from .mocktheta import IdentityReport, compare_series, identity_suite
@@ -42,7 +42,7 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
     if max_row > MAX_ROW_BUDGET:
         raise UsageError(f"max-row {max_row} exceeds compute budget "
                          f"{MAX_ROW_BUDGET}")
-    nums = range(-1 if component == 1 else 71, max_row + 1, DEN)
+    nums = range(FAMILIES[component].lead, max_row + 1, DEN)
     if not nums:
         raise UsageError("empty row range")
     # each series is known to order, the least integer past the last row
@@ -97,15 +97,12 @@ def _numeric_checks(tol: float) -> list[IdentityReport]:
             raise type(exc)(f"{exc} (tol {tol} in {name})") from None
         reports.append(IdentityReport(name, None, None, res, tol))
 
-    for r in (1, 7):
+    for r in FAMILIES:
         for tau in (0.1 + 0.8j, 0.5j, 0.25 + 0.95j):
             check(f"completion identity r={r} at tau={tau}",
                   tau1_identity_check, tau, r)
-    gens = {CLASS_1A: (((1, 1), (0, 1)), ((0, -1), (1, 0))),
-            CLASS_2A: (((1, 1), (0, 1)), ((1, 0), (2, 1))),
-            CLASS_3A: (((1, 1), (0, 1)), ((1, 0), (3, 1)))}
-    for cls, pair in gens.items():
-        for gamma in pair:
+    for cls in CLASSES.values():
+        for gamma in cls.check_gammas:
             check(f"transformation {cls.name} gamma={gamma}",
                   transform_check, cls, gamma, 0.2 + 1.1j)
     return reports
@@ -190,7 +187,7 @@ REQUIRED = object()
 # default), and a flag has converter None.  eval prints --tau as given.
 COMMANDS = {
     "table": (cmd_table, {
-        "--component": ("component", _one_of(1, 7), REQUIRED),
+        "--component": ("component", _one_of(*FAMILIES), REQUIRED),
         "--max-row": ("max_row", int, REQUIRED),
         "--format": ("fmt", _one_of("csv", "json"), "csv")}),
     "verify": (cmd_verify, {

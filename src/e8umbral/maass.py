@@ -40,8 +40,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .characters import (CLASS_1A, CLASS_2A, FAMILY_1, FAMILY_7,
-                         GroupClass,
+from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GroupClass,
                          component_family, h_component)
 from .qseries import DEN, QSeries, dedekind_eta
 
@@ -221,7 +220,7 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
     beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
     family, sign = component_family(r)
-    members = FAMILY_1 if family == 1 else FAMILY_7
+    members = FAMILIES[family].members
     tail_bound = tol * 1e-12
     tau = complex(math.fmod(tau.real, 120.0), tau.imag)
     total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
@@ -303,8 +302,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     and every NumericsError is raised again, of the same type, as
     "<reason> (tol <tol> at tau = <tau>)" with the tol and tau given.
     """
-    rule = component_family(r)
-    if rule is None:
+    if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
     family, sign = rule
     _im_upper(tau)
@@ -320,9 +318,9 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         if tol * scale == 0.0:
             raise NumericsError("below double precision")
         hats, tails = zip(*(_at_point(CLASS_1A, s, gtau, tol * scale, True)
-                            for s in (1, 7)))
+                            for s in FAMILIES))
         nu = multiplier_matrix(gamma)
-        col = 0 if family == 1 else 1
+        col = [*FAMILIES].index(family)
         value = sign * (nu[0][col].conjugate() * hats[0]
                         + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
         if not cmath.isfinite(value):
@@ -508,12 +506,12 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
 # the trace-function completion identity (order-2 class)
 
 def order2_theta_data(r: int) -> IndefThetaData:
-    """The printed cone data for the order-2 class: a = (1/10, 1/10) for
-    r = 1 and (3/10, 3/10) for r = 7, and b = (3/20, -1/10), as numerators
-    over 120."""
-    if r not in (1, 7):
+    """The printed cone data for the order-2 class: a = (c/10, c/10) with
+    c the coset of the family's trace, 1 for r = 1 and 3 for r = 7, and
+    b = (3/20, -1/10), as numerators over 120."""
+    if r not in FAMILIES:
         raise NumericsError("component must be 1 or 7")
-    a = (12, 12) if r == 1 else (36, 36)
+    a = (12 * FAMILIES[r].coset_a,) * 2
     return IndefThetaData(((6, 4), (4, 1)), a, (18, -12), (-1, 4), (-2, 3))
 
 
@@ -534,8 +532,7 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
     eta_val, _ = _sum_to_tol(lambda n: dedekind_eta(2, n), tau, tol,
                              tol * 1e-2)
-    pref = -e(-1 / 10) if r == 1 else -e(-3 / 10)
-    lhs = pref * theta_val / eta_val
+    lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 
 
@@ -544,11 +541,11 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
 
 
 def nu_T(n: int = 1) -> tuple:
-    """nu(T^n) on (H_1, H_7), the diagonal (e(-n/120), e(-49 n/120)) with
-    the exponents reduced mod 120 in integers, as the tuple
+    """nu(T^n) on (H_1, H_7), the diagonal of e(n lead/120) over the leading
+    exponents of the families, reduced mod 120 in integers, as the tuple
     ((a, b), (c, d)) of complex numbers."""
-    return ((e(-(n % 120) / 120), 0j),
-            (0j, e(-(49 * n % 120) / 120)))
+    d1, d7 = (e(-(-f.lead * n % DEN) / DEN) for f in FAMILIES.values())
+    return ((d1, 0j), (0j, d7))
 
 
 def nu_S() -> tuple:
@@ -639,8 +636,8 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
     phase = rho_3_3(gamma).conjugate() if group_class.order == 3 else 1.0
     gtau = (a * tau + b) / (c * tau + d)
     h1, h7 = (completion_value(group_class, r, tau, tol / 10.0)
-              for r in (1, 7))
+              for r in FAMILIES)
     jac = cmath.sqrt(c * tau + d)
     return max(abs(completion_value(group_class, r, gtau, tol / 10.0) / jac
                    - phase * (row[0] * h1 + row[1] * h7))
-               for r, row in zip((1, 7), nu))
+               for r, row in zip(FAMILIES, nu))

@@ -3,9 +3,10 @@ index dividing a base share an exponent class mod 1 with a polar term of
 the E8^3 components?  Classes are compared as integers: a target is a
 numerator over ``qseries.DEN`` = 120, and a square mod 120 n."""
 
-# the polar exponent classes mod 1 of the two nonzero component families,
-# as numerators over 120: 119/120 and 71/120
-NULLWERTE_TARGETS = (119, 71)
+from .characters import FAMILIES
+
+# the families' leading exponents mod 1, as numerators over 120: 119, 71
+NULLWERTE_TARGETS = tuple(f.lead % 120 for f in FAMILIES.values())
 
 
 def thetanullwerte_class_check(max_divisor_base: int = 30) -> tuple:

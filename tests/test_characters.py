@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
-                                 COSET_LABELS, FAMILY_1, FAMILY_7, TraceId,
+                                 COSET_LABELS, FAMILIES, TraceId,
                                  _CLOSED_SHAPES, all_trace_ids,
                                  component_family, h_component,
                                  heisenberg_trace, octant_sum, trace_closed,
@@ -124,9 +124,9 @@ def test_coset_five_vanishes():
 
 def test_assembled_vector_structure():
     for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
+        members = {s for f in FAMILIES.values() for s in f.members}
         for r in range(60):
-            in_support = r in FAMILY_1 or r in FAMILY_7 or \
-                (60 - r) % 60 in FAMILY_1 or (60 - r) % 60 in FAMILY_7
+            in_support = r in members or (60 - r) % 60 in members
             if not in_support:
                 for rr in (r, -r):
                     with pytest.raises(ValueError):
@@ -146,6 +146,35 @@ def test_assembled_vector_structure():
 def test_component_59_is_negated_component_1():
     assert same_up_to(h_component(CLASS_2A, 59, 6),
                       -h_component(CLASS_2A, 1, 6), 6)
+
+
+def test_family_records_against_mathematics():
+    # the E8 Coxeter exponents mod 60 and their negatives, each once
+    support = {1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 59}
+    covered = [s * m % 60 for f in FAMILIES.values() for m in f.members
+               for s in (1, -1)]
+    assert sorted(covered) == sorted(support)
+    for r, fam in FAMILIES.items():
+        assert fam.r == r == fam.members[0]
+        assert fam.lead == 9 * fam.coset_a ** 2 - 10
+        # every member's exponents lie in the class -m^2/120 mod 1
+        for m in fam.members:
+            assert (fam.lead + m * m) % 120 == 0, (r, m)
+
+
+def test_family_records_against_consumers():
+    for r in range(-120, 121):
+        want = next(((f.r, s) for f in FAMILIES.values() for m in f.members
+                     for s in (1, -1) if (r - s * m) % 60 == 0), None)
+        assert component_family(r) == want, r
+    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
+        for r, fam in FAMILIES.items():
+            comp = h_component(cls, r, 6)
+            # H_r is +-2 times the trace of the family's coset, and its
+            # leading exponent is lead/120
+            trace = trace_closed(TraceId(cls, fam.coset_a), 6)
+            assert comp in (trace.scale(2), trace.scale(-2))
+            assert valuation(comp) == F(fam.lead, 120)
 
 
 def test_all_trace_ids_count():

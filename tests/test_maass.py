@@ -447,6 +447,14 @@ def test_multiplier_t_power_is_one_diagonal():
     assert nu == nu_T(n) == nu_T(n % 120)
 
 
+def test_nu_t_diagonal_from_family_leads():
+    # the diagonal built from the families' leading exponents is the
+    # written-out one, float for float
+    for n in range(-240, 241):
+        assert nu_T(n) == ((e(-(n % 120) / 120), 0j),
+                           (0j, e(-(49 * n % 120) / 120))), n
+
+
 def test_multiplier_matches_token_product():
     # on 1000 seeded gamma, nu with T^n as one factor agrees with the
     # product over the word spelled one T at a time (tests/oracles.py);

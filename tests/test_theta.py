@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral import theta
-from e8umbral.characters import component_family
+from e8umbral.characters import FAMILIES, component_family
 from e8umbral.qseries import DEN, QSeries, _eta, _num, dedekind_eta
 from e8umbral.theta import thetanullwerte_class_check
 
@@ -69,6 +69,8 @@ def test_nullwerte_scan_base30_empty():
     assert thetanullwerte_class_check(30) == ((), 144)   # sum of 2n, n | 30
     # the polar classes 119/120 and 71/120, as numerators over 120
     assert theta.NULLWERTE_TARGETS == (119, 71)
+    assert theta.NULLWERTE_TARGETS == tuple(f.lead % 120
+                                            for f in FAMILIES.values())
 
 
 def test_nullwerte_scan_base90_empty():
