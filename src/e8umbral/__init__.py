@@ -24,7 +24,7 @@ from .theta import thetanullwerte_class_check
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, h_value,
                     indefinite_theta, multiplier_matrix, nu_S, nu_T,
-                    r_function, rho_3_3, series_value, tau1_identity_check,
+                    r_function, series_value, tau1_identity_check,
                     transform_check)
 
 __version__ = "0.1.0"

@@ -187,21 +187,21 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
                     for v, s in enumerate(acc, lo) if s}, cap, False)
 
 
-def closed_series(powers, pshift, octant, shift, order) -> QSeries:
-    """q^(pshift/DEN) prod_k (q^k; q^k)_inf^m over the sorted (k, m) pairs
-    powers, times q^(shift/DEN) and the octant_sum of octant = (gram, lin,
-    signs, negative-octant sign, parity), exact to order: every closed
-    form of the exact engine.  The sum runs to order - pshift/DEN and the
-    cached ``_eta`` to order + 1, as the sum's valuation is above -1."""
+def closed_series(powers, octant, shift, order) -> QSeries:
+    """prod_k (q^k; q^k)_inf^m over the sorted (k, m) pairs powers, times
+    the octant_sum of octant = (gram, lin, signs, negative-octant sign,
+    parity) shifted by q^(shift/DEN), exact to order: every closed form of
+    the exact engine.  The sum runs to order and the cached ``_eta`` to
+    order + 1, as the sum's valuation is above -1."""
     top = _num(order)
     gram, lin, signs, neg, parity = octant
-    lat = octant_sum(gram, lin, shift, signs, neg, top - pshift, parity)
-    return (_eta(powers, pshift, top + DEN) * lat).truncate(order)
+    lat = octant_sum(gram, lin, shift, signs, neg, top, parity)
+    return (_eta(powers, 0, top + DEN) * lat).truncate(order)
 
 
 # the class shapes of the closed octant sums, lin = a * unit and shift
-# 3a^2/40: (gram, unit, signs, negative-octant sign, the powers of the
-# prefactor q^(-1/12) times 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3))
+# 3a^2/40 - 1/12: (gram, unit, signs, negative-octant sign, the powers of
+# the prefactor over q^(-1/12), 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3))
 _CLOSED_SHAPES = {
     1: (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (1, 1, 1), (1, 1, 1), 1,
         ((1, -2),)),
@@ -215,12 +215,12 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The closed lattice-sum expression for one trace function, minus the
     printed prefactor times the octant sum, cached by (trace id, order):
     h_component, the identity suite and the closed-vs-direct check ask for
-    the same traces.  The prefactor's valuation is -1/12 and the octant
-    sum's is positive; ``_eta`` caches the prefactor for the five cosets."""
+    the same traces.  ``_eta`` caches the product for the five cosets and,
+    in 1A, for the two chi sides of ``octant_series``."""
     a = trace_id.coset_a
     gram, unit, signs, neg, powers = _CLOSED_SHAPES[trace_id.group_class.order]
-    return -closed_series(powers, -10, (gram, [a * u for u in unit], signs,
-                                        neg, None), 9 * a * a, order)
+    return -closed_series(powers, (gram, [a * u for u in unit], signs, neg,
+                                   None), 9 * a * a - 10, order)
 
 
 # ----------------------------------------------------------------------

@@ -4,13 +4,14 @@ point evaluation of the (completed) components.
 `COMMANDS` is the grammar: options by exact name, a value as the next
 argument (even "-1") or after "="; -h or --help prints it.  Exit codes: 0
 success, 1 verification failure (or stdout closed by its reader before the
-output was written, which prints nothing), 2 usage error (one line on
-stderr), 3 a numeric evaluation, of the series alone or of the completion,
-that cannot reach the requested tolerance or whose value overflows a double
-(one line on stderr: the reason, then the tol and the tau or check asked
-for).  Exponents are serialized as integer numerators over the declared
-denominator 120, never as floats, so table output is byte-stable across
-runs.
+output was written, which prints nothing), 2 usage error, 3 a numeric
+evaluation, of the series alone or of the completion, that cannot reach
+the requested tolerance or whose value overflows a double (the reason,
+then the tol and the tau or check asked for).  Exit 2 and 3 write one line
+"error: <reason>" on stderr.  main(argv) returns every code, and run()
+alone ends the process.  Exponents are serialized as integer numerators
+over the declared denominator 120, never as floats, so table output is
+byte-stable across runs.
 """
 
 import math
@@ -146,8 +147,9 @@ def cmd_eval(group_class: str, r: int, tau: str, completion: bool,
     """H[class, r](tau), class 1A, 2A or 3A, tau as x+yi."""
     point = _parse_tau(tau)
     if component_family(r % 60) is None:
+        support = sorted(s for f in FAMILIES.values() for s in f.members)
         raise UsageError(f"component r={r} is outside the support "
-                         f"+-{{1,7,11,13,17,19,23,29}} mod 60")
+                         f"+-{{{','.join(map(str, support))}}} mod 60")
     r %= 60
     value, est = h_value(CLASSES[group_class], r, point, tol, completion)
     kind = "completed" if completion else "series"
@@ -245,37 +247,35 @@ def parse_args(argv):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run a command line (by default sys.argv[1:]) and return its exit
+    code: a usage error, from the parser or the handler, returns 2 and a
+    numerics error 3, each after one line "error: <reason>" on stderr."""
     try:
-        handler, args = parse_args(argv)
-    except UsageError as exc:
-        command = f" {argv[0]}" if argv and argv[0] in COMMANDS else ""
-        print(f"e8umbral{command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    try:
-        code = handler(**args)
-        sys.stdout.flush()
-        return code
+        handler, args = parse_args(list(sys.argv[1:] if argv is None
+                                        else argv))
+        return handler(**args)
     except (UsageError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 3
-    except BrokenPipeError:
-        # the reader closed stdout early: exit 1 as Python does on EPIPE
-        return 1
 
 
 def run():
-    """The process entry point: main(), then flush stdout and stderr and
-    end at once with os._exit, skipping interpreter teardown (the final
-    garbage collection and the clearing of every loaded module).
+    """The process entry point and its only exit: main(), then flush
+    stdout and stderr and end every call at once with os._exit, skipping
+    interpreter teardown (the final garbage collection and the clearing of
+    every loaded module).
 
     Nothing needs that teardown: the CLI writes only stdout and stderr,
     opens no files, starts no threads and registers no atexit handlers.
-    A stdout closed by its reader exits 1 with nothing on stderr.  A
-    usage error (SystemExit 2) or an uncaught exception ends the normal
-    way.  In-process callers use main(argv), which returns the code.
+    A stdout closed by its reader, found by a handler's write or by a
+    flush, exits 1 with nothing on stderr.  An uncaught exception ends the
+    normal way.
     """
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        # the reader closed stdout early: exit 1 as Python does on EPIPE
+        code = 1
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

@@ -607,14 +607,6 @@ def multiplier_matrix(gamma) -> tuple:
     return prod if sign > 0 else tuple(tuple(-x for x in row) for row in prod)
 
 
-def rho_3_3(gamma) -> complex:
-    """The order-3 phase e(c d / 9) on Gamma_0(3)."""
-    (a, b), (c, d) = gamma
-    if c % 3:
-        raise NumericsError("rho_3|3 lives on Gamma_0(3)")
-    return e(c * d / 9)
-
-
 def transform_check(group_class: GroupClass, gamma, tau: complex,
                     tol: float = 1e-8) -> float:
     """Residual of the weight-1/2 transformation law on the completed
@@ -633,7 +625,7 @@ def transform_check(group_class: GroupClass, gamma, tau: complex,
             f"gamma is not in Gamma_0({group_class.order})")
     # in this orientation of the law the order-3 scalar enters
     # conjugated; the T and Gamma_0(3) generator checks pin it down
-    phase = rho_3_3(gamma).conjugate() if group_class.order == 3 else 1.0
+    phase = e(c * d / 9).conjugate() if group_class.order == 3 else 1.0
     gtau = (a * tau + b) / (c * tau + d)
     h1, h7 = (completion_value(group_class, r, tau, tol / 10.0)
               for r in FAMILIES)

@@ -115,7 +115,7 @@ def octant_series(name: str, order) -> QSeries:
     if name not in _SUMS:
         raise SeriesError(f"unknown series {name!r}")
     powers, *octant = _SUMS[name]
-    return closed_series(powers, 0, octant, 0, order)
+    return closed_series(powers, octant, 0, order)
 
 
 # ----------------------------------------------------------------------

@@ -298,8 +298,8 @@ class QSeries:
 def _eta(powers: tuple, shift: int, top) -> QSeries:
     """q^(shift/DEN) prod_k (q^k; q^k)_infinity^m over the sorted (k, m)
     pairs powers, exact to the numerator top, cached for every caller: the
-    five cosets of a class share a trace prefactor, the three classes
-    share eta(tau), and two octant_series sums share each prefactor.
+    five cosets of a class share a product (1A's also the chi sides'), the
+    three classes share eta(tau), and octant_series sums share in pairs.
 
     The product is built on a dense list p of integer coefficients at
     exponents 0..n, n = floor(order - shift), from Euler's pentagonal

@@ -71,9 +71,7 @@ def test_order_cap():
     # --order goes up to 1000, the table's row budget over DEN
     handler, args = cli.parse_args(["verify", "--order", "1000"])
     assert handler is cli.cmd_verify and args["order"] == 1000
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--order", "1001"])
-    assert exc.value.code == 2
+    assert main(["verify", "--order", "1001"]) == 2
 
 
 def test_csv_json_encode_same_data(capsys):
@@ -149,16 +147,17 @@ def test_verify_exact_scans_each_cone_once(capsys):
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys):
-    # 29 eta-quotient requests, 11 built: 4 mock theta prefactors (the
-    # empty one included) shared by two sums each, 3 printed prefactors
-    # shared by the five cosets of a class, 3 Heisenberg traces and one
-    # eta(tau) for all three classes
+    # 29 eta-quotient requests, 10 built: 4 mock theta products (the
+    # empty one included) shared by two sums each, 3 trace products
+    # shared by the five cosets of a class (1A's, (q;q)^-2, is also the
+    # chi sides' product), 3 Heisenberg traces and one eta(tau) for all
+    # three classes
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
     info = _eta.cache_info()
-    assert (info.misses, info.hits + info.misses) == (11, 29)
+    assert (info.misses, info.hits + info.misses) == (10, 29)
 
 
 @pytest.mark.parametrize("suite", ["exact", "numeric", "all"])
@@ -262,6 +261,12 @@ def test_eval_out_of_support(capsys):
                            "--tau", "0+1i")
     assert code == 2
     assert "support" in err
+    # the support is read from characters.FAMILIES
+    code, out, err = run_cli(capsys, "eval", "--class", "1A", "--r", "2",
+                             "--tau", "0+1i")
+    assert (code, out) == (2, "")
+    assert err == ("error: component r=2 is outside the support "
+                   "+-{1,7,11,13,17,19,23,29} mod 60\n")
 
 
 def test_eval_bad_tau(capsys):
@@ -471,8 +476,7 @@ def _cli_env():
     return env
 
 
-# (argv, exit code) of cold calls that end through cli.run's os._exit, or
-# through the usage error's SystemExit
+# (argv, exit code) of cold calls, each ending through cli.run's os._exit
 PROCESS_CASES = [
     (["table", "--component", "1", "--max-row", "119999"], 0),
     (["verify", "--suite", "exact", "--order", "25", "--corrupt"], 1),
@@ -488,10 +492,7 @@ def test_process_output_matches_main(capsys, tmp_path, argv, code, to_file):
     # os._exit skips the interpreter's own flush: the process must still
     # write every byte that main writes in process, to a block-buffered
     # regular file as to a pipe, with the same exit code
-    try:
-        want_code = main(list(argv))
-    except SystemExit as exc:
-        want_code = exc.code
+    want_code = main(list(argv))
     want_out, want_err = capsys.readouterr()
     assert want_code == code
     command = [sys.executable, "-m", "e8umbral.cli", *argv]
@@ -535,10 +536,7 @@ def test_main_leaves_no_threads_or_exit_handlers():
             "    state = threading.active_count(), atexit._ncallbacks()\n"
             "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
             "            contextlib.redirect_stderr(io.StringIO()):\n"
-            "        try:\n"
-            "            main(argv)\n"
-            "        except SystemExit:\n"
-            "            pass\n"
+            "        assert isinstance(main(argv), int), argv\n"
             "    assert (threading.active_count(),\n"
             "            atexit._ncallbacks()) == state, argv\n"
             "print(len(argvs))\n")
@@ -548,16 +546,34 @@ def test_main_leaves_no_threads_or_exit_handlers():
     assert proc.stdout == f"{len(argvs)}\n"
 
 
+def test_run_ends_usage_errors_without_teardown():
+    # run() ends a usage error through os._exit like every other code, so
+    # an atexit handler registered before it never runs
+    code = ("import atexit, sys\n"
+            "from e8umbral.cli import run\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            "sys.argv[1:] = ['table', '--component', '3', '--max-row', '5']\n"
+            "run()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_entry_point_is_run():
     # the installed script ends through run(), as python -m e8umbral.cli
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert 'e8umbral = "e8umbral.cli:run"' in pyproject.read_text()
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--component", "3", "--max-row", "5"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    # the parser's usage errors and the handlers' share one exit
+    code, out, err = run_cli(capsys, "table", "--component", "3",
+                             "--max-row", "5")
+    assert (code, out) == (2, "")
+    assert err == ("error: argument --component: invalid choice '3' "
+                   "(choose from 1, 7)\n")
 
 
 def test_eval_tau_with_leading_minus(capsys):
@@ -636,14 +652,11 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
     # precision of a value of size 2.8, and the line names the tol asked
     # for).  The 7-component table starts at row 71, so max-row 70 leaves
     # no row.
-    try:
-        got = main(argv)
-    except SystemExit as exc:
-        got = exc.code
+    got = main(argv)
     out, err = capsys.readouterr()
     assert got == code
     assert out == ""
-    assert len(err.splitlines()) == 1 and "error:" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     if code == 3 and "--tol" in argv:
         assert f"tol {argv[argv.index('--tol') + 1]} " in err

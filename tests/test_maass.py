@@ -18,7 +18,7 @@ from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             beta_incomplete, completion_value,
                             e, h_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
-                            r_function, rho_3_3, series_value,
+                            r_function, series_value,
                             tau1_identity_check, transform_check)
 from e8umbral.qseries import DEN, _num
 from oracles import (g_value, line_sum_loop, multiplier_by_tokens,
@@ -664,12 +664,6 @@ def test_transformation_group_guard():
         transform_check(CLASS_2A, ((0, -1), (1, 0)), 1j, 1e-6)
     with pytest.raises(NumericsError):
         transform_check(CLASS_3A, ((1, 0), (2, 1)), 1j, 1e-6)
-
-
-def test_rho_phase():
-    assert abs(rho_3_3(((1, 0), (3, 1))) - e(F(1, 3))) < 1e-15
-    with pytest.raises(NumericsError):
-        rho_3_3(((1, 0), (2, 1)))
 
 
 # ----------------------------------------------------------------------
