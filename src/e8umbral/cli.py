@@ -155,7 +155,7 @@ def cmd_eval(group_class: str, r: int, tau: str, completion: bool,
     kind = "completed" if completion else "series"
     print(f"H[{group_class}, r={r}]({tau}) = "
           f"{value.real:+.12e} {value.imag:+.12e}i   "
-          f"({kind}; est. error <= {max(est, 0.0):.1e})")
+          f"({kind}; est. error <= {est:.1e})")
     return 0
 
 

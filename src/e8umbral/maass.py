@@ -111,8 +111,6 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     if not cmath.isfinite(total):
         raise NumericsError("the value overflows a double")
     absq = math.exp(-TWO_PI * y)
-    if series.top == math.inf:
-        return total, 0.0
     order = series.top / DEN
     if not items:
         return total, absq ** order
@@ -120,8 +118,8 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     tail_coeff = max(m for _, m in mags[-8:])
     growth = 1.0
     for (e1, m1), (e2, m2) in zip(mags[-9:-1], mags[-8:]):
-        if m1 > 0 and m2 > m1:
-            growth = max(growth, (m2 / m1) ** (1.0 / max(e2 - e1, 1e-9)))
+        if m2 > m1:
+            growth = max(growth, (m2 / m1) ** (1.0 / (e2 - e1)))
     if absq > 0.0:        # else |q|^order, and with it the tail, is 0.0
         growth = min(growth, 0.5 / absq)
     ratio = growth * absq

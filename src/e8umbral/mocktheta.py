@@ -30,7 +30,7 @@ from operator import add
 
 from .characters import (CLASS_1A, CLASS_2A, TraceId, closed_series,
                          h_component, trace_closed)
-from .qseries import DEN, INF, QSeries, SeriesError, _num, _series
+from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
 # P_(n+1)); a factor (k, s, e) is (1 - s q^k)^e with e = +1 or -1
@@ -64,8 +64,6 @@ def ramanujan_series(name: str, order) -> QSeries:
     if name not in _SERIES:
         raise SeriesError(f"unknown series {name!r}")
     num = _num(order)
-    if num == INF:
-        raise SeriesError(f"series {name!r} needs a finite truncation order")
     valuation, first, step = _SERIES[name]
     top = num // DEN
     total = [0] * (top + 1)

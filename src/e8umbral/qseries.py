@@ -16,15 +16,16 @@ Hecke sums of ``octant_series``) is built once per order by the cached
 pentagonal sum: one pass multiplies or divides by one (q^k; q^k)_infinity,
 and no series is ever inverted.
 
-Orders, shifts and exponents have one normal form: the int numerator over
-DEN (``QSeries.top`` is DEN times the order), or INF.  The public boundary
-checks once: ``QSeries(...)`` takes int exponent numerators and int
-coefficients, ``scale`` an int factor, and ``_num`` turns an order, shift
-or exponent (an int, a Fraction or INF) into its numerator, with
-GradingError for anything off the grid.  Internal constructors check
-nothing.  A public result (``QSeries.order``, the exponent of
-``first_difference``) is an int when integral, else a Fraction from
-``_rational``, the one place where the engine imports ``fractions``.
+Every order is finite.  Orders, shifts and exponents have one normal
+form: the int numerator over DEN (``QSeries.top`` is DEN times the order).
+The public boundary checks once: ``QSeries(...)`` takes int exponent
+numerators, int coefficients and an order, ``scale`` an int factor, and
+``_num`` turns an order, shift or exponent (an int or a Fraction) into its
+numerator, with GradingError for anything off the grid, math.inf
+included.  Internal constructors check nothing.  A public result
+(``QSeries.order``, the exponent of ``first_difference``) is an int when
+integral, else a Fraction from ``_rational``, the one place where the
+engine imports ``fractions``.
 
 A product is one CPython bigint product, by Kronecker substitution (D.
 Harvey, arXiv:0712.4046).  Both operands lie on progressions e0 + g i with
@@ -43,8 +44,6 @@ import math
 from functools import lru_cache
 
 DEN = 120
-
-INF = math.inf
 
 
 class SeriesError(ValueError):
@@ -65,10 +64,8 @@ class DivergenceError(SeriesError):
 
 
 def _num(x):
-    """DEN * x for an order, shift or exponent x (an int, a Fraction or
-    INF): an int, or INF; GradingError when x is off the grid 1/DEN."""
-    if x == INF:
-        return INF
+    """DEN * x for an order, shift or exponent x (an int or a Fraction):
+    an int; GradingError when x is off the grid 1/DEN (math.inf is)."""
     try:
         n = x * DEN
         if n.denominator == 1:
@@ -79,9 +76,9 @@ def _num(x):
 
 
 def _rational(n):
-    """n / DEN: INF, an int when integral, else a Fraction."""
-    if n == INF or n % DEN == 0:
-        return n if n == INF else n // DEN
+    """n / DEN: an int when integral, else a Fraction."""
+    if n % DEN == 0:
+        return n // DEN
     from fractions import Fraction   # only a non-integral value needs it
     return Fraction(n, DEN)
 
@@ -125,7 +122,7 @@ class QSeries:
 
     __slots__ = ("coeffs", "top")
 
-    def __new__(cls, coeffs: dict, order=INF):
+    def __new__(cls, coeffs: dict, order):
         for e, c in coeffs.items():
             if type(e) is not int:
                 raise GradingError(f"exponent numerator {e!r} is not an int")
@@ -141,7 +138,7 @@ class QSeries:
 
     @property
     def order(self):
-        """The truncation order: INF, an int, or a Fraction."""
+        """The finite truncation order: an int, or a Fraction."""
         return _rational(self.top)
 
     def items(self) -> list[tuple[int, object]]:
@@ -161,8 +158,8 @@ class QSeries:
     # ring operations
 
     def _coerce(self, other) -> "QSeries | None":
-        if type(other) is int:
-            return _series({0: other}, INF)
+        if type(other) is int:   # a constant, known at q^0 and as far as self
+            return _series({0: other}, max(self.top, 0))
         return other if isinstance(other, QSeries) else None
 
     def __add__(self, other) -> "QSeries":
@@ -173,8 +170,6 @@ class QSeries:
         for e, c in rhs.coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
         return _series(coeffs, min(self.top, rhs.top))
-
-    __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
         return _series({e: -c for e, c in self.coeffs.items()}, self.top,
@@ -189,9 +184,6 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
-            # a rational factor goes to scale, which names a non-int one
-            if hasattr(other, "denominator"):
-                return self.scale(other)
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         # order rule: min over (order_a + val_b, order_b + val_a); an empty
@@ -201,11 +193,10 @@ class QSeries:
         if not (a and b):
             return _series({}, top, False)
         a0, b0 = min(a), min(b)
-        cap = max(a) + max(b) if top == INF else top
         # both operands on the progressions e0 + g i; the product's index
         # i + j stops at last
         g = math.gcd(*(e - a0 for e in a), *(e - b0 for e in b)) or 1
-        last = (cap - a0 - b0) // g
+        last = (top - a0 - b0) // g
         pa, pb = _dense(a, a0, g, last), _dense(b, b0, g, last)
         # fields of nb bytes hold any |sum of min(len) products| below
         # 2^(8 nb - 2): the top bit of a field is its sign, one bit spare
@@ -225,8 +216,6 @@ class QSeries:
             if c:
                 coeffs[a0 + b0 + g * i] = c
         return _series(coeffs, top, False)
-
-    __rmul__ = __mul__
 
     def scale(self, c: int) -> "QSeries":
         if type(c) is not int:
@@ -311,8 +300,6 @@ def _eta(powers: tuple, shift: int, top) -> QSeries:
     each p[i] it reads is already final: a quotient, which the constant
     term 1 allows.  No series is inverted.
     """
-    if top == INF:
-        raise SeriesError("infinite product needs a finite truncation order")
     inner = top - shift
     n = inner // DEN
     p = [1] + [0] * n
