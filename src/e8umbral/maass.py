@@ -4,20 +4,21 @@ signature (1,1), completions, and weight-1/2 transformation residuals.
 
 Summation tails are certified, and each sum's length is fixed before its
 first term: _line_sum (the R-function sums of a completion's Eichler
-part) and _ring_sum (indefinite_theta, whose E-weighted lattice sums
-decay like exp(-2 pi y M(nu)) for positive-definite forms M from the
-cone data) add the shells up to the first past which a certified
-majorant of the rest is below the bound, and fail with ConvergenceError
-before any term if there is none within their cap (_shells_needed).  The
-test suite builds the one-sided theta splitting identity on the same two
-summers.  Series-to-number evaluation carries an empirical tail estimate
-(measured coefficient growth times the dropped geometric tail) and
-refuses to report values it cannot back; ``_sum_to_tol`` sums each
-series (H_r, eta(2 tau)) once, at the order ``_eval_order`` gives for its
-tolerance (at most 800), and raises ConvergenceError when the tail
-estimate misses the budget there, or NumericsError when the tolerance is
-below the double precision of the value.  Each error gives a bare reason:
-h_value adds the tol and the tau asked for, and `verify` the tol and check.
+part, and eta(2 tau), a unary theta) and _ring_sum (indefinite_theta,
+whose E-weighted lattice sums decay like exp(-2 pi y M(nu)) for
+positive-definite forms M from the cone data) add the shells up to the
+first past which a certified majorant of the rest is below the bound,
+and fail with ConvergenceError before any term if there is none within
+their cap (_shells_needed).  The test suite builds the one-sided theta
+splitting identity on the same two summers.  One value alone, H_r summed
+at a point by _at_point, carries an empirical tail estimate (measured
+coefficient growth times the dropped geometric tail) and refuses to
+report values it cannot back: the series is summed once, at the order
+``_eval_order`` gives for its tolerance (at most 800), and raises
+ConvergenceError when the tail estimate misses the budget there, or
+NumericsError when the tolerance is below the double precision of the
+value.  Each error gives a bare reason: h_value adds the tol and the tau
+asked for, and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
@@ -42,7 +43,7 @@ from collections import namedtuple
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GroupClass,
                          component_family, h_component)
-from .qseries import DEN, QSeries, dedekind_eta
+from .qseries import DEN, QSeries
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
@@ -134,22 +135,6 @@ def _eval_order(y: float, tol: float) -> int:
     return max(40, int(math.ceil(n / 20.0)) * 20)
 
 
-def _sum_to_tol(series_of_order, tau: complex, tol: float,
-                budget: float) -> tuple[complex, float]:
-    """(value, tail estimate < budget) of series_of_order(n) at tau,
-    summed once at n = _eval_order(Im tau, tol); ConvergenceError if the
-    tail estimate misses the budget there, NumericsError if tol is below
-    the double precision of the value; the caller names tol and tau."""
-    y = _im_upper(tau)
-    value, tail = series_value(series_of_order(_eval_order(y, tol)), tau)
-    if not tail < budget:
-        raise ConvergenceError(f"series truncation insufficient at Im {y}")
-    if tol < sys.float_info.epsilon * abs(value):
-        raise NumericsError(f"below double precision at a value of size "
-                            f"{abs(value):.1e}")
-    return value, tail
-
-
 # ----------------------------------------------------------------------
 # R functions and Eichler integrals
 
@@ -230,12 +215,21 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    with Re tau reduced mod 120.  The series is summed by _sum_to_tol to a
-    tail estimate below tol, or below tol/5 for the completion, which adds
-    the certified Eichler part; est is the tail estimate, plus the Eichler
-    part's bound for the completion; h_value adds tol and tau to errors."""
-    value, tail = _sum_to_tol(lambda n: h_component(group_class, r, n), tau,
-                              tol, tol / 5.0 if completion else tol)
+    with Re tau reduced mod 120.  The series is summed once, at the order
+    _eval_order gives for tol, and must reach a tail estimate below tol,
+    or below tol/5 for the completion, which adds the certified Eichler
+    part: else ConvergenceError, and NumericsError if tol is below the
+    double precision of the value.  est is the tail estimate, plus the
+    Eichler part's bound for the completion; h_value adds tol and tau to
+    errors."""
+    y = _im_upper(tau)
+    series = h_component(group_class, r, _eval_order(y, tol))
+    value, tail = series_value(series, tau)
+    if not tail < (tol / 5.0 if completion else tol):
+        raise ConvergenceError(f"series truncation insufficient at Im {y}")
+    if tol < sys.float_info.epsilon * abs(value):
+        raise NumericsError(f"below double precision at a value of size "
+                            f"{abs(value):.1e}")
     if not completion or group_class.perm_character == 0:
         return value, tail    # zero shadow: completion equals the series
     eichler, bound = _eichler_part(group_class, r, tau, tol)
@@ -513,7 +507,7 @@ def order2_theta_data(r: int) -> IndefThetaData:
     return IndefThetaData(((6, 4), (4, 1)), a, (18, -12), (-1, 4), (-2, 3))
 
 
-def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
+def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     """Residual of the completion identity for the order-2 trace:
 
         -e(-a/10) theta(tau) / eta(2 tau)
@@ -525,11 +519,16 @@ def tau1_identity_check(tau: complex, r: int = 1, tol: float = 1e-8) -> float:
     family(r)} R_{s/60,0}(60 tau), the certified Eichler part of
     completion_value, which gives the right side.  The printed minus
     signs on the R-terms are a typo: both routes give plus.
+
+    eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
+    by _line_sum with kappa = 6, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
+    certified tail below tol * 1e-12, the ratio _eichler_part uses.
     """
     data = order2_theta_data(r)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
-    eta_val, _ = _sum_to_tol(lambda n: dedekind_eta(2, n), tau, tol,
-                             tol * 1e-2)
+    eta_val = e(-1 / 12) * _line_sum(
+        lambda nu: cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau)),
+        1 / 6, 6.0, tau.imag, tol * 1e-12)
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 

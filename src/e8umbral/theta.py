@@ -9,7 +9,7 @@ from .characters import FAMILIES
 NULLWERTE_TARGETS = tuple(f.lead % 120 for f in FAMILIES.values())
 
 
-def thetanullwerte_class_check(max_divisor_base: int = 30) -> tuple:
+def thetanullwerte_class_check(max_divisor_base: int) -> tuple:
     """Scan theta constants theta0_{n,r} for n dividing the base.
 
     theta0_{n,r}(tau) = sum_k q^((2kn+r)^2/4n) has all its exponents in

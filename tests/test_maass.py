@@ -282,6 +282,24 @@ def test_completion_identity_both_components():
                 assert tau1_identity_check(tau, r, tol) < tol
 
 
+def test_completion_identity_at_rounding_level_on_verify_points():
+    # the three tau of `verify --suite numeric`, at each tol it meets: the
+    # identity holds to rounding, far below tol
+    for tol in (1e-6, 1e-12, 1e-14):
+        for r in (1, 7):
+            for tau in (0.1 + 0.8j, 0.5j, 0.25 + 0.95j):
+                assert tau1_identity_check(tau, r, tol) <= 5e-16, (tol, r, tau)
+
+
+def test_completion_identity_at_rounding_level_on_a_band():
+    rng = random.Random(35)
+    for _ in range(20):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5))
+        for r in (1, 7):
+            for tol in (1e-6, 1e-12):
+                assert tau1_identity_check(tau, r, tol) < 2e-15, (tol, r, tau)
+
+
 def test_completion_identity_shifted_tau():
     # integer shifts act by fixed 120th-root phases on both sides
     for tau in (0.1 + 0.8j, 2.1 + 0.8j):
@@ -345,7 +363,9 @@ def test_large_real_part_t_law():
 
 def test_order2_completion_equals_theta_quotient():
     # the shadow-integral completion agrees with the independent
-    # indefinite-theta quotient route at five sample points
+    # indefinite-theta quotient route at five sample points, eta(2 tau)
+    # taken from its exact series, not from the line sum of
+    # tau1_identity_check
     from e8umbral.maass import _eval_order
     from e8umbral.qseries import dedekind_eta
     for r in (1, 7):
@@ -359,7 +379,7 @@ def test_order2_completion_equals_theta_quotient():
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))
             quotient = pref * th / eta_val
             comp = completion_value(CLASS_2A, r, tau, 1e-9)
-            assert abs(quotient - comp) < 1e-6, (r, tau)
+            assert abs(quotient - comp) < 1e-13, (r, tau)
             if r == 7 and tau == 0.1 + 0.8j:
                 # the component label is not the phase: e(-7/10) misses
                 assert abs(-e(F(-7, 10)) * th / eta_val - comp) > 0.1
