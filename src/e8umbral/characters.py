@@ -102,8 +102,7 @@ class TraceId(namedtuple("TraceId", "group_class coset_a")):
 
 
 def all_trace_ids() -> list[TraceId]:
-    return [TraceId(cls, a) for cls in (CLASS_1A, CLASS_2A, CLASS_3A)
-            for a in COSET_LABELS]
+    return [TraceId(cls, a) for cls in CLASSES.values() for a in COSET_LABELS]
 
 
 # ----------------------------------------------------------------------
@@ -199,13 +198,15 @@ def closed_series(powers, octant, shift, order) -> QSeries:
     return (_eta(powers, 0, top + DEN) * lat).truncate(order)
 
 
+# the printed forms of the 1A cube and 2A sums, read by mocktheta and maass
+GRAM_1A = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
+GRAM_2A = ((6, 4), (4, 1))
 # the class shapes of the closed octant sums, lin = a * unit and shift
 # 3a^2/40 - 1/12: (gram, unit, signs, negative-octant sign, the powers of
 # the prefactor over q^(-1/12), 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3))
 _CLOSED_SHAPES = {
-    1: (((1, 2, 2), (2, 1, 2), (2, 2, 1)), (1, 1, 1), (1, 1, 1), 1,
-        ((1, -2),)),
-    2: (((6, 4), (4, 1)), (2, 1), (1, 1), -1, ((2, -1),)),
+    1: (GRAM_1A, (1, 1, 1), (1, 1, 1), 1, ((1, -2),)),
+    2: (GRAM_2A, (2, 1), (1, 1), -1, ((2, -1),)),
     3: (((15,),), (3,), (1,), 1, ((1, 1), (3, -1))),
 }
 

@@ -26,8 +26,6 @@ from .mocktheta import IdentityReport, compare_series, identity_suite
 from .qseries import DEN
 from .theta import thetanullwerte_class_check
 
-CLASS_NAMES = tuple(CLASSES)
-
 # largest --max-row of cmd_table, and DEN times the largest --order: the
 # appendix ends at row 4559, and the exact suite at order 1000 takes about
 # 0.6 s cold
@@ -48,13 +46,13 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
         raise UsageError("empty row range")
     # each series is known to order, the least integer past the last row
     order = nums[-1] // DEN + 1
-    series = {name: h_component(CLASSES[name], component, order).coeffs
-              for name in CLASS_NAMES}
+    series = {name: h_component(cls, component, order).coeffs
+              for name, cls in CLASSES.items()}
     # a cell is its int coefficient as a string, in csv and json alike
-    rows = [(num, {n: str(series[n].get(num, 0)) for n in CLASS_NAMES})
+    rows = [(num, {n: str(series[n].get(num, 0)) for n in CLASSES})
             for num in nums]
     if fmt == "csv":
-        lines = ["exponent_numerator," + ",".join(CLASS_NAMES)]
+        lines = ["exponent_numerator," + ",".join(CLASSES)]
         lines += [f"{num}," + ",".join(vals.values()) for num, vals in rows]
         text = "\n".join(lines)
     else:
@@ -146,7 +144,7 @@ def cmd_eval(group_class: str, r: int, tau: str, completion: bool,
              tol: float) -> int:
     """H[class, r](tau), class 1A, 2A or 3A, tau as x+yi."""
     point = _parse_tau(tau)
-    if component_family(r % 60) is None:
+    if component_family(r) is None:
         support = sorted(s for f in FAMILIES.values() for s in f.members)
         raise UsageError(f"component r={r} is outside the support "
                          f"+-{{{','.join(map(str, support))}}} mod 60")
@@ -198,7 +196,7 @@ COMMANDS = {
         "--tol": ("tol", _tolerance, 1e-6),
         "--corrupt": ("corrupt", None, False)}),   # negative-control hook
     "eval": (cmd_eval, {
-        "--class": ("group_class", _one_of(*CLASS_NAMES), REQUIRED),
+        "--class": ("group_class", _one_of(*CLASSES), REQUIRED),
         "--r": ("r", int, REQUIRED),
         "--tau": ("tau", str, REQUIRED),
         "--completion": ("completion", None, False),

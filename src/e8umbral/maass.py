@@ -12,13 +12,11 @@ and fail with ConvergenceError before any term if there is none within
 their cap (_shells_needed).  The test suite builds the one-sided theta
 splitting identity on the same two summers.  One value alone, H_r summed
 at a point by _at_point, carries an empirical tail estimate (measured
-coefficient growth times the dropped geometric tail) and refuses to
-report values it cannot back: the series is summed once, at the order
-``_eval_order`` gives for its tolerance (at most 800), and raises
-ConvergenceError when the tail estimate misses the budget there, or
-NumericsError when the tolerance is below the double precision of the
-value.  Each error gives a bare reason: h_value adds the tol and the tau
-asked for, and `verify` the tol and check.
+coefficient growth times the dropped geometric tail), at the order
+``_eval_order`` gives for its tolerance (at most 800), and refuses to
+report a value it cannot back (ConvergenceError, NumericsError).  Each
+error gives a bare reason: h_value adds the tol and the tau asked for,
+and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
@@ -28,12 +26,11 @@ fundamental domain in exact integers, sums the completion there at a
 multiplier_matrix builds nu(gamma) in one Euclid pass over gamma, in
 O(log |c|) steps of one nu(T^n) diagonal and one nu(S) each, carrying
 Kubota's sign as an int; the tests check it against the Weil
-representation's Gauss sums.  Its quotient is the nearer one, ties to
-the floor: the floor quotient takes |c| steps on ((-1, 0), (c, -1)), and
-the rounding error grows with the steps.  Every other value is summed by
-_at_point at the point it is given, and so are completion_value and the
-checks (transform_check, tau1_identity_check), so a check stays
-independent of the route it checks.
+representation's Gauss sums.  Every other value is summed by _at_point
+at the point it is given, and so are completion_value and the checks
+(transform_check, tau1_identity_check), so a check stays independent of
+the route it checks.  Re tau is reduced mod DEN = 120, a period of H_r,
+its Eichler part and the completion identity.
 """
 
 import cmath
@@ -41,7 +38,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GroupClass,
+from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_2A, GroupClass,
                          component_family, h_component)
 from .qseries import DEN, QSeries
 
@@ -94,14 +91,14 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Sum a truncated exact series at q = e(tau).
 
     Returns (value, tail_estimate).  The sum runs at tau with Re tau
-    reduced mod 120, which changes no term (every exponent is on the grid
-    1/120); its overflow error names no tau, as h_value adds it.  The tail
+    reduced mod DEN = 120, which changes no term (every exponent is in
+    Z/120); its overflow error names no tau, as h_value adds it.  The tail
     estimate extrapolates the measured coefficient growth geometrically
     past the truncation order; it is empirical, not a proof, and callers
     compare it against their tolerance before trusting the value.
     """
     y = _im_upper(tau)
-    tau = complex(math.fmod(tau.real, 120.0), y)
+    tau = complex(math.fmod(tau.real, DEN), y)
     items = series.items()
     total = 0.0 + 0.0j
     try:
@@ -173,7 +170,7 @@ def _line_sum(term, x0, kappa: float, y: float,
     return total
 
 
-def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
+def r_function(a, b, tau: complex, tail_bound: float) -> complex:
     """R_{a,b}(tau) = sum_{nu in a+Z} sgn(nu) beta(2 nu^2 y) q^(-nu^2/2)
     e^(-2 pi i nu b), with sgn(0) = 0.
 
@@ -196,8 +193,8 @@ def r_function(a, b, tau: complex, tail_bound: float = 1e-12) -> complex:
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tol: float) -> tuple[complex, float]:
     """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau),
-    summed with Re tau reduced mod 120 (n in Z/120).  Each R-sum has a
-    certified tail below tol * 1e-12, so the bound is that tail times the
+    summed with Re tau reduced mod DEN = 120 (n in Z/120).  Each R-sum has
+    a certified tail below tol * 1e-12, so the bound is that tail times the
     family size, times |chi|.  This is the Eichler integral of the shadow
     sign chi sum_s S_{30,s}, scaled by 1/sqrt(60): its term c_n q^n
     (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
@@ -205,7 +202,7 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     family, sign = component_family(r)
     members = FAMILIES[family].members
     tail_bound = tol * 1e-12
-    tau = complex(math.fmod(tau.real, 120.0), tau.imag)
+    tau = complex(math.fmod(tau.real, DEN), tau.imag)
     total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
                 for s in members)
     return (sign * group_class.perm_character * total,
@@ -215,7 +212,7 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    with Re tau reduced mod 120.  The series is summed once, at the order
+    with Re tau reduced mod DEN = 120.  The series is summed once, at the order
     _eval_order gives for tol, and must reach a tail estimate below tol,
     or below tol/5 for the completion, which adds the certified Eichler
     part: else ConvergenceError, and NumericsError if tol is below the
@@ -237,7 +234,7 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
-                     tol: float = 1e-9) -> complex:
+                     tol: float) -> complex:
     """The completed H_r(tau), summed at tau itself by _at_point."""
     return _at_point(group_class, r, tau, tol, True)[0]
 
@@ -272,7 +269,7 @@ def _to_fundamental_domain(tau: complex) -> tuple:
 def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
             completion: bool) -> tuple[complex, float]:
     """(value, est. error) of the component H_r of the class at tau,
-    completed or not.  Re tau is reduced mod 120 first (nu(T)^120 = I).
+    completed or not, Re tau reduced mod DEN = 120 first (nu(T)^120 = I).
 
     The 1A pair is pulled back from the fundamental domain F through the
     multiplier:
@@ -298,7 +295,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         raise ValueError(f"component {r} is not in the support")
     family, sign = rule
     _im_upper(tau)
-    point, tau = tau, complex(math.fmod(tau.real, 120.0), tau.imag)
+    point, tau = tau, complex(math.fmod(tau.real, DEN), tau.imag)
     try:
         if group_class is CLASS_1A:
             gamma, gtau, jac = _to_fundamental_domain(tau)
@@ -461,7 +458,7 @@ def _wall_coordinate(data: IndefThetaData, c, y: float):
 
 
 def indefinite_theta(data: IndefThetaData, tau: complex,
-                     tail_bound: float = 1e-10) -> complex:
+                     tail_bound: float) -> complex:
     """The two-sided weighted theta sum
 
         sum_{nu in a+Z^2} [E(B(c1,nu) sqrt(y)/sqrt(-Q(c1)))
@@ -504,7 +501,7 @@ def order2_theta_data(r: int) -> IndefThetaData:
     if r not in FAMILIES:
         raise NumericsError("component must be 1 or 7")
     a = (12 * FAMILIES[r].coset_a,) * 2
-    return IndefThetaData(((6, 4), (4, 1)), a, (18, -12), (-1, 4), (-2, 3))
+    return IndefThetaData(GRAM_2A, a, (18, -12), (-1, 4), (-2, 3))
 
 
 def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
@@ -522,13 +519,17 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
 
     eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
     by _line_sum with kappa = 6, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
-    certified tail below tol * 1e-12, the ratio _eichler_part uses.
+    certified tail below tol * 1e-12, the ratio _eichler_part uses.  Re
+    tau is reduced mod DEN = 120 once, for both sides: the periods of theta
+    (Q(nu) in 3c^2/40 + Z), eta(2 tau) and the completion are 40, 12, 120.
     """
     data = order2_theta_data(r)
+    y = _im_upper(tau)
+    tau = complex(math.fmod(tau.real, DEN), y)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
     eta_val = e(-1 / 12) * _line_sum(
         lambda nu: cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau)),
-        1 / 6, 6.0, tau.imag, tol * 1e-12)
+        1 / 6, 6.0, y, tol * 1e-12)
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 
@@ -537,7 +538,7 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
 # weight-1/2 multiplier system and transformation residuals
 
 
-def nu_T(n: int = 1) -> tuple:
+def nu_T(n: int) -> tuple:
     """nu(T^n) on (H_1, H_7), the diagonal of e(n lead/120) over the leading
     exponents of the families, reduced mod 120 in integers, as the tuple
     ((a, b), (c, d)) of complex numbers."""
@@ -605,7 +606,7 @@ def multiplier_matrix(gamma) -> tuple:
 
 
 def transform_check(group_class: GroupClass, gamma, tau: complex,
-                    tol: float = 1e-8) -> float:
+                    tol: float) -> float:
     """Residual of the weight-1/2 transformation law on the completed
     2-vector (H_1, H_7):
 

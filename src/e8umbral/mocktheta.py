@@ -28,8 +28,8 @@ sum, built by ``closed_series`` as the trace closed forms are.
 from collections import namedtuple
 from operator import add
 
-from .characters import (CLASS_1A, CLASS_2A, TraceId, closed_series,
-                         h_component, trace_closed)
+from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_1A, GRAM_2A,
+                         TraceId, closed_series, h_component, trace_closed)
 from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -94,17 +94,16 @@ def ramanujan_series(name: str, order) -> QSeries:
 # (q^2;q^2)_inf^2 are phi0(-q) and -q^-1 phi1(-q), and bare the corollary
 # lhs; its rhs is prod_{n>0} (1 + q^n) = (q^2;q^2)_inf / (q;q)_inf times
 # (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c k + c m/2), c = 1, 3.
-_CUBE = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
-_KM, _K3M = ((1, 4), (4, 1)), ((6, 4), (4, 1))
+_KM = ((1, 4), (4, 1))
 _SUMS = {
-    "chi0_side": (((1, -2),), _CUBE, (1, 1, 1), (1, 1, 1), 1, None),
-    "chi1_side": (((1, -2),), _CUBE, (3, 3, 3), (1, 1, 1), 1, None),
+    "chi0_side": (((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, None),
+    "chi1_side": (((1, -2),), GRAM_1A, (3, 3, 3), (1, 1, 1), 1, None),
     "phi0_lhs": (((1, 1), (2, -2)), _KM, (1, 3), (0, 1), -1, (1, 1)),
     "phi1_lhs": (((1, 1), (2, -2)), _KM, (3, 5), (0, 1), -1, (1, 1)),
     "cor_lhs_1": ((), _KM, (1, 3), (0, 1), -1, (1, 1)),
     "cor_lhs_7": ((), _KM, (3, 5), (0, 1), -1, (1, 1)),
-    "cor_rhs_1": (((1, -1), (2, 1)), _K3M, (2, 1), (1, 1), -1, None),
-    "cor_rhs_7": (((1, -1), (2, 1)), _K3M, (6, 3), (1, 1), -1, None),
+    "cor_rhs_1": (((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1, None),
+    "cor_rhs_7": (((1, -1), (2, 1)), GRAM_2A, (6, 3), (1, 1), -1, None),
 }
 
 
@@ -165,7 +164,7 @@ def identity_suite(order) -> list[IdentityReport]:
                           for name in ("chi0", "chi1", "F0", "F1"))
     phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
                     for name in ("phi0", "phi1"))
-    m1, m49, p71 = -1, -49, 71   # numerators of the shifts
+    m1, p71 = (f.lead for f in FAMILIES.values())   # q^(-1/120), q^(71/120)
     phi1m_1 = phi1m.shift(-1)    # q^-1 phi1(-q)
     table = [
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
@@ -191,7 +190,7 @@ def identity_suite(order) -> list[IdentityReport]:
          ((F0 - 1).scale(4) - phi0m.scale(2))._shift(m1)),
         ("2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
          trace_closed(TraceId(CLASS_1A, 3), order).scale(-2),
-         F1._shift(p71).scale(4) + phi1m._shift(m49).scale(2)),
+         F1._shift(p71).scale(4) + phi1m._shift(p71 - DEN).scale(2)),
         # the table identities for the assembled components
         ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, order),
          (chi0 - 2).scale(2)._shift(m1)),
@@ -200,6 +199,6 @@ def identity_suite(order) -> list[IdentityReport]:
         ("H(2A,1) = -2 q^(-1/120) phi0(-q)", h_component(CLASS_2A, 1, order),
          phi0m.scale(-2)._shift(m1)),
         ("H(2A,7) = 2 q^(-49/120) phi1(-q)", h_component(CLASS_2A, 7, order),
-         phi1m.scale(2)._shift(m49)),
+         phi1m.scale(2)._shift(p71 - DEN)),
     ]
     return [compare_series(name, lhs, rhs, order) for name, lhs, rhs in table]

@@ -4,9 +4,10 @@ the E8^3 components?  Classes are compared as integers: a target is a
 numerator over ``qseries.DEN`` = 120, and a square mod 120 n."""
 
 from .characters import FAMILIES
+from .qseries import DEN
 
 # the families' leading exponents mod 1, as numerators over 120: 119, 71
-NULLWERTE_TARGETS = tuple(f.lead % 120 for f in FAMILIES.values())
+NULLWERTE_TARGETS = tuple(f.lead % DEN for f in FAMILIES.values())
 
 
 def thetanullwerte_class_check(max_divisor_base: int) -> tuple:

@@ -80,14 +80,6 @@ def pentagonal_series(order: int) -> dict:
         k += 1
 
 
-def euler_factorization(order: int) -> dict:
-    """(q;q)_inf by multiplying factors directly."""
-    acc = {0: Fraction(1)}
-    for n in range(1, order + 1):
-        acc = poly_mul(acc, {0: Fraction(1), n: Fraction(-1)}, order)
-    return acc
-
-
 def finite_pochhammer(x_shift: int, sign: int, step: int, n: int,
                       order: int) -> dict:
     """prod_{k<n} (1 - sign * q^(x_shift + k step)) as a dict polynomial."""

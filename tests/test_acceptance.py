@@ -41,7 +41,8 @@ from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import same_up_to, unary_theta
 from test_maass import theta_split_check
-from test_theta import eta_J_coefficients, eta_quotient
+from test_qseries import eta_quotient
+from test_theta import eta_J_coefficients
 
 TABLE_A1 = {
     -1: (-2, -2, -2), 119: (2, 2, 2), 239: (2, -2, 2), 359: (4, 0, -2),

@@ -45,8 +45,8 @@ def test_r_function_stability_and_periodicity():
     v10 = r_function(F(1, 2), 0, tau, 1e-10)
     v15 = r_function(F(1, 2), 0, tau, 1e-15)
     assert abs(v10 - v15) < 1e-10
-    assert abs(r_function(F(1, 3), F(1, 7), tau)
-               - r_function(F(4, 3), F(1, 7), tau)) < 1e-14
+    assert abs(r_function(F(1, 3), F(1, 7), tau, 1e-12)
+               - r_function(F(4, 3), F(1, 7), tau, 1e-12)) < 1e-14
 
 
 def _ray_integral(g, tau, tol=1e-12):
@@ -100,14 +100,14 @@ def test_non_int_characteristic_is_refused():
         for fields in ({"a": bad}, {"b": bad}):
             odd = data._replace(**fields)
             for call in (odd.validate,
-                         lambda: indefinite_theta(odd, 0.1 + 0.8j)):
+                         lambda: indefinite_theta(odd, 0.1 + 0.8j, 1e-10)):
                 with pytest.raises(NumericsError, match=re.escape(shown)):
                     call()
     for fields, shown in (({"c1": (-1.0, 4)}, "entry -1.0 of c1"),
                           ({"A": ((6.5, 4), (4, 1))}, "entry 6.5 of A")):
         odd = data._replace(**fields)
         for call in (odd.validate,
-                     lambda: indefinite_theta(odd, 0.1 + 0.8j)):
+                     lambda: indefinite_theta(odd, 0.1 + 0.8j, 1e-10)):
             with pytest.raises(NumericsError, match=re.escape(shown)):
                 call()
 
@@ -301,9 +301,12 @@ def test_completion_identity_at_rounding_level_on_a_band():
 
 
 def test_completion_identity_shifted_tau():
-    # integer shifts act by fixed 120th-root phases on both sides
-    for tau in (0.1 + 0.8j, 2.1 + 0.8j):
-        assert tau1_identity_check(tau, 1, 1e-8) < 1e-8
+    # integer shifts act by fixed 120th-root phases on both sides, and Re
+    # tau is reduced mod 120 once: far from 0 the residual stays at
+    # rounding level
+    for tau in (0.1 + 0.8j, 2.1 + 0.8j, 1e4 + 0.1 + 0.8j, 1e6 + 0.1 + 0.8j):
+        for r in (1, 7):
+            assert tau1_identity_check(tau, r, 1e-8) < 1e-14, (tau, r)
 
 
 def test_completion_routes_agree():
@@ -401,7 +404,7 @@ def test_negative_component_index():
 
 
 def test_multiplier_relations():
-    ns, nt = np.array(nu_S()), np.array(nu_T())
+    ns, nt = np.array(nu_S()), np.array(nu_T(1))
     z = e(F(-1, 4)) * np.eye(2)
     assert np.abs(ns @ ns - z).max() < 1e-12
     st = ns @ nt
@@ -575,11 +578,11 @@ def test_multiplier_rejects_non_int_entries():
     with pytest.raises(NumericsError, match="entry 0.5 of gamma is not an int"):
         multiplier_matrix(half)
     with pytest.raises(NumericsError, match="entry 0.5 of gamma is not an int"):
-        transform_check(CLASS_1A, half, 0.2 + 1.1j)
+        transform_check(CLASS_1A, half, 0.2 + 1.1j, 1e-8)
     with pytest.raises(NumericsError, match="entry True of gamma"):
         multiplier_matrix(((True, 0), (0, 1)))
     for check in (multiplier_matrix,
-                  lambda g: transform_check(CLASS_1A, g, 0.2 + 1.1j)):
+                  lambda g: transform_check(CLASS_1A, g, 0.2 + 1.1j, 1e-8)):
         with pytest.raises(NumericsError, match="determinant 1"):
             check(((1, 1), (1, 1)))
 
@@ -662,8 +665,8 @@ def test_evaluators_reject_tau_off_h(tau):
     # one check before the mod-120 reduction of Re tau, which raises
     # ValueError on an infinite part
     for value in (lambda: _at_point(CLASS_2A, 1, tau, 1e-9, False),
-                  lambda: completion_value(CLASS_2A, 7, tau),
-                  lambda: r_function(F(1, 60), 0, tau)):
+                  lambda: completion_value(CLASS_2A, 7, tau, 1e-9),
+                  lambda: r_function(F(1, 60), 0, tau, 1e-12)):
         with pytest.raises(NumericsError, match="upper half plane"):
             value()
 

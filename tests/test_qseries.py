@@ -16,6 +16,8 @@ from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
 
 
 def eta_quotient(powers: dict, shift, order):
+    """prod_k (q^k; q^k)_inf^m over the (k, m) items of powers, times
+    q^shift, exact to order."""
     return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
 
 

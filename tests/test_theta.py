@@ -6,14 +6,11 @@ import pytest
 
 from e8umbral import theta
 from e8umbral.characters import FAMILIES, component_family
-from e8umbral.qseries import DEN, QSeries, _eta, _num, dedekind_eta
+from e8umbral.qseries import DEN, QSeries, dedekind_eta
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import nullwerte_scan, shadow, unary_theta
-
-
-def eta_quotient(powers: dict, shift, order):
-    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
+from test_qseries import eta_quotient
 
 
 def _neg(d):
