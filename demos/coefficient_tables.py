@@ -8,32 +8,22 @@ against the published tables digit for digit.
 
 from fractions import Fraction
 
-from e8umbral import CLASSES, h_component
+from e8umbral import CLASSES, h_component, ramanujan_series
+from e8umbral.characters import FAMILIES
 
-NAMES = ("1A", "2A", "3A")
 ROWS = 12
 
-print("component 1 (exponents (-1 + 120 n)/120)")
-series = {n: h_component(CLASSES[n], 1, ROWS + 1) for n in NAMES}
-print(f"{'row':>6}  " + "".join(f"{n:>6}" for n in NAMES))
-for k in range(ROWS):
-    num = -1 + 120 * k
-    vals = [series[n].coefficient(Fraction(num, 120)) for n in NAMES]
-    print(f"{num:>6}  " + "".join(f"{str(v):>6}" for v in vals))
+for f in FAMILIES.values():
+    print(f"component {f.r} (exponents ({f.lead} + 120 n)/120)")
+    series = {n: h_component(c, f.r, ROWS + 1) for n, c in CLASSES.items()}
+    print(f"{'row':>6}  " + "".join(f"{n:>6}" for n in CLASSES))
+    for k in range(ROWS):
+        num = f.lead + 120 * k
+        vals = [series[n].coefficient(Fraction(num, 120)) for n in CLASSES]
+        print(f"{num:>6}  " + "".join(f"{str(v):>6}" for v in vals))
+    print()
 
-print()
-print("component 7 (exponents (71 + 120 n)/120)")
-series = {n: h_component(CLASSES[n], 7, ROWS + 1) for n in NAMES}
-print(f"{'row':>6}  " + "".join(f"{n:>6}" for n in NAMES))
-for k in range(ROWS):
-    num = 71 + 120 * k
-    vals = [series[n].coefficient(Fraction(num, 120)) for n in NAMES]
-    print(f"{num:>6}  " + "".join(f"{str(v):>6}" for v in vals))
-
-print()
 print("The 1A column of component 1 is 2(chi0 - 2) shifted by q^(-1/120):")
-from e8umbral import ramanujan_series
-
 chi0 = ramanujan_series("chi0", ROWS + 1)
 head = [2 * (chi0.coefficient(n) - (2 if n == 0 else 0))
         for n in range(6)]

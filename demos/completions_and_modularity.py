@@ -12,19 +12,20 @@ route.
 from e8umbral import (CLASSES, completion_value, indefinite_theta,
                       multiplier_matrix, tau1_identity_check,
                       transform_check)
+from e8umbral.characters import FAMILIES
 from e8umbral.maass import order2_theta_data
 
 tau = 0.1 + 0.8j
 
 print("completed components at tau =", tau)
-for name in ("1A", "2A", "3A"):
-    for r in (1, 7):
-        v = completion_value(CLASSES[name], r, tau, 1e-9)
+for name, cls in CLASSES.items():
+    for r in FAMILIES:
+        v = completion_value(cls, r, tau, 1e-9)
         print(f"  H^hat[{name}, r={r}] = {v:.10f}")
 
 print()
 print("indefinite-theta route (order-2 class):")
-for r in (1, 7):
+for r in FAMILIES:
     data = order2_theta_data(r)
     th = indefinite_theta(data, tau, 1e-10)
     res = tau1_identity_check(tau, r, 1e-8)

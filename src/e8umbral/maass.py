@@ -30,7 +30,8 @@ representation's Gauss sums.  Every other value is summed by _at_point
 at the point it is given, and so are completion_value and the checks
 (transform_check, tau1_identity_check), so a check stays independent of
 the route it checks.  Re tau is reduced mod DEN = 120, a period of H_r,
-its Eichler part and the completion identity.
+its Eichler part and the completion identity, in three places: h_value,
+_at_point (for both of its callees) and tau1_identity_check.
 """
 
 import cmath
@@ -90,15 +91,14 @@ def _im_upper(tau: complex) -> float:
 def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Sum a truncated exact series at q = e(tau).
 
-    Returns (value, tail_estimate).  The sum runs at tau with Re tau
-    reduced mod DEN = 120, which changes no term (every exponent is in
-    Z/120); its overflow error names no tau, as h_value adds it.  The tail
-    estimate extrapolates the measured coefficient growth geometrically
-    past the truncation order; it is empirical, not a proof, and callers
-    compare it against their tolerance before trusting the value.
+    Returns (value, tail_estimate).  The sum runs at the tau it is given
+    (_at_point reduces Re tau first); its overflow error names no tau, as
+    h_value adds it.  The tail estimate extrapolates the measured
+    coefficient growth geometrically past the truncation order; it is
+    empirical, not a proof, and callers compare it against their tolerance
+    before trusting the value.
     """
     y = _im_upper(tau)
-    tau = complex(math.fmod(tau.real, DEN), y)
     items = series.items()
     total = 0.0 + 0.0j
     try:
@@ -193,7 +193,7 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tol: float) -> tuple[complex, float]:
     """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau),
-    summed with Re tau reduced mod DEN = 120 (n in Z/120).  Each R-sum has
+    summed at the tau it is given, reduced by its callers.  Each R-sum has
     a certified tail below tol * 1e-12, so the bound is that tail times the
     family size, times |chi|.  This is the Eichler integral of the shadow
     sign chi sum_s S_{30,s}, scaled by 1/sqrt(60): its term c_n q^n
@@ -202,7 +202,6 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
     family, sign = component_family(r)
     members = FAMILIES[family].members
     tail_bound = tol * 1e-12
-    tau = complex(math.fmod(tau.real, DEN), tau.imag)
     total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
                 for s in members)
     return (sign * group_class.perm_character * total,
@@ -212,14 +211,15 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    with Re tau reduced mod DEN = 120.  The series is summed once, at the order
-    _eval_order gives for tol, and must reach a tail estimate below tol,
-    or below tol/5 for the completion, which adds the certified Eichler
-    part: else ConvergenceError, and NumericsError if tol is below the
-    double precision of the value.  est is the tail estimate, plus the
-    Eichler part's bound for the completion; h_value adds tol and tau to
-    errors."""
+    with Re tau reduced mod DEN = 120, here, for both parts.  The series is
+    summed once, at the order _eval_order gives for tol, and must reach a
+    tail estimate below tol, or below tol/5 for the completion, which adds
+    the certified Eichler part: else ConvergenceError, and NumericsError if
+    tol is below the double precision of the value.  est is the tail
+    estimate, plus the Eichler part's bound for the completion; h_value
+    adds tol and tau to errors."""
     y = _im_upper(tau)
+    tau = complex(math.fmod(tau.real, DEN), y)
     series = h_component(group_class, r, _eval_order(y, tol))
     value, tail = series_value(series, tau)
     if not tail < (tol / 5.0 if completion else tol):
@@ -547,12 +547,11 @@ def nu_T(n: int) -> tuple:
 
 
 def nu_S() -> tuple:
-    """nu(S) on (H_1, H_7), the printed sine matrix, as the tuple
-    ((a, b), (c, d)) of complex numbers."""
-    s = math.sin
-    k = 2.0 * e(3 / 8) / math.sqrt(15.0)
-    p = k * (s(math.pi / 30) + s(11 * math.pi / 30))
-    q = k * (s(7 * math.pi / 30) + s(13 * math.pi / 30))
+    """nu(S) on (H_1, H_7), the printed sine matrix ((p, q), (q, -p)) with
+    p, q = e(3/8)/sqrt(15) sum_s sin(pi s/30) over each family's residues."""
+    k = e(3 / 8) / math.sqrt(15.0)
+    p, q = (k * sum(math.sin(math.pi * s / 30) for s in f.members)
+            for f in FAMILIES.values())
     return ((p, q), (q, -p))
 
 

@@ -29,7 +29,7 @@ from collections import namedtuple
 from operator import add
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_1A, GRAM_2A,
-                         TraceId, closed_series, h_component, trace_closed)
+                         closed_series, h_component)
 from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -186,10 +186,10 @@ def identity_suite(order) -> list[IdentityReport]:
         # the trace splitting of the identity class, and its 7-family
         # analogue through F1 and phi1
         ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
-         trace_closed(TraceId(CLASS_1A, 1), order).scale(2),
+         h_component(CLASS_1A, 1, order),
          ((F0 - 1).scale(4) - phi0m.scale(2))._shift(m1)),
         ("2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
-         trace_closed(TraceId(CLASS_1A, 3), order).scale(-2),
+         h_component(CLASS_1A, 7, order),
          F1._shift(p71).scale(4) + phi1m._shift(p71 - DEN).scale(2)),
         # the table identities for the assembled components
         ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, order),

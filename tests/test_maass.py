@@ -472,10 +472,15 @@ def test_multiplier_t_power_is_one_diagonal():
 
 def test_nu_t_diagonal_from_family_leads():
     # the diagonal built from the families' leading exponents is the
-    # written-out one, float for float
+    # written-out one, float for float, and so is nu(S), built from the
+    # families' residues, against the printed sine matrix
     for n in range(-240, 241):
         assert nu_T(n) == ((e(-(n % 120) / 120), 0j),
                            (0j, e(-(49 * n % 120) / 120))), n
+    k = 2.0 * e(3 / 8) / math.sqrt(15.0)
+    p = k * (math.sin(math.pi / 30) + math.sin(11 * math.pi / 30))
+    q = k * (math.sin(7 * math.pi / 30) + math.sin(13 * math.pi / 30))
+    assert nu_S() == ((p, q), (q, -p))
 
 
 def test_multiplier_matches_token_product():
