@@ -24,7 +24,6 @@ from .theta import thetanullwerte_class_check
 from .maass import (ConvergenceError, IndefThetaData, NumericsError,
                     beta_incomplete, completion_value, h_value,
                     indefinite_theta, multiplier_matrix, nu_S, nu_T,
-                    r_function, series_value, tau1_identity_check,
-                    transform_check)
+                    r_function, tau1_identity_check, transform_check)
 
 __version__ = "0.1.0"

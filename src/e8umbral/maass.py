@@ -91,8 +91,9 @@ def _im_upper(tau: complex) -> float:
 def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
     """Sum a truncated exact series at q = e(tau).
 
-    Returns (value, tail_estimate).  The sum runs at the tau it is given
-    (_at_point reduces Re tau first); its overflow error names no tau, as
+    Returns (value, tail_estimate).  The sum runs at the tau it is given,
+    so far from Re tau = 0 it loses digits unless the caller reduces Re tau
+    mod DEN first, as _at_point does; its overflow error names no tau, as
     h_value adds it.  The tail estimate extrapolates the measured
     coefficient growth geometrically past the truncation order; it is
     empirical, not a proof, and callers compare it against their tolerance

@@ -165,6 +165,7 @@ def identity_suite(order) -> list[IdentityReport]:
     phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
                     for name in ("phi0", "phi1"))
     m1, p71 = (f.lead for f in FAMILIES.values())   # q^(-1/120), q^(71/120)
+    h1, h7 = (h_component(CLASS_1A, r, order) for r in FAMILIES)
     phi1m_1 = phi1m.shift(-1)    # q^-1 phi1(-q)
     table = [
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
@@ -186,16 +187,13 @@ def identity_suite(order) -> list[IdentityReport]:
         # the trace splitting of the identity class, and its 7-family
         # analogue through F1 and phi1
         ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",
-         h_component(CLASS_1A, 1, order),
-         ((F0 - 1).scale(4) - phi0m.scale(2))._shift(m1)),
+         h1, ((F0 - 1).scale(4) - phi0m.scale(2))._shift(m1)),
         ("2 T(e,7) = 4 q^(71/120) F1 + 2 q^(-49/120) phi1(-q)",
-         h_component(CLASS_1A, 7, order),
-         F1._shift(p71).scale(4) + phi1m._shift(p71 - DEN).scale(2)),
+         h7, F1._shift(p71).scale(4) + phi1m._shift(p71 - DEN).scale(2)),
         # the table identities for the assembled components
-        ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h_component(CLASS_1A, 1, order),
+        ("H(1A,1) = 2 q^(-1/120)(chi0 - 2)", h1,
          (chi0 - 2).scale(2)._shift(m1)),
-        ("H(1A,7) = 2 q^(71/120) chi1", h_component(CLASS_1A, 7, order),
-         chi1.scale(2)._shift(p71)),
+        ("H(1A,7) = 2 q^(71/120) chi1", h7, chi1.scale(2)._shift(p71)),
         ("H(2A,1) = -2 q^(-1/120) phi0(-q)", h_component(CLASS_2A, 1, order),
          phi0m.scale(-2)._shift(m1)),
         ("H(2A,7) = 2 q^(-49/120) phi1(-q)", h_component(CLASS_2A, 7, order),

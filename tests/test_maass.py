@@ -348,20 +348,26 @@ def test_printed_r_terms_equal_family_r_sum():
 
 def test_large_real_part_t_law():
     # every exponent of H_r and of its Eichler part lies in -r^2/120 + Z,
-    # so at an integer x the value at x + i is e(-r^2 (x mod 120)/120)
-    # times the value at i; x mod 120 is taken in exact integers here
-    for x in (1e300, -1e300, 1e6 + 7):
-        k = int(x) % 120
+    # so the value at x + i is e(-r^2 (floor(x) mod 120)/120) times the
+    # value at frac(x) + i; floor(x) mod 120 is taken in exact integers
+    # here.  The fraction 0.125 is exact at 1e6 and 1e12, where 0.1 is
+    # not; summed at x itself, without the mod-120 reduction, the series
+    # misses by at least 4e-12 at 1e6 + 0.125 and 1e-6 at 1e12 + 0.125
+    for x in (1e300, -1e300, 1e6 + 7, 1e6 + 0.125, 1e12 + 0.125):
+        n = math.floor(x)
+        k, base = n % 120, complex(x - n, 1.0)
         for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
             for r in (1, 7):
                 phase = e(F(-r * r * k, 120))
                 at = complex(x, 1.0)
                 series = [_at_point(cls, r, t, 1e-12, False)[0]
-                          for t in (at, 1j)]
+                          for t in (at, base)]
                 assert abs(series[0] - phase * series[1]) < 1e-13
                 completed = [completion_value(cls, r, t, 1e-12)
-                             for t in (at, 1j)]
+                             for t in (at, base)]
                 assert abs(completed[0] - phase * completed[1]) < 1e-13
+                assert abs(h_value(cls, r, at, 1e-12, True)[0]
+                           - phase * completed[1]) < 1e-13
 
 
 def test_order2_completion_equals_theta_quotient():
