@@ -1,7 +1,14 @@
-"""Every name the package exports, and every public method of its
-classes, is reached by the program itself."""
+"""The package root is the user API: it exports exactly the names that the
+demos and the README's library sketch import from `e8umbral`, and every
+other public name is imported from the module that owns it.  Every public
+method of the package's classes is reached by the program itself, and
+importing the CLI loads every module that the benchmark traces."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,12 +42,35 @@ def _program_names() -> set:
     return set().union(*(_used_names(p) for p in sources))
 
 
-def test_every_export_is_used_by_the_program():
+def _root_imports(source: str) -> set:
+    """Names that the source imports from the package root."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "e8umbral" for alias in node.names}
+
+
+def _user_imports() -> set:
+    """Names that the demos and the README's library sketch import from
+    the package root."""
+    sketch = re.search(r"^## Library sketch\n(.*?)^## ",
+                       (ROOT / "README.md").read_text(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", sketch.group(1),
+                        re.M | re.S)
+    assert blocks, "README's library sketch has no python block"
+    sources = blocks + [p.read_text()
+                        for p in sorted((ROOT / "demos").glob("*.py"))]
+    return set().union(*map(_root_imports, sources))
+
+
+def test_root_exports_exactly_the_user_api():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = {alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    unused = sorted(exported - _program_names() - {"__version__"})
-    assert exported and not unused, f"exported but never used: {unused}"
+    used = _user_imports()
+    unused = sorted(exported - used)
+    assert not unused, f"exported but no demo or sketch imports: {unused}"
+    missing = sorted(used - exported)
+    assert not missing, f"imported from e8umbral but not exported: {missing}"
 
 
 def test_every_public_method_is_used_by_the_program():
@@ -58,3 +88,25 @@ def test_every_public_method_is_used_by_the_program():
     used = _program_names()
     unused = sorted(q for q, name in methods.items() if name not in used)
     assert not unused, f"public methods never used: {unused}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # bench/run.py --trace 1 imports e8umbral and e8umbral.cli and then
+    # looks up each module of tracer.LAYERS in sys.modules; LAYERS is read
+    # from the source so that the test imports nothing from bench
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "LAYERS"
+                          for target in node.targets))
+    assert "cli" in layers and "theta" in layers
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys\n"
+            "import e8umbral, e8umbral.cli\n"
+            "print(*sorted(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    missing = [m for m in layers if f"e8umbral.{m}" not in loaded]
+    assert not missing, f"import e8umbral.cli does not load {missing}"
