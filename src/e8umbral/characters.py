@@ -1,15 +1,20 @@
 """Graded trace functions on the twisted cone modules and the
 McKay-Thompson components built from them.
 
-Two independent routes compute the same traces:
+Two routes compute the same traces with one signed cone sum,
+``octant_sum``, which the tests check against a box brute force
+(``octant_box_sum``) and against a scan of the cone points themselves:
 
 * ``trace_closed`` evaluates the closed triple/double/single lattice sums
-  (one shape per conjugacy class of the S3 symmetry) against the printed
-  eta-quotient prefactors, by ``closed_series``, which also builds the
-  Zwegers and Hecke sums of the mock theta identities;
-* ``trace_direct`` pairs the one-fermion and Heisenberg factors with an
-  explicit sum over enumerated cone points, applying the character-level
-  sign rules of the group action.
+  (one printed shape per conjugacy class of the S3 symmetry) against the
+  printed eta-quotient prefactors, by ``closed_series``, which also builds
+  the Zwegers and Hecke sums of the mock theta identities;
+* ``trace_direct`` derives everything else itself: the form of Q on the
+  fixed cone points from the Gram matrix 2 - delta and rho
+  (``lattice._fixed_form``), the character-level sign rule of the class,
+  the 2A flip on branch N, and the one-fermion times Heisenberg
+  prefactor.  So every printed gram, sign and prefactor is checked
+  against the lattice and the group action.
 
 A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
 the two one-fermion modules the zero mode contributes only an overall
@@ -27,7 +32,7 @@ with H_r = sign * H_family, and every module that indexes by r mod 60
 import math
 from collections import namedtuple
 from functools import lru_cache
-from .lattice import _positive_branch
+from .lattice import _fixed_form
 from .qseries import (DEN, GradingError, QSeries, SeriesError, dedekind_eta,
                       _eta, _num, _series)
 
@@ -118,7 +123,7 @@ def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
 
 
 # ----------------------------------------------------------------------
-# closed-form route (explicit octant sums)
+# the signed octant sum of both routes, and the closed-form route
 
 
 def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
@@ -225,36 +230,35 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
 
 
 # ----------------------------------------------------------------------
-# direct route (enumerated cone points with group sign rules)
+# direct route (the cone sum on the lattice's own form, with the sign rules
+# of the group action)
+
+# per class order: the character-level sign rule as signs on the free
+# coordinates of the points (k, l, m), (k, k, m) resp. (k, k, k),
+# (-1)^(k+l+m) for 1A, (-1)^<lambda, rho + e_1'> = (-1)^(3k+m) for 2A and
+# (-1)^k for 3A, and the sign on branch N, which the sign automorphism of
+# 2A flips
+_DIRECT_SIGNS = {1: ((1, 1, 1), 1), 2: ((3, 1), -1), 3: ((1,), 1)}
 
 
 def trace_direct(trace_id: TraceId, order) -> QSeries:
-    """Trace via enumerated coset-cone points.
+    """Trace via the signed sum over the fixed cone points.
 
-    The prefactor is the one-fermion factor -q^(1/24) (q;q)_inf (the sign
-    of T^-) times heisenberg_trace, an independent path from the printed
-    eta-quotients, and the lattice part sums sign(mu) q^Q(mu) over the
-    cone points of L + a*rho/2 read from the two cached branch-P scans of
-    lattice._positive_branch: branch P from coset a, and branch N from
-    coset 10 - a with each coordinate x mapped to -1 - x.  The
-    character-level sign rule of the class is applied in the same loop.
+    The lattice part sums sign(mu) q^Q(mu) over the cone points of
+    L + a*rho/2 fixed by the class: ``octant_sum`` of the form that
+    ``lattice._fixed_form`` derives from the Gram matrix 2 - delta and rho,
+    with the class's literal sign rule and branch-N sign.  The prefactor is
+    the one-fermion factor -q^(1/24) (q;q)_inf (the sign of T^-) times
+    heisenberg_trace.  Form, signs and prefactor come from the lattice and
+    the group action, not from the printed shapes of ``trace_closed``; the
+    two routes share only ``octant_sum``, which the tests check against
+    ``octant_box_sum`` and against a brute-force scan of the cone.
     """
     cls = trace_id.group_class
-    a = trace_id.coset_a
+    signs, negative_sign = _DIRECT_SIGNS[cls.order]
+    gram, lin, shift = _fixed_form(cls.cycles, trace_id.coset_a)
     cap = _num(order) + 10         # order + 1/12, as in trace_closed
-    n = cls.order
-    coeffs: dict[int, int] = {}
-    for coset, negative in ((a, False), (10 - a, True)):
-        # the sign automorphism of 2A flips the sign on branch N
-        flip = -1 if negative and n == 2 else 1
-        for en, (k, l, m) in _positive_branch(coset, cls.cycles, cap):
-            if negative:
-                k, l, m = -1 - k, -1 - l, -1 - m
-            # (-1)^(k+l+m); for 2A (-1)^<lambda, rho + e_1'> = (-1)^(3k+m);
-            # for 3A (-1)^k
-            odd = (k + l + m if n == 1 else 3 * k + m if n == 2 else k) % 2
-            coeffs[en] = coeffs.get(en, 0) + (-flip if odd else flip)
-    lat_sum = _series(coeffs, cap)
+    lat_sum = octant_sum(gram, lin, shift, signs, negative_sign, cap)
     return (_direct_prefactor(cls, order) * lat_sum).truncate(order)
 
 

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from e8umbral import cli
-from e8umbral.characters import (CLASS_2A, TraceId, _direct_prefactor,
-                                 trace_closed)
+from e8umbral import characters, cli
+from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, TraceId,
+                                 _direct_prefactor, trace_closed)
 from e8umbral.cli import main
-from e8umbral.lattice import _positive_branch
 from e8umbral.mocktheta import IdentityReport
 from e8umbral.qseries import QSeries, _eta
 
@@ -131,19 +130,27 @@ def test_verify_exact_passes(capsys):
 
 
 def clear_caches():
-    for cache in (trace_closed, _direct_prefactor, _positive_branch, _eta):
+    for cache in (trace_closed, _direct_prefactor, _eta):
         cache.cache_clear()
 
 
-def test_verify_exact_scans_each_cone_once(capsys):
-    # the direct route reads two branch-P scans per (class, coset): those
-    # of cosets a and 10 - a, so each of the 15 scans is read twice
+def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
+    # one octant_sum per closed form and one per direct trace: the 15
+    # closed traces and the 8 mock theta sums, to order 8 (cap 960), and
+    # the 15 direct traces, to order 8 + 1/12 (cap 970)
+    caps = []
+    real = characters.octant_sum
+
+    def counted(*args):
+        caps.append(args[5])
+        return real(*args)
+
+    monkeypatch.setattr(characters, "octant_sum", counted)
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    info = _positive_branch.cache_info()
-    assert (info.misses, info.hits) == (15, 15)
+    assert (caps.count(960), caps.count(970), len(caps)) == (23, 15, 38)
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys):
@@ -247,6 +254,83 @@ def test_verify_each_kind_of_check_fails_alone(capsys, monkeypatch, fail):
     assert code == 1
     assert [line for line in lines if "[FAIL]" in line] == [str(report)]
     assert (len(lines), lines[-1]) == (n + 1, f"{n - 1}/{n} checks passed")
+
+
+def change_shape(order, field, value):
+    """Change one field of a printed closed shape: 0 gram, 1 lin unit,
+    2 signs, 3 negative-octant sign."""
+    def patch(monkeypatch):
+        shape = list(characters._CLOSED_SHAPES[order])
+        shape[field] = value
+        monkeypatch.setitem(characters._CLOSED_SHAPES, order, tuple(shape))
+    return patch
+
+
+def change_form(monkeypatch):
+    # the derived 2A form with <f_1, f_1> = 7 for 6
+    real = characters._fixed_form
+
+    def form(cycles, a):
+        gram, lin, shift = real(cycles, a)
+        if len(cycles) == 2:
+            (g00, g01), row1 = gram
+            gram = ((g00 + 1, g01), row1)
+        return gram, lin, shift
+
+    monkeypatch.setattr(characters, "_fixed_form", form)
+
+
+def change_direct_signs(order, rule):
+    def patch(monkeypatch):
+        monkeypatch.setitem(characters._DIRECT_SIGNS, order, rule)
+    return patch
+
+
+def change_heisenberg(monkeypatch):
+    # the 3A prefactor with the Heisenberg trace of 1A
+    real = characters.heisenberg_trace
+    monkeypatch.setattr(characters, "heisenberg_trace", lambda cls, order:
+                        real(CLASS_1A if cls is CLASS_3A else cls, order))
+
+
+# (class, side, patch): one printed entry of _CLOSED_SHAPES, or one piece
+# that the direct route derives itself, made wrong in one class
+NEGATIVE_CONTROLS = {
+    "closed 2A gram": ("2A", "closed", change_shape(2, 0, ((6, 5), (5, 1)))),
+    "closed 3A sign": ("3A", "closed", change_shape(3, 2, (0,))),
+    "closed 1A negative sign": ("1A", "closed", change_shape(1, 3, -1)),
+    "direct 2A form": ("2A", "direct", change_form),
+    "direct 1A sign rule": ("1A", "direct",
+                            change_direct_signs(1, ((1, 1, 0), 1))),
+    "direct 2A flip": ("2A", "direct", change_direct_signs(2, ((3, 1), 1))),
+    "direct 3A Heisenberg": ("3A", "direct", change_heisenberg),
+}
+# the identity lines that read the closed traces of a class
+READS_CLOSED = {"1A": ("2 T(e,", "H(1A,"), "2A": ("H(2A,",), "3A": ()}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
+def test_closed_vs_direct_lines_catch_a_wrong_piece(capsys, monkeypatch,
+                                                     name):
+    # exit 1, with [FAIL] on the closed-vs-direct lines of the changed
+    # class only, and on the identity lines of that class when the change
+    # is to a closed shape
+    name_of_class, side, patch = NEGATIVE_CONTROLS[name]
+    clear_caches()
+    patch(monkeypatch)
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
+                               "--order", "8")
+    finally:
+        clear_caches()
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    direct = [line for line in fails if "closed vs direct route" in line]
+    allowed = READS_CLOSED[name_of_class] if side == "closed" else ()
+    assert code == 1
+    assert direct
+    assert all(f"route, {name_of_class} a=" in line for line in direct)
+    assert all(line in direct or any(s in line for s in allowed)
+               for line in fails)
 
 
 def test_eval_series_value(capsys):

@@ -1,16 +1,36 @@
+import ast
+import inspect
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
-from e8umbral import lattice
-from e8umbral.characters import all_trace_ids
-from e8umbral.lattice import _positive_branch
+from e8umbral import characters, lattice
+from e8umbral.characters import CLASSES, TraceId, octant_sum, trace_direct
+from e8umbral.lattice import GRAM, _fixed_form
+from e8umbral.qseries import QSeries
 
 from oracles import RHO, cone_mu, pair, q_norm
 
 
 # the cycles of the identity, of the involution tau and of the 3-cycle sigma
 ALL, TAU, SIGMA = ((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)
+
+# the character-level sign rule of each class on the basis coordinates
+# (k, l, m), straight from the paper: (-1)^(k+l+m) for 1A,
+# (-1)^<lambda, rho + e_1'> = (-1)^(3k+m) for 2A, (-1)^k for 3A; the sign
+# automorphism of 2A flips the sign on branch N
+LITERAL_SIGN = {ALL: lambda k, l, m: k + l + m,
+                TAU: lambda k, l, m: 3 * k + m,
+                SIGMA: lambda k, l, m: k}
+FLIPS_N = {TAU}
+
+
+def spread(cycles, y):
+    """The basis coordinates of the free point y: coordinate i takes the
+    value of the cycle holding i."""
+    return tuple(next(t for c, t in zip(cycles, y) if i in c)
+                 for i in range(3))
 
 
 def brute_scan(a, bound, cycles=ALL, box=12):
@@ -39,14 +59,11 @@ def brute_scan(a, bound, cycles=ALL, box=12):
     return sorted(out)
 
 
-def cone(a, cycles, cap):
-    """The points of the scans as the direct trace reads them, sorted
-    like brute_scan: branch P from the scan of coset a, branch N from the
-    scan of coset 10 - a with each coordinate x mapped to -1 - x."""
-    p = _positive_branch(a, cycles, cap)
-    n = _positive_branch(10 - a, cycles, cap)
-    return sorted([(num, c, "P") for num, c in p] +
-                  [(num, tuple(-1 - x for x in c), "N") for num, c in n])
+def cone_count(cycles, a, cap):
+    """{120 Q(mu): number of fixed cone points} up to cap, by octant_sum
+    on the derived form with no sign."""
+    gram, lin, shift = _fixed_form(cycles, a)
+    return octant_sum(gram, lin, shift, (0,) * len(lin), 1, cap).coeffs
 
 
 def test_gram_values():
@@ -55,6 +72,7 @@ def test_gram_values():
     assert pair(e[0], e[1]) == 2
     assert pair((2, -3, 5), RHO) == 4
     assert pair(RHO, RHO) == F(3, 5)
+    assert GRAM == tuple(tuple(pair(u, v) for v in e) for u in e)
 
 
 def test_dual_basis_property():
@@ -68,87 +86,88 @@ def test_dual_basis_property():
 
 def test_minimal_point_coset_one():
     # Q = 3/40 = 9/120; the energy bound is a numerator over 120 too
-    assert cone(1, ALL, 9) == [(9, (0, 0, 0), "P")]
-    assert cone(1, ALL, 8) == []
+    assert cone_count(ALL, 1, 9) == {9: 1}
+    assert cone_count(ALL, 1, 8) == {}
 
 
 def test_sigma_fixed_coset_five():
-    # Q = 15/8 = 225/120 on both points
-    assert cone(5, SIGMA, 225) == \
-        [(225, (-1, -1, -1), "N"), (225, (0, 0, 0), "P")]
+    # Q = 15/8 = 225/120 on both points, (0, 0, 0) and (-1, -1, -1)
+    assert cone_count(SIGMA, 5, 225) == {225: 2}
+    assert {q_norm(cone_mu(c, 5)) for c in ((0, 0, 0), (-1, -1, -1))} == \
+        {F(225, 120)}
+
+
+def test_branch_sign_conditions_and_q():
+    # on every fixed point of a box, the derived form is Q(mu) by the
+    # definition, and mu is on branch P exactly when y is in the
+    # non-negative octant, on branch N exactly when y is negative
+    for cycles, a in itertools.product((ALL, TAU, SIGMA), (1, 3, 5, 7, 9)):
+        gram, lin, shift = _fixed_form(cycles, a)
+        n = len(cycles)
+        assert (len(gram), len(lin), type(shift)) == (n, n, int)
+        for y in itertools.product(range(-4, 4), repeat=n):
+            mu = cone_mu(spread(cycles, y), a)
+            value = sum(gram[i][j] * y[i] * y[j]
+                        for i in range(n) for j in range(n)) + \
+                sum(l * t for l, t in zip(lin, y))
+            assert F(value, 2) + F(shift, 120) == q_norm(mu)
+            assert all(c >= 0 for c in mu) == all(t >= 0 for t in y)
+            assert all(c < 0 for c in mu) == all(t < 0 for t in y)
 
 
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
 @pytest.mark.parametrize("cycles", [ALL, TAU, SIGMA],
                          ids=["None", "tau", "sigma"])
-def test_completeness_against_box_oracle(a, cycles):
-    assert cone(a, cycles, 1200) == brute_scan(a, F(10), cycles)
+def test_completeness_against_box_oracle(a, cycles, monkeypatch):
+    # the direct route's lattice sum, before its prefactor, is the signed
+    # count per energy of the cone points of a box scan, under the
+    # class's literal sign rule and the 2A flip
+    want = {}
+    for num, coords, branch in brute_scan(a, F(10), cycles):
+        sign = -1 if LITERAL_SIGN[cycles](*coords) % 2 else 1
+        if branch == "N" and cycles in FLIPS_N:
+            sign = -sign
+        want[num] = want.get(num, 0) + sign
+    cls = next(c for c in CLASSES.values() if c.cycles == cycles)
+    monkeypatch.setattr(characters, "_direct_prefactor",
+                        lambda group_class, order: QSeries({0: 1}, order + 1))
+    got = trace_direct(TraceId(cls, a), 10)
+    assert got.order == 10
+    assert got.coeffs == {e: c for e, c in want.items() if c}
 
 
-def test_scan_stops_at_the_cap(monkeypatch):
-    # each coordinate loop stops at its first point past the cap, and the
-    # cones of cosets a and 10 - a share their cached branch-P scans: over
-    # the 15 traces at order 250 the energy is evaluated fewer times than
-    # points are kept, where one scan per branch evaluates it 13 382 times
-    # and a box scan about 13 times per point
-    calls = 0
-    q_of = lattice._q_of
-
-    def counted(coords, a):
-        nonlocal calls
-        calls += 1
-        return q_of(coords, a)
-
-    monkeypatch.setattr(lattice, "_q_of", counted)
-    _positive_branch.cache_clear()
-    kept = sum(len(_positive_branch(coset, t.group_class.cycles,
-                                    250 * 120 + 10))
-               for t in all_trace_ids()
-               for coset in (t.coset_a, 10 - t.coset_a))
-    assert kept == 11298
-    assert 2 * calls <= 13382
-    # a cached scan is a tuple: no caller can change what the next reads
-    assert isinstance(_positive_branch(1, ALL, 600), tuple)
+def _names(node) -> set:
+    """Every name, attribute and imported name a syntax tree references."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
 
 
-def test_branch_sign_conditions_and_q():
-    for num, coords, branch in cone(7, ALL, 960):
-        mu = cone_mu(coords, 7)
-        if branch == "P":
-            assert all(c >= 0 for c in mu)
-        else:
-            assert all(c < 0 for c in mu)
-        assert q_norm(mu) * 120 == num
-        assert num > 0
-
-
-def test_negation_symmetry():
-    # x -> -1 - x maps the branch-P points of coset 10 - a onto branch N of
-    # coset a, preserving Q: the energy of each scanned point is that of
-    # its image, by the formula of the scan and by the form itself
-    seen = 0
-    for a in (1, 3, 7, 9):
-        for num, coords in _positive_branch(10 - a, ALL, 720):
-            seen += 1
-            image = tuple(-1 - x for x in coords)
-            assert all(c < 0 for c in cone_mu(image, a))
-            assert lattice._q_of(image, a) == num
-            assert q_norm(cone_mu(image, a)) * 120 == num
-    assert seen
-
-
-def test_positive_branch_square_bound():
-    # on branch P the cross terms are non-negative: Q >= sum(coords^2)/2
-    for num, coords in _positive_branch(3, ALL, 1080):
-        mu = cone_mu(coords, 3)
-        assert num >= 60 * sum(c * c for c in mu)
-
-
-def test_deterministic_sorted_output():
-    # a fresh scan repeats the cached one, in the order of its walk: sorted
-    # by coordinates
-    a = _positive_branch(3, ALL, 1440)
-    _positive_branch.cache_clear()
-    b = _positive_branch(3, ALL, 1440)
-    assert a == b
-    assert [coords for _, coords in a] == sorted(coords for _, coords in a)
+def test_direct_route_reads_no_printed_shape():
+    # the lattice module and trace_direct, with every definition of
+    # characters it reaches, read none of the printed closed forms
+    printed = {"_CLOSED_SHAPES", "GRAM_1A", "GRAM_2A"}
+    assert not _names(ast.parse(inspect.getsource(lattice))) & printed
+    tree = ast.parse(inspect.getsource(characters))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                defs[getattr(target, "id", None)] = node
+    seen, todo = set(), ["trace_direct"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        refs = _names(defs[name])
+        assert not refs & printed, name
+        todo += [r for r in refs if r in defs and r not in seen]
+    assert {"_DIRECT_SIGNS", "_direct_prefactor", "heisenberg_trace",
+            "octant_sum"} <= seen
