@@ -3,20 +3,19 @@ Gaussian weights, Eichler integrals, indefinite theta functions of
 signature (1,1), completions, and weight-1/2 transformation residuals.
 
 Summation tails are certified, and each sum's length is fixed before its
-first term: _line_sum (the R-function sums of a completion's Eichler
-part, and eta(2 tau), a unary theta) and _ring_sum (indefinite_theta,
-whose E-weighted lattice sums decay like exp(-2 pi y M(nu)) for
-positive-definite forms M from the cone data) add the shells up to the
-first past which a certified majorant of the rest is below the bound,
-and fail with ConvergenceError before any term if there is none within
-their cap (_shells_needed).  The test suite builds the one-sided theta
-splitting identity on the same two summers.  One value alone, H_r summed
-at a point by _at_point, carries an empirical tail estimate (measured
-coefficient growth times the dropped geometric tail), at the order
-``_eval_order`` gives for its tolerance (at most 800), and refuses to
-report a value it cannot back (ConvergenceError, NumericsError).  Each
-error gives a bare reason: h_value adds the tol and the tau asked for,
-and `verify` the tol and check.
+first term: one summer, _theta_sum, adds a Gaussian-damped sum over Z or
+Z^2 in square rings |n|_inf = R up to the first past which a certified
+majorant of the rest is below the bound, or fails with ConvergenceError
+before any term if there is none within its cap.  It sums the R-functions
+of a completion's Eichler part, eta(2 tau), indefinite_theta (whose
+E-weighted lattice sums decay like exp(-2 pi y M(nu)), M positive definite
+from the cone data) and the test suite's theta splitting identity.  One
+value alone, H_r summed at a point by _at_point, carries an empirical
+tail estimate (measured coefficient growth times the dropped geometric
+tail), at the order ``_eval_order`` gives for its tolerance (at most 800),
+and refuses to report a value it cannot back (ConvergenceError,
+NumericsError).  Each error gives a bare reason: h_value adds the tol and
+the tau asked for, and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
@@ -129,7 +128,7 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
 def _eval_order(y: float, tol: float) -> int:
     """Truncation order giving a dropped tail well below tol at Im = y."""
     # clamped before rounding: at a subnormal y the quotient is inf
-    n = min((math.log(1.0 / tol) + 34.0) / (TWO_PI * y), 800.0)
+    n = min((34.0 - math.log(tol)) / (TWO_PI * y), 800.0)
     return max(40, int(math.ceil(n / 20.0)) * 20)
 
 
@@ -137,37 +136,40 @@ def _eval_order(y: float, tol: float) -> int:
 # R functions and Eichler integrals
 
 
-def _shells_needed(rest, tail_bound: float, cap: int, what: str) -> int:
-    """The least shell k <= cap with rest(k), a certified bound on all past
-    shell k, below tail_bound: a linear search, as rest need not be
-    monotone.  Else ConvergenceError names the sum, bound and cap."""
-    for k in range(cap + 1):
-        if rest(k) < tail_bound:
-            return k
-    raise ConvergenceError(
-        f"{what} tail bound {tail_bound:g} not met by shell {cap}")
+def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
+               tail_bound: float) -> complex:
+    """sum_{n in Z^rank} term(*n), rank 1 or 2, in square rings |n|_inf = R,
+    for |term(n)| <= wmax exp(-a |s + n|^2), a = 2 pi y lam, s in [0, 1)^rank.
 
-
-def _line_sum(term, x0, kappa: float, y: float,
-              tail_bound: float) -> complex:
-    """sum_{x in x0+Z} term(x), for |term(x)| <= exp(-pi kappa y x^2).
-
-    Shell k is the pair s + k, s - k - 1 (s = x0 mod 1).  Past it every
-    point has |x| >= d = min(s + k + 1, k + 2 - s), so the rest is at most
-    2 exp(-pi kappa y d^2) / (1 - exp(-2 pi kappa y d)), since
-    (d + j)^2 >= d^2 + 2dj.  The shells up to the first k <= 20000 where
-    that is below tail_bound are added (_shells_needed).
+    Ring R' >= 1 has at most c(R') = 2 rank (2R' + 1)^(rank - 1) points,
+    each with |s + n| >= R' - 1; the ratios of these ring bounds decrease,
+    so the rest past ring R is at most wmax c(R + 1) exp(-a R^2) / (1 - rho),
+    rho = c(R + 2)/c(R + 1) exp(-a (2R + 1)).  A linear search before any
+    term finds the first R <= cap (20000 for rank 1, a line sum; 801 for
+    rank 2, a ring sum) where that is below tail_bound, and the rings up to
+    it are added; if there is none, ConvergenceError.
     """
-    s = float(x0 - math.floor(x0))
-    rate = math.pi * kappa * y
-
-    def rest(k):
-        d = min(s + (k + 1), k + 2 - s)
-        return 2.0 * math.exp(-rate * d * d) / -math.expm1(-2.0 * rate * d)
-
-    total = 0.0 + 0.0j
-    for n in range(_shells_needed(rest, tail_bound, 20000, "line sum") + 1):
-        total += term(s + n) + term(s - n - 1)
+    a = TWO_PI * y * lam
+    cap, what = (20000, "line sum") if rank == 1 else (801, "ring sum")
+    for stop in range(cap + 1):
+        c1 = 2 * rank * (2 * stop + 3) ** (rank - 1)      # c(stop + 1)
+        c2 = 2 * rank * (2 * stop + 5) ** (rank - 1)      # c(stop + 2)
+        rho = c2 / c1 * math.exp(-a * (2 * stop + 1))
+        if rho < 1.0 and wmax * c1 * math.exp(-a * stop * stop) \
+                / (1.0 - rho) < tail_bound:
+            break
+    else:
+        raise ConvergenceError(
+            f"{what} tail bound {tail_bound:g} not met by shell {cap}")
+    total = term(*(0,) * rank)                          # ring 0
+    for R in range(1, stop + 1):
+        if rank == 1:
+            total += term(R) + term(-R)
+        else:
+            pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
+            pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
+            for n1, n2 in pts:
+                total += term(n1, n2)
     return total
 
 
@@ -176,19 +178,21 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
     e^(-2 pi i nu b), with sgn(0) = 0.
 
     erfc(t) <= exp(-t^2) bounds each term by exp(-pi y nu^2), so
-    _line_sum certifies the tail with kappa = 1.
+    _theta_sum certifies the tail with lam = 1/2, at the offset a mod 1.
     """
     b = float(b)
     y = _im_upper(tau)
+    s = float(a - math.floor(a))
 
-    def term(nu: float) -> complex:
+    def term(n: int) -> complex:
+        nu = s + n
         if nu == 0.0 or (w := beta_incomplete(2.0 * nu * nu * y)) == 0.0:
             return 0.0 + 0.0j
         return math.copysign(1.0, nu) * w * \
             cmath.exp(-1j * math.pi * nu * nu * tau) * \
             cmath.exp(-2j * math.pi * nu * b)
 
-    return _line_sum(term, a, 1.0, y, tail_bound)
+    return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound)
 
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
@@ -332,8 +336,9 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
 class IndefThetaData(namedtuple("IndefThetaData", "A a b c1 c2")):
     """Quadratic form data (A; a, b; c1, c2) for the two-sided theta: A
     ((int, int), (int, int)), symmetric of signature (1,1); a and b
-    2-vectors of characteristics, as int numerators over DEN = 120; c1 and
-    c2 integer cone vectors in the same negative component."""
+    2-vectors of characteristics, as int numerators over DEN = 120, with a
+    read mod Z^2; c1 and c2 integer cone vectors in the same negative
+    component."""
 
     __slots__ = ()
 
@@ -406,43 +411,21 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
                q2 / (2 * (w2[0] ** 2 + w2[1] ** 2)))
 
 
-def _ring_sum(data: IndefThetaData, tau: complex, weight, wmax: float,
-              lam: float, tail_bound: float) -> complex:
-    """sum_{n in Z^2} weight(n) e(Q(nu) tau + B(nu, b)) with nu = a + n,
-    summed over expanding square rings.
-
-    The caller's lam and wmax bound the terms of ring R (at most 8R + 4)
-    by wmax e^(-a t^2), t = R - 2, a = 2 pi y lam; as the ratios of
-    (8t + 20) e^(-a t^2) decrease in t, the rings past R >= 2 add at most
-    wmax times the t = R - 1 term over 1 - rho, rho its ratio.  The rings
-    up to the first R <= 801 where that is below tail_bound are added.
-    """
-    a = TWO_PI * tau.imag * lam
-
-    def rest(R):
-        d = max(R - 1, 0)     # t of ring R + 1; no exp(a) at R = 0
-        rho = (8 * d + 28) / (8 * d + 20) * math.exp(-a * (2 * d + 1))
-        if R < 2 or rho >= 1.0:
-            return math.inf
-        return wmax * ((8 * d + 20) * math.exp(-a * d * d) / (1.0 - rho))
-
+def _theta_term(data: IndefThetaData, tau: complex, weight):
+    """n -> weight(n) e(Q(nu) tau + B(nu, b)) for nu = a + n, 0 where the
+    weight is 0; a and b are read as numerators over DEN."""
     (a00, a01), (_, a11) = data.A
     a0, a1 = data.a[0] / DEN, data.a[1] / DEN
     ab0, ab1 = (x / DEN for x in data.a_times(data.b))
-    total = 0.0 + 0.0j
-    for R in range(_shells_needed(rest, tail_bound, 801, "ring sum") + 1):
-        pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
-        pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
-        for n1, n2 in pts if R else [(0, 0)]:
-            w = weight(n1, n2)
-            if w == 0.0:
-                continue
-            nu0, nu1 = a0 + n1, a1 + n2
-            qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
-                         + a11 * nu1 * nu1)
-            total += w * cmath.exp(TWO_PI_I * (qnu * tau + nu0 * ab0
-                                               + nu1 * ab1))
-    return total
+
+    def term(n1: int, n2: int) -> complex:
+        if (w := weight(n1, n2)) == 0.0:
+            return 0.0 + 0.0j
+        nu0, nu1 = a0 + n1, a1 + n2
+        qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1 + a11 * nu1 * nu1)
+        return w * cmath.exp(TWO_PI_I * (qnu * tau + nu0 * ab0 + nu1 * ab1))
+
+    return term
 
 
 def _wall_coordinate(data: IndefThetaData, c, y: float):
@@ -473,9 +456,11 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
     so every ring past the stopping radius is provably negligible.
     On same-sign terms the weight is taken as a difference of erfc values,
     not of erf values near +-1, so no rounding error is blown up by a
-    large |q^Q(nu)|.
+    large |q^Q(nu)|.  The sum depends on a only mod Z^2, so a is reduced
+    mod DEN first, into the offsets [0, 1)^2 that _theta_sum certifies.
     """
     data.validate()
+    data = data._replace(a=tuple(x % DEN for x in data.a))
     y = _im_upper(tau)
     x1 = _wall_coordinate(data, data.c1, y)
     x2 = _wall_coordinate(data, data.c2, y)
@@ -489,7 +474,8 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
 
     lam = min(_pd_lambda_min(data, data.c1), _pd_lambda_min(data, data.c2),
               _wedge_lambda_min(data))
-    return _ring_sum(data, tau, weight, 2.0, lam, tail_bound)
+    return _theta_sum(_theta_term(data, tau, weight), 2, lam, 2.0, y,
+                      tail_bound)
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +505,7 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     signs on the R-terms are a typo: both routes give plus.
 
     eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
-    by _line_sum with kappa = 6, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
+    by _theta_sum with lam = 3, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
     certified tail below tol * 1e-12, the ratio _eichler_part uses.  Re
     tau is reduced mod DEN = 120 once, for both sides: the periods of theta
     (Q(nu) in 3c^2/40 + Z), eta(2 tau) and the completion are 40, 12, 120.
@@ -528,9 +514,12 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     y = _im_upper(tau)
     tau = complex(math.fmod(tau.real, DEN), y)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
-    eta_val = e(-1 / 12) * _line_sum(
-        lambda nu: cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau)),
-        1 / 6, 6.0, y, tol * 1e-12)
+
+    def eta_term(n: int) -> complex:
+        nu = 1 / 6 + n
+        return cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau))
+
+    eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12)
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 

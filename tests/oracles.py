@@ -360,70 +360,35 @@ def multiplier_by_weil(gamma) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# the certified summers as loops that test their tail after each shell
+# the certified summer as a loop that tests its tail after each ring
 
 
-def line_sum_loop(term, x0, kappa: float, y: float,
-                  tail_bound: float) -> complex:
-    """sum_{x in x0+Z} term(x) for |term(x)| <= exp(-pi kappa y x^2): pairs
-    s + n, s - n - 1 (s = x0 mod 1) are added until every point left has
-    |x| >= d with 2 exp(-pi kappa y d^2) / (1 - exp(-2 pi kappa y d))
-    below tail_bound; RuntimeError after 20001 pairs."""
-    s = float(x0 - math.floor(x0))
-    rate = math.pi * kappa * y
-    total = 0.0 + 0.0j
-    n = 0
-    while True:
-        total += term(s + n) + term(s - n - 1)
-        n += 1
-        d = min(s + n, n + 1 - s)
-        if 2.0 * math.exp(-rate * d * d) / -math.expm1(-2.0 * rate * d) \
-                < tail_bound:
-            return total
-        if n > 20000:
-            raise RuntimeError("line sum tail bound not met")
-
-
-def _ring_tail(R0: int, y: float, lam: float) -> float:
-    """Bound on sum_{R >= R0 >= 2} (8R + 4) e^(-a (R-2)^2), a = 2 pi y lam,
-    by its first term over 1 - rho, rho that term's ratio to the next."""
+def theta_sum_loop(term, rank: int, lam: float, wmax: float, y: float,
+                   tail_bound: float) -> complex:
+    """sum_{n in Z^rank} term(*n), rank 1 or 2, ring |n|_inf = R after
+    ring, until after ring R the rest bound wmax c(R + 1) exp(-a R^2) /
+    (1 - rho) is below tail_bound, with c(R) = 2 rank (2R + 1)^(rank - 1),
+    a = 2 pi y lam and rho = c(R + 2)/c(R + 1) exp(-a (2R + 1)) < 1;
+    RuntimeError past ring 20000 (rank 1) or 801 (rank 2)."""
     a = 2.0 * math.pi * y * lam
-    d = R0 - 2
-    rho = (8 * d + 28) / (8 * d + 20) * math.exp(-a * (2 * d + 1))
-    if rho >= 1.0:
-        return math.inf
-    return (8 * d + 20) * math.exp(-a * d * d) / (1.0 - rho)
-
-
-def ring_sum_loop(data, tau: complex, weight, wmax: float, lam: float,
-                  tail_bound: float) -> complex:
-    """sum_{n in Z^2} weight(n) e(Q(nu) tau + B(nu, b)), nu = a + n, for
-    the package's indefinite-theta data (characteristics as numerators over
-    120), over square rings until, from ring 2 on, wmax times _ring_tail
-    of the rings left is below tail_bound; RuntimeError past ring 801."""
-    y = tau.imag
-    (a00, a01), (_, a11) = data.A
-    a0, a1 = data.a[0] / 120, data.a[1] / 120
-    ab0, ab1 = (x / 120 for x in data.a_times(data.b))
+    cap = 20000 if rank == 1 else 801
     total = 0.0 + 0.0j
     R = 0
     while True:
         if R == 0:
-            pts = [(0, 0)]
+            total += term(*(0,) * rank)
+        elif rank == 1:
+            total += term(R) + term(-R)
         else:
             pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
             pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
-        for n1, n2 in pts:
-            w = weight(n1, n2)
-            if w == 0.0:
-                continue
-            nu0, nu1 = a0 + n1, a1 + n2
-            qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
-                         + a11 * nu1 * nu1)
-            total += w * cmath.exp(2j * math.pi * (qnu * tau + nu0 * ab0
-                                                   + nu1 * ab1))
-        if R >= 2 and wmax * _ring_tail(R + 1, y, lam) < tail_bound:
+            for n in pts:
+                total += term(*n)
+        c1, c2 = (2 * rank * (2 * k + 1) ** (rank - 1) for k in (R + 1, R + 2))
+        rho = c2 / c1 * math.exp(-a * (2 * R + 1))
+        if rho < 1.0 and \
+                wmax * c1 * math.exp(-a * R * R) / (1.0 - rho) < tail_bound:
             return total
-        if R > 800:
-            raise RuntimeError("theta ring sum tail bound not met")
+        if R >= cap:
+            raise RuntimeError("theta sum tail bound not met")
         R += 1

@@ -769,6 +769,22 @@ def test_eval_never_raises_across_heights(capsys):
                         assert len(err.splitlines()) == want_lines, argv
 
 
+def test_eval_never_raises_at_extreme_heights_and_tols(capsys):
+    # at Im tau = 1e308 and a tol of 1e-320 or below, both 1/tol and
+    # 2 pi Im tau are inf, and the truncation order was once inf/inf = nan,
+    # a ValueError out of main
+    for cls in ("1A", "2A", "3A"):
+        for height in ("5e-324", "1e-300", "1e308"):
+            for tol in ("5e-324", "1e-320", "1e300"):
+                for extra in ([], ["--completion"]):
+                    argv = ["eval", "--class", cls, "--r", "1",
+                            f"--tau=0+{height}i", "--tol", tol, *extra]
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    assert code in (0, 2, 3), argv
+                    assert len(err.splitlines()) <= 1, argv
+
+
 def test_import_does_not_load_scipy():
     # numpy and scipy are test-only dependencies: the package must run
     # without them, the numeric suite and both eval routes included.  Nor

@@ -12,17 +12,17 @@ from e8umbral import maass
 from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
 from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             NumericsError,
-                            _at_point, _eichler_part, _line_sum, _mat_mul,
-                            _pd_lambda_min, _ring_sum, _wall_coordinate,
-                            _wedge_lambda_min,
+                            _at_point, _eichler_part, _mat_mul,
+                            _pd_lambda_min, _theta_sum, _theta_term,
+                            _wall_coordinate, _wedge_lambda_min,
                             beta_incomplete, completion_value,
                             e, h_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, series_value,
                             tau1_identity_check, transform_check)
 from e8umbral.qseries import DEN, _num
-from oracles import (g_value, line_sum_loop, multiplier_by_tokens,
-                     multiplier_by_weil, ring_sum_loop, shadow)
+from oracles import (g_value, multiplier_by_tokens, multiplier_by_weil,
+                     shadow, theta_sum_loop)
 
 import numpy as np
 
@@ -141,20 +141,24 @@ def test_integer_cone_numerics_match_fraction_arithmetic():
                         assert x(n1, n2) == k * (bca.numerator
                                                  + bca.denominator
                                                  * (ac0 * n1 + ac1 * n2))
-        # one term of the ring sum at a time: a/120 and A b/120 as floats
+        # one term of the ring sum at a time: a/120 and A b/120 as floats;
+        # a bound of inf stops the summer at ring 0, 1e-30 at ring 6
         a0, a1 = (float(x) for x in fa)
         ab0, ab1 = (float(x) for x in data.a_times(fb))
         tau = 0.1 + 0.8j
         for m1 in range(-2, 3):
             for m2 in range(-2, 3):
-                got = _ring_sum(data, tau,
-                                lambda n1, n2: float((n1, n2) == (m1, m2)),
-                                1.0, 0.5, math.inf)
+                term = _theta_term(data, tau,
+                                   lambda n1, n2: float((n1, n2) == (m1, m2)))
                 nu0, nu1 = a0 + m1, a1 + m2
                 qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1
                              + a11 * nu1 * nu1)
-                assert got == cmath.exp(2j * math.pi * (
-                    qnu * tau + nu0 * ab0 + nu1 * ab1)), (r, m1, m2)
+                want = cmath.exp(2j * math.pi * (
+                    qnu * tau + nu0 * ab0 + nu1 * ab1))
+                assert term(m1, m2) == want, (r, m1, m2)
+                assert _theta_sum(term, 2, 0.5, 1.0, tau.imag, 1e-30) == want
+                assert _theta_sum(term, 2, 0.5, 1.0, tau.imag, math.inf) \
+                    == (want if m1 == m2 == 0 else 0.0)
 
 
 def _random_cone_data(rng):
@@ -212,6 +216,21 @@ def test_indefinite_theta_stability_and_antisymmetry():
     assert abs(indefinite_theta(swapped, tau, 1e-12) + v2) < 1e-11
 
 
+def test_indefinite_theta_reads_a_mod_z2():
+    # the sum runs over a + Z^2, so shifting a by an integer vector (120
+    # numerators each) keeps it; a ring bound that assumed |a| < 2 dropped
+    # rings near the origin and returned about 0 at a shift of (10, 0)
+    tau = 0.1 + 0.8j
+    for r in (1, 7):
+        data = order2_theta_data(r)
+        want = indefinite_theta(data, tau, 1e-12)
+        for m in ((1, 0), (-1, 0), (-5, 5), (10, 0), (-30, 30)):
+            shifted = data._replace(a=tuple(x + DEN * k
+                                            for x, k in zip(data.a, m)))
+            got = indefinite_theta(shifted, tau, 1e-12)
+            assert abs(got - want) <= 1e-13 * abs(want), (r, m)
+
+
 def _outcome(summer, *args):
     """The value of a summer, or None if it could not meet its bound."""
     try:
@@ -232,23 +251,29 @@ def _counting(f):
 
 
 def test_summers_match_their_old_loops_bit_for_bit(monkeypatch):
-    """_line_sum and _ring_sum fix their length before the first term; on
-    r_function's and indefinite_theta's own terms they give, by ==, what
-    the loops that tested the tail after each shell gave."""
+    """_theta_sum fixes its length before the first term; on the terms of
+    r_function, eta(2 tau) and indefinite_theta it gives, by ==, what the
+    loop that tests the tail after each ring gives."""
     rng = random.Random(26)
-    spy, lines = _counting(_line_sum)       # r_function's calls, recorded
-    monkeypatch.setattr(maass, "_line_sum", spy)
+    spy, lines = _counting(_theta_sum)      # r_function's calls, recorded
+    monkeypatch.setattr(maass, "_theta_sum", spy)
     for i in range(200):
         k = rng.randrange(-180, 181)
-        a = k / 60 if i % 2 else F(k, 60)          # x0 on the grid 1/60
+        a = k / 60 if i % 2 else F(k, 60)          # a on the grid 1/60
         tau = complex(rng.uniform(-1, 1), 0.005 * 1000 ** rng.random())
         _outcome(r_function, a, rng.uniform(-1, 1), tau,
                  1e-15 * 1e9 ** rng.random())       # [1e-15, 1e-6]
     assert len(lines) == 200
-    for args in lines:
-        assert _outcome(_line_sum, *args) == _outcome(line_sum_loop, *args)
-    spy, rings = _counting(_ring_sum)
-    monkeypatch.setattr(maass, "_ring_sum", spy)
+    spy, etas = _counting(_theta_sum)
+    monkeypatch.setattr(maass, "_theta_sum", spy)
+    for _ in range(20):
+        tau = complex(rng.uniform(-1, 1), 0.05 * 40 ** rng.random())
+        _outcome(tau1_identity_check, tau, rng.choice((1, 7)),
+                 1e-14 * 1e8 ** rng.random())
+    etas = [args for args in etas if args[0].__name__ == "eta_term"]
+    assert len(etas) == 20
+    spy, rings = _counting(_theta_sum)
+    monkeypatch.setattr(maass, "_theta_sum", spy)
     for _ in range(50):
         data = _random_cone_data(rng)._replace(
             a=(rng.randrange(120), rng.randrange(120)),
@@ -256,22 +281,22 @@ def test_summers_match_their_old_loops_bit_for_bit(monkeypatch):
         tau = complex(rng.uniform(-1, 1), 0.05 * 40 ** rng.random())
         _outcome(indefinite_theta, data, tau, 1e-12 * 1e6 ** rng.random())
     assert len(rings) == 50
-    for args in rings:
-        assert _outcome(_ring_sum, *args) == _outcome(ring_sum_loop, *args)
+    for args in lines + etas + rings:
+        assert _outcome(_theta_sum, *args) == _outcome(theta_sum_loop, *args)
 
 
 def test_a_sum_that_cannot_meet_its_bound_evaluates_nothing():
-    term, terms = _counting(lambda x: 0j)
+    term, terms = _counting(lambda n: 0j)
     with pytest.raises(ConvergenceError,
                        match=r"line sum tail bound 1e-21 .*shell 20000"):
-        _line_sum(term, 0.1, 1.0, 1e-12, 1e-21)
+        _theta_sum(term, 1, 0.5, 1.0, 1e-12, 1e-21)
     assert terms == []
     data = order2_theta_data(1)
     weight, weights = _counting(lambda n1, n2: 1.0)
     with pytest.raises(ConvergenceError,
                        match=r"ring sum tail bound 1e-10 .*shell 801"):
-        _ring_sum(data, 0.1 + 1e-9j, weight, 2.0, _wedge_lambda_min(data),
-                  1e-10)
+        _theta_sum(_theta_term(data, 0.1 + 1e-9j, weight), 2,
+                   _wedge_lambda_min(data), 2.0, 1e-9, 1e-10)
     assert weights == []
 
 
@@ -702,7 +727,7 @@ def test_transformation_group_guard():
 
 # ----------------------------------------------------------------------
 # the one-sided theta splitting identity (sign-weighted sum vs R times a
-# positive-definite theta), on the package's certified summers
+# positive-definite theta), on the package's certified summer
 
 
 def _egcd(p: int, q: int) -> tuple:
@@ -739,7 +764,8 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
     minus sign on the second R characteristic compensates the
     e^(-2 pi i nu b) phase in the R definition; restating the splitting
     with +B(c,b) fails numerically for generic b.  The characteristics a
-    and b are rationals on the grid 1/120.
+    and b are rationals on the grid 1/120, a in [0, 1)^2 as _theta_sum
+    needs.
     """
     a, b = (tuple(_num(x) for x in v) for v in (a, b))
     if math.gcd(*c) != 1:
@@ -755,8 +781,8 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
         return math.copysign(math.erfc(abs(z)), z) if z else 0.0
 
     # left side: terms damped by exp(-2 pi y M_c(nu))
-    total = _ring_sum(data, tau, weight, 1.0, _pd_lambda_min(data, c),
-                      tol * 1e-2)
+    total = _theta_sum(_theta_term(data, tau, weight), 2,
+                       _pd_lambda_min(data, c), 1.0, y, tol * 1e-2)
 
     # right side.  B(c, w) = 0, so the line mu0_perp + Z w is (s + Z) w
     # with s = B(mu0, w)/2Q(w), and B(xi, b_perp) = B(xi, b) on it; its
@@ -772,8 +798,10 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
     for mu0 in reps:
         rval = r_function(data.b_of(c, mu0) / qc2, -data.b_of(c, b) / DEN,
                           float(-qc2) * tau, tail_bound=tol * 1e-3)
-        line = _line_sum(line_term, data.b_of(mu0, w) / qw2,
-                         2.0 * qw_f, y, tol * 1e-3)
+        s = data.b_of(mu0, w) / qw2
+        s = float(s - math.floor(s))
+        line = _theta_sum(lambda k: line_term(s + k), 1, qw_f, 1.0, y,
+                          tol * 1e-3)
         rhs -= rval * line
     return abs(total - rhs)
 
