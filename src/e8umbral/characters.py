@@ -1,20 +1,16 @@
 """Graded trace functions on the twisted cone modules and the
 McKay-Thompson components built from them.
 
-Two routes compute the same traces with one signed cone sum,
-``octant_sum``, which the tests check against a box brute force
-(``octant_box_sum``) and against a scan of the cone points themselves:
-
-* ``trace_closed`` evaluates the closed triple/double/single lattice sums
-  (one printed shape per conjugacy class of the S3 symmetry) against the
-  printed eta-quotient prefactors, by ``closed_series``, which also builds
-  the Zwegers and Hecke sums of the mock theta identities;
-* ``trace_direct`` derives everything else itself: the form of Q on the
-  fixed cone points from the Gram matrix 2 - delta and rho
-  (``lattice._fixed_form``), the character-level sign rule of the class,
-  the 2A flip on branch N, and the one-fermion times Heisenberg
-  prefactor.  So every printed gram, sign and prefactor is checked
-  against the lattice and the group action.
+A trace is minus ``closed_series`` of a ``_TraceData`` record: an eta
+quotient times a signed sum over both octants of Z^n.  ``trace_closed``
+reads its record from the printed closed lattice sums and prefactors (one
+shape per conjugacy class of the S3 symmetry); ``trace_direct`` derives
+it from the lattice (``lattice._fixed_form``), the class's sign rule and
+2A flip, and its cycles (the one-fermion times Heisenberg prefactor).
+``verify`` compares the two records, which proves the traces equal at
+every order and checks every printed datum against the lattice and the
+group action.  The tests check the shared ``octant_sum`` against a box
+brute force (``octant_box_sum``) and a scan of the cone points.
 
 A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
 the two one-fermion modules the zero mode contributes only an overall
@@ -33,8 +29,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from .lattice import _fixed_form
-from .qseries import (DEN, GradingError, QSeries, SeriesError, dedekind_eta,
-                      _eta, _num, _series)
+from .qseries import (DEN, GradingError, QSeries, SeriesError, _eta, _num,
+                      _series)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
@@ -111,18 +107,6 @@ def all_trace_ids() -> list[TraceId]:
 
 
 # ----------------------------------------------------------------------
-# prefactors
-
-
-def heisenberg_trace(group_class: GroupClass, order) -> QSeries:
-    """q^(-3/24) prod_n det(1 - q^n P)^(-1) for the permutation P acting on
-    the rank-3 boson: one factor (q^L; q^L)^(-1) per cycle of length L."""
-    lengths = [len(c) for c in group_class.cycles]
-    return _eta(tuple((L, -lengths.count(L)) for L in sorted(set(lengths))),
-                -15, _num(order))
-
-
-# ----------------------------------------------------------------------
 # the signed octant sum of both routes, and the closed-form route
 
 
@@ -191,15 +175,15 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
                     for v, s in enumerate(acc, lo) if s}, cap, False)
 
 
-def closed_series(powers, octant, shift, order) -> QSeries:
+def closed_series(powers, gram, lin, signs, negative_sign, shift, order,
+                  parity=None) -> QSeries:
     """prod_k (q^k; q^k)_inf^m over the sorted (k, m) pairs powers, times
-    the octant_sum of octant = (gram, lin, signs, negative-octant sign,
-    parity) shifted by q^(shift/DEN), exact to order: every closed form of
-    the exact engine.  The sum runs to order and the cached ``_eta`` to
-    order + 1, as the sum's valuation is above -1."""
+    the octant_sum of (gram, lin, signs, negative_sign, parity) shifted by
+    q^(shift/DEN), exact to order: every closed form of the exact engine.
+    The sum runs to order and the cached ``_eta`` to order + 1, as the
+    sum's valuation is above -1."""
     top = _num(order)
-    gram, lin, signs, neg, parity = octant
-    lat = octant_sum(gram, lin, shift, signs, neg, top, parity)
+    lat = octant_sum(gram, lin, shift, signs, negative_sign, top, parity)
     return (_eta(powers, 0, top + DEN) * lat).truncate(order)
 
 
@@ -215,23 +199,28 @@ _CLOSED_SHAPES = {
     3: (((15,),), (3,), (1,), 1, ((1, 1), (3, -1))),
 }
 
+# the data of a trace, by either route: T^- is minus closed_series of it
+_TraceData = namedtuple("_TraceData",
+                        "powers gram lin signs negative_sign shift")
+
+
+def _closed_data(trace_id: TraceId) -> _TraceData:
+    """The printed data: the class's row of _CLOSED_SHAPES."""
+    a = trace_id.coset_a
+    gram, unit, signs, neg, powers = _CLOSED_SHAPES[trace_id.group_class.order]
+    return _TraceData(powers, gram, tuple(a * u for u in unit), signs, neg,
+                      9 * a * a - 10)
+
 
 @lru_cache(maxsize=None)
 def trace_closed(trace_id: TraceId, order) -> QSeries:
-    """The closed lattice-sum expression for one trace function, minus the
-    printed prefactor times the octant sum, cached by (trace id, order):
-    h_component, the identity suite and the closed-vs-direct check ask for
-    the same traces.  ``_eta`` caches the product for the five cosets and,
-    in 1A, for the two chi sides of ``octant_series``."""
-    a = trace_id.coset_a
-    gram, unit, signs, neg, powers = _CLOSED_SHAPES[trace_id.group_class.order]
-    return -closed_series(powers, (gram, [a * u for u in unit], signs, neg,
-                                   None), 9 * a * a - 10, order)
+    """The trace from the printed data, cached by (trace id, order) for
+    h_component; ``_eta`` caches each class's product for its cosets."""
+    return -closed_series(*_closed_data(trace_id), order)
 
 
 # ----------------------------------------------------------------------
-# direct route (the cone sum on the lattice's own form, with the sign rules
-# of the group action)
+# direct route (the data from the lattice, the group action and the cycles)
 
 # per class order: the character-level sign rule as signs on the free
 # coordinates of the points (k, l, m), (k, k, m) resp. (k, k, k),
@@ -241,34 +230,32 @@ def trace_closed(trace_id: TraceId, order) -> QSeries:
 _DIRECT_SIGNS = {1: ((1, 1, 1), 1), 2: ((3, 1), -1), 3: ((1,), 1)}
 
 
-def trace_direct(trace_id: TraceId, order) -> QSeries:
-    """Trace via the signed sum over the fixed cone points.
+def _prefactor(group_class: GroupClass) -> tuple:
+    """(powers, shift) of q^(shift/DEN) prod (q^k;q^k)_inf^m: the fermion
+    q^(1/24) (q;q)_inf times the Heisenberg trace of P on the rank-3 boson,
+    q^(-3/24) prod_n det(1 - q^n P)^-1, one 1/(q^L;q^L)_inf per L-cycle."""
+    lengths = [len(c) for c in group_class.cycles]
+    return (tuple((k, m) for k in sorted({1, *lengths})
+                  if (m := (k == 1) - lengths.count(k))), 5 - 5 * sum(lengths))
 
-    The lattice part sums sign(mu) q^Q(mu) over the cone points of
-    L + a*rho/2 fixed by the class: ``octant_sum`` of the form that
-    ``lattice._fixed_form`` derives from the Gram matrix 2 - delta and rho,
-    with the class's literal sign rule and branch-N sign.  The prefactor is
-    the one-fermion factor -q^(1/24) (q;q)_inf (the sign of T^-) times
-    heisenberg_trace.  Form, signs and prefactor come from the lattice and
-    the group action, not from the printed shapes of ``trace_closed``; the
-    two routes share only ``octant_sum``, which the tests check against
-    ``octant_box_sum`` and against a brute-force scan of the cone.
-    """
+
+def _direct_data(trace_id: TraceId) -> _TraceData:
+    """The derived data: ``lattice._fixed_form``, the class's sign rule mod
+    2 and branch-N sign, and the prefactor, its shift added to the form's."""
     cls = trace_id.group_class
     signs, negative_sign = _DIRECT_SIGNS[cls.order]
     gram, lin, shift = _fixed_form(cls.cycles, trace_id.coset_a)
-    cap = _num(order) + 10         # order + 1/12, as in trace_closed
-    lat_sum = octant_sum(gram, lin, shift, signs, negative_sign, cap)
-    return (_direct_prefactor(cls, order) * lat_sum).truncate(order)
+    powers, pre_shift = _prefactor(cls)
+    return _TraceData(powers, gram, lin, tuple(s % 2 for s in signs),
+                      negative_sign, shift + pre_shift)
 
 
-@lru_cache(maxsize=None)
-def _direct_prefactor(group_class: GroupClass, order) -> QSeries:
-    """-q^(1/24) (q;q)_inf times heisenberg_trace, to order + 1 - 1/12 (the
-    cone energies are positive), built once per (class, order) for the five
-    cosets from two factors that ``_eta`` caches."""
-    return dedekind_eta(1, order + 1).scale(-1) * \
-        heisenberg_trace(group_class, order + 1)
+def trace_direct(trace_id: TraceId, order) -> QSeries:
+    """The trace from the derived data, not the printed shapes: the
+    ``octant_sum`` of the form of ``lattice._fixed_form`` with the class's
+    literal sign rule and branch-N sign, times the one-fermion factor
+    -q^(1/24) (q;q)_inf (the sign of T^-) and the Heisenberg trace."""
+    return -closed_series(*_direct_data(trace_id), order)
 
 
 # ----------------------------------------------------------------------

@@ -18,17 +18,16 @@ import math
 import os
 import sys
 
-from .characters import CLASSES, FAMILIES, all_trace_ids, \
-    component_family, h_component, trace_closed, trace_direct
+from .characters import CLASSES, FAMILIES, _closed_data, _direct_data, \
+    all_trace_ids, component_family, h_component
 from .maass import NumericsError, h_value, tau1_identity_check, \
     transform_check
-from .mocktheta import IdentityReport, compare_series, identity_suite
+from .mocktheta import IdentityReport, compare_data, identity_suite
 from .qseries import DEN
 from .theta import thetanullwerte_class_check
 
 # largest --max-row of cmd_table, and DEN times the largest --order: the
-# appendix ends at row 4559, and the exact suite at order 1000 takes about
-# 0.6 s cold
+# appendix ends at row 4559; exact verify at order 1000 takes 0.25 s cold
 MAX_ROW_BUDGET = 120000
 
 
@@ -73,10 +72,9 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
 
 def _exact_checks(order: int) -> list[IdentityReport]:
     reports = identity_suite(order)
-    reports += [compare_series(
+    reports += [compare_data(
         f"closed vs direct route, {tid.group_class.name} a={tid.coset_a}",
-        trace_closed(tid, order), trace_direct(tid, order), order)
-        for tid in all_trace_ids()]
+        _closed_data(tid), _direct_data(tid)) for tid in all_trace_ids()]
     hits, pairs = thetanullwerte_class_check(30)
     # a hit (n, r, t): theta0_(n,r) lies in the class t/120 mod 1
     reports.append(IdentityReport(

@@ -137,14 +137,15 @@ def _eval_order(y: float, tol: float) -> int:
 
 
 def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
-               tail_bound: float) -> complex:
+               tail_bound: float, near: float = 1.0) -> complex:
     """sum_{n in Z^rank} term(*n), rank 1 or 2, in square rings |n|_inf = R,
     for |term(n)| <= wmax exp(-a |s + n|^2), a = 2 pi y lam, s in [0, 1)^rank.
 
     Ring R' >= 1 has at most c(R') = 2 rank (2R' + 1)^(rank - 1) points,
-    each with |s + n| >= R' - 1; the ratios of these ring bounds decrease,
-    so the rest past ring R is at most wmax c(R + 1) exp(-a R^2) / (1 - rho),
-    rho = c(R + 2)/c(R + 1) exp(-a (2R + 1)).  A linear search before any
+    each with |s + n| >= R' - near, near = s at rank 1, 1 (the default) at
+    rank 2.  These ring bounds fall ever faster, so with d = R + 1 - near
+    the rest past ring R is at most wmax c(R + 1) exp(-a d^2) / (1 - rho),
+    rho = c(R + 2)/c(R + 1) exp(-a (2d + 1)).  A linear search before any
     term finds the first R <= cap (20000 for rank 1, a line sum; 801 for
     rank 2, a ring sum) where that is below tail_bound, and the rings up to
     it are added; if there is none, ConvergenceError.
@@ -154,8 +155,9 @@ def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
     for stop in range(cap + 1):
         c1 = 2 * rank * (2 * stop + 3) ** (rank - 1)      # c(stop + 1)
         c2 = 2 * rank * (2 * stop + 5) ** (rank - 1)      # c(stop + 2)
-        rho = c2 / c1 * math.exp(-a * (2 * stop + 1))
-        if rho < 1.0 and wmax * c1 * math.exp(-a * stop * stop) \
+        d = stop + 1 - near
+        rho = c2 / c1 * math.exp(-a * (2 * d + 1))
+        if rho < 1.0 and wmax * c1 * math.exp(-a * d * d) \
                 / (1.0 - rho) < tail_bound:
             break
     else:
@@ -192,7 +194,7 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
             cmath.exp(-1j * math.pi * nu * nu * tau) * \
             cmath.exp(-2j * math.pi * nu * b)
 
-    return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound)
+    return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound, s)
 
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
@@ -519,7 +521,8 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
         nu = 1 / 6 + n
         return cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau))
 
-    eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12)
+    eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12,
+                                      1 / 6)
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 

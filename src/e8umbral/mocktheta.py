@@ -111,8 +111,8 @@ def octant_series(name: str, order) -> QSeries:
     """One of the eight sums of _SUMS, exact to order."""
     if name not in _SUMS:
         raise SeriesError(f"unknown series {name!r}")
-    powers, *octant = _SUMS[name]
-    return closed_series(powers, octant, 0, order)
+    powers, *octant, parity = _SUMS[name]
+    return closed_series(powers, *octant, 0, order, parity)
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +122,13 @@ def octant_series(name: str, order) -> QSeries:
 class IdentityReport(namedtuple("IdentityReport",
                                 "name order first_discrepancy residual tol",
                                 defaults=(None, None))):
-    """The verdict of a named check: exact, to an order or None, with the
-    (exponent, lhs, rhs) of its first discrepancy or None; or numeric, a
+    """The verdict of a named check: exact, to an order or None with the
+    (exponent, lhs, rhs) of its first discrepancy, or to EVERY order with
+    its first differing (field, printed, derived), or None; or numeric, a
     residual that passes below tol (a NaN fails).  str is its verify line."""
 
     __slots__ = ()
+    EVERY = "every"     # the order of a check that compares data, not series
 
     @property
     def verified(self) -> bool:
@@ -134,13 +136,16 @@ class IdentityReport(namedtuple("IdentityReport",
                 else self.residual < self.tol)
 
     def __str__(self) -> str:
+        every = self.order is self.EVERY
         if self.residual is not None:
             detail = f": residual {self.residual:.3e}"
         elif not self.verified:
-            detail = (" first discrepancy at q^({}): {} vs {}"
-                      .format(*self.first_discrepancy))
+            detail = (" differs in {}: printed {} vs derived {}" if every
+                      else " first discrepancy at q^({}): {} vs {}"
+                      ).format(*self.first_discrepancy)
         else:
-            detail = "" if self.order is None else f"  (order {self.order})"
+            detail = ("" if self.order is None else "  (every order)"
+                      if every else f"  (order {self.order})")
         mark = "[ok]  " if self.verified else "[FAIL]"
         return f"{mark} {self.name}{detail}"
 
@@ -148,6 +153,13 @@ class IdentityReport(namedtuple("IdentityReport",
 def compare_series(name: str, lhs: QSeries, rhs: QSeries,
                    order) -> IdentityReport:
     return IdentityReport(name, order, lhs.first_difference(rhs, order))
+
+
+def compare_data(name: str, printed, derived) -> IdentityReport:
+    """Two records, field by field: equal records build equal series."""
+    return IdentityReport(name, IdentityReport.EVERY, next(
+        ((f, p, d) for f, p, d in zip(printed._fields, printed, derived)
+         if p != d), None))
 
 
 def identity_suite(order) -> list[IdentityReport]:

@@ -9,12 +9,11 @@ the package is an integer (graded multiplicities of the E8^3 module, mock
 theta and eta-quotient coefficients), and every exponent lies on the grid
 1/120: the index-30 theta exponents r^2/120, the polar terms q^(-1/120),
 q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the eta exponents
-in 1/24.  Every eta-quotient of the package (eta, the Heisenberg traces,
-the prefactors ``closed_series`` gives the traces and the Zwegers and
-Hecke sums of ``octant_series``) is built once per order by the cached
-``_eta``, in place on a dense integer list by passes of Euler's
-pentagonal sum: one pass multiplies or divides by one (q^k; q^k)_infinity,
-and no series is ever inverted.
+in 1/24.  Every eta-quotient of the package (the products ``closed_series``
+gives the traces of both routes and the sums of ``octant_series``) is
+built once per order by the cached ``_eta``, in place on a dense integer
+list by passes of Euler's pentagonal sum: one pass multiplies or divides
+by one (q^k; q^k)_infinity, and no series is ever inverted.
 
 Every order is finite.  Orders, shifts and exponents have one normal
 form: the int numerator over DEN (``QSeries.top`` is DEN times the order).
@@ -286,9 +285,9 @@ class QSeries:
 @lru_cache(maxsize=None)
 def _eta(powers: tuple, shift: int, top) -> QSeries:
     """q^(shift/DEN) prod_k (q^k; q^k)_infinity^m over the sorted (k, m)
-    pairs powers, exact to the numerator top, cached for every caller: the
-    five cosets of a class share a product (1A's also the chi sides'), the
-    three classes share eta(tau), and octant_series sums share in pairs.
+    pairs powers, exact to the numerator top, cached for every caller: both
+    routes and the five cosets of a class share a product (1A's also the
+    chi sides'), and octant_series sums share in pairs.
 
     The product is built on a dense list p of integer coefficients at
     exponents 0..n, n = floor(order - shift), from Euler's pentagonal

@@ -364,11 +364,12 @@ def multiplier_by_weil(gamma) -> tuple:
 
 
 def theta_sum_loop(term, rank: int, lam: float, wmax: float, y: float,
-                   tail_bound: float) -> complex:
+                   tail_bound: float, near: float = 1.0) -> complex:
     """sum_{n in Z^rank} term(*n), rank 1 or 2, ring |n|_inf = R after
-    ring, until after ring R the rest bound wmax c(R + 1) exp(-a R^2) /
+    ring, until after ring R the rest bound wmax c(R + 1) exp(-a d^2) /
     (1 - rho) is below tail_bound, with c(R) = 2 rank (2R + 1)^(rank - 1),
-    a = 2 pi y lam and rho = c(R + 2)/c(R + 1) exp(-a (2R + 1)) < 1;
+    a = 2 pi y lam, d = R + 1 - near (near the offset of a rank-1 sum, 1
+    for rank 2) and rho = c(R + 2)/c(R + 1) exp(-a (2d + 1)) < 1;
     RuntimeError past ring 20000 (rank 1) or 801 (rank 2)."""
     a = 2.0 * math.pi * y * lam
     cap = 20000 if rank == 1 else 801
@@ -385,9 +386,10 @@ def theta_sum_loop(term, rank: int, lam: float, wmax: float, y: float,
             for n in pts:
                 total += term(*n)
         c1, c2 = (2 * rank * (2 * k + 1) ** (rank - 1) for k in (R + 1, R + 2))
-        rho = c2 / c1 * math.exp(-a * (2 * R + 1))
+        d = R + 1 - near
+        rho = c2 / c1 * math.exp(-a * (2 * d + 1))
         if rho < 1.0 and \
-                wmax * c1 * math.exp(-a * R * R) / (1.0 - rho) < tail_bound:
+                wmax * c1 * math.exp(-a * d * d) / (1.0 - rho) < tail_bound:
             return total
         if R >= cap:
             raise RuntimeError("theta sum tail bound not met")

@@ -102,13 +102,13 @@ def test_criterion_01_appendix_tables():
 def test_criterion_02_route_equivalence():
     t0 = time.time()
     for tid in all_trace_ids():
-        c = trace_closed(tid, 20)
-        d = trace_direct(tid, 20)
-        diff = c.first_difference(d, 20)
+        c = trace_closed(tid, 250)
+        d = trace_direct(tid, 250)
+        diff = c.first_difference(d, 250)
         assert diff is None, (tid, diff)
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    _report("criterion 2: closed = direct for all 15 trace ids, order 20",
+    _report("criterion 2: closed = direct for all 15 trace ids, order 250",
             elapsed)
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  COSET_LABELS, FAMILIES, TraceId,
-                                 _CLOSED_SHAPES, all_trace_ids,
-                                 component_family, h_component,
-                                 heisenberg_trace, octant_sum, trace_closed,
-                                 trace_direct)
+                                 _CLOSED_SHAPES, _prefactor, all_trace_ids,
+                                 component_family, h_component, octant_sum,
+                                 trace_closed, trace_direct)
 from e8umbral.mocktheta import _SUMS
-from e8umbral.qseries import GradingError, QSeries, SeriesError, dedekind_eta
+from e8umbral.qseries import (GradingError, QSeries, SeriesError, _eta, _num,
+                              dedekind_eta)
 
 from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
                      same_up_to, shadow, valuation)
@@ -58,10 +58,11 @@ def _oracle_quotient(num, den, n):
     ("3A", lambda n: _oracle_quotient((1,), (3,), n)),
 ])
 def test_prefactor_identities(name, builder):
-    # fermion times boson trace reproduces the printed eta-quotients
-    # q^(-1/12)/(q;q)^2, q^(-1/12)/(q^2;q^2), q^(-1/12)(q;q)/(q^3;q^3)
+    # the eta quotient of the derived powers and shift, fermion times boson
+    # trace, reproduces the printed eta-quotients q^(-1/12)/(q;q)^2,
+    # q^(-1/12)/(q^2;q^2), q^(-1/12)(q;q)/(q^3;q^3)
     order = 10
-    prod = dedekind_eta(1, order) * heisenberg_trace(CLASSES[name], order)
+    prod = _eta(*_prefactor(CLASSES[name]), _num(order))
     want = builder(order + 1).shift(F(-1, 12))
     assert same_up_to(prod, want, prod.order)
 

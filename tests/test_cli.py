@@ -9,17 +9,16 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from e8umbral import characters, cli
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, TraceId,
-                                 _direct_prefactor, trace_closed)
+                                 trace_closed)
 from e8umbral.cli import main
 from e8umbral.mocktheta import IdentityReport
-from e8umbral.qseries import QSeries, _eta
+from e8umbral.qseries import _eta
 
 
 def run_cli(capsys, *argv):
@@ -106,7 +105,7 @@ GOLDEN_STDOUT = {
     ("table", "--component", "1", "--max-row", "4559", "--format", "json"):
         "52e103ef63e3b1d49f69dda9296d892f38719968c4bd79abb4f9e46c8e76165f",
     ("verify", "--suite", "exact", "--order", "250"):
-        "4718daa6e544630bd9e5d36353509766f7a66f9e4102c4fd1e8ec19b59b83dc6",
+        "a0f218cc4214a36649d9c762886b461a51c8b159fab7ba4299e3dcf7e2973db7",
 }
 
 
@@ -125,19 +124,19 @@ def test_verify_exact_passes(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "[FAIL]" not in out
-    # the identities and the closed-vs-direct loop share one trace cache
-    assert trace_closed.cache_info().misses == 15
+    # the identities build the four traces of the 1A and 2A components;
+    # the closed-vs-direct lines compare data and build no trace
+    assert trace_closed.cache_info().misses == 4
 
 
 def clear_caches():
-    for cache in (trace_closed, _direct_prefactor, _eta):
+    for cache in (trace_closed, _eta):
         cache.cache_clear()
 
 
 def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
-    # one octant_sum per closed form and one per direct trace: the 15
-    # closed traces and the 8 mock theta sums, to order 8 (cap 960), and
-    # the 15 direct traces, to order 8 + 1/12 (cap 970)
+    # one octant_sum per closed form, all to order 8 (cap 960): the 4
+    # traces of the 1A and 2A components and the 8 mock theta sums
     caps = []
     real = characters.octant_sum
 
@@ -150,21 +149,20 @@ def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    assert (caps.count(960), caps.count(970), len(caps)) == (23, 15, 38)
+    assert (caps.count(960), len(caps)) == (12, 12)
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys):
-    # 29 eta-quotient requests, 10 built: 4 mock theta products (the
-    # empty one included) shared by two sums each, 3 trace products
-    # shared by the five cosets of a class (1A's, (q;q)^-2, is also the
-    # chi sides' product), 3 Heisenberg traces and one eta(tau) for all
-    # three classes
+    # 12 eta-quotient requests, 5 built: 4 mock theta products (the
+    # empty one included) shared by two sums each, and the 2A trace
+    # product shared by its two cosets; 1A's, (q;q)^-2, is the chi sides'
+    # product
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
     info = _eta.cache_info()
-    assert (info.misses, info.hits + info.misses) == (10, 29)
+    assert (info.misses, info.hits + info.misses) == (5, 12)
 
 
 @pytest.mark.parametrize("suite", ["exact", "numeric", "all"])
@@ -181,34 +179,33 @@ def test_verify_corrupt_hook_fails(capsys, suite):
 
 
 def corrupt_trace_direct(monkeypatch):
-    """Add one to the first coefficient of the direct route of 2A a=3;
-    return the exponent numerator and the coefficient at order 8."""
-    real = cli.trace_direct
+    """Add one to the first lin entry of the direct record of 2A a=3;
+    return the printed and the derived lin."""
+    real = cli._direct_data
     bad_id = TraceId(CLASS_2A, 3)
 
-    def corrupted(tid, order):
-        d = real(tid, order)
-        if tid != bad_id:
-            return d
-        e = min(d.coeffs)
-        return d + QSeries({e: 1}, d.order)
+    def corrupted(tid):
+        d = real(tid)
+        return d._replace(lin=(d.lin[0] + 1, *d.lin[1:])) if tid == bad_id \
+            else d
 
-    monkeypatch.setattr(cli, "trace_direct", corrupted)
-    d = real(bad_id, 8).coeffs
-    return min(d), d[min(d)]
+    monkeypatch.setattr(cli, "_direct_data", corrupted)
+    return real(bad_id).lin, corrupted(bad_id).lin
 
 
 def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
-    # one coefficient of the direct route off by one: exactly one failed
-    # check, naming the trace id and the exponent plainly
-    e, _ = corrupt_trace_direct(monkeypatch)
+    # one datum of the direct route off by one: exactly one failed check,
+    # naming the trace id, the field and both values plainly
+    printed, derived = corrupt_trace_direct(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
                            "--order", "8")
     assert code == 1
     fails = [line for line in out.splitlines() if "[FAIL]" in line]
     assert len(fails) == 1
-    assert f"2A a=3 first discrepancy at q^({F(e, 120)}): " in fails[0]
-    assert "GroupClass" not in fails[0]
+    assert fails[0].endswith(
+        f"2A a=3 differs in lin: printed {printed} vs derived {derived}")
+    assert (printed, derived) == ((6, 3), (7, 3))
+    assert "_TraceData" not in fails[0]
 
 
 def fail_theta_scan(monkeypatch):
@@ -234,9 +231,10 @@ def fail_identity(monkeypatch):
 
 
 def fail_closed_vs_direct(monkeypatch):
-    e, c = corrupt_trace_direct(monkeypatch)
-    return [], IdentityReport("closed vs direct route, 2A a=3", 8,
-                              (F(e, 120), c, c + 1)), 30
+    printed, derived = corrupt_trace_direct(monkeypatch)
+    return [], IdentityReport("closed vs direct route, 2A a=3",
+                              IdentityReport.EVERY,
+                              ("lin", printed, derived)), 30
 
 
 @pytest.mark.parametrize("fail", [
@@ -286,24 +284,42 @@ def change_direct_signs(order, rule):
     return patch
 
 
-def change_heisenberg(monkeypatch):
+def change_prefactor(monkeypatch):
     # the 3A prefactor with the Heisenberg trace of 1A
-    real = characters.heisenberg_trace
-    monkeypatch.setattr(characters, "heisenberg_trace", lambda cls, order:
-                        real(CLASS_1A if cls is CLASS_3A else cls, order))
+    real = characters._prefactor
+    monkeypatch.setattr(characters, "_prefactor", lambda cls:
+                        real(CLASS_1A if cls is CLASS_3A else cls))
 
 
-# (class, side, patch): one printed entry of _CLOSED_SHAPES, or one piece
-# that the direct route derives itself, made wrong in one class
+def change_shift(monkeypatch):
+    # the derived 3A shift one unit of q too high
+    real = characters._fixed_form
+
+    def form(cycles, a):
+        gram, lin, shift = real(cycles, a)
+        return gram, lin, shift + 120 if len(cycles) == 1 else shift
+
+    monkeypatch.setattr(characters, "_fixed_form", form)
+
+
+# (class, side, field, patch): one printed entry of _CLOSED_SHAPES, or one
+# piece that the direct route derives itself, made wrong in one class, and
+# the field of the records that then differs
 NEGATIVE_CONTROLS = {
-    "closed 2A gram": ("2A", "closed", change_shape(2, 0, ((6, 5), (5, 1)))),
-    "closed 3A sign": ("3A", "closed", change_shape(3, 2, (0,))),
-    "closed 1A negative sign": ("1A", "closed", change_shape(1, 3, -1)),
-    "direct 2A form": ("2A", "direct", change_form),
-    "direct 1A sign rule": ("1A", "direct",
+    "closed 2A gram": ("2A", "closed", "gram",
+                       change_shape(2, 0, ((6, 5), (5, 1)))),
+    "closed 3A sign": ("3A", "closed", "signs", change_shape(3, 2, (0,))),
+    "closed 1A negative sign": ("1A", "closed", "negative_sign",
+                                change_shape(1, 3, -1)),
+    "closed 2A lin unit": ("2A", "closed", "lin",
+                           change_shape(2, 1, (1, 1))),
+    "direct 2A form": ("2A", "direct", "gram", change_form),
+    "direct 1A sign rule": ("1A", "direct", "signs",
                             change_direct_signs(1, ((1, 1, 0), 1))),
-    "direct 2A flip": ("2A", "direct", change_direct_signs(2, ((3, 1), 1))),
-    "direct 3A Heisenberg": ("3A", "direct", change_heisenberg),
+    "direct 2A flip": ("2A", "direct", "negative_sign",
+                       change_direct_signs(2, ((3, 1), 1))),
+    "direct 3A Heisenberg": ("3A", "direct", "powers", change_prefactor),
+    "direct 3A shift": ("3A", "direct", "shift", change_shift),
 }
 # the identity lines that read the closed traces of a class
 READS_CLOSED = {"1A": ("2 T(e,", "H(1A,"), "2A": ("H(2A,",), "3A": ()}
@@ -312,10 +328,11 @@ READS_CLOSED = {"1A": ("2 T(e,", "H(1A,"), "2A": ("H(2A,",), "3A": ()}
 @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)
 def test_closed_vs_direct_lines_catch_a_wrong_piece(capsys, monkeypatch,
                                                      name):
-    # exit 1, with [FAIL] on the closed-vs-direct lines of the changed
-    # class only, and on the identity lines of that class when the change
-    # is to a closed shape
-    name_of_class, side, patch = NEGATIVE_CONTROLS[name]
+    # exit 1, with [FAIL] on all five closed-vs-direct lines of the changed
+    # class, each naming the changed field, and on the identity lines of
+    # that class when the change is to a closed shape.  The data differ at
+    # a=5 too, where both traces vanish
+    name_of_class, side, field, patch = NEGATIVE_CONTROLS[name]
     clear_caches()
     patch(monkeypatch)
     try:
@@ -327,8 +344,10 @@ def test_closed_vs_direct_lines_catch_a_wrong_piece(capsys, monkeypatch,
     direct = [line for line in fails if "closed vs direct route" in line]
     allowed = READS_CLOSED[name_of_class] if side == "closed" else ()
     assert code == 1
-    assert direct
-    assert all(f"route, {name_of_class} a=" in line for line in direct)
+    assert [line.split(" differs in ")[0] for line in direct] == [
+        f"[FAIL] closed vs direct route, {name_of_class} a={a}"
+        for a in (1, 3, 5, 7, 9)]
+    assert all(f" differs in {field}: printed " in line for line in direct)
     assert all(line in direct or any(s in line for s in allowed)
                for line in fails)
 

@@ -6,9 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral import characters, lattice
-from e8umbral.characters import CLASSES, TraceId, octant_sum, trace_direct
+from e8umbral.characters import CLASSES, TraceId, octant_sum
 from e8umbral.lattice import GRAM, _fixed_form
-from e8umbral.qseries import QSeries
 
 from oracles import RHO, cone_mu, pair, q_norm
 
@@ -118,7 +117,7 @@ def test_branch_sign_conditions_and_q():
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
 @pytest.mark.parametrize("cycles", [ALL, TAU, SIGMA],
                          ids=["None", "tau", "sigma"])
-def test_completeness_against_box_oracle(a, cycles, monkeypatch):
+def test_completeness_against_box_oracle(a, cycles):
     # the direct route's lattice sum, before its prefactor, is the signed
     # count per energy of the cone points of a box scan, under the
     # class's literal sign rule and the 2A flip
@@ -129,11 +128,12 @@ def test_completeness_against_box_oracle(a, cycles, monkeypatch):
             sign = -sign
         want[num] = want.get(num, 0) + sign
     cls = next(c for c in CLASSES.values() if c.cycles == cycles)
-    monkeypatch.setattr(characters, "_direct_prefactor",
-                        lambda group_class, order: QSeries({0: 1}, order + 1))
-    got = trace_direct(TraceId(cls, a), 10)
-    assert got.order == 10
-    assert got.coeffs == {e: c for e, c in want.items() if c}
+    data = characters._direct_data(TraceId(cls, a))
+    # the record's shift carries the prefactor's q^(-1/12) as well
+    got = octant_sum(data.gram, data.lin, data.shift, data.signs,
+                     data.negative_sign, 1190)
+    assert got.order == F(119, 12)
+    assert got.coeffs == {e - 10: c for e, c in want.items() if c}
 
 
 def _names(node) -> set:
@@ -162,12 +162,13 @@ def test_direct_route_reads_no_printed_shape():
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 defs[getattr(target, "id", None)] = node
-    seen, todo = set(), ["trace_direct"]
+    seen, reached, todo = set(), set(), ["trace_direct"]
     while todo:
         name = todo.pop()
         seen.add(name)
         refs = _names(defs[name])
         assert not refs & printed, name
+        reached |= refs
         todo += [r for r in refs if r in defs and r not in seen]
-    assert {"_DIRECT_SIGNS", "_direct_prefactor", "heisenberg_trace",
-            "octant_sum"} <= seen
+    assert {"_DIRECT_SIGNS", "_fixed_form", "_prefactor", "octant_sum"} <= \
+        reached

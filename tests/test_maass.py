@@ -801,7 +801,7 @@ def theta_split_check(A, a, b, c, tau: complex, tol: float) -> float:
         s = data.b_of(mu0, w) / qw2
         s = float(s - math.floor(s))
         line = _theta_sum(lambda k: line_term(s + k), 1, qw_f, 1.0, y,
-                          tol * 1e-3)
+                          tol * 1e-3, s)
         rhs -= rval * line
     return abs(total - rhs)
 

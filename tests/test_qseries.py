@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.characters import (CLASS_1A, CLASSES, TraceId, h_component,
-                                 heisenberg_trace, trace_closed, trace_direct)
+from e8umbral.characters import (CLASS_1A, CLASSES, TraceId, closed_series,
+                                 h_component, trace_closed, trace_direct)
 from e8umbral.mocktheta import identity_suite, octant_series, ramanujan_series
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
@@ -170,7 +170,7 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: q(0, order=5).coefficient(inf),
     lambda inf: q(0, order=5).first_difference(q(0, order=5), inf),
     lambda inf: dedekind_eta(1, inf),
-    lambda inf: heisenberg_trace(CLASS_1A, inf),
+    lambda inf: closed_series(((1, -2),), ((1,),), (1,), (1,), 1, -1, inf),
     lambda inf: trace_closed(TraceId(CLASS_1A, 1), inf),
     lambda inf: trace_direct(TraceId(CLASS_1A, 1), inf),
     lambda inf: h_component(CLASS_1A, 1, inf),
@@ -178,7 +178,7 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: octant_series("chi0_side", inf),
     lambda inf: identity_suite(inf),
 ], ids=["QSeries", "truncate", "coefficient", "first_difference",
-        "dedekind_eta", "heisenberg_trace", "trace_closed", "trace_direct",
+        "dedekind_eta", "closed_series", "trace_closed", "trace_direct",
         "h_component", "ramanujan_series", "octant_series", "identity_suite"])
 def test_infinite_order_is_refused(build):
     # every series is known to a finite order: an infinite one is off the
