@@ -18,10 +18,11 @@ NumericsError).  Each error gives a bare reason: h_value adds the tol and
 the tau asked for, and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
-it hits that cap.  h_value, the evaluator of `eval`, therefore maps the
-1A pair (H_1, H_7), a weight-1/2 form on all of SL2(Z), into the
-fundamental domain in exact integers, sums the completion there at a
-40-term order, and pulls it back through the multiplier nu.
+it hits that cap.  h_value, the evaluator of `eval`, therefore maps tau
+into the fundamental domain in exact integers and, where that gamma is in
+Gamma_0(N), N the order of the class, sums the completed pair (H_1, H_7)
+there at a 40-term order and pulls it back through _law, the one
+statement of the weight-1/2 law, which transform_check checks.
 multiplier_matrix builds nu(gamma) in one Euclid pass over gamma, in
 O(log |c|) steps of one nu(T^n) diagonal and one nu(S) each, carrying
 Kubota's sign as an int; the tests check it against the Weil
@@ -38,7 +39,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_2A, GroupClass,
+from .characters import (CLASS_2A, FAMILIES, GRAM_2A, GroupClass,
                          component_family, h_component)
 from .qseries import DEN, QSeries
 
@@ -200,12 +201,15 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tol: float) -> tuple[complex, float]:
     """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau),
-    summed at the tau it is given, reduced by its callers.  Each R-sum has
-    a certified tail below tol * 1e-12, so the bound is that tail times the
-    family size, times |chi|.  This is the Eichler integral of the shadow
-    sign chi sum_s S_{30,s}, scaled by 1/sqrt(60): its term c_n q^n
-    (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z) gives c_n/(sqrt(60 * 2n))
-    beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y) e(-30 nu^2 tau)."""
+    summed at the tau it is given, reduced by its callers; (0, 0), summed
+    nowhere, if chi = 0.  Each R-sum has a certified tail below tol * 1e-12,
+    so the bound is that tail times the family size, times |chi|.  This is
+    the Eichler integral of the shadow sign chi sum_s S_{30,s}, scaled by
+    1/sqrt(60): its term c_n q^n (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z)
+    gives c_n/(sqrt(60 * 2n)) beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y)
+    e(-30 nu^2 tau)."""
+    if group_class.perm_character == 0:
+        return 0.0, 0.0
     family, sign = component_family(r)
     members = FAMILIES[family].members
     tail_bound = tol * 1e-12
@@ -234,8 +238,8 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     if tol < sys.float_info.epsilon * abs(value):
         raise NumericsError(f"below double precision at a value of size "
                             f"{abs(value):.1e}")
-    if not completion or group_class.perm_character == 0:
-        return value, tail    # zero shadow: completion equals the series
+    if not completion:
+        return value, tail
     eichler, bound = _eichler_part(group_class, r, tau, tol)
     return value + eichler, tail + bound
 
@@ -278,25 +282,25 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     """(value, est. error) of the component H_r of the class at tau,
     completed or not, Re tau reduced mod DEN = 120 first (nu(T)^120 = I).
 
-    The 1A pair is pulled back from the fundamental domain F through the
-    multiplier:
+    Where gamma, with gamma tau in the fundamental domain F, lies in
+    Gamma_0(N), N the order of the class, the pair is pulled back from F
+    through the law of _law:
 
-        Hhat(tau) = nu(gamma)^-1 (c tau + d)^(-1/2) Hhat(gamma tau)
+        Hhat(tau) = conj(phase) nu(gamma)^-1 (c tau + d)^(-1/2) Hhat(gamma tau)
 
-    for gamma with gamma tau in F, where Im gamma tau >= sqrt(3)/2 and a
-    short series suffices at any Im tau.  gamma tau is formed in exact
-    integers from the parsed doubles, so c tau + d loses no digits near a
-    cusp.  nu is unitary, so nu^-1 is its conjugate transpose, and a row of
-    it maps errors (e1, e7) to at most |(e1, e7)|: both components at
-    gamma tau, summed to tol |c tau + d|^(1/2), give an error below tol/3
-    at tau.  The series is the completion less its Eichler part at tau, a
-    line sum of about Im(tau)^(-1/2) terms.  Every other class, and 1A when
-    gamma is a translation, is summed at tau by _at_point.  The error
-    returned is tol for the completion, and for the series the
-    (propagated) tail estimates, plus the Eichler part's bound after a
-    pull-back.  Past the input checks, an overflow becomes a NumericsError,
-    and every NumericsError is raised again, of the same type, as
-    "<reason> (tol <tol> at tau = <tau>)" with the tol and tau given.
+    where Im gamma tau >= sqrt(3)/2 and a short series suffices at any Im
+    tau.  gamma tau is formed in exact integers from the parsed doubles, so
+    c tau + d loses no digits near a cusp.  nu is unitary, so nu^-1 is its
+    conjugate transpose, and a row of it maps errors (e1, e7) to at most
+    |(e1, e7)|: both components at gamma tau, summed to tol |c tau +
+    d|^(1/2), give an error below tol/3 at tau.  The series is the
+    completion less its Eichler part at tau, a line sum of about
+    Im(tau)^(-1/2) terms.  Near the other cusps, and for a translation
+    gamma, _at_point sums H_r at tau.  The error is tol for the completion,
+    and for the series the (propagated) tail estimates, plus the Eichler
+    part's bound after a pull-back.  Past the input checks, an overflow
+    becomes a NumericsError, and every NumericsError is raised again, of
+    the same type, as "<reason> (tol <tol> at tau = <tau>)".
     """
     if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
@@ -304,26 +308,26 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     _im_upper(tau)
     point, tau = tau, complex(math.fmod(tau.real, DEN), tau.imag)
     try:
-        if group_class is CLASS_1A:
-            gamma, gtau, jac = _to_fundamental_domain(tau)
+        gamma, gtau, jac = _to_fundamental_domain(tau)
         # nu(T^n) is diagonal: sum H_r alone; the pair exits 3 if |H_1| > 4.5e6
-        if group_class is not CLASS_1A or gamma[1][0] == 0:
+        if gamma[1][0] == 0 or (law := _law(group_class, gamma)) is None:
             value, est = _at_point(group_class, r, tau, tol, completion)
             return value, tol if completion else est
+        nu, phase = law
         scale = math.sqrt(abs(jac))
         if tol * scale == 0.0:
             raise NumericsError("below double precision")
-        hats, tails = zip(*(_at_point(CLASS_1A, s, gtau, tol * scale, True)
+        hats, tails = zip(*(_at_point(group_class, s, gtau, tol * scale, True)
                             for s in FAMILIES))
-        nu = multiplier_matrix(gamma)
         col = [*FAMILIES].index(family)
-        value = sign * (nu[0][col].conjugate() * hats[0]
-                        + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
+        value = sign * phase.conjugate() * (
+            nu[0][col].conjugate() * hats[0]
+            + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
         if not cmath.isfinite(value):
             raise OverflowError
         if completion:
             return value, tol
-        eichler, bound = _eichler_part(CLASS_1A, r, tau, tol)
+        eichler, bound = _eichler_part(group_class, r, tau, tol)
         return value - eichler, math.hypot(*tails) / scale + bound
     except (OverflowError, NumericsError) as exc:
         if isinstance(exc, OverflowError):
@@ -597,25 +601,26 @@ def multiplier_matrix(gamma) -> tuple:
     return prod if sign > 0 else tuple(tuple(-x for x in row) for row in prod)
 
 
+def _law(group_class: GroupClass, gamma):
+    """(nu, phase) with (c tau + d)^(-1/2) H(gamma tau) = phase nu(gamma)
+    H(tau) on the class's completed pair H = (H_1, H_7), or None off
+    Gamma_0(order): nu from multiplier_matrix (which checks gamma), phase
+    1 but at order 3, where e(cd/9), cd reduced mod 9 in integers, enters
+    conjugated in this orientation (the T and Gamma_0(3) checks pin it)."""
+    nu, (c, d) = multiplier_matrix(gamma), gamma[1]
+    if c % group_class.order != 0:
+        return None
+    return nu, e(c * d % 9 / 9).conjugate() if group_class.order == 3 else 1.0
+
+
 def transform_check(group_class: GroupClass, gamma, tau: complex,
                     tol: float) -> float:
-    """Residual of the weight-1/2 transformation law on the completed
-    2-vector (H_1, H_7):
-
-        (c tau + d)^(-1/2) H(gamma tau) = nu(gamma) H(tau)
-
-    with nu from multiplier_matrix (which checks gamma), times the
-    e(cd/9) phase for the order-3 class.  gamma must lie in
-    Gamma_0(order).
-    """
-    nu = multiplier_matrix(gamma)
+    """Residual of the law of _law at gamma in Gamma_0(order), each side
+    summed at its own point by completion_value."""
+    if (law := _law(group_class, gamma)) is None:
+        raise NumericsError(f"gamma is not in Gamma_0({group_class.order})")
+    nu, phase = law
     (a, b), (c, d) = gamma
-    if c % group_class.order != 0:
-        raise NumericsError(
-            f"gamma is not in Gamma_0({group_class.order})")
-    # in this orientation of the law the order-3 scalar enters
-    # conjugated; the T and Gamma_0(3) generator checks pin it down
-    phase = e(c * d / 9).conjugate() if group_class.order == 3 else 1.0
     gtau = (a * tau + b) / (c * tau + d)
     h1, h7 = (completion_value(group_class, r, tau, tol / 10.0)
               for r in FAMILIES)

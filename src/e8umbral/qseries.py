@@ -328,8 +328,3 @@ def _eta(powers: tuple, shift: int, top) -> QSeries:
     # below its shift (n < 0) the product claims nothing, not even p[0]
     return _series({DEN * i: c for i, c in enumerate(p) if c}, inner,
                    n < 0)._shift(shift)
-
-
-def dedekind_eta(scale: int, order) -> QSeries:
-    """q^(scale/24) * (q^scale; q^scale)_infinity."""
-    return _eta(((scale, 1),), 5 * scale, _num(order))

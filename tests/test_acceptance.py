@@ -36,7 +36,7 @@ from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             order2_theta_data, tau1_identity_check,
                             transform_check)
 from e8umbral.mocktheta import octant_series, ramanujan_series
-from e8umbral.qseries import QSeries, SeriesError, dedekind_eta
+from e8umbral.qseries import QSeries, SeriesError
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import same_up_to, unary_theta
@@ -244,7 +244,7 @@ def test_criterion_11_property_suites():
     for k in range(-5, 6):
         e = 3 * k * k + k
         coeffs[e * 120 + 10] = coeffs.get(e * 120 + 10, 0) + (-1) ** (k % 2)
-    assert same_up_to(QSeries(coeffs, 30), dedekind_eta(2, 30), 30)
+    assert same_up_to(QSeries(coeffs, 30), eta_quotient({2: 1}, F(1, 12), 30), 30)
 
     # S symmetries
     for _ in range(8):

@@ -9,8 +9,7 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  component_family, h_component, octant_sum,
                                  trace_closed, trace_direct)
 from e8umbral.mocktheta import _SUMS
-from e8umbral.qseries import (GradingError, QSeries, SeriesError, _eta, _num,
-                              dedekind_eta)
+from e8umbral.qseries import GradingError, QSeries, SeriesError, _eta, _num
 
 from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
                      same_up_to, shadow, valuation)
@@ -18,7 +17,7 @@ from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
 
 def test_fermion_trace():
     # the one-fermion factor of T^- is -q^(1/24) (q;q)_inf = -eta(tau)
-    minus = dedekind_eta(1, 8).scale(-1)
+    minus = _eta(((1, 1),), 5, _num(8)).scale(-1)
     assert valuation(minus) == F(1, 24)
     assert minus.coefficient(F(1, 24)) == -1
     assert minus.coefficient(F(25, 24)) == 1

@@ -496,7 +496,7 @@ def test_eval_eichler_part_error_names_the_tau_and_tol(capsys):
 
 
 EXIT_3_ARGVS = [
-    "--class 2A --r 1 --tau=0.25+0.001i",
+    "--class 2A --r 1 --tau=0.001i",
     "--class 3A --r 7 --completion --tau=0.25+1e-12i",
     "--class 2A --r 7 --tau=0.1+1e-320i",
     "--class 1A --r 1 --tau=0.25+20000i",
@@ -584,7 +584,7 @@ PROCESS_CASES = [
     (["table", "--component", "1", "--max-row", "119999"], 0),
     (["verify", "--suite", "exact", "--order", "25", "--corrupt"], 1),
     (["table", "--component", "3", "--max-row", "5"], 2),
-    (["eval", "--class", "2A", "--r", "1", "--tau=0.25+0.001i"], 3),
+    (["eval", "--class", "2A", "--r", "1", "--tau=0.001i"], 3),
 ]
 
 
@@ -715,12 +715,12 @@ def test_help_names_every_option(capsys, argv):
     (["verify", "--suite", "numeric", "--tol", "nan"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau", "0+1i", "--tol", "0"], 2),
     (["verify", "--suite", "exact", "--order", "-3"], 2),
-    (["eval", "--class", "2A", "--r", "1", "--tau", "0.25+0.002i",
+    (["eval", "--class", "2A", "--r", "1", "--tau", "0.002i",
       "--completion"], 3),
     (["verify", "--suite", "exact", "--order", "100000"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=nan+1i"], 2),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+nani"], 2),
-    (["eval", "--class", "2A", "--r", "1", "--tau=0.1+0.002i"], 3),
+    (["eval", "--class", "3A", "--r", "1", "--tau=0.5+0.002i"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.25+20000i"], 3),
     (["eval", "--class", "2A", "--r", "7", "--tau=0.1+1e-320i"], 3),
     (["eval", "--class", "1A", "--r", "1", "--tau=0.1+0.5i",
@@ -746,15 +746,16 @@ def test_help_names_every_option(capsys, argv):
     (["table", "--comp", "1", "--max-row", "5"], 2),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
-    # the exit-3 cases are real: 2A sums its series at tau itself, and at
-    # Im tau = 0.002 and 1e-320 that needs more than the order-800 cap; at
-    # Im tau = 20000 the 1A polar term q^(-1/120) overflows a double, and
-    # tol 1e-300 is below the double precision of a value of size 2 (and
-    # tol 5e-324 at 0.25+0.01i, scaled by |c tau + d|^(1/2) = 0.2 for the
-    # image of tau in F, is 0.0; tol 1e-15 there is 2e-16, below the
-    # precision of a value of size 2.8, and the line names the tol asked
-    # for).  The 7-component table starts at row 71, so max-row 70 leaves
-    # no row.
+    # the exit-3 cases are real: near a cusp a/c with N not dividing c (2A
+    # at 0, 3A at 1/2) H_r is summed at tau itself, and at Im tau = 0.002
+    # that needs more than the order-800 cap; 2A at 0.1+1e-320i is pulled
+    # back (c = -2^55), and its value overflows a double; at Im tau = 20000
+    # the 1A polar term q^(-1/120) overflows a double, and tol 1e-300 is
+    # below the double precision of a value of size 2 (and tol 5e-324 at
+    # 0.25+0.01i, scaled by |c tau + d|^(1/2) = 0.2 for the image of tau in
+    # F, is 0.0; tol 1e-15 there is 2e-16, below the precision of a value of
+    # size 2.8, and the line names the tol asked for).  The 7-component
+    # table starts at row 71, so max-row 70 leaves no row.
     got = main(argv)
     out, err = capsys.readouterr()
     assert got == code

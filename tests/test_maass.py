@@ -14,7 +14,8 @@ from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             NumericsError,
                             _at_point, _eichler_part, _mat_mul,
                             _pd_lambda_min, _theta_sum, _theta_term,
-                            _wall_coordinate, _wedge_lambda_min,
+                            _to_fundamental_domain, _wall_coordinate,
+                            _wedge_lambda_min,
                             beta_incomplete, completion_value,
                             e, h_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
@@ -401,14 +402,14 @@ def test_order2_completion_equals_theta_quotient():
     # taken from its exact series, not from the line sum of
     # tau1_identity_check
     from e8umbral.maass import _eval_order
-    from e8umbral.qseries import dedekind_eta
+    from e8umbral.qseries import DEN, _eta
     for r in (1, 7):
         for tau in (0.1 + 0.8j, 0.5j, 0.3 + 0.7j, -0.2 + 1.3j,
                     0.45 + 0.6j):
             data = order2_theta_data(r)
             th = indefinite_theta(data, tau, 1e-12)
             eta_val, _ = series_value(
-                dedekind_eta(2, _eval_order(tau.imag, 1e-10)), tau)
+                _eta(((2, 1),), 10, DEN * _eval_order(tau.imag, 1e-10)), tau)
             # the phase tracks the coset characteristic (1 or 3)/10
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))
             quotient = pref * th / eta_val
@@ -642,6 +643,34 @@ def test_modular_value_band_matches_direct_summation():
                 (r, tau)
 
 
+@pytest.mark.parametrize("cls,cs", [(CLASS_2A, (2, 4)), (CLASS_3A, (3, 6))],
+                         ids=["2A", "3A"])
+def test_gamma0_pull_back_band_matches_direct_summation(cls, cs):
+    # 20 seeded points per class with Im tau in [0.02, 0.1], each inside
+    # the Ford circle at a cusp a/c with N | c (x^2 + y^2 < y/c^2 about
+    # a/c), so that gamma has c != 0 with N | c and h_value pulls back
+    # through the law of Gamma_0(N); the value agrees with summing at tau
+    # itself, the completion to the size of its two parts as for 1A above
+    rng = random.Random(31)
+    for _ in range(20):
+        c = rng.choice(cs)
+        a = rng.choice([a for a in range(1, c) if math.gcd(a, c) == 1])
+        y = rng.uniform(0.02, min(0.1, 0.9 / c ** 2))
+        x = rng.uniform(-0.9, 0.9) * math.sqrt(y / c ** 2 - y * y)
+        tau = complex(a / c + x, y)
+        lower = _to_fundamental_domain(tau)[0][1][0]
+        assert lower != 0 and lower % cls.order == 0, tau
+        for r in (1, 7):
+            series, _ = _at_point(cls, r, tau, 1e-12, False)
+            eichler = _eichler_part(cls, r, tau, 1e-12)[0]
+            got, _ = h_value(cls, r, tau, 1e-12, False)
+            assert abs(got - series) < 1e-12 * abs(series), (r, tau)
+            got, _ = h_value(cls, r, tau, 1e-12, True)
+            want = completion_value(cls, r, tau, 1e-12)
+            assert abs(got - want) < 1e-12 * (abs(series) + abs(eichler)), \
+                (r, tau)
+
+
 @pytest.mark.parametrize("tau", [0.25 + 0.001j, 0.1234 + 0.0011j,
                                  -0.377 + 0.0009j])
 def test_modular_value_s_law_near_cusp(tau):
@@ -655,9 +684,46 @@ def test_modular_value_s_law_near_cusp(tau):
         assert abs(lhs / cmath.sqrt(tau) - rhs) < 1e-12 * max(abs(rhs), 1.0)
 
 
+@pytest.mark.parametrize("c", [9999, 10002, 30003])
+@pytest.mark.parametrize("tau0", [1 / 3 + 0.002 + 0.01j,
+                                  2 / 3 - 0.003 + 0.02j])
+def test_modular_value_gamma0_3_law_at_large_c(c, tau0):
+    # (c tau + d)^(-1/2) H(g tau) = conj e(cd/9) nu(g) H(tau) on the 3A
+    # pair for g in Gamma_0(3) with c about 1e4, so cd is about 1e8 to 1e9:
+    # both sides are pulled back, g tau (Im about 1e-11) through a gamma
+    # with c of the same size, whose phase must be reduced mod 9 exactly
+    # (a float cd/9 puts 1e-12 to 1e-11 into it).  g tau is rounded to a
+    # double w, and tau is g^-1 w rounded, so the law holds to the
+    # rounding of tau
+    g = ((-1, -1), (c, c - 1))
+    ginv = ((c - 1, 1), (-c, -1))
+
+    def mobius(m, z):
+        (a, b), (p, q) = m
+        z = F(z.real), F(z.imag)
+        num, den = (a * z[0] + b, a * z[1]), (p * z[0] + q, p * z[1])
+        norm = den[0] ** 2 + den[1] ** 2
+        return complex(float((num[0] * den[0] + num[1] * den[1]) / norm),
+                       float((num[1] * den[0] - num[0] * den[1]) / norm))
+
+    w = mobius(g, tau0)
+    tau = mobius(ginv, w)
+    for z in (tau, w):
+        lower = _to_fundamental_domain(z)[0][1][0]
+        assert lower != 0 and lower % 3 == 0, z
+    h = [h_value(CLASS_3A, r, tau, 1e-12, True)[0] for r in (1, 7)]
+    hw = [h_value(CLASS_3A, r, w, 1e-12, True)[0] for r in (1, 7)]
+    phase = e(F(c * (c - 1) % 9, 9)).conjugate()
+    size = math.hypot(*map(abs, h))
+    for (p, q), lhs in zip(multiplier_matrix(g), hw):
+        rhs = phase * (p * h[0] + q * h[1])
+        assert abs(lhs / cmath.sqrt(c * tau + c - 1) - rhs) < 1e-13 * size
+
+
 def test_modular_value_in_f_is_direct_summation():
-    # 1A on a translate of F, and 2A and 3A at any tau, sum only the
-    # requested component, at tau itself; the completion reports tol
+    # where gamma is a translation, or off Gamma_0(N) for 2A and 3A, only
+    # the requested component is summed, at tau itself; the completion
+    # reports tol
     huge = complex(1e300, 1.0)
     cases = [(CLASS_1A, tau) for tau in (0.3 + 1.0j, 7.4 + 0.95j,
                                          -0.5 + 60.0j, huge)]

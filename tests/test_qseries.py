@@ -9,7 +9,7 @@ from e8umbral.characters import (CLASS_1A, CLASSES, TraceId, closed_series,
 from e8umbral.mocktheta import identity_suite, octant_series, ramanujan_series
 from e8umbral.qseries import (DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError,
-                              _eta, _num, dedekind_eta)
+                              _eta, _num)
 
 from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
                      poly_inv, poly_mul, same_up_to, valuation)
@@ -169,7 +169,6 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: q(0, order=5).truncate(inf),
     lambda inf: q(0, order=5).coefficient(inf),
     lambda inf: q(0, order=5).first_difference(q(0, order=5), inf),
-    lambda inf: dedekind_eta(1, inf),
     lambda inf: closed_series(((1, -2),), ((1,),), (1,), (1,), 1, -1, inf),
     lambda inf: trace_closed(TraceId(CLASS_1A, 1), inf),
     lambda inf: trace_direct(TraceId(CLASS_1A, 1), inf),
@@ -178,7 +177,7 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: octant_series("chi0_side", inf),
     lambda inf: identity_suite(inf),
 ], ids=["QSeries", "truncate", "coefficient", "first_difference",
-        "dedekind_eta", "closed_series", "trace_closed", "trace_direct",
+        "closed_series", "trace_closed", "trace_direct",
         "h_component", "ramanujan_series", "octant_series", "identity_suite"])
 def test_infinite_order_is_refused(build):
     # every series is known to a finite order: an infinite one is off the
@@ -195,17 +194,17 @@ def test_pochhammer_divergence():
 
 
 def test_eta_leading_terms():
-    eta = dedekind_eta(1, 3)
+    eta = _eta(((1, 1),), 5, _num(3))
     assert valuation(eta) == F(1, 24)
     assert eta.coefficient(F(1, 24)) == 1
     assert eta.coefficient(F(25, 24)) == -1
-    assert valuation(dedekind_eta(2, 3)) == F(1, 12)
+    assert valuation(_eta(((2, 1),), 10, _num(3))) == F(1, 12)
 
 
 def test_eta_quotients_are_cached():
     # one build per (powers, shift, order), whatever order the powers are
     # given in: a second request returns the same series
-    assert dedekind_eta(1, 9) is dedekind_eta(1, 9)
+    assert _eta(((1, 1),), 5, _num(9)) is _eta(((1, 1),), 5, _num(9))
     assert eta_quotient({1: 1, 2: -2}, 0, 5) is \
         eta_quotient({2: -2, 1: 1}, 0, 5)
 
@@ -218,7 +217,7 @@ def test_eta2_euler_identity():
         e = 3 * k * k + k
         coeffs[e * 120 + 10] = coeffs.get(e * 120 + 10, 0) + (-1) ** (k % 2)
     lhs = QSeries(coeffs, order)
-    assert same_up_to(lhs, dedekind_eta(2, order), order)
+    assert same_up_to(lhs, _eta(((2, 1),), 10, _num(order)), order)
 
 
 def test_extract_coefficient_contract():

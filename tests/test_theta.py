@@ -6,7 +6,7 @@ import pytest
 
 from e8umbral import theta
 from e8umbral.characters import FAMILIES, component_family
-from e8umbral.qseries import DEN, QSeries, dedekind_eta
+from e8umbral.qseries import DEN, QSeries
 from e8umbral.theta import thetanullwerte_class_check
 
 from oracles import nullwerte_scan, shadow, unary_theta
@@ -110,7 +110,7 @@ def eta_J_coefficients(order) -> QSeries:
                                      if k % d == 0) if k else 1
                   for k in range(n + 1)}, n)
     j = e4 * e4 * e4 * eta_quotient({1: -24}, -1, n - 1) - 744
-    return (dedekind_eta(1, order + 2) * j).truncate(order)
+    return (eta_quotient({1: 1}, F(1, 24), order + 2) * j).truncate(order)
 
 
 def test_eta_j_coefficients():
