@@ -14,8 +14,9 @@ value alone, H_r summed at a point by _at_point, carries an empirical
 tail estimate (measured coefficient growth times the dropped geometric
 tail), at the order ``_eval_order`` gives for its tolerance (at most 800),
 and refuses to report a value it cannot back (ConvergenceError,
-NumericsError).  Each error gives a bare reason: h_value adds the tol and
-the tau asked for, and `verify` the tol and check.
+NumericsError).  Its error figure, the one `eval` prints, is that tail
+plus the sum's rounding estimate.  Each error gives a bare reason:
+h_value adds the tol and the tau asked for, and `verify` the tol and check.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps tau
@@ -88,31 +89,36 @@ def _im_upper(tau: complex) -> float:
     return tau.imag
 
 
-def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
+def series_value(series: QSeries, tau: complex) -> tuple:
     """Sum a truncated exact series at q = e(tau).
 
-    Returns (value, tail_estimate).  The sum runs at the tau it is given,
-    so far from Re tau = 0 it loses digits unless the caller reduces Re tau
-    mod DEN first, as _at_point does; its overflow error names no tau, as
-    h_value adds it.  The tail estimate extrapolates the measured
-    coefficient growth geometrically past the truncation order; it is
-    empirical, not a proof, and callers compare it against their tolerance
-    before trusting the value.
+    Returns (value, tail_estimate, rounding).  The sum runs at the tau it
+    is given, so far from Re tau = 0 it loses digits unless the caller
+    reduces Re tau mod DEN first, as _at_point does; its overflow error
+    names no tau, as h_value adds it.  The tail estimate extrapolates the
+    measured coefficient growth geometrically past the truncation order;
+    it is empirical, not a proof.  rounding, eps sum_k |t_k| (3 + 2 |z_k|)
+    over the terms t_k = c_k exp(z_k), z_k = 2 pi i tau e_k/DEN, estimates
+    the first-order rounding of the sum: 3 eps |t_k| for the product and
+    the sum, and eps |z_k| |t_k| for each part of z_k.
     """
     y = _im_upper(tau)
     items = series.items()
-    total = 0.0 + 0.0j
+    total, mass = 0.0 + 0.0j, 0.0
     try:
         for en, c in items:
-            total += float(c) * cmath.exp(2j * math.pi * tau * en / DEN)
+            z = 2j * math.pi * tau * en / DEN
+            total += (term := float(c) * cmath.exp(z))
+            mass += abs(term) * (3.0 + 2.0 * abs(z))
     except OverflowError:
         total = complex(math.inf)
     if not cmath.isfinite(total):
         raise NumericsError("the value overflows a double")
+    rounding = sys.float_info.epsilon * mass
     absq = math.exp(-TWO_PI * y)
     order = series.top / DEN
     if not items:
-        return total, absq ** order
+        return total, absq ** order, rounding
     mags = [(en / DEN, abs(float(c))) for en, c in items[-9:]]
     tail_coeff = max(m for _, m in mags[-8:])
     growth = 1.0
@@ -123,7 +129,7 @@ def series_value(series: QSeries, tau: complex) -> tuple[complex, float]:
         growth = min(growth, 0.5 / absq)
     ratio = growth * absq
     est = tail_coeff * (absq ** order) * growth / max(1.0 - ratio, 0.5)
-    return total, est
+    return total, est, rounding
 
 
 def _eval_order(y: float, tol: float) -> int:
@@ -226,22 +232,23 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     summed once, at the order _eval_order gives for tol, and must reach a
     tail estimate below tol, or below tol/5 for the completion, which adds
     the certified Eichler part: else ConvergenceError, and NumericsError if
-    tol is below the double precision of the value.  est is the tail
-    estimate, plus the Eichler part's bound for the completion; h_value
-    adds tol and tau to errors."""
+    tol is below the double precision of the value.  est, the one error
+    figure of eval, is the tail estimate plus the series' rounding
+    estimate, plus the Eichler part's bound for the completion; it is
+    reported, not enforced.  h_value adds tol and tau to errors."""
     y = _im_upper(tau)
     tau = complex(math.fmod(tau.real, DEN), y)
     series = h_component(group_class, r, _eval_order(y, tol))
-    value, tail = series_value(series, tau)
+    value, tail, rounding = series_value(series, tau)
     if not tail < (tol / 5.0 if completion else tol):
         raise ConvergenceError(f"series truncation insufficient at Im {y}")
     if tol < sys.float_info.epsilon * abs(value):
         raise NumericsError(f"below double precision at a value of size "
                             f"{abs(value):.1e}")
     if not completion:
-        return value, tail
+        return value, tail + rounding
     eichler, bound = _eichler_part(group_class, r, tau, tol)
-    return value + eichler, tail + bound
+    return value + eichler, tail + rounding + bound
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
@@ -290,17 +297,17 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
 
     where Im gamma tau >= sqrt(3)/2 and a short series suffices at any Im
     tau.  gamma tau is formed in exact integers from the parsed doubles, so
-    c tau + d loses no digits near a cusp.  nu is unitary, so nu^-1 is its
-    conjugate transpose, and a row of it maps errors (e1, e7) to at most
-    |(e1, e7)|: both components at gamma tau, summed to tol |c tau +
-    d|^(1/2), give an error below tol/3 at tau.  The series is the
-    completion less its Eichler part at tau, a line sum of about
-    Im(tau)^(-1/2) terms.  Near the other cusps, and for a translation
-    gamma, _at_point sums H_r at tau.  The error is tol for the completion,
-    and for the series the (propagated) tail estimates, plus the Eichler
-    part's bound after a pull-back.  Past the input checks, an overflow
-    becomes a NumericsError, and every NumericsError is raised again, of
-    the same type, as "<reason> (tol <tol> at tau = <tau>)".
+    c tau + d loses no digits near a cusp.  Both components are summed at
+    gamma tau to tol |c tau + d|^(1/2); nu is unitary, so a row of nu^-1
+    maps their figures (e1, e7) to at most |(e1, e7)|, and the error at tau
+    is that over |c tau + d|^(1/2), plus 4 eps |(Hhat_1, Hhat_7)| |c tau +
+    d|^(-1/2) for the combination.  The series is the completion less its
+    Eichler part at tau, a line sum of about Im(tau)^(-1/2) terms, whose
+    bound it adds.  Near the other cusps, and for a translation gamma,
+    _at_point sums H_r at tau and gives the error.  The error is reported,
+    not enforced.  Past the input checks, an overflow becomes a
+    NumericsError, and every NumericsError is raised again, of the same
+    type, as "<reason> (tol <tol> at tau = <tau>)".
     """
     if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
@@ -311,24 +318,25 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         gamma, gtau, jac = _to_fundamental_domain(tau)
         # nu(T^n) is diagonal: sum H_r alone; the pair exits 3 if |H_1| > 4.5e6
         if gamma[1][0] == 0 or (law := _law(group_class, gamma)) is None:
-            value, est = _at_point(group_class, r, tau, tol, completion)
-            return value, tol if completion else est
+            return _at_point(group_class, r, tau, tol, completion)
         nu, phase = law
         scale = math.sqrt(abs(jac))
         if tol * scale == 0.0:
             raise NumericsError("below double precision")
-        hats, tails = zip(*(_at_point(group_class, s, gtau, tol * scale, True)
-                            for s in FAMILIES))
+        hats, ests = zip(*(_at_point(group_class, s, gtau, tol * scale, True)
+                           for s in FAMILIES))
         col = [*FAMILIES].index(family)
         value = sign * phase.conjugate() * (
             nu[0][col].conjugate() * hats[0]
             + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
         if not cmath.isfinite(value):
             raise OverflowError
+        est = (math.hypot(*ests) + 4.0 * sys.float_info.epsilon
+               * math.hypot(*map(abs, hats))) / scale
         if completion:
-            return value, tol
+            return value, est
         eichler, bound = _eichler_part(group_class, r, tau, tol)
-        return value - eichler, math.hypot(*tails) / scale + bound
+        return value - eichler, est + bound
     except (OverflowError, NumericsError) as exc:
         if isinstance(exc, OverflowError):
             exc = NumericsError("the value overflows a double")

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the exact-series, shadow and
 multiplier tests (a word product, and the Weil representation's Gauss
-sums), and the certified summers as they were first written.
+sums), the certified summers as they were first written, and a 40-digit
+decimal summer of a q-series at a point.
 
 Deliberately self-contained: plain dict polynomials over Fraction, plain
 2x2 tuples and plain loops of complex exponentials, with no imports from
@@ -9,6 +10,7 @@ second computational path.
 """
 
 import cmath
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -394,3 +396,58 @@ def theta_sum_loop(term, rank: int, lam: float, wmax: float, y: float,
         if R >= cap:
             raise RuntimeError("theta sum tail bound not met")
         R += 1
+
+
+# ----------------------------------------------------------------------
+# a q-series at a point, to 40 digits
+
+
+PI_50 = "3.1415926535897932384626433832795028841971693993751"
+
+
+def decimal_series_value(items, tau: complex, den: int = 120) -> complex:
+    """sum_k c_k q^(e_k/den) at q = e(tau), tau read exactly from its
+    doubles, in 40-digit decimal arithmetic; items are (e_k, c_k) pairs,
+    c_k int or Fraction.  u = q^(1/den) is exp(-2 pi y/den), one
+    Decimal.exp, times cos + i sin of 2 pi x/den, each a Taylor series
+    after reducing the angle by a 50-digit 2 pi; each q^(e_k/den) is the
+    previous one times u^(e_k - e_(k-1)), itself a power of u by repeated
+    squaring, and only the sum is rounded to a double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        D = decimal.Decimal
+        two_pi = 2 * D(PI_50)
+        x, y = D(tau.real), D(tau.imag)
+        angle = two_pi * x / den
+        angle -= two_pi * (angle / two_pi).to_integral_value()
+        cos, sin, term = D(0), D(0), D(1)
+        for n in range(60):           # |angle| <= pi: pi^60/60! < 1e-51
+            if n % 2 == 0:
+                cos += term if n % 4 == 0 else -term
+            else:
+                sin += term if n % 4 == 1 else -term
+            term = term * angle / (n + 1)
+        mod = (-two_pi * y / den).exp()
+        u = (mod * cos, mod * sin)
+
+        def mul(p, q):
+            return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+        def power(z, n):
+            if n < 0:                     # 1/z = conj(z)/|z|^2
+                norm = z[0] * z[0] + z[1] * z[1]
+                z, n = (z[0] / norm, -z[1] / norm), -n
+            out = (D(1), D(0))
+            while n:
+                if n & 1:
+                    out = mul(out, z)
+                z, n = mul(z, z), n >> 1
+            return out
+
+        re = im = D(0)
+        at, w, step = 0, (D(1), D(0)), power(u, den)
+        for e, c in items:            # increasing e, mostly den apart
+            w = mul(w, step if e - at == den else power(u, e - at))
+            at, c = e, D(c.numerator) / D(c.denominator)
+            re, im = re + c * w[0], im + c * w[1]
+        return complex(float(re), float(im))

@@ -359,6 +359,35 @@ def test_eval_series_value(capsys):
     assert "est. error" in out
 
 
+EVAL_GRID_TAUS = ("0.1+0.8i", "0.25+0.03i", "0.3+0.001i", "-2.7+0.5i",
+                  "0.5+0.2i", "0.324965+0.5i", "-0.472187+1.0i",
+                  "0.25+0.01i", "0.1+5i")
+
+
+def test_eval_error_figure_is_never_below_rounding(capsys):
+    # over the 216-call grid (class x r in {1, 7, -1, 13} x 9 tau x series
+    # and completion) no printed est. error is below eps |value|: not the
+    # 0.0e+00 of a pulled-back 3A series, nor the 1.4e-107 of a 1A series
+    # tail in F.  The refusals keep their exit 3
+    answered = 0
+    for group_class, r, tau, extra in itertools.product(
+            ("1A", "2A", "3A"), ("1", "7", "-1", "13"), EVAL_GRID_TAUS,
+            ((), ("--completion",))):
+        code, out, err = run_cli(capsys, "eval", "--class", group_class,
+                                 "--r", r, f"--tau={tau}", *extra)
+        if code == 3:
+            assert group_class == "3A" and tau == "0.3+0.001i", err
+            continue
+        assert code == 0, err
+        answered += 1
+        head, _, tail = out.partition(" = ")
+        re_part, im_part = tail.split()[:2]
+        value = complex(float(re_part), float(im_part[:-1]))
+        est = float(out.rsplit("<= ", 1)[1].rstrip(")\n"))
+        assert est >= sys.float_info.epsilon * abs(value), out
+    assert answered == 208
+
+
 def test_eval_out_of_support(capsys):
     code, _, err = run_cli(capsys, "eval", "--class", "1A", "--r", "5",
                            "--tau", "0+1i")

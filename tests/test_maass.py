@@ -22,8 +22,8 @@ from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             r_function, series_value,
                             tau1_identity_check, transform_check)
 from e8umbral.qseries import DEN, _num
-from oracles import (g_value, multiplier_by_tokens, multiplier_by_weil,
-                     shadow, theta_sum_loop)
+from oracles import (decimal_series_value, g_value, multiplier_by_tokens,
+                     multiplier_by_weil, shadow, theta_sum_loop)
 
 import numpy as np
 
@@ -347,7 +347,7 @@ def test_completion_routes_agree():
                      sorted(shadow(cls.perm_character, r, order).items())]
             g = lambda z: sum(c * cmath.exp(2j * math.pi * n * z)
                               for n, c in terms)
-            holo, _ = series_value(h_component(cls, r, 2 * order), tau)
+            holo = series_value(h_component(cls, r, 2 * order), tau)[0]
             oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
             assert abs(completion_value(cls, r, tau, 1e-9) - oracle) \
                 < 1e-9, (tau, cls.name, r)
@@ -408,8 +408,9 @@ def test_order2_completion_equals_theta_quotient():
                     0.45 + 0.6j):
             data = order2_theta_data(r)
             th = indefinite_theta(data, tau, 1e-12)
-            eta_val, _ = series_value(
-                _eta(((2, 1),), 10, DEN * _eval_order(tau.imag, 1e-10)), tau)
+            eta_val = series_value(
+                _eta(((2, 1),), 10, DEN * _eval_order(tau.imag, 1e-10)),
+                tau)[0]
             # the phase tracks the coset characteristic (1 or 3)/10
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))
             quotient = pref * th / eta_val
@@ -423,8 +424,8 @@ def test_order2_completion_equals_theta_quotient():
 def test_order3_completion_is_plain_series():
     tau = 0.1 + 0.9j
     from e8umbral.maass import _eval_order
-    plain, _ = series_value(
-        h_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)
+    plain = series_value(
+        h_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)[0]
     assert abs(completion_value(CLASS_3A, 7, tau, 1e-9) - plain) < 1e-12
 
 
@@ -720,10 +721,42 @@ def test_modular_value_gamma0_3_law_at_large_c(c, tau0):
         assert abs(lhs / cmath.sqrt(c * tau + c - 1) - rhs) < 1e-13 * size
 
 
+@pytest.mark.parametrize("cls,cs", [(CLASS_1A, (1, 2, 3)),
+                                    (CLASS_2A, (2, 4)), (CLASS_3A, (3, 6))],
+                         ids=["1A", "2A", "3A"])
+def test_error_figure_bounds_a_40_digit_sum(cls, cs):
+    # the est. error of a series line, summed at tau or pulled back from
+    # F, bounds its distance from the 40-digit decimal sum of the same
+    # series to order 1000 (tests/oracles.py), whose own tail is below
+    # 1e-39 at Im tau >= 0.02.  30 seeded points per class and 2 families:
+    # half with Re uniform and Im log-uniform in [0.02, 2], half in Ford
+    # circles at a/c with N | c.  The figure is read as eval prints it
+    rng = random.Random(43)
+    exact = {r: h_component(cls, r, 1000).items() for r in (1, 7)}
+    points = [complex(rng.uniform(-0.5, 0.5),
+                      math.exp(rng.uniform(math.log(0.02), math.log(2))))
+              for _ in range(15)]
+    for _ in range(15):
+        c = rng.choice(cs)
+        a = rng.choice([a for a in range(c) if math.gcd(a, c) == 1])
+        y = rng.uniform(0.02, min(0.5, 0.9 / c ** 2))
+        x = rng.uniform(-0.9, 0.9) * math.sqrt(y / c ** 2 - y * y)
+        points.append(complex(a / c + x, y))
+    pulled_back = 0
+    for tau in points:
+        lower = _to_fundamental_domain(tau)[0][1][0]
+        pulled_back += lower != 0 and lower % cls.order == 0
+        for r in (1, 7):
+            value, est = h_value(cls, r, tau, 1e-9, False)
+            error = abs(value - decimal_series_value(exact[r], tau))
+            assert error <= float(f"{est:.1e}"), (r, tau, error, est)
+    assert 2 <= pulled_back <= len(points) - 2
+
+
 def test_modular_value_in_f_is_direct_summation():
     # where gamma is a translation, or off Gamma_0(N) for 2A and 3A, only
-    # the requested component is summed, at tau itself; the completion
-    # reports tol
+    # the requested component is summed, at tau itself, and its error
+    # figure is _at_point's, for the series and the completion alike
     huge = complex(1e300, 1.0)
     cases = [(CLASS_1A, tau) for tau in (0.3 + 1.0j, 7.4 + 0.95j,
                                          -0.5 + 60.0j, huge)]
@@ -736,10 +769,9 @@ def test_modular_value_in_f_is_direct_summation():
     far = 0.25 + 300.0j
     cases.append((CLASS_1A, far, 7))
     for cls, tau, r in cases:
-        assert h_value(cls, r, tau, 1e-9, True) == \
-            (_at_point(cls, r, tau, 1e-9, True)[0], 1e-9)
-        assert h_value(cls, r, tau, 1e-9, False) == \
-            _at_point(cls, r, tau, 1e-9, False)
+        for completion in (False, True):
+            assert h_value(cls, r, tau, 1e-9, completion) == \
+                _at_point(cls, r, tau, 1e-9, completion)
     for completion in (False, True):
         with pytest.raises(NumericsError, match="below double precision"):
             h_value(CLASS_1A, 1, far, 1e-9, completion)
