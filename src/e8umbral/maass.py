@@ -242,9 +242,9 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     value, tail, rounding = series_value(series, tau)
     if not tail < (tol / 5.0 if completion else tol):
         raise ConvergenceError(f"series truncation insufficient at Im {y}")
-    if tol < sys.float_info.epsilon * abs(value):
-        raise NumericsError(f"below double precision at a value of size "
-                            f"{abs(value):.1e}")
+    if tol < (floor := sys.float_info.epsilon * abs(value)):
+        raise NumericsError(f"below double precision: floor {floor:.1e} "
+                            f"at a value of size {abs(value):.1e}")
     if not completion:
         return value, tail + rounding
     eichler, bound = _eichler_part(group_class, r, tau, tol)

@@ -480,8 +480,8 @@ def test_eval_1a_subnormal_height_exits_3(capsys, tau, completion):
 # test names stay stable
 @pytest.mark.parametrize("tau,named", [
     pytest.param("1e16+0.001i",
-                 "below double precision at a value of size 1.1e+23 "
-                 "(tol 1e-09 at tau = (1e+16+0.001j))",
+                 "below double precision: floor 2.4e+07 at a value of size "
+                 "1.1e+23 (tol 1e-09 at tau = (1e+16+0.001j))",
                  id="1e16+0.001i-(in F, the image of tau = (1e+16+0.001j), "
                     "at tol "),
     pytest.param("1e300+5e-324i",
