@@ -146,16 +146,16 @@ def _eval_order(y: float, tol: float) -> int:
 def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
                tail_bound: float, near: float = 1.0) -> complex:
     """sum_{n in Z^rank} term(*n), rank 1 or 2, in square rings |n|_inf = R,
-    for |term(n)| <= wmax exp(-a |s + n|^2), a = 2 pi y lam, s in [0, 1)^rank.
+    for |term(n)| <= wmax exp(-a |s + n|^2), a = 2 pi y lam.
 
     Ring R' >= 1 has at most c(R') = 2 rank (2R' + 1)^(rank - 1) points,
-    each with |s + n| >= R' - near, near = s at rank 1, 1 (the default) at
-    rank 2.  These ring bounds fall ever faster, so with d = R + 1 - near
-    the rest past ring R is at most wmax c(R + 1) exp(-a d^2) / (1 - rho),
-    rho = c(R + 2)/c(R + 1) exp(-a (2d + 1)).  A linear search before any
-    term finds the first R <= cap (20000 for rank 1, a line sum; 801 for
-    rank 2, a ring sum) where that is below tail_bound, and the rings up to
-    it are added; if there is none, ConvergenceError.
+    each with |s + n| >= R' - near: near >= |s| at rank 1, and near = 1
+    (the default) at rank 2, s in [0, 1)^2.  These ring bounds fall ever
+    faster, so with d = R + 1 - near the rest past ring R is at most wmax
+    c(R + 1) exp(-a d^2) / (1 - rho), rho = c(R + 2)/c(R + 1) exp(-a (2d +
+    1)).  A linear search before any term finds the first R <= cap (20000
+    for rank 1, a line sum; 801 for rank 2, a ring sum) where that is below
+    tail_bound, and the rings up to it are added; else ConvergenceError.
     """
     a = TWO_PI * y * lam
     cap, what = (20000, "line sum") if rank == 1 else (801, "ring sum")
@@ -187,11 +187,11 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
     e^(-2 pi i nu b), with sgn(0) = 0.
 
     erfc(t) <= exp(-t^2) bounds each term by exp(-pi y nu^2), so
-    _theta_sum certifies the tail with lam = 1/2, at the offset a mod 1.
+    _theta_sum certifies the tail with lam = 1/2 at s = a - round(a).
     """
     b = float(b)
     y = _im_upper(tau)
-    s = float(a - math.floor(a))
+    s = float(a - round(a))
 
     def term(n: int) -> complex:
         nu = s + n
@@ -201,7 +201,7 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
             cmath.exp(-1j * math.pi * nu * nu * tau) * \
             cmath.exp(-2j * math.pi * nu * b)
 
-    return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound, s)
+    return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound, abs(s))
 
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,

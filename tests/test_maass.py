@@ -286,6 +286,17 @@ def test_summers_match_their_old_loops_bit_for_bit(monkeypatch):
         assert _outcome(_theta_sum, *args) == _outcome(theta_sum_loop, *args)
 
 
+def test_r_function_rings_by_the_nearest_offset(monkeypatch):
+    # a + Z is summed from its point nearest 0, so a = 59/60 stops where
+    # a = -1/60 does, after ring 0 at Im 30, and not one ring later as
+    # its offset 59/60 in [0, 1) would
+    spy, calls = _counting(beta_incomplete)
+    monkeypatch.setattr(maass, "beta_incomplete", spy)
+    tau = 60 * (0.3 + 0.5j)
+    values = [r_function(a, 0, tau, 1e-21) for a in (F(59, 60), F(-1, 60))]
+    assert len(calls) == 2 and values[0] == values[1]
+
+
 def test_a_sum_that_cannot_meet_its_bound_evaluates_nothing():
     term, terms = _counting(lambda n: 0j)
     with pytest.raises(ConvergenceError,
