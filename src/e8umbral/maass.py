@@ -298,16 +298,16 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     where Im gamma tau >= sqrt(3)/2 and a short series suffices at any Im
     tau.  gamma tau is formed in exact integers from the parsed doubles, so
     c tau + d loses no digits near a cusp.  Both components are summed at
-    gamma tau to tol |c tau + d|^(1/2); nu is unitary, so a row of nu^-1
-    maps their figures (e1, e7) to at most |(e1, e7)|, and the error at tau
-    is that over |c tau + d|^(1/2), plus 4 eps |(Hhat_1, Hhat_7)| |c tau +
-    d|^(-1/2) for the combination.  The series is the completion less its
-    Eichler part at tau, a line sum of about Im(tau)^(-1/2) terms, whose
-    bound it adds.  Near the other cusps, and for a translation gamma,
-    _at_point sums H_r at tau and gives the error.  The error is reported,
-    not enforced.  Past the input checks, an overflow becomes a
-    NumericsError, and every NumericsError is raised again, of the same
-    type, as "<reason> (tol <tol> at tau = <tau>)".
+    gamma tau to tol |c tau + d|^(1/2).  A row of the unitary nu^-1 maps
+    their figures (e1, e7) to at most |(e1, e7)|, and nu's entries are
+    good to 5 eps at |c| <= 10 and 19 eps at 1e12: the error at tau is
+    (|(e1, e7)| + (12 + log2 |c|) eps |(Hhat_1, Hhat_7)|) / |c tau +
+    d|^(1/2).  The series is the completion less its Eichler part at tau,
+    a line sum of about Im(tau)^(-1/2) terms, whose bound it adds.  Near
+    the other cusps, and for a translation gamma, _at_point sums H_r at
+    tau and gives the error.  Errors are reported, not enforced.  An
+    overflow past the input checks becomes a NumericsError, and each is
+    raised again as "<reason> (tol <tol> at tau = <tau>)", of its type.
     """
     if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
@@ -331,8 +331,8 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
             + nu[1][col].conjugate() * hats[1]) / cmath.sqrt(jac)
         if not cmath.isfinite(value):
             raise OverflowError
-        est = (math.hypot(*ests) + 4.0 * sys.float_info.epsilon
-               * math.hypot(*map(abs, hats))) / scale
+        est = (math.hypot(*ests) + (12 + gamma[1][0].bit_length())
+               * sys.float_info.epsilon * math.hypot(*map(abs, hats))) / scale
         if completion:
             return value, est
         eichler, bound = _eichler_part(group_class, r, tau, tol)
