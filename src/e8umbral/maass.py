@@ -30,9 +30,9 @@ Kubota's sign as an int; the tests check it against the Weil
 representation's Gauss sums.  Every other value is summed by _at_point
 at the point it is given, and so are completion_value and the checks
 (transform_check, tau1_identity_check), so a check stays independent of
-the route it checks.  Re tau is reduced mod DEN = 120, a period of H_r,
-its Eichler part and the completion identity, in three places: h_value,
-_at_point (for both of its callees) and tau1_identity_check.
+the route it checks.  The two sums of H_r (series_value, _eichler_part)
+sum at Re tau - round(Re tau), with the phase of the integer part from
+each exponent; tau1_identity_check reduces Re tau mod DEN = 120.
 """
 
 import cmath
@@ -90,24 +90,24 @@ def _im_upper(tau: complex) -> float:
 
 
 def series_value(series: QSeries, tau: complex) -> tuple:
-    """Sum a truncated exact series at q = e(tau).
-
-    Returns (value, tail_estimate, rounding).  The sum runs at the tau it
-    is given, so far from Re tau = 0 it loses digits unless the caller
-    reduces Re tau mod DEN first, as _at_point does; its overflow error
-    names no tau, as h_value adds it.  The tail estimate extrapolates the
-    measured coefficient growth geometrically past the truncation order;
-    it is empirical, not a proof.  rounding, eps sum_k |t_k| (3 + 2 |z_k|)
-    over the terms t_k = c_k exp(z_k), z_k = 2 pi i tau e_k/DEN, estimates
-    the first-order rounding of the sum: 3 eps |t_k| for the product and
-    the sum, and eps |z_k| |t_k| for each part of z_k.
+    """Sum a truncated exact series at q = e(tau): (value, tail_estimate,
+    rounding) over the terms t_k = c_k exp(z_k), z_k = 2 pi i ((tau - n) e_k
+    + m_k)/DEN, where n = round(Re tau), so tau - n is exact, and m_k = n
+    e_k mod DEN in [-60, 60), in integers (no m_k is added if n = 0).  The
+    tail estimate extrapolates the measured coefficient growth past the
+    order; it is empirical, not a proof.  rounding, eps sum_k |t_k| (3 + 2
+    |z_k|), estimates the first-order rounding of the sum: 3 eps |t_k| for
+    the product and the sum, and eps |z_k| |t_k| for each part of z_k.
     """
     y = _im_upper(tau)
+    tau -= (n := round(tau.real))
     items = series.items()
     total, mass = 0.0 + 0.0j, 0.0
     try:
         for en, c in items:
             z = 2j * math.pi * tau * en / DEN
+            if n:
+                z += TWO_PI_I * ((en * n + DEN // 2) % DEN - DEN // 2) / DEN
             total += (term := float(c) * cmath.exp(z))
             mass += abs(term) * (3.0 + 2.0 * abs(z))
     except OverflowError:
@@ -206,20 +206,22 @@ def r_function(a, b, tau: complex, tail_bound: float) -> complex:
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tol: float) -> tuple[complex, float]:
-    """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau),
-    summed at the tau it is given, reduced by its callers; (0, 0), summed
-    nowhere, if chi = 0.  Each R-sum has a certified tail below tol * 1e-12,
-    so the bound is that tail times the family size, times |chi|.  This is
-    the Eichler integral of the shadow sign chi sum_s S_{30,s}, scaled by
-    1/sqrt(60): its term c_n q^n (n = 30 nu^2, c_n = 60 nu, nu in s/60 + Z)
-    gives c_n/(sqrt(60 * 2n)) beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2 y)
-    e(-30 nu^2 tau)."""
+    """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau);
+    (0, 0), summed nowhere, if chi = 0.  Each R-sum has a certified tail
+    below tol * 1e-12, so the bound is |chi| times that tail per member.
+    This is the Eichler integral of the shadow sign chi sum_s S_{30,s},
+    scaled by 1/sqrt(60): its term c_n q^n (n = 30 nu^2, c_n = 60 nu, nu in
+    s/60 + Z) gives c_n/sqrt(120 n) beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2
+    y) e(-30 nu^2 tau).  As 30 nu^2 is in s^2/120 + Z, each R is summed at
+    tau - k, k = round(Re tau), times e(-k s^2/120), in integers mod 120."""
     if group_class.perm_character == 0:
         return 0.0, 0.0
     family, sign = component_family(r)
     members = FAMILIES[family].members
     tail_bound = tol * 1e-12
-    total = sum(r_function(s / 60, 0, 60.0 * tau, tail_bound)
+    tau -= (k := round(tau.real))
+    total = sum(e(((DEN // 2 - k * s * s) % DEN - DEN // 2) / DEN)
+                * r_function(s / 60, 0, 60.0 * tau, tail_bound)
                 for s in members)
     return (sign * group_class.perm_character * total,
             group_class.perm_character * len(members) * tail_bound)
@@ -228,8 +230,8 @@ def _eichler_part(group_class: GroupClass, r: int, tau: complex,
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
-    with Re tau reduced mod DEN = 120, here, for both parts.  The series is
-    summed once, at the order _eval_order gives for tol, and must reach a
+    by the two sums, each reducing Re tau on its own.  The series is summed
+    once, at the order _eval_order gives for tol, and must reach a
     tail estimate below tol, or below tol/5 for the completion, which adds
     the certified Eichler part: else ConvergenceError, and NumericsError if
     tol is below the double precision of the value.  est, the one error
@@ -237,7 +239,6 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     estimate, plus the Eichler part's bound for the completion; it is
     reported, not enforced.  h_value adds tol and tau to errors."""
     y = _im_upper(tau)
-    tau = complex(math.fmod(tau.real, DEN), y)
     series = h_component(group_class, r, _eval_order(y, tol))
     value, tail, rounding = series_value(series, tau)
     if not tail < (tol / 5.0 if completion else tol):
@@ -287,7 +288,7 @@ def _to_fundamental_domain(tau: complex) -> tuple:
 def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
             completion: bool) -> tuple[complex, float]:
     """(value, est. error) of the component H_r of the class at tau,
-    completed or not, Re tau reduced mod DEN = 120 first (nu(T)^120 = I).
+    completed or not; the sums it calls reduce Re tau.
 
     Where gamma, with gamma tau in the fundamental domain F, lies in
     Gamma_0(N), N the order of the class, the pair is pulled back from F
@@ -313,7 +314,6 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         raise ValueError(f"component {r} is not in the support")
     family, sign = rule
     _im_upper(tau)
-    point, tau = tau, complex(math.fmod(tau.real, DEN), tau.imag)
     try:
         gamma, gtau, jac = _to_fundamental_domain(tau)
         # nu(T^n) is diagonal: sum H_r alone; the pair exits 3 if |H_1| > 4.5e6
@@ -340,7 +340,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     except (OverflowError, NumericsError) as exc:
         if isinstance(exc, OverflowError):
             exc = NumericsError("the value overflows a double")
-        raise type(exc)(f"{exc} (tol {tol} at tau = {point})") from None
+        raise type(exc)(f"{exc} (tol {tol} at tau = {tau})") from None
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +521,8 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
     by _theta_sum with lam = 3, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
     certified tail below tol * 1e-12, the ratio _eichler_part uses.  Re
-    tau is reduced mod DEN = 120 once, for both sides: the periods of theta
-    (Q(nu) in 3c^2/40 + Z), eta(2 tau) and the completion are 40, 12, 120.
+    tau is reduced mod DEN = 120 for theta and eta(2 tau), of periods 40
+    (Q(nu) in 3c^2/40 + Z) and 12; the completion's sums reduce their own.
     """
     data = order2_theta_data(r)
     y = _im_upper(tau)

@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 from e8umbral import maass
-from e8umbral.characters import CLASS_1A, CLASS_2A, CLASS_3A, h_component
+from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, FAMILIES,
+                                 h_component)
 from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             NumericsError,
                             _at_point, _eichler_part, _mat_mul,
@@ -739,9 +740,13 @@ def test_error_figure_bounds_a_40_digit_sum(cls, cs):
     # the est. error of a series line, summed at tau or pulled back from
     # F, bounds its distance from the 40-digit decimal sum of the same
     # series to order 1000 (tests/oracles.py), whose own tail is below
-    # 1e-39 at Im tau >= 0.02.  30 seeded points per class and 2 families:
-    # half with Re uniform and Im log-uniform in [0.02, 2], half in Ford
-    # circles at a/c with N | c.  The figure is read as eval prints it
+    # 1e-39 at Im tau >= 0.02.  50 seeded points per class and 2 families:
+    # 15 with Re uniform in [-1/2, 1/2] and Im log-uniform in [0.02, 2],
+    # 15 in Ford circles at a/c with N | c, and 20 far translates, Re in
+    # k + [-1/2, 1/2] for k in [1, 119] and Im as the first 15.  Summed
+    # at Re tau reduced only mod 120, the Eichler part of a pulled-back
+    # series missed by up to 48 times the figure there.  The figure is
+    # read as eval prints it
     rng = random.Random(43)
     exact = {r: h_component(cls, r, 1000).items() for r in (1, 7)}
     points = [complex(rng.uniform(-0.5, 0.5),
@@ -753,6 +758,9 @@ def test_error_figure_bounds_a_40_digit_sum(cls, cs):
         y = rng.uniform(0.02, min(0.5, 0.9 / c ** 2))
         x = rng.uniform(-0.9, 0.9) * math.sqrt(y / c ** 2 - y * y)
         points.append(complex(a / c + x, y))
+    points += [complex(rng.randint(1, 119) + rng.uniform(-0.5, 0.5),
+                       math.exp(rng.uniform(math.log(0.02), math.log(2))))
+               for _ in range(20)]
     pulled_back = 0
     for tau in points:
         lower = _to_fundamental_domain(tau)[0][1][0]
@@ -762,6 +770,35 @@ def test_error_figure_bounds_a_40_digit_sum(cls, cs):
             error = abs(value - decimal_series_value(exact[r], tau))
             assert error <= float(f"{est:.1e}"), (r, tau, error, est)
     assert 2 <= pulled_back <= len(points) - 2
+
+
+@pytest.mark.parametrize("cls", [CLASS_1A, CLASS_2A, CLASS_3A],
+                         ids=["1A", "2A", "3A"])
+def test_translation_is_an_exact_phase(cls):
+    # H_r(tau0 + k) = e(k lead/120) H_r(tau0), the completion too, to the
+    # sum of the two error figures, for k up to 1e12: each sum of H_r
+    # takes the phase of k from its integer exponents.  tau0 is dyadic,
+    # so tau0 + k is exact; the phase is reduced into [-1/2, 1/2) turns
+    # in integers.  Points where either side exits 3 are skipped, but at
+    # most 16 of the 96
+    checked = 0
+    for tau0 in (0.3125 + 0.02j, -0.4375 + 0.05j, 0.0625 + 0.5j,
+                 0.25 + 1.5j):
+        for k in (1, 59, 100, 119, 2 ** 20, 10 ** 12):
+            for r in FAMILIES:
+                phase = e(((FAMILIES[r].lead * k + 60) % 120 - 60) / 120)
+                for completion in (False, True):
+                    try:
+                        far, far_est = h_value(cls, r, tau0 + k, 1e-9,
+                                               completion)
+                        near, near_est = h_value(cls, r, tau0, 1e-9,
+                                                 completion)
+                    except NumericsError:
+                        continue
+                    checked += 1
+                    assert abs(far - phase * near) <= far_est + near_est, \
+                        (r, tau0, k, completion)
+    assert checked >= 80
 
 
 def test_modular_value_in_f_is_direct_summation():
