@@ -2,32 +2,27 @@
 Gaussian weights, Eichler integrals, indefinite theta functions of
 signature (1,1), completions, and weight-1/2 transformation residuals.
 
-Summation tails are certified, and each sum's length is fixed before its
-first term: one summer, _theta_sum, adds a Gaussian-damped sum over Z or
-Z^2 in square rings |n|_inf = R up to the first past which a certified
-majorant of the rest is below the bound, or fails with ConvergenceError
+Every sum gives (value, tail, rounding), its rounding by the one rule
+that _theta_sum states: eps sum |t| (3 + k) over its terms t, k the
+condition of t.  _theta_sum adds a Gaussian-damped sum over Z or Z^2 in
+square rings |n|_inf = R up to the first past which a certified majorant
+of the rest, its tail, is below the bound, or fails with ConvergenceError
 before any term if there is none within its cap.  It sums the R-functions
-of a completion's Eichler part, eta(2 tau), indefinite_theta (whose
-E-weighted lattice sums decay like exp(-2 pi y M(nu)), M positive definite
-from the cone data) and the test suite's theta splitting identity.  One
-value alone, H_r summed at a point by _at_point, carries an empirical
-tail estimate (measured coefficient growth times the dropped geometric
-tail), at the order ``_eval_order`` gives for its tolerance (at most 800),
-and refuses to report a value it cannot back (ConvergenceError,
-NumericsError).  Its error figure, the one `eval` prints, is that tail
-plus the sum's rounding estimate.  Each error gives a bare reason:
-h_value adds the tol and the tau asked for, and `verify` the tol and check.
+of a completion's Eichler part, eta(2 tau), indefinite_theta and the test
+suite's theta splitting identity.  series_value sums H_r at a point with
+an empirical tail, at the order ``_eval_order`` gives for its tolerance
+(at most 800).  The error figure `eval` prints, formed by _at_point, is
+the tail and rounding of H_r, plus those of the Eichler part for a
+completion; a value it cannot back is refused with a bare reason
+(ConvergenceError, NumericsError), to which h_value adds tol and tau.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps tau
 into the fundamental domain in exact integers and, where that gamma is in
 Gamma_0(N), N the order of the class, sums the completed pair (H_1, H_7)
 there at a 40-term order and pulls it back through _law, the one
-statement of the weight-1/2 law, which transform_check checks.
-multiplier_matrix builds nu(gamma) in one Euclid pass over gamma, in
-O(log |c|) steps of one nu(T^n) diagonal and one nu(S) each, carrying
-Kubota's sign as an int; the tests check it against the Weil
-representation's Gauss sums.  Every other value is summed by _at_point
+statement of the weight-1/2 law, with nu(gamma) from multiplier_matrix;
+transform_check checks it.  Every other value is summed by _at_point
 at the point it is given, and so are completion_value and the checks
 (transform_check, tau1_identity_check), so a check stays independent of
 the route it checks.  The two sums of H_r (series_value, _eichler_part)
@@ -95,9 +90,8 @@ def series_value(series: QSeries, tau: complex) -> tuple:
     + m_k)/DEN, where n = round(Re tau), so tau - n is exact, and m_k = n
     e_k mod DEN in [-60, 60), in integers (no m_k is added if n = 0).  The
     tail estimate extrapolates the measured coefficient growth past the
-    order; it is empirical, not a proof.  rounding, eps sum_k |t_k| (3 + 2
-    |z_k|), estimates the first-order rounding of the sum: 3 eps |t_k| for
-    the product and the sum, and eps |z_k| |t_k| for each part of z_k.
+    order; it is empirical, not a proof.  rounding is _theta_sum's rule,
+    eps sum_k |t_k| (3 + 2 |z_k|), as t_k has the one factor exp(z_k).
     """
     y = _im_upper(tau)
     tau -= (n := round(tau.real))
@@ -144,18 +138,23 @@ def _eval_order(y: float, tol: float) -> int:
 
 
 def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
-               tail_bound: float, near: float = 1.0) -> complex:
-    """sum_{n in Z^rank} term(*n), rank 1 or 2, in square rings |n|_inf = R,
-    for |term(n)| <= wmax exp(-a |s + n|^2), a = 2 pi y lam.
+               tail_bound: float, near: float = 1.0) -> tuple:
+    """(value, tail, rounding) of sum_{n in Z^rank} t_n, rank 1 or 2, in
+    square rings |n|_inf = R, for term(*n) = (t_n, k_n) with |t_n| <= wmax
+    exp(-a |s + n|^2), a = 2 pi y lam.
 
     Ring R' >= 1 has at most c(R') = 2 rank (2R' + 1)^(rank - 1) points,
     each with |s + n| >= R' - near: near >= |s| at rank 1, and near = 1
     (the default) at rank 2, s in [0, 1)^2.  These ring bounds fall ever
-    faster, so with d = R + 1 - near the rest past ring R is at most wmax
-    c(R + 1) exp(-a d^2) / (1 - rho), rho = c(R + 2)/c(R + 1) exp(-a (2d +
-    1)).  A linear search before any term finds the first R <= cap (20000
-    for rank 1, a line sum; 801 for rank 2, a ring sum) where that is below
-    tail_bound, and the rings up to it are added; else ConvergenceError.
+    faster, so with d = R + 1 - near the rest past ring R is at most tail
+    = wmax c(R + 1) exp(-a d^2) / (1 - rho), rho = c(R + 2)/c(R + 1)
+    exp(-a (2d + 1)).  A linear search before any term finds the first R
+    <= cap (20000 for rank 1, a line sum; 801 for rank 2, a ring sum)
+    where tail is below tail_bound, and the rings up to it are added; else
+    ConvergenceError.  rounding = eps sum_n |t_n| (3 + k_n) is maass's one
+    first-order rounding rule: 3 eps for the products and the sum, and
+    the condition k_n, 2 |x f'(x)/f(x)| for two roundings of x in each
+    factor f(x) of t_n: 2 |z| for exp(z), < 2 (2 x^2 + 1) for erfc(x >= 0).
     """
     a = TWO_PI * y * lam
     cap, what = (20000, "line sum") if rank == 1 else (801, "ring sum")
@@ -164,80 +163,88 @@ def _theta_sum(term, rank: int, lam: float, wmax: float, y: float,
         c2 = 2 * rank * (2 * stop + 5) ** (rank - 1)      # c(stop + 2)
         d = stop + 1 - near
         rho = c2 / c1 * math.exp(-a * (2 * d + 1))
-        if rho < 1.0 and wmax * c1 * math.exp(-a * d * d) \
-                / (1.0 - rho) < tail_bound:
+        if rho < 1.0 and (tail := wmax * c1 * math.exp(-a * d * d)
+                          / (1.0 - rho)) < tail_bound:
             break
     else:
         raise ConvergenceError(
             f"{what} tail bound {tail_bound:g} not met by shell {cap}")
-    total = term(*(0,) * rank)                          # ring 0
+    mass = [0.0]
+
+    def at(*n) -> complex:
+        t, k = term(*n)
+        mass[0] += abs(t) * (3.0 + k)
+        return t
+
+    total = at(*(0,) * rank)                            # ring 0
     for R in range(1, stop + 1):
         if rank == 1:
-            total += term(R) + term(-R)
+            total += at(R) + at(-R)
         else:
             pts = [p for i in range(-R, R + 1) for p in ((i, R), (i, -R))]
             pts += [p for j in range(-R + 1, R) for p in ((R, j), (-R, j))]
             for n1, n2 in pts:
-                total += term(n1, n2)
-    return total
+                total += at(n1, n2)
+    return total, tail, sys.float_info.epsilon * mass[0]
 
 
-def r_function(a, b, tau: complex, tail_bound: float) -> complex:
-    """R_{a,b}(tau) = sum_{nu in a+Z} sgn(nu) beta(2 nu^2 y) q^(-nu^2/2)
-    e^(-2 pi i nu b), with sgn(0) = 0.
+def r_function(a, b, tau: complex, tail_bound: float) -> tuple:
+    """(value, tail, rounding) of R_{a,b}(tau) = sum_{nu in a+Z} sgn(nu)
+    beta(2 nu^2 y) q^(-nu^2/2) e^(-2 pi i nu b), sgn(0) = 0, by _theta_sum.
 
     erfc(t) <= exp(-t^2) bounds each term by exp(-pi y nu^2), so
-    _theta_sum certifies the tail with lam = 1/2 at s = a - round(a).
+    _theta_sum certifies the tail with lam = 1/2 at s = a - round(a); the
+    condition counts two exponentials and erfc(x), x^2 = 2 pi nu^2 y.
     """
     b = float(b)
     y = _im_upper(tau)
     s = float(a - round(a))
 
-    def term(n: int) -> complex:
+    def term(n: int) -> tuple:
         nu = s + n
         if nu == 0.0 or (w := beta_incomplete(2.0 * nu * nu * y)) == 0.0:
-            return 0.0 + 0.0j
-        return math.copysign(1.0, nu) * w * \
-            cmath.exp(-1j * math.pi * nu * nu * tau) * \
-            cmath.exp(-2j * math.pi * nu * b)
+            return 0.0 + 0.0j, 0.0
+        z1, z2 = -1j * math.pi * nu * nu * tau, -2j * math.pi * nu * b
+        return math.copysign(1.0, nu) * w * cmath.exp(z1) * cmath.exp(z2), \
+            2.0 * (abs(z1) + abs(z2) + 4.0 * math.pi * nu * nu * y + 1.0)
 
     return _theta_sum(term, 1, 0.5, 1.0, y, tail_bound, abs(s))
 
 
 def _eichler_part(group_class: GroupClass, r: int, tau: complex,
                   tol: float) -> tuple[complex, float]:
-    """(value, bound) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau);
-    (0, 0), summed nowhere, if chi = 0.  Each R-sum has a certified tail
-    below tol * 1e-12, so the bound is |chi| times that tail per member.
+    """(value, est) of sign chi sum_{s in family(r)} R_{s/60,0}(60 tau);
+    (0, 0), summed nowhere, if chi = 0.  est is chi times the sum of the
+    R-sums' tails (each asked below tol * 1e-12) and roundings and of the
+    rounding of their phases, whose exponents have |z| <= pi.
     This is the Eichler integral of the shadow sign chi sum_s S_{30,s},
     scaled by 1/sqrt(60): its term c_n q^n (n = 30 nu^2, c_n = 60 nu, nu in
     s/60 + Z) gives c_n/sqrt(120 n) beta(4ny) q^(-n) = sgn(nu) beta(120 nu^2
     y) e(-30 nu^2 tau).  As 30 nu^2 is in s^2/120 + Z, each R is summed at
     tau - k, k = round(Re tau), times e(-k s^2/120), in integers mod 120."""
-    if group_class.perm_character == 0:
+    if (chi := group_class.perm_character) == 0:
         return 0.0, 0.0
     family, sign = component_family(r)
-    members = FAMILIES[family].members
-    tail_bound = tol * 1e-12
     tau -= (k := round(tau.real))
-    total = sum(e(((DEN // 2 - k * s * s) % DEN - DEN // 2) / DEN)
-                * r_function(s / 60, 0, 60.0 * tau, tail_bound)
-                for s in members)
-    return (sign * group_class.perm_character * total,
-            group_class.perm_character * len(members) * tail_bound)
+    sums = [(e(((DEN // 2 - k * s * s) % DEN - DEN // 2) / DEN),
+             r_function(s / 60, 0, 60.0 * tau, tol * 1e-12))
+            for s in FAMILIES[family].members]
+    total = sum(phase * value for phase, (value, _, _) in sums)
+    return sign * chi * total, chi * sum(
+        tail + rounding + sys.float_info.epsilon * abs(value) * (3 + TWO_PI)
+        for _, (value, tail, rounding) in sums)
 
 
 def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
               completion: bool) -> tuple[complex, float]:
     """(value, est) of H_r(tau), or of its completion, summed at tau itself
     by the two sums, each reducing Re tau on its own.  The series is summed
-    once, at the order _eval_order gives for tol, and must reach a
-    tail estimate below tol, or below tol/5 for the completion, which adds
-    the certified Eichler part: else ConvergenceError, and NumericsError if
-    tol is below the double precision of the value.  est, the one error
-    figure of eval, is the tail estimate plus the series' rounding
-    estimate, plus the Eichler part's bound for the completion; it is
-    reported, not enforced.  h_value adds tol and tau to errors."""
+    once, at the order _eval_order gives for tol, and must reach a tail
+    estimate below tol, or below tol/5 for the completion, which adds the
+    Eichler part: else ConvergenceError, and NumericsError if tol is below
+    the double precision of the value.  est, the one error figure of eval,
+    is the tail and rounding of the series, plus those of the Eichler part
+    for the completion; it is reported, not enforced."""
     y = _im_upper(tau)
     series = h_component(group_class, r, _eval_order(y, tol))
     value, tail, rounding = series_value(series, tau)
@@ -246,10 +253,9 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     if tol < (floor := sys.float_info.epsilon * abs(value)):
         raise NumericsError(f"below double precision: floor {floor:.1e} "
                             f"at a value of size {abs(value):.1e}")
-    if not completion:
-        return value, tail + rounding
-    eichler, bound = _eichler_part(group_class, r, tau, tol)
-    return value + eichler, tail + rounding + bound
+    eichler, eichler_est = _eichler_part(group_class, r, tau, tol) \
+        if completion else (0.0, 0.0)
+    return value + eichler, tail + rounding + eichler_est
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
@@ -304,7 +310,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     good to 5 eps at |c| <= 10 and 19 eps at 1e12: the error at tau is
     (|(e1, e7)| + (12 + log2 |c|) eps |(Hhat_1, Hhat_7)|) / |c tau +
     d|^(1/2).  The series is the completion less its Eichler part at tau,
-    a line sum of about Im(tau)^(-1/2) terms, whose bound it adds.  Near
+    a line sum of about Im(tau)^(-1/2) terms, whose figure it adds.  Near
     the other cusps, and for a translation gamma, _at_point sums H_r at
     tau and gives the error.  Errors are reported, not enforced.  An
     overflow past the input checks becomes a NumericsError, and each is
@@ -333,10 +339,9 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
             raise OverflowError
         est = (math.hypot(*ests) + (12 + gamma[1][0].bit_length())
                * sys.float_info.epsilon * math.hypot(*map(abs, hats))) / scale
-        if completion:
-            return value, est
-        eichler, bound = _eichler_part(group_class, r, tau, tol)
-        return value - eichler, est + bound
+        eichler, eichler_est = (0.0, 0.0) if completion \
+            else _eichler_part(group_class, r, tau, tol)
+        return value - eichler, est + eichler_est
     except (OverflowError, NumericsError) as exc:
         if isinstance(exc, OverflowError):
             exc = NumericsError("the value overflows a double")
@@ -426,18 +431,20 @@ def _wedge_lambda_min(data: IndefThetaData) -> float:
 
 
 def _theta_term(data: IndefThetaData, tau: complex, weight):
-    """n -> weight(n) e(Q(nu) tau + B(nu, b)) for nu = a + n, 0 where the
-    weight is 0; a and b are read as numerators over DEN."""
+    """n -> (w exp(z), m/|w| + 2 |z|), z = 2 pi i (Q(nu) tau + B(nu, b)),
+    nu = a + n, for weight(n) = (w, m), m the first-order error of w in
+    units of eps; (0, 0) if w is 0.  a and b are numerators over DEN."""
     (a00, a01), (_, a11) = data.A
     a0, a1 = data.a[0] / DEN, data.a[1] / DEN
     ab0, ab1 = (x / DEN for x in data.a_times(data.b))
 
-    def term(n1: int, n2: int) -> complex:
-        if (w := weight(n1, n2)) == 0.0:
-            return 0.0 + 0.0j
+    def term(n1: int, n2: int) -> tuple:
+        if (w := weight(n1, n2))[0] == 0.0:
+            return 0.0 + 0.0j, 0.0
         nu0, nu1 = a0 + n1, a1 + n2
         qnu = 0.5 * (a00 * nu0 * nu0 + 2 * a01 * nu0 * nu1 + a11 * nu1 * nu1)
-        return w * cmath.exp(TWO_PI_I * (qnu * tau + nu0 * ab0 + nu1 * ab1))
+        z = TWO_PI_I * (qnu * tau + nu0 * ab0 + nu1 * ab1)
+        return w[0] * cmath.exp(z), w[1] / abs(w[0]) + 2.0 * abs(z)
 
     return term
 
@@ -479,17 +486,18 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
     x1 = _wall_coordinate(data, data.c1, y)
     x2 = _wall_coordinate(data, data.c2, y)
 
-    def weight(n1: int, n2: int) -> float:
+    def weight(n1: int, n2: int) -> tuple:
         z1, z2 = x1(n1, n2), x2(n1, n2)
         if z1 * z2 > 0:
-            d = math.erfc(abs(z2)) - math.erfc(abs(z1))
-            return d if z1 > 0 else -d
-        return math.erf(z1) - math.erf(z2)
+            d = (f2 := math.erfc(abs(z2))) - (f1 := math.erfc(abs(z1)))
+            return (d if z1 > 0 else -d), \
+                f1 * (4 * z1 * z1 + 2) + f2 * (4 * z2 * z2 + 2)
+        return (w := math.erf(z1) - math.erf(z2)), 2.0 * abs(w)
 
     lam = min(_pd_lambda_min(data, data.c1), _pd_lambda_min(data, data.c2),
               _wedge_lambda_min(data))
     return _theta_sum(_theta_term(data, tau, weight), 2, lam, 2.0, y,
-                      tail_bound)
+                      tail_bound)[0]
 
 
 # ----------------------------------------------------------------------
@@ -529,12 +537,12 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     tau = complex(math.fmod(tau.real, DEN), y)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
 
-    def eta_term(n: int) -> complex:
-        nu = 1 / 6 + n
-        return cmath.exp(1j * math.pi * nu * (1.0 + 6.0 * nu * tau))
+    def eta_term(n: int) -> tuple:
+        z = 1j * math.pi * (nu := 1 / 6 + n) * (1.0 + 6.0 * nu * tau)
+        return cmath.exp(z), 2.0 * abs(z)
 
     eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12,
-                                      1 / 6)
+                                      1 / 6)[0]
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
     return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
 

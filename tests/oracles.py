@@ -405,29 +405,36 @@ def theta_sum_loop(term, rank: int, lam: float, wmax: float, y: float,
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
 
 
+def _decimal_cis(turns: Fraction) -> tuple:
+    """(cos, sin) of 2 pi turns as Decimals in the current context: turns
+    is reduced mod 1 in exact rationals into [-1/2, 1/2], and each of cos
+    and sin is a Taylor series in the reduced angle, |angle| <= pi, whose
+    60 terms leave pi^60/60! < 1e-51."""
+    D = decimal.Decimal
+    turns -= round(turns)
+    angle = 2 * D(PI_50) * D(turns.numerator) / D(turns.denominator)
+    cos, sin, term = D(0), D(0), D(1)
+    for n in range(60):
+        if n % 2 == 0:
+            cos += term if n % 4 == 0 else -term
+        else:
+            sin += term if n % 4 == 1 else -term
+        term = term * angle / (n + 1)
+    return cos, sin
+
+
 def decimal_series_value(items, tau: complex, den: int = 120) -> complex:
     """sum_k c_k q^(e_k/den) at q = e(tau), tau read exactly from its
     doubles, in 40-digit decimal arithmetic; items are (e_k, c_k) pairs,
     c_k int or Fraction.  u = q^(1/den) is exp(-2 pi y/den), one
-    Decimal.exp, times cos + i sin of 2 pi x/den, each a Taylor series
-    after reducing the angle by a 50-digit 2 pi; each q^(e_k/den) is the
+    Decimal.exp, times _decimal_cis(x/den); each q^(e_k/den) is the
     previous one times u^(e_k - e_(k-1)), itself a power of u by repeated
     squaring, and only the sum is rounded to a double."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         D = decimal.Decimal
-        two_pi = 2 * D(PI_50)
-        x, y = D(tau.real), D(tau.imag)
-        angle = two_pi * x / den
-        angle -= two_pi * (angle / two_pi).to_integral_value()
-        cos, sin, term = D(0), D(0), D(1)
-        for n in range(60):           # |angle| <= pi: pi^60/60! < 1e-51
-            if n % 2 == 0:
-                cos += term if n % 4 == 0 else -term
-            else:
-                sin += term if n % 4 == 1 else -term
-            term = term * angle / (n + 1)
-        mod = (-two_pi * y / den).exp()
+        cos, sin = _decimal_cis(Fraction(tau.real) / den)
+        mod = (-2 * D(PI_50) * D(tau.imag) / den).exp()
         u = (mod * cos, mod * sin)
 
         def mul(p, q):
@@ -451,3 +458,69 @@ def decimal_series_value(items, tau: complex, den: int = 120) -> complex:
             at, c = e, D(c.numerator) / D(c.denominator)
             re, im = re + c * w[0], im + c * w[1]
         return complex(float(re), float(im))
+
+
+def decimal_erfc(x):
+    """erfc(x) for a Decimal x >= 0, to 40 digits, computed at 60.  Up to
+    x = 3, 1 - erf(x) with erf(x) = 2 x exp(-x^2)/sqrt(pi) sum_n (2x^2)^n
+    / (1 3 ... (2n+1)), a sum of positive terms taken until they fall
+    below 1e-65 of it; 1 - erf loses at most 5 digits there.  Past 3, the
+    continued fraction exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + (2/2)/(x +
+    (3/2)/(x + ...)))), evaluated from depth 300 back, where its error is
+    below 1e-50 at x = 3 and falls with x."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = D(x)
+        root_pi = D(PI_50).sqrt()
+        if x <= 3:
+            total, term, n = D(0), D(1), 0
+            while term > total * D("1e-65"):
+                total += term
+                n += 1
+                term = term * 2 * x * x / (2 * n + 1)
+            out = 1 - 2 * x * (-x * x).exp() / root_pi * total
+        else:
+            frac = x
+            for k in range(300, 0, -1):
+                frac = x + D(k) / 2 / frac
+            out = (-x * x).exp() / root_pi / frac
+    return +out                      # rounded to the caller's precision
+
+
+def decimal_eichler_value(chi: int, r: int, tau: complex) -> complex:
+    """The Eichler part of the completion of H_r for a class of permutation
+    character chi, chi sign sum_{s in family} R_{s/60,0}(60 tau) with the
+    family and sign of shadow(), in 40-digit decimal arithmetic, tau read
+    exactly from its doubles; 0 off the support.  With nu = v/60, v = s +
+    60n, and y = Im tau, the term of R at nu is sgn(nu) erfc(sqrt(2 pi
+    nu^2 60 y)) exp(pi nu^2 60 y) e(-v^2 Re(tau)/120), its phase reduced
+    in exact rationals.  The terms fall with |nu|, so each R adds the
+    pairs v = s + 60n, s - 60(n + 1) for n = 0, 1, ... until both terms
+    of a pair are below 1e-50 of the first."""
+    rule = [(family, sign) for family in FAMILIES for sign in (1, -1)
+            if sign * r % 60 in family]
+    if not rule:
+        return 0j
+    (family, sign), = rule
+    D = decimal.Decimal
+    x = Fraction(tau.real)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pi_y = D(PI_50) * D(tau.imag) / 60
+        re = im = D(0)
+        for s in family:
+            first = None
+            for n in itertools.count():
+                pair = []
+                for v in (s + 60 * n, s - 60 * (n + 1)):
+                    expo = pi_y * v * v                  # pi nu^2 60 y
+                    size = decimal_erfc((2 * expo).sqrt()) * expo.exp()
+                    size = size if v > 0 else -size
+                    cos, sin = _decimal_cis(-v * v * x / 120)
+                    re, im = re + size * cos, im + size * sin
+                    pair.append(abs(size))
+                first = first or pair[0]
+                if max(pair) < first * D("1e-50"):
+                    break
+        return complex(float(chi * sign * re), float(chi * sign * im))

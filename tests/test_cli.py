@@ -368,11 +368,15 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
     # over the 216-call grid (class x r in {1, 7, -1, 13} x 9 tau x series
     # and completion) no printed est. error is below eps |value|: not the
     # 0.0e+00 of a pulled-back 3A series, nor the 1.4e-107 of a 1A series
-    # tail in F.  The refusals keep their exit 3
+    # tail in F.  Nor at a 1A completion high in F that is mostly its
+    # Eichler part, whose figure left out the R-sums' rounding (1.6e-23
+    # at a value of size 1.4e-7).  The refusals keep their exit 3
     answered = 0
-    for group_class, r, tau, extra in itertools.product(
+    for group_class, r, tau, extra in [*itertools.product(
             ("1A", "2A", "3A"), ("1", "7", "-1", "13"), EVAL_GRID_TAUS,
-            ((), ("--completion",))):
+            ((), ("--completion",)))] + [
+            ("1A", "7", "-1.1766146+5.6962123i",
+             ("--completion", "--tol", "2.5e-13"))]:
         code, out, err = run_cli(capsys, "eval", "--class", group_class,
                                  "--r", r, f"--tau={tau}", *extra)
         if code == 3:
@@ -385,7 +389,7 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
         value = complex(float(re_part), float(im_part[:-1]))
         est = float(out.rsplit("<= ", 1)[1].rstrip(")\n"))
         assert est >= sys.float_info.epsilon * abs(value), out
-    assert answered == 208
+    assert answered == 209
 
 
 def test_eval_out_of_support(capsys):
