@@ -2,15 +2,18 @@
 McKay-Thompson components built from them.
 
 A trace is minus ``closed_series`` of a ``_TraceData`` record: an eta
-quotient times a signed sum over both octants of Z^n.  ``trace_closed``
-reads its record from the printed closed lattice sums and prefactors (one
-shape per conjugacy class of the S3 symmetry); ``trace_direct`` derives
-it from the lattice (``lattice._fixed_form``), the class's sign rule and
-2A flip, and its cycles (the one-fermion times Heisenberg prefactor).
-``verify`` compares the two records, which proves the traces equal at
-every order and checks every printed datum against the lattice and the
-group action.  The tests check the shared ``octant_sum`` against a box
-brute force (``octant_box_sum``) and a scan of the cone points.
+quotient times a signed sum over both octants of Z^n, multiplied in place
+on the dense list of the sum's one walk before any series exists.
+``trace_closed`` reads its record from the printed closed lattice sums and
+prefactors (one shape per conjugacy class of the S3 symmetry);
+``trace_direct`` derives it from the lattice (``lattice._fixed_form``), the
+class's sign rule and 2A flip, and its cycles (the one-fermion times
+Heisenberg prefactor).  ``verify`` compares the two records, which proves
+the traces equal at every order and checks every printed datum against the
+lattice and the group action.  The tests check the shared ``octant_sum``
+against a box brute force (``octant_box_sum``) and a scan of the cone
+points, and each closed form against that box sum times an eta quotient
+over Fractions.
 
 A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
 the two one-fermion modules the zero mode contributes only an overall
@@ -29,8 +32,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from .lattice import _fixed_form
-from .qseries import (DEN, GradingError, QSeries, SeriesError, _eta, _num,
-                      _series)
+from .qseries import (DEN, DivergenceError, GradingError, QSeries,
+                      SeriesError, _num, _series)
 
 COSET_LABELS = (1, 3, 5, 7, 9)
 
@@ -131,6 +134,15 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
     One walk per octant visits those y, carrying the value, the slopes
     w + 2 gram.y, the sign and the parity, each updated once per step.
     """
+    return _octant_product((), gram, lin, shift, signs, negative_sign, cap,
+                           parity)
+
+
+def _octant_product(powers, gram, lin, shift, signs, negative_sign: int,
+                    cap, parity) -> QSeries:
+    """octant_sum times prod_k (q^k; q^k)_inf^m over the (k, m) pairs
+    powers: the walk counts the points by value v on one dense list, entry
+    v at q^(v/2 + shift/DEN), which _times_eta multiplies in place."""
     n = len(lin)
     two_g1 = [2 * sum(row) for row in gram]
     octants = ((1, 0, lin, 0),
@@ -171,20 +183,54 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
         # x = -1 - y flips the parity of signs.x and parity.x by their sums
         sign0 = -outer if flip * sum(signs) % 2 else outer
         walk(0, c, w, sign0, flip * sum(parity) % 2 if parity else 0)
+    _times_eta(acc, powers)
     return _series({v * DEN // 2 + shift: s
                     for v, s in enumerate(acc, lo) if s}, cap, False)
 
 
+def _times_eta(p: list, powers) -> None:
+    """p <- p prod_k (q^k; q^k)_inf^m in place over the (k, m) pairs powers,
+    p[i] the coefficient of q^(i/2) as on the walk's list, to len(p) terms.
+    Euler's pentagonal sum is (q^k; q^k)_inf = 1 + sum_g s_g q^(g/2) over
+    g = k j(3j -+ 1), j >= 1, with s_g = (-1)^j.  Each unit of a power is
+    one pass that adds s_g p[i] into every p[i + g]: top-down for a
+    positive power, so each p[i] read is still the old one (a product), and
+    bottom-up with the signs reversed for a negative one, so each p[i] read
+    is final (a quotient, as the constant term is 1).  Either way p[i]
+    comes from the old p[<= i]."""
+    n = len(p) - 1
+    for k, m in powers:
+        if k <= 0:
+            raise DivergenceError(
+                f"infinite product has factor of exponent {k} <= 0")
+        # the exponents g with s_g = -1 (odd j), then with s_g = +1 (even j)
+        jmax = math.isqrt(max(n, 0) // (2 * k))
+        odd, even = ([k * g for j in range(first, jmax + 1, 2)
+                      for g in (j * (3 * j - 1), j * (3 * j + 1))
+                      if k * g <= n] for first in (1, 2))
+        rows = range(n, -1, -1) if m > 0 else range(n + 1)
+        for _ in range(abs(m)):
+            for i in rows:
+                v = p[i] if m > 0 else -p[i]
+                if v:
+                    room = n - i
+                    for g in odd:
+                        if g > room:
+                            break
+                        p[i + g] -= v
+                    for g in even:
+                        if g > room:
+                            break
+                        p[i + g] += v
+
+
 def closed_series(powers, gram, lin, signs, negative_sign, shift, order,
                   parity=None) -> QSeries:
-    """prod_k (q^k; q^k)_inf^m over the sorted (k, m) pairs powers, times
+    """prod_k (q^k; q^k)_inf^m over the (k, m) pairs powers, times
     the octant_sum of (gram, lin, signs, negative_sign, parity) shifted by
-    q^(shift/DEN), exact to order: every closed form of the exact engine.
-    The sum runs to order and the cached ``_eta`` to order + 1, as the
-    sum's valuation is above -1."""
-    top = _num(order)
-    lat = octant_sum(gram, lin, shift, signs, negative_sign, top, parity)
-    return (_eta(powers, 0, top + DEN) * lat).truncate(order)
+    q^(shift/DEN), exact to order: every closed form of the exact engine."""
+    return _octant_product(powers, gram, lin, shift, signs, negative_sign,
+                           _num(order), parity)
 
 
 # the printed forms of the 1A cube and 2A sums, read by mocktheta and maass
@@ -215,7 +261,7 @@ def _closed_data(trace_id: TraceId) -> _TraceData:
 @lru_cache(maxsize=None)
 def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The trace from the printed data, cached by (trace id, order) for
-    h_component; ``_eta`` caches each class's product for its cosets."""
+    h_component."""
     return -closed_series(*_closed_data(trace_id), order)
 
 

@@ -244,7 +244,7 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     Eichler part: else ConvergenceError, and NumericsError if tol is below
     the double precision of the value.  est, the one error figure of eval,
     is the tail and rounding of the series, plus those of the Eichler part
-    for the completion; it is reported, not enforced."""
+    for the completion, and at least ulp(|value|): reported, not enforced."""
     y = _im_upper(tau)
     series = h_component(group_class, r, _eval_order(y, tol))
     value, tail, rounding = series_value(series, tau)
@@ -255,7 +255,8 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
                             f"at a value of size {abs(value):.1e}")
     eichler, eichler_est = _eichler_part(group_class, r, tau, tol) \
         if completion else (0.0, 0.0)
-    return value + eichler, tail + rounding + eichler_est
+    value += eichler
+    return value, max(tail + rounding + eichler_est, math.ulp(abs(value)))
 
 
 def completion_value(group_class: GroupClass, r: int, tau: complex,
@@ -312,9 +313,10 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     d|^(1/2).  The series is the completion less its Eichler part at tau,
     a line sum of about Im(tau)^(-1/2) terms, whose figure it adds.  Near
     the other cusps, and for a translation gamma, _at_point sums H_r at
-    tau and gives the error.  Errors are reported, not enforced.  An
-    overflow past the input checks becomes a NumericsError, and each is
-    raised again as "<reason> (tol <tol> at tau = <tau>)", of its type.
+    tau and gives the error.  Either figure is at least ulp(|value|).
+    Errors are reported, not enforced.  An overflow past the input checks
+    becomes a NumericsError, and each is raised again as "<reason> (tol
+    <tol> at tau = <tau>)", of its type.
     """
     if (rule := component_family(r)) is None:
         raise ValueError(f"component {r} is not in the support")
@@ -341,7 +343,8 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
                * sys.float_info.epsilon * math.hypot(*map(abs, hats))) / scale
         eichler, eichler_est = (0.0, 0.0) if completion \
             else _eichler_part(group_class, r, tau, tol)
-        return value - eichler, est + eichler_est
+        value -= eichler
+        return value, max(est + eichler_est, math.ulp(abs(value)))
     except (OverflowError, NumericsError) as exc:
         if isinstance(exc, OverflowError):
             exc = NumericsError("the value overflows a double")

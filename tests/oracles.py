@@ -82,6 +82,23 @@ def pentagonal_series(order: int) -> dict:
         k += 1
 
 
+def eta_quotient_oracle(powers, n: int) -> dict:
+    """prod_k (q^k; q^k)_inf^m over the (k, m) pairs powers, to q^n, as
+    {exponent: Fraction}: one pentagonal sum per factor, multiplied out
+    term by term, and one inversion of the denominators' product."""
+    if n < 0:
+        return {}
+    top, bottom = {0: Fraction(1)}, {0: Fraction(1)}
+    for k, m in powers:
+        euler = {k * e: c for e, c in pentagonal_series(n // k).items()}
+        for _ in range(abs(m)):
+            if m > 0:
+                top = poly_mul(top, euler, n)
+            else:
+                bottom = poly_mul(bottom, euler, n)
+    return poly_mul(top, poly_inv(bottom, n), n)
+
+
 def finite_pochhammer(x_shift: int, sign: int, step: int, n: int,
                       order: int) -> dict:
     """prod_{k<n} (1 - sign * q^(x_shift + k step)) as a dict polynomial."""
@@ -194,6 +211,23 @@ def octant_box_sum(gram, lin, shift, signs, negative_sign, cap,
                 else weight
             out[int(e)] = out.get(int(e), 0) + sign
     return {e: c for e, c in out.items() if c}
+
+
+def closed_form_oracle(powers, gram, lin, signs, negative_sign, shift,
+                       order, parity=None) -> dict:
+    """{120 * exponent: coefficient} up to q^order of the eta quotient of
+    powers (``eta_quotient_oracle``) times q^(shift/120) times the octant
+    sum of the other arguments (``octant_box_sum``), multiplied out term by
+    term over Fractions: a closed form of the exact engine."""
+    box = octant_box_sum(gram, lin, Fraction(shift, 120), signs,
+                         negative_sign, order, parity)
+    if not box:
+        return {}
+    top = math.floor(120 * Fraction(order))
+    quotient = eta_quotient_oracle(powers, (top - min(box)) // 120)
+    out = poly_mul(box, {120 * e: c for e, c in quotient.items()}, top)
+    assert all(c.denominator == 1 for c in out.values())
+    return {e: int(c) for e, c in out.items()}
 
 
 # ----------------------------------------------------------------------

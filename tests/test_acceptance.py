@@ -3,7 +3,8 @@ with its measured cost so the gate is auditable from the pytest -s log.
 
 Criteria (tolerances fixed here, not calibrated later):
   1. full appendix tables, exact, < 60 s
-  2. closed vs direct route for all 15 trace functions to order 20, < 30 s
+  2. closed and direct routes against the Fraction oracle of oracles.py
+     for all 15 trace functions to order 250, < 30 s
   3. triple-sum identities to order 25, exact
   4. corollary double-sum identities to order 25, exact
   5. the four component identities to order 30, exact
@@ -15,7 +16,7 @@ Criteria (tolerances fixed here, not calibrated later):
  10. transformation residuals < 1e-6: identity class under T and S,
      order-2 under Gamma_0(2) generators, order-3 under Gamma_0(3)
      generators with the cubic phase, 3 sample points each
- 11. property suites (ring laws, pentagonal, eta(2 tau) identity, S
+ 11. property suites (additive laws, pentagonal, eta(2 tau) identity, S
      symmetries, theta antisymmetry, random splitting instances) are the
      pytest modules of this directory; the representative checks rerun
      here, with the S_{m,r} oracle, the eta*J series and the splitting
@@ -30,7 +31,7 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
-                                 all_trace_ids, h_component,
+                                 _closed_data, all_trace_ids, h_component,
                                  trace_closed, trace_direct)
 from e8umbral.maass import (IndefThetaData, indefinite_theta,
                             order2_theta_data, tau1_identity_check,
@@ -39,7 +40,7 @@ from e8umbral.mocktheta import octant_series, ramanujan_series
 from e8umbral.qseries import QSeries, SeriesError
 from e8umbral.theta import thetanullwerte_class_check
 
-from oracles import same_up_to, unary_theta
+from oracles import closed_form_oracle, same_up_to, unary_theta
 from test_maass import theta_split_check
 from test_qseries import eta_quotient
 from test_theta import eta_J_coefficients
@@ -100,16 +101,21 @@ def test_criterion_01_appendix_tables():
 
 
 def test_criterion_02_route_equivalence():
+    # each trace against minus its printed record's closed form multiplied
+    # out over Fractions by tests/oracles.py, which shares no code with the
+    # walk or the in-place product; the direct route builds from a record
+    # that verify proves equal field by field
     t0 = time.time()
     for tid in all_trace_ids():
-        c = trace_closed(tid, 250)
-        d = trace_direct(tid, 250)
-        diff = c.first_difference(d, 250)
-        assert diff is None, (tid, diff)
+        want = closed_form_oracle(*_closed_data(tid), 250)
+        for trace in (trace_closed, trace_direct):
+            got = trace(tid, 250)
+            assert got.order == 250
+            assert got.coeffs == {e: -c for e, c in want.items()}, tid
     elapsed = time.time() - t0
     assert elapsed < 30.0
-    _report("criterion 2: closed = direct for all 15 trace ids, order 250",
-            elapsed)
+    _report("criterion 2: closed = direct = oracle for all 15 trace ids, "
+            "order 250", elapsed)
 
 
 def test_criterion_03_triple_sum_identities():
@@ -218,16 +224,16 @@ def test_criterion_11_property_suites():
     # representative reruns; the full property modules live alongside
     rng = random.Random(7)
 
-    # ring laws on random series: a random rational n/d, d <= 3, times the
-    # common denominator 6 as each coefficient, since coefficients are ints
+    # additive laws on random series: a random rational n/d, d <= 3, times
+    # the common denominator 6 as each coefficient, since coefficients are
+    # ints; a series is never multiplied by a series
     for _ in range(20):
         def rnd():
             return QSeries({rng.randrange(-3, 9) * 60:
                             rng.randrange(-5, 6) * (6 // rng.randrange(1, 4))
                             for _ in range(5)}, 8)
         x, y, z = rnd(), rnd(), rnd()
-        l = (x * y) * z
-        assert same_up_to(l, x * (y * z), l.order)
+        assert same_up_to((x + y) + z, x + (y + z), 8)
     with pytest.raises(SeriesError, match="coefficient Fraction"):
         QSeries({0: F(1, 2)}, 8)
 

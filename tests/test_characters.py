@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,19 +6,21 @@ import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  COSET_LABELS, FAMILIES, TraceId,
-                                 _CLOSED_SHAPES, _prefactor, all_trace_ids,
+                                 _CLOSED_SHAPES, _closed_data, _prefactor,
+                                 all_trace_ids, closed_series,
                                  component_family, h_component, octant_sum,
                                  trace_closed, trace_direct)
 from e8umbral.mocktheta import _SUMS
-from e8umbral.qseries import GradingError, QSeries, SeriesError, _eta, _num
+from e8umbral.qseries import GradingError, QSeries, SeriesError
 
-from oracles import (octant_box_sum, pentagonal_series, poly_inv, poly_mul,
+from oracles import (closed_form_oracle, eta_quotient_oracle, octant_box_sum,
                      same_up_to, shadow, valuation)
+from test_qseries import eta_quotient
 
 
 def test_fermion_trace():
     # the one-fermion factor of T^- is -q^(1/24) (q;q)_inf = -eta(tau)
-    minus = _eta(((1, 1),), 5, _num(8)).scale(-1)
+    minus = eta_quotient({1: 1}, F(1, 24), 8).scale(-1)
     assert valuation(minus) == F(1, 24)
     assert minus.coefficient(F(1, 24)) == -1
     assert minus.coefficient(F(25, 24)) == 1
@@ -35,33 +38,27 @@ def test_class_data():
         [((0,), (1,), (2,)), ((0, 1), (2,)), ((0, 1, 2),)]
 
 
-def _oracle_quotient(num, den, n):
-    """prod_num (q^k; q^k)_inf / prod_den (q^k; q^k)_inf to q^n, one
-    oracle pentagonal sum per factor and one oracle inversion."""
-    def euler(k):
-        return {k * e: c for e, c in pentagonal_series(n // k).items()}
-    top, bottom = {0: F(1)}, {0: F(1)}
-    for k in num:
-        top = poly_mul(top, euler(k), n)
-    for k in den:
-        bottom = poly_mul(bottom, euler(k), n)
-    want = poly_mul(top, poly_inv(bottom, n), n)
+def _oracle_quotient(powers, n):
+    """prod_k (q^k; q^k)_inf^m over the (k, m) pairs powers to q^n, from
+    the Fraction oracle of tests/oracles.py."""
+    want = eta_quotient_oracle(powers, n)
     # the quotient is integral; a series takes its coefficients as ints
     assert all(c.denominator == 1 for c in want.values())
     return QSeries({120 * e: c.numerator for e, c in want.items()}, n)
 
 
 @pytest.mark.parametrize("name,builder", [
-    ("1A", lambda n: _oracle_quotient((), (1, 1), n)),
-    ("2A", lambda n: _oracle_quotient((), (2,), n)),
-    ("3A", lambda n: _oracle_quotient((1,), (3,), n)),
+    ("1A", lambda n: _oracle_quotient(((1, -2),), n)),
+    ("2A", lambda n: _oracle_quotient(((2, -1),), n)),
+    ("3A", lambda n: _oracle_quotient(((1, 1), (3, -1)), n)),
 ])
 def test_prefactor_identities(name, builder):
     # the eta quotient of the derived powers and shift, fermion times boson
     # trace, reproduces the printed eta-quotients q^(-1/12)/(q;q)^2,
     # q^(-1/12)/(q^2;q^2), q^(-1/12)(q;q)/(q^3;q^3)
     order = 10
-    prod = _eta(*_prefactor(CLASSES[name]), _num(order))
+    powers, shift = _prefactor(CLASSES[name])
+    prod = eta_quotient(dict(powers), F(shift, 120), order)
     want = builder(order + 1).shift(F(-1, 12))
     assert same_up_to(prod, want, prod.order)
 
@@ -93,12 +90,49 @@ def test_component_seven_head(name):
     assert got == TABLE_A2_HEAD[name]
 
 
+def _random_closed_form(seed):
+    """A seeded closed_series row and order: the octant shape of
+    _random_octant_case, with its shift as a numerator over 120 and its cap
+    floored onto the grid 1/120 as the order, times a random eta quotient,
+    powers in +-{1, 2, 3} on k <= 4."""
+    gram, lin, shift, signs, neg, cap, parity = _random_octant_case(seed)
+    order = F(math.floor(120 * cap), 120)
+    rng = random.Random(-seed)
+    powers = tuple(sorted((k, rng.choice((-3, -2, -1, 1, 2, 3)))
+                          for k in rng.sample(range(1, 5),
+                                              rng.randrange(1, 3))))
+    return (powers, gram, lin, signs, neg, int(120 * shift), order, parity)
+
+
 def test_route_equivalence_spot():
+    # closed forms against the box sum times the eta quotient, multiplied
+    # out over Fractions by tests/oracles.py, which shares no code with
+    # the walk or the in-place product: four traces, then seeded random
+    # forms that include an octant sum empty below its shift, a negative
+    # octant starting below 0 and a parity condition
     for tid in (TraceId(CLASS_1A, 1), TraceId(CLASS_2A, 7),
                 TraceId(CLASS_3A, 9), TraceId(CLASS_2A, 5)):
-        c = trace_closed(tid, 12)
-        d = trace_direct(tid, 12)
-        assert c.first_difference(d, 12) is None
+        minus = {e: -c for e, c in
+                 closed_form_oracle(*_closed_data(tid), 12).items()}
+        assert trace_closed(tid, 12).coeffs == minus
+        assert trace_direct(tid, 12).coeffs == minus
+    seen = set()
+    for seed in range(30):
+        powers, gram, lin, signs, neg, shift, order, parity = \
+            _random_closed_form(seed)
+        got = closed_series(powers, gram, lin, signs, neg, shift, order,
+                            parity)
+        want = closed_form_oracle(powers, gram, lin, signs, neg, shift,
+                                  order, parity)
+        assert got.order == order
+        assert got.coeffs == want, seed
+        if 120 * order < shift:
+            seen.add("empty below the shift")
+        if sum(map(sum, gram)) < sum(lin):
+            seen.add("lo < 0")
+        if parity:
+            seen.add("parity")
+    assert seen == {"empty below the shift", "lo < 0", "parity"}
 
 
 def test_order3_coset_seven_row():

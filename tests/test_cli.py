@@ -18,7 +18,6 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, TraceId,
                                  trace_closed)
 from e8umbral.cli import main
 from e8umbral.mocktheta import IdentityReport
-from e8umbral.qseries import _eta
 
 
 def run_cli(capsys, *argv):
@@ -130,21 +129,20 @@ def test_verify_exact_passes(capsys):
 
 
 def clear_caches():
-    for cache in (trace_closed, _eta):
-        cache.cache_clear()
+    trace_closed.cache_clear()
 
 
 def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
-    # one octant_sum per closed form, all to order 8 (cap 960): the 4
+    # one octant walk per closed form, all to order 8 (cap 960): the 4
     # traces of the 1A and 2A components and the 8 mock theta sums
     caps = []
-    real = characters.octant_sum
+    real = characters._octant_product
 
     def counted(*args):
-        caps.append(args[5])
+        caps.append(args[6])
         return real(*args)
 
-    monkeypatch.setattr(characters, "octant_sum", counted)
+    monkeypatch.setattr(characters, "_octant_product", counted)
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
@@ -152,17 +150,26 @@ def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
     assert (caps.count(960), len(caps)) == (12, 12)
 
 
-def test_verify_exact_builds_each_eta_quotient_once(capsys):
-    # 12 eta-quotient requests, 5 built: 4 mock theta products (the
-    # empty one included) shared by two sums each, and the 2A trace
-    # product shared by its two cosets; 1A's, (q;q)^-2, is the chi sides'
-    # product
+def test_verify_exact_builds_each_eta_quotient_once(capsys, monkeypatch):
+    # each closed form multiplies its eta quotient once, in place on the
+    # list of its own walk: the 1A and 2A traces' (q;q)^-2 and
+    # (q^2;q^2)^-1, and the mock theta sums' four products, the empty one
+    # included, two sums each
+    calls = []
+    real = characters._times_eta
+
+    def counted(p, powers):
+        calls.append(tuple(powers))
+        return real(p, powers)
+
+    monkeypatch.setattr(characters, "_times_eta", counted)
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    info = _eta.cache_info()
-    assert (info.misses, info.hits + info.misses) == (5, 12)
+    assert sorted(calls) == sorted(
+        [((1, -2),)] * 4 + [((2, -1),)] * 2 + [((1, 1), (2, -2))] * 2
+        + [()] * 2 + [((1, -1), (2, 1))] * 2)
 
 
 @pytest.mark.parametrize("suite", ["exact", "numeric", "all"])
@@ -370,13 +377,21 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
     # 0.0e+00 of a pulled-back 3A series, nor the 1.4e-107 of a 1A series
     # tail in F.  Nor at a 1A completion high in F that is mostly its
     # Eichler part, whose figure left out the R-sums' rounding (1.6e-23
-    # at a value of size 1.4e-7).  The refusals keep their exit 3
+    # at a value of size 1.4e-7).  Nor below the spacing ulp(|value|) of
+    # a subnormal value, where eps |value| underflows to 0 as well: the
+    # last four calls give values of size 1.6e-312 to 5.6e-320.  The
+    # refusals keep their exit 3
     answered = 0
     for group_class, r, tau, extra in [*itertools.product(
             ("1A", "2A", "3A"), ("1", "7", "-1", "13"), EVAL_GRID_TAUS,
             ((), ("--completion",)))] + [
             ("1A", "7", "-1.1766146+5.6962123i",
-             ("--completion", "--tol", "2.5e-13"))]:
+             ("--completion", "--tol", "2.5e-13")),
+            ("2A", "7", "0.19999980926513672+193.3020261396554i",
+             ("--completion", "--tol", "3.240469416806902e-08")),
+            ("1A", "7", "0.25+195i", ()),
+            ("1A", "7", "0.25+195i", ("--completion",)),
+            ("3A", "53", "1978.2313842773438+197.92693485819137i", ())]:
         code, out, err = run_cli(capsys, "eval", "--class", group_class,
                                  "--r", r, f"--tau={tau}", *extra)
         if code == 3:
@@ -389,7 +404,8 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
         value = complex(float(re_part), float(im_part[:-1]))
         est = float(out.rsplit("<= ", 1)[1].rstrip(")\n"))
         assert est >= sys.float_info.epsilon * abs(value), out
-    assert answered == 209
+        assert est >= math.ulp(abs(value)), out
+    assert answered == 213
 
 
 def test_eval_out_of_support(capsys):

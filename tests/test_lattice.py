@@ -170,5 +170,5 @@ def test_direct_route_reads_no_printed_shape():
         assert not refs & printed, name
         reached |= refs
         todo += [r for r in refs if r in defs and r not in seen]
-    assert {"_DIRECT_SIGNS", "_fixed_form", "_prefactor", "octant_sum"} <= \
-        reached
+    assert {"_DIRECT_SIGNS", "_fixed_form", "_prefactor", "_octant_product",
+            "_times_eta"} <= reached

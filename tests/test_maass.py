@@ -26,6 +26,7 @@ from e8umbral.qseries import DEN, _num
 from oracles import (decimal_eichler_value, decimal_series_value, g_value,
                      multiplier_by_tokens, multiplier_by_weil, shadow,
                      theta_sum_loop)
+from test_qseries import eta_quotient
 
 import numpy as np
 
@@ -420,14 +421,13 @@ def test_order2_completion_equals_theta_quotient():
     # taken from its exact series, not from the line sum of
     # tau1_identity_check
     from e8umbral.maass import _eval_order
-    from e8umbral.qseries import DEN, _eta
     for r in (1, 7):
         for tau in (0.1 + 0.8j, 0.5j, 0.3 + 0.7j, -0.2 + 1.3j,
                     0.45 + 0.6j):
             data = order2_theta_data(r)
             th = indefinite_theta(data, tau, 1e-12)
             eta_val = series_value(
-                _eta(((2, 1),), 10, DEN * _eval_order(tau.imag, 1e-10)),
+                eta_quotient({2: 1}, F(1, 12), _eval_order(tau.imag, 1e-10)),
                 tau)[0]
             # the phase tracks the coset characteristic (1 or 3)/10
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))

@@ -1,24 +1,32 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.characters import (CLASS_1A, CLASSES, TraceId, closed_series,
+from e8umbral.characters import (CLASS_1A, CLASSES, GRAM_1A, GRAM_2A,
+                                 TraceId, _times_eta, closed_series,
                                  h_component, trace_closed, trace_direct)
 from e8umbral.mocktheta import identity_suite, octant_series, ramanujan_series
-from e8umbral.qseries import (DivergenceError, GradingError,
-                              QSeries, SeriesError, TruncationError,
-                              _eta, _num)
+from e8umbral.qseries import (DEN, DivergenceError, GradingError,
+                              QSeries, SeriesError, TruncationError, _num)
 
-from oracles import (finite_pochhammer, partition_counts, pentagonal_series,
+from oracles import (closed_form_oracle, eta_quotient_oracle,
+                     finite_pochhammer, partition_counts, pentagonal_series,
                      poly_inv, poly_mul, same_up_to, valuation)
 
 
 def eta_quotient(powers: dict, shift, order):
     """prod_k (q^k; q^k)_inf^m over the (k, m) items of powers, times
-    q^shift, exact to order."""
-    return _eta(tuple(sorted(powers.items())), _num(shift), _num(order))
+    q^shift, exact to order: the package's in-place kernel on the dense
+    list 1, 0, 0, ... at the half-integer steps above q^shift."""
+    top, lead = _num(order), _num(shift)
+    n = (top - lead) // DEN
+    p = [1] + [0] * (2 * n)
+    _times_eta(p, sorted(powers.items()))
+    # below its shift (n < 0) the product claims nothing, not even p[0]
+    return QSeries({DEN * i + lead: c for i, c in enumerate(p[::2])}, order)
 
 
 def q(power, coeff=1, order=10):
@@ -26,16 +34,8 @@ def q(power, coeff=1, order=10):
     return QSeries({int(F(power) * 120): coeff}, order)
 
 
-def test_difference_of_squares():
-    a = q(0, order=5) + q(1, order=5)
-    b = q(0, order=5) - q(1, order=5)
-    prod = a * b
-    assert prod == q(0) - q(2)
-    assert prod.order == 5
-
-
 def test_monomial_exponent_addition():
-    assert q(F(-1, 120)) * q(F(1, 120)) == q(0)
+    assert q(F(-1, 120)).shift(F(1, 120)) == q(0)
 
 
 def test_additive_inverse_gives_empty_map():
@@ -152,11 +152,9 @@ def test_eta_quotient_input_checks():
     (lambda: q(0, order=5).shift(0.5), GradingError, "0.5 not representable"),
     (lambda: q(0, order=5).coefficient(0.5), GradingError,
      "0.5 not representable"),
-    (lambda: q(0, order=5).truncate(1.5), GradingError,
-     "1.5 not representable"),
     (lambda: QSeries({0.5: 1}, 3), GradingError, "exponent numerator 0.5 "),
 ], ids=["coefficient", "scale", "order", "shift", "coefficient-at",
-        "truncate", "exponent"])
+        "exponent"])
 def test_float_at_the_boundary_is_refused(build, error, named):
     # a float is no exact coefficient, order or exponent: the series'
     # own error names it, not an AttributeError from deep inside
@@ -166,7 +164,6 @@ def test_float_at_the_boundary_is_refused(build, error, named):
 
 @pytest.mark.parametrize("build", [
     lambda inf: QSeries({0: 1}, inf),
-    lambda inf: q(0, order=5).truncate(inf),
     lambda inf: q(0, order=5).coefficient(inf),
     lambda inf: q(0, order=5).first_difference(q(0, order=5), inf),
     lambda inf: closed_series(((1, -2),), ((1,),), (1,), (1,), 1, -1, inf),
@@ -176,7 +173,7 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: ramanujan_series("chi0", inf),
     lambda inf: octant_series("chi0_side", inf),
     lambda inf: identity_suite(inf),
-], ids=["QSeries", "truncate", "coefficient", "first_difference",
+], ids=["QSeries", "coefficient", "first_difference",
         "closed_series", "trace_closed", "trace_direct",
         "h_component", "ramanujan_series", "octant_series", "identity_suite"])
 def test_infinite_order_is_refused(build):
@@ -194,19 +191,11 @@ def test_pochhammer_divergence():
 
 
 def test_eta_leading_terms():
-    eta = _eta(((1, 1),), 5, _num(3))
+    eta = eta_quotient({1: 1}, F(1, 24), 3)
     assert valuation(eta) == F(1, 24)
     assert eta.coefficient(F(1, 24)) == 1
     assert eta.coefficient(F(25, 24)) == -1
-    assert valuation(_eta(((2, 1),), 10, _num(3))) == F(1, 12)
-
-
-def test_eta_quotients_are_cached():
-    # one build per (powers, shift, order), whatever order the powers are
-    # given in: a second request returns the same series
-    assert _eta(((1, 1),), 5, _num(9)) is _eta(((1, 1),), 5, _num(9))
-    assert eta_quotient({1: 1, 2: -2}, 0, 5) is \
-        eta_quotient({2: -2, 1: 1}, 0, 5)
+    assert valuation(eta_quotient({2: 1}, F(1, 12), 3)) == F(1, 12)
 
 
 def test_eta2_euler_identity():
@@ -217,7 +206,7 @@ def test_eta2_euler_identity():
         e = 3 * k * k + k
         coeffs[e * 120 + 10] = coeffs.get(e * 120 + 10, 0) + (-1) ** (k % 2)
     lhs = QSeries(coeffs, order)
-    assert same_up_to(lhs, _eta(((2, 1),), 10, _num(order)), order)
+    assert same_up_to(lhs, eta_quotient({2: 1}, F(1, 12), order), order)
 
 
 def test_extract_coefficient_contract():
@@ -229,8 +218,8 @@ def test_extract_coefficient_contract():
 
 
 def test_grading_rescale_and_mismatch():
-    prod = q(F(1, 24)) * q(F(1, 120))
-    assert prod.coefficient(F(6, 120)) == 1
+    moved = q(F(1, 24)).shift(F(1, 120))
+    assert moved.coefficient(F(6, 120)) == 1
     with pytest.raises(GradingError):
         q(0).shift(F(1, 7))
 
@@ -244,18 +233,14 @@ def _random_series(rng, order=8):
 
 
 def test_ring_laws_randomized():
+    # the additive laws; a series is never multiplied by a series
     rng = random.Random(2024)
     for _ in range(120):
         x, y, z = (_random_series(rng) for _ in range(3))
-        assoc_l = (x * y) * z
-        assoc_r = x * (y * z)
-        assert same_up_to(assoc_l, assoc_r,
-                          min(assoc_l.order, assoc_r.order))
-        assert same_up_to(x * y, y * x, (x * y).order)
         assert same_up_to(x + y, y + x, min(x.order, y.order))
-        dist_l = x * (y + z)
-        dist_r = x * y + x * z
-        assert same_up_to(dist_l, dist_r, min(dist_l.order, dist_r.order))
+        assert same_up_to((x + y) + z, x + (y + z),
+                          min(x.order, y.order, z.order))
+        assert (x - x).coeffs == {}
 
 
 def test_truncation_is_contract_not_zero():
@@ -274,75 +259,81 @@ def test_minus_q_substitution():
         q(F(1, 2)).substitute_minus_q()
 
 
+# ----------------------------------------------------------------------
+# the one product: an eta quotient times an octant sum, in place
+
+
+# the 1A trace of coset 1 and the corollary sum cor_rhs_1, as
+# closed_series rows
+_FORMS = ((((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10),
+          (((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1, 0))
+
+
 def test_mul_truncation_rule():
-    # min over (order1 + val2, order2 + val1)
-    a = QSeries({120: 1}, 5)      # valuation 1, order 5
-    b = QSeries({240: 1}, 7)      # valuation 2, order 7
-    assert (a * b).order == 7          # min(5+2, 7+1)
+    # the product is exact to the order asked, with no margin: coefficient
+    # v of the in-place product reads only the walk's counts at values
+    # <= v, all exact to the cap
+    for form, order in itertools.product(_FORMS,
+                                         (F(-1, 120), 0, F(7, 3), 9,
+                                          F(121, 12))):
+        got = closed_series(*form, order)
+        assert got.order == order
+        assert same_up_to(got, closed_series(*form, order + 3), order)
+        assert got.coeffs == closed_form_oracle(*form, order)
 
 
 def test_zero_series_annihilates_conservatively():
-    z = QSeries({}, 4)
-    s = eta_quotient({1: 1}, 0, 9)
-    prod = z * s
-    assert not prod.coeffs
-    assert prod.order == 4             # val(zero) bounded by its order
+    # an octant sum empty to the order (its shift above it) gives the
+    # empty product, known to that order, whatever the eta quotient; and
+    # an order below q^-1 is the empty series too, not an error
+    for powers in ((), ((1, -2),), ((1, 1), (3, -1))):
+        got = closed_series(powers, GRAM_1A, (1, 1, 1), (1, 1, 1), 1, 600,
+                            2)
+        assert not got.coeffs and got.order == 2
+    got = closed_series(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10,
+                        -3)
+    assert not got.coeffs and got.order == -3
 
 
 # ----------------------------------------------------------------------
-# products against the schoolbook oracle
+# the in-place kernel against the schoolbook oracle
 
 
-def _operand(rng, kind, side):
-    """A seeded random QSeries of one product case: (start, step) of its
-    exponent progression, its coefficients and its order."""
-    start, step = {"residues": ((7, 24), (-3, 40)),
-                   "one-term": ((rng.randrange(-300, 300), 120),) * 2,
-                   }.get(kind, ((rng.randrange(-200, 200), 60),) * 2)[side]
-    one = kind == "one-term" and (side == 0 or rng.random() < 0.5)
-    if kind == "lone -1" and side == 1:
-        return QSeries({start: -1}, F(start + rng.randrange(0, 2000), 120))
-    size = 1 if one else rng.randrange(1, 40)
-    if kind in ("field edges", "lone -1"):
-        # coefficients at the edges of the byte fields of the packing
-        coeff = lambda: rng.choice((255, -255, 256, -256, 2**63, -2**63,
-                                    -2**64, -1))
-    elif kind == "huge":
-        coeff = lambda: rng.choice((-1, 1)) * rng.randrange(2**64, 2**90)
-    elif kind == "fraction":
-        coeff = lambda: F(rng.choice((-1, 1)) * rng.randrange(1, 50),
-                          rng.randrange(1, 30))
-    else:
-        coeff = lambda: rng.choice((-1, 1)) * rng.randrange(1, 10)
-    exps = [start + step * i for i in rng.sample(range(2 * size), size)]
-    top = max(exps) + rng.randrange(0, 2000)
-    return QSeries({e: coeff() for e in exps}, F(top, 120))
+_PRODUCT_KINDS = ("negative", "huge", "sparse", "one-term", "empty",
+                  "even only", "lone -1", "long")
 
 
-_PRODUCT_KINDS = ("negative", "huge", "fraction", "residues", "one-term",
-                  "empty", "field edges", "lone -1")
+def _kernel_case(rng, kind):
+    """A seeded dense list at the steps q^(1/2) and the (k, m) pairs of an
+    eta quotient; "even only" has only integer exponents, as on the walk's
+    list of every trace."""
+    size = {"empty": 0, "long": rng.randrange(150, 300)}.get(
+        kind, rng.randrange(1, 60))
+    p = [0] * size
+    if kind == "huge":
+        p = [rng.choice((-1, 1)) * rng.randrange(2**64, 2**90)
+             for _ in range(size)]
+    elif kind in ("sparse", "one-term", "lone -1"):
+        count = 1 if kind != "sparse" else rng.randrange(2, 6)
+        for i in rng.sample(range(size), min(count, size)):
+            p[i] = -1 if kind == "lone -1" else rng.randrange(-9, 10) or 1
+    elif kind != "empty":
+        p = [0 if kind == "even only" and i % 2 else rng.randrange(-9, 10)
+             for i in range(size)]
+    powers = [(k, rng.choice((-3, -2, -1, 1, 2, 3)))
+              for k in rng.sample(range(1, 7), rng.randrange(1, 4))]
+    return p, powers
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_product_against_oracle(seed):
     rng = random.Random(seed)
-    kind = _PRODUCT_KINDS[seed % len(_PRODUCT_KINDS)]
-    if kind == "fraction":
-        # coefficients are ints: a Fraction operand is refused
-        with pytest.raises(SeriesError, match="coefficient Fraction"):
-            _operand(rng, kind, 0)
-        return
-    a, b = _operand(rng, kind, 0), _operand(rng, kind, 1)
-    if kind == "empty":
-        # every term past the order: the empty series, valuation its order
-        a = QSeries(a.coeffs, valuation(a) - F(1, 120))
-        assert not a.coeffs
-    if rng.random() < 0.5:
-        a, b = b, a
-    got = a * b
-    assert got.order == min(a.order + valuation(b),
-                            b.order + valuation(a))
-    assert got.coeffs == poly_mul(a.coeffs, b.coeffs,
-                                  math.floor(got.order * 120))
-    assert all(type(c) is int for c in got.coeffs.values())
-    assert got.coeffs or kind == "empty"
+    p, powers = _kernel_case(rng, _PRODUCT_KINDS[seed % len(_PRODUCT_KINDS)])
+    n = len(p) - 1
+    # the oracle in the list's own steps: q^k is x^(2k)
+    quotient = eta_quotient_oracle([(2 * k, m) for k, m in powers], n)
+    want = poly_mul(dict(enumerate(p)), quotient, n)
+    got = list(p)
+    _times_eta(got, powers)
+    assert got == [want.get(i, 0) for i in range(len(p))]
+    assert all(type(c) is int for c in got)

@@ -5,12 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral import theta
-from e8umbral.characters import FAMILIES, component_family
+from e8umbral.characters import FAMILIES, _times_eta, component_family
 from e8umbral.qseries import DEN, QSeries
 from e8umbral.theta import thetanullwerte_class_check
 
-from oracles import nullwerte_scan, shadow, unary_theta
-from test_qseries import eta_quotient
+from oracles import nullwerte_scan, poly_mul, shadow, unary_theta
 
 
 def _neg(d):
@@ -104,13 +103,21 @@ def test_nullwerte_scan_against_full_period_oracle(monkeypatch, targets):
 
 def eta_J_coefficients(order) -> QSeries:
     """eta(tau) J(tau) with J = E4^3/Delta - 744 = q^-1 + O(q), from
-    E4 = 1 + 240 sum sigma_3(n) q^n and Delta = eta^24."""
-    n = math.ceil(order) + 2
-    e4 = QSeries({k * DEN: 240 * sum(d ** 3 for d in range(1, k + 1)
-                                     if k % d == 0) if k else 1
-                  for k in range(n + 1)}, n)
-    j = e4 * e4 * e4 * eta_quotient({1: -24}, -1, n - 1) - 744
-    return (eta_quotient({1: 1}, F(1, 24), order + 2) * j).truncate(order)
+    E4 = 1 + 240 sum sigma_3(n) q^n and Delta = eta^24: E4^3 multiplied out
+    by the Fraction oracle, then q J = E4^3/(q;q)^24 - 744 q and q^(23/24)
+    eta J = (q;q) q J by the package's in-place kernel."""
+    n = math.floor(order + F(23, 24))
+    e4 = {k: 240 * sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
+          if k else 1 for k in range(n + 1)}
+    cube = poly_mul(poly_mul(e4, e4, n), e4, n)
+    # the kernel's list has one entry per q^(1/2)
+    p = [int(cube.get(i // 2, 0)) if i % 2 == 0 else 0
+         for i in range(2 * n + 1)]
+    _times_eta(p, ((1, -24),))
+    if n >= 1:
+        p[2] -= 744
+    _times_eta(p, ((1, 1),))
+    return QSeries({DEN * k - 115: c for k, c in enumerate(p[::2])}, order)
 
 
 def test_eta_j_coefficients():
