@@ -1,7 +1,7 @@
 """Graded trace functions on the twisted cone modules and the
 McKay-Thompson components built from them.
 
-A trace is minus ``closed_series`` of a ``_TraceData`` record: an eta
+A trace is minus ``closed_series`` of a ``ClosedForm`` record: an eta
 quotient times a signed sum over both octants of Z^n, multiplied in place
 on the dense list of the sum's one walk before any series exists.
 ``trace_closed`` reads its record from the printed closed lattice sums and
@@ -10,10 +10,10 @@ prefactors (one shape per conjugacy class of the S3 symmetry);
 class's sign rule and 2A flip, and its cycles (the one-fermion times
 Heisenberg prefactor).  ``verify`` compares the two records, which proves
 the traces equal at every order and checks every printed datum against the
-lattice and the group action.  The tests check the shared ``octant_sum``
-against a box brute force (``octant_box_sum``) and a scan of the cone
-points, and each closed form against that box sum times an eta quotient
-over Fractions.
+lattice and the group action.  The tests check ``closed_series``, bare
+(no eta quotient) and as each closed form, against a box brute force
+times an eta quotient over Fractions (``closed_form_oracle``), and the
+bare sum against a scan of the cone points.
 
 A trace is named by its class and a coset label a in {1,3,5,7,9}.  On
 the two one-fermion modules the zero mode contributes only an overall
@@ -110,20 +110,25 @@ def all_trace_ids() -> list[TraceId]:
 
 
 # ----------------------------------------------------------------------
-# the signed octant sum of both routes, and the closed-form route
+# the closed forms of both routes, and the closed-form route
+
+# the one record of a closed form: prod_k (q^k; q^k)_inf^m over the (k, m)
+# pairs powers, times the signed sum over both octants of Z^n
+#     (sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
+#         q^((x.gram.x + lin.x)/2 + shift/DEN)
+# where x < 0 means every coordinate is negative, over the x with
+# parity.x even if parity is given.  gram (symmetric) and lin are integer,
+# shift an int numerator over DEN
+ClosedForm = namedtuple("ClosedForm",
+                        "powers gram lin signs negative_sign shift parity",
+                        defaults=(None,))
 
 
-def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
-               parity=None) -> QSeries:
-    """The signed sum over both octants of Z^n, truncated at q^(cap/DEN):
-
-        (sum_{x >= 0} + negative_sign * sum_{x < 0}) (-1)^(signs.x)
-            q^((x.gram.x + lin.x)/2 + shift/DEN)
-
-    where x < 0 means every coordinate is negative, and with parity given
-    only points with parity.x even are summed.  gram (symmetric) and lin
-    are integer; shift and cap are exponent numerators over DEN, shift an
-    int.
+def closed_series(form: ClosedForm, order) -> QSeries:
+    """The closed form, exact to order: every product of the exact engine,
+    and with powers () the bare octant sum.  The walk counts the octant
+    points by value v on one dense list, entry v at q^(v/2 + shift/DEN),
+    which _times_eta multiplies in place.
 
     Completeness: on either octant put x = y or x = -1 - y with y >= 0;
     then twice the exponent minus 2 shift is y.gram.y + w.y + c with
@@ -134,15 +139,8 @@ def octant_sum(gram, lin, shift, signs, negative_sign: int, cap,
     One walk per octant visits those y, carrying the value, the slopes
     w + 2 gram.y, the sign and the parity, each updated once per step.
     """
-    return _octant_product((), gram, lin, shift, signs, negative_sign, cap,
-                           parity)
-
-
-def _octant_product(powers, gram, lin, shift, signs, negative_sign: int,
-                    cap, parity) -> QSeries:
-    """octant_sum times prod_k (q^k; q^k)_inf^m over the (k, m) pairs
-    powers: the walk counts the points by value v on one dense list, entry
-    v at q^(v/2 + shift/DEN), which _times_eta multiplies in place."""
+    cap = _num(order)
+    powers, gram, lin, signs, negative_sign, shift, parity = form
     n = len(lin)
     two_g1 = [2 * sum(row) for row in gram]
     octants = ((1, 0, lin, 0),
@@ -224,45 +222,34 @@ def _times_eta(p: list, powers) -> None:
                         p[i + g] += v
 
 
-def closed_series(powers, gram, lin, signs, negative_sign, shift, order,
-                  parity=None) -> QSeries:
-    """prod_k (q^k; q^k)_inf^m over the (k, m) pairs powers, times
-    the octant_sum of (gram, lin, signs, negative_sign, parity) shifted by
-    q^(shift/DEN), exact to order: every closed form of the exact engine."""
-    return _octant_product(powers, gram, lin, shift, signs, negative_sign,
-                           _num(order), parity)
-
-
 # the printed forms of the 1A cube and 2A sums, read by mocktheta and maass
 GRAM_1A = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
 GRAM_2A = ((6, 4), (4, 1))
-# the class shapes of the closed octant sums, lin = a * unit and shift
-# 3a^2/40 - 1/12: (gram, unit, signs, negative-octant sign, the powers of
-# the prefactor over q^(-1/12), 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3))
+# the class shapes at the unit coset, as ClosedForm templates: lin the
+# unit and shift -10, the prefactor's q^(-1/12); the prefactors over it are
+# 1/(q;q)^2, 1/(q^2;q^2) resp. (q;q)/(q^3;q^3)
 _CLOSED_SHAPES = {
-    1: (GRAM_1A, (1, 1, 1), (1, 1, 1), 1, ((1, -2),)),
-    2: (GRAM_2A, (2, 1), (1, 1), -1, ((2, -1),)),
-    3: (((15,),), (3,), (1,), 1, ((1, 1), (3, -1))),
+    1: ClosedForm(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10),
+    2: ClosedForm(((2, -1),), GRAM_2A, (2, 1), (1, 1), -1, -10),
+    3: ClosedForm(((1, 1), (3, -1)), ((15,),), (3,), (1,), 1, -10),
 }
 
-# the data of a trace, by either route: T^- is minus closed_series of it
-_TraceData = namedtuple("_TraceData",
-                        "powers gram lin signs negative_sign shift")
 
-
-def _closed_data(trace_id: TraceId) -> _TraceData:
-    """The printed data: the class's row of _CLOSED_SHAPES."""
+def _closed_data(trace_id: TraceId) -> ClosedForm:
+    """The printed data: the class's template in _CLOSED_SHAPES at coset
+    a, lin = a * unit and shift 3a^2/40 - 1/12.  T^- is minus its
+    closed_series, by either route."""
     a = trace_id.coset_a
-    gram, unit, signs, neg, powers = _CLOSED_SHAPES[trace_id.group_class.order]
-    return _TraceData(powers, gram, tuple(a * u for u in unit), signs, neg,
-                      9 * a * a - 10)
+    shape = _CLOSED_SHAPES[trace_id.group_class.order]
+    return shape._replace(lin=tuple(a * u for u in shape.lin),
+                          shift=shape.shift + 9 * a * a)
 
 
 @lru_cache(maxsize=None)
 def trace_closed(trace_id: TraceId, order) -> QSeries:
     """The trace from the printed data, cached by (trace id, order) for
     h_component."""
-    return -closed_series(*_closed_data(trace_id), order)
+    return -closed_series(_closed_data(trace_id), order)
 
 
 # ----------------------------------------------------------------------
@@ -285,23 +272,23 @@ def _prefactor(group_class: GroupClass) -> tuple:
                   if (m := (k == 1) - lengths.count(k))), 5 - 5 * sum(lengths))
 
 
-def _direct_data(trace_id: TraceId) -> _TraceData:
+def _direct_data(trace_id: TraceId) -> ClosedForm:
     """The derived data: ``lattice._fixed_form``, the class's sign rule mod
     2 and branch-N sign, and the prefactor, its shift added to the form's."""
     cls = trace_id.group_class
     signs, negative_sign = _DIRECT_SIGNS[cls.order]
     gram, lin, shift = _fixed_form(cls.cycles, trace_id.coset_a)
     powers, pre_shift = _prefactor(cls)
-    return _TraceData(powers, gram, lin, tuple(s % 2 for s in signs),
+    return ClosedForm(powers, gram, lin, tuple(s % 2 for s in signs),
                       negative_sign, shift + pre_shift)
 
 
 def trace_direct(trace_id: TraceId, order) -> QSeries:
     """The trace from the derived data, not the printed shapes: the
-    ``octant_sum`` of the form of ``lattice._fixed_form`` with the class's
+    octant sum of the form of ``lattice._fixed_form`` with the class's
     literal sign rule and branch-N sign, times the one-fermion factor
     -q^(1/24) (q;q)_inf (the sign of T^-) and the Heisenberg trace."""
-    return -closed_series(*_direct_data(trace_id), order)
+    return -closed_series(_direct_data(trace_id), order)
 
 
 # ----------------------------------------------------------------------

@@ -21,15 +21,16 @@ Multiplying by 1 - s q^k is one pass over the list, dividing by it one
 running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
 (n+1)^2 bound the number of summands, so to order N chi0 and chi1 cost
 O(N^2) integer additions and the other four O(N^1.5).  The Zwegers and
-Hecke-type sums are ``octant_series``: an eta-quotient times an octant
-sum, built by ``closed_series`` as the trace closed forms are.
+Hecke-type sums are ``octant_series``: each a ``ClosedForm`` row of
+``_SUMS``, an eta-quotient times an octant sum, built by ``closed_series``
+as the traces are.
 """
 
 from collections import namedtuple
 from operator import add
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_1A, GRAM_2A,
-                         closed_series, h_component)
+                         ClosedForm, closed_series, h_component)
 from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -84,10 +85,8 @@ def ramanujan_series(name: str, order) -> QSeries:
 # indefinite double and triple sums
 
 
-# name: (the (k, m) pairs of prod_k (q^k; q^k)_inf^m, gram, lin, signs,
-# neg, parity) of that product times the octant sum
-#     (sum_{x>=0} + neg sum_{x<0}) (-1)^(signs.x) q^((x.gram.x + lin.x)/2)
-# over parity.x even, if given.  The chi sides 2 - chi0 and chi1 are
+# name: the ClosedForm, shift 0, of the eta quotient times the octant sum
+# of each side.  The chi sides 2 - chi0 and chi1 are
 # q^((k^2+l^2+m^2)/2 + 2(kl+lm+mk) + c(k+l+m)/2) / (q;q)_inf^2, c = 1, 3.
 # The Hecke sums (-1)^m q^(k^2/2 + m^2/2 + 4km + alpha k + beta m) over
 # k = m mod 2, (alpha, beta) = (1/2, 3/2), (3/2, 5/2), times (q;q)_inf /
@@ -96,14 +95,18 @@ def ramanujan_series(name: str, order) -> QSeries:
 # (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c k + c m/2), c = 1, 3.
 _KM = ((1, 4), (4, 1))
 _SUMS = {
-    "chi0_side": (((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, None),
-    "chi1_side": (((1, -2),), GRAM_1A, (3, 3, 3), (1, 1, 1), 1, None),
-    "phi0_lhs": (((1, 1), (2, -2)), _KM, (1, 3), (0, 1), -1, (1, 1)),
-    "phi1_lhs": (((1, 1), (2, -2)), _KM, (3, 5), (0, 1), -1, (1, 1)),
-    "cor_lhs_1": ((), _KM, (1, 3), (0, 1), -1, (1, 1)),
-    "cor_lhs_7": ((), _KM, (3, 5), (0, 1), -1, (1, 1)),
-    "cor_rhs_1": (((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1, None),
-    "cor_rhs_7": (((1, -1), (2, 1)), GRAM_2A, (6, 3), (1, 1), -1, None),
+    "chi0_side": ClosedForm(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, 0),
+    "chi1_side": ClosedForm(((1, -2),), GRAM_1A, (3, 3, 3), (1, 1, 1), 1, 0),
+    "phi0_lhs": ClosedForm(((1, 1), (2, -2)), _KM, (1, 3), (0, 1), -1, 0,
+                           (1, 1)),
+    "phi1_lhs": ClosedForm(((1, 1), (2, -2)), _KM, (3, 5), (0, 1), -1, 0,
+                           (1, 1)),
+    "cor_lhs_1": ClosedForm((), _KM, (1, 3), (0, 1), -1, 0, (1, 1)),
+    "cor_lhs_7": ClosedForm((), _KM, (3, 5), (0, 1), -1, 0, (1, 1)),
+    "cor_rhs_1": ClosedForm(((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1,
+                            0),
+    "cor_rhs_7": ClosedForm(((1, -1), (2, 1)), GRAM_2A, (6, 3), (1, 1), -1,
+                            0),
 }
 
 
@@ -111,8 +114,7 @@ def octant_series(name: str, order) -> QSeries:
     """One of the eight sums of _SUMS, exact to order."""
     if name not in _SUMS:
         raise SeriesError(f"unknown series {name!r}")
-    powers, *octant, parity = _SUMS[name]
-    return closed_series(powers, *octant, 0, order, parity)
+    return closed_series(_SUMS[name], order)
 
 
 # ----------------------------------------------------------------------

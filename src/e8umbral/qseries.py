@@ -12,7 +12,8 @@ q^(71/120), q^(-49/120), the cone energies 3a^2/40, and the eta exponents
 in 1/24.  A series is added, negated, scaled by an int, shifted by a
 monomial and compared, never multiplied by a series: the one product of
 the package, an eta-quotient times an octant sum, is formed on a dense
-integer list before any series exists (``characters.closed_series``).
+integer list before any series exists (``characters.closed_series`` of a
+``characters.ClosedForm`` record).
 
 Every order is finite.  Orders, shifts and exponents have one normal
 form: the int numerator over DEN (``QSeries.top`` is DEN times the order).

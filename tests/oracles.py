@@ -213,12 +213,14 @@ def octant_box_sum(gram, lin, shift, signs, negative_sign, cap,
     return {e: c for e, c in out.items() if c}
 
 
-def closed_form_oracle(powers, gram, lin, signs, negative_sign, shift,
-                       order, parity=None) -> dict:
-    """{120 * exponent: coefficient} up to q^order of the eta quotient of
-    powers (``eta_quotient_oracle``) times q^(shift/120) times the octant
-    sum of the other arguments (``octant_box_sum``), multiplied out term by
-    term over Fractions: a closed form of the exact engine."""
+def closed_form_oracle(form, order) -> dict:
+    """{120 * exponent: coefficient} up to q^order of a closed form, its
+    fields by position as in ``characters.ClosedForm``: the eta quotient
+    of powers (``eta_quotient_oracle``) times the octant sum of the other
+    fields (``octant_box_sum``, the shift a numerator over 120), multiplied
+    out term by term over Fractions.  With powers = () it is the bare
+    octant sum."""
+    powers, gram, lin, signs, negative_sign, shift, parity = form
     box = octant_box_sum(gram, lin, Fraction(shift, 120), signs,
                          negative_sign, order, parity)
     if not box:

@@ -107,7 +107,7 @@ def test_criterion_02_route_equivalence():
     # that verify proves equal field by field
     t0 = time.time()
     for tid in all_trace_ids():
-        want = closed_form_oracle(*_closed_data(tid), 250)
+        want = closed_form_oracle(_closed_data(tid), 250)
         for trace in (trace_closed, trace_direct):
             got = trace(tid, 250)
             assert got.order == 250

@@ -5,16 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
-                                 COSET_LABELS, FAMILIES, TraceId,
+                                 COSET_LABELS, FAMILIES, ClosedForm, TraceId,
                                  _CLOSED_SHAPES, _closed_data, _prefactor,
                                  all_trace_ids, closed_series,
-                                 component_family, h_component, octant_sum,
+                                 component_family, h_component,
                                  trace_closed, trace_direct)
 from e8umbral.mocktheta import _SUMS
 from e8umbral.qseries import GradingError, QSeries, SeriesError
 
-from oracles import (closed_form_oracle, eta_quotient_oracle, octant_box_sum,
-                     same_up_to, shadow, valuation)
+from oracles import (closed_form_oracle, eta_quotient_oracle, same_up_to,
+                     shadow, valuation)
 from test_qseries import eta_quotient
 
 
@@ -91,17 +91,15 @@ def test_component_seven_head(name):
 
 
 def _random_closed_form(seed):
-    """A seeded closed_series row and order: the octant shape of
-    _random_octant_case, with its shift as a numerator over 120 and its cap
-    floored onto the grid 1/120 as the order, times a random eta quotient,
-    powers in +-{1, 2, 3} on k <= 4."""
-    gram, lin, shift, signs, neg, cap, parity = _random_octant_case(seed)
-    order = F(math.floor(120 * cap), 120)
+    """A seeded ClosedForm and order: the bare octant sum of
+    _random_octant_case and its cap floored onto the grid 1/120 as the
+    order, times a random eta quotient, powers in +-{1, 2, 3} on k <= 4."""
+    form, cap = _random_octant_case(seed)
     rng = random.Random(-seed)
     powers = tuple(sorted((k, rng.choice((-3, -2, -1, 1, 2, 3)))
                           for k in rng.sample(range(1, 5),
                                               rng.randrange(1, 3))))
-    return (powers, gram, lin, signs, neg, int(120 * shift), order, parity)
+    return form._replace(powers=powers), _on_grid(cap)
 
 
 def test_route_equivalence_spot():
@@ -113,24 +111,20 @@ def test_route_equivalence_spot():
     for tid in (TraceId(CLASS_1A, 1), TraceId(CLASS_2A, 7),
                 TraceId(CLASS_3A, 9), TraceId(CLASS_2A, 5)):
         minus = {e: -c for e, c in
-                 closed_form_oracle(*_closed_data(tid), 12).items()}
+                 closed_form_oracle(_closed_data(tid), 12).items()}
         assert trace_closed(tid, 12).coeffs == minus
         assert trace_direct(tid, 12).coeffs == minus
     seen = set()
     for seed in range(30):
-        powers, gram, lin, signs, neg, shift, order, parity = \
-            _random_closed_form(seed)
-        got = closed_series(powers, gram, lin, signs, neg, shift, order,
-                            parity)
-        want = closed_form_oracle(powers, gram, lin, signs, neg, shift,
-                                  order, parity)
+        form, order = _random_closed_form(seed)
+        got = closed_series(form, order)
         assert got.order == order
-        assert got.coeffs == want, seed
-        if 120 * order < shift:
+        assert got.coeffs == closed_form_oracle(form, order), seed
+        if 120 * order < form.shift:
             seen.add("empty below the shift")
-        if sum(map(sum, gram)) < sum(lin):
+        if sum(map(sum, form.gram)) < sum(form.lin):
             seen.add("lo < 0")
-        if parity:
+        if form.parity:
             seen.add("parity")
     assert seen == {"empty below the shift", "lo < 0", "parity"}
 
@@ -256,9 +250,10 @@ def test_component_family_rule():
 
 
 def _random_octant_case(seed):
-    """A seeded shape inside the certified bound of octant_sum: symmetric
-    non-negative gram with positive diagonal, 0 <= lin <= 2 gram.1, a
-    non-zero shift on the grid 1/120 and a cap with a fractional part."""
+    """A seeded bare octant sum inside the certified bound of the walk, and
+    a cap: symmetric non-negative gram with positive diagonal, 0 <= lin <=
+    2 gram.1, a non-zero shift on the grid 1/120 and a cap off that grid,
+    with a fractional part."""
     rng = random.Random(seed)
     n = rng.randrange(1, 4)
     gram = [[0] * n for _ in range(n)]
@@ -271,7 +266,15 @@ def _random_octant_case(seed):
     parity = rng.choice((None, [rng.randrange(0, 3) for _ in range(n)]))
     shift = F(rng.choice([k for k in range(-300, 301) if k]), 120)
     cap = shift + F(rng.randrange(-7, 56), 7) + F(1, 3)
-    return gram, lin, shift, signs, rng.choice((1, -1)), cap, parity
+    return ClosedForm((), gram, lin, signs, rng.choice((1, -1)),
+                      int(120 * shift), parity), cap
+
+
+def _on_grid(cap):
+    """The cap floored onto the grid 1/120, where every order lies: the
+    exponents of a closed form lie on that grid, so it sums the same
+    points as the cap itself."""
+    return F(math.floor(120 * cap), 120)
 
 
 # the two Zwegers sums of mocktheta._SUMS keep their case ids
@@ -281,31 +284,32 @@ _ZWEGERS_IDS = {"chi0_side": "zwegers c=1", "chi1_side": "zwegers c=3"}
 # 15 - 3a for the closed shapes: below 0 at a = 7 and 9, as for 17 of the
 # random shapes
 _OCTANT_CASES = {
-    **{f"closed {o} a={a}": (gram, [a * u for u in lin_unit],
-                             F(3 * a * a, 40), signs, neg, F(121, 12), None)
-       for o, (gram, lin_unit, signs, neg, _) in _CLOSED_SHAPES.items()
-       for a in COSET_LABELS},
-    **{_ZWEGERS_IDS.get(name, name): (gram, lin, 0, signs, neg, F(12), parity)
-       for name, (_, gram, lin, signs, neg, parity) in _SUMS.items()},
+    **{f"closed {o} a={a}": (shape._replace(
+        powers=(), lin=[a * u for u in shape.lin], shift=9 * a * a),
+        F(121, 12))
+       for o, shape in _CLOSED_SHAPES.items() for a in COSET_LABELS},
+    **{_ZWEGERS_IDS.get(name, name): (form._replace(powers=()), F(12))
+       for name, form in _SUMS.items()},
     **{f"random {seed}": _random_octant_case(seed) for seed in range(30)},
 }
 
 
 @pytest.mark.parametrize("name", _OCTANT_CASES)
 def test_octant_sum_against_box_oracle(name):
-    case = _OCTANT_CASES[name]
-    gram, lin, shift, signs, neg, cap, parity = case
-    # octant_sum takes the shift (an int) and the cap as numerators over 120
-    got = octant_sum(gram, lin, int(shift * 120), signs, neg, cap * 120,
-                     parity)
-    assert got.order == cap
-    assert got.coeffs == octant_box_sum(*case)
+    # the bare octant sum is the closed form with no eta quotient; the box
+    # oracle takes the cap as drawn
+    form, cap = _OCTANT_CASES[name]
+    got = closed_series(form, _on_grid(cap))
+    assert got.order == _on_grid(cap)
+    assert got.coeffs == closed_form_oracle(form, cap)
 
 
 def test_octant_sum_guards():
     with pytest.raises(SeriesError):      # a negative gram entry
-        octant_sum(((1, -1), (-1, 1)), (0, 0), 0, (1, 1), 1, 5)
+        closed_series(ClosedForm((), ((1, -1), (-1, 1)), (0, 0), (1, 1), 1,
+                                 0), F(1, 24))
     with pytest.raises(SeriesError):      # lin past 2 gram.1
-        octant_sum(((1,),), (3,), 0, (1,), 1, 5)
+        closed_series(ClosedForm((), ((1,),), (3,), (1,), 1, 0), F(1, 24))
     with pytest.raises(GradingError):     # a shift off the grid 1/120
-        octant_sum(((1,),), (1,), F(1, 7), (1,), 1, 5)
+        closed_series(ClosedForm((), ((1,),), (1,), (1,), 1, F(1, 7)),
+                      F(1, 24))

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import csv
 import hashlib
 import io
@@ -9,13 +10,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from e8umbral import characters, cli
-from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, TraceId,
-                                 trace_closed)
+from e8umbral import characters, cli, mocktheta
+from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, FAMILIES,
+                                 TraceId, component_family, trace_closed)
 from e8umbral.cli import main
 from e8umbral.mocktheta import IdentityReport
 
@@ -133,21 +135,23 @@ def clear_caches():
 
 
 def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
-    # one octant walk per closed form, all to order 8 (cap 960): the 4
-    # traces of the 1A and 2A components and the 8 mock theta sums
-    caps = []
-    real = characters._octant_product
+    # one octant walk per closed form, all to order 8: the 4 traces of the
+    # 1A and 2A components and the 8 mock theta sums.  mocktheta imports
+    # closed_series by name, so both modules' names are counted
+    orders = []
+    real = characters.closed_series
 
-    def counted(*args):
-        caps.append(args[6])
-        return real(*args)
+    def counted(form, order):
+        orders.append(order)
+        return real(form, order)
 
-    monkeypatch.setattr(characters, "_octant_product", counted)
+    for module in (characters, mocktheta):
+        monkeypatch.setattr(module, "closed_series", counted)
     clear_caches()
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    assert (caps.count(960), len(caps)) == (12, 12)
+    assert (orders.count(8), len(orders)) == (12, 12)
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys, monkeypatch):
@@ -212,7 +216,7 @@ def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
     assert fails[0].endswith(
         f"2A a=3 differs in lin: printed {printed} vs derived {derived}")
     assert (printed, derived) == ((6, 3), (7, 3))
-    assert "_TraceData" not in fails[0]
+    assert "ClosedForm" not in fails[0]
 
 
 def fail_theta_scan(monkeypatch):
@@ -262,12 +266,12 @@ def test_verify_each_kind_of_check_fails_alone(capsys, monkeypatch, fail):
 
 
 def change_shape(order, field, value):
-    """Change one field of a printed closed shape: 0 gram, 1 lin unit,
-    2 signs, 3 negative-octant sign."""
+    """Change one field of a printed closed shape, a ClosedForm template
+    (its lin the unit)."""
     def patch(monkeypatch):
-        shape = list(characters._CLOSED_SHAPES[order])
-        shape[field] = value
-        monkeypatch.setitem(characters._CLOSED_SHAPES, order, tuple(shape))
+        shape = characters._CLOSED_SHAPES[order]
+        monkeypatch.setitem(characters._CLOSED_SHAPES, order,
+                            shape._replace(**{field: value}))
     return patch
 
 
@@ -314,12 +318,13 @@ def change_shift(monkeypatch):
 # the field of the records that then differs
 NEGATIVE_CONTROLS = {
     "closed 2A gram": ("2A", "closed", "gram",
-                       change_shape(2, 0, ((6, 5), (5, 1)))),
-    "closed 3A sign": ("3A", "closed", "signs", change_shape(3, 2, (0,))),
+                       change_shape(2, "gram", ((6, 5), (5, 1)))),
+    "closed 3A sign": ("3A", "closed", "signs",
+                       change_shape(3, "signs", (0,))),
     "closed 1A negative sign": ("1A", "closed", "negative_sign",
-                                change_shape(1, 3, -1)),
+                                change_shape(1, "negative_sign", -1)),
     "closed 2A lin unit": ("2A", "closed", "lin",
-                           change_shape(2, 1, (1, 1))),
+                           change_shape(2, "lin", (1, 1))),
     "direct 2A form": ("2A", "direct", "gram", change_form),
     "direct 1A sign rule": ("1A", "direct", "signs",
                             change_direct_signs(1, ((1, 1, 0), 1))),
@@ -371,6 +376,18 @@ EVAL_GRID_TAUS = ("0.1+0.8i", "0.25+0.03i", "0.3+0.001i", "-2.7+0.5i",
                   "0.25+0.01i", "0.1+5i")
 
 
+# (class, r, tau, options) of the eval calls whose printed figure was once
+# below rounding: a 1A completion mostly its Eichler part, and four values
+# so small (1.6e-312 to 5.6e-320) that eps |value| underflows to 0
+EVAL_FIGURE_CALLS = [
+    ("1A", "7", "-1.1766146+5.6962123i", ("--completion", "--tol", "2.5e-13")),
+    ("2A", "7", "0.19999980926513672+193.3020261396554i",
+     ("--completion", "--tol", "3.240469416806902e-08")),
+    ("1A", "7", "0.25+195i", ()),
+    ("1A", "7", "0.25+195i", ("--completion",)),
+    ("3A", "53", "1978.2313842773438+197.92693485819137i", ())]
+
+
 def test_eval_error_figure_is_never_below_rounding(capsys):
     # over the 216-call grid (class x r in {1, 7, -1, 13} x 9 tau x series
     # and completion) no printed est. error is below eps |value|: not the
@@ -384,14 +401,7 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
     answered = 0
     for group_class, r, tau, extra in [*itertools.product(
             ("1A", "2A", "3A"), ("1", "7", "-1", "13"), EVAL_GRID_TAUS,
-            ((), ("--completion",)))] + [
-            ("1A", "7", "-1.1766146+5.6962123i",
-             ("--completion", "--tol", "2.5e-13")),
-            ("2A", "7", "0.19999980926513672+193.3020261396554i",
-             ("--completion", "--tol", "3.240469416806902e-08")),
-            ("1A", "7", "0.25+195i", ()),
-            ("1A", "7", "0.25+195i", ("--completion",)),
-            ("3A", "53", "1978.2313842773438+197.92693485819137i", ())]:
+            ((), ("--completion",)))] + EVAL_FIGURE_CALLS:
         code, out, err = run_cli(capsys, "eval", "--class", group_class,
                                  "--r", r, f"--tau={tau}", *extra)
         if code == 3:
@@ -406,6 +416,81 @@ def test_eval_error_figure_is_never_below_rounding(capsys):
         assert est >= sys.float_info.epsilon * abs(value), out
         assert est >= math.ulp(abs(value)), out
     assert answered == 213
+
+
+def _census_calls(seed: int, n: int) -> list:
+    """n seeded eval points, then the calls of EVAL_FIGURE_CALLS, each as
+    (class, r, tau, tol, completion).  r is one of +-1, +-7, 11, 13, 53,
+    59; Re tau is a multiple of 2^-20, so that tau + 1 is exact, within 1
+    of 0 for three points in four and within 1000 for the rest; Im tau is
+    log-uniform in [1e-14, 1e3] and tol in [1e-16, 1e-3]; half of each
+    kind of point asks for the completion."""
+    rng = random.Random(seed)
+    calls = []
+    for i in range(n):
+        group_class = rng.choice(("1A", "2A", "3A"))
+        r = rng.choice((1, -1, 7, -7, 11, 13, 53, 59))
+        half_width = 2 ** 20 * (1000 if i % 4 == 0 else 1)
+        tau = complex(rng.randint(-half_width, half_width) / 2 ** 20,
+                      10 ** rng.uniform(-14, 3))
+        tol = 10 ** rng.uniform(-16, -3)
+        calls.append((group_class, r, tau, tol, i % 8 < 4))
+    for group_class, r, tau, options in EVAL_FIGURE_CALLS:
+        tol = float(options[options.index("--tol") + 1]) \
+            if "--tol" in options else 1e-9       # the default of eval
+        calls.append((group_class, int(r), cli._parse_tau(tau), tol,
+                      "--completion" in options))
+    return calls
+
+
+def test_eval_census(capsys):
+    # 1000 seeded points and the calls of EVAL_FIGURE_CALLS, each at tau and
+    # at tau + 1, in process.  Every call exits 0 or 3 within 0.5 s.  An
+    # exit 3 writes one line naming the tol and tau given; an exit 0 one H
+    # line whose figure is at least eps |value| and ulp(|value|).  Where
+    # both answer, H(tau + 1) = e(lead/120) H(tau) within the two figures
+    # and the 13-digit print of both values.  The exit-3 reasons, counted
+    # by class, are printed
+    reasons = collections.Counter()
+    calls = pairs = 0
+    for group_class, r, tau, tol, completion in _census_calls(7, 1000):
+        answers = []
+        for point in (tau, tau + 1):
+            argv = ["eval", "--class", group_class, "--r", str(r),
+                    f"--tau={point.real!r}+{point.imag!r}i",
+                    "--tol", repr(tol)] + ["--completion"] * completion
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            elapsed = time.perf_counter() - start
+            calls += 1
+            assert elapsed < 0.5, (argv, elapsed)
+            if code == 3:
+                assert out == "" and err.count("\n") == 1, argv
+                assert err.startswith("error: ") and \
+                    err.endswith(f" (tol {tol} at tau = {point})\n"), err
+                reason = err[len("error: "):].split(":")[0]
+                reasons[group_class, " ".join(reason.split()[:3])] += 1
+                answers.append(None)
+                continue
+            assert (code, err) == (0, ""), argv
+            assert out.startswith("H[") and out.count("\n") == 1, out
+            re_part, im_part = out.partition(" = ")[2].split()[:2]
+            value = complex(float(re_part), float(im_part[:-1]))
+            est = float(out.rsplit("<= ", 1)[1].rstrip(")\n"))
+            assert est >= max(sys.float_info.epsilon * abs(value),
+                              math.ulp(abs(value))), out
+            answers.append((value, est))
+        if None not in answers:
+            (h0, e0), (h1, e1) = answers
+            lead = FAMILIES[component_family(r)[0]].lead
+            gap = abs(h1 - cmath.exp(2j * math.pi * lead / 120) * h0)
+            assert gap <= e0 + e1 + 5e-13 * (abs(h0) + abs(h1)), \
+                (group_class, r, tau, tol, completion, gap)
+            pairs += 1
+    assert calls >= 2000
+    print(f"eval census: {calls} calls, {pairs} pairs checked")
+    for (group_class, reason), count in sorted(reasons.items()):
+        print(f"  exit 3, {group_class}: {count} {reason}")
 
 
 def test_eval_out_of_support(capsys):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from test_exports import sketch_blocks
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # sha256 of each demo's stdout, for the two that print only integers and
@@ -29,3 +31,13 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     if DEMO_STDOUT[demo] is not None:
         assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT[demo]
+
+
+def test_library_sketch_runs():
+    # README's library sketch, each python block in turn, in a fresh
+    # interpreter against the source tree: it runs as printed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for block in sketch_blocks():
+        proc = subprocess.run([sys.executable, "-c", block], env=env,
+                              cwd=ROOT, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr.decode()) == (0, "")

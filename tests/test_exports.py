@@ -1,8 +1,9 @@
 """The package root is the user API: it exports exactly the names that the
 demos and the README's library sketch import from `e8umbral`, and every
 other public name is imported from the module that owns it.  Every public
-method of the package's classes is reached by the program itself, and
-importing the CLI loads every module that the benchmark traces."""
+method of the package's classes, and every public function and class of
+its modules, is reached by the program itself, and importing the CLI loads
+every module that the benchmark traces."""
 
 import ast
 import os
@@ -15,8 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "e8umbral"
 
 
-def _used_names(path: Path) -> set:
-    """Names and attributes read in the file, not counting those inside
+def _used_names(source: str) -> set:
+    """Names and attributes read in the source, not counting those inside
     the body of the function or class that defines the same name."""
     used = set()
 
@@ -31,7 +32,7 @@ def _used_names(path: Path) -> set:
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
-    walk(ast.parse(path.read_text()), frozenset())
+    walk(ast.parse(source), frozenset())
     return used
 
 
@@ -39,7 +40,7 @@ def _program_names() -> set:
     """Names read by the package modules and the demos."""
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += sorted((ROOT / "demos").glob("*.py"))
-    return set().union(*(_used_names(p) for p in sources))
+    return set().union(*(_used_names(p.read_text()) for p in sources))
 
 
 def _root_imports(source: str) -> set:
@@ -49,16 +50,21 @@ def _root_imports(source: str) -> set:
             and node.module == "e8umbral" for alias in node.names}
 
 
-def _user_imports() -> set:
-    """Names that the demos and the README's library sketch import from
-    the package root."""
+def sketch_blocks() -> list:
+    """The python blocks of README's library sketch."""
     sketch = re.search(r"^## Library sketch\n(.*?)^## ",
                        (ROOT / "README.md").read_text(), re.M | re.S)
     blocks = re.findall(r"^```python\n(.*?)^```", sketch.group(1),
                         re.M | re.S)
     assert blocks, "README's library sketch has no python block"
-    sources = blocks + [p.read_text()
-                        for p in sorted((ROOT / "demos").glob("*.py"))]
+    return blocks
+
+
+def _user_imports() -> set:
+    """Names that the demos and the README's library sketch import from
+    the package root."""
+    sources = sketch_blocks() + [
+        p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
     return set().union(*map(_root_imports, sources))
 
 
@@ -88,6 +94,31 @@ def test_every_public_method_is_used_by_the_program():
     used = _program_names()
     unused = sorted(q for q, name in methods.items() if name not in used)
     assert not unused, f"public methods never used: {unused}"
+
+
+def test_every_public_function_and_class_is_used_by_the_program():
+    # the method rule at module level: a function or class (a namedtuple
+    # class included) that only the tests call belongs in the tests.  It
+    # is read by a package module outside its own body, a demo or the
+    # library sketch
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Call) and \
+                    getattr(node.value.func, "id", None) == "namedtuple":
+                names = [target.id for target in node.targets]
+            else:
+                continue
+            defined |= {f"{path.stem}.{name}": name for name in names
+                        if not name.startswith("_")}
+    assert {"characters.Family", "characters.closed_series",
+            "qseries.QSeries"} <= set(defined)
+    used = _program_names().union(*map(_used_names, sketch_blocks()))
+    unused = sorted(q for q, name in defined.items() if name not in used)
+    assert not unused, f"public functions and classes never used: {unused}"
 
 
 def test_cli_import_loads_every_traced_module():

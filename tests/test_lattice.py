@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral import characters, lattice
-from e8umbral.characters import CLASSES, TraceId, octant_sum
+from e8umbral.characters import CLASSES, ClosedForm, TraceId, closed_series
 from e8umbral.lattice import GRAM, _fixed_form
 
 from oracles import RHO, cone_mu, pair, q_norm
@@ -59,10 +59,11 @@ def brute_scan(a, bound, cycles=ALL, box=12):
 
 
 def cone_count(cycles, a, cap):
-    """{120 Q(mu): number of fixed cone points} up to cap, by octant_sum
-    on the derived form with no sign."""
+    """{120 Q(mu): number of fixed cone points} up to cap/120, by the bare
+    octant sum of the derived form with no sign."""
     gram, lin, shift = _fixed_form(cycles, a)
-    return octant_sum(gram, lin, shift, (0,) * len(lin), 1, cap).coeffs
+    return closed_series(ClosedForm((), gram, lin, (0,) * len(lin), 1, shift),
+                         F(cap, 120)).coeffs
 
 
 def test_gram_values():
@@ -130,8 +131,7 @@ def test_completeness_against_box_oracle(a, cycles):
     cls = next(c for c in CLASSES.values() if c.cycles == cycles)
     data = characters._direct_data(TraceId(cls, a))
     # the record's shift carries the prefactor's q^(-1/12) as well
-    got = octant_sum(data.gram, data.lin, data.shift, data.signs,
-                     data.negative_sign, 1190)
+    got = closed_series(data._replace(powers=()), F(1190, 120))
     assert got.order == F(119, 12)
     assert got.coeffs == {e - 10: c for e, c in want.items() if c}
 
@@ -170,5 +170,5 @@ def test_direct_route_reads_no_printed_shape():
         assert not refs & printed, name
         reached |= refs
         todo += [r for r in refs if r in defs and r not in seen]
-    assert {"_DIRECT_SIGNS", "_fixed_form", "_prefactor", "_octant_product",
+    assert {"_DIRECT_SIGNS", "_fixed_form", "_prefactor", "closed_series",
             "_times_eta"} <= reached

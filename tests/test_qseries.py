@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASSES, GRAM_1A, GRAM_2A,
-                                 TraceId, _times_eta, closed_series,
-                                 h_component, trace_closed, trace_direct)
+                                 ClosedForm, TraceId, _times_eta,
+                                 closed_series, h_component, trace_closed,
+                                 trace_direct)
 from e8umbral.mocktheta import identity_suite, octant_series, ramanujan_series
 from e8umbral.qseries import (DEN, DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError, _num)
@@ -166,7 +167,8 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: QSeries({0: 1}, inf),
     lambda inf: q(0, order=5).coefficient(inf),
     lambda inf: q(0, order=5).first_difference(q(0, order=5), inf),
-    lambda inf: closed_series(((1, -2),), ((1,),), (1,), (1,), 1, -1, inf),
+    lambda inf: closed_series(ClosedForm(((1, -2),), ((1,),), (1,), (1,), 1,
+                                         -1), inf),
     lambda inf: trace_closed(TraceId(CLASS_1A, 1), inf),
     lambda inf: trace_direct(TraceId(CLASS_1A, 1), inf),
     lambda inf: h_component(CLASS_1A, 1, inf),
@@ -263,10 +265,9 @@ def test_minus_q_substitution():
 # the one product: an eta quotient times an octant sum, in place
 
 
-# the 1A trace of coset 1 and the corollary sum cor_rhs_1, as
-# closed_series rows
-_FORMS = ((((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10),
-          (((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1, 0))
+# the 1A trace of coset 1 and the corollary sum cor_rhs_1
+_FORMS = (ClosedForm(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10),
+          ClosedForm(((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1, 0))
 
 
 def test_mul_truncation_rule():
@@ -276,10 +277,10 @@ def test_mul_truncation_rule():
     for form, order in itertools.product(_FORMS,
                                          (F(-1, 120), 0, F(7, 3), 9,
                                           F(121, 12))):
-        got = closed_series(*form, order)
+        got = closed_series(form, order)
         assert got.order == order
-        assert same_up_to(got, closed_series(*form, order + 3), order)
-        assert got.coeffs == closed_form_oracle(*form, order)
+        assert same_up_to(got, closed_series(form, order + 3), order)
+        assert got.coeffs == closed_form_oracle(form, order)
 
 
 def test_zero_series_annihilates_conservatively():
@@ -287,11 +288,10 @@ def test_zero_series_annihilates_conservatively():
     # empty product, known to that order, whatever the eta quotient; and
     # an order below q^-1 is the empty series too, not an error
     for powers in ((), ((1, -2),), ((1, 1), (3, -1))):
-        got = closed_series(powers, GRAM_1A, (1, 1, 1), (1, 1, 1), 1, 600,
-                            2)
+        got = closed_series(ClosedForm(powers, GRAM_1A, (1, 1, 1),
+                                       (1, 1, 1), 1, 600), 2)
         assert not got.coeffs and got.order == 2
-    got = closed_series(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, -10,
-                        -3)
+    got = closed_series(_FORMS[0], -3)
     assert not got.coeffs and got.order == -3
 
 
