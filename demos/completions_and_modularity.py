@@ -9,9 +9,8 @@ indefinite theta function by eta(2 tau), giving a genuinely independent
 route.
 """
 
-from e8umbral import (CLASSES, completion_value, indefinite_theta,
-                      multiplier_matrix, tau1_identity_check,
-                      transform_check)
+from e8umbral import (CLASSES, h_value, indefinite_theta, multiplier_matrix,
+                      tau1_identity_check, transform_check)
 from e8umbral.characters import FAMILIES
 from e8umbral.maass import order2_theta_data
 
@@ -20,7 +19,7 @@ tau = 0.1 + 0.8j
 print("completed components at tau =", tau)
 for name, cls in CLASSES.items():
     for r in FAMILIES:
-        v = completion_value(cls, r, tau, 1e-9)
+        v, _ = h_value(cls, r, tau, 1e-9, completion=True)
         print(f"  H^hat[{name}, r={r}] = {v:.10f}")
 
 print()

@@ -13,10 +13,9 @@ sketch import from `e8umbral`; every other name comes from its module.
 """
 
 from .qseries import QSeries
-from .characters import (CLASSES, TraceId, h_component, trace_closed,
-                         trace_direct)
+from .characters import CLASSES, TraceId, h_component, trace_closed
 from .mocktheta import compare_series, identity_suite, ramanujan_series
-from .maass import (completion_value, h_value, indefinite_theta,
-                    multiplier_matrix, tau1_identity_check, transform_check)
+from .maass import (h_value, indefinite_theta, multiplier_matrix,
+                    tau1_identity_check, transform_check)
 
 __version__ = "0.1.0"

@@ -5,8 +5,8 @@ A trace is minus ``closed_series`` of a ``ClosedForm`` record: an eta
 quotient times a signed sum over both octants of Z^n, multiplied in place
 on the dense list of the sum's one walk before any series exists.
 ``trace_closed`` reads its record from the printed closed lattice sums and
-prefactors (one shape per conjugacy class of the S3 symmetry);
-``trace_direct`` derives it from the lattice (``lattice._fixed_form``), the
+prefactors (one shape per class of the S3 symmetry), by ``_closed_data``;
+``_direct_data`` derives it from the lattice (``lattice._fixed_form``), the
 class's sign rule and 2A flip, and its cycles (the one-fermion times
 Heisenberg prefactor).  ``verify`` compares the two records, which proves
 the traces equal at every order and checks every printed datum against the
@@ -273,22 +273,15 @@ def _prefactor(group_class: GroupClass) -> tuple:
 
 
 def _direct_data(trace_id: TraceId) -> ClosedForm:
-    """The derived data: ``lattice._fixed_form``, the class's sign rule mod
-    2 and branch-N sign, and the prefactor, its shift added to the form's."""
+    """The derived data, not the printed shapes: ``lattice._fixed_form``,
+    the class's literal sign rule mod 2 and branch-N sign, and the
+    one-fermion times Heisenberg prefactor, its shift added to the form's."""
     cls = trace_id.group_class
     signs, negative_sign = _DIRECT_SIGNS[cls.order]
     gram, lin, shift = _fixed_form(cls.cycles, trace_id.coset_a)
     powers, pre_shift = _prefactor(cls)
     return ClosedForm(powers, gram, lin, tuple(s % 2 for s in signs),
                       negative_sign, shift + pre_shift)
-
-
-def trace_direct(trace_id: TraceId, order) -> QSeries:
-    """The trace from the derived data, not the printed shapes: the
-    octant sum of the form of ``lattice._fixed_form`` with the class's
-    literal sign rule and branch-N sign, times the one-fermion factor
-    -q^(1/24) (q;q)_inf (the sign of T^-) and the Heisenberg trace."""
-    return -closed_series(_direct_data(trace_id), order)
 
 
 # ----------------------------------------------------------------------

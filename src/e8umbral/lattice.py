@@ -9,7 +9,7 @@ the cone points of L + a*rho/2 are the integer (k, l, m) all >= 0
 (branch P) or all < 0 (branch N).  A permutation fixes the mu constant on
 each of its cycles; in one free coordinate per cycle these are again the
 two octants, on which ``_fixed_form`` gives Q(mu) = <mu, mu>/2, the form
-that ``characters.trace_direct`` sums with ``characters.closed_series``.
+that ``characters._direct_data`` records for ``characters.closed_series``.
 """
 
 GRAM = tuple(tuple(2 - (i == j) for j in range(3)) for i in range(3))

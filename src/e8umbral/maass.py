@@ -15,6 +15,7 @@ an empirical tail, at the order ``_eval_order`` gives for its tolerance
 the tail and rounding of H_r, plus those of the Eichler part for a
 completion; a value it cannot back is refused with a bare reason
 (ConvergenceError, NumericsError), to which h_value adds tol and tau.
+h_value and the checks refuse a tol not finite and > 0 before any sum.
 
 Summing at tau itself needs an order of about 1/Im tau, so near a cusp
 it hits that cap.  h_value, the evaluator of `eval`, therefore maps tau
@@ -23,7 +24,7 @@ Gamma_0(N), N the order of the class, sums the completed pair (H_1, H_7)
 there at a 40-term order and pulls it back through _law, the one
 statement of the weight-1/2 law, with nu(gamma) from multiplier_matrix;
 transform_check checks it.  Every other value is summed by _at_point
-at the point it is given, and so are completion_value and the checks
+at the point it is given, and so is each side of the checks
 (transform_check, tau1_identity_check), so a check stays independent of
 the route it checks.  The two sums of H_r (series_value, _eichler_part)
 sum at Re tau - round(Re tau), with the phase of the integer part from
@@ -82,6 +83,12 @@ def _im_upper(tau: complex) -> float:
     if not (math.isfinite(tau.real) and 0 < tau.imag < math.inf):
         raise NumericsError("tau must lie in the upper half plane")
     return tau.imag
+
+
+def _check_tol(tol: float) -> None:
+    """NumericsError unless tol is a finite number > 0."""
+    if not 0 < tol < math.inf:
+        raise NumericsError(f"tol must be a finite number > 0, not {tol!r}")
 
 
 def series_value(series: QSeries, tau: complex) -> tuple:
@@ -259,12 +266,6 @@ def _at_point(group_class: GroupClass, r: int, tau: complex, tol: float,
     return value, max(tail + rounding + eichler_est, math.ulp(abs(value)))
 
 
-def completion_value(group_class: GroupClass, r: int, tau: complex,
-                     tol: float) -> complex:
-    """The completed H_r(tau), summed at tau itself by _at_point."""
-    return _at_point(group_class, r, tau, tol, True)[0]
-
-
 def _to_fundamental_domain(tau: complex) -> tuple:
     """(gamma, gamma tau, c tau + d) for gamma in SL2(Z) with gamma tau in
     the standard fundamental domain (|Re| <= 1/2, |tau| >= 1): T^(-round(Re))
@@ -322,6 +323,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
         raise ValueError(f"component {r} is not in the support")
     family, sign = rule
     _im_upper(tau)
+    _check_tol(tol)
     try:
         gamma, gtau, jac = _to_fundamental_domain(tau)
         # nu(T^n) is diagonal: sum H_r alone; the pair exits 3 if |H_1| > 4.5e6
@@ -525,8 +527,8 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
 
     with (a, c1, c2) = (1, 1, 11) for r = 1 and (3, 13, 23) for r = 7, a
     the coset of the family's trace.  The R-terms equal sum_{s in
-    family(r)} R_{s/60,0}(60 tau), the certified Eichler part of
-    completion_value, which gives the right side.  The printed minus
+    family(r)} R_{s/60,0}(60 tau), the certified Eichler part of the
+    completion _at_point sums, which gives the right side.  The printed minus
     signs on the R-terms are a typo: both routes give plus.
 
     eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
@@ -537,6 +539,7 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     """
     data = order2_theta_data(r)
     y = _im_upper(tau)
+    _check_tol(tol)
     tau = complex(math.fmod(tau.real, DEN), y)
     theta_val = indefinite_theta(data, tau, tail_bound=tol * 1e-3)
 
@@ -547,7 +550,7 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12,
                                       1 / 6)[0]
     lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
-    return abs(lhs - completion_value(CLASS_2A, r, tau, tol / 10.0))
+    return abs(lhs - _at_point(CLASS_2A, r, tau, tol / 10.0, True)[0])
 
 
 # ----------------------------------------------------------------------
@@ -635,15 +638,16 @@ def _law(group_class: GroupClass, gamma):
 def transform_check(group_class: GroupClass, gamma, tau: complex,
                     tol: float) -> float:
     """Residual of the law of _law at gamma in Gamma_0(order), each side
-    summed at its own point by completion_value."""
+    its completion summed at its own point by _at_point."""
     if (law := _law(group_class, gamma)) is None:
         raise NumericsError(f"gamma is not in Gamma_0({group_class.order})")
+    _check_tol(tol)
     nu, phase = law
     (a, b), (c, d) = gamma
     gtau = (a * tau + b) / (c * tau + d)
-    h1, h7 = (completion_value(group_class, r, tau, tol / 10.0)
+    h1, h7 = (_at_point(group_class, r, tau, tol / 10.0, True)[0]
               for r in FAMILIES)
     jac = cmath.sqrt(c * tau + d)
-    return max(abs(completion_value(group_class, r, gtau, tol / 10.0) / jac
-                   - phase * (row[0] * h1 + row[1] * h7))
+    return max(abs(_at_point(group_class, r, gtau, tol / 10.0, True)[0]
+                   / jac - phase * (row[0] * h1 + row[1] * h7))
                for r, row in zip(FAMILIES, nu))

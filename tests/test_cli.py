@@ -8,6 +8,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from e8umbral import characters, cli, mocktheta
+from e8umbral import characters, cli, maass, mocktheta
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, FAMILIES,
                                  TraceId, component_family, trace_closed)
 from e8umbral.cli import main
@@ -189,7 +191,7 @@ def test_verify_corrupt_hook_fails(capsys, suite):
     assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
-def corrupt_trace_direct(monkeypatch):
+def corrupt_direct_data(monkeypatch):
     """Add one to the first lin entry of the direct record of 2A a=3;
     return the printed and the derived lin."""
     real = cli._direct_data
@@ -207,7 +209,7 @@ def corrupt_trace_direct(monkeypatch):
 def test_verify_names_closed_vs_direct_discrepancy(capsys, monkeypatch):
     # one datum of the direct route off by one: exactly one failed check,
     # naming the trace id, the field and both values plainly
-    printed, derived = corrupt_trace_direct(monkeypatch)
+    printed, derived = corrupt_direct_data(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--suite", "exact",
                            "--order", "8")
     assert code == 1
@@ -242,7 +244,7 @@ def fail_identity(monkeypatch):
 
 
 def fail_closed_vs_direct(monkeypatch):
-    printed, derived = corrupt_trace_direct(monkeypatch)
+    printed, derived = corrupt_direct_data(monkeypatch)
     return [], IdentityReport("closed vs direct route, 2A a=3",
                               IdentityReport.EVERY,
                               ("lin", printed, derived)), 30
@@ -685,6 +687,33 @@ def test_verify_numeric_lines_in_process(capsys):
     assert code == 3 and out == "" and len(err.splitlines()) == 1
     assert "(tol 5e-15 in transformation 2A gamma=((1, 0), (2, 1)))" in err
     assert "5e-16" not in err
+
+
+def test_verify_numeric_never_pulls_back(capsys, monkeypatch):
+    # each check sums both of its sides at their own points: with the map
+    # to F and the evaluator that pulls back through the law both broken,
+    # every check still passes
+    def broken(*args, **kwargs):
+        raise AssertionError("a check reached the pull-back")
+
+    for name in ("_to_fundamental_domain", "h_value"):
+        monkeypatch.setattr(maass, name, broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "12/12 checks passed"
+
+
+def test_readme_error_lines(capsys):
+    # each command README quotes with the "error:" line it writes, inline
+    # or as an indented block: that line is all of its stderr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.findall(r"`((?:table|verify|eval) [^`]*)` writes\s+"
+                        r"(?:`(error: [^`]*)`|(error: [^\n]*))", readme)
+    assert len(quoted) >= 3
+    for command, inline, block in quoted:
+        code, out, err = run_cli(capsys, *shlex.split(command))
+        assert (code in (2, 3), out, err) == (True, "", (inline or block)
+                                               + "\n"), command
 
 
 def test_closed_stdout_ends_quietly():

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,17 @@ def test_library_sketch_runs():
         proc = subprocess.run([sys.executable, "-c", block], env=env,
                               cwd=ROOT, capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
+def test_workflow_names_existing_tests():
+    # every test that the workflow runs by its node id is a test function
+    # of the file it names: a renamed or deleted test fails here, not only
+    # on CI
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    node_ids = re.findall(r'"(tests/\w+\.py)::(\w+)', workflow)
+    assert len(node_ids) >= 10
+    for path, name in node_ids:
+        tree = ast.parse((ROOT / path).read_text())
+        assert name in {node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef)}, \
+            f"{path}::{name}"

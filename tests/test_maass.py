@@ -17,7 +17,7 @@ from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             _pd_lambda_min, _theta_sum, _theta_term,
                             _to_fundamental_domain, _wall_coordinate,
                             _wedge_lambda_min,
-                            beta_incomplete, completion_value,
+                            beta_incomplete,
                             e, h_value, indefinite_theta,
                             multiplier_matrix, nu_S, nu_T, order2_theta_data,
                             r_function, series_value,
@@ -368,14 +368,14 @@ def test_completion_routes_agree():
                               for n, c in terms)
             holo = series_value(h_component(cls, r, 2 * order), tau)[0]
             oracle = holo + _ray_integral(g, tau) / math.sqrt(60)
-            assert abs(completion_value(cls, r, tau, 1e-9) - oracle) \
+            assert abs(_at_point(cls, r, tau, 1e-9, True)[0] - oracle) \
                 < 1e-9, (tau, cls.name, r)
 
 
 def test_printed_r_terms_equal_family_r_sum():
     # the printed R-terms of the order-2 completion identity,
     # e(-c/60) R_{c/30,-1/2}(15 tau), sum to the Eichler part
-    # sum_{s in family(r)} R_{s/60,0}(60 tau) that completion_value uses;
+    # sum_{s in family(r)} R_{s/60,0}(60 tau) that _at_point adds;
     # with the printed minus signs they do not
     printed = {1: (1, 11), 7: (13, 23)}
     family = {1: (1, 11, 19, 29), 7: (7, 13, 17, 23)}
@@ -408,7 +408,7 @@ def test_large_real_part_t_law():
                 series = [_at_point(cls, r, t, 1e-12, False)[0]
                           for t in (at, base)]
                 assert abs(series[0] - phase * series[1]) < 1e-13
-                completed = [completion_value(cls, r, t, 1e-12)
+                completed = [_at_point(cls, r, t, 1e-12, True)[0]
                              for t in (at, base)]
                 assert abs(completed[0] - phase * completed[1]) < 1e-13
                 assert abs(h_value(cls, r, at, 1e-12, True)[0]
@@ -432,7 +432,7 @@ def test_order2_completion_equals_theta_quotient():
             # the phase tracks the coset characteristic (1 or 3)/10
             pref = -e(F(-1, 10)) if r == 1 else -e(F(-3, 10))
             quotient = pref * th / eta_val
-            comp = completion_value(CLASS_2A, r, tau, 1e-9)
+            comp = _at_point(CLASS_2A, r, tau, 1e-9, True)[0]
             assert abs(quotient - comp) < 1e-13, (r, tau)
             if r == 7 and tau == 0.1 + 0.8j:
                 # the component label is not the phase: e(-7/10) misses
@@ -444,13 +444,13 @@ def test_order3_completion_is_plain_series():
     from e8umbral.maass import _eval_order
     plain = series_value(
         h_component(CLASS_3A, 7, _eval_order(tau.imag, 1e-9)), tau)[0]
-    assert abs(completion_value(CLASS_3A, 7, tau, 1e-9) - plain) < 1e-12
+    assert abs(_at_point(CLASS_3A, 7, tau, 1e-9, True)[0] - plain) < 1e-12
 
 
 def test_negative_component_index():
     tau = 0.2 + 1.0j
-    a = completion_value(CLASS_2A, 59, tau, 1e-9)
-    b = completion_value(CLASS_2A, 1, tau, 1e-9)
+    a = _at_point(CLASS_2A, 59, tau, 1e-9, True)[0]
+    b = _at_point(CLASS_2A, 1, tau, 1e-9, True)[0]
     assert abs(a + b) < 1e-10
 
 
@@ -657,7 +657,7 @@ def test_modular_value_band_matches_direct_summation():
             got, _ = h_value(CLASS_1A, r, tau, 1e-12, False)
             assert abs(got - series) < 1e-12 * abs(series), (r, tau)
             got, _ = h_value(CLASS_1A, r, tau, 1e-12, True)
-            want = completion_value(CLASS_1A, r, tau, 1e-12)
+            want = _at_point(CLASS_1A, r, tau, 1e-12, True)[0]
             assert abs(got - want) < 1e-12 * (abs(series) + abs(eichler)), \
                 (r, tau)
 
@@ -685,7 +685,7 @@ def test_gamma0_pull_back_band_matches_direct_summation(cls, cs):
             got, _ = h_value(cls, r, tau, 1e-12, False)
             assert abs(got - series) < 1e-12 * abs(series), (r, tau)
             got, _ = h_value(cls, r, tau, 1e-12, True)
-            want = completion_value(cls, r, tau, 1e-12)
+            want = _at_point(cls, r, tau, 1e-12, True)[0]
             assert abs(got - want) < 1e-12 * (abs(series) + abs(eichler)), \
                 (r, tau)
 
@@ -877,6 +877,12 @@ def test_modular_value_in_f_is_direct_summation():
 _OFF_H = (0.3 + 0j, 0j, 0.3 - 1j, complex(math.inf, 1),
           complex(0.3, math.inf), complex(math.nan, 1),
           complex(0.3, math.nan))
+_BAD_TOLS = (0.0, -1e-9, -math.inf, math.inf, math.nan)
+
+
+def _refuses_tol(tol):
+    return pytest.raises(NumericsError, match=re.escape(
+        f"tol must be a finite number > 0, not {tol!r}"))
 
 
 @pytest.mark.parametrize("completion", [False, True])
@@ -889,6 +895,27 @@ def test_modular_value_rejects_bad_input(completion):
         for tau in _OFF_H:
             with pytest.raises(NumericsError, match="upper half plane"):
                 h_value(cls, 1, tau, 1e-9, completion)
+        # one refusal for every tol that is not finite and > 0, at a point
+        # of F and at one pulled back to F
+        for tau in (0.3 + 1j, 0.2 + 0.01j):
+            for tol in _BAD_TOLS:
+                with _refuses_tol(tol):
+                    h_value(cls, 1, tau, tol, completion)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_checks_reject_bad_tol(tol, monkeypatch):
+    # the checks refuse the tols h_value refuses, before any sum
+    def summed(*args, **kwargs):
+        raise AssertionError("a sum ran")
+
+    for name in ("_at_point", "_theta_sum", "indefinite_theta"):
+        monkeypatch.setattr(maass, name, summed)
+    with _refuses_tol(tol):
+        tau1_identity_check(0.1 + 0.8j, 1, tol)
+    for cls in (CLASS_1A, CLASS_2A, CLASS_3A):
+        with _refuses_tol(tol):
+            transform_check(cls, cls.check_gammas[-1], 0.2 + 1.1j, tol)
 
 
 @pytest.mark.parametrize("tau", _OFF_H)
@@ -896,7 +923,7 @@ def test_evaluators_reject_tau_off_h(tau):
     # one check before the mod-120 reduction of Re tau, which raises
     # ValueError on an infinite part
     for value in (lambda: _at_point(CLASS_2A, 1, tau, 1e-9, False),
-                  lambda: completion_value(CLASS_2A, 7, tau, 1e-9),
+                  lambda: _at_point(CLASS_2A, 7, tau, 1e-9, True),
                   lambda: r_function(F(1, 60), 0, tau, 1e-12)):
         with pytest.raises(NumericsError, match="upper half plane"):
             value()
@@ -1081,8 +1108,8 @@ def test_cusp_boundedness_contrast():
     # toward the cusp 0 the order-2 completion stays bounded while the
     # identity-class completion grows
     ts = (0.2, 0.1, 0.05)
-    v1 = [abs(completion_value(CLASS_1A, 1, t * 1j, 1e-6)) for t in ts]
-    v2 = [abs(completion_value(CLASS_2A, 1, t * 1j, 1e-6)) for t in ts]
+    v1 = [abs(_at_point(CLASS_1A, 1, t * 1j, 1e-6, True)[0]) for t in ts]
+    v2 = [abs(_at_point(CLASS_2A, 1, t * 1j, 1e-6, True)[0]) for t in ts]
     assert v1[0] < v1[1] < v1[2]
     assert v1[2] > 3.0 * v1[0]
     assert max(v2) < 6.0

@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from e8umbral.characters import (CLASS_1A, CLASSES, GRAM_1A, GRAM_2A,
-                                 ClosedForm, TraceId, _times_eta,
-                                 closed_series, h_component, trace_closed,
-                                 trace_direct)
+                                 ClosedForm, TraceId, _direct_data,
+                                 _times_eta, closed_series, h_component,
+                                 trace_closed)
 from e8umbral.mocktheta import identity_suite, octant_series, ramanujan_series
 from e8umbral.qseries import (DEN, DivergenceError, GradingError,
                               QSeries, SeriesError, TruncationError, _num)
@@ -170,13 +170,13 @@ def test_float_at_the_boundary_is_refused(build, error, named):
     lambda inf: closed_series(ClosedForm(((1, -2),), ((1,),), (1,), (1,), 1,
                                          -1), inf),
     lambda inf: trace_closed(TraceId(CLASS_1A, 1), inf),
-    lambda inf: trace_direct(TraceId(CLASS_1A, 1), inf),
+    lambda inf: closed_series(_direct_data(TraceId(CLASS_1A, 1)), inf),
     lambda inf: h_component(CLASS_1A, 1, inf),
     lambda inf: ramanujan_series("chi0", inf),
     lambda inf: octant_series("chi0_side", inf),
     lambda inf: identity_suite(inf),
 ], ids=["QSeries", "coefficient", "first_difference",
-        "closed_series", "trace_closed", "trace_direct",
+        "closed_series", "trace_closed", "direct_data",
         "h_component", "ramanujan_series", "octant_series", "identity_suite"])
 def test_infinite_order_is_refused(build):
     # every series is known to a finite order: an infinite one is off the
