@@ -53,6 +53,13 @@ def component_family(r: int):
     return _RULE.get(r % 60)
 
 
+def _family_rule(r: int):
+    """component_family(r), or ValueError off the support."""
+    if (rule := component_family(r)) is None:
+        raise ValueError(f"component {r} is not in the support")
+    return rule
+
+
 class GroupClass(namedtuple("GroupClass", "name permutation")):
     """A conjugacy class of the S3 action permuting the three E8 summands,
     named by one permutation (the images of indices 0, 1, 2).  The rest
@@ -222,7 +229,8 @@ def _times_eta(p: list, powers) -> None:
                         p[i + g] += v
 
 
-# the printed forms of the 1A cube and 2A sums, read by mocktheta and maass
+# the printed forms of the 1A cube and 2A sums: maass reads GRAM_2A, and
+# mocktheta's identities read the shapes through _closed_data
 GRAM_1A = ((1, 2, 2), (2, 1, 2), (2, 2, 1))
 GRAM_2A = ((6, 4), (4, 1))
 # the class shapes at the unit coset, as ClosedForm templates: lin the
@@ -297,9 +305,7 @@ def h_component(group_class: GroupClass, r: int, order) -> QSeries:
     theta identities).  A negative residue carries the sign of
     component_family.
     """
-    if (rule := component_family(r)) is None:
-        raise ValueError(f"component {r} is not in the support")
-    family, sign = rule
+    family, sign = _family_rule(r)
     a = FAMILIES[family].coset_a
     scale = -2 if a == 3 and group_class.order != 2 else 2
     return trace_closed(TraceId(group_class, a), order).scale(scale * sign)

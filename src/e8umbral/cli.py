@@ -70,11 +70,15 @@ def cmd_table(component: int, max_row: int, fmt: str) -> int:
     return 0
 
 
-def _exact_checks(order: int) -> list[IdentityReport]:
+def _exact_checks(order: int, corrupt: bool) -> list[IdentityReport]:
     reports = identity_suite(order)
-    reports += [compare_data(
-        f"closed vs direct route, {tid.group_class.name} a={tid.coset_a}",
-        _closed_data(tid), _direct_data(tid)) for tid in all_trace_ids()]
+    for i, tid in enumerate(all_trace_ids()):
+        name, printed = (f"closed vs direct route, {tid.group_class.name} "
+                         f"a={tid.coset_a}", _closed_data(tid))
+        if corrupt and i == 0:   # negative control: a printed shift off by 1
+            name, printed = name + " [corrupted]", printed._replace(
+                shift=printed.shift + 1)
+        reports.append(compare_data(name, printed, _direct_data(tid)))
     hits, pairs = thetanullwerte_class_check(30)
     # a hit (n, r, t): theta0_(n,r) lies in the class t/120 mod 1
     reports.append(IdentityReport(
@@ -109,14 +113,13 @@ def cmd_verify(suite: str, order: int, tol: float, corrupt: bool) -> int:
     """The exact, numeric or all verification suites."""
     reports = []
     if suite in ("exact", "all"):
-        reports += _exact_checks(order)
+        reports += _exact_checks(order, corrupt)
     if suite in ("numeric", "all"):
         reports += _numeric_checks(tol)
-    if corrupt:
-        # negative-control hook: fail the first check of the suite run
+    if corrupt and suite == "numeric":
+        # negative control: the first check's residual judged against tol 0
         reports[0] = reports[0]._replace(
-            name=reports[0].name + " [corrupted]",
-            first_discrepancy=(5, 1, 2), residual=None)
+            name=reports[0].name + " [corrupted]", tol=0.0)
     failed = sum(not rep.verified for rep in reports)
     lines = [*map(str, reports),
              f"{len(reports) - failed}/{len(reports)} checks passed"]

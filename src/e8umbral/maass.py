@@ -37,7 +37,7 @@ import sys
 from collections import namedtuple
 
 from .characters import (CLASS_2A, FAMILIES, GRAM_2A, GroupClass,
-                         component_family, h_component)
+                         _family_rule, component_family, h_component)
 from .qseries import DEN, QSeries
 
 TWO_PI = 2.0 * math.pi
@@ -319,9 +319,7 @@ def h_value(group_class: GroupClass, r: int, tau: complex, tol: float,
     becomes a NumericsError, and each is raised again as "<reason> (tol
     <tol> at tau = <tau>)", of its type.
     """
-    if (rule := component_family(r)) is None:
-        raise ValueError(f"component {r} is not in the support")
-    family, sign = rule
+    family, sign = _family_rule(r)
     _im_upper(tau)
     _check_tol(tol)
     try:
@@ -510,11 +508,9 @@ def indefinite_theta(data: IndefThetaData, tau: complex,
 
 def order2_theta_data(r: int) -> IndefThetaData:
     """The printed cone data for the order-2 class: a = (c/10, c/10) with
-    c the coset of the family's trace, 1 for r = 1 and 3 for r = 7, and
-    b = (3/20, -1/10), as numerators over 120."""
-    if r not in FAMILIES:
-        raise NumericsError("component must be 1 or 7")
-    a = (12 * FAMILIES[r].coset_a,) * 2
+    c the coset of the trace of r's family, 1 for the 1-family and 3 for
+    the 7-family, and b = (3/20, -1/10), as numerators over 120."""
+    a = (12 * FAMILIES[_family_rule(r)[0]].coset_a,) * 2
     return IndefThetaData(GRAM_2A, a, (18, -12), (-1, 4), (-2, 3))
 
 
@@ -526,10 +522,12 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
                          + e(-c2/60) R_{c2/30,-1/2}(15 tau)
 
     with (a, c1, c2) = (1, 1, 11) for r = 1 and (3, 13, 23) for r = 7, a
-    the coset of the family's trace.  The R-terms equal sum_{s in
-    family(r)} R_{s/60,0}(60 tau), the certified Eichler part of the
-    completion _at_point sums, which gives the right side.  The printed minus
-    signs on the R-terms are a typo: both routes give plus.
+    the coset of the family's trace.  Any other r of the support is checked
+    as its family (component_family): H_r = sign H_family, so the residual
+    is the family's.  The R-terms equal sum_{s in family(r)} R_{s/60,0}(60
+    tau), the certified Eichler part of the completion _at_point sums,
+    which gives the right side.  The printed minus signs on the R-terms are
+    a typo: both routes give plus.
 
     eta(2 tau) = e(-1/12) sum_{nu in 1/6+Z} e(nu/2 + 3 nu^2 tau) is summed
     by _theta_sum with lam = 3, as |q^(3 nu^2)| = exp(-6 pi y nu^2), to a
@@ -537,7 +535,8 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
     tau is reduced mod DEN = 120 for theta and eta(2 tau), of periods 40
     (Q(nu) in 3c^2/40 + Z) and 12; the completion's sums reduce their own.
     """
-    data = order2_theta_data(r)
+    family = _family_rule(r)[0]
+    data = order2_theta_data(family)
     y = _im_upper(tau)
     _check_tol(tol)
     tau = complex(math.fmod(tau.real, DEN), y)
@@ -549,8 +548,8 @@ def tau1_identity_check(tau: complex, r: int, tol: float) -> float:
 
     eta_val = e(-1 / 12) * _theta_sum(eta_term, 1, 3.0, 1.0, y, tol * 1e-12,
                                       1 / 6)[0]
-    lhs = -e(-FAMILIES[r].coset_a / 10) * theta_val / eta_val
-    return abs(lhs - _at_point(CLASS_2A, r, tau, tol / 10.0, True)[0])
+    lhs = -e(-FAMILIES[family].coset_a / 10) * theta_val / eta_val
+    return abs(lhs - _at_point(CLASS_2A, family, tau, tol / 10.0, True)[0])
 
 
 # ----------------------------------------------------------------------

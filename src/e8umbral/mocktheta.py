@@ -20,17 +20,18 @@ binomials:
 Multiplying by 1 - s q^k is one pass over the list, dividing by it one
 running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
 (n+1)^2 bound the number of summands, so to order N chi0 and chi1 cost
-O(N^2) integer additions and the other four O(N^1.5).  The Zwegers and
-Hecke-type sums are ``octant_series``: each a ``ClosedForm`` row of
-``_SUMS``, an eta-quotient times an octant sum, built by ``closed_series``
-as the traces are.
+O(N^2) integer additions and the other four O(N^1.5).  The identities'
+octant sums are read where they are stated: the Zwegers triple sums are
+the 1A traces, the corollary's right sides the 2A shape with other eta
+powers, and the Hecke-type sums the template ``_HECKE``.
 """
 
 from collections import namedtuple
 from operator import add
 
-from .characters import (CLASS_1A, CLASS_2A, FAMILIES, GRAM_1A, GRAM_2A,
-                         ClosedForm, closed_series, h_component)
+from .characters import (CLASS_1A, CLASS_2A, FAMILIES, ClosedForm, TraceId,
+                         _closed_data, closed_series, h_component,
+                         trace_closed)
 from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -82,42 +83,6 @@ def ramanujan_series(name: str, order) -> QSeries:
 
 
 # ----------------------------------------------------------------------
-# indefinite double and triple sums
-
-
-# name: the ClosedForm, shift 0, of the eta quotient times the octant sum
-# of each side.  The chi sides 2 - chi0 and chi1 are
-# q^((k^2+l^2+m^2)/2 + 2(kl+lm+mk) + c(k+l+m)/2) / (q;q)_inf^2, c = 1, 3.
-# The Hecke sums (-1)^m q^(k^2/2 + m^2/2 + 4km + alpha k + beta m) over
-# k = m mod 2, (alpha, beta) = (1/2, 3/2), (3/2, 5/2), times (q;q)_inf /
-# (q^2;q^2)_inf^2 are phi0(-q) and -q^-1 phi1(-q), and bare the corollary
-# lhs; its rhs is prod_{n>0} (1 + q^n) = (q^2;q^2)_inf / (q;q)_inf times
-# (-1)^(k+m) q^(3k^2 + m^2/2 + 4km + c k + c m/2), c = 1, 3.
-_KM = ((1, 4), (4, 1))
-_SUMS = {
-    "chi0_side": ClosedForm(((1, -2),), GRAM_1A, (1, 1, 1), (1, 1, 1), 1, 0),
-    "chi1_side": ClosedForm(((1, -2),), GRAM_1A, (3, 3, 3), (1, 1, 1), 1, 0),
-    "phi0_lhs": ClosedForm(((1, 1), (2, -2)), _KM, (1, 3), (0, 1), -1, 0,
-                           (1, 1)),
-    "phi1_lhs": ClosedForm(((1, 1), (2, -2)), _KM, (3, 5), (0, 1), -1, 0,
-                           (1, 1)),
-    "cor_lhs_1": ClosedForm((), _KM, (1, 3), (0, 1), -1, 0, (1, 1)),
-    "cor_lhs_7": ClosedForm((), _KM, (3, 5), (0, 1), -1, 0, (1, 1)),
-    "cor_rhs_1": ClosedForm(((1, -1), (2, 1)), GRAM_2A, (2, 1), (1, 1), -1,
-                            0),
-    "cor_rhs_7": ClosedForm(((1, -1), (2, 1)), GRAM_2A, (6, 3), (1, 1), -1,
-                            0),
-}
-
-
-def octant_series(name: str, order) -> QSeries:
-    """One of the eight sums of _SUMS, exact to order."""
-    if name not in _SUMS:
-        raise SeriesError(f"unknown series {name!r}")
-    return closed_series(_SUMS[name], order)
-
-
-# ----------------------------------------------------------------------
 # identity suite
 
 
@@ -164,6 +129,13 @@ def compare_data(name: str, printed, derived) -> IdentityReport:
          if p != d), None))
 
 
+# the Hecke-type sum (-1)^m q^(k^2/2 + m^2/2 + 4km + (a k + (a + 2) m)/2)
+# over k = m mod 2 at lin = (a, a + 2), a the coset of a family: bare, the
+# corollary's left side; times (q;q)_inf / (q^2;q^2)_inf^2, phi0(-q) at
+# a = 1 and -q^-1 phi1(-q) at a = 3
+_HECKE = ClosedForm((), ((1, 4), (4, 1)), None, (0, 1), -1, 0, (1, 1))
+
+
 def identity_suite(order) -> list[IdentityReport]:
     """Verify the full catalogue of exact q-series identities.
 
@@ -172,32 +144,41 @@ def identity_suite(order) -> list[IdentityReport]:
     identities, the chi/F/phi relations, the trace-to-mock-theta splitting
     of the identity-class trace, and the four table identities expressing
     the assembled components through chi0, chi1, phi0, phi1.
+
+    The triple sums are minus the 1A traces at the families' cosets times
+    q^(-lead/120), and the corollary's right side is prod_{n>0} (1 + q^n) =
+    (q^2;q^2)_inf / (q;q)_inf times the 2A shape at the coset, shift 0.
     """
-    hi = order + 2          # margin for the q^-1 and q^(-49/120) shifts
+    hi = order + 2      # margin for the q^-1, q^(-49/120), q^(-71/120) shifts
     chi0, chi1, F0, F1 = (ramanujan_series(name, hi)
                           for name in ("chi0", "chi1", "F0", "F1"))
     phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
                     for name in ("phi0", "phi1"))
     m1, p71 = (f.lead for f in FAMILIES.values())   # q^(-1/120), q^(71/120)
-    h1, h7 = (h_component(CLASS_1A, r, order) for r in FAMILIES)
+    h1, h7 = (h_component(CLASS_1A, r, hi) for r in FAMILIES)
     phi1m_1 = phi1m.shift(-1)    # q^-1 phi1(-q)
+    triple0, triple1 = (
+        -trace_closed(TraceId(CLASS_1A, f.coset_a), hi)._shift(-f.lead)
+        for f in FAMILIES.values())
+    hecke = {r: _HECKE._replace(lin=(f.coset_a, f.coset_a + 2))
+             for r, f in FAMILIES.items()}
+    phi0_lhs, phi1_lhs = (
+        closed_series(form._replace(powers=((1, 1), (2, -2))), order)
+        for form in hecke.values())
+    corollary = [
+        (f"corollary double-sum identity ({r}-family)",
+         closed_series(form, order),
+         closed_series(_closed_data(TraceId(CLASS_2A, FAMILIES[r].coset_a))
+                       ._replace(powers=((1, -1), (2, 1)), shift=0), order))
+        for r, form in hecke.items()]
     table = [
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
         ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m_1),
-        ("triple sum (chi0 side) = 2 - chi0",
-         octant_series("chi0_side", order), 2 - chi0),
-        ("triple sum (chi1 side) = chi1",
-         octant_series("chi1_side", order), chi1),
-        ("Hecke double sum = phi0(-q)",
-         octant_series("phi0_lhs", order), phi0m),
-        ("Hecke double sum = -q^-1 phi1(-q)",
-         octant_series("phi1_lhs", order), -phi1m_1),
-        ("corollary double-sum identity (1-family)",
-         octant_series("cor_lhs_1", order),
-         octant_series("cor_rhs_1", order)),
-        ("corollary double-sum identity (7-family)",
-         octant_series("cor_lhs_7", order),
-         octant_series("cor_rhs_7", order)),
+        ("triple sum (chi0 side) = 2 - chi0", triple0, 2 - chi0),
+        ("triple sum (chi1 side) = chi1", triple1, chi1),
+        ("Hecke double sum = phi0(-q)", phi0_lhs, phi0m),
+        ("Hecke double sum = -q^-1 phi1(-q)", phi1_lhs, -phi1m_1),
+        *corollary,
         # the trace splitting of the identity class, and its 7-family
         # analogue through F1 and phi1
         ("2 T(e,1) = 4 q^(-1/120)(F0-1) - 2 q^(-1/120) phi0(-q)",

@@ -10,11 +10,11 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, CLASSES,
                                  _prefactor, all_trace_ids, closed_series,
                                  component_family, h_component,
                                  trace_closed)
-from e8umbral.mocktheta import _SUMS
 from e8umbral.qseries import GradingError, QSeries, SeriesError
 
 from oracles import (closed_form_oracle, eta_quotient_oracle, same_up_to,
                      shadow, valuation)
+from test_mocktheta import SUITE_FORMS
 from test_qseries import eta_quotient
 
 
@@ -278,7 +278,8 @@ def _on_grid(cap):
     return F(math.floor(120 * cap), 120)
 
 
-# the two Zwegers sums of mocktheta._SUMS keep their case ids
+# the eight octant sums of the identity suite, by name; the two Zwegers
+# sums keep their case ids
 _ZWEGERS_IDS = {"chi0_side": "zwegers c=1", "chi1_side": "zwegers c=3"}
 
 # the negative octant starts at value c = 1.gram.1 - lin.1, which is
@@ -290,7 +291,7 @@ _OCTANT_CASES = {
         F(121, 12))
        for o, shape in _CLOSED_SHAPES.items() for a in COSET_LABELS},
     **{_ZWEGERS_IDS.get(name, name): (form._replace(powers=()), F(12))
-       for name, form in _SUMS.items()},
+       for name, form in SUITE_FORMS.items()},
     **{f"random {seed}": _random_octant_case(seed) for seed in range(30)},
 }
 

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, FAMILIES,
                                  TraceId, component_family, trace_closed)
 from e8umbral.cli import main
 from e8umbral.mocktheta import IdentityReport
+from e8umbral.qseries import QSeries
 
 
 def run_cli(capsys, *argv):
@@ -137,8 +139,10 @@ def clear_caches():
 
 
 def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
-    # one octant walk per closed form, all to order 8: the 4 traces of the
-    # 1A and 2A components and the 8 mock theta sums.  mocktheta imports
+    # one octant walk per closed form: the 4 traces of the 1A and 2A
+    # components, the 2 corollary right sides and the 4 Hecke sums.  The
+    # 1A traces are also the triple sums, shifted by -71/120 at most, so
+    # they are built to order 10, the rest to order 8.  mocktheta imports
     # closed_series by name, so both modules' names are counted
     orders = []
     real = characters.closed_series
@@ -153,14 +157,14 @@ def test_verify_exact_sums_each_cone_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--suite", "exact",
                          "--order", "8")
     assert code == 0
-    assert (orders.count(8), len(orders)) == (12, 12)
+    assert (orders.count(8), orders.count(10), len(orders)) == (8, 2, 10)
 
 
 def test_verify_exact_builds_each_eta_quotient_once(capsys, monkeypatch):
     # each closed form multiplies its eta quotient once, in place on the
     # list of its own walk: the 1A and 2A traces' (q;q)^-2 and
-    # (q^2;q^2)^-1, and the mock theta sums' four products, the empty one
-    # included, two sums each
+    # (q^2;q^2)^-1 (the 1A traces are the triple sums too), and the other
+    # sums' three products, the empty one included, two sums each
     calls = []
     real = characters._times_eta
 
@@ -174,13 +178,15 @@ def test_verify_exact_builds_each_eta_quotient_once(capsys, monkeypatch):
                          "--order", "8")
     assert code == 0
     assert sorted(calls) == sorted(
-        [((1, -2),)] * 4 + [((2, -1),)] * 2 + [((1, 1), (2, -2))] * 2
+        [((1, -2),)] * 2 + [((2, -1),)] * 2 + [((1, 1), (2, -2))] * 2
         + [()] * 2 + [((1, -1), (2, 1))] * 2)
 
 
 @pytest.mark.parametrize("suite", ["exact", "numeric", "all"])
 def test_verify_corrupt_hook_fails(capsys, suite):
-    # the hook fails the first check of whichever suite runs, and only it
+    # the hook corrupts one input of a real comparison, which fails it and
+    # only it: a printed shift in the exact suite, when it runs, else the
+    # tol of the first numeric check
     code, out, _ = run_cli(capsys, "verify", "--suite", suite,
                            "--order", "8", "--corrupt")
     lines = out.splitlines()
@@ -188,6 +194,8 @@ def test_verify_corrupt_hook_fails(capsys, suite):
     n = len(lines) - 1
     assert code == 1
     assert len(fails) == 1 and "[corrupted]" in fails[0]
+    assert (" differs in shift: " if suite != "numeric"
+            else " [corrupted]: residual ") in fails[0]
     assert lines[-1] == f"{n - 1}/{n} checks passed"
 
 
@@ -239,8 +247,22 @@ def fail_numeric_check(monkeypatch):
 
 
 def fail_identity(monkeypatch):
+    # H(2A,7) one too high at q^(671/120), read by one identity line only
+    real, bump = mocktheta.h_component, QSeries({671: 1}, 8)
+    monkeypatch.setattr(mocktheta, "h_component", lambda cls, r, order:
+                        real(cls, r, order) + bump
+                        if (cls, r) == (CLASS_2A, 7) else
+                        real(cls, r, order))
+    c = real(CLASS_2A, 7, 8).coefficient(F(671, 120))
+    return [], IdentityReport("H(2A,7) = 2 q^(-49/120) phi1(-q)", 8,
+                              (F(671, 120), c + 1, c)), 30
+
+
+def fail_corrupt(monkeypatch):
+    # the hook: the printed shift of 1A a=1 one unit too high
     return ["--corrupt"], IdentityReport(
-        "chi0 = 2 F0 - phi0(-q) [corrupted]", 8, (5, 1, 2)), 30
+        "closed vs direct route, 1A a=1 [corrupted]", IdentityReport.EVERY,
+        ("shift", 0, -1)), 30
 
 
 def fail_closed_vs_direct(monkeypatch):
@@ -251,8 +273,8 @@ def fail_closed_vs_direct(monkeypatch):
 
 
 @pytest.mark.parametrize("fail", [
-    fail_theta_scan, fail_numeric_check, fail_identity,
-    fail_closed_vs_direct], ids=["theta", "numeric", "identity",
+    fail_theta_scan, fail_numeric_check, fail_identity, fail_corrupt,
+    fail_closed_vs_direct], ids=["theta", "numeric", "identity", "corrupt",
                                  "closed-vs-direct"])
 def test_verify_each_kind_of_check_fails_alone(capsys, monkeypatch, fail):
     # each kind of check, made to fail alone: exit 1, its record's line
@@ -336,7 +358,8 @@ NEGATIVE_CONTROLS = {
     "direct 3A shift": ("3A", "direct", "shift", change_shift),
 }
 # the identity lines that read the closed traces of a class
-READS_CLOSED = {"1A": ("2 T(e,", "H(1A,"), "2A": ("H(2A,",), "3A": ()}
+READS_CLOSED = {"1A": ("2 T(e,", "H(1A,", "triple sum ("),
+                "2A": ("H(2A,", "corollary double-sum identity ("), "3A": ()}
 
 
 @pytest.mark.parametrize("name", NEGATIVE_CONTROLS)

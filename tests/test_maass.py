@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from e8umbral import maass
 from e8umbral.characters import (CLASS_1A, CLASS_2A, CLASS_3A, FAMILIES,
-                                 h_component)
+                                 component_family, h_component)
 from e8umbral.maass import (SQRT_PI, ConvergenceError, IndefThetaData,
                             NumericsError,
                             _at_point, _eichler_part, _mat_mul,
@@ -321,10 +321,23 @@ def test_a_sum_that_cannot_meet_its_bound_evaluates_nothing():
 
 
 def test_completion_identity_both_components():
+    # any r of the support is checked as its family, to the same residual
+    # (11 and -1 = 59 in the 1-family, 53 = -7 in the 7-family), and an r
+    # off it is refused as h_value refuses it
     for tol in (1e-8, 1e-12):
-        for r in (1, 7):
-            for tau in (0.1 + 0.8j, 0.5j):
-                assert tau1_identity_check(tau, r, tol) < tol
+        for tau in (0.1 + 0.8j, 0.5j):
+            res = {r: tau1_identity_check(tau, r, tol) for r in (1, 7)}
+            assert max(res.values()) < tol
+            for r in (11, -1, 53, 59):
+                family = component_family(r)[0]
+                assert tau1_identity_check(tau, r, tol) == res[family], r
+                assert order2_theta_data(r) == order2_theta_data(family)
+    for call in (lambda: tau1_identity_check(0.5j, 2, 1e-8),
+                 lambda: order2_theta_data(2),
+                 lambda: h_value(CLASS_2A, 2, 0.5j, 1e-8, True)):
+        with pytest.raises(ValueError,
+                           match="^component 2 is not in the support$"):
+            call()
 
 
 def test_completion_identity_at_rounding_level_on_verify_points():

@@ -3,15 +3,41 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8umbral.mocktheta import (IdentityReport, compare_series,
-                                identity_suite, octant_series,
-                                ramanujan_series)
+from e8umbral.characters import (CLASS_1A, CLASS_2A, FAMILIES, TraceId,
+                                 _closed_data, closed_series, trace_closed)
+from e8umbral.mocktheta import (_HECKE, IdentityReport, compare_series,
+                                identity_suite, ramanujan_series)
 from e8umbral.qseries import GradingError, QSeries, SeriesError
 
 from oracles import ramanujan_oracle, same_up_to
 
 
 NAMES = ["chi0", "chi1", "F0", "F1", "phi0", "phi1"]
+
+
+def _suite_forms() -> dict:
+    """The eight octant sums of identity_suite as it derives them, by
+    name: per family (coset a), the 1A shape with shift 0; the Hecke
+    template at lin (a, a + 2) times (q;q)/(q^2;q^2)^2, and bare; the 2A
+    shape times (q^2;q^2)/(q;q), shift 0."""
+    forms = {}
+    for (r, f), n in zip(FAMILIES.items(), "01"):
+        hecke = _HECKE._replace(lin=(f.coset_a, f.coset_a + 2))
+        forms[f"chi{n}_side"] = _closed_data(
+            TraceId(CLASS_1A, f.coset_a))._replace(shift=0)
+        forms[f"phi{n}_lhs"] = hecke._replace(powers=((1, 1), (2, -2)))
+        forms[f"cor_lhs_{r}"] = hecke
+        shape_2a = _closed_data(TraceId(CLASS_2A, f.coset_a))
+        forms[f"cor_rhs_{r}"] = shape_2a._replace(powers=((1, -1), (2, 1)),
+                                                  shift=0)
+    return forms
+
+
+SUITE_FORMS = _suite_forms()
+
+
+def suite_sum(name: str, order):
+    return closed_series(SUITE_FORMS[name], order)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -70,39 +96,42 @@ def test_phi0_minus_q_head():
 def test_unknown_name_rejected():
     with pytest.raises(SeriesError):
         ramanujan_series("chi2", 5)
-    with pytest.raises(SeriesError):
-        octant_series("nope", 5)
 
 
 def test_triple_sum_constant_terms():
-    chi0_side = octant_series("chi0_side", 10)
+    chi0_side = suite_sum("chi0_side", 10)
     assert chi0_side.coefficient(0) == 1        # chi0(0) = 1, so 2 - 1
-    chi1_side = octant_series("chi1_side", 10)
+    chi1_side = suite_sum("chi1_side", 10)
     assert chi1_side.coefficient(0) == 1
 
 
 def test_triple_sums_match_chi():
     order = 20
-    assert same_up_to(octant_series("chi0_side", order),
+    assert same_up_to(suite_sum("chi0_side", order),
                       2 - ramanujan_series("chi0", order), order)
-    assert same_up_to(octant_series("chi1_side", order),
+    assert same_up_to(suite_sum("chi1_side", order),
                       ramanujan_series("chi1", order), order)
+    # the suite reads them as minus the 1A traces times q^(-lead/120)
+    for n, f in zip("01", FAMILIES.values()):
+        trace = trace_closed(TraceId(CLASS_1A, f.coset_a), order + 1)
+        assert same_up_to(-trace._shift(-f.lead),
+                          suite_sum(f"chi{n}_side", order), order)
 
 
 def test_hecke_sums_match_phi():
     order = 20
     phi0m = ramanujan_series("phi0", order).substitute_minus_q()
-    assert same_up_to(octant_series("phi0_lhs", order), phi0m, order)
+    assert same_up_to(suite_sum("phi0_lhs", order), phi0m, order)
     phi1m = ramanujan_series("phi1", order + 1).substitute_minus_q()
-    assert same_up_to(octant_series("phi1_lhs", order),
+    assert same_up_to(suite_sum("phi1_lhs", order),
                       -phi1m.shift(-1), order)
 
 
 def test_corollary_identities():
     order = 20
     for fam in ("1", "7"):
-        lhs = octant_series(f"cor_lhs_{fam}", order)
-        rhs = octant_series(f"cor_rhs_{fam}", order)
+        lhs = suite_sum(f"cor_lhs_{fam}", order)
+        rhs = suite_sum(f"cor_rhs_{fam}", order)
         assert same_up_to(lhs, rhs, order)
 
 
