@@ -3,8 +3,9 @@
 Each identity is verified coefficient-by-coefficient with exact integer
 arithmetic; a failure would name the first discrepant exponent.  The
 catalogue ties Ramanujan's fifth-order mock theta functions to the trace
-functions through triple sums, Hecke-type double sums, and the splitting
-into F0/F1 and phi0/phi1.
+functions through Hecke-type double sums and the splitting into F0/F1
+and phi0/phi1.  The H(1A, r) lines are Zwegers' triple-sum identities:
+the 1A traces are the triple sums.
 """
 
 from e8umbral import identity_suite, ramanujan_series

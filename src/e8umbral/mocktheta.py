@@ -22,16 +22,16 @@ running sum with stride k.  The summand valuations n, 2n^2, 2n(n+1), n^2,
 (n+1)^2 bound the number of summands, so to order N chi0 and chi1 cost
 O(N^2) integer additions and the other four O(N^1.5).  The identities'
 octant sums are read where they are stated: the Zwegers triple sums are
-the 1A traces, the corollary's right sides the 2A shape with other eta
-powers, and the Hecke-type sums the template ``_HECKE``.
+the 1A traces, so the H(1A, r) lines are the triple-sum identities; the
+corollary's right sides are the 2A shape with other eta powers, and the
+Hecke-type sums the template ``_HECKE``.
 """
 
 from collections import namedtuple
 from operator import add
 
 from .characters import (CLASS_1A, CLASS_2A, FAMILIES, ClosedForm, TraceId,
-                         _closed_data, closed_series, h_component,
-                         trace_closed)
+                         _closed_data, closed_series, h_component)
 from .qseries import DEN, QSeries, SeriesError, _num, _series
 
 # name: (valuation of summand n, factors of P_0, factors taking P_n to
@@ -139,27 +139,24 @@ _HECKE = ClosedForm((), ((1, 4), (4, 1)), None, (0, 1), -1, 0, (1, 1))
 def identity_suite(order) -> list[IdentityReport]:
     """Verify the full catalogue of exact q-series identities.
 
-    Covers the two Zwegers triple-sum identities, the two Hecke-type
-    double-sum expansions of phi0/phi1, the two corollary double-sum
-    identities, the chi/F/phi relations, the trace-to-mock-theta splitting
-    of the identity-class trace, and the four table identities expressing
-    the assembled components through chi0, chi1, phi0, phi1.
-
-    The triple sums are minus the 1A traces at the families' cosets times
-    q^(-lead/120), and the corollary's right side is prod_{n>0} (1 + q^n) =
-    (q^2;q^2)_inf / (q;q)_inf times the 2A shape at the coset, shift 0.
+    Covers the two Hecke-type double-sum expansions of phi0/phi1, the two
+    corollary double-sum identities, the chi/F/phi relations, the
+    trace-to-mock-theta splitting of the identity-class trace, and the
+    four table identities expressing the assembled components through
+    chi0, chi1, phi0, phi1.  The 1A traces are minus the two Zwegers
+    triple sums times q^(lead/120), so the H(1A, r) lines are the
+    triple-sum identities.  The corollary's right side is prod_{n>0}
+    (1 + q^n) = (q^2;q^2)_inf / (q;q)_inf times the 2A shape at the
+    coset, shift 0.
     """
-    hi = order + 2      # margin for the q^-1, q^(-49/120), q^(-71/120) shifts
+    hi = order + 1      # margin for the q^-1 shift of phi1(-q)
     chi0, chi1, F0, F1 = (ramanujan_series(name, hi)
                           for name in ("chi0", "chi1", "F0", "F1"))
     phi0m, phi1m = (ramanujan_series(name, hi).substitute_minus_q()
                     for name in ("phi0", "phi1"))
     m1, p71 = (f.lead for f in FAMILIES.values())   # q^(-1/120), q^(71/120)
-    h1, h7 = (h_component(CLASS_1A, r, hi) for r in FAMILIES)
+    h1, h7 = (h_component(CLASS_1A, r, order) for r in FAMILIES)
     phi1m_1 = phi1m.shift(-1)    # q^-1 phi1(-q)
-    triple0, triple1 = (
-        -trace_closed(TraceId(CLASS_1A, f.coset_a), hi)._shift(-f.lead)
-        for f in FAMILIES.values())
     hecke = {r: _HECKE._replace(lin=(f.coset_a, f.coset_a + 2))
              for r, f in FAMILIES.items()}
     phi0_lhs, phi1_lhs = (
@@ -174,8 +171,6 @@ def identity_suite(order) -> list[IdentityReport]:
     table = [
         ("chi0 = 2 F0 - phi0(-q)", chi0, F0.scale(2) - phi0m),
         ("chi1 = 2 F1 + q^-1 phi1(-q)", chi1, F1.scale(2) + phi1m_1),
-        ("triple sum (chi0 side) = 2 - chi0", triple0, 2 - chi0),
-        ("triple sum (chi1 side) = chi1", triple1, chi1),
         ("Hecke double sum = phi0(-q)", phi0_lhs, phi0m),
         ("Hecke double sum = -q^-1 phi1(-q)", phi1_lhs, -phi1m_1),
         *corollary,

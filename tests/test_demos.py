@@ -20,7 +20,7 @@ DEMO_STDOUT = {
         "f684526898c7d5617b8d22bc7cdd60d6c26254024a024d4e67c18f46cc908ed1",
     "completions_and_modularity.py": None,
     "mock_theta_identities.py":
-        "f54f4dfbdda64ba4a6d5438800e0530e4881d4819dd7de2c4bf272c6d72d24b2",
+        "e1728789ddb250e44711e07645818bf7281da9ec076f03c552e37d2e3e0b1338",
 }
 
 
